@@ -1,42 +1,14 @@
-"""Hot loops behind the Morse watershed flood.
+"""Array kernels behind the Morse watershed flood.
 
-Everything here operates on the integer arrays of a packed complex (see
-Complex.packed()): the flat-pair matching check, the facet adjacency
-construction, minimum detection, and the label flood itself.  The flood
-is compiled with numba when available.  Setting the environment variable
-MORSESHED_NUMBA=0 forces the pure-python path (also used when numba is
-not importable).  Both paths return identical results;
-benchmarks/bench_flood.py compares them.
+Three numpy functions on the integer arrays of a packed complex (see
+Complex.packed()): the flat-pair matching check that decides the Morse
+property, the facet adjacency of a non-branching pure complex, and the
+basin flood that labels facets and flags the cut.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_want_numba = os.environ.get("MORSESHED_NUMBA", "1") != "0"
-
-if _want_numba:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):  # no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 def flat_matching_offender(sub, sup, alt, n_faces) -> int:
@@ -92,67 +64,34 @@ def top_adjacency(pk, alt):
     return nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo
 
 
-def minimum_facets(nbr, sep_ids, facet_alt, sep_alt):
-    """Local ids (ascending) of facets with no flat boundary face; for a
-    Morse stack these are exactly the regional minima."""
-    flat_side = facet_alt[:, None] == sep_alt[sep_ids]
-    return np.nonzero(~flat_side.any(axis=1))[0]
+def flood(nbr, sep_ids, facet_alt, sep_alt):
+    """Basin labels B of the facets and cut flags W of the (d-1)-faces.
 
-
-@njit(cache=True)
-def _flood_numba(nbr, sep_ids, facet_alt, sep_alt, B, queue, tail):
-    head = 0
-    while head < tail:
-        x = queue[head]
-        head += 1
-        bx = B[x]
-        for k in range(nbr.shape[1]):
-            y = nbr[x, k]
-            if B[y] == 0 and facet_alt[y] == sep_alt[sep_ids[x, k]]:
-                B[y] = bx
-                queue[tail] = y
-                tail += 1
-    return B
-
-
-def _flood_python(nbr, sep_ids, facet_alt, sep_alt, B, queue, tail):
-    head = 0
-    ncols = nbr.shape[1]
-    while head < tail:
-        x = queue[head]
-        head += 1
-        bx = B[x]
-        row_n = nbr[x]
-        row_s = sep_ids[x]
-        for k in range(ncols):
-            y = row_n[k]
-            if B[y] == 0 and facet_alt[y] == sep_alt[row_s[k]]:
-                B[y] = bx
-                queue[tail] = y
-                tail += 1
-    return B
-
-
-def flood(nbr, sep_ids, facet_alt, sep_alt, seeds):
-    """Basin flood: propagate minimum labels across flat separators, then
-    flag every separator whose two sides ended up with different labels.
-
-    Every facet receives a positive label (a non-minimum facet has a
-    unique flat separator leading back toward its minimum), so a flagged
-    separator is exactly a biconnected one.
+    Precondition: the stack is Morse.  Then a facet has at most one flat
+    boundary face, and the facet across it (its parent) has a strictly
+    lower altitude, so the parent graph is a forest rooted at the facets
+    with no flat boundary face: the minima.  Pointer jumping
+    (parent = parent[parent]) sends every facet to its root; B is the
+    1-based rank of that root among the roots in ascending local id.  A
+    separator is flagged when its two facets carry different labels.
+    Cost: O(n log depth) numpy work for n facets.  Altitudes that are not
+    monotone can close a parent cycle; its facets reach no root and get
+    label 0.
     """
     n = nbr.shape[0]
-    n_seps = sep_alt.shape[0]
-    B = np.zeros(n, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    tail = 0
-    for i, label in seeds:
-        B[i] = label
-        queue[tail] = i
-        tail += 1
-    kernel = _flood_numba if NUMBA_ENABLED else _flood_python
-    B = kernel(nbr, sep_ids, facet_alt, sep_alt, B, queue, tail)
-    W = np.zeros(n_seps, dtype=np.bool_)
+    rows = np.arange(n)
+    flat = facet_alt[:, None] == sep_alt[sep_ids]
+    k = flat.argmax(axis=1)
+    parent0 = np.where(flat[rows, k], nbr[rows, k], rows)
+    parent = parent0
+    for _ in range(n.bit_length() + 1):  # 2**rounds > n > any tree depth
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            break
+        parent = jumped
+    is_root = parent0 == rows
+    B = np.where(is_root, np.cumsum(is_root), 0)[parent]
+    W = np.zeros(sep_alt.shape[0], dtype=np.bool_)
     differs = B[:, None] != B[nbr]
     W[sep_ids[differs]] = True
     return B, W

@@ -89,6 +89,8 @@ def export_labels(result: WatershedResult, format: str, coords=None) -> str:
         for e in cut_edges:
             lines.append(f"#   {_fmt_face(e)}")
         for v in verts:
+            if v not in coords:
+                raise ValueError(f"vertex {v} has no coordinates in the --coords file")
             x, y, z = coords[v]
             lines.append(f"{x} {y} {z}")
         for t in tris:

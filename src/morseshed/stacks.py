@@ -20,6 +20,9 @@ class StackError(ValueError):
     pass
 
 
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
 @dataclass(frozen=True)
 class Stack:
     host: Complex
@@ -30,9 +33,18 @@ class Stack:
         missing = self.host.faces - self.altitude.keys()
         if missing:
             raise StackError(f"altitude missing on {min(missing, key=face_key)}")
-        object.__setattr__(
-            self, "lambda_min", min(self.altitude.values(), default=0)
-        )
+        lam = min(self.altitude.values(), default=0)
+        if lam < _INT64_MIN or max(self.altitude.values(), default=0) > _INT64_MAX:
+            # alt_array() stores altitudes as int64
+            bad = min(
+                (x for x, v in self.altitude.items()
+                 if not _INT64_MIN <= v <= _INT64_MAX),
+                key=face_key,
+            )
+            raise StackError(
+                f"altitude {self.altitude[bad]} of {bad} is outside the int64 range"
+            )
+        object.__setattr__(self, "lambda_min", lam)
 
     def __call__(self, x: Face) -> int:
         return self.altitude[x]

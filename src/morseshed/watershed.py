@@ -1,7 +1,7 @@
 """Watersheds of stacks on normal pseudomanifolds.
 
 Three routes to the same object: the generic collapse procedure (any
-stack), the linear flood algorithm for Morse stacks, and the
+stack), the pointer-jumping flood for Morse stacks, and the
 definitional construction (closure of the biconnected faces of the
 traced minima) used as an oracle.  `verify_cut` and
 `verify_drop_of_water` check the watershed axioms directly.
@@ -85,13 +85,15 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
 
 
 def morse_watershed(F: Stack) -> WatershedResult:
-    """Linear flood over the facet adjacency of a Morse stack.
+    """Flood over the facet adjacency of a Morse stack.
 
-    Seeds at the minima facets, propagates a basin label across flat
-    (d-1)-faces, marks the cut where two labels meet, closes the cut
-    downward, then attaches every remaining lower face to the basin of
-    its smallest labelled coface.  All heavy steps run on the packed
-    integer arrays of the host.
+    After the Morse check, every non-minimum facet drains across its one
+    flat (d-1)-face to a strictly lower facet; pointer jumping along these
+    links labels each facet with the rank of its minimum in canonical
+    order, which is the basin numbering of minima(F).  The cut is the
+    (d-1)-faces whose two facets carry different labels, closed downward;
+    every remaining lower face joins the basin of its smallest labelled
+    coface.  All heavy steps run on the packed integer arrays of the host.
     """
     X = F.host
     d = X.dim
@@ -111,12 +113,7 @@ def morse_watershed(F: Stack) -> WatershedResult:
     except ValueError as exc:
         raise StackError(str(exc)) from exc
 
-    # Morse minima are single facets; local ids ascend in canonical order,
-    # matching the basin numbering of minima(F)
-    seeds = [(int(i), lab) for lab, i in enumerate(
-        _kernels.minimum_facets(nbr, sep_ids, facet_alt, sep_alt), start=1
-    )]
-    B, W_flags = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt, seeds)
+    B, W_flags = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt)
 
     faces = pk.faces
     labels: dict[Face, int] = {}

@@ -242,7 +242,7 @@ def test_criterion_8_collapse_preserves_minima_except_on_branching_host():
 
 def test_criterion_9_linear_time_scaling():
     t_total = time.perf_counter()
-    # warm up the JIT so compilation is not measured
+    # warm up imports and first-call costs so they are not measured
     warm = random_morse_stack(generate_torus(5, 5), seed=0)
     morse_watershed(warm)
     times = {}

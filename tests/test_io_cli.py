@@ -72,6 +72,8 @@ def test_stack_parse_errors():
     with pytest.raises(StackError):
         # vertex below its coface violates monotonicity
         io.parse_stack("0 1 : 5\n0 : 0\n1 : 5\n")
+    with pytest.raises(StackError, match=r"\(0,\) is outside the int64 range"):
+        io.parse_stack("0 : 9223372036854775808\n")
 
 
 def test_gradient_round_trip():
@@ -215,6 +217,14 @@ def test_cli_export_off(capsys, tmp_path):
     assert out.startswith("OFF\n9 18 0")
     # off without coords is a usage error
     assert cli.main(["export", str(stack), "--format", "off"]) == 1
+    # a vertex missing from the coords file is named, not a bare KeyError
+    coords.write_text("".join(f"{v} {v % 3} {v // 3} 0\n" for v in range(8)))
+    capsys.readouterr()
+    assert cli.main([
+        "export", str(stack), "--format", "off", "--coords", str(coords)
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: vertex 8 has no coordinates in the --coords file\n"
 
 
 def test_cli_exit_codes(capsys, tmp_path):
@@ -224,7 +234,13 @@ def test_cli_exit_codes(capsys, tmp_path):
     bad.write_text("not a face\n")
     assert cli.main(["validate", str(bad)]) == 2
     assert cli.main(["minima", str(tmp_path / "missing.stack")]) == 1
+    huge = tmp_path / "huge.stack"
+    huge.write_text("0 : 9223372036854775808\n")
     capsys.readouterr()
+    for algo in ("morse", "collapse"):  # both routes reject it the same way
+        assert cli.main(["watershed", str(huge), "--algo", algo]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "(0,)" in err
 
 
 def test_cli_entry_point_runs():

@@ -1,6 +1,4 @@
-import json
-import subprocess
-import sys
+from collections import deque
 
 import numpy as np
 
@@ -8,7 +6,6 @@ from morseshed import _kernels
 from morseshed.fixtures import cyc6_stack
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
-from morseshed.watershed import morse_watershed
 
 
 def _adjacency(F):
@@ -34,31 +31,37 @@ def test_top_adjacency_cyc6():
             assert i in nbr[nbr[i, k]]
 
 
+def _queue_flood(nbr, sep_ids, facet_alt, sep_alt):
+    """Reference flood: seed each facet without a flat boundary face with
+    its 1-based rank, then spread labels breadth-first across flat faces."""
+    flat = facet_alt[:, None] == sep_alt[sep_ids]
+    B = np.zeros(nbr.shape[0], dtype=np.int64)
+    queue = deque()
+    for label, i in enumerate(np.nonzero(~flat.any(axis=1))[0], start=1):
+        B[i] = label
+        queue.append(i)
+    while queue:
+        x = queue.popleft()
+        for y, z in zip(nbr[x], sep_ids[x]):
+            if B[y] == 0 and facet_alt[y] == sep_alt[z]:
+                B[y] = B[x]
+                queue.append(y)
+    W = np.zeros(sep_alt.shape[0], dtype=np.bool_)
+    W[sep_ids[B[:, None] != B[nbr]]] = True
+    return B, W
+
+
 def test_flood_kernels_agree():
-    for seed in range(10):
-        F = random_morse_stack(generate_torus(4, 4), seed=seed)
+    stacks = [random_morse_stack(generate_torus(4, 4), seed=s) for s in range(10)]
+    # one minimum on TOR(40,40): all 3200 facets in one tree, 73 links deep
+    stacks.append(random_morse_stack(generate_torus(40, 40), seed=0, n_minima=1))
+    for F in stacks:
         nbr, sep_ids, facet_alt, sep_alt, _, _ = _adjacency(F)
-        seeds = [
-            (int(i), lab)
-            for lab, i in enumerate(
-                _kernels.minimum_facets(nbr, sep_ids, facet_alt, sep_alt), 1
-            )
-        ]
-
-        def run(kernel):
-            B = np.zeros(nbr.shape[0], dtype=np.int64)
-            queue = np.empty(nbr.shape[0], dtype=np.int64)
-            tail = 0
-            for i, label in seeds:
-                B[i] = label
-                queue[tail] = i
-                tail += 1
-            return kernel(nbr, sep_ids, facet_alt, sep_alt, B, queue, tail)
-
-        b_py = run(_kernels._flood_python)
-        assert (b_py > 0).all()  # every facet drains to some minimum
-        if _kernels.NUMBA_ENABLED:
-            assert (run(_kernels._flood_numba) == b_py).all()
+        B, W = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt)
+        B_ref, W_ref = _queue_flood(nbr, sep_ids, facet_alt, sep_alt)
+        assert (B_ref > 0).all()  # every facet drains to some minimum
+        assert np.array_equal(B, B_ref)
+        assert np.array_equal(W, W_ref)
 
 
 def test_flat_matching_offender():
@@ -71,31 +74,3 @@ def test_flat_matching_offender():
     assert _kernels.flat_matching_offender(
         pk.sub, pk.sup, flat.alt_array(), len(pk.faces)
     ) >= 0
-
-
-def test_env_flag_fallback_matches_numba_path():
-    """MORSESHED_NUMBA=0 must select the python kernel and produce the
-    same watershed output."""
-    script = (
-        "import json\n"
-        "from morseshed import _kernels\n"
-        "from morseshed.manifolds import generate_torus\n"
-        "from morseshed.morse import random_morse_stack\n"
-        "from morseshed.watershed import morse_watershed\n"
-        "assert not _kernels.NUMBA_ENABLED\n"
-        "F = random_morse_stack(generate_torus(4, 4), seed=5)\n"
-        "r = morse_watershed(F)\n"
-        "print(json.dumps([[list(k), v] for k, v in sorted(r.labels.items())]))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={"MORSESHED_NUMBA": "0", "PATH": "/usr/bin:/bin:/usr/local/bin"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    fallback_labels = {
-        tuple(face): label for face, label in json.loads(proc.stdout)
-    }
-    F = random_morse_stack(generate_torus(4, 4), seed=5)
-    assert morse_watershed(F).labels == fallback_labels
