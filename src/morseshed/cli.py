@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import fixtures, io as mio
-from .complexes import face_key
+from .complexes import Face, face_key
 from .forest import build_facet_graph, verify_msf_theorem, watershed_forest
 from .manifolds import validate
 from .morse import classify, is_morse, random_morse_stack
@@ -57,19 +58,27 @@ def export_labels(result: WatershedResult, format: str, coords=None) -> str:
         lines = ["graph basins {"]
         for x in tops:
             lines.append(f'  n{idx[x]} [label="{_fmt_face(x)}" basin={result.labels[x]}];')
-        seen = set()
+        # tops sharing a labelled (d-1)-face are adjacent; each pair shares
+        # at most one, and is written once, from its smaller end
+        sharing: dict[Face, list[Face]] = {}
         for x in tops:
-            for y in tops:
-                if x < y and len(set(x) & set(y)) == d:
-                    shared = tuple(sorted(set(x) & set(y)))
-                    if shared in result.labels and (x, y) not in seen:
-                        seen.add((x, y))
-                        style = (
-                            ' [style=bold color=red]'
-                            if result.labels[shared] == WATERSHED_LABEL
-                            else ""
-                        )
-                        lines.append(f"  n{idx[x]} -- n{idx[y]}{style};")
+            for z in combinations(x, d):
+                if z in result.labels:
+                    sharing.setdefault(z, []).append(x)
+        for x in tops:
+            nbrs = sorted(
+                (idx[y], z)
+                for z in combinations(x, d)
+                for y in sharing.get(z, ())
+                if idx[y] > idx[x]
+            )
+            for j, z in nbrs:
+                style = (
+                    ' [style=bold color=red]'
+                    if result.labels[z] == WATERSHED_LABEL
+                    else ""
+                )
+                lines.append(f"  n{idx[x]} -- n{j}{style};")
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "off":

@@ -259,6 +259,23 @@ def msf_oracle(
     return weight, None
 
 
+def _lightest_at_an_endpoint(G: WeightedFacetGraph, edges) -> bool:
+    """Every edge in `edges` is strictly lighter than every other edge of G
+    at one of its two endpoints."""
+    incident: dict[Face, list[tuple[int, Edge]]] = {v: [] for v in G.vertices}
+    for e, w in G.edges.items():
+        for v in e:
+            incident[v].append((w, e))
+    for a, b in edges:
+        ab = _edge(a, b)
+        w_ab = G.edges[ab]
+        if not any(
+            all(w_ab < w for w, e in incident[v] if e != ab) for v in (a, b)
+        ):
+            return False
+    return True
+
+
 def verify_msf_theorem(
     F: Stack, enumerate_limit: int = 12
 ) -> dict[str, bool]:
@@ -289,15 +306,5 @@ def verify_msf_theorem(
         frozenset(f for f in fs if len(f) - 1 == d) for _, fs in ws.basins
     }
     checks["basins"] = set(Y.trees()) == basin_tops
-    min_edge_ok = True
-    for a, b in Y.edges:
-        w_ab = G.edges[_edge(a, b)]
-        unique_at_endpoint = False
-        for v in (a, b):
-            incident = [w for e, w in G.edges.items() if v in e and e != _edge(a, b)]
-            if all(w_ab < w for w in incident):
-                unique_at_endpoint = True
-        if not unique_at_endpoint:
-            min_edge_ok = False
-    checks["min_edge"] = min_edge_ok
+    checks["min_edge"] = _lightest_at_an_endpoint(G, Y.edges)
     return checks

@@ -4,11 +4,17 @@ Three routes to the same object: the generic collapse procedure (any
 stack), the pointer-jumping flood for Morse stacks, and the
 definitional construction (closure of the biconnected faces of the
 traced minima) used as an oracle.  `verify_cut` and
-`verify_drop_of_water` check the watershed axioms directly.
+`verify_drop_of_water` check the watershed axioms directly, each from
+one labelling of the host: the components of the complement of W for
+the cut, and one ascending pass of descending reachability for the drop
+of water.  Both take time linear in the size of the host (plus one sort
+by altitude), except that `verify_cut` also enumerates the facet subsets
+of a small W when some facet of W is a facet of the host.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +23,6 @@ from .complexes import (
     Face,
     closure,
     connected_components,
-    face_key,
     proper_subfaces,
 )
 from .morse import biconnected_faces, is_morse
@@ -157,96 +162,128 @@ def morse_watershed_direct(F: Stack) -> Complex:
 # -- verification oracles -----------------------------------------------------
 
 
-def _is_extension_of_minima(F: Stack, open_set: set[Face]) -> bool:
-    """host \\ W is an extension of min(F): every minimum inside, and each
-    component of the open set holds exactly one minimum."""
-    mins = minima(F)
-    min_id = {}
-    for i, (zone, _) in enumerate(mins.minima):
-        for f in zone:
-            if f not in open_set:
-                return False
-            min_id[f] = i
-    for comp in connected_components(F.host, open_set):
-        ids = {min_id[f] for f in comp if f in min_id}
-        if len(ids) != 1:
-            return False
-    return True
+def _minimum_ids(F: Stack) -> dict[Face, int]:
+    """Each face of a minimum of F, mapped to that minimum's index."""
+    return {f: i for i, (zone, _) in enumerate(minima(F).minima) for f in zone}
+
+
+def _extension_components(
+    X: Complex, min_id: dict[Face, int], open_set: frozenset[Face]
+) -> list[set[Face]] | None:
+    """The components of `open_set` if it is an extension of the minima
+    (every minimum face inside, and each component holding exactly one
+    minimum), else None."""
+    if not open_set.issuperset(min_id):
+        return None
+    comps = connected_components(X, open_set)
+    for comp in comps:
+        if len({min_id[f] for f in comp if f in min_id}) != 1:
+            return None
+    return comps
 
 
 def verify_cut(F: Stack, W: Complex, exhaustive_limit: int = 12) -> bool:
-    """Cut axioms: complement extends the minima and W is minimal.
+    """Cut axioms: X \\ W is an extension of min(F), and W is minimal.
 
-    Minimality is checked by facet-removal necessity always, and by
-    exhaustive enumeration of facet subsets when W is small.
+    One labelling of the components of X \\ W decides both.  Dropping a
+    facet w of W frees A(w): w and those of its faces that lie in no
+    other facet of W.  A(w) is connected and holds no minimum, so the
+    complement of the smaller complex is still an extension exactly when
+    the faces just above A(w) and outside W all lie in one component of
+    X \\ W.  So w is needed unless it touches exactly one component.
+
+    When W has at most `exhaustive_limit` facets, every subset of them is
+    also tried, but only if some facet of W is a facet of the host.
+    Otherwise each facet w has a coface outside W, so A(w) touches a
+    component, and (w being needed) at least two.  Dropping any set of
+    facets that contains w frees a superset of A(w), which still joins two
+    components and hence two minima, so no subset can change the verdict.
     """
     X = F.host
     if not W.faces <= X.faces:
         raise ValueError("W is not a subcomplex of the host")
-    if not _is_extension_of_minima(F, set(X.faces - W.faces)):
+    min_id = _minimum_ids(F)
+    comps = _extension_components(X, min_id, X.faces - W.faces)
+    if comps is None:
         return False
+    comp_of = {f: i for i, comp in enumerate(comps) for f in comp}
     facets = W.facets()
+    holders = Counter(y for w in facets for y in (w, *proper_subfaces(w)))
     for w in facets:
-        smaller = closure(set(facets) - {w}) if len(facets) > 1 else Complex(())
-        if _is_extension_of_minima(F, set(X.faces - smaller.faces)):
+        freed = [y for y in (w, *proper_subfaces(w)) if holders[y] == 1]
+        touched = {comp_of[c] for y in freed for c in X.cofaces[y] if c in comp_of}
+        if len(touched) == 1:
             return False
-    if len(facets) <= exhaustive_limit:
+    if len(facets) <= exhaustive_limit and any(not X.cofaces[w] for w in facets):
         for k in range(len(facets)):
             for sub in combinations(facets, k):
-                Z = closure(sub) if sub else Complex(())
-                if Z.faces != W.faces and _is_extension_of_minima(
-                    F, set(X.faces - Z.faces)
-                ):
+                Z = closure(sub)
+                if _extension_components(X, min_id, X.faces - Z.faces) is not None:
                     return False
     return True
 
 
 def _descending_reach(F: Stack, forbidden: frozenset[Face]) -> dict[Face, frozenset[int]]:
     """For each d-face outside `forbidden`: ids of minima of F reachable by a
-    descending strong path avoiding forbidden faces."""
+    descending strong path avoiding forbidden faces.
+
+    A step from x to y crosses their shared (d-1)-face z, off `forbidden`,
+    with F(y) <= F(z) <= F(x).  Steps between equal altitudes cross a flat
+    z and go both ways, so the d-faces are visited in ascending altitude,
+    one group of equal-altitude faces joined by such steps at a time.  A
+    group reaches the minima its members lie in and whatever its strictly
+    lower neighbours reach, which is already known.
+    """
     X = F.host
     d = X.dim
-    mins = minima(F)
-    seed: dict[Face, set[int]] = {}
-    for i, (zone, _) in enumerate(mins.minima):
-        for f in zone:
-            if len(f) - 1 == d:
-                seed.setdefault(f, set()).add(i)
-    reach: dict[Face, set[int]] = {
-        x: set(seed.get(x, ())) for x in X.faces_of_dim(d) if x not in forbidden
-    }
-    # descending edges may tie in altitude, so relax to a fixed point
-    changed = True
-    while changed:
-        changed = False
-        for x in reach:
-            fx = F.altitude[x]
-            acc = reach[x]
-            before = len(acc)
+    alt = F.altitude
+    seed = {f: i for f, i in _minimum_ids(F).items() if len(f) - 1 == d}
+    tops = sorted(
+        (x for x in X.faces_of_dim(d) if x not in forbidden), key=alt.__getitem__
+    )
+    reach: dict[Face, frozenset[int]] = {}
+    for first in tops:
+        if first in reach:
+            continue
+        level = alt[first]
+        group, todo, acc = {first}, [first], set()
+        while todo:
+            x = todo.pop()
+            if x in seed:
+                acc.add(seed[x])
             for z in X.boundary[x]:
-                if z in forbidden or F.altitude[z] > fx:
+                fz = alt[z]
+                if fz > level or z in forbidden:
                     continue
                 for y in X.cofaces[z]:
-                    if y != x and y in reach and F.altitude[y] <= F.altitude[z]:
+                    if alt[y] > fz or y in forbidden or y in group:
+                        continue
+                    if alt[y] == level:
+                        group.add(y)
+                        todo.append(y)
+                    else:
                         acc |= reach[y]
-            if len(acc) != before:
-                changed = True
-    return {x: frozenset(s) for x, s in reach.items()}
+        found = frozenset(acc)
+        for x in group:
+            reach[x] = found
+    return reach
 
 
 def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     """Each face of W must see two descending strong paths, starting in its
     cofaces and staying off W, that end in distinct minima of F."""
     X = F.host
+    if not W.faces <= X.faces:
+        raise ValueError("W is not a subcomplex of the host")
     d = X.dim
-    reach = _descending_reach(F, frozenset(W.faces))
-    for x in sorted(W.faces, key=face_key):
-        xs = set(x)
-        tops = [y for y in X.faces_of_dim(d) if xs <= set(y)]
+    reach = _descending_reach(F, W.faces)
+    for x in W.faces:
+        tops = {x}
+        for _ in range(d + 1 - len(x)):
+            tops = {y for t in tops for y in X.cofaces[t]}
         found: set[int] = set()
         for y in tops:
-            if y in reach:
-                found |= reach[y]
+            found |= reach.get(y, frozenset())
         if len(found) < 2:
             return False
     return True

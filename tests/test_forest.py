@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from morseshed.fixtures import cyc6_stack, tetrahedron_boundary
 from morseshed.forest import (
     WeightedFacetGraph,
+    _edge,
+    _lightest_at_an_endpoint,
     build_facet_graph,
     enumerate_msfs,
     is_rooted_forest,
@@ -16,7 +20,7 @@ from morseshed.forest import (
 )
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
-from morseshed.stacks import StackError, complete_from_facets, minima
+from morseshed.stacks import StackError, complete_from_facets, minima, random_stack
 
 FIX_WEIGHTS = {
     ((0, 1), (1, 2)): 1,
@@ -184,3 +188,37 @@ def test_forest_weight_and_trees_consistency():
     Y = watershed_forest(F)
     assert Y.weight(G) == msf_weight(G, Y.roots)
     assert sum(len(t) for t in Y.trees()) == len(Y.vertices)
+
+
+def _ref_lightest_at_an_endpoint(G, edges):
+    """Reference: rescan every edge of G at both endpoints of each edge."""
+    ok = True
+    for a, b in edges:
+        w_ab = G.edges[_edge(a, b)]
+        unique_at_endpoint = False
+        for v in (a, b):
+            incident = [w for e, w in G.edges.items() if v in e and e != _edge(a, b)]
+            if all(w_ab < w for w in incident):
+                unique_at_endpoint = True
+        if not unique_at_endpoint:
+            ok = False
+    return ok
+
+
+def test_min_edge_check_matches_reference():
+    rng = random.Random(5)
+    verdicts = []
+    for seed in range(40):
+        n = 3 + seed % 3
+        X = generate_torus(n, n)
+        F = random_morse_stack(X, seed=seed, n_minima=1 + seed % 4)
+        G = build_facet_graph(F)
+        # weights 0..2 on a random stack tie often
+        H = build_facet_graph(random_stack(X, seed=seed, low=0, high=2))
+        cases = [(G, watershed_forest(F).edges), (G, rng.sample(sorted(G.edges), 6))]
+        cases += [(H, rng.sample(sorted(H.edges), k)) for k in (1, 2)]
+        for graph, edges in cases:
+            got = _lightest_at_an_endpoint(graph, edges)
+            assert got == _ref_lightest_at_an_endpoint(graph, edges)
+            verdicts.append(got)
+    assert verdicts.count(True) >= 45 and verdicts.count(False) >= 100

@@ -4,11 +4,12 @@ import sys
 import pytest
 
 from morseshed import cli, io
-from morseshed.complexes import closure
-from morseshed.fixtures import cyc6_stack, wedge
-from morseshed.morse import gradient
+from morseshed.complexes import Complex, closure, face_key
+from morseshed.fixtures import branching_triangles, cyc6_stack, wedge
+from morseshed.manifolds import generate_torus
+from morseshed.morse import gradient, random_morse_stack
 from morseshed.stacks import StackError
-from morseshed.watershed import morse_watershed
+from morseshed.watershed import WATERSHED_LABEL, WatershedResult, morse_watershed
 
 
 # -- text formats --------------------------------------------------------------
@@ -182,6 +183,46 @@ def test_cli_gen_and_export(capsys, tmp_path):
     dot = capsys.readouterr().out
     assert dot.count("[label=") == 18  # one node per triangle
     assert dot.count(" -- ") == 27
+
+
+def _pairwise_dot_edges(result):
+    """Reference for the edge lines of the dot export: intersect every
+    pair of top faces."""
+    labels = result.labels
+    d = max(len(x) - 1 for x in labels)
+    tops = sorted((x for x in labels if len(x) - 1 == d), key=face_key)
+    idx = {x: i for i, x in enumerate(tops)}
+    lines = []
+    for x in tops:
+        for y in tops:
+            if x < y and len(set(x) & set(y)) == d:
+                shared = tuple(sorted(set(x) & set(y)))
+                if shared in labels:
+                    style = (
+                        " [style=bold color=red]"
+                        if labels[shared] == WATERSHED_LABEL
+                        else ""
+                    )
+                    lines.append(f"  n{idx[x]} -- n{idx[y]}{style};")
+    return lines
+
+
+def test_export_dot_matches_pairwise_adjacency():
+    results = [morse_watershed(cyc6_stack())]
+    for n in (3, 4, 5, 6):
+        F = random_morse_stack(generate_torus(n, n), seed=n, n_minima=3)
+        results.append(morse_watershed(F))
+    # three triangles on one edge: every pair of them is adjacent
+    X = branching_triangles()
+    results.append(WatershedResult({x: 1 for x in X.faces}, Complex(()), ()))
+    for r in results:
+        dot = cli.export_labels(r, "dot")
+        edges = [ln for ln in dot.splitlines() if " -- " in ln]
+        assert edges == _pairwise_dot_edges(r)
+        # one red edge per (d-1)-face of the cut
+        d = max(len(x) - 1 for x in r.labels)
+        red = [ln for ln in edges if ln.endswith(" [style=bold color=red];")]
+        assert len(red) == sum(1 for z in r.watershed.faces if len(z) == d)
 
 
 def test_cli_gen_random_morse_minima(capsys, tmp_path):

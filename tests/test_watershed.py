@@ -111,6 +111,12 @@ def test_verify_cut_rejects_foreign_subcomplex():
         verify_cut(F, closure([(7, 8)]))
 
 
+def test_verify_drop_of_water_rejects_foreign_subcomplex():
+    F = cyc6_stack()
+    with pytest.raises(ValueError, match="W is not a subcomplex of the host"):
+        verify_drop_of_water(F, closure([(7, 8)]))
+
+
 def test_verify_drop_of_water_fixture():
     F = cyc6_stack()
     assert verify_drop_of_water(F, closure([(3,), (5,)]))
