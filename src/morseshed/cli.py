@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import fixtures, io as mio
 from .complexes import Face, face_key
-from .forest import build_facet_graph, verify_msf_theorem, watershed_forest
+from .forest import _msf_checks, build_facet_graph, watershed_forest
 from .manifolds import validate
 from .morse import classify, is_morse, random_morse_stack
 from .stacks import StackError, minima, validate_stack
@@ -209,7 +209,7 @@ def _cmd_msf(args) -> int:
         lines.append("}")
         print("\n".join(lines))
     if args.verify:
-        checks = verify_msf_theorem(F)
+        checks = _msf_checks(F, G, Y)
         for k, v in sorted(checks.items()):
             print(f"check_{k}={v}")
         if not all(checks.values()):

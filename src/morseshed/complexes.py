@@ -1,9 +1,12 @@
 """Simplicial complexes as finite families of vertex sets.
 
-A face is a tuple of strictly increasing non-negative vertex ids.  A
-:class:`Complex` stores the full closed family together with eagerly built
-incidence indexes (codimension-1 faces and cofaces), since every algorithm
-downstream walks covering pairs.  Complexes are immutable after
+A face is a tuple of strictly increasing non-negative int64 vertex ids.  A
+:class:`Complex` is built as packed integer arrays (see
+:meth:`Complex.packed`): the faces in canonical order, every covering pair
+as a (sub, sup) pair of indexes, and the index range of each dimension.
+The tuple views that the face-by-face algorithms walk -- ``by_dim``,
+``boundary`` and ``cofaces`` -- are derived from the arrays on first
+access and are plain attributes after that.  Complexes are immutable after
 construction; operations return new objects sharing nothing mutable.
 """
 
@@ -12,10 +15,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
+import numpy as np
+
 Face = tuple[int, ...]
+
+_INT64_MAX = 2**63 - 1
 
 
 class InvalidSimplexError(ValueError):
@@ -29,6 +36,8 @@ def make_face(vertices: Iterable[int]) -> Face:
         raise InvalidSimplexError("a simplex must have at least one vertex")
     if any(v < 0 for v in vs):
         raise InvalidSimplexError(f"negative vertex id in {vs}")
+    if vs[-1] > _INT64_MAX:  # the packed arrays store vertex ids as int64
+        raise InvalidSimplexError(f"vertex id {vs[-1]} in {vs} is outside the int64 range")
     if any(vs[i] == vs[i + 1] for i in range(len(vs) - 1)):
         raise InvalidSimplexError(f"repeated vertex in {vs}")
     return vs
@@ -52,45 +61,32 @@ def face_key(x: Face) -> tuple[int, Face]:
 class Complex:
     """A finite simplicial complex with incidence indexes.
 
-    ``boundary[x]`` lists the codim-1 faces of x, ``cofaces[x]`` the codim-1
-    cofaces, both in canonical order.
+    ``boundary[x]`` lists the codim-1 faces of x in drop-vertex-i order
+    (the face without ``x[i]`` at position i), ``cofaces[x]`` the codim-1
+    cofaces in canonical order, and ``by_dim[p]`` the p-faces in canonical
+    order.  The three are built from the packed arrays on first access.
     """
 
-    __slots__ = ("faces", "dim", "by_dim", "boundary", "cofaces", "_sorted", "_packed")
+    __slots__ = ("faces", "dim", "_packed", "by_dim", "boundary", "cofaces")
 
     def __init__(self, faces: Iterable[Face], _trusted: bool = False):
         if _trusted:
             face_set = frozenset(faces)
         else:
             face_set = frozenset(make_face(x) for x in faces)
-            for x in face_set:
-                for y in proper_subfaces(x):
-                    if y not in face_set:
-                        raise InvalidSimplexError(
-                            f"not closed: {x} present but its face {y} missing"
-                        )
         self.faces: frozenset[Face] = face_set
-        self.dim = max((len(x) for x in face_set), default=0) - 1
-        by_dim: dict[int, list[Face]] = {p: [] for p in range(self.dim + 1)}
-        for x in face_set:
-            by_dim[len(x) - 1].append(x)
-        for lst in by_dim.values():
-            lst.sort()
-        self.by_dim = by_dim
-        boundary: dict[Face, tuple[Face, ...]] = {}
-        cof: dict[Face, list[Face]] = {x: [] for x in face_set}
-        for x in face_set:
-            if len(x) == 1:
-                boundary[x] = ()
-                continue
-            bd = tuple(x[:i] + x[i + 1:] for i in range(len(x)))
-            boundary[x] = bd
-            for y in bd:
-                cof[y].append(x)
-        self.boundary = boundary
-        self.cofaces = {y: tuple(sorted(c)) for y, c in cof.items()}
-        self._sorted: list[Face] | None = None
-        self._packed: "PackedComplex | None" = None
+        self.dim = max(map(len, face_set), default=0) - 1
+        self._packed = _pack(face_set, self.dim)
+
+    def __getattr__(self, name: str):
+        # only reached while a view slot is unset: build it once, and later
+        # reads find the slot filled
+        build = _VIEWS.get(name)
+        if build is None:
+            raise AttributeError(f"'Complex' object has no attribute {name!r}")
+        view = build(self._packed)
+        setattr(self, name, view)
+        return view
 
     # -- basic protocol ----------------------------------------------------
 
@@ -114,16 +110,17 @@ class Complex:
 
     def sorted_faces(self) -> list[Face]:
         """All faces in canonical (dimension, lexicographic) order."""
-        if self._sorted is None:
-            self._sorted = sorted(self.faces, key=face_key)
-        return self._sorted
+        return self._packed.faces
 
     def faces_of_dim(self, p: int) -> list[Face]:
         return self.by_dim.get(p, [])
 
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces, in canonical order."""
-        return sorted((x for x in self.faces if not self.cofaces[x]), key=face_key)
+        pk = self._packed
+        has_coface = np.zeros(len(pk.faces), dtype=np.bool_)
+        has_coface[pk.sub] = True
+        return [pk.faces[i] for i in np.flatnonzero(~has_coface).tolist()]
 
     def is_pure(self) -> bool:
         return all(len(x) - 1 == self.dim for x in self.facets())
@@ -132,69 +129,184 @@ class Complex:
         return sum((-1) ** p * len(fs) for p, fs in self.by_dim.items())
 
     def star(self, x: Face) -> frozenset[Face]:
-        """st(x) = all faces containing x; an open subset of the complex."""
+        """st(x) = all faces containing x; an open subset of the complex.
+
+        Walks cofaces upward: in a closed family every face containing x
+        is reached by adding one vertex at a time."""
         if x not in self.faces:
             raise KeyError(f"{x} is not a face of the complex")
-        xs = set(x)
-        return frozenset(y for y in self.faces if xs.issubset(y))
+        cofaces = self.cofaces
+        out = {x}
+        layer = [x]
+        while layer:
+            layer = {y for z in layer for y in cofaces[z]}
+            out |= layer
+        return frozenset(out)
 
     def packed(self) -> "PackedComplex":
-        """Integer-indexed incidence arrays, built once and cached.
+        """Integer-indexed incidence arrays, the form the complex is built in.
 
         Faces are numbered in canonical order, so faces of one dimension
         occupy a contiguous index range.  Hot array-based algorithms use
         this instead of walking the tuple-keyed dicts.
         """
-        if self._packed is None:
-            import numpy as np
-
-            faces = self.sorted_faces()
-            index = {x: i for i, x in enumerate(faces)}
-            subs: list[int] = []
-            sups: list[int] = []
-            for i, y in enumerate(faces):
-                for z in self.boundary[y]:
-                    subs.append(index[z])
-                    sups.append(i)
-            dim_offset = np.zeros(self.dim + 2, dtype=np.int64)
-            for p in range(self.dim + 1):
-                dim_offset[p + 1] = dim_offset[p] + len(self.by_dim.get(p, ()))
-            self._packed = PackedComplex(
-                faces=faces,
-                index=index,
-                sub=np.asarray(subs, dtype=np.int64),
-                sup=np.asarray(sups, dtype=np.int64),
-                dim_offset=dim_offset,
-            )
         return self._packed
 
 
 @dataclass(frozen=True, eq=False)
 class PackedComplex:
     """Array view of a complex: `faces[i]` is face number i, `(sub[k],
-    sup[k])` enumerates every covering pair by index, and faces of
-    dimension p occupy indexes `dim_offset[p]:dim_offset[p+1]`."""
+    sup[k])` enumerates every covering pair by index, sup ascending and
+    then in drop-vertex-i order of the boundary, and faces of dimension p
+    occupy indexes `dim_offset[p]:dim_offset[p+1]`."""
 
     faces: list[Face]
-    index: dict[Face, int]
     sub: "object"  # np.ndarray[int64]
     sup: "object"  # np.ndarray[int64]
     dim_offset: "object"  # np.ndarray[int64]
+
+
+def _not_closed(face_set: frozenset[Face]) -> InvalidSimplexError:
+    x, y = next(
+        (x, y)
+        for x in sorted(face_set, key=face_key)
+        for y in proper_subfaces(x)
+        if y not in face_set
+    )
+    return InvalidSimplexError(f"not closed: {x} present but its face {y} missing")
+
+
+def _locate(keys: list, n_vertices: int, ranks):
+    """Local indexes of the faces whose vertex ranks are the rows of
+    `ranks`, among the faces of their dimension; None if one is absent.
+
+    A p-face is keyed by (index of its prefix (p-1)-face) * n_vertices +
+    (rank of its last vertex), so a key stays below (faces * vertices)
+    and sorting the keys of one dimension sorts its faces
+    lexicographically.  `keys[p]` holds the sorted keys of the p-faces
+    (p >= 1); a vertex is located by its rank.
+    """
+    idx = ranks[:, 0]
+    for j in range(1, ranks.shape[1]):
+        sorted_keys = keys[j]
+        if sorted_keys.size == 0:
+            return None
+        key = idx * n_vertices + ranks[:, j]
+        idx = np.minimum(np.searchsorted(sorted_keys, key), sorted_keys.size - 1)
+        if not np.array_equal(sorted_keys[idx], key):
+            return None
+    return idx
+
+
+def _pack(face_set: frozenset[Face], dim: int) -> PackedComplex:
+    """Canonical order and covering pairs of a closed family of faces.
+
+    Each boundary face is found by binary search among the faces of the
+    dimension below, so a failed lookup is a missing face and raises."""
+    groups: list[list[Face]] = [[] for _ in range(dim + 1)]
+    for x in face_set:
+        groups[len(x) - 1].append(x)
+    dim_offset = np.zeros(dim + 2, dtype=np.int64)
+    dim_offset[1:] = np.cumsum([len(g) for g in groups])
+    faces: list[Face] = []
+    subs, sups, keys = [], [], [None]
+    for p, group in enumerate(groups):
+        n = len(group)
+        rows = np.fromiter(
+            chain.from_iterable(group), dtype=np.int64, count=n * (p + 1)
+        ).reshape(n, p + 1)
+        if p == 0:
+            order = np.argsort(rows[:, 0])
+            vertex_ids = rows[order, 0]
+        else:
+            nv = vertex_ids.size
+            ranks = np.minimum(np.searchsorted(vertex_ids, rows), max(nv - 1, 0))
+            if nv == 0 or not np.array_equal(vertex_ids[ranks], rows):
+                raise _not_closed(face_set)
+            cols = list(range(p + 1))
+            bd = np.empty((n, p + 1), dtype=np.int64)
+            for i in cols:
+                found = _locate(keys, nv, ranks[:, cols[:i] + cols[i + 1:]])
+                if found is None:
+                    raise _not_closed(face_set)
+                bd[:, i] = found
+            # the last column is the prefix face: drop vertex p
+            key = bd[:, p] * nv + ranks[:, p]
+            order = np.argsort(key)
+            keys.append(key[order])
+            subs.append((bd[order] + dim_offset[p - 1]).ravel())
+            sups.append(np.repeat(np.arange(dim_offset[p], dim_offset[p + 1]), p + 1))
+        faces.extend([group[i] for i in order.tolist()])
+    empty = np.zeros(0, dtype=np.int64)
+    return PackedComplex(
+        faces=faces,
+        sub=np.concatenate(subs) if subs else empty,
+        sup=np.concatenate(sups) if sups else empty,
+        dim_offset=dim_offset,
+    )
+
+
+def _by_dim_view(pk: PackedComplex) -> dict[int, list[Face]]:
+    off = pk.dim_offset.tolist()
+    return {p: pk.faces[off[p]:off[p + 1]] for p in range(len(off) - 1)}
+
+
+def _boundary_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
+    faces = pk.faces
+    off = pk.dim_offset.tolist()
+    bd = [faces[j] for j in pk.sub.tolist()]
+    out: dict[Face, tuple[Face, ...]] = dict.fromkeys(faces, ())
+    start = 0
+    for p in range(1, len(off) - 1):
+        stop = start + (off[p + 1] - off[p]) * (p + 1)
+        # consecutive runs of p + 1 pairs share their sup face
+        out.update(zip(faces[off[p]:off[p + 1]], zip(*[iter(bd[start:stop])] * (p + 1))))
+        start = stop
+    return out
+
+
+def _cofaces_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
+    faces = pk.faces
+    order = np.argsort(pk.sub, kind="stable")  # keeps sup ascending per face
+    ups = [faces[j] for j in pk.sup[order].tolist()]
+    counts = np.bincount(pk.sub, minlength=len(faces)).tolist()
+    out: dict[Face, tuple[Face, ...]] = {}
+    start = 0
+    for x, c in zip(faces, counts):
+        out[x] = tuple(ups[start:start + c])
+        start += c
+    return out
+
+
+_VIEWS = {"by_dim": _by_dim_view, "boundary": _boundary_view, "cofaces": _cofaces_view}
 
 
 EMPTY_COMPLEX = Complex(())
 
 
 def closure(generators: Iterable[Iterable[int]]) -> Complex:
-    """Smallest complex containing every generator simplex."""
-    faces: set[Face] = set()
+    """Smallest complex containing every generator simplex.
+
+    The faces are the column subsets of the generators' vertex arrays,
+    deduplicated by a lexicographic sort, so the face tuples are created
+    in canonical order."""
+    by_len: dict[int, list[Face]] = {}
     for g in generators:
         x = make_face(g)
-        if x in faces:
-            continue
-        faces.add(x)
-        for k in range(1, len(x)):
-            faces.update(combinations(x, k))
+        by_len.setdefault(len(x), []).append(x)
+    parts: dict[int, list] = {}
+    for length, gens in by_len.items():
+        rows = np.array(gens, dtype=np.int64)
+        for k in range(1, length + 1):
+            for cols in combinations(range(length), k):
+                parts.setdefault(k, []).append(rows[:, cols])
+    faces: list[Face] = []
+    for k in sorted(parts):
+        rows = np.concatenate(parts[k])
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(len(rows), dtype=np.bool_)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        faces.extend(map(tuple, rows[fresh].tolist()))
     return Complex(faces, _trusted=True)
 
 
@@ -376,16 +488,18 @@ def strong_connected_components(
     for x in top:
         groups.setdefault(find(x), set()).add(x)
     comps = [groups[r] for r in sorted(groups, key=face_key)]
-    # attach remaining members to the component of a containing facet
+    # attach remaining members to the component of a containing facet:
+    # the d-faces containing x are its cofaces d - dim(x) levels up
     placed = {x: i for i, comp in enumerate(comps) for x in comp}
     for x in sorted(members, key=face_key):
         if x in placed:
             continue
-        owners = sorted(
-            (i for y, i in placed.items() if len(y) - 1 == d and set(x) <= set(y)),
-        )
+        above = {x}
+        for _ in range(d + 1 - len(x)):
+            above = {y for z in above for y in X.cofaces[z]}
+        owners = [placed[y] for y in above if y in placed]
         if owners:
-            comps[owners[0]].add(x)
+            comps[min(owners)].add(x)
         else:
             comps.append({x})
     return comps

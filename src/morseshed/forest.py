@@ -117,17 +117,22 @@ def watershed_forest(F: Stack) -> Forest:
     ok, witness = is_morse(F)
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
-    G = build_facet_graph(F)
+    X = F.host
+    d = X.dim
+    alt = F.altitude
     edges: set[Edge] = set()
-    for (x, y), z in G.shared.items():
-        fz = F.altitude[z]
-        fx, fy = F.altitude[x], F.altitude[y]
+    for z in X.faces_of_dim(d - 1):  # the edges of the facet graph
+        cof = X.cofaces[z]
+        if len(cof) != 2:
+            continue
+        x, y = cof
+        fz, fx, fy = alt[z], alt[x], alt[y]
         if (fz > fx and fz == fy) or (fz > fy and fz == fx):
             edges.add(_edge(x, y))
     roots = frozenset(
         next(iter(zone)) for zone, _ in minima(F).minima
     )
-    return Forest(frozenset(G.vertices), frozenset(edges), roots)
+    return Forest(frozenset(X.faces_of_dim(d)), frozenset(edges), roots)
 
 
 class _UnionFind:
@@ -287,10 +292,16 @@ def verify_msf_theorem(
     (forest trees match the watershed basins on d-faces), and min_edge
     (every forest edge is the unique lightest edge at one endpoint).
     """
+    return _msf_checks(F, build_facet_graph(F), watershed_forest(F), enumerate_limit)
+
+
+def _msf_checks(
+    F: Stack, G: WeightedFacetGraph, Y: Forest, enumerate_limit: int = 12
+) -> dict[str, bool]:
+    """The checks of `verify_msf_theorem`, given the facet graph G and the
+    watershed forest Y of F."""
     from .watershed import morse_watershed
 
-    G = build_facet_graph(F)
-    Y = watershed_forest(F)
     checks: dict[str, bool] = {}
     checks["rooted"] = is_rooted_forest(set(Y.vertices), set(Y.edges), set(Y.roots))
     w = Y.weight(G)

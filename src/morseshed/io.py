@@ -11,7 +11,17 @@ Lines beginning with `#` and blank lines are ignored everywhere.
 
 from __future__ import annotations
 
-from .complexes import Complex, Face, InvalidSimplexError, closure, face_key, make_face
+from operator import lt
+
+from .complexes import (
+    _INT64_MAX,
+    Complex,
+    Face,
+    InvalidSimplexError,
+    closure,
+    face_key,
+    make_face,
+)
 from .morse import GradientField
 from .stacks import Stack, StackError
 from .watershed import WATERSHED_LABEL, WatershedResult
@@ -53,22 +63,37 @@ def serialize_complex(X: Complex) -> str:
     return "".join(" ".join(map(str, x)) + "\n" for x in X.sorted_faces())
 
 
+def _is_canonical(face: Face) -> bool:
+    """Non-empty, strictly ascending, non-negative and within int64: what
+    `_parse_face` accepts."""
+    return (
+        bool(face)
+        and face[0] >= 0
+        and face[-1] <= _INT64_MAX
+        and all(map(lt, face, face[1:]))
+    )
+
+
 def parse_stack(text: str, complete: str = "none") -> Stack:
     values: dict[Face, int] = {}
     for i, line in _content_lines(text):
-        if ":" not in line:
+        face_part, colon, value_part = line.partition(":")
+        if not colon:
             raise ParseError(i, "expected `face : value`")
-        face_part, _, value_part = line.partition(":")
-        face = _parse_face(face_part.strip(), i)
         try:
-            value = int(value_part.strip())
+            face = tuple(map(int, face_part.split()))
+        except ValueError:
+            face = ()
+        if not _is_canonical(face):
+            _parse_face(face_part.strip(), i)  # raises the matching ParseError
+        try:
+            value = int(value_part)
         except ValueError as exc:
             raise ParseError(i, f"bad altitude {value_part.strip()!r}") from exc
-        if face in values and values[face] != value:
+        if values.setdefault(face, value) != value:
             raise ParseError(i, f"conflicting altitudes for {face}")
-        values[face] = value
-    host = closure(values)
     if complete == "max":
+        host = closure(values)
         missing_facets = [x for x in host.facets() if x not in values]
         if missing_facets:
             raise StackError(f"no altitude for facet {missing_facets[0]}")
@@ -81,12 +106,14 @@ def parse_stack(text: str, complete: str = "none") -> Stack:
                     alt[x] = max(alt[y] for y in host.cofaces[x])
         F = Stack(host, alt)
     else:
-        missing = host.faces - values.keys()
-        if missing:
+        try:
+            host = Complex(values, _trusted=True)
+        except InvalidSimplexError:
+            missing = closure(values).faces - values.keys()
             raise StackError(
                 f"no altitude for face {min(missing, key=face_key)} "
                 "(pass --complete=max to fill from facets)"
-            )
+            ) from None
         F = Stack(host, values)
     from .stacks import validate_stack
 

@@ -19,21 +19,20 @@ from .complexes import (
     closure,
     connected_components,
     face_key,
-    make_face,
     strong_connected_components,
 )
 
 
 def link(x: Face, X: Complex) -> Complex:
-    """lk(x, X) = {y : x and y disjoint, their union a face of X}."""
-    if x not in X.faces:
-        raise KeyError(f"{x} is not a face of the complex")
+    """lk(x, X) = {y : x and y disjoint, their union a face of X}.
+
+    Each such union is a face of the star of x, and y is what remains of
+    it once x is removed."""
     xs = set(x)
-    out = []
-    for y in X.faces:
-        if xs.isdisjoint(y) and make_face(set(y) | xs) in X.faces:
-            out.append(y)
-    return Complex(out, _trusted=True)
+    return Complex(
+        {tuple(v for v in y if v not in xs) for y in X.star(x) if y != x},
+        _trusted=True,
+    )
 
 
 def star(x: Face, X: Complex) -> frozenset[Face]:

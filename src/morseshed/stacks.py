@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .complexes import Complex, Face, face_key
 
 
@@ -54,10 +56,8 @@ class Stack:
         (and hence with host.packed()); built once and cached."""
         arr = getattr(self, "_alt_array", None)
         if arr is None:
-            import numpy as np
-
             arr = np.fromiter(
-                (self.altitude[x] for x in self.host.sorted_faces()),
+                map(self.altitude.__getitem__, self.host.sorted_faces()),
                 dtype=np.int64,
                 count=len(self.host.faces),
             )
@@ -74,13 +74,15 @@ class Stack:
 
 
 def validate_stack(F: Stack) -> tuple[bool, Optional[tuple[Face, Face]]]:
-    """Check F(x) >= F(y) on every covering pair; witness the first violation."""
-    for y in F.host.sorted_faces():
-        fy = F.altitude[y]
-        for x in F.host.boundary[y]:
-            if F.altitude[x] < fy:
-                return False, (x, y)
-    return True, None
+    """Check F(x) >= F(y) on every covering pair; witness the first violation
+    in packed order (y canonical, then x in drop-vertex-i order)."""
+    pk = F.host.packed()
+    alt = F.alt_array()
+    bad = np.flatnonzero(alt[pk.sub] < alt[pk.sup])
+    if bad.size == 0:
+        return True, None
+    k = bad[0]
+    return False, (pk.faces[pk.sub[k]], pk.faces[pk.sup[k]])
 
 
 def section(F: Stack, lam: int) -> Complex:

@@ -18,6 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .complexes import (
     Complex,
     Face,
@@ -97,8 +99,9 @@ def morse_watershed(F: Stack) -> WatershedResult:
     links labels each facet with the rank of its minimum in canonical
     order, which is the basin numbering of minima(F).  The cut is the
     (d-1)-faces whose two facets carry different labels, closed downward;
-    every remaining lower face joins the basin of its smallest labelled
-    coface.  All heavy steps run on the packed integer arrays of the host.
+    every remaining lower face joins the basin of its smallest top coface.
+    All heavy steps run on the packed integer arrays of the host; `labels`
+    lists the faces in canonical order.
     """
     X = F.host
     d = X.dim
@@ -120,33 +123,38 @@ def morse_watershed(F: Stack) -> WatershedResult:
 
     B, W_flags = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt)
 
+    # one label per face in packed order: the cut is the flagged (d-1)-faces
+    # closed downward, every other face takes the label of its smallest top
+    # coface (the top itself for a top face)
+    n = len(pk.faces)
+    in_cut = np.zeros(n, dtype=np.bool_)
+    in_cut[sep_lo + np.flatnonzero(W_flags)] = True
+    owner = np.full(n, n, dtype=np.int64)
+    owner[top_lo:] = np.arange(top_lo, n)
+    pairs_lo = np.searchsorted(pk.sup, pk.dim_offset)  # pairs come by sup dimension
+    for p in range(d, 0, -1):
+        sub = pk.sub[pairs_lo[p]:pairs_lo[p + 1]]
+        sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
+        np.minimum.at(owner, sub, owner[sup])
+        in_cut[sub[in_cut[sup]]] = True
+    if (owner == n).any():
+        raise StackError("complex is not pure of top dimension")
+    label = np.where(in_cut, WATERSHED_LABEL, B[owner - top_lo])
+
     faces = pk.faces
-    labels: dict[Face, int] = {}
-    cut: set[Face] = set()
-    for j in map(int, W_flags.nonzero()[0]):
-        z = faces[sep_lo + j]
-        cut.add(z)
-        labels[z] = WATERSHED_LABEL
-        for y in proper_subfaces(z):
-            labels[y] = WATERSHED_LABEL
-    n_top = nbr.shape[0]
-    for i in range(n_top):
-        labels[faces[top_lo + i]] = int(B[i])
-    for i in range(n_top):  # ascending canonical order fixes ties
-        x = faces[top_lo + i]
-        bx = labels[x]
-        for y in proper_subfaces(x):
-            if y not in labels:
-                labels[y] = bx
-    W = closure(cut) if cut else Complex(())
-    basins: dict[int, set[Face]] = {}
-    for f, lab in labels.items():
-        if lab != WATERSHED_LABEL:
-            basins.setdefault(lab, set()).add(f)
-    basin_list = tuple(
-        (bid, frozenset(fs)) for bid, fs in sorted(basins.items())
+    labels = dict(zip(faces, label.tolist()))
+    W = Complex([faces[i] for i in np.flatnonzero(in_cut).tolist()], _trusted=True)
+    order = np.argsort(label, kind="stable")
+    grouped = label[order]
+    starts = np.flatnonzero(np.diff(grouped)) + 1
+    by_label = [faces[i] for i in order.tolist()]
+    bounds = [0, *starts.tolist(), n]
+    basins = tuple(
+        (bid, frozenset(by_label[a:b]))
+        for bid, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:])
+        if bid != WATERSHED_LABEL
     )
-    return WatershedResult(labels, W, basin_list)
+    return WatershedResult(labels, W, basins)
 
 
 def morse_watershed_direct(F: Stack) -> Complex:

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from morseshed.complexes import (
     connected_components,
     covering_pairs,
     face_dim,
+    face_key,
     free_pairs,
     is_closed_subset,
     is_free_pair,
@@ -22,11 +26,13 @@ from morseshed.complexes import (
     ultimate_collapse,
 )
 from morseshed.fixtures import (
+    branching_collapse_counterexample,
     branching_triangles,
     cyc6_host,
     tetrahedron_boundary,
     wedge,
 )
+from morseshed.manifolds import generate_torus
 
 
 def test_make_face_canonicalizes():
@@ -41,6 +47,9 @@ def test_make_face_rejects_bad_input():
         make_face([0, 0, 1])
     with pytest.raises(InvalidSimplexError):
         make_face([-1, 2])
+    with pytest.raises(InvalidSimplexError, match="outside the int64 range"):
+        make_face([0, 2**63])
+    assert make_face([2**63 - 1, 0]) == (0, 2**63 - 1)
 
 
 def test_proper_subfaces_of_triangle():
@@ -173,6 +182,123 @@ def test_packed_arrays_match_incidence():
     assert pairs == covering_pairs(X)
     assert list(pk.dim_offset) == [0, 6, 12]
     assert X.packed() is pk  # cached
+
+
+def _dict_build(faces):
+    """Reference: the incidence the complex was built with before its
+    packed arrays (tuple-keyed dicts first, arrays derived from them)."""
+    face_set = frozenset(faces)
+    dim = max((len(x) for x in face_set), default=0) - 1
+    by_dim = {p: [] for p in range(dim + 1)}
+    for x in face_set:
+        by_dim[len(x) - 1].append(x)
+    for lst in by_dim.values():
+        lst.sort()
+    boundary = {}
+    cof = {x: [] for x in face_set}
+    for x in face_set:
+        if len(x) == 1:
+            boundary[x] = ()
+            continue
+        bd = tuple(x[:i] + x[i + 1:] for i in range(len(x)))
+        boundary[x] = bd
+        for y in bd:
+            cof[y].append(x)
+    cofaces = {y: tuple(sorted(c)) for y, c in cof.items()}
+    ordered = sorted(face_set, key=face_key)
+    index = {x: i for i, x in enumerate(ordered)}
+    sub, sup = [], []
+    for i, y in enumerate(ordered):
+        for z in boundary[y]:
+            sub.append(index[z])
+            sup.append(i)
+    dim_offset = [0]
+    for p in range(dim + 1):
+        dim_offset.append(dim_offset[-1] + len(by_dim[p]))
+    return {
+        "sorted_faces": ordered,
+        "by_dim": by_dim,
+        "boundary": boundary,
+        "cofaces": cofaces,
+        "facets": sorted((x for x in face_set if not cofaces[x]), key=face_key),
+        "sub": sub,
+        "sup": sup,
+        "dim_offset": dim_offset,
+    }
+
+
+def _random_closure(rng):
+    ids = rng.sample([0, 1, 2, 3, 5, 8, 13, 40, 10**6, 2**40, 2**63 - 1], 8)
+    gens = [rng.sample(ids, rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
+    return closure(gens)
+
+
+def _build_inputs():
+    yield EMPTY_COMPLEX
+    yield from (cyc6_host(), wedge(), branching_triangles(), tetrahedron_boundary())
+    yield branching_collapse_counterexample()[0].host
+    for n in range(3, 9):
+        yield generate_torus(n, n)
+    rng = random.Random(5)
+    for _ in range(50):
+        yield _random_closure(rng)
+    # 88 vertices and dimension 9: 88**10 > 2**63, so a key built as a
+    # base-V number of the vertex ranks would overflow
+    yield closure(
+        facet
+        for b in range(8)
+        for facet in combinations(range(11 * b, 11 * b + 11), 10)
+    )
+
+
+def test_array_build_matches_dict_build():
+    for X in _build_inputs():
+        ref = _dict_build(X.faces)
+        pk = X.packed()
+        assert X.sorted_faces() == ref["sorted_faces"]
+        assert X.by_dim == ref["by_dim"]
+        assert X.boundary == ref["boundary"]
+        assert X.cofaces == ref["cofaces"]
+        assert X.facets() == ref["facets"]
+        assert pk.sub.tolist() == ref["sub"]
+        assert pk.sup.tolist() == ref["sup"]
+        assert pk.dim_offset.tolist() == ref["dim_offset"]
+        # the views hold the canonical face objects, not copies
+        canonical = {id(x) for x in pk.faces}
+        assert all(id(y) in canonical for bd in X.boundary.values() for y in bd)
+        assert all(id(y) in canonical for cf in X.cofaces.values() for y in cf)
+
+
+def test_views_are_built_once():
+    X = generate_torus(4, 4)
+    assert X.boundary is X.boundary
+    assert X.cofaces is X.cofaces
+    assert X.by_dim is X.by_dim
+    with pytest.raises(AttributeError):
+        X.no_such_view
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [(0, 1, 2)],
+        [(0,), (1,), (2,), (0, 1, 2)],
+        [(0,), (1,), (0, 1), (0, 2)],
+        [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 3)],
+        [(0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 1, 2, 3)],
+        [(2**63 - 1,), (0, 2**63 - 1), (0,), (0, 1)],
+    ],
+)
+def test_non_closed_family_is_rejected(faces):
+    missing = min(
+        (y for x in faces for y in proper_subfaces(x) if y not in faces),
+        key=face_key,
+    )
+    with pytest.raises(InvalidSimplexError, match=r"^not closed: ") as exc:
+        Complex(faces)
+    assert str(missing) in str(exc.value)
+    with pytest.raises(InvalidSimplexError):
+        Complex(faces, _trusted=True)
 
 
 # -- property tests -----------------------------------------------------------

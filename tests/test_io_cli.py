@@ -1,9 +1,10 @@
+import random
 import subprocess
 import sys
 
 import pytest
 
-from morseshed import cli, io
+from morseshed import cli, forest, io
 from morseshed.complexes import Complex, closure, face_key
 from morseshed.fixtures import branching_triangles, cyc6_stack, wedge
 from morseshed.manifolds import generate_torus
@@ -75,6 +76,39 @@ def test_stack_parse_errors():
         io.parse_stack("0 1 : 5\n0 : 0\n1 : 5\n")
     with pytest.raises(StackError, match=r"\(0,\) is outside the int64 range"):
         io.parse_stack("0 : 9223372036854775808\n")
+    with pytest.raises(io.ParseError, match="vertex id 9223372036854775808 .* int64"):
+        io.parse_stack("0 9223372036854775808 : 0\n")
+
+
+def _old_missing_face(text):
+    """Reference: the face the loader named before it built the host
+    straight from the listed faces (the least face of the closure that has
+    no altitude), or None when the listed faces are closed."""
+    faces = {io._parse_face(ln.split(":")[0].strip(), 0) for ln in text.splitlines()}
+    return min(closure(faces).faces - faces, key=face_key, default=None)
+
+
+def test_stack_parse_names_the_missing_face():
+    rng = random.Random(3)
+    named = 0
+    for n in (3, 4):
+        text = io.serialize_stack(random_morse_stack(generate_torus(n, n), seed=n))
+        lines = text.splitlines(keepends=True)
+        for _ in range(10):
+            kept = [ln for ln in lines if rng.random() > 0.1]
+            rng.shuffle(kept)
+            partial = "".join(kept)
+            missing = _old_missing_face(partial)
+            if missing is None:
+                io.parse_stack(partial)
+                continue
+            with pytest.raises(StackError) as exc:
+                io.parse_stack(partial)
+            assert str(exc.value) == (
+                f"no altitude for face {missing} (pass --complete=max to fill from facets)"
+            )
+            named += 1
+    assert named >= 15
 
 
 def test_gradient_round_trip():
@@ -162,6 +196,41 @@ def test_cli_msf(capsys, cyc6_file):
     assert "total_weight=6" in out
     assert out.count(" | ") == 4
     assert "check_unique=True" in out
+
+
+def test_cli_msf_verify_builds_graph_and_forest_once(capsys, monkeypatch, tmp_path):
+    F = random_morse_stack(generate_torus(6, 6), seed=2, n_minima=3)
+    p = tmp_path / "t66.stack"
+    p.write_text(io.serialize_stack(F))
+    # the report the command printed when it verified through
+    # verify_msf_theorem(F), rebuilding the graph and the forest
+    G, Y = forest.build_facet_graph(F), forest.watershed_forest(F)
+    expected = "".join(
+        f"{' '.join(map(str, a))} | {' '.join(map(str, b))} : {G.edges[(a, b)]}\n"
+        for a, b in sorted(Y.edges)
+    )
+    expected += f"total_weight={Y.weight(G)}\n"
+    expected += "".join(
+        f"check_{k}={v}\n" for k, v in sorted(forest.verify_msf_theorem(F).items())
+    )
+    calls = {"build_facet_graph": 0, "watershed_forest": 0}
+
+    def counting(name):
+        original = getattr(forest, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name)
+        monkeypatch.setattr(forest, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    assert cli.main(["msf", str(p), "--verify"]) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == {"build_facet_graph": 1, "watershed_forest": 1}
 
 
 def test_cli_msf_dot(capsys, cyc6_file):
@@ -282,6 +351,12 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert cli.main(["watershed", str(huge), "--algo", algo]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "(0,)" in err
+    # vertex ids are stored as int64 too: a larger one is a parse error
+    wide = tmp_path / "wide.stack"
+    wide.write_text("9223372036854775808 : 0\n")
+    assert cli.main(["watershed", str(wide)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "9223372036854775808" in err
 
 
 def test_cli_entry_point_runs():

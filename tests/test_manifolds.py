@@ -1,7 +1,19 @@
+import random
+from typing import Iterable
+
 import pytest
 
-from morseshed.complexes import closure
+from morseshed.complexes import (
+    Complex,
+    Face,
+    _facets_of_subset,
+    closure,
+    face_key,
+    make_face,
+    strong_connected_components,
+)
 from morseshed.fixtures import (
+    branching_collapse_counterexample,
     branching_triangles,
     cyc6_host,
     tetrahedron_boundary,
@@ -139,3 +151,103 @@ def test_generate_torus_guards():
         generate_torus(2, 3)
     with pytest.raises(ValueError):
         generate_torus(3, 2)
+
+
+# -- references: the face-scanning versions ------------------------------------
+
+
+def _ref_star(x, X):
+    xs = set(x)
+    return frozenset(y for y in X.faces if xs.issubset(y))
+
+
+def _ref_link(x, X):
+    xs = set(x)
+    return Complex(
+        [y for y in X.faces if xs.isdisjoint(y) and make_face(set(y) | xs) in X.faces],
+        _trusted=True,
+    )
+
+
+def _ref_strong_connected_components(
+    X: Complex, S: Iterable[Face] | None = None, d: int | None = None
+) -> list[set[Face]]:
+    """The face-scanning version: each non-facet member scans every
+    placed d-face for a container."""
+    members = set(X.faces) if S is None else set(S)
+    facets = _facets_of_subset(X, members)
+    if d is None:
+        d = max((len(x) - 1 for x in facets), default=-1)
+    top = [x for x in facets if len(x) - 1 == d]
+    parent: dict[Face, Face] = {x: x for x in top}
+
+    def find(x: Face) -> Face:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: Face, b: Face) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for z in X.by_dim.get(d - 1, []) if d >= 1 else []:
+        if z not in members:
+            continue
+        tops = [y for y in X.cofaces[z] if y in parent]
+        for a, b in zip(tops, tops[1:]):
+            union(a, b)
+
+    groups: dict[Face, set[Face]] = {}
+    for x in top:
+        groups.setdefault(find(x), set()).add(x)
+    comps = [groups[r] for r in sorted(groups, key=face_key)]
+    # attach remaining members to the component of a containing facet
+    placed = {x: i for i, comp in enumerate(comps) for x in comp}
+    for x in sorted(members, key=face_key):
+        if x in placed:
+            continue
+        owners = sorted(
+            (i for y, i in placed.items() if len(y) - 1 == d and set(x) <= set(y)),
+        )
+        if owners:
+            comps[owners[0]].add(x)
+        else:
+            comps.append({x})
+    return comps
+
+
+def _reference_hosts():
+    yield from (cyc6_host(), wedge(), branching_triangles(), tetrahedron_boundary())
+    yield branching_collapse_counterexample()[0].host
+    yield closure([(0, 1, 2), (2, 3, 4)])
+    for n in range(3, 9):
+        yield generate_torus(n, n)
+
+
+def test_link_and_star_match_face_scans():
+    for X in _reference_hosts():
+        for x in X.sorted_faces():
+            assert star(x, X) == _ref_star(x, X)
+            assert link(x, X) == _ref_link(x, X)
+    with pytest.raises(KeyError):
+        link((99,), cyc6_host())
+
+
+def test_strong_components_match_face_scan():
+    rng = random.Random(7)
+    for X in _reference_hosts():
+        subsets = [None, X.faces - {X.sorted_faces()[0]}]
+        faces = X.sorted_faces()
+        for _ in range(4):  # random open subsets: unions of stars
+            S = set()
+            for x in rng.sample(faces, max(1, len(faces) // 8)):
+                S |= X.star(x)
+            subsets.append(S)
+        subsets.append(set(rng.sample(faces, len(faces) // 2)))  # any subset
+        for S in subsets:
+            for d in (None, X.dim - 1):
+                assert strong_connected_components(X, S, d) == (
+                    _ref_strong_connected_components(X, S, d)
+                )

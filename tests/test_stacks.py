@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morseshed.complexes import closure
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
+from morseshed.manifolds import generate_torus
 from morseshed.stacks import (
     Stack,
     StackError,
@@ -177,3 +180,30 @@ def test_alt_array_alignment():
     faces = F.host.sorted_faces()
     assert [F.altitude[x] for x in faces] == list(arr)
     assert F.alt_array() is arr  # cached
+
+
+def _loop_validate_stack(F):
+    """Reference: the face-by-face check (canonical y, then x in boundary
+    order), returning its first violation."""
+    for y in F.host.sorted_faces():
+        for x in F.host.boundary[y]:
+            if F.altitude[x] < F.altitude[y]:
+                return False, (x, y)
+    return True, None
+
+
+def test_validate_stack_witness_matches_loop():
+    rng = random.Random(11)
+    hosts = [cyc6_host(), tetrahedron_boundary()] + [generate_torus(n, n) for n in (3, 4, 5)]
+    non_stacks = 0
+    k = 0
+    while non_stacks < 50:
+        F = random_stack(hosts[k % len(hosts)], seed=k)
+        k += 1
+        alt = dict(F.altitude)
+        for x in rng.sample(F.host.sorted_faces(), rng.randint(1, 4)):
+            alt[x] = rng.randint(-3, 8)
+        G = Stack(F.host, alt)
+        expected = _loop_validate_stack(G)
+        assert validate_stack(G) == expected
+        non_stacks += not expected[0]

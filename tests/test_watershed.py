@@ -1,4 +1,7 @@
 import pytest
+
+from morseshed import _kernels
+from morseshed.complexes import proper_subfaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,3 +149,58 @@ def test_labels_partition_the_host():
         assert not (fs & basin_union)
         basin_union |= fs
     assert basin_union | r.watershed.faces == set(F.host.faces)
+
+
+def _loop_assembly(F):
+    """Reference: the face-by-face label assembly of the flood (cut faces
+    and their faces first, then each top face and its unlabelled faces in
+    canonical order), with W as the closure of the cut."""
+    pk = F.host.packed()
+    nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo = _kernels.top_adjacency(
+        pk, F.alt_array()
+    )
+    B, W_flags = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt)
+    faces = pk.faces
+    labels, cut = {}, set()
+    for j in map(int, W_flags.nonzero()[0]):
+        z = faces[sep_lo + j]
+        cut.add(z)
+        labels[z] = WATERSHED_LABEL
+        for y in proper_subfaces(z):
+            labels[y] = WATERSHED_LABEL
+    for i in range(nbr.shape[0]):
+        labels[faces[top_lo + i]] = int(B[i])
+    for i in range(nbr.shape[0]):
+        x = faces[top_lo + i]
+        for y in proper_subfaces(x):
+            if y not in labels:
+                labels[y] = labels[x]
+    basins = {}
+    for f, lab in labels.items():
+        if lab != WATERSHED_LABEL:
+            basins.setdefault(lab, set()).add(f)
+    W = closure(cut) if cut else Complex(())
+    return labels, W, tuple((b, frozenset(fs)) for b, fs in sorted(basins.items()))
+
+
+def test_array_label_assembly_matches_loop():
+    stacks = [cyc6_stack(), random_morse_stack(tetrahedron_boundary(), seed=1, n_minima=2)]
+    for n in range(3, 9):
+        for seed in range(4):
+            stacks.append(random_morse_stack(generate_torus(n, n), seed=seed, n_minima=seed + 1))
+    for F in stacks:
+        r = morse_watershed(F)
+        labels, W, basins = _loop_assembly(F)
+        assert r.labels == labels
+        assert r.watershed == W
+        assert r.basins == basins
+        # labels come in canonical order, so serializing them needs no reordering
+        assert list(r.labels) == F.host.sorted_faces()
+
+
+def test_morse_watershed_rejects_face_outside_every_top_face():
+    # TOR(3,3) plus an isolated vertex: no top face to take a label from
+    X = closure(list(generate_torus(3, 3).faces_of_dim(2)) + [(99,)])
+    F = random_morse_stack(X, seed=1)
+    with pytest.raises(StackError, match="not pure"):
+        morse_watershed(F)
