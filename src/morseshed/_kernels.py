@@ -1,14 +1,26 @@
-"""Array kernels behind the Morse watershed flood.
+"""Array kernels behind the watershed routes.
 
-Three numpy functions on the integer arrays of a packed complex (see
+Four numpy functions on the integer arrays of a packed complex (see
 Complex.packed()): the flat-pair matching check that decides the Morse
-property, the facet adjacency of a non-branching pure complex, and the
-basin flood that labels facets and flags the cut.
+property, the flat-zone labelling that finds the regional minima, the
+facet adjacency of a non-branching pure complex, and the basin flood
+that labels facets and flags the cut.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _jump(parent):
+    """Pointer jumping, parent = parent[parent], until every tree is a star;
+    at most n.bit_length() + 1 rounds, as 2**rounds > n > any tree depth."""
+    for _ in range(parent.size.bit_length() + 1):
+        jumped = parent[parent]
+        if np.array_equal(jumped, parent):
+            break
+        parent = jumped
+    return parent
 
 
 def flat_matching_offender(sub, sup, alt, n_faces) -> int:
@@ -23,13 +35,41 @@ def flat_matching_offender(sub, sup, alt, n_faces) -> int:
     return int(bad[0]) if bad.size else -1
 
 
+def flat_zones(sub, sup, alt, n_faces):
+    """Flat zones (components of equal-altitude faces under covering
+    adjacency) and regional minima, from the covering pairs (sub, sup).
+
+    Returns (root, rank): root[i] is the smallest index in the zone of
+    face i; rank[i] is the 1-based rank of that zone among the minima by
+    root, or 0 when a member of the zone has a strictly lower covering
+    neighbour.  Each round hooks every root onto the smallest smaller
+    root across its flat pairs, then pointer-jumps to stars; the number
+    of trees at least halves every two rounds.
+    """
+    eq = alt[sub] == alt[sup]
+    a, b = sub[eq], sup[eq]
+    parent = np.arange(n_faces)
+    while a.size:
+        pa, pb = parent[a], parent[b]
+        split = pa != pb
+        a, b, pa, pb = a[split], b[split], pa[split], pb[split]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        parent = _jump(parent)
+    higher = np.where(alt[sub] > alt[sup], sub, sup)[~eq]  # has a lower neighbour
+    is_min = parent == np.arange(n_faces)
+    is_min[parent[higher]] = False
+    rank = np.where(is_min, np.cumsum(is_min), 0)[parent]
+    return parent, rank
+
+
 def top_adjacency(pk, alt):
     """Facet adjacency of a non-branching pure complex, from packed arrays.
 
     Returns (nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo): row i of
     nbr holds the d+1 neighbour facets of facet i (local ids), sep_ids
     the matching shared (d-1)-faces (local ids).  Raises ValueError when
-    some (d-1)-face does not have exactly two cofaces.
+    some (d-1)-face does not have exactly two cofaces, or some face lies
+    in no d-face.  Both watershed routes run this check first.
     """
     d = len(pk.dim_offset) - 2
     sep_lo, sep_hi = int(pk.dim_offset[d - 1]), int(pk.dim_offset[d])
@@ -47,6 +87,10 @@ def top_adjacency(pk, alt):
         subs[0::2], np.arange(sep_lo, sep_hi)
     ) or not np.array_equal(subs[0::2], subs[1::2]):
         raise ValueError("complex is not a non-branching pseudomanifold")
+    has_coface = np.zeros(top_lo, dtype=np.bool_)
+    has_coface[pk.sub] = True
+    if not has_coface.all():
+        raise ValueError("complex is not pure of top dimension")
     cof0 = sups[0::2]
     cof1 = sups[1::2]
 
@@ -55,8 +99,6 @@ def top_adjacency(pk, alt):
     via = np.concatenate([np.arange(n_sep), np.arange(n_sep)])
     order2 = np.argsort(src, kind="stable")
     deg = d + 1
-    if src.size != n_top * deg:
-        raise ValueError("complex is not pure of top dimension")
     nbr = (dst[order2] - top_lo).reshape(n_top, deg)
     sep_ids = via[order2].reshape(n_top, deg)
     facet_alt = alt[top_lo:top_hi]
@@ -83,12 +125,7 @@ def flood(nbr, sep_ids, facet_alt, sep_alt):
     flat = facet_alt[:, None] == sep_alt[sep_ids]
     k = flat.argmax(axis=1)
     parent0 = np.where(flat[rows, k], nbr[rows, k], rows)
-    parent = parent0
-    for _ in range(n.bit_length() + 1):  # 2**rounds > n > any tree depth
-        jumped = parent[parent]
-        if np.array_equal(jumped, parent):
-            break
-        parent = jumped
+    parent = _jump(parent0)
     is_root = parent0 == rows
     B = np.where(is_root, np.cumsum(is_root), 0)[parent]
     W = np.zeros(sep_alt.shape[0], dtype=np.bool_)

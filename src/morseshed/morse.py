@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from . import _kernels
 from .complexes import Complex, Face, face_key
 from .stacks import Stack, StackError
 
@@ -43,22 +44,11 @@ def flat_pairs(F: Stack) -> set[tuple[Face, Face]]:
 
 
 def is_morse(F: Stack) -> tuple[bool, Optional[Face]]:
-    """True iff no face lies in two flat pairs; witness the first offender."""
-    seen: set[Face] = set()
-    offenders: list[Face] = []
-    for y in F.host.faces:
-        fy = F.altitude[y]
-        for x in F.host.boundary[y]:
-            if F.altitude[x] != fy:
-                continue
-            for f in (x, y):
-                if f in seen:
-                    offenders.append(f)
-                else:
-                    seen.add(f)
-    if offenders:
-        return False, min(offenders, key=face_key)
-    return True, None
+    """True iff no face lies in two flat pairs; witness the smallest
+    offender in canonical order."""
+    pk = F.host.packed()
+    i = _kernels.flat_matching_offender(pk.sub, pk.sup, F.alt_array(), len(pk.faces))
+    return (True, None) if i < 0 else (False, pk.faces[i])
 
 
 def gradient(F: Stack) -> GradientField:

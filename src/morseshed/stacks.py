@@ -8,13 +8,14 @@ sharing the host complex.
 
 from __future__ import annotations
 
+import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
 
+from . import _kernels
 from .complexes import Complex, Face, face_key
 
 
@@ -110,48 +111,18 @@ def minima(F: Stack) -> MinimaDecomposition:
 
     A flat zone (component of equal-altitude faces under covering
     adjacency) is a minimum iff no member has a lower covering
-    neighbour; this matches the level-set definition and is linear in
-    the incidence relations.
+    neighbour; this matches the level-set definition.  One array
+    labelling of the packed host finds the zones, numbered by their
+    smallest face in canonical order.
     """
-    X = F.host
-    alt = F.altitude
-    parent: dict[Face, Face] = {x: x for x in X.faces}
-
-    def find(x: Face) -> Face:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    lower_faces: set[Face] = set()  # faces with a strictly lower covering neighbour
-    for y in X.faces:
-        fy = alt[y]
-        for x in X.boundary[y]:
-            fx = alt[x]
-            if fx == fy:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-            elif fx > fy:
-                lower_faces.add(x)
-            else:  # cannot happen on a valid stack
-                lower_faces.add(y)
-
-    zones: dict[Face, set[Face]] = {}
-    for x in X.faces:
-        zones.setdefault(find(x), set()).add(x)
-
-    has_lower = {find(x) for x in lower_faces}
-
-    mins: list[tuple[frozenset[Face], int]] = []
-    divide: set[Face] = set()
-    for root, zone in zones.items():
-        if root in has_lower:
-            divide |= zone
-        else:
-            mins.append((frozenset(zone), alt[root]))
-    mins.sort(key=lambda mz: min(map(face_key, mz[0])))
-    return MinimaDecomposition(tuple(mins), frozenset(divide))
+    pk, alt = F.host.packed(), F.alt_array()
+    _, rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk.faces))
+    order = np.argsort(rank, kind="stable").tolist()
+    by_rank = [pk.faces[i] for i in order]
+    levels = alt[order].tolist()
+    ends = np.cumsum(np.bincount(rank, minlength=1)).tolist()  # rank 0: the divide
+    mins = tuple((frozenset(by_rank[a:b]), levels[a]) for a, b in zip(ends, ends[1:]))
+    return MinimaDecomposition(mins, frozenset(by_rank[:ends[0]]))
 
 
 def _flat_cofaces(F: Stack, x: Face) -> list[Face]:
@@ -165,31 +136,17 @@ def is_stack_free_pair(F: Stack, x: Face, y: Face) -> bool:
     On the incidence index: y is x's only flat codim-1 coface and y has
     no flat coface of its own (so y is a facet of the section).
     """
-    fx = F.altitude[x]
-    if fx <= F.lambda_min or F.altitude.get(y) != fx:
-        return False
-    if y not in F.host.cofaces[x]:
+    if F.altitude[x] <= F.lambda_min:
         return False
     return _flat_cofaces(F, x) == [y] and not _flat_cofaces(F, y)
 
 
 def stack_free_pairs(F: Stack, p: int | None = None) -> set[tuple[Face, Face]]:
     """All free (p-)pairs of the stack."""
-    out: set[tuple[Face, Face]] = set()
-    lam_m = F.lambda_min
-    for x in F.host.faces:
-        fx = F.altitude[x]
-        if fx <= lam_m:
-            continue
-        flats = _flat_cofaces(F, x)
-        if len(flats) != 1:
-            continue
-        y = flats[0]
-        if p is not None and len(y) - 1 != p:
-            continue
-        if not _flat_cofaces(F, y):
-            out.add((x, y))
-    return out
+    return {
+        (x, y) for x in F.host.faces for y in _flat_cofaces(F, x)
+        if (p is None or len(y) - 1 == p) and is_stack_free_pair(F, x, y)
+    }
 
 
 def stack_collapse(
@@ -222,50 +179,80 @@ def stack_collapse(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _facet_adjacency(F: Stack):
+    """_kernels.top_adjacency of the host, the check both watershed routes
+    run first: a host of dimension d >= 1 must be pure of dimension d with
+    exactly two d-faces on every (d-1)-face."""
+    try:
+        return _kernels.top_adjacency(F.host.packed(), F.alt_array())
+    except ValueError as exc:
+        raise StackError(str(exc)) from exc
+
+
 def ultimate_d_collapse(F: Stack, seed: int = 0, mode: str = "batch") -> Stack:
     """Collapse through free d-pairs until none remains.
 
-    The worklist holds (d-1)-faces in canonical order shuffled by
-    `seed`; a face is re-examined whenever a neighbouring altitude
-    drops.  batch and unit modes reach the same ultimate stack for the
-    same seed.
+    A binary heap holds the free pairs keyed by (target level, rank of
+    the (d-1)-face in a permutation shuffled by `seed`), lowest first.  A
+    collapse queues the free pairs on the lowered facet under their new
+    targets, so a popped entry whose key is no longer its target is stale.
+    batch mode lowers a pair to the altitude of its other coface, unit
+    mode by one.  On a Morse stack a facet's lower neighbour is final
+    before the facet is lowered, so batch mode collapses each non-minimum
+    facet once, and the result depends on neither the seed nor the mode.
     """
+    return _ultimate_d_collapse(F, seed, mode)[0]
+
+
+def _ultimate_d_collapse(F: Stack, seed: int, mode: str) -> tuple[Stack, int, int]:
+    """ultimate_d_collapse, plus its numbers of collapses and heap pops."""
     X = F.host
-    d = X.dim
-    alt = dict(F.altitude)
-    lam_m = F.lambda_min
-    order = list(X.faces_of_dim(d - 1))
-    random.Random(seed).shuffle(order)
-    work = deque(order)
-    in_work = set(order)
-    while work:
-        x = work.popleft()
-        in_work.discard(x)
-        if alt[x] <= lam_m:
+    arr = F.alt_array().copy()
+    if X.dim < 1:  # no (d-1)-faces
+        return _stack_from_array(X, arr), 0, 0
+    _, sep_ids, top_alt, sep_alt, top_lo, sep_lo = _facet_adjacency(F)
+    # each (d-1)-face appears twice in sep_ids, once in the row of each coface
+    cof = np.argsort(sep_ids.ravel(), kind="stable").reshape(-1, 2) // (X.dim + 1)
+    sa, ta, cof, bd = sep_alt.tolist(), top_alt.tolist(), cof.tolist(), sep_ids.tolist()
+    lam, batch = F.lambda_min, mode == "batch"
+    rank = list(range(len(sa)))
+    random.Random(seed).shuffle(rank)
+
+    def target(s: int) -> Optional[int]:
+        """The level the pair on (d-1)-face s collapses to; None if not free."""
+        v = sa[s]
+        y, z = cof[s]
+        if v <= lam or (ta[y] == v) == (ta[z] == v):
+            return None
+        if not batch:
+            return v - 1
+        return max(ta[y] if ta[z] == v else ta[z], lam)
+
+    heap = [(t, rank[s], s) for s in range(len(sa)) if (t := target(s)) is not None]
+    heapq.heapify(heap)
+    collapses = pops = 0
+    while heap:
+        key, _, s = heapq.heappop(heap)
+        pops += 1
+        if target(s) != key:  # not free, or stale
             continue
-        cof = X.cofaces[x]
-        if len(cof) != 2:
-            raise StackError("host must be a non-branching pseudomanifold")
-        y, z = cof
-        if alt[y] != alt[x] and alt[z] != alt[x]:
-            continue
-        if alt[y] == alt[x] == alt[z]:
-            continue  # two flat cofaces: not free
-        if alt[z] == alt[x]:
-            y, z = z, y
-        if mode == "batch":
-            v = max(alt[z], lam_m)
-        else:
-            v = alt[x] - 1
-        alt[x] = alt[y] = v
-        for w in X.boundary[y]:
-            if w not in in_work:
-                work.append(w)
-                in_work.add(w)
-        if mode == "unit" and x not in in_work:
-            work.appendleft(x)
-            in_work.add(x)
-    return Stack(X, alt)
+        y, z = cof[s]
+        y = y if ta[y] == sa[s] else z  # the flat coface
+        sa[s] = ta[y] = key
+        collapses += 1
+        for w in bd[y]:
+            if (t := target(w)) is not None:
+                heapq.heappush(heap, (t, rank[w], w))
+    arr[sep_lo:top_lo] = sa
+    arr[top_lo:] = ta
+    return _stack_from_array(X, arr), collapses, pops
+
+
+def _stack_from_array(host: Complex, arr) -> Stack:
+    """The stack with altitudes `arr` in packed order, alt_array() set."""
+    H = Stack(host, dict(zip(host.sorted_faces(), arr.tolist())))
+    object.__setattr__(H, "_alt_array", arr)
+    return H
 
 
 def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Stack:

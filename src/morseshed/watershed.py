@@ -3,7 +3,13 @@
 Three routes to the same object: the generic collapse procedure (any
 stack), the pointer-jumping flood for Morse stacks, and the
 definitional construction (closure of the biconnected faces of the
-traced minima) used as an oracle.  `verify_cut` and
+traced minima) used as an oracle.  The collapse and the flood run the
+same host check first (pure of dimension d, exactly two d-faces on every
+(d-1)-face) and share one label assembly on the packed arrays: a route
+labels the d-faces and flags the cut (d-1)-faces, and the assembly closes
+the cut downward and gives every other face the label of its smallest
+d-coface.  The collapse route lowers each non-minimum facet of a Morse
+stack once, in altitude order.  `verify_cut` and
 `verify_drop_of_water` check the watershed axioms directly, each from
 one labelling of the host: the components of the complement of W for
 the cut, and one ascending pass of descending reachability for the drop
@@ -28,7 +34,7 @@ from .complexes import (
     proper_subfaces,
 )
 from .morse import biconnected_faces, is_morse
-from .stacks import Stack, StackError, minima, ultimate_d_collapse
+from .stacks import Stack, StackError, _facet_adjacency, minima, ultimate_d_collapse
 from . import _kernels
 
 WATERSHED_LABEL = 0
@@ -44,91 +50,23 @@ class WatershedResult:
         return {bid: len(fs) for bid, fs in self.basins}
 
 
-def _assemble_result(F: Stack, cut_faces: set[Face]) -> WatershedResult:
-    """Label the host given the (d-1) cut faces; basins are the connected
-    components of the complement, numbered by their minimum of F."""
-    X = F.host
-    W = closure(cut_faces) if cut_faces else Complex(())
-    outside = X.faces - W.faces
-    comps = connected_components(X, outside)
-    mins = minima(F)
-    min_index = {}
-    for i, (zone, _) in enumerate(mins.minima, start=1):
-        for f in zone:
-            min_index[f] = i
-    labels: dict[Face, int] = {x: WATERSHED_LABEL for x in W.faces}
-    basins = []
-    for comp in comps:
-        ids = {min_index[f] for f in comp if f in min_index}
-        bid = min(ids) if ids else 0
-        for f in comp:
-            labels[f] = bid
-        basins.append((bid, frozenset(comp)))
-    basins.sort(key=lambda b: b[0])
-    return WatershedResult(labels, W, tuple(basins))
+def _assemble(pk, B, cut) -> WatershedResult:
+    """Label the packed host from the labels B of its d-faces and the cut
+    flags of its (d-1)-faces.
 
-
-def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
-    """WatershedCollapse: ultimate d-collapse, then the closure of the
-    faces biconnected for the collapsed stack."""
-    H = ultimate_d_collapse(F, seed=seed)
-    X = F.host
-    d = X.dim
-    mins = minima(H)
-    label: dict[Face, int] = {}
-    for i, (zone, _) in enumerate(mins.minima, start=1):
-        for f in zone:
-            label[f] = i
-    cut: set[Face] = set()
-    for z in X.faces_of_dim(d - 1):
-        cof = X.cofaces[z]
-        if len(cof) != 2:
-            raise StackError("host must be a non-branching pseudomanifold")
-        # after an ultimate d-collapse the divide has dimension < d, so
-        # every d-face carries a minimum label
-        if label[cof[0]] != label[cof[1]]:
-            cut.add(z)
-    return _assemble_result(F, cut)
-
-
-def morse_watershed(F: Stack) -> WatershedResult:
-    """Flood over the facet adjacency of a Morse stack.
-
-    After the Morse check, every non-minimum facet drains across its one
-    flat (d-1)-face to a strictly lower facet; pointer jumping along these
-    links labels each facet with the rank of its minimum in canonical
-    order, which is the basin numbering of minima(F).  The cut is the
-    (d-1)-faces whose two facets carry different labels, closed downward;
-    every remaining lower face joins the basin of its smallest top coface.
-    All heavy steps run on the packed integer arrays of the host; `labels`
-    lists the faces in canonical order.
+    The cut is the flagged (d-1)-faces closed downward; every other face
+    takes the label of its smallest top coface (the top itself for a top
+    face).  `labels` lists the faces in canonical order.  The host must be
+    pure of its top dimension.
     """
-    X = F.host
-    d = X.dim
-    if not X.faces:
+    faces = pk.faces
+    n = len(faces)
+    if not n:
         return WatershedResult({}, Complex(()), ())
-    pk = X.packed()
-    alt = F.alt_array()
-    offender = _kernels.flat_matching_offender(pk.sub, pk.sup, alt, len(pk.faces))
-    if offender >= 0:
-        raise StackError(f"not a Morse stack (witness {pk.faces[offender]})")
-    if d == 0:  # isolated vertices: every face its own basin, empty cut
-        return _assemble_result(F, set())
-    try:
-        nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo = _kernels.top_adjacency(
-            pk, alt
-        )
-    except ValueError as exc:
-        raise StackError(str(exc)) from exc
-
-    B, W_flags = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt)
-
-    # one label per face in packed order: the cut is the flagged (d-1)-faces
-    # closed downward, every other face takes the label of its smallest top
-    # coface (the top itself for a top face)
-    n = len(pk.faces)
+    d = len(pk.dim_offset) - 2
+    top_lo = int(pk.dim_offset[d])
     in_cut = np.zeros(n, dtype=np.bool_)
-    in_cut[sep_lo + np.flatnonzero(W_flags)] = True
+    in_cut[top_lo - cut.size + np.flatnonzero(cut)] = True  # (d-1)-faces end at top_lo
     owner = np.full(n, n, dtype=np.int64)
     owner[top_lo:] = np.arange(top_lo, n)
     pairs_lo = np.searchsorted(pk.sup, pk.dim_offset)  # pairs come by sup dimension
@@ -137,11 +75,8 @@ def morse_watershed(F: Stack) -> WatershedResult:
         sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
         np.minimum.at(owner, sub, owner[sup])
         in_cut[sub[in_cut[sup]]] = True
-    if (owner == n).any():
-        raise StackError("complex is not pure of top dimension")
     label = np.where(in_cut, WATERSHED_LABEL, B[owner - top_lo])
 
-    faces = pk.faces
     labels = dict(zip(faces, label.tolist()))
     W = Complex([faces[i] for i in np.flatnonzero(in_cut).tolist()], _trusted=True)
     order = np.argsort(label, kind="stable")
@@ -155,6 +90,53 @@ def morse_watershed(F: Stack) -> WatershedResult:
         if bid != WATERSHED_LABEL
     )
     return WatershedResult(labels, W, basins)
+
+
+def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
+    """WatershedCollapse: ultimate d-collapse to H, then the (d-1)-faces
+    whose two d-faces lie in different minima of H, closed downward.  The
+    basin of an H-minimum is numbered by the smallest minimum of F among
+    its d-faces."""
+    X = F.host
+    pk = X.packed()
+    n = len(pk.faces)
+    adjacency = _facet_adjacency(F) if X.dim > 0 else None
+    H = ultimate_d_collapse(F, seed=seed)
+    top_lo = int(pk.dim_offset[X.dim])
+    f_rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1][top_lo:]
+    h_root = _kernels.flat_zones(pk.sub, pk.sup, H.alt_array(), n)[0][top_lo:]
+    # an H-minimum takes the smallest rank of an F-minimum among its d-faces
+    best = np.full(n, n + 1)
+    np.minimum.at(best, h_root, np.where(f_rank > 0, f_rank, n + 1))
+    B = best[h_root] % (n + 1)  # 0 where there is none
+    cut = np.zeros(0, dtype=np.bool_)
+    if adjacency is not None:
+        nbr, sep_ids, _, sep_alt = adjacency[:4]
+        cut = np.zeros(sep_alt.size, dtype=np.bool_)
+        cut[sep_ids[h_root[:, None] != h_root[nbr]]] = True
+    return _assemble(pk, B, cut)
+
+
+def morse_watershed(F: Stack) -> WatershedResult:
+    """Flood over the facet adjacency of a Morse stack.
+
+    After the host and Morse checks, every non-minimum facet drains across
+    its one flat (d-1)-face to a strictly lower facet; pointer jumping
+    along these links labels each facet with the rank of its minimum in
+    canonical order, which is the basin numbering of minima(F).  The cut
+    is the (d-1)-faces whose two facets carry different labels, closed
+    downward; every remaining lower face joins the basin of its smallest
+    top coface.  All heavy steps run on the packed integer arrays of the
+    host; `labels` lists the faces in canonical order.
+    """
+    pk = F.host.packed()
+    adjacency = _facet_adjacency(F) if F.host.dim > 0 else None
+    ok, witness = is_morse(F)
+    if not ok:
+        raise StackError(f"not a Morse stack (witness {witness})")
+    if adjacency is None:  # isolated vertices: every face its own basin, empty cut
+        return _assemble(pk, np.arange(1, len(pk.faces) + 1), np.zeros(0, dtype=np.bool_))
+    return _assemble(pk, *_kernels.flood(*adjacency[:4]))
 
 
 def morse_watershed_direct(F: Stack) -> Complex:

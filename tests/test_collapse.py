@@ -1,0 +1,195 @@
+"""The collapse route against the FIFO worklist collapse and the dict label
+assembly it replaced."""
+
+import random
+from collections import deque
+
+import pytest
+
+from morseshed import complexes, stacks, watershed
+from morseshed.complexes import Complex, closure, connected_components
+from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
+from morseshed.manifolds import generate_torus
+from morseshed.morse import is_morse, random_morse_stack
+from morseshed.stacks import (
+    Stack,
+    StackError,
+    _ultimate_d_collapse,
+    minima,
+    random_stack,
+    stack_free_pairs,
+    ultimate_d_collapse,
+    validate_stack,
+)
+from morseshed.watershed import (
+    WATERSHED_LABEL,
+    WatershedResult,
+    verify_cut,
+    verify_drop_of_water,
+    watershed_collapse,
+)
+
+
+def _ref_ultimate_d_collapse(F, seed=0, mode="batch"):
+    """Reference: the FIFO worklist of (d-1)-faces in canonical order
+    shuffled by `seed`, re-examining a face whenever a neighbouring
+    altitude drops."""
+    X = F.host
+    d = X.dim
+    alt = dict(F.altitude)
+    lam_m = F.lambda_min
+    order = list(X.faces_of_dim(d - 1))
+    random.Random(seed).shuffle(order)
+    work = deque(order)
+    in_work = set(order)
+    while work:
+        x = work.popleft()
+        in_work.discard(x)
+        if alt[x] <= lam_m:
+            continue
+        cof = X.cofaces[x]
+        if len(cof) != 2:
+            raise StackError("host must be a non-branching pseudomanifold")
+        y, z = cof
+        if alt[y] != alt[x] and alt[z] != alt[x]:
+            continue
+        if alt[y] == alt[x] == alt[z]:
+            continue
+        if alt[z] == alt[x]:
+            y, z = z, y
+        v = max(alt[z], lam_m) if mode == "batch" else alt[x] - 1
+        alt[x] = alt[y] = v
+        for w in X.boundary[y]:
+            if w not in in_work:
+                work.append(w)
+                in_work.add(w)
+        if mode == "unit" and x not in in_work:
+            work.appendleft(x)
+            in_work.add(x)
+    return Stack(X, alt)
+
+
+def _ref_assemble_result(F, cut_faces):
+    """Reference: W is the closure of the cut, basins are the connected
+    components of its complement, numbered by their minimum of F."""
+    X = F.host
+    W = closure(cut_faces) if cut_faces else Complex(())
+    comps = connected_components(X, X.faces - W.faces)
+    min_index = {f: i for i, (zone, _) in enumerate(minima(F).minima, start=1) for f in zone}
+    labels = {x: WATERSHED_LABEL for x in W.faces}
+    basins = []
+    for comp in comps:
+        ids = {min_index[f] for f in comp if f in min_index}
+        bid = min(ids) if ids else 0
+        for f in comp:
+            labels[f] = bid
+        basins.append((bid, frozenset(comp)))
+    basins.sort(key=lambda b: b[0])
+    return WatershedResult(labels, W, tuple(basins))
+
+
+def _ref_watershed_collapse(F, seed=0):
+    """Reference: FIFO collapse, cut where the two d-faces of a (d-1)-face
+    lie in different minima of H, then the dict assembly."""
+    H = _ref_ultimate_d_collapse(F, seed=seed)
+    X = F.host
+    label = {f: i for i, (zone, _) in enumerate(minima(H).minima, start=1) for f in zone}
+    cut = {
+        z for z in X.faces_of_dim(X.dim - 1)
+        if label[X.cofaces[z][0]] != label[X.cofaces[z][1]]
+    }
+    return _ref_assemble_result(F, cut)
+
+
+def _same_result(r, ref):
+    assert r.labels == ref.labels
+    assert r.watershed == ref.watershed
+    assert r.basins == ref.basins
+
+
+def _non_morse_stacks():
+    hosts = [generate_torus(n, n) for n in (3, 4, 5)] + [tetrahedron_boundary(), cyc6_host()]
+    out = []
+    for X in hosts:
+        for s in range(12):
+            out.append(random_stack(X, seed=s, high=3))
+    assert sum(not is_morse(F)[0] for F in out) >= 50
+    return out
+
+
+def test_collapse_matches_fifo_on_morse_stacks():
+    for n in range(3, 9):
+        X = generate_torus(n, n)
+        for s in range(3):
+            F = random_morse_stack(X, seed=s, n_minima=1 + 2 * s)
+            for seed in range(5):
+                H = ultimate_d_collapse(F, seed=seed)
+                assert dict(H.altitude) == dict(_ref_ultimate_d_collapse(F, seed).altitude)
+                assert H.alt_array().tolist() == [H.altitude[x] for x in X.sorted_faces()]
+                _same_result(watershed_collapse(F, seed=seed), _ref_watershed_collapse(F, seed))
+
+
+def test_collapse_is_valid_on_non_morse_stacks():
+    for F in _non_morse_stacks():
+        d = F.host.dim
+        for seed in range(2):
+            H = ultimate_d_collapse(F, seed=seed)
+            assert validate_stack(H) == (True, None)
+            assert stack_free_pairs(H, p=d) == set()
+            W = watershed_collapse(F, seed=seed).watershed
+            assert verify_cut(F, W, exhaustive_limit=6)
+            assert verify_drop_of_water(F, W)
+
+
+def test_assembly_matches_dict_assembly_on_fifo_collapse(monkeypatch):
+    # the packed assembly applied to the FIFO collapse gives the old labels
+    monkeypatch.setattr(watershed, "ultimate_d_collapse", _ref_ultimate_d_collapse)
+    for F in _non_morse_stacks():
+        for seed in range(2):
+            r = watershed.watershed_collapse(F, seed=seed)
+            _same_result(r, _ref_watershed_collapse(F, seed))
+
+
+def test_batch_and_unit_modes_agree_on_cyc6():
+    F = cyc6_stack()
+    for seed in range(10):
+        batch, n_batch, _ = _ultimate_d_collapse(F, seed, "batch")
+        unit, n_unit, _ = _ultimate_d_collapse(F, seed, "unit")
+        assert dict(batch.altitude) == dict(unit.altitude)
+        # batch lowers each of the 4 non-minimum edges once; unit one level a step
+        assert (n_batch, n_unit) == (4, 6)
+
+
+@pytest.mark.parametrize("n", [25, 50, 100])
+def test_each_non_minimum_facet_collapses_once(n):
+    F = random_morse_stack(generate_torus(n, n), seed=n, n_minima=10)
+    d = F.host.dim
+    facets = len(F.host.faces_of_dim(d))
+    H, collapses, pops = _ultimate_d_collapse(F, 0, "batch")
+    assert collapses == facets - len(minima(F).minima)
+    assert pops <= (d + 2) * facets
+    assert len(minima(H).minima) == len(minima(F).minima)
+
+
+def test_watershed_collapse_builds_no_dict_components(monkeypatch):
+    calls = {"connected_components": 0, "closure": 0, "minima": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [
+        (complexes, "connected_components"), (watershed, "connected_components"),
+        (complexes, "closure"), (watershed, "closure"),
+        (stacks, "minima"), (watershed, "minima"),
+    ]:
+        counting(module, name)
+    F = random_morse_stack(generate_torus(8, 8), seed=2, n_minima=5)
+    r = watershed_collapse(F, seed=3)
+    assert calls == {"connected_components": 0, "closure": 0, "minima": 0}
+    assert len(r.basins) == 5

@@ -359,6 +359,22 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert err.count("\n") == 1 and "9223372036854775808" in err
 
 
+def test_cli_routes_reject_the_same_hosts(capsys, tmp_path):
+    hosts = {
+        "not pure of top dimension": closure(list(generate_torus(3, 3).faces_of_dim(2)) + [(99,)]),
+        "not a non-branching pseudomanifold": branching_triangles(),
+    }
+    for message, X in hosts.items():
+        path = tmp_path / "host.stack"
+        path.write_text(io.serialize_stack(random_morse_stack(X, seed=1)))
+        capsys.readouterr()
+        errs = []
+        for algo in ("collapse", "morse"):
+            assert cli.main(["watershed", str(path), "--algo", algo]) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == f"error: complex is {message}\n"
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "morseshed.cli", "gen", "cyc6"],

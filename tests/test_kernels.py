@@ -74,3 +74,51 @@ def test_flat_matching_offender():
     assert _kernels.flat_matching_offender(
         pk.sub, pk.sup, flat.alt_array(), len(pk.faces)
     ) >= 0
+
+
+def _bfs_zones(pk, alt):
+    """Reference: breadth-first flat zones; root = smallest member, and a
+    zone is a minimum iff no member has a strictly lower covering
+    neighbour, ranked by root."""
+    n = len(pk.faces)
+    nbrs = [[] for _ in range(n)]
+    lower = set()
+    for a, b in zip(pk.sub.tolist(), pk.sup.tolist()):
+        if alt[a] == alt[b]:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        else:
+            lower.add(a if alt[a] > alt[b] else b)
+    root = [-1] * n
+    for s in range(n):
+        if root[s] >= 0:
+            continue
+        zone, queue = [s], deque([s])
+        root[s] = s
+        while queue:
+            for v in nbrs[queue.popleft()]:
+                if root[v] < 0:
+                    root[v] = s
+                    zone.append(v)
+                    queue.append(v)
+        if lower.intersection(zone):
+            lower.add(s)
+    ranks = {}
+    for s in sorted(set(root)):
+        if s not in lower:
+            ranks[s] = len(ranks) + 1
+    return root, [ranks.get(r, 0) for r in root]
+
+
+def test_flat_zones_match_bfs():
+    # arbitrary altitudes, stacks or not, including few levels (large zones)
+    rng = np.random.default_rng(5)
+    pks = [generate_torus(n, n).packed() for n in (3, 4, 6, 9)] + [cyc6_stack().host.packed()]
+    for pk in pks:
+        n = len(pk.faces)
+        for levels in (1, 2, 3, 8, n):
+            alt = rng.integers(0, levels, n)
+            root, rank = _kernels.flat_zones(pk.sub, pk.sup, alt, n)
+            ref_root, ref_rank = _bfs_zones(pk, alt.tolist())
+            assert root.tolist() == ref_root
+            assert rank.tolist() == ref_rank

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshed.complexes import closure
+from morseshed.complexes import closure, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import (
@@ -239,3 +239,39 @@ def test_dmf_dual_check_examples():
 def test_dmf_dual_check_fuzz(seed):
     F = random_morse_stack(generate_torus(3, 3), seed=seed)
     assert dmf_dual_check(F)
+
+
+def _ref_is_morse(F):
+    """Reference: mark every face of every flat pair; a face marked twice
+    offends, and the witness is the smallest offender."""
+    seen, offenders = set(), []
+    for y in F.host.faces:
+        for x in F.host.boundary[y]:
+            if F.altitude[x] != F.altitude[y]:
+                continue
+            for f in (x, y):
+                if f in seen:
+                    offenders.append(f)
+                else:
+                    seen.add(f)
+    if offenders:
+        return False, min(offenders, key=face_key)
+    return True, None
+
+
+def test_is_morse_matches_reference():
+    from morseshed.fixtures import branching_triangles, wedge
+    from morseshed.stacks import random_stack
+
+    hosts = [cyc6_host(), tetrahedron_boundary(), wedge(), branching_triangles()]
+    hosts += [generate_torus(n, n) for n in (3, 4, 5)]
+    verdicts = []
+    for X in hosts:
+        stacks = [constant_stack(X), strictly_decreasing_stack(X)]
+        stacks += [random_stack(X, seed=s, high=2 + s % 5) for s in range(10)]
+        stacks += [random_morse_stack(X, seed=s, n_minima=1 + s % 3) for s in range(5)]
+        for F in stacks:
+            expected = _ref_is_morse(F)
+            assert is_morse(F) == expected
+            verdicts.append(expected[0])
+    assert 30 < sum(verdicts) < len(verdicts) - 30

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshed.complexes import closure
+from morseshed.complexes import Complex, closure, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.stacks import (
+    MinimaDecomposition,
     Stack,
     StackError,
     complete_from_facets,
@@ -207,3 +208,57 @@ def test_validate_stack_witness_matches_loop():
         expected = _loop_validate_stack(G)
         assert validate_stack(G) == expected
         non_stacks += not expected[0]
+
+
+def _ref_minima(F):
+    """Reference: dict union-find over the flat covering pairs; a zone is a
+    minimum iff no member has a strictly lower covering neighbour."""
+    X, alt = F.host, F.altitude
+    parent = {x: x for x in X.faces}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    lower = set()
+    for y in X.faces:
+        for x in X.boundary[y]:
+            if alt[x] == alt[y]:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    parent[rx] = ry
+            else:
+                lower.add(x if alt[x] > alt[y] else y)
+    zones = {}
+    for x in X.faces:
+        zones.setdefault(find(x), set()).add(x)
+    has_lower = {find(x) for x in lower}
+    mins, divide = [], set()
+    for root, zone in zones.items():
+        if root in has_lower:
+            divide |= zone
+        else:
+            mins.append((frozenset(zone), alt[root]))
+    mins.sort(key=lambda mz: min(map(face_key, mz[0])))
+    return MinimaDecomposition(tuple(mins), frozenset(divide))
+
+
+def test_minima_matches_union_find_reference():
+    from morseshed import fixtures
+    from morseshed.morse import random_morse_stack
+
+    hosts = [
+        fixtures.cyc6_host(), fixtures.tetrahedron_boundary(), fixtures.wedge(),
+        fixtures.branching_triangles(), fixtures.torus(),
+    ] + [generate_torus(n, n) for n in (4, 5, 6)]
+    stacks = [fixtures.cyc6_stack(), fixtures.branching_collapse_counterexample()[0]]
+    stacks.append(Stack(Complex(()), {}))
+    for X in hosts:
+        stacks.append(constant_stack(X, 3))
+        stacks += [random_stack(X, seed=s, high=s % 4) for s in range(8)]
+        stacks += [random_morse_stack(X, seed=s, n_minima=1 + s) for s in range(3)]
+    stacks.append(constant_stack(generate_torus(100, 100), -7))  # one zone of 60k faces
+    for F in stacks:
+        assert minima(F) == _ref_minima(F)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morseshed.complexes import Complex, closure
-from morseshed.fixtures import cyc6_stack, tetrahedron_boundary
+from morseshed.fixtures import branching_triangles, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus, validate
 from morseshed.morse import random_morse_stack
 from morseshed.stacks import Stack, StackError, minima
@@ -204,3 +204,34 @@ def test_morse_watershed_rejects_face_outside_every_top_face():
     F = random_morse_stack(X, seed=1)
     with pytest.raises(StackError, match="not pure"):
         morse_watershed(F)
+
+
+def _torus_with_isolated_vertex():
+    return closure(list(generate_torus(3, 3).faces_of_dim(2)) + [(99,)])
+
+
+@pytest.mark.parametrize("host, message", [
+    (_torus_with_isolated_vertex, "complex is not pure of top dimension"),
+    (branching_triangles, "complex is not a non-branching pseudomanifold"),
+])
+def test_routes_reject_the_same_hosts(host, message):
+    X = host()
+    # the host check runs before either route, so a non-Morse stack gets
+    # the same message from the flood as a Morse one
+    for F in (random_morse_stack(X, seed=1), constant_stack(X)):
+        for route in (morse_watershed, watershed_collapse):
+            with pytest.raises(StackError) as exc:
+                route(F)
+            assert str(exc.value) == message
+
+
+def test_routes_agree_on_isolated_vertices_and_the_empty_complex():
+    X = closure([(0,), (3,), (5,)])
+    F = Stack(X, {(0,): 4, (3,): 1, (5,): 2})
+    for r in (morse_watershed(F), watershed_collapse(F, seed=2)):
+        assert r.labels == {(0,): 1, (3,): 2, (5,): 3}
+        assert r.watershed.faces == frozenset()
+        assert r.basins == tuple((i, frozenset({x})) for i, x in enumerate(X.sorted_faces(), 1))
+    empty = Stack(Complex(()), {})
+    for r in (morse_watershed(empty), watershed_collapse(empty)):
+        assert (r.labels, r.watershed.faces, r.basins) == ({}, frozenset(), ())
