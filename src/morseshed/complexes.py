@@ -2,8 +2,10 @@
 
 A face is a tuple of strictly increasing non-negative int64 vertex ids.  A
 :class:`Complex` is built as packed integer arrays (see
-:meth:`Complex.packed`): the faces in canonical order, every covering pair
-as a (sub, sup) pair of indexes, and the index range of each dimension.
+:meth:`Complex.packed`): the vertex ids of the faces in canonical order,
+every covering pair as a (sub, sup) pair of indexes, and the index range
+of each dimension.  It can be built from a family of face tuples or
+straight from the vertex arrays of each dimension.
 The tuple views that the face-by-face algorithms walk -- ``by_dim``,
 ``boundary`` and ``cofaces`` -- are derived from the arrays on first
 access and are plain attributes after that.  Complexes are immutable after
@@ -15,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
@@ -64,19 +67,41 @@ class Complex:
     ``boundary[x]`` lists the codim-1 faces of x in drop-vertex-i order
     (the face without ``x[i]`` at position i), ``cofaces[x]`` the codim-1
     cofaces in canonical order, and ``by_dim[p]`` the p-faces in canonical
-    order.  The three are built from the packed arrays on first access.
+    order.  The three are built from the packed arrays on first access, as
+    is the frozenset ``faces`` of a complex built from vertex rows.
     """
 
     __slots__ = ("faces", "dim", "_packed", "by_dim", "boundary", "cofaces")
 
-    def __init__(self, faces: Iterable[Face], _trusted: bool = False):
-        if _trusted:
-            face_set = frozenset(faces)
+    def __init__(self, faces: Iterable[Face] = (), _trusted: bool = False, _rows=None):
+        """`faces` is a closed family of faces, canonicalized unless
+        `_trusted`.  `_rows`, given in place of `faces`, holds for each
+        dimension p an (n, p + 1) int64 array whose rows are the p-faces
+        (ascending non-negative vertex ids, in any order); ``faces`` is
+        then derived on first access, and a repeated or missing face
+        raises InvalidSimplexError without naming it."""
+        if _rows is None:
+            face_set = frozenset(faces) if _trusted else frozenset(make_face(x) for x in faces)
+            self.faces: frozenset[Face] = face_set
+            groups: list[list[Face]] = [[] for _ in range(max(map(len, face_set), default=0))]
+            for x in face_set:
+                groups[len(x) - 1].append(x)
+            _rows = [
+                np.fromiter(chain.from_iterable(g), dtype=np.int64, count=len(g) * (p + 1))
+                .reshape(len(g), p + 1)
+                for p, g in enumerate(groups)
+            ]
+            self._packed = _pack(_rows, groups)
+            if self._packed is None:
+                raise _not_closed(face_set)
         else:
-            face_set = frozenset(make_face(x) for x in faces)
-        self.faces: frozenset[Face] = face_set
-        self.dim = max(map(len, face_set), default=0) - 1
-        self._packed = _pack(face_set, self.dim)
+            _rows = list(_rows)
+            while _rows and not len(_rows[-1]):
+                _rows.pop()  # the dimension is that of the largest face
+            self._packed = _pack(_rows)
+            if self._packed is None:
+                raise InvalidSimplexError("the rows repeat a face or are not closed")
+        self.dim = len(_rows) - 1
 
     def __getattr__(self, name: str):
         # only reached while a view slot is unset: build it once, and later
@@ -94,7 +119,7 @@ class Complex:
         return x in self.faces
 
     def __len__(self) -> int:
-        return len(self.faces)
+        return len(self._packed)
 
     def __iter__(self) -> Iterator[Face]:
         return iter(self.sorted_faces())
@@ -118,7 +143,7 @@ class Complex:
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces, in canonical order."""
         pk = self._packed
-        has_coface = np.zeros(len(pk.faces), dtype=np.bool_)
+        has_coface = np.zeros(len(pk), dtype=np.bool_)
         has_coface[pk.sub] = True
         return [pk.faces[i] for i in np.flatnonzero(~has_coface).tolist()]
 
@@ -155,15 +180,24 @@ class Complex:
 
 @dataclass(frozen=True, eq=False)
 class PackedComplex:
-    """Array view of a complex: `faces[i]` is face number i, `(sub[k],
-    sup[k])` enumerates every covering pair by index, sup ascending and
-    then in drop-vertex-i order of the boundary, and faces of dimension p
-    occupy indexes `dim_offset[p]:dim_offset[p+1]`."""
+    """Array view of a complex: `rows[p]` holds the vertex ids of the
+    p-faces, one face per row in canonical order, `faces[i]` is face
+    number i as a tuple (built on first access), `(sub[k], sup[k])`
+    enumerates every covering pair by index, sup ascending and then in
+    drop-vertex-i order of the boundary, and faces of dimension p occupy
+    indexes `dim_offset[p]:dim_offset[p+1]`."""
 
-    faces: list[Face]
+    rows: list  # np.ndarray[int64] of shape (n_p, p + 1) per dimension p
     sub: "object"  # np.ndarray[int64]
     sup: "object"  # np.ndarray[int64]
     dim_offset: "object"  # np.ndarray[int64]
+
+    def __len__(self) -> int:
+        return int(self.dim_offset[-1])
+
+    @cached_property
+    def faces(self) -> list[Face]:
+        return [x for r in self.rows for x in map(tuple, r.tolist())]
 
 
 def _not_closed(face_set: frozenset[Face]) -> InvalidSimplexError:
@@ -198,52 +232,56 @@ def _locate(keys: list, n_vertices: int, ranks):
     return idx
 
 
-def _pack(face_set: frozenset[Face], dim: int) -> PackedComplex:
-    """Canonical order and covering pairs of a closed family of faces.
+def _pack(rows: list, groups: list[list[Face]] | None = None) -> PackedComplex | None:
+    """Canonical order and covering pairs of a family of faces given as
+    the vertex rows of each dimension; None when the family repeats a face
+    or is not closed.  `groups`, when given, holds the face tuples of the
+    rows, which `faces` then reuses.
 
     Each boundary face is found by binary search among the faces of the
-    dimension below, so a failed lookup is a missing face and raises."""
-    groups: list[list[Face]] = [[] for _ in range(dim + 1)]
-    for x in face_set:
-        groups[len(x) - 1].append(x)
-    dim_offset = np.zeros(dim + 2, dtype=np.int64)
-    dim_offset[1:] = np.cumsum([len(g) for g in groups])
-    faces: list[Face] = []
-    subs, sups, keys = [], [], [None]
-    for p, group in enumerate(groups):
-        n = len(group)
-        rows = np.fromiter(
-            chain.from_iterable(group), dtype=np.int64, count=n * (p + 1)
-        ).reshape(n, p + 1)
+    dimension below, so a failed lookup is a missing face."""
+    dim_offset = np.zeros(len(rows) + 1, dtype=np.int64)
+    dim_offset[1:] = np.cumsum([len(r) for r in rows])
+    subs, sups, keys, ordered, orders = [], [], [None], [], []
+    for p, r in enumerate(rows):
+        n = len(r)
         if p == 0:
-            order = np.argsort(rows[:, 0])
-            vertex_ids = rows[order, 0]
+            order = np.argsort(r[:, 0])
+            vertex_ids = r[order, 0]
+            key = vertex_ids
         else:
             nv = vertex_ids.size
-            ranks = np.minimum(np.searchsorted(vertex_ids, rows), max(nv - 1, 0))
-            if nv == 0 or not np.array_equal(vertex_ids[ranks], rows):
-                raise _not_closed(face_set)
+            ranks = np.minimum(np.searchsorted(vertex_ids, r), max(nv - 1, 0))
+            if nv == 0 or not np.array_equal(vertex_ids[ranks], r):
+                return None
             cols = list(range(p + 1))
             bd = np.empty((n, p + 1), dtype=np.int64)
             for i in cols:
                 found = _locate(keys, nv, ranks[:, cols[:i] + cols[i + 1:]])
                 if found is None:
-                    raise _not_closed(face_set)
+                    return None
                 bd[:, i] = found
             # the last column is the prefix face: drop vertex p
             key = bd[:, p] * nv + ranks[:, p]
             order = np.argsort(key)
-            keys.append(key[order])
+            key = key[order]
+            keys.append(key)
             subs.append((bd[order] + dim_offset[p - 1]).ravel())
             sups.append(np.repeat(np.arange(dim_offset[p], dim_offset[p + 1]), p + 1))
-        faces.extend([group[i] for i in order.tolist()])
+        if n > 1 and not (key[1:] > key[:-1]).all():
+            return None  # a repeated face
+        ordered.append(r[order])
+        orders.append(order)
     empty = np.zeros(0, dtype=np.int64)
-    return PackedComplex(
-        faces=faces,
+    pk = PackedComplex(
+        rows=ordered,
         sub=np.concatenate(subs) if subs else empty,
         sup=np.concatenate(sups) if sups else empty,
         dim_offset=dim_offset,
     )
+    if groups is not None:  # fill the cached `faces` with the given tuples
+        pk.__dict__["faces"] = [g[i] for g, o in zip(groups, orders) for i in o.tolist()]
+    return pk
 
 
 def _by_dim_view(pk: PackedComplex) -> dict[int, list[Face]]:
@@ -278,7 +316,12 @@ def _cofaces_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
     return out
 
 
-_VIEWS = {"by_dim": _by_dim_view, "boundary": _boundary_view, "cofaces": _cofaces_view}
+_VIEWS = {
+    "faces": lambda pk: frozenset(pk.faces),
+    "by_dim": _by_dim_view,
+    "boundary": _boundary_view,
+    "cofaces": _cofaces_view,
+}
 
 
 EMPTY_COMPLEX = Complex(())

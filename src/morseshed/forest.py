@@ -300,7 +300,7 @@ def _msf_checks(
 ) -> dict[str, bool]:
     """The checks of `verify_msf_theorem`, given the facet graph G and the
     watershed forest Y of F."""
-    from .watershed import morse_watershed
+    from .watershed import WATERSHED_LABEL, morse_watershed
 
     checks: dict[str, bool] = {}
     checks["rooted"] = is_rooted_forest(set(Y.vertices), set(Y.edges), set(Y.roots))
@@ -311,11 +311,17 @@ def _msf_checks(
         checks["unique"] = all_msfs == [Y.edges]
     else:
         checks["unique"] = msf_is_unique(G, Y.roots)
-    d = F.host.dim
-    ws = morse_watershed(F)
-    basin_tops = {
-        frozenset(f for f in fs if len(f) - 1 == d) for _, fs in ws.basins
-    }
-    checks["basins"] = set(Y.trees()) == basin_tops
+    # the trees must partition the d-faces as the basins do: read on the
+    # label array, each tree carries one basin id and no two trees share one
+    X = F.host
+    top_lo = int(X.packed().dim_offset[X.dim])
+    label = morse_watershed(F)._label[top_lo:].tolist()  # the d-faces, in order
+    index = {x: i for i, x in enumerate(X.faces_of_dim(X.dim))}
+    ids = [{label[index[x]] for x in members} for members in Y.trees()]
+    checks["basins"] = (
+        WATERSHED_LABEL not in label
+        and all(len(s) == 1 for s in ids)
+        and len(set().union(*ids)) == len(ids)
+    )
     checks["min_edge"] = _lightest_at_an_endpoint(G, Y.edges)
     return checks

@@ -47,7 +47,7 @@ def is_morse(F: Stack) -> tuple[bool, Optional[Face]]:
     """True iff no face lies in two flat pairs; witness the smallest
     offender in canonical order."""
     pk = F.host.packed()
-    i = _kernels.flat_matching_offender(pk.sub, pk.sup, F.alt_array(), len(pk.faces))
+    i = _kernels.flat_matching_offender(pk.sub, pk.sup, F.alt_array(), len(pk))
     return (True, None) if i < 0 else (False, pk.faces[i])
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,6 +27,46 @@ class StackError(ValueError):
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+class _PackedAltitudes(Mapping):
+    """The altitude map of a stack whose altitudes are an int64 array in
+    the packed order of its host; the face-keyed dict is built on first
+    read."""
+
+    __slots__ = ("host", "array", "_dict")
+
+    def __init__(self, host: Complex, array):
+        self.host, self.array, self._dict = host, array, None
+
+    def _faces(self) -> dict[Face, int]:
+        if self._dict is None:
+            self._dict = dict(zip(self.host.sorted_faces(), self.array.tolist()))
+        return self._dict
+
+    def __getitem__(self, x: Face) -> int:
+        return self._faces()[x]
+
+    def __iter__(self):
+        return iter(self._faces())
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __contains__(self, x) -> bool:
+        return x in self._faces()
+
+    def keys(self):
+        return self._faces().keys()
+
+    def items(self):
+        return self._faces().items()
+
+    def values(self):
+        return self._faces().values()
+
+    def __repr__(self) -> str:
+        return repr(self._faces())
+
+
 @dataclass(frozen=True)
 class Stack:
     host: Complex
@@ -33,6 +74,14 @@ class Stack:
     lambda_min: int = field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.altitude, _PackedAltitudes):
+            # one int64 altitude per face of the host, in packed order
+            arr = self.altitude.array
+            assert self.altitude.host is self.host
+            assert arr.dtype == np.int64 and arr.shape == (len(self.host),)
+            object.__setattr__(self, "_alt_array", arr)
+            object.__setattr__(self, "lambda_min", int(arr.min()) if arr.size else 0)
+            return
         missing = self.host.faces - self.altitude.keys()
         if missing:
             raise StackError(f"altitude missing on {min(missing, key=face_key)}")
@@ -60,7 +109,7 @@ class Stack:
             arr = np.fromiter(
                 map(self.altitude.__getitem__, self.host.sorted_faces()),
                 dtype=np.int64,
-                count=len(self.host.faces),
+                count=len(self.host),
             )
             object.__setattr__(self, "_alt_array", arr)
         return arr
@@ -116,7 +165,7 @@ def minima(F: Stack) -> MinimaDecomposition:
     smallest face in canonical order.
     """
     pk, alt = F.host.packed(), F.alt_array()
-    _, rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk.faces))
+    _, rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))
     order = np.argsort(rank, kind="stable").tolist()
     by_rank = [pk.faces[i] for i in order]
     levels = alt[order].tolist()
@@ -189,7 +238,9 @@ def _facet_adjacency(F: Stack):
         raise StackError(str(exc)) from exc
 
 
-def ultimate_d_collapse(F: Stack, seed: int = 0, mode: str = "batch") -> Stack:
+def ultimate_d_collapse(
+    F: Stack, seed: int = 0, mode: str = "batch", *, _adjacency=None
+) -> Stack:
     """Collapse through free d-pairs until none remains.
 
     A binary heap holds the free pairs keyed by (target level, rank of
@@ -200,17 +251,22 @@ def ultimate_d_collapse(F: Stack, seed: int = 0, mode: str = "batch") -> Stack:
     mode by one.  On a Morse stack a facet's lower neighbour is final
     before the facet is lowered, so batch mode collapses each non-minimum
     facet once, and the result depends on neither the seed nor the mode.
+    `_adjacency` is `_facet_adjacency(F)`, when the caller has it.
     """
-    return _ultimate_d_collapse(F, seed, mode)[0]
+    return _ultimate_d_collapse(F, seed, mode, _adjacency)[0]
 
 
-def _ultimate_d_collapse(F: Stack, seed: int, mode: str) -> tuple[Stack, int, int]:
+def _ultimate_d_collapse(
+    F: Stack, seed: int, mode: str, adjacency=None
+) -> tuple[Stack, int, int]:
     """ultimate_d_collapse, plus its numbers of collapses and heap pops."""
     X = F.host
     arr = F.alt_array().copy()
     if X.dim < 1:  # no (d-1)-faces
         return _stack_from_array(X, arr), 0, 0
-    _, sep_ids, top_alt, sep_alt, top_lo, sep_lo = _facet_adjacency(F)
+    if adjacency is None:
+        adjacency = _facet_adjacency(F)
+    _, sep_ids, top_alt, sep_alt, top_lo, sep_lo = adjacency
     # each (d-1)-face appears twice in sep_ids, once in the row of each coface
     cof = np.argsort(sep_ids.ravel(), kind="stable").reshape(-1, 2) // (X.dim + 1)
     sa, ta, cof, bd = sep_alt.tolist(), top_alt.tolist(), cof.tolist(), sep_ids.tolist()
@@ -249,10 +305,10 @@ def _ultimate_d_collapse(F: Stack, seed: int, mode: str) -> tuple[Stack, int, in
 
 
 def _stack_from_array(host: Complex, arr) -> Stack:
-    """The stack with altitudes `arr` in packed order, alt_array() set."""
-    H = Stack(host, dict(zip(host.sorted_faces(), arr.tolist())))
-    object.__setattr__(H, "_alt_array", arr)
-    return H
+    """The stack with the int64 altitudes `arr` in the packed order of
+    `host`: alt_array() returns `arr`, and the altitude dict is built only
+    when `altitude` is read."""
+    return Stack(host, _PackedAltitudes(host, arr))
 
 
 def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Stack:

@@ -21,7 +21,6 @@ of a small W when some facet of W is a facet of the host.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -40,14 +39,73 @@ from . import _kernels
 WATERSHED_LABEL = 0
 
 
-@dataclass(frozen=True)
 class WatershedResult:
-    labels: dict[Face, int]  # WATERSHED_LABEL or basin id >= 1
-    watershed: Complex
-    basins: tuple[tuple[int, frozenset[Face]], ...]
+    """A watershed: `labels` maps each face of the host to WATERSHED_LABEL
+    (on the cut) or its basin id >= 1, in canonical order; `watershed` is
+    the cut W as a complex; `basins` lists (id, faces) by ascending id.
+
+    The routes return a result that holds only the packed host and one
+    label array in packed order; the three views are built on first read.
+    """
+
+    __slots__ = ("labels", "watershed", "basins", "_pk", "_label")
+
+    def __init__(self, labels: dict[Face, int], watershed: Complex, basins):
+        self.labels, self.watershed, self.basins = labels, watershed, basins
+        self._pk = self._label = None
+
+    @classmethod
+    def _from_array(cls, pk, label) -> "WatershedResult":
+        result = cls.__new__(cls)
+        result._pk, result._label = pk, label
+        return result
+
+    def __getattr__(self, name: str):
+        # only reached while a view slot is unset: build it once
+        build = _RESULT_VIEWS.get(name)
+        if build is None:
+            raise AttributeError(f"'WatershedResult' object has no attribute {name!r}")
+        view = build(self._pk, self._label)
+        setattr(self, name, view)
+        return view
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WatershedResult) and (
+            (self.labels, self.watershed, self.basins)
+            == (other.labels, other.watershed, other.basins)
+        )
+
+    __hash__ = None
 
     def basin_sizes(self) -> dict[int, int]:
         return {bid: len(fs) for bid, fs in self.basins}
+
+
+def _cut_view(pk, label) -> Complex:
+    cut = label == WATERSHED_LABEL
+    off = pk.dim_offset.tolist()
+    return Complex(_rows=[r[cut[off[p]:off[p + 1]]] for p, r in enumerate(pk.rows)])
+
+
+def _basins_view(pk, label) -> tuple[tuple[int, frozenset[Face]], ...]:
+    if not label.size:
+        return ()
+    order = np.argsort(label, kind="stable")
+    grouped = label[order]
+    bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), label.size]
+    by_label = [pk.faces[i] for i in order.tolist()]
+    return tuple(
+        (bid, frozenset(by_label[a:b]))
+        for bid, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:])
+        if bid != WATERSHED_LABEL
+    )
+
+
+_RESULT_VIEWS = {
+    "labels": lambda pk, label: dict(zip(pk.faces, label.tolist())),
+    "watershed": _cut_view,
+    "basins": _basins_view,
+}
 
 
 def _assemble(pk, B, cut) -> WatershedResult:
@@ -56,13 +114,11 @@ def _assemble(pk, B, cut) -> WatershedResult:
 
     The cut is the flagged (d-1)-faces closed downward; every other face
     takes the label of its smallest top coface (the top itself for a top
-    face).  `labels` lists the faces in canonical order.  The host must be
-    pure of its top dimension.
+    face).  The host must be pure of its top dimension.
     """
-    faces = pk.faces
-    n = len(faces)
+    n = len(pk)
     if not n:
-        return WatershedResult({}, Complex(()), ())
+        return WatershedResult._from_array(pk, np.zeros(0, dtype=np.int64))
     d = len(pk.dim_offset) - 2
     top_lo = int(pk.dim_offset[d])
     in_cut = np.zeros(n, dtype=np.bool_)
@@ -75,21 +131,7 @@ def _assemble(pk, B, cut) -> WatershedResult:
         sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
         np.minimum.at(owner, sub, owner[sup])
         in_cut[sub[in_cut[sup]]] = True
-    label = np.where(in_cut, WATERSHED_LABEL, B[owner - top_lo])
-
-    labels = dict(zip(faces, label.tolist()))
-    W = Complex([faces[i] for i in np.flatnonzero(in_cut).tolist()], _trusted=True)
-    order = np.argsort(label, kind="stable")
-    grouped = label[order]
-    starts = np.flatnonzero(np.diff(grouped)) + 1
-    by_label = [faces[i] for i in order.tolist()]
-    bounds = [0, *starts.tolist(), n]
-    basins = tuple(
-        (bid, frozenset(by_label[a:b]))
-        for bid, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:])
-        if bid != WATERSHED_LABEL
-    )
-    return WatershedResult(labels, W, basins)
+    return WatershedResult._from_array(pk, np.where(in_cut, WATERSHED_LABEL, B[owner - top_lo]))
 
 
 def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
@@ -99,9 +141,9 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
     its d-faces."""
     X = F.host
     pk = X.packed()
-    n = len(pk.faces)
+    n = len(pk)
     adjacency = _facet_adjacency(F) if X.dim > 0 else None
-    H = ultimate_d_collapse(F, seed=seed)
+    H = ultimate_d_collapse(F, seed=seed, _adjacency=adjacency)
     top_lo = int(pk.dim_offset[X.dim])
     f_rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1][top_lo:]
     h_root = _kernels.flat_zones(pk.sub, pk.sup, H.alt_array(), n)[0][top_lo:]
@@ -135,7 +177,7 @@ def morse_watershed(F: Stack) -> WatershedResult:
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
     if adjacency is None:  # isolated vertices: every face its own basin, empty cut
-        return _assemble(pk, np.arange(1, len(pk.faces) + 1), np.zeros(0, dtype=np.bool_))
+        return _assemble(pk, np.arange(1, len(pk) + 1), np.zeros(0, dtype=np.bool_))
     return _assemble(pk, *_kernels.flood(*adjacency[:4]))
 
 

@@ -30,10 +30,11 @@ from morseshed.watershed import (
 )
 
 
-def _ref_ultimate_d_collapse(F, seed=0, mode="batch"):
+def _ref_ultimate_d_collapse(F, seed=0, mode="batch", *, _adjacency=None):
     """Reference: the FIFO worklist of (d-1)-faces in canonical order
     shuffled by `seed`, re-examining a face whenever a neighbouring
-    altitude drops."""
+    altitude drops.  Takes (and ignores) the precomputed facet adjacency
+    that ultimate_d_collapse accepts, so that it can stand in for it."""
     X = F.host
     d = X.dim
     alt = dict(F.altitude)
@@ -193,3 +194,24 @@ def test_watershed_collapse_builds_no_dict_components(monkeypatch):
     r = watershed_collapse(F, seed=3)
     assert calls == {"connected_components": 0, "closure": 0, "minima": 0}
     assert len(r.basins) == 5
+
+
+def test_watershed_collapse_computes_the_facet_adjacency_once(monkeypatch):
+    calls = []
+    original = stacks._kernels.top_adjacency
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(stacks._kernels, "top_adjacency", counting)
+    for n, seed in ((4, 0), (6, 1), (8, 2)):
+        F = random_morse_stack(generate_torus(n, n), seed=seed, n_minima=3)
+        for cseed in range(2):
+            calls.clear()
+            r = watershed_collapse(F, seed=cseed)
+            assert len(calls) == 1
+            assert len(r.basins) == 3
+        calls.clear()
+        ultimate_d_collapse(F)
+        assert len(calls) == 1

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshed.fixtures import cyc6_stack, tetrahedron_boundary
+from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.forest import (
+    Forest,
     WeightedFacetGraph,
     _edge,
     _lightest_at_an_endpoint,
+    _msf_checks,
     build_facet_graph,
     enumerate_msfs,
     is_rooted_forest,
@@ -20,7 +22,8 @@ from morseshed.forest import (
 )
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
-from morseshed.stacks import StackError, complete_from_facets, minima, random_stack
+from morseshed.stacks import Stack, StackError, complete_from_facets, minima, random_stack
+from morseshed.watershed import WATERSHED_LABEL, morse_watershed
 
 FIX_WEIGHTS = {
     ((0, 1), (1, 2)): 1,
@@ -222,3 +225,48 @@ def test_min_edge_check_matches_reference():
             assert got == _ref_lightest_at_an_endpoint(graph, edges)
             verdicts.append(got)
     assert verdicts.count(True) >= 45 and verdicts.count(False) >= 100
+
+
+def _ref_trees_are_basins(F, Y):
+    """Reference: the basins check on the basin frozensets."""
+    d = F.host.dim
+    basin_tops = {
+        frozenset(f for f in fs if len(f) - 1 == d) for _, fs in morse_watershed(F).basins
+    }
+    return set(Y.trees()) == basin_tops
+
+
+def test_basins_check_matches_frozenset_reference():
+    rng = random.Random(9)
+    verdicts = []
+    for seed in range(30):
+        n = 3 + seed % 4
+        F = random_morse_stack(generate_torus(n, n), seed=seed, n_minima=1 + seed % 5)
+        G, Y = build_facet_graph(F), watershed_forest(F)
+        edges = sorted(Y.edges)
+        across = rng.choice([e for e in G.edges if e not in Y.edges])
+        forests = [
+            Y,
+            Forest(Y.vertices, Y.edges | {across}, Y.roots),  # two basins joined
+        ]
+        if edges:  # a tree split in two, and one half joined to another tree
+            forests.append(Forest(Y.vertices, frozenset(edges[1:]), Y.roots))
+            forests.append(Forest(Y.vertices, frozenset(edges[1:]) | {across}, Y.roots))
+        for Z in forests:
+            got = _msf_checks(F, G, Z)["basins"]
+            assert got == _ref_trees_are_basins(F, Z)
+            verdicts.append(got)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 60
+    # altitudes that are not monotone but pair every face once: each edge
+    # of the 6-cycle drains into the next, so the flood finds no root and
+    # labels every face WATERSHED_LABEL; one tree over all edges is no basin
+    X = cyc6_host()
+    ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+    alt = {e: i for i, e in enumerate(ring)}
+    alt.update({(v,): i for i, v in enumerate((1, 2, 3, 4, 5, 0))})
+    F = Stack(X, alt)
+    G = build_facet_graph(F)
+    path = frozenset(_edge(a, b) for a, b in zip(ring, ring[1:]))
+    Z = Forest(frozenset(ring), path, frozenset(ring[:1]))
+    assert set(morse_watershed(F).labels.values()) == {WATERSHED_LABEL}
+    assert _msf_checks(F, G, Z)["basins"] is _ref_trees_are_basins(F, Z) is False

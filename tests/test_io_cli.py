@@ -5,12 +5,24 @@ import sys
 import pytest
 
 from morseshed import cli, forest, io
-from morseshed.complexes import Complex, closure, face_key
-from morseshed.fixtures import branching_triangles, cyc6_stack, wedge
+from morseshed.complexes import Complex, InvalidSimplexError, closure, face_key
+from morseshed.fixtures import (
+    branching_collapse_counterexample,
+    branching_triangles,
+    cyc6_host,
+    cyc6_stack,
+    tetrahedron_boundary,
+    wedge,
+)
 from morseshed.manifolds import generate_torus
 from morseshed.morse import gradient, random_morse_stack
-from morseshed.stacks import StackError
-from morseshed.watershed import WATERSHED_LABEL, WatershedResult, morse_watershed
+from morseshed.stacks import Stack, StackError, random_stack, validate_stack
+from morseshed.watershed import (
+    WATERSHED_LABEL,
+    WatershedResult,
+    morse_watershed,
+    watershed_collapse,
+)
 
 
 # -- text formats --------------------------------------------------------------
@@ -383,3 +395,219 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "0 1 : 0" in proc.stdout
+
+
+# -- array text paths against the line loop and the per-face writers -----------
+
+
+def _ref_parse_stack(text, complete="none"):
+    """Reference: the line loop parse_stack ran on every text before the
+    canonical layout got its numpy path."""
+    values = {}
+    for i, line in io._content_lines(text):
+        face_part, colon, value_part = line.partition(":")
+        if not colon:
+            raise io.ParseError(i, "expected `face : value`")
+        try:
+            face = tuple(map(int, face_part.split()))
+        except ValueError:
+            face = ()
+        if not io._is_canonical(face):
+            io._parse_face(face_part.strip(), i)
+        try:
+            value = int(value_part)
+        except ValueError as exc:
+            raise io.ParseError(i, f"bad altitude {value_part.strip()!r}") from exc
+        if values.setdefault(face, value) != value:
+            raise io.ParseError(i, f"conflicting altitudes for {face}")
+    if complete == "max":
+        host = closure(values)
+        missing_facets = [x for x in host.facets() if x not in values]
+        if missing_facets:
+            raise StackError(f"no altitude for facet {missing_facets[0]}")
+        alt = {}
+        for p in range(host.dim, -1, -1):
+            for x in host.faces_of_dim(p):
+                alt[x] = values[x] if x in values else max(alt[y] for y in host.cofaces[x])
+        F = Stack(host, alt)
+    else:
+        try:
+            host = Complex(values, _trusted=True)
+        except InvalidSimplexError:
+            missing = closure(values).faces - values.keys()
+            raise StackError(
+                f"no altitude for face {min(missing, key=face_key)} "
+                "(pass --complete=max to fill from facets)"
+            ) from None
+        F = Stack(host, values)
+    ok, witness = validate_stack(F)
+    if not ok:
+        raise StackError(f"not a stack: F{witness[0]} < F{witness[1]}")
+    return F
+
+
+def _ref_serialize_complex(X):
+    return "".join(" ".join(map(str, x)) + "\n" for x in X.sorted_faces())
+
+
+def _ref_serialize_stack(F):
+    return "".join(
+        " ".join(map(str, x)) + f" : {F.altitude[x]}\n" for x in F.host.sorted_faces()
+    )
+
+
+def _ref_serialize_labels(result):
+    lines = []
+    for x in sorted(result.labels, key=face_key):
+        lab = result.labels[x]
+        tag = "W" if lab == WATERSHED_LABEL else str(lab)
+        lines.append(" ".join(map(str, x)) + f" : {tag}\n")
+    return "".join(lines)
+
+
+def _fixture_stacks():
+    yield cyc6_stack()
+    yield branching_collapse_counterexample()[0]
+    for seed, X in enumerate((cyc6_host(), wedge(), branching_triangles(), tetrahedron_boundary())):
+        yield random_stack(X, seed=seed)
+    for n in range(3, 9):
+        yield random_morse_stack(generate_torus(n, n), seed=n, n_minima=1 + n % 4)
+        yield random_stack(generate_torus(n, n), seed=n)
+
+
+def _outcome(parse, text, **kwargs):
+    """(host, altitudes, alt_array) of the parsed stack, or the type and
+    message of the error."""
+    try:
+        F = parse(text, **kwargs)
+    except (io.ParseError, StackError, InvalidSimplexError) as exc:
+        return type(exc), str(exc)
+    return F.host, dict(F.altitude), F.alt_array().tolist()
+
+
+def test_array_parse_matches_line_loop():
+    rng = random.Random(7)
+    for F in _fixture_stacks():
+        text = _ref_serialize_stack(F)
+        lines = text.splitlines(keepends=True)
+        rng.shuffle(lines)
+        for t in (text, "".join(lines)):  # the array path takes any line order
+            assert io._parse_canonical_stack(t) is not None
+            G = io.parse_stack(t)
+            assert G.host == F.host
+            assert G.altitude == F.altitude and dict(G.altitude) == dict(F.altitude)
+            assert G.alt_array().tolist() == F.alt_array().tolist()
+            assert G.lambda_min == F.lambda_min
+            for complete in ("none", "max"):
+                assert _outcome(io.parse_stack, t, complete=complete) == _outcome(
+                    _ref_parse_stack, t, complete=complete
+                )
+
+
+_BASE = "0 : 0\n1 : 5\n2 : 5\n0 1 : 5\n0 2 : 5\n1 2 : 5\n0 1 2 : 7\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# comment\n" + _BASE,
+        _BASE.replace("1 : 5\n", "1 : 5\n\n"),  # blank line
+        _BASE.replace("\n", "\r\n"),
+        _BASE.replace("0 1 : 5", "0\t1 : 5"),
+        _BASE.replace("0 1 : 5", "0  1 : 5"),  # double space
+        _BASE.replace("0 1 : 5", "0 1 :  5"),
+        _BASE.replace("0 1 : 5", "0 1: 5"),
+        _BASE.replace("0 1 : 5", "0 1 :5"),
+        _BASE.replace("0 1 : 5", " 0 1 : 5"),
+        _BASE.replace("0 1 : 5", "0 1 : 5 "),
+        _BASE[:-1],  # no final newline
+        _BASE.replace("0 1 : 5", "00 01 : 05"),  # leading zeros
+        _BASE.replace("0 : 0", "-0 : -0"),
+        "1000000000000000000 : 3\n",  # 19-digit id
+        "0000000000000000001 : 3\n",
+        "0 : 1000000000000000000\n",  # 19-digit altitude
+        "0 : -9223372036854775808\n",
+        "0 : 9223372036854775808\n",  # int64 overflow
+        "0 : 99999999999999999999\n",
+        "9223372036854775808 : 0\n",
+        "-1 : 0\n",  # negative id
+        _BASE.replace("0 1 2 : 7", "0 2 1 : 7"),  # non-ascending ids
+        _BASE.replace("0 1 : 5", "1 0 : 5"),
+        _BASE + "0 0 : 5\n",  # repeated vertex
+        _BASE + "1 2 : 5\n",  # duplicate identical line
+        _BASE + "1 2 : 6\n",  # conflicting altitudes
+        _BASE.replace("2 : 5\n", ""),  # missing face
+        _BASE.replace("0 1 : 5\n", ""),
+        _BASE.replace("0 1 2 : 7", "0 1 2 : 4"),  # not a stack
+        _BASE.replace("0 1 : 5", "0 1 : x"),
+        _BASE.replace("0 1 : 5", "0 1 : -"),
+        _BASE.replace("0 1 : 5", "0 1 : 5-"),
+        _BASE.replace("0 1 : 5", "0 1 : 5 : 5"),
+        _BASE.replace("0 1 : 5", "0 1"),
+        "5\n" + _BASE,  # a first line without a colon
+        _BASE.replace("0 1 : 5", "0 1   5"),
+        _BASE.replace("0 1 : 5", ": 5"),
+        _BASE.replace("0 1 : 5", "0 1 : +5"),
+        _BASE.replace("0 1 : 5", "0 1 : 5_0"),
+        "",
+        "\n",
+        "0 : 0\n0 1 : 1\n",
+        "5 : 1\n",
+    ],
+)
+def test_malformed_stack_text_gets_the_loop_outcome(text):
+    for complete in ("none", "max"):
+        assert _outcome(io.parse_stack, text, complete=complete) == _outcome(
+            _ref_parse_stack, text, complete=complete
+        )
+
+
+def test_array_writers_match_per_face_writers():
+    results = []
+    for F in _fixture_stacks():
+        assert io.serialize_stack(F) == _ref_serialize_stack(F)
+        assert io.serialize_complex(F.host) == _ref_serialize_complex(F.host)
+        try:
+            results.append(morse_watershed(F))
+        except StackError:  # not Morse, or not a pseudomanifold
+            pass
+        try:
+            results += [watershed_collapse(F, seed=s) for s in range(2)]
+        except StackError:
+            pass
+    parsed = io.parse_stack(_ref_serialize_stack(random_morse_stack(generate_torus(9, 9), seed=1)))
+    results.append(morse_watershed(parsed))
+    X = branching_triangles()
+    results.append(WatershedResult({x: 1 for x in X.faces}, Complex(()), ()))
+    results.append(WatershedResult({(0, 5): 2, (3,): 0, (1,): 7}, Complex([(3,)]), ()))
+    results.append(morse_watershed(Stack(Complex(()), {})))
+    assert len(results) > 30
+    for r in results:
+        assert io.serialize_labels(r) == _ref_serialize_labels(r)
+    assert io.serialize_complex(Complex(())) == io.serialize_stack(Stack(Complex(()), {})) == ""
+
+
+def test_flood_pipeline_stays_on_the_arrays(monkeypatch):
+    # text to text, the pipeline builds one Complex (the host) and neither
+    # the face tuples, the altitude dict nor the result's views
+    text = io.serialize_stack(random_morse_stack(generate_torus(6, 6), seed=4, n_minima=3))
+    inits = []
+    original = Complex.__init__
+
+    def counting(self, *args, **kwargs):
+        inits.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Complex, "__init__", counting)
+    F = io.parse_stack(text)
+    r = morse_watershed(F)
+    out = io.serialize_labels(r)
+    assert len(inits) == 1
+    assert "faces" not in F.host.packed().__dict__ and F.altitude._dict is None
+    for view in ("labels", "watershed", "basins"):
+        with pytest.raises(AttributeError):
+            WatershedResult.__dict__[view].__get__(r)  # the slot is still unset
+    assert out == _ref_serialize_labels(r)  # reads the labels
+    assert len(inits) == 1
+    assert r.watershed.faces == {x for x, v in r.labels.items() if v == WATERSHED_LABEL}
+    assert len(inits) == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from morseshed.complexes import Complex, closure, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
+from morseshed.morse import random_morse_stack
 from morseshed.stacks import (
     MinimaDecomposition,
     Stack,
@@ -262,3 +263,24 @@ def test_minima_matches_union_find_reference():
     stacks.append(constant_stack(generate_torus(100, 100), -7))  # one zone of 60k faces
     for F in stacks:
         assert minima(F) == _ref_minima(F)
+
+
+def test_collapsed_stack_builds_its_altitude_dict_on_read():
+    for n, seed in ((3, 0), (5, 1), (8, 2)):
+        F = random_morse_stack(generate_torus(n, n), seed=seed, n_minima=3)
+        H = ultimate_d_collapse(F, seed=seed)
+        assert H.altitude._dict is None  # nothing built yet
+        ref = dict(zip(H.host.sorted_faces(), H.alt_array().tolist()))
+        assert H.lambda_min == min(ref.values())
+        assert len(H.altitude) == len(ref) and H.altitude == ref and ref == H.altitude
+        assert list(H.altitude) == list(ref) and list(H.altitude.items()) == list(ref.items())
+        assert H.host.faces - H.altitude.keys() == frozenset()
+        x = H.host.sorted_faces()[-1]
+        assert x in H.altitude and H(x) == H.altitude.get(x) == ref[x]
+        assert (99, 100) not in H.altitude and H.altitude.get((99, 100)) is None
+        assert H == Stack(H.host, ref)
+        assert H.with_altitudes({x: 0}).altitude == {**ref, x: 0}
+        assert H.negate() == {y: -v for y, v in ref.items()}
+    # an empty host: lambda_min 0, as for a dict
+    E = ultimate_d_collapse(Stack(Complex(()), {}))
+    assert E.lambda_min == 0 and E.altitude == {}
