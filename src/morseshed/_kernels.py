@@ -1,9 +1,10 @@
 """Array kernels behind the watershed routes.
 
-Four numpy functions on the integer arrays of a packed complex (see
-Complex.packed()): the flat-pair matching check that decides the Morse
-property, the flat-zone labelling that finds the regional minima, the
-facet adjacency of a non-branching pure complex, and the basin flood
+Numpy functions on the integer arrays of a packed complex (see
+Complex.packed()): the component labeller that answers every static
+connectivity question, the flat-pair matching check that decides the
+Morse property, the flat-zone labelling that finds the regional minima,
+the facet adjacency of a non-branching pure complex, and the basin flood
 that labels facets and flags the cut.
 """
 
@@ -35,6 +36,24 @@ def flat_matching_offender(sub, sup, alt, n_faces) -> int:
     return int(bad[0]) if bad.size else -1
 
 
+def components(a, b, n):
+    """Connected components of the graph on nodes 0..n-1 with edges
+    (a[k], b[k]): root[i] is the smallest node in the component of i.
+
+    Each round hooks every root onto the smallest smaller root across its
+    edges, then pointer-jumps to stars (Shiloach & Vishkin, J. Algorithms
+    1982); the number of trees at least halves every two rounds.
+    """
+    parent = np.arange(n)
+    while a.size:
+        pa, pb = parent[a], parent[b]
+        split = pa != pb
+        a, b, pa, pb = a[split], b[split], pa[split], pb[split]
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        parent = _jump(parent)
+    return parent
+
+
 def flat_zones(sub, sup, alt, n_faces):
     """Flat zones (components of equal-altitude faces under covering
     adjacency) and regional minima, from the covering pairs (sub, sup).
@@ -42,19 +61,10 @@ def flat_zones(sub, sup, alt, n_faces):
     Returns (root, rank): root[i] is the smallest index in the zone of
     face i; rank[i] is the 1-based rank of that zone among the minima by
     root, or 0 when a member of the zone has a strictly lower covering
-    neighbour.  Each round hooks every root onto the smallest smaller
-    root across its flat pairs, then pointer-jumps to stars; the number
-    of trees at least halves every two rounds.
+    neighbour.
     """
     eq = alt[sub] == alt[sup]
-    a, b = sub[eq], sup[eq]
-    parent = np.arange(n_faces)
-    while a.size:
-        pa, pb = parent[a], parent[b]
-        split = pa != pb
-        a, b, pa, pb = a[split], b[split], pa[split], pb[split]
-        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
-        parent = _jump(parent)
+    parent = components(sub[eq], sup[eq], n_faces)
     higher = np.where(alt[sub] > alt[sup], sub, sup)[~eq]  # has a lower neighbour
     is_min = parent == np.arange(n_faces)
     is_min[parent[higher]] = False

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import fixtures, io as mio
 from .complexes import Face, face_key
 from .forest import _msf_checks, build_facet_graph, watershed_forest
-from .manifolds import validate
+from .manifolds import generate_torus, validate
 from .morse import classify, is_morse, random_morse_stack
 from .stacks import StackError, minima, validate_stack
 from .watershed import (
@@ -219,7 +219,7 @@ def _cmd_msf(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.what == "torus":
-        X = fixtures.torus(args.n, args.m)
+        X = generate_torus(args.n, args.m)
         sys.stdout.write(mio.serialize_complex(X))
     elif args.what == "cyc6":
         sys.stdout.write(mio.serialize_stack(fixtures.cyc6_stack()))

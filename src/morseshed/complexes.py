@@ -23,6 +23,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _kernels
+
 Face = tuple[int, ...]
 
 _INT64_MAX = 2**63 - 1
@@ -289,17 +291,19 @@ def _by_dim_view(pk: PackedComplex) -> dict[int, list[Face]]:
     return {p: pk.faces[off[p]:off[p + 1]] for p in range(len(off) - 1)}
 
 
+def _boundary_rows(pk: PackedComplex) -> list:
+    """bd[p][i] holds the indexes of the (p-1)-faces of the p-face number
+    dim_offset[p] + i, in drop-vertex order (bd[0] is None)."""
+    cut = np.searchsorted(pk.sup, pk.dim_offset).tolist()  # sup is ascending
+    return [None] + [pk.sub[cut[p]:cut[p + 1]].reshape(-1, p + 1) for p in range(1, len(cut) - 1)]
+
+
 def _boundary_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
-    faces = pk.faces
-    off = pk.dim_offset.tolist()
-    bd = [faces[j] for j in pk.sub.tolist()]
+    faces, off = pk.faces, pk.dim_offset.tolist()
     out: dict[Face, tuple[Face, ...]] = dict.fromkeys(faces, ())
-    start = 0
-    for p in range(1, len(off) - 1):
-        stop = start + (off[p + 1] - off[p]) * (p + 1)
-        # consecutive runs of p + 1 pairs share their sup face
-        out.update(zip(faces[off[p]:off[p + 1]], zip(*[iter(bd[start:stop])] * (p + 1))))
-        start = stop
+    for p, rows in enumerate(_boundary_rows(pk)[1:], start=1):
+        bd = map(faces.__getitem__, rows.ravel().tolist())  # p + 1 faces a row
+        out.update(zip(faces[off[p]:off[p + 1]], zip(*[bd] * (p + 1))))
     return out
 
 
@@ -456,40 +460,62 @@ class FaceSubset:
         object.__setattr__(self, "open", is_open_subset(self.host, self.members))
 
 
+def _inclusion_pairs(pk: PackedComplex):
+    """(sub, sup) index arrays of every pair of faces x ⊊ y.  The faces
+    below y are its boundary faces, then theirs, and so on, each kept once
+    per y."""
+    off = pk.dim_offset.tolist()
+    bd = _boundary_rows(pk)
+    subs, sups = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for p in range(1, len(bd)):  # a complex has faces of every dimension up to its own
+        n, below = len(bd[p]), bd[p]
+        for q in range(p - 1, -1, -1):  # `below` holds the q-faces of each p-face
+            subs.append(below.ravel())
+            sups.append(np.repeat(np.arange(off[p], off[p + 1]), below.shape[1]))
+            if q:
+                below = np.sort(bd[q][below - off[q]].reshape(n, -1), axis=1)
+                fresh = np.ones(below.shape, dtype=np.bool_)
+                fresh[:, 1:] = below[:, 1:] != below[:, :-1]
+                below = below[fresh].reshape(n, -1)
+    return np.concatenate(subs), np.concatenate(sups)
+
+
+def _member_mask(pk: PackedComplex, S: Iterable[Face] | None):
+    """Boolean mask of the faces in S (all faces when S is None)."""
+    if S is None:
+        return np.ones(len(pk), dtype=np.bool_)
+    index = dict(zip(pk.faces, range(len(pk))))
+    try:
+        idx = [index[x] for x in S]
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]} is not a face of the complex") from None
+    member = np.zeros(len(pk), dtype=np.bool_)
+    member[idx] = True
+    return member
+
+
+def _groups(pk: PackedComplex, member, label) -> list[set[Face]]:
+    """The members grouped by equal label, as face sets in canonical order
+    of their smallest member."""
+    faces, groups = pk.faces, {}
+    for i, r in zip(np.flatnonzero(member).tolist(), label[member].tolist()):
+        groups.setdefault(r, set()).add(faces[i])  # members come in ascending order
+    return list(groups.values())
+
+
 def connected_components(X: Complex, S: Iterable[Face] | None = None) -> list[set[Face]]:
     """Maximal path-connected parts of S, paths stepping along inclusions.
 
     Adjacency never leaves S: two faces are adjacent when one contains
-    the other, both being members.  Every inclusion pair is discovered
-    from the larger face, so no quadratic scan is needed.
+    the other, both being members.  The components come in canonical
+    order of their smallest member.  A member of S that is not a face of
+    X raises ValueError.
     """
-    members = set(X.faces) if S is None else set(S)
-    parent: dict[Face, Face] = {x: x for x in members}
-
-    def find(x: Face) -> Face:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for y in members:
-        ry = find(y)
-        for x in proper_subfaces(y):
-            if x in parent:
-                rx = find(x)
-                if rx != ry:
-                    parent[rx] = ry
-    groups: dict[Face, set[Face]] = {}
-    for x in members:
-        groups.setdefault(find(x), set()).add(x)
-    return [groups[r] for r in sorted(groups, key=face_key)]
-
-
-def _facets_of_subset(X: Complex, members: set[Face]) -> list[Face]:
-    return sorted(
-        (x for x in members if not any(y in members for y in X.cofaces[x])),
-        key=face_key,
-    )
+    pk = X.packed()
+    member = _member_mask(pk, S)
+    sub, sup = _inclusion_pairs(pk)
+    both = member[sub] & member[sup]
+    return _groups(pk, member, _kernels.components(sub[both], sup[both], len(pk)))
 
 
 def strong_connected_components(
@@ -498,51 +524,33 @@ def strong_connected_components(
     """Partition of S by strong-path reachability between its d-facets.
 
     A strong path alternates d-faces and shared (d-1)-faces, all lying in
-    S.  Non-facet members are attached to the component of their smallest
-    containing facet (unambiguous on open subsets of normal
-    pseudomanifolds, where this matches plain connectivity).
+    S.  A facet of S is a member with no codim-1 coface in S; d defaults
+    to the largest facet dimension.  Every other member joins the first
+    component, in order of smallest d-facet, that holds a d-face
+    containing it, or stays alone when none does (unambiguous on open
+    subsets of normal pseudomanifolds, where this matches plain
+    connectivity).  The components come in canonical order of their
+    smallest member.  A member of S that is not a face of X raises
+    ValueError.
     """
-    members = set(X.faces) if S is None else set(S)
-    facets = _facets_of_subset(X, members)
+    pk = X.packed()
+    n, off = len(pk), pk.dim_offset.tolist()
+    member = _member_mask(pk, S)
+    facet = member.copy()
+    facet[pk.sub[member[pk.sub] & member[pk.sup]]] = False
+    dim = np.repeat(np.arange(len(off) - 1), np.diff(off))
     if d is None:
-        d = max((len(x) - 1 for x in facets), default=-1)
-    top = [x for x in facets if len(x) - 1 == d]
-    parent: dict[Face, Face] = {x: x for x in top}
-
-    def find(x: Face) -> Face:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: Face, b: Face) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for z in X.by_dim.get(d - 1, []) if d >= 1 else []:
-        if z not in members:
-            continue
-        tops = [y for y in X.cofaces[z] if y in parent]
-        for a, b in zip(tops, tops[1:]):
-            union(a, b)
-
-    groups: dict[Face, set[Face]] = {}
-    for x in top:
-        groups.setdefault(find(x), set()).add(x)
-    comps = [groups[r] for r in sorted(groups, key=face_key)]
-    # attach remaining members to the component of a containing facet:
-    # the d-faces containing x are its cofaces d - dim(x) levels up
-    placed = {x: i for i, comp in enumerate(comps) for x in comp}
-    for x in sorted(members, key=face_key):
-        if x in placed:
-            continue
-        above = {x}
-        for _ in range(d + 1 - len(x)):
-            above = {y for z in above for y in X.cofaces[z]}
-        owners = [placed[y] for y in above if y in placed]
-        if owners:
-            comps[min(owners)].add(x)
-        else:
-            comps.append({x})
-    return comps
+        d = int(dim[facet].max(initial=-1))
+    top = facet & (dim == d)
+    # join the d-facets around each shared (d-1)-face of S
+    pair = member[pk.sub] & top[pk.sup]
+    order = np.argsort(pk.sub[pair], kind="stable")
+    z, y = pk.sub[pair][order], pk.sup[pair][order]
+    same = z[1:] == z[:-1]
+    root = _kernels.components(y[:-1][same], y[1:][same], n)
+    # each other member takes the smallest root among the d-facets above it
+    sub, sup = _inclusion_pairs(pk)
+    above = member[sub] & ~top[sub] & top[sup]
+    owner = np.full(n, n)
+    np.minimum.at(owner, sub[above], root[sup[above]])
+    return _groups(pk, member, np.where(owner < n, owner, root))

@@ -3,8 +3,9 @@ command."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .complexes import Complex, Face, closure
-from .manifolds import generate_torus
 from .stacks import Stack
 
 # 6-cycle: vertices 0..5, edges between consecutive vertices
@@ -27,15 +28,7 @@ def cyc6_stack() -> Stack:
 def wedge() -> Complex:
     """Two tetrahedron boundaries glued at vertex 0: pure, non-branching,
     connected, but not strongly connected (the pinch breaks normality)."""
-    tris = [t for t in _all_triangles((0, 1, 2, 3))]
-    tris += [t for t in _all_triangles((0, 4, 5, 6))]
-    return closure(tris)
-
-
-def _all_triangles(vs: tuple[int, ...]):
-    from itertools import combinations
-
-    return combinations(vs, 3)
+    return closure([*combinations((0, 1, 2, 3), 3), *combinations((0, 4, 5, 6), 3)])
 
 
 def branching_triangles() -> Complex:
@@ -44,11 +37,7 @@ def branching_triangles() -> Complex:
 
 
 def tetrahedron_boundary() -> Complex:
-    return closure(_all_triangles((0, 1, 2, 3)))
-
-
-def torus(n: int = 3, m: int = 3) -> Complex:
-    return generate_torus(n, m)
+    return closure(combinations((0, 1, 2, 3), 3))
 
 
 def branching_collapse_counterexample() -> tuple[Stack, tuple[Face, Face]]:

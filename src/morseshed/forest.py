@@ -3,17 +3,19 @@
 The facet graph is the dual graph on d-faces, weighted by the altitude
 of the shared (d-1)-face.  The watershed forest (one differential step
 then one flat step between two facets) is, for Morse stacks, the unique
-minimum spanning forest rooted in the minima; `msf_oracle` and
-`verify_msf_theorem` check this against greedy / exhaustive baselines.
+minimum spanning forest rooted in the minima; `verify_msf_theorem`
+checks this against the greedy optimum and a tie test (the exhaustive
+baselines live in `oracles`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
 
+import numpy as np
+
+from . import _kernels
 from .complexes import Face, face_key
 from .morse import is_morse
 from .stacks import Stack, StackError, minima
@@ -60,28 +62,16 @@ class Forest:
         return sum(G.edges[e] for e in self.edges)
 
     def trees(self) -> list[frozenset[Face]]:
-        """Vertex sets of the connected components."""
-        adj: dict[Face, list[Face]] = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen: set[Face] = set()
-        out = []
-        for v in sorted(self.vertices, key=face_key):
-            if v in seen:
-                continue
-            comp = {v}
-            seen.add(v)
-            dq = deque([v])
-            while dq:
-                u = dq.popleft()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        dq.append(w)
-            out.append(frozenset(comp))
-        return out
+        """Vertex sets of the connected components, in canonical order of
+        their smallest vertex."""
+        verts = sorted(self.vertices, key=face_key)
+        index = {v: i for i, v in enumerate(verts)}
+        ends = np.array([[index[a], index[b]] for a, b in self.edges], dtype=np.int64)
+        root = _kernels.components(*ends.reshape(-1, 2).T, len(verts)).tolist()
+        trees: dict[int, set[Face]] = {}  # keyed by root, which comes first
+        for v, r in zip(verts, root):
+            trees.setdefault(r, set()).add(v)
+        return [frozenset(t) for t in trees.values()]
 
 
 def is_rooted_forest(
@@ -173,8 +163,9 @@ def _contracted(G: WeightedFacetGraph, roots: frozenset[Face]):
 
 def msf_weight(G: WeightedFacetGraph, roots: frozenset[Face]) -> int:
     """Greedy (Kruskal) weight of a minimum spanning forest rooted in `roots`,
-    computed as an MST of the root-contracted graph."""
-    if not roots:
+    computed as an MST of the root-contracted graph; 0 on a graph with no
+    vertices."""
+    if not roots and G.vertices:
         raise ValueError("at least one root is required")
     ROOT, verts, edges = _contracted(G, roots)
     uf = _UnionFind(verts)
@@ -192,7 +183,8 @@ def msf_weight(G: WeightedFacetGraph, roots: frozenset[Face]) -> int:
 def msf_is_unique(G: WeightedFacetGraph, roots: frozenset[Face]) -> bool:
     """Sufficient-and-necessary tie test: the MSF is unique iff, within
     every weight class of the greedy run, the usable edges form a forest
-    on the current components."""
+    on the current components.  A graph with no vertices has one MSF, the
+    empty one."""
     ROOT, verts, edges = _contracted(G, roots)
     uf = _UnionFind(verts)
     edges = sorted(edges, key=lambda t: t[0])
@@ -216,54 +208,6 @@ def msf_is_unique(G: WeightedFacetGraph, roots: frozenset[Face]) -> bool:
     return True
 
 
-def enumerate_msfs(
-    G: WeightedFacetGraph, roots: frozenset[Face], max_vertices: int = 12
-) -> tuple[int, list[frozenset[Edge]]]:
-    """All minimum spanning forests, by exhaustion.  Exact but exponential;
-    guarded by `max_vertices`."""
-    if len(G.vertices) > max_vertices:
-        raise ValueError("facet graph too large for exhaustive enumeration")
-    need = len(G.vertices) - len(roots)
-    best_weight = msf_weight(G, roots)
-    out: list[frozenset[Edge]] = []
-    all_edges = sorted(G.edges)
-    for sub in combinations(all_edges, need):
-        w = sum(G.edges[e] for e in sub)
-        if w != best_weight:
-            continue
-        uf = _UnionFind(G.vertices)
-        ok = True
-        rooted = {r: r for r in roots}
-        for a, b in sub:
-            if not uf.union(a, b):
-                ok = False
-                break
-        if not ok:
-            continue
-        # acyclic with |V| - |roots| edges: exactly |roots| components;
-        # each must contain exactly one root
-        comp_roots: dict[Face, int] = {}
-        for r in roots:
-            c = uf.find(r)
-            comp_roots[c] = comp_roots.get(c, 0) + 1
-        if len(comp_roots) == len(roots) and all(v == 1 for v in comp_roots.values()):
-            out.append(frozenset(sub))
-    return best_weight, out
-
-
-def msf_oracle(
-    G: WeightedFacetGraph, roots: frozenset[Face], max_vertices: int = 12
-) -> tuple[int, Optional[list[frozenset[Edge]]]]:
-    """Greedy optimum weight, plus the exhaustive list of all minimum
-    spanning forests when the graph is small enough to enumerate (None
-    otherwise)."""
-    weight = msf_weight(G, roots)
-    if len(G.vertices) <= max_vertices:
-        _, forests = enumerate_msfs(G, roots, max_vertices)
-        return weight, forests
-    return weight, None
-
-
 def _lightest_at_an_endpoint(G: WeightedFacetGraph, edges) -> bool:
     """Every edge in `edges` is strictly lighter than every other edge of G
     at one of its two endpoints."""
@@ -281,23 +225,19 @@ def _lightest_at_an_endpoint(G: WeightedFacetGraph, edges) -> bool:
     return True
 
 
-def verify_msf_theorem(
-    F: Stack, enumerate_limit: int = 12
-) -> dict[str, bool]:
+def verify_msf_theorem(F: Stack) -> dict[str, bool]:
     """Check the MSF characterization of the watershed forest.
 
     Returns per-check flags: rooted (spanning forest rooted in the
     minima), weight (matches the greedy optimum), unique (singleton MSF,
-    by enumeration when small and by the tie test otherwise), basins
-    (forest trees match the watershed basins on d-faces), and min_edge
-    (every forest edge is the unique lightest edge at one endpoint).
+    by the tie test `msf_is_unique`), basins (forest trees match the
+    watershed basins on d-faces), and min_edge (every forest edge is the
+    unique lightest edge at one endpoint).
     """
-    return _msf_checks(F, build_facet_graph(F), watershed_forest(F), enumerate_limit)
+    return _msf_checks(F, build_facet_graph(F), watershed_forest(F))
 
 
-def _msf_checks(
-    F: Stack, G: WeightedFacetGraph, Y: Forest, enumerate_limit: int = 12
-) -> dict[str, bool]:
+def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
     """The checks of `verify_msf_theorem`, given the facet graph G and the
     watershed forest Y of F."""
     from .watershed import WATERSHED_LABEL, morse_watershed
@@ -306,11 +246,7 @@ def _msf_checks(
     checks["rooted"] = is_rooted_forest(set(Y.vertices), set(Y.edges), set(Y.roots))
     w = Y.weight(G)
     checks["weight"] = w == msf_weight(G, Y.roots)
-    if len(G.vertices) <= enumerate_limit:
-        _, all_msfs = enumerate_msfs(G, Y.roots, enumerate_limit)
-        checks["unique"] = all_msfs == [Y.edges]
-    else:
-        checks["unique"] = msf_is_unique(G, Y.roots)
+    checks["unique"] = msf_is_unique(G, Y.roots)
     # the trees must partition the d-faces as the basins do: read on the
     # label array, each tree carries one basin id and no two trees share one
     X = F.host

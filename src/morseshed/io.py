@@ -37,7 +37,7 @@ from .complexes import (
     make_face,
 )
 from .morse import GradientField
-from .stacks import Stack, StackError, _stack_from_array, validate_stack
+from .stacks import Stack, StackError, _stack_from_array, complete_from_facets, validate_stack
 from .watershed import WATERSHED_LABEL, WatershedResult
 
 
@@ -195,18 +195,7 @@ def _parse_stack_lines(text: str, complete: str) -> Stack:
         if values.setdefault(face, value) != value:
             raise ParseError(i, f"conflicting altitudes for {face}")
     if complete == "max":
-        host = closure(values)
-        missing_facets = [x for x in host.facets() if x not in values]
-        if missing_facets:
-            raise StackError(f"no altitude for facet {missing_facets[0]}")
-        alt: dict[Face, int] = {}
-        for p in range(host.dim, -1, -1):
-            for x in host.faces_of_dim(p):
-                if x in values:
-                    alt[x] = values[x]
-                else:
-                    alt[x] = max(alt[y] for y in host.cofaces[x])
-        return Stack(host, alt)
+        return complete_from_facets(closure(values), values)
     try:
         host = Complex(values, _trusted=True)
     except InvalidSimplexError:

@@ -5,7 +5,7 @@ connected open subset strongly connected) and through the classical link
 condition.  The two routes are provably equivalent on pseudomanifolds;
 `validate` computes both and asserts they agree.  Strict connectivity is
 never decided by subset enumeration in production -- the exponential
-enumeration lives in `strictly_connected_oracle`, a test-only oracle.
+enumeration lives in `oracles.strictly_connected_oracle`, a test oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from . import _kernels
 from .complexes import (
     Complex,
     Face,
+    _boundary_rows,
+    _inclusion_pairs,
     closure,
     connected_components,
     face_key,
@@ -33,11 +38,6 @@ def link(x: Face, X: Complex) -> Complex:
         {tuple(v for v in y if v not in xs) for y in X.star(x) if y != x},
         _trusted=True,
     )
-
-
-def star(x: Face, X: Complex) -> frozenset[Face]:
-    """st(x, X): all faces containing x (an open subset of X)."""
-    return X.star(x)
 
 
 def open_star(x: Face, X: Complex) -> frozenset[Face]:
@@ -70,22 +70,43 @@ class ValidationReport:
 
 
 def _check_non_branching(X: Complex) -> Optional[Face]:
-    d = X.dim
-    for z in X.faces_of_dim(d - 1):
-        if len(X.cofaces[z]) != 2:
-            return z
-    return None
+    """First (d-1)-face without exactly two cofaces, if any."""
+    pk = X.packed()
+    lo, hi = pk.dim_offset[X.dim - 1:X.dim + 1].tolist()
+    bad = np.flatnonzero(np.bincount(pk.sub, minlength=hi)[lo:hi] != 2)
+    return pk.faces[lo + bad[0]] if bad.size else None
 
 
 def _check_link_condition(X: Complex) -> Optional[Face]:
-    """First p-face (p <= d-2) whose link is disconnected, if any."""
+    """First p-face (p <= d-2) whose link is disconnected, if any.
+
+    lk(x) is connected exactly when the faces strictly containing x are
+    connected along covering pairs, so every link is labelled in one
+    pass: the nodes are the inclusion pairs (x, y) with dim x <= d-2, and
+    (x, y) meets (x, w) when w is a boundary face of y.  A face whose
+    nodes have two roots has a disconnected link.
+    """
     d = X.dim
-    for p in range(0, d - 1):
-        for x in X.faces_of_dim(p):
-            lk = link(x, X)
-            if len(connected_components(lk)) > 1:
-                return x
-    return None
+    if d < 2:
+        return None
+    pk = X.packed()
+    n, off = len(pk), pk.dim_offset.tolist()
+    sub, sup = _inclusion_pairs(pk)
+    low = sub < off[d - 1]
+    key = np.sort(sub[low] * n + sup[low])  # node i is the pair key[i]
+    x, y = np.divmod(key, n)
+    a, b = [], []
+    for q, bd in enumerate(_boundary_rows(pk)[1:], start=1):
+        at = np.flatnonzero((y >= off[q]) & (y < off[q + 1]))
+        cand = x[at, None] * n + bd[y[at] - off[q]]
+        pos = np.minimum(np.searchsorted(key, cand), key.size - 1)
+        hit = key[pos] == cand
+        a.append(pos[hit])
+        b.append(np.broadcast_to(at[:, None], cand.shape)[hit])
+    root = _kernels.components(np.concatenate(a), np.concatenate(b), key.size)
+    roots = np.bincount(x[root == np.arange(key.size)], minlength=n)
+    bad = np.flatnonzero(roots > 1)
+    return pk.faces[bad[0]] if bad.size else None
 
 
 def validate(X: Complex) -> ValidationReport:
@@ -162,47 +183,6 @@ def links_are_pseudomanifolds(X: Complex) -> tuple[bool, list[Face]]:
             if not validate(link(x, X)).is_pseudomanifold:
                 bad.append(x)
     return (not bad, bad)
-
-
-def _is_strongly_connected_subset(X: Complex, S: set[Face]) -> bool:
-    facets = [x for x in S if not any(y in S for y in X.cofaces[x])]
-    if len(facets) <= 1:
-        return True
-    dims = {len(x) - 1 for x in facets}
-    if len(dims) > 1:
-        return False  # strong paths need a pure facet set
-    comps = strong_connected_components(X, S, d=dims.pop())
-    tops = [c for c in comps if any(x in facets for x in c)]
-    return len(tops) <= 1
-
-
-def strictly_connected_oracle(X: Complex, max_faces: int = 25) -> bool:
-    """Enumerate all open subsets; each connected one must be strongly
-    connected.  Exponential; test oracle only."""
-    if len(X.faces) > max_faces:
-        raise ValueError(f"complex too large for enumeration ({len(X.faces)} faces)")
-    # open subsets are up-closed in the face poset: decide faces from the
-    # top dimension down, a face may enter only if all its cofaces did
-    order = sorted(X.faces, key=face_key, reverse=True)
-    result = True
-
-    def rec(i: int, chosen: set[Face]) -> bool:
-        if i == len(order):
-            if chosen and len(connected_components(X, chosen)) == 1:
-                return _is_strongly_connected_subset(X, chosen)
-            return True
-        x = order[i]
-        if not rec(i + 1, chosen):
-            return False
-        if all(y in chosen for y in X.cofaces[x]):
-            chosen.add(x)
-            ok = rec(i + 1, chosen)
-            chosen.discard(x)
-            if not ok:
-                return False
-        return True
-
-    return rec(0, set())
 
 
 def generate_torus(n: int, m: int) -> Complex:

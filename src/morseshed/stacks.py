@@ -312,18 +312,16 @@ def _stack_from_array(host: Complex, arr) -> Stack:
 
 
 def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Stack:
-    """Extend facet values downward by maxima: F(x) = max over facets containing x."""
-    facets = host.facets()
-    missing = [x for x in facets if x not in facet_values]
+    """Extend values downward by maxima: a face keeps its value in
+    `facet_values`, and any other face takes the maximum over its cofaces.
+    Every facet needs a value."""
+    missing = [x for x in host.facets() if x not in facet_values]
     if missing:
-        raise StackError(f"missing facet value for {missing[0]}")
-    alt: dict[Face, int] = {x: facet_values[x] for x in facets}
-    for p in range(host.dim - 1, -1, -1):
+        raise StackError(f"no altitude for facet {missing[0]}")
+    alt: dict[Face, int] = {}
+    for p in range(host.dim, -1, -1):
         for x in host.faces_of_dim(p):
-            vals = [alt[y] for y in host.cofaces[x]]
-            if x in facet_values:
-                vals.append(facet_values[x])
-            alt[x] = max(vals)
+            alt[x] = facet_values[x] if x in facet_values else max(alt[y] for y in host.cofaces[x])
     return Stack(host, alt)
 
 

@@ -20,11 +20,10 @@ from morseshed.fixtures import (
 )
 from morseshed.forest import (
     build_facet_graph,
-    enumerate_msfs,
     msf_weight,
     watershed_forest,
 )
-from morseshed.manifolds import generate_torus, strictly_connected_oracle, validate
+from morseshed.manifolds import generate_torus, validate
 from morseshed.morse import (
     dmf_dual_check,
     flat_pairs,
@@ -34,6 +33,7 @@ from morseshed.morse import (
     separating_faces,
     stack_from_gradient,
 )
+from morseshed.oracles import enumerate_msfs, strictly_connected_oracle
 from morseshed.stacks import (
     minima,
     random_stack,

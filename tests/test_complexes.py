@@ -164,6 +164,83 @@ def test_strong_components():
     assert len(strong_connected_components(branching_triangles())) == 1
 
 
+# -- the array labeller against the dict union-find it replaced ---------------
+
+
+def _ref_connected_components(X, S=None):
+    """The dict union-find connected_components ran before the array
+    labeller; its components come in canonical order of their smallest
+    member."""
+    members = set(X.faces) if S is None else set(S)
+    parent = {x: x for x in members}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for y in members:
+        ry = find(y)
+        for x in proper_subfaces(y):
+            if x in parent:
+                rx = find(x)
+                if rx != ry:
+                    parent[rx] = ry
+    groups = {}
+    for x in members:
+        groups.setdefault(find(x), set()).add(x)
+    return sorted(groups.values(), key=lambda c: min(map(face_key, c)))
+
+
+def _labeller_hosts():
+    yield closure([(0,), (3,), (5,)])  # dimension 0
+    yield cyc6_host()
+    yield branching_collapse_counterexample()[0].host
+    yield from (wedge(), branching_triangles(), tetrahedron_boundary(), generate_torus(4, 4))
+    yield closure([(0, 1, 2), (2, 3, 4), (5, 6)])
+    yield closure(combinations(range(5), 4))  # the 3-sphere, boundary of a 4-simplex
+    yield closure([(0, 1, 2, 3), (2, 3, 4, 5), (5, 6), (7,)])
+    yield closure(combinations(range(6), 5))  # dimension 4
+    yield closure([tuple(range(6))])  # dimension 5: inclusions down five levels
+
+
+def test_connected_components_match_dict_union_find():
+    rng = random.Random(3)
+    checked = 0
+    for X in _labeller_hosts():
+        faces = X.sorted_faces()
+        subsets = [None, set(), X.faces - {faces[0]}]
+        for _ in range(6):
+            picks = rng.sample(faces, max(1, len(faces) // 6))
+            subsets.append(closure(picks).faces)  # closed
+            subsets.append(set().union(*(X.star(x) for x in picks)))  # open
+            subsets.append(set(rng.sample(faces, len(faces) // 3)))  # neither
+        for S in subsets:
+            comps = connected_components(X, S)
+            assert comps == _ref_connected_components(X, S)
+            smallest = [min(c, key=face_key) for c in comps]
+            assert smallest == sorted(smallest, key=face_key)  # canonical order
+            checked += 1
+    assert checked == 12 * 21
+
+
+def test_components_join_faces_across_dimensions():
+    # a vertex and a tetrahedron containing it, without the faces between
+    X = closure([(0, 1, 2, 3), (4, 5)])
+    assert connected_components(X, {(4,), (0, 1, 2, 3), (0,), (5,)}) == [
+        {(0,), (0, 1, 2, 3)}, {(4,)}, {(5,)},
+    ]
+
+
+def test_component_functions_reject_a_face_outside_the_host():
+    for S in ({(0, 1), (0, 9)}, {(1, 0)}):
+        with pytest.raises(ValueError, match="is not a face of the complex"):
+            connected_components(cyc6_host(), S)
+        with pytest.raises(ValueError, match="is not a face of the complex"):
+            strong_connected_components(cyc6_host(), S)
+
+
 def test_open_closed_subsets():
     X = closure([(0, 1, 2)])
     assert is_closed_subset(X, {(0,), (1,), (0, 1)})

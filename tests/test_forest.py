@@ -12,16 +12,15 @@ from morseshed.forest import (
     _lightest_at_an_endpoint,
     _msf_checks,
     build_facet_graph,
-    enumerate_msfs,
     is_rooted_forest,
     msf_is_unique,
-    msf_oracle,
     msf_weight,
     verify_msf_theorem,
     watershed_forest,
 )
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
+from morseshed.oracles import enumerate_msfs, msf_oracle
 from morseshed.stacks import Stack, StackError, complete_from_facets, minima, random_stack
 from morseshed.watershed import WATERSHED_LABEL, morse_watershed
 

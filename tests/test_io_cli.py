@@ -356,6 +356,13 @@ def test_cli_exit_codes(capsys, tmp_path):
     bad.write_text("not a face\n")
     assert cli.main(["validate", str(bad)]) == 2
     assert cli.main(["minima", str(tmp_path / "missing.stack")]) == 1
+    empty = tmp_path / "empty.stack"  # no faces: no minima, no facets, one empty MSF
+    empty.write_text("")
+    capsys.readouterr()
+    assert cli.main(["watershed", str(empty)]) == 0
+    assert cli.main(["msf", str(empty), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "total_weight=0\n" in out and "check_unique=True\n" in out
     huge = tmp_path / "huge.stack"
     huge.write_text("0 : 9223372036854775808\n")
     capsys.readouterr()

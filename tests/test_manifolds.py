@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from typing import Iterable
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from morseshed.complexes import (
     Complex,
     Face,
-    _facets_of_subset,
     closure,
+    connected_components,
     face_key,
     make_face,
     strong_connected_components,
@@ -20,14 +21,14 @@ from morseshed.fixtures import (
     wedge,
 )
 from morseshed.manifolds import (
+    _check_link_condition,
     generate_torus,
     link,
     links_are_pseudomanifolds,
     open_star,
-    star,
-    strictly_connected_oracle,
     validate,
 )
+from morseshed.oracles import strictly_connected_oracle
 
 
 def test_link_of_cycle_vertex():
@@ -39,8 +40,6 @@ def test_link_of_wedge_apex_is_disconnected():
     lk = link((0,), wedge())
     # two disjoint 3-cycles on {1,2,3} and {4,5,6}
     assert lk.faces == closure([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]).faces
-    from morseshed.complexes import connected_components
-
     assert len(connected_components(lk)) == 2
 
 
@@ -51,7 +50,7 @@ def test_link_of_edge_in_tetrahedron_boundary():
 
 def test_star_variants():
     X = closure([(0, 1, 2)])
-    assert star((0, 1), X) == {(0, 1), (0, 1, 2)}
+    assert X.star((0, 1)) == {(0, 1), (0, 1, 2)}
     assert open_star((0, 1), X) == {(0, 1, 2)}
 
 
@@ -169,13 +168,20 @@ def _ref_link(x, X):
     )
 
 
+def _ref_facets_of_subset(X: Complex, members: set[Face]) -> list[Face]:
+    return sorted(
+        (x for x in members if not any(y in members for y in X.cofaces[x])),
+        key=face_key,
+    )
+
+
 def _ref_strong_connected_components(
     X: Complex, S: Iterable[Face] | None = None, d: int | None = None
 ) -> list[set[Face]]:
     """The face-scanning version: each non-facet member scans every
     placed d-face for a container."""
     members = set(X.faces) if S is None else set(S)
-    facets = _facets_of_subset(X, members)
+    facets = _ref_facets_of_subset(X, members)
     if d is None:
         d = max((len(x) - 1 for x in facets), default=-1)
     top = [x for x in facets if len(x) - 1 == d]
@@ -202,7 +208,7 @@ def _ref_strong_connected_components(
     groups: dict[Face, set[Face]] = {}
     for x in top:
         groups.setdefault(find(x), set()).add(x)
-    comps = [groups[r] for r in sorted(groups, key=face_key)]
+    comps = sorted(groups.values(), key=lambda c: min(map(face_key, c)))
     # attach remaining members to the component of a containing facet
     placed = {x: i for i, comp in enumerate(comps) for x in comp}
     for x in sorted(members, key=face_key):
@@ -215,7 +221,7 @@ def _ref_strong_connected_components(
             comps[owners[0]].add(x)
         else:
             comps.append({x})
-    return comps
+    return sorted(comps, key=lambda c: min(map(face_key, c)))
 
 
 def _reference_hosts():
@@ -229,7 +235,7 @@ def _reference_hosts():
 def test_link_and_star_match_face_scans():
     for X in _reference_hosts():
         for x in X.sorted_faces():
-            assert star(x, X) == _ref_star(x, X)
+            assert X.star(x) == _ref_star(x, X)
             assert link(x, X) == _ref_link(x, X)
     with pytest.raises(KeyError):
         link((99,), cyc6_host())
@@ -251,3 +257,40 @@ def test_strong_components_match_face_scan():
                 assert strong_connected_components(X, S, d) == (
                     _ref_strong_connected_components(X, S, d)
                 )
+
+
+def _ref_check_link_condition(X):
+    """The per-face loop: one link complex and one labelling per face."""
+    for p in range(0, X.dim - 1):
+        for x in X.faces_of_dim(p):
+            if len(connected_components(link(x, X))) > 1:
+                return x
+    return None
+
+
+def _sphere3(vs):
+    """Boundary of the 4-simplex on five vertices."""
+    return list(combinations(vs, 4))
+
+
+def test_batched_link_check_matches_per_face_loop():
+    glued_at_vertex = closure(_sphere3(range(5)) + _sphere3((0, 5, 6, 7, 8)))
+    glued_along_edge = closure(_sphere3(range(5)) + _sphere3((0, 1, 5, 6, 7)))
+    assert _check_link_condition(glued_at_vertex) == (0,)
+    assert _check_link_condition(glued_along_edge) == (0, 1)
+    hosts = [
+        glued_at_vertex,
+        glued_along_edge,
+        closure(_sphere3(range(5)) + _sphere3((0, 1, 2, 5, 6))),  # along a triangle
+        closure(_sphere3(range(5))),
+        closure(combinations(range(6), 5)),  # the 4-sphere
+        closure([(0, 1, 2, 3), (0, 4, 5, 6), (1, 2, 7)]),  # not pure
+        closure([(0, 1, 2), (3,)]),
+    ]
+    hosts += list(_reference_hosts())
+    witnesses = []
+    for X in hosts:
+        witnesses.append(_check_link_condition(X))
+        assert witnesses[-1] == _ref_check_link_condition(X)
+        assert validate(X).link_condition == (witnesses[-1] is None)
+    assert sum(w is not None for w in witnesses) >= 4

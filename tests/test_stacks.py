@@ -148,8 +148,19 @@ def test_complete_from_facets_fixture_edges():
 
 
 def test_complete_from_facets_guards():
-    with pytest.raises(StackError):
+    with pytest.raises(StackError, match=r"^no altitude for facet \(0, 5\)$"):
         complete_from_facets(cyc6_host(), {(0, 1): 0})
+
+
+def test_complete_from_facets_keeps_listed_values():
+    # a listed non-facet keeps its value, even below the maximum over its
+    # cofaces (it used to take that maximum); `parse_stack(complete="max")`
+    # reads a text by this rule and then rejects the result as no stack
+    X = closure([(0, 1, 2)])
+    F = complete_from_facets(X, {(0, 1, 2): 4, (0,): 9, (0, 1): 2})
+    assert F.altitude[(0,)] == 9 and F.altitude[(0, 1)] == 2
+    assert F.altitude[(1,)] == F.altitude[(2,)] == F.altitude[(1, 2)] == 4
+    assert validate_stack(F) == (False, ((0, 1), (0, 1, 2)))
 
 
 def test_complete_single_facet():
@@ -252,7 +263,7 @@ def test_minima_matches_union_find_reference():
 
     hosts = [
         fixtures.cyc6_host(), fixtures.tetrahedron_boundary(), fixtures.wedge(),
-        fixtures.branching_triangles(), fixtures.torus(),
+        fixtures.branching_triangles(), generate_torus(3, 3),
     ] + [generate_torus(n, n) for n in (4, 5, 6)]
     stacks = [fixtures.cyc6_stack(), fixtures.branching_collapse_counterexample()[0]]
     stacks.append(Stack(Complex(()), {}))
