@@ -18,7 +18,7 @@ import numpy as np
 from . import _kernels
 from .complexes import Face, face_key
 from .morse import is_morse
-from .stacks import Stack, StackError, minima
+from .stacks import Stack, StackError, _facet_adjacency, minima
 
 Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
 
@@ -38,17 +38,20 @@ class WeightedFacetGraph:
 
 
 def build_facet_graph(F: Stack) -> WeightedFacetGraph:
+    """The dual graph of the d-faces.  A host of dimension d >= 1 must
+    pass the check both watershed routes run first (`_facet_adjacency`),
+    so every (d-1)-face is one edge."""
     X = F.host
     d = X.dim
+    if d > 0:
+        _facet_adjacency(F)
     vertices = tuple(X.faces_of_dim(d))
     edges: dict[Edge, int] = {}
     shared: dict[Edge, Face] = {}
     for z in X.faces_of_dim(d - 1):
-        cof = X.cofaces[z]
-        if len(cof) == 2:
-            e = _edge(cof[0], cof[1])
-            edges[e] = F.altitude[z]
-            shared[e] = z
+        e = _edge(*X.cofaces[z])
+        edges[e] = F.altitude[z]
+        shared[e] = z
     return WeightedFacetGraph(vertices, edges, shared)
 
 
@@ -103,19 +106,18 @@ def is_rooted_forest(
 def watershed_forest(F: Stack) -> Forest:
     """Dual edges {x, y} such that one endpoint descends into the shared
     face's flat partner: (x, x&y) differential and (x&y, y) flat, either
-    way around."""
+    way around.  The host is checked as in `build_facet_graph`."""
+    X = F.host
+    d = X.dim
+    if d > 0:
+        _facet_adjacency(F)
     ok, witness = is_morse(F)
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
-    X = F.host
-    d = X.dim
     alt = F.altitude
     edges: set[Edge] = set()
     for z in X.faces_of_dim(d - 1):  # the edges of the facet graph
-        cof = X.cofaces[z]
-        if len(cof) != 2:
-            continue
-        x, y = cof
+        x, y = X.cofaces[z]
         fz, fx, fy = alt[z], alt[x], alt[y]
         if (fz > fx and fz == fy) or (fz > fy and fz == fx):
             edges.add(_edge(x, y))

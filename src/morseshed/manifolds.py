@@ -77,22 +77,25 @@ def _check_non_branching(X: Complex) -> Optional[Face]:
     return pk.faces[lo + bad[0]] if bad.size else None
 
 
-def _check_link_condition(X: Complex) -> Optional[Face]:
-    """First p-face (p <= d-2) whose link is disconnected, if any.
+def _split_links(X: Complex, strong: bool = False):
+    """Indexes, ascending, of the p-faces x (p <= d-2) whose link is
+    disconnected or, with `strong`, not strongly connected.
 
     lk(x) is connected exactly when the faces strictly containing x are
     connected along covering pairs, so every link is labelled in one
     pass: the nodes are the inclusion pairs (x, y) with dim x <= d-2, and
-    (x, y) meets (x, w) when w is a boundary face of y.  A face whose
-    nodes have two roots has a disconnected link.
+    (x, y) meets (x, w) when w is a boundary face of y.  With `strong`,
+    only the pairs with dim y >= d-1 are nodes: the d-faces around x
+    joined through the (d-1)-faces around x.  A face whose nodes have two
+    roots is split.
     """
     d = X.dim
-    if d < 2:
-        return None
     pk = X.packed()
     n, off = len(pk), pk.dim_offset.tolist()
     sub, sup = _inclusion_pairs(pk)
     low = sub < off[d - 1]
+    if strong:
+        low &= sup >= off[d - 1]
     key = np.sort(sub[low] * n + sup[low])  # node i is the pair key[i]
     x, y = np.divmod(key, n)
     a, b = [], []
@@ -105,8 +108,15 @@ def _check_link_condition(X: Complex) -> Optional[Face]:
         b.append(np.broadcast_to(at[:, None], cand.shape)[hit])
     root = _kernels.components(np.concatenate(a), np.concatenate(b), key.size)
     roots = np.bincount(x[root == np.arange(key.size)], minlength=n)
-    bad = np.flatnonzero(roots > 1)
-    return pk.faces[bad[0]] if bad.size else None
+    return np.flatnonzero(roots > 1)
+
+
+def _check_link_condition(X: Complex) -> Optional[Face]:
+    """First p-face (p <= d-2) whose link is disconnected, if any."""
+    if X.dim < 2:
+        return None
+    bad = _split_links(X)
+    return X.packed().faces[bad[0]] if bad.size else None
 
 
 def validate(X: Complex) -> ValidationReport:
@@ -172,16 +182,17 @@ def validate(X: Complex) -> ValidationReport:
 def links_are_pseudomanifolds(X: Complex) -> tuple[bool, list[Face]]:
     """Check lk(x, X) is a pseudomanifold for every p-face, p <= d-2.
 
-    Precondition: X itself is a pseudomanifold.
+    Precondition: X itself is a pseudomanifold.  Then every such link is
+    pure and non-branching, so it is a pseudomanifold exactly when it is
+    strongly connected.
     """
     rep = validate(X)
     if not rep.is_pseudomanifold:
         raise ValueError("input is not a pseudomanifold")
-    bad: list[Face] = []
-    for p in range(0, X.dim - 1):
-        for x in X.faces_of_dim(p):
-            if not validate(link(x, X)).is_pseudomanifold:
-                bad.append(x)
+    if X.dim < 2:
+        return (True, [])
+    faces = X.packed().faces
+    bad = [faces[i] for i in _split_links(X, strong=True).tolist()]
     return (not bad, bad)
 
 

@@ -12,26 +12,17 @@ d-coface.  The collapse route lowers each non-minimum facet of a Morse
 stack once, in altitude order.  `verify_cut` and
 `verify_drop_of_water` check the watershed axioms directly, each from
 one labelling of the host: the components of the complement of W for
-the cut, and one ascending pass of descending reachability for the drop
-of water.  Both take time linear in the size of the host (plus one sort
-by altitude), except that `verify_cut` also enumerates the facet subsets
-of a small W when some facet of W is a facet of the host.
+the cut, whose minimality is then one star test (no face x of W has
+st(x) \\ W non-empty and inside one component), and one ascending pass
+of descending reachability for the drop of water.  Both take time
+linear in the size of the host, plus one sort by altitude.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
-
 import numpy as np
 
-from .complexes import (
-    Complex,
-    Face,
-    closure,
-    connected_components,
-    proper_subfaces,
-)
+from .complexes import Complex, Face, _inclusion_pairs, _member_mask, closure
 from .morse import biconnected_faces, is_morse
 from .stacks import Stack, StackError, _facet_adjacency, minima, ultimate_d_collapse
 from . import _kernels
@@ -199,60 +190,51 @@ def _minimum_ids(F: Stack) -> dict[Face, int]:
     return {f: i for i, (zone, _) in enumerate(minima(F).minima) for f in zone}
 
 
-def _extension_components(
-    X: Complex, min_id: dict[Face, int], open_set: frozenset[Face]
-) -> list[set[Face]] | None:
-    """The components of `open_set` if it is an extension of the minima
-    (every minimum face inside, and each component holding exactly one
-    minimum), else None."""
-    if not open_set.issuperset(min_id):
-        return None
-    comps = connected_components(X, open_set)
-    for comp in comps:
-        if len({min_id[f] for f in comp if f in min_id}) != 1:
-            return None
-    return comps
+def _low_high(at, value, n: int):
+    """For each index i < n, the smallest and largest value[k] with
+    at[k] == i.  The values lie in 0..n and an index without one gets
+    n + 1 and -1, so the two agree exactly where some values meet and
+    all are equal."""
+    low, high = np.full(n, n + 1), np.full(n, -1)
+    np.minimum.at(low, at, value)
+    np.maximum.at(high, at, value)
+    return low, high
 
 
-def verify_cut(F: Stack, W: Complex, exhaustive_limit: int = 12) -> bool:
+def verify_cut(F: Stack, W: Complex) -> bool:
     """Cut axioms: X \\ W is an extension of min(F), and W is minimal.
 
-    One labelling of the components of X \\ W decides both.  Dropping a
-    facet w of W frees A(w): w and those of its faces that lie in no
-    other facet of W.  A(w) is connected and holds no minimum, so the
-    complement of the smaller complex is still an extension exactly when
-    the faces just above A(w) and outside W all lie in one component of
-    X \\ W.  So w is needed unless it touches exactly one component.
-
-    When W has at most `exhaustive_limit` facets, every subset of them is
-    also tried, but only if some facet of W is a facet of the host.
-    Otherwise each facet w has a coface outside W, so A(w) touches a
-    component, and (w being needed) at least two.  Dropping any set of
-    facets that contains w frees a superset of A(w), which still joins two
-    components and hence two minima, so no subset can change the verdict.
+    W is closed, so X \\ W is open and its components are those of the
+    covering pairs with both ends outside W: one labelling decides the
+    extension (every minimum outside W, one minimum in each component).
+    W is then minimal exactly when no face x of W has st(x) \\ W
+    non-empty and inside one component of X \\ W.  If such an x exists,
+    W \\ st(x) is a smaller subcomplex whose complement is still an
+    extension.  Conversely, the complement of a smaller such subcomplex
+    Y holds a face x of W with st(x) \\ W non-empty; the faces of
+    st(x) \\ W are joined through x outside Y, and each component there
+    holds one minimum, so they lie in one component of X \\ W.
     """
     X = F.host
     if not W.faces <= X.faces:
         raise ValueError("W is not a subcomplex of the host")
-    min_id = _minimum_ids(F)
-    comps = _extension_components(X, min_id, X.faces - W.faces)
-    if comps is None:
+    pk = X.packed()
+    n = len(pk)
+    in_w = _member_mask(pk, W.faces)
+    rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1]  # 0 off the minima
+    if rank[in_w].any():
         return False
-    comp_of = {f: i for i, comp in enumerate(comps) for f in comp}
-    facets = W.facets()
-    holders = Counter(y for w in facets for y in (w, *proper_subfaces(w)))
-    for w in facets:
-        freed = [y for y in (w, *proper_subfaces(w)) if holders[y] == 1]
-        touched = {comp_of[c] for y in freed for c in X.cofaces[y] if c in comp_of}
-        if len(touched) == 1:
-            return False
-    if len(facets) <= exhaustive_limit and any(not X.cofaces[w] for w in facets):
-        for k in range(len(facets)):
-            for sub in combinations(facets, k):
-                Z = closure(sub)
-                if _extension_components(X, min_id, X.faces - Z.faces) is not None:
-                    return False
-    return True
+    out = ~in_w
+    both = out[pk.sub] & out[pk.sup]
+    root = _kernels.components(pk.sub[both], pk.sup[both], n)
+    in_min = rank > 0  # all outside W by now
+    low, high = _low_high(root[in_min], rank[in_min], n)
+    if not np.array_equal(low[root[out]], high[root[out]]):
+        return False
+    sub, sup = _inclusion_pairs(pk)
+    rim = in_w[sub] & out[sup]  # x in W, y in st(x) \ W
+    low, high = _low_high(sub[rim], root[sup[rim]], n)
+    return not (low == high).any()
 
 
 def _descending_reach(F: Stack, forbidden: frozenset[Face]) -> dict[Face, frozenset[int]]:

@@ -100,7 +100,7 @@ def test_criterion_3_cuts_satisfy_watershed_axioms(fuzz_corpus):
     corpus, gen_elapsed = fuzz_corpus
     t0 = time.perf_counter()
     for F, direct, flood, _ in corpus:
-        assert verify_cut(F, flood.watershed, exhaustive_limit=8)
+        assert verify_cut(F, flood.watershed)
         assert verify_drop_of_water(F, flood.watershed)
     elapsed = time.perf_counter() - t0
     assert gen_elapsed + elapsed < 60.0

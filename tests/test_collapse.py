@@ -138,7 +138,7 @@ def test_collapse_is_valid_on_non_morse_stacks():
             assert validate_stack(H) == (True, None)
             assert stack_free_pairs(H, p=d) == set()
             W = watershed_collapse(F, seed=seed).watershed
-            assert verify_cut(F, W, exhaustive_limit=6)
+            assert verify_cut(F, W)
             assert verify_drop_of_water(F, W)
 
 
@@ -185,7 +185,7 @@ def test_watershed_collapse_builds_no_dict_components(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in [
-        (complexes, "connected_components"), (watershed, "connected_components"),
+        (complexes, "connected_components"),
         (complexes, "closure"), (watershed, "closure"),
         (stacks, "minima"), (watershed, "minima"),
     ]:

@@ -387,11 +387,15 @@ def test_cli_routes_reject_the_same_hosts(capsys, tmp_path):
         path = tmp_path / "host.stack"
         path.write_text(io.serialize_stack(random_morse_stack(X, seed=1)))
         capsys.readouterr()
-        errs = []
-        for algo in ("collapse", "morse"):
-            assert cli.main(["watershed", str(path), "--algo", algo]) == 3
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] == f"error: complex is {message}\n"
+        for argv in (
+            ["watershed", str(path), "--algo", "collapse"],
+            ["watershed", str(path), "--algo", "morse"],
+            ["msf", str(path)],
+            ["msf", str(path), "--verify"],
+        ):
+            assert cli.main(argv) == 3, argv
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", f"error: complex is {message}\n"), argv
 
 
 def test_cli_entry_point_runs():

@@ -90,6 +90,31 @@ def test_validate_report_lines():
     assert any(line.startswith("dim=1") for line in lines)
 
 
+def _pinched_torus():
+    """TOR(6,6) with the vertices (0,0) and (3,3), ids 0 and 21, made one:
+    a pseudomanifold, but not normal, since the link of 0 is two hexagons."""
+    tris = generate_torus(6, 6).faces_of_dim(2)
+    return closure(tuple(0 if v == 21 else v for v in t) for t in tris)
+
+
+def _suspension(X):
+    """X joined with two new vertices: the link of each apex is X."""
+    top = max(v for (v,) in X.faces_of_dim(0)) + 1
+    return closure(f + (apex,) for f in X.faces_of_dim(X.dim) for apex in (top, top + 1))
+
+
+def _ref_links_are_pseudomanifolds(X):
+    """The per-face loop: one link complex and one validate per face."""
+    if not validate(X).is_pseudomanifold:
+        raise ValueError("input is not a pseudomanifold")
+    bad = []
+    for p in range(0, X.dim - 1):
+        for x in X.faces_of_dim(p):
+            if not validate(link(x, X)).is_pseudomanifold:
+                bad.append(x)
+    return (not bad, bad)
+
+
 def test_links_are_pseudomanifolds():
     ok, bad = links_are_pseudomanifolds(tetrahedron_boundary())
     assert ok and bad == []
@@ -97,6 +122,30 @@ def test_links_are_pseudomanifolds():
     assert ok
     with pytest.raises(ValueError):
         links_are_pseudomanifolds(wedge())
+    pinched = _pinched_torus()
+    rep = validate(pinched)
+    assert rep.is_pseudomanifold and not rep.is_normal
+    assert links_are_pseudomanifolds(pinched) == (False, [(0,)])
+
+
+def test_batched_links_match_per_face_validate():
+    hosts = [
+        cyc6_host(),
+        tetrahedron_boundary(),
+        generate_torus(3, 3),
+        generate_torus(4, 5),
+        _pinched_torus(),
+        closure(combinations(range(5), 4)),  # the 3-sphere
+        closure(combinations(range(6), 5)),  # the 4-sphere
+        _suspension(generate_torus(3, 3)),
+        _suspension(_pinched_torus()),
+    ]
+    bad_seen = 0
+    for X in hosts:
+        result = links_are_pseudomanifolds(X)
+        assert result == _ref_links_are_pseudomanifolds(X)
+        bad_seen += len(result[1])
+    assert bad_seen >= 3
 
 
 def test_strictly_connected_oracle_on_4_cycle():

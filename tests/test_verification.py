@@ -1,7 +1,8 @@
 """The single-pass watershed checks against the direct definitions.
 
-`_ref_verify_cut` re-runs the whole extension-of-minima check for every
-dropped facet and every facet subset, and `_ref_verify_drop_of_water`
+`_ref_verify_cut` applies the cut definition to a list of proper
+subcomplexes of W: all of them on small hosts, and W minus the star of
+each of its faces on the larger ones.  `_ref_verify_drop_of_water`
 relaxes descending reachability to a fixed point and scans every d-face
 for the tops of each face of W.  They are kept here as references.
 """
@@ -9,9 +10,7 @@ for the tops of each face of W.  They are kept here as references.
 import random
 from itertools import combinations
 
-import pytest
-
-from morseshed import watershed
+from morseshed import _kernels
 from morseshed.complexes import Complex, closure, connected_components, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
@@ -40,26 +39,23 @@ def _ref_is_extension_of_minima(F, open_set):
     return True
 
 
-def _ref_verify_cut(F, W, exhaustive_limit=12):
+def _ref_verify_cut(F, W, smaller):
+    """X \\ W is an extension of the minima, and no face set in
+    smaller(X, W), proper subcomplexes of W, has a complement that is one."""
     X = F.host
     if not W.faces <= X.faces:
         raise ValueError("W is not a subcomplex of the host")
     if not _ref_is_extension_of_minima(F, set(X.faces - W.faces)):
         return False
-    facets = W.facets()
-    for w in facets:
-        smaller = closure(set(facets) - {w}) if len(facets) > 1 else Complex(())
-        if _ref_is_extension_of_minima(F, set(X.faces - smaller.faces)):
-            return False
-    if len(facets) <= exhaustive_limit:
-        for k in range(len(facets)):
-            for sub in combinations(facets, k):
-                Z = closure(sub) if sub else Complex(())
-                if Z.faces != W.faces and _ref_is_extension_of_minima(
-                    F, set(X.faces - Z.faces)
-                ):
-                    return False
-    return True
+    return not any(_ref_is_extension_of_minima(F, set(X.faces - Y)) for Y in smaller(X, W))
+
+
+def _proper_subcomplexes(X, W):
+    return (Y.faces for Y in _all_subcomplexes(W) if Y.faces != W.faces)
+
+
+def _minus_each_star(X, W):
+    return (W.faces - X.star(x) for x in W.faces)
 
 
 def _ref_descending_reach(F, forbidden):
@@ -106,7 +102,7 @@ def _ref_verify_drop_of_water(F, W):
 
 def _candidates(F, cut, rng):
     """The cut, the cut missing a facet, the cut plus an edge or a host
-    triangle, two random edge sets, a random vertex set and nothing."""
+    facet, two random edge sets, a random vertex set and nothing."""
     X = F.host
     facets = cut.facets()
     edges = X.faces_of_dim(1)
@@ -116,27 +112,39 @@ def _candidates(F, cut, rng):
         out.append(closure(f for f in facets if f != rng.choice(facets)))
     if outside:
         out.append(closure(facets + [rng.choice(outside)]))
-    if X.dim == 2:
-        out.append(closure(facets + [rng.choice(X.faces_of_dim(2))]))
+    out.append(closure(facets + [rng.choice(X.faces_of_dim(X.dim))]))
     for k in (2, 5):
         out.append(closure(rng.sample(edges, min(k, len(edges)))))
     out.append(closure(rng.sample(X.faces_of_dim(0), 3)))
     return out
 
 
-def _torus_corpus():
-    """Morse stacks (flood cut) and non-Morse random stacks (collapse cut)
-    on TOR(3..5), each with its candidate complexes."""
-    rng = random.Random(7)
-    out = []
-    for n in (3, 4, 5):
-        X = generate_torus(n, n)
+def _stacks_with_cuts(hosts):
+    """Per host and seed 0-7, a Morse stack with its flood cut and a
+    random stack with its collapse cut."""
+    for X in hosts:
         for seed in range(8):
             F = random_morse_stack(X, seed=seed, n_minima=1 + seed % 5)
-            out.append((F, morse_watershed(F).watershed))
+            yield F, morse_watershed(F).watershed
             G = random_stack(X, seed=seed, low=0, high=3)
-            out.append((G, watershed_collapse(G, seed=seed).watershed))
-    return [(F, W) for F, cut in out for W in _candidates(F, cut, rng)]
+            yield G, watershed_collapse(G, seed=seed).watershed
+
+
+def _verdicts_on_candidates(hosts):
+    """Both checks accept every cut a route returns, and agree with the
+    references on the candidates around it, the cut reference dropping
+    the star of each face of W in turn; returns all candidate verdicts."""
+    rng = random.Random(7)
+    verdicts = []
+    for F, cut in _stacks_with_cuts(hosts):
+        assert verify_cut(F, cut) and verify_drop_of_water(F, cut), F.altitude
+        for W in _candidates(F, cut, rng):
+            cut_ok = verify_cut(F, W)
+            assert cut_ok == _ref_verify_cut(F, W, _minus_each_star), (F.altitude, W)
+            drop = verify_drop_of_water(F, W)
+            assert drop == _ref_verify_drop_of_water(F, W), (F.altitude, W)
+            verdicts += [cut_ok, drop]
+    return verdicts
 
 
 def _all_subcomplexes(X):
@@ -149,22 +157,20 @@ def _all_subcomplexes(X):
 
 
 def test_verdicts_match_references_on_tori():
-    # the reference enumerates 2^k facet subsets for a true verdict, so
-    # the limit stays below the default: 9 on TOR(3,3), 6 on larger tori
-    verdicts = []
-    for F, W in _torus_corpus():
-        limit = 9 if len(F.host.faces) <= 54 else 6
-        cut = verify_cut(F, W, exhaustive_limit=limit)
-        assert cut == _ref_verify_cut(F, W, exhaustive_limit=limit), (F.altitude, W)
-        drop = verify_drop_of_water(F, W)
-        assert drop == _ref_verify_drop_of_water(F, W), (F.altitude, W)
-        verdicts += [cut, drop]
+    verdicts = _verdicts_on_candidates(generate_torus(n, n) for n in (3, 4, 5))
     assert verdicts.count(True) > 50 and verdicts.count(False) > 200
 
 
+def test_verdicts_match_references_in_dimensions_3_and_4():
+    # the boundaries of the 4- and 5-simplex: the 3-sphere and the 4-sphere
+    hosts = [closure(combinations(range(k), k - 1)) for k in (5, 6)]
+    verdicts = _verdicts_on_candidates(hosts)
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 50
+
+
 def test_verdicts_match_references_on_every_subcomplex():
-    # every subcomplex of small hosts, so facets of the host lie in W and
-    # the subset enumeration runs
+    # every subcomplex of small hosts, facets of the host included, each
+    # judged against every proper subcomplex of it
     X = cyc6_host()
     stacks = [cyc6_stack(), Stack(X, {x: 0 for x in X.faces})]
     stacks += [random_stack(X, seed=s, low=0, high=3) for s in range(3)]
@@ -175,7 +181,7 @@ def test_verdicts_match_references_on_every_subcomplex():
     for F in stacks:
         for W in _all_subcomplexes(F.host):
             cut = verify_cut(F, W)
-            assert cut == _ref_verify_cut(F, W), (F.altitude, W.faces)
+            assert cut == _ref_verify_cut(F, W, _proper_subcomplexes), (F.altitude, W.faces)
             drop = verify_drop_of_water(F, W)
             assert drop == _ref_verify_drop_of_water(F, W), (F.altitude, W.faces)
             counts[cut] += 1
@@ -183,48 +189,35 @@ def test_verdicts_match_references_on_every_subcomplex():
     assert counts[True] > 20 and counts[False] > 1000
 
 
-class _Counting:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
-
-
-@pytest.fixture
-def counted(monkeypatch):
-    """Count the calls verify_cut makes to minima, connected_components
-    and closure."""
-    out = {}
-    for name in ("minima", "connected_components", "closure"):
-        out[name] = _Counting(getattr(watershed, name))
-        monkeypatch.setattr(watershed, name, out[name])
-    return out
+def test_verify_cut_rejects_a_cut_that_holds_a_smaller_cut():
+    # on the 6-cycle, {(2,), (5,)} and {(3,), (5,)} are cuts; a complex
+    # that holds one of them and a host facet (an edge) is not minimal
+    F = cyc6_stack()
+    assert verify_cut(F, closure([(2,), (5,)])) and verify_cut(F, closure([(3,), (5,)]))
+    assert not verify_cut(F, closure([(1, 2), (5,)]))
+    assert not verify_cut(F, closure([(3,), (4, 5)]))
 
 
-def test_verify_cut_labels_the_complement_once(counted):
-    F = random_morse_stack(generate_torus(8, 8), seed=0, n_minima=5)
-    W = morse_watershed(F).watershed
-    for c in counted.values():
-        c.calls = 0
-    assert verify_cut(F, W)
-    assert counted["minima"].calls == 1
-    assert counted["connected_components"].calls == 1
-
-
-def test_verify_cut_skips_the_enumeration_without_host_facets(counted):
-    # 2 minima on TOR(6,6), seed 1: a 12-facet cut, inside the
-    # exhaustive limit, but none of its edges is a facet of the host
+def test_verify_cut_labels_a_fixed_number_of_times(monkeypatch):
+    # the 12-facet cut of 2 minima on TOR(6,6), seed 1; the same cut plus
+    # a host triangle; and a cut on the 6-cycle plus a host edge
     F = random_morse_stack(generate_torus(6, 6), seed=1, n_minima=2)
     W = morse_watershed(F).watershed
     assert len(W.facets()) == 12
-    counted["closure"].calls = 0
-    assert verify_cut(F, W)
-    assert counted["closure"].calls == 0
-    # the edge (4, 5) of the 6-cycle is a facet of the host: the
-    # enumeration runs, and labels the complement once per facet subset
-    counted["connected_components"].calls = 0
-    assert verify_cut(cyc6_stack(), closure([(3,), (4, 5)]))
-    assert counted["connected_components"].calls == 4
+    cases = [
+        (F, W, True),
+        (F, closure(W.facets() + [F.host.faces_of_dim(2)[0]]), False),
+        (cyc6_stack(), closure([(3,), (4, 5)]), False),
+    ]
+    calls = []
+    labeller = _kernels.components
+
+    def counting(*args):
+        calls[-1] += 1
+        return labeller(*args)
+
+    monkeypatch.setattr(_kernels, "components", counting)
+    for G, V, expected in cases:
+        calls.append(0)
+        assert verify_cut(G, V) == expected
+    assert calls[0] > 0 and len(set(calls)) == 1, calls
