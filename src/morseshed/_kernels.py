@@ -4,8 +4,10 @@ Numpy functions on the integer arrays of a packed complex (see
 Complex.packed()): the component labeller that answers every static
 connectivity question, the flat-pair matching check that decides the
 Morse property, the flat-zone labelling that finds the regional minima,
-the facet adjacency of a non-branching pure complex, and the basin flood
-that labels facets and flags the cut.
+the facet graph of a non-branching pure complex (one edge per
+(d-1)-face, the one format every route and check reads), the basin
+flood that labels facets and flags the cut, and the smallest and largest
+value per index that the facet graph and the watershed checks read.
 """
 
 from __future__ import annotations
@@ -22,6 +24,17 @@ def _jump(parent):
             break
         parent = jumped
     return parent
+
+
+def low_high(at, value, n: int):
+    """For each index i < n, the smallest and largest value[k] with
+    at[k] == i.  The values lie in 0..n and an index without one gets
+    n + 1 and -1, so the two agree exactly where some values meet and
+    all are equal."""
+    low, high = np.full(n, n + 1), np.full(n, -1)
+    np.minimum.at(low, at, value)
+    np.maximum.at(high, at, value)
+    return low, high
 
 
 def flat_matching_offender(sub, sup, alt, n_faces) -> int:
@@ -72,52 +85,32 @@ def flat_zones(sub, sup, alt, n_faces):
     return parent, rank
 
 
-def top_adjacency(pk, alt):
-    """Facet adjacency of a non-branching pure complex, from packed arrays.
+def top_adjacency(pk):
+    """The facet graph of a non-branching pure complex: one edge for each
+    (d-1)-face, joining its two d-faces.
 
-    Returns (nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo): row i of
-    nbr holds the d+1 neighbour facets of facet i (local ids), sep_ids
-    the matching shared (d-1)-faces (local ids).  Raises ValueError when
-    some (d-1)-face does not have exactly two cofaces, or some face lies
-    in no d-face.  Both watershed routes run this check first.
+    Returns (lo, hi): for the (d-1)-face number j in canonical order,
+    lo[j] < hi[j] are the local ids of its two d-faces (d-face i is face
+    dim_offset[d] + i).  Raises ValueError when some (d-1)-face does not
+    have exactly two cofaces, or some face lies in no d-face.  Both
+    watershed routes run this check first.
     """
     d = len(pk.dim_offset) - 2
-    sep_lo, sep_hi = int(pk.dim_offset[d - 1]), int(pk.dim_offset[d])
-    top_lo, top_hi = int(pk.dim_offset[d]), int(pk.dim_offset[d + 1])
-    n_sep = sep_hi - sep_lo
-    n_top = top_hi - top_lo
-
-    mask = pk.sup >= top_lo
-    subs = pk.sub[mask]
-    sups = pk.sup[mask]
-    order = np.argsort(subs, kind="stable")
-    subs = subs[order]
-    sups = sups[order]
-    if subs.size != 2 * n_sep or not np.array_equal(
-        subs[0::2], np.arange(sep_lo, sep_hi)
-    ) or not np.array_equal(subs[0::2], subs[1::2]):
+    sep_lo, top_lo = pk.dim_offset[d - 1:d + 1].tolist()
+    top = pk.sup >= top_lo
+    subs, sups = pk.sub[top] - sep_lo, pk.sup[top] - top_lo
+    if (np.bincount(subs, minlength=top_lo - sep_lo) != 2).any():
         raise ValueError("complex is not a non-branching pseudomanifold")
     has_coface = np.zeros(top_lo, dtype=np.bool_)
     has_coface[pk.sub] = True
     if not has_coface.all():
         raise ValueError("complex is not pure of top dimension")
-    cof0 = sups[0::2]
-    cof1 = sups[1::2]
-
-    src = np.concatenate([cof0, cof1])
-    dst = np.concatenate([cof1, cof0])
-    via = np.concatenate([np.arange(n_sep), np.arange(n_sep)])
-    order2 = np.argsort(src, kind="stable")
-    deg = d + 1
-    nbr = (dst[order2] - top_lo).reshape(n_top, deg)
-    sep_ids = via[order2].reshape(n_top, deg)
-    facet_alt = alt[top_lo:top_hi]
-    sep_alt = alt[sep_lo:sep_hi]
-    return nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo
+    return low_high(subs, sups, top_lo - sep_lo)
 
 
-def flood(nbr, sep_ids, facet_alt, sep_alt):
-    """Basin labels B of the facets and cut flags W of the (d-1)-faces.
+def flood(lo, hi, facet_alt, sep_alt):
+    """Basin labels B of the facets and cut flags W of the (d-1)-faces,
+    over the facet graph (lo, hi) of `top_adjacency`.
 
     Precondition: the stack is Morse.  Then a facet has at most one flat
     boundary face, and the facet across it (its parent) has a strictly
@@ -130,15 +123,13 @@ def flood(nbr, sep_ids, facet_alt, sep_alt):
     monotone can close a parent cycle; its facets reach no root and get
     label 0.
     """
-    n = nbr.shape[0]
-    rows = np.arange(n)
-    flat = facet_alt[:, None] == sep_alt[sep_ids]
-    k = flat.argmax(axis=1)
-    parent0 = np.where(flat[rows, k], nbr[rows, k], rows)
+    rows = np.arange(facet_alt.size)
+    parent0 = rows.copy()
+    down = facet_alt[lo] == sep_alt  # lo drains across its flat face to hi
+    parent0[lo[down]] = hi[down]
+    up = facet_alt[hi] == sep_alt
+    parent0[hi[up]] = lo[up]
     parent = _jump(parent0)
     is_root = parent0 == rows
     B = np.where(is_root, np.cumsum(is_root), 0)[parent]
-    W = np.zeros(sep_alt.shape[0], dtype=np.bool_)
-    differs = B[:, None] != B[nbr]
-    W[sep_ids[differs]] = True
-    return B, W
+    return B, B[lo] != B[hi]

@@ -1,7 +1,9 @@
 """Facet graphs, rooted spanning forests and the watershed forest.
 
 The facet graph is the dual graph on d-faces, weighted by the altitude
-of the shared (d-1)-face.  The watershed forest (one differential step
+of the shared (d-1)-face; its edges are the pairs (lo, hi) that the host
+check `_kernels.top_adjacency` returns, the edge list the watershed
+routes and checks read.  The watershed forest (one differential step
 then one flat step between two facets) is, for Morse stacks, the unique
 minimum spanning forest rooted in the minima; `verify_msf_theorem`
 checks this against the greedy optimum and a tie test (the exhaustive
@@ -18,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .complexes import Face, face_key
 from .morse import is_morse
-from .stacks import Stack, StackError, _facet_adjacency, minima
+from .stacks import Stack, StackError, _facet_adjacency
 
 Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
 
@@ -37,22 +39,35 @@ class WeightedFacetGraph:
         return sum(1 for e in self.edges if x in e)
 
 
-def build_facet_graph(F: Stack) -> WeightedFacetGraph:
-    """The dual graph of the d-faces.  A host of dimension d >= 1 must
-    pass the check both watershed routes run first (`_facet_adjacency`),
-    so every (d-1)-face is one edge."""
+def _facet_graph(F: Stack):
+    """(pk, sep_lo, top_lo, lo, hi): the packed host, where its (d-1)-faces
+    and its d-faces start, and its facet graph.  A host of dimension
+    d >= 1 must pass the check both watershed routes run first
+    (`_facet_adjacency`), so every (d-1)-face is one edge; below, there is
+    no edge."""
     X = F.host
-    d = X.dim
-    if d > 0:
-        _facet_adjacency(F)
-    vertices = tuple(X.faces_of_dim(d))
-    edges: dict[Edge, int] = {}
-    shared: dict[Edge, Face] = {}
-    for z in X.faces_of_dim(d - 1):
-        e = _edge(*X.cofaces[z])
-        edges[e] = F.altitude[z]
-        shared[e] = z
-    return WeightedFacetGraph(vertices, edges, shared)
+    pk = X.packed()
+    if X.dim < 1:
+        no_edges = np.zeros(0, dtype=np.int64)
+        return pk, 0, 0, no_edges, no_edges
+    return (pk, *pk.dim_offset[X.dim - 1:X.dim + 1].tolist(), *_facet_adjacency(F))
+
+
+def _ends(tops: list[Face], lo, hi) -> list[Edge]:
+    """The edges (tops[lo[k]], tops[hi[k]]) as face tuples."""
+    return list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
+
+
+def build_facet_graph(F: Stack) -> WeightedFacetGraph:
+    """The dual graph of the d-faces, its edges in canonical order of the
+    shared (d-1)-faces."""
+    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
+    tops = pk.faces[top_lo:]
+    ends = _ends(tops, lo, hi)  # lo < hi, so the smaller face comes first
+    weights = F.alt_array()[sep_lo:top_lo].tolist()
+    return WeightedFacetGraph(
+        tuple(tops), dict(zip(ends, weights)), dict(zip(ends, pk.faces[sep_lo:top_lo]))
+    )
 
 
 @dataclass(frozen=True)
@@ -106,25 +121,19 @@ def is_rooted_forest(
 def watershed_forest(F: Stack) -> Forest:
     """Dual edges {x, y} such that one endpoint descends into the shared
     face's flat partner: (x, x&y) differential and (x&y, y) flat, either
-    way around.  The host is checked as in `build_facet_graph`."""
-    X = F.host
-    d = X.dim
-    if d > 0:
-        _facet_adjacency(F)
+    way around.  The host is checked as in `build_facet_graph`.  The roots
+    are the minima, each a single d-face on a Morse stack."""
+    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
     ok, witness = is_morse(F)
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
-    alt = F.altitude
-    edges: set[Edge] = set()
-    for z in X.faces_of_dim(d - 1):  # the edges of the facet graph
-        x, y = X.cofaces[z]
-        fz, fx, fy = alt[z], alt[x], alt[y]
-        if (fz > fx and fz == fy) or (fz > fy and fz == fx):
-            edges.add(_edge(x, y))
-    roots = frozenset(
-        next(iter(zone)) for zone, _ in minima(F).minima
-    )
-    return Forest(frozenset(X.faces_of_dim(d)), frozenset(edges), roots)
+    alt = F.alt_array()
+    fz, fx, fy = alt[sep_lo:top_lo], alt[top_lo:][lo], alt[top_lo:][hi]
+    keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
+    tops = pk.faces[top_lo:]
+    rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))[1][top_lo:]
+    roots = map(tops.__getitem__, np.flatnonzero(rank).tolist())
+    return Forest(frozenset(tops), frozenset(_ends(tops, lo[keep], hi[keep])), frozenset(roots))
 
 
 class _UnionFind:

@@ -34,13 +34,10 @@ class GradientField:
 
 def flat_pairs(F: Stack) -> set[tuple[Face, Face]]:
     """All covering pairs with equal altitude."""
-    out = set()
-    for y in F.host.faces:
-        fy = F.altitude[y]
-        for x in F.host.boundary[y]:
-            if F.altitude[x] == fy:
-                out.add((x, y))
-    return out
+    pk, alt = F.host.packed(), F.alt_array()
+    flat = alt[pk.sub] == alt[pk.sup]
+    faces = pk.faces
+    return {(faces[x], faces[y]) for x, y in zip(pk.sub[flat].tolist(), pk.sup[flat].tolist())}
 
 
 def is_morse(F: Stack) -> tuple[bool, Optional[Face]]:
@@ -170,72 +167,39 @@ def extend_path(F: Stack, path: LambdaPath):
     return Blocked(y)
 
 
-class _TraceMemo:
-    """Shared memo: d-face -> (minimum, previous d-face on the unique path)."""
-
-    def __init__(self):
-        self.minimum: dict[Face, Face] = {}
-        self.pred: dict[Face, Optional[Face]] = {}
-
-
-def _trace_step(F: Stack, x: Face) -> Optional[Face]:
-    """Backward step from a non-minimum d-face: through its flat partner
-    to the unique lower coface on the other side."""
+def _trace_step(F: Stack, x: Face) -> Optional[tuple[Face, Face]]:
+    """Backward step from a non-minimum d-face: its flat partner z and the
+    unique lower coface on the other side of z; None at a minimum."""
     fx = F.altitude[x]
     for z in F.host.boundary[x]:
         if F.altitude[z] == fx:
             cof = F.host.cofaces[z]
-            return cof[0] if cof[1] == x else cof[1]
+            return z, cof[0] if cof[1] == x else cof[1]
     return None
 
 
-def trace_to_minimum(
-    F: Stack, x: Face, memo: Optional[_TraceMemo] = None
-) -> tuple[Face, LambdaPath]:
-    """Unique minimum linked to the d-face x by a gradient path, plus the path.
-
-    Memoized: tracing every facet costs time linear in the incidence
-    relations overall.
-    """
-    if memo is None:
-        memo = _TraceMemo()
-    chain = []
-    cur = x
-    while cur not in memo.minimum:
-        chain.append(cur)
-        nxt = _trace_step(F, cur)
-        if nxt is None:
-            memo.minimum[cur] = cur
-            memo.pred[cur] = None
-            chain.pop()
-            break
-        memo.pred[cur] = nxt
-        cur = nxt
-    m = memo.minimum[cur]
-    for c in chain:
-        memo.minimum[c] = m
-    # rebuild the forward path m -> x, inserting shared (d-1)-faces
+def trace_to_minimum(F: Stack, x: Face) -> tuple[Face, LambdaPath]:
+    """Unique minimum linked to the d-face x by a gradient path, plus the path."""
     rev = [x]
-    cur = x
-    while memo.pred[cur] is not None:
-        nxt = memo.pred[cur]
-        shared = next(
-            z for z in F.host.boundary[cur] if z in set(F.host.boundary[nxt])
-        )
-        rev.append(shared)
-        rev.append(nxt)
-        cur = nxt
-    return m, LambdaPath(tuple(reversed(rev)), p=F.host.dim)
+    while (step := _trace_step(F, rev[-1])) is not None:
+        rev += step
+    return rev[-1], LambdaPath(tuple(reversed(rev)), p=F.host.dim)
 
 
 def trace_all(F: Stack) -> dict[Face, Face]:
-    """Minimum reached by the backward trace, for every d-face."""
-    memo = _TraceMemo()
-    out = {}
-    for x in F.host.faces_of_dim(F.host.dim):
-        m, _ = trace_to_minimum(F, x, memo)
-        out[x] = m
-    return out
+    """Minimum reached by the backward trace, for every d-face.  Each face
+    is stepped from once: a trace stops at the first face already traced."""
+    tops = F.host.faces_of_dim(F.host.dim)
+    minimum: dict[Face, Face] = {}
+    for x in tops:
+        chain, cur = [], x
+        while cur not in minimum and (step := _trace_step(F, cur)) is not None:
+            chain.append(cur)
+            cur = step[1]
+        m = minimum.setdefault(cur, cur)  # cur is traced already, or a minimum
+        for c in chain:
+            minimum[c] = m
+    return {x: minimum[x] for x in tops}
 
 
 def separating_faces(F: Stack) -> set[Face]:

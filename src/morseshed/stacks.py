@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .complexes import Complex, Face, face_key
+from .complexes import Complex, Face, _boundary_rows, face_key
 
 
 class StackError(ValueError):
@@ -229,11 +229,12 @@ def stack_collapse(
 
 
 def _facet_adjacency(F: Stack):
-    """_kernels.top_adjacency of the host, the check both watershed routes
-    run first: a host of dimension d >= 1 must be pure of dimension d with
-    exactly two d-faces on every (d-1)-face."""
+    """The facet graph (lo, hi) of the host, `_kernels.top_adjacency`: the
+    check both watershed routes run first.  A host of dimension d >= 1
+    must be pure of dimension d with exactly two d-faces on every
+    (d-1)-face."""
     try:
-        return _kernels.top_adjacency(F.host.packed(), F.alt_array())
+        return _kernels.top_adjacency(F.host.packed())
     except ValueError as exc:
         raise StackError(str(exc)) from exc
 
@@ -266,10 +267,12 @@ def _ultimate_d_collapse(
         return _stack_from_array(X, arr), 0, 0
     if adjacency is None:
         adjacency = _facet_adjacency(F)
-    _, sep_ids, top_alt, sep_alt, top_lo, sep_lo = adjacency
-    # each (d-1)-face appears twice in sep_ids, once in the row of each coface
-    cof = np.argsort(sep_ids.ravel(), kind="stable").reshape(-1, 2) // (X.dim + 1)
-    sa, ta, cof, bd = sep_alt.tolist(), top_alt.tolist(), cof.tolist(), sep_ids.tolist()
+    pk = X.packed()
+    sep_lo, top_lo = pk.dim_offset[X.dim - 1:X.dim + 1].tolist()
+    lo, hi = adjacency
+    cof = list(zip(lo.tolist(), hi.tolist()))  # the two d-faces of each (d-1)-face
+    bd = (_boundary_rows(pk)[X.dim] - sep_lo).tolist()  # the (d-1)-faces of each d-face
+    sa, ta = arr[sep_lo:top_lo].tolist(), arr[top_lo:].tolist()
     lam, batch = F.lambda_min, mode == "batch"
     rank = list(range(len(sa)))
     random.Random(seed).shuffle(rank)

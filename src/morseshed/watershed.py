@@ -5,17 +5,19 @@ stack), the pointer-jumping flood for Morse stacks, and the
 definitional construction (closure of the biconnected faces of the
 traced minima) used as an oracle.  The collapse and the flood run the
 same host check first (pure of dimension d, exactly two d-faces on every
-(d-1)-face) and share one label assembly on the packed arrays: a route
-labels the d-faces and flags the cut (d-1)-faces, and the assembly closes
-the cut downward and gives every other face the label of its smallest
-d-coface.  The collapse route lowers each non-minimum facet of a Morse
-stack once, in altitude order.  `verify_cut` and
-`verify_drop_of_water` check the watershed axioms directly, each from
-one labelling of the host: the components of the complement of W for
-the cut, whose minimality is then one star test (no face x of W has
-st(x) \\ W non-empty and inside one component), and one ascending pass
-of descending reachability for the drop of water.  Both take time
-linear in the size of the host, plus one sort by altitude.
+(d-1)-face), which returns the facet graph: one edge (lo[j], hi[j]) per
+(d-1)-face j, joining its two d-faces.  Both routes label the d-faces
+and flag the cut (d-1)-faces over it, and share one label assembly on
+the packed arrays, which closes the cut downward and gives every other
+face the label of its smallest d-coface.  The collapse route lowers each
+non-minimum facet of a Morse stack once, in altitude order.
+`verify_cut` and `verify_drop_of_water` check the watershed axioms
+directly: the components of the complement of W for the cut, whose
+minimality is then one star test (no face x of W has st(x) \\ W
+non-empty and inside one component), and, for the drop of water, one
+labelling of the flat steps of the facet graph and one pass over its
+descending steps in ascending altitude.  Both take time linear in the
+size of the host, plus one sort by altitude.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .complexes import Complex, Face, _inclusion_pairs, _member_mask, closure
 from .morse import biconnected_faces, is_morse
-from .stacks import Stack, StackError, _facet_adjacency, minima, ultimate_d_collapse
+from .stacks import Stack, StackError, _facet_adjacency, ultimate_d_collapse
 from . import _kernels
 
 WATERSHED_LABEL = 0
@@ -144,14 +146,13 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
     B = best[h_root] % (n + 1)  # 0 where there is none
     cut = np.zeros(0, dtype=np.bool_)
     if adjacency is not None:
-        nbr, sep_ids, _, sep_alt = adjacency[:4]
-        cut = np.zeros(sep_alt.size, dtype=np.bool_)
-        cut[sep_ids[h_root[:, None] != h_root[nbr]]] = True
+        lo, hi = adjacency
+        cut = h_root[lo] != h_root[hi]
     return _assemble(pk, B, cut)
 
 
 def morse_watershed(F: Stack) -> WatershedResult:
-    """Flood over the facet adjacency of a Morse stack.
+    """Flood over the facet graph of a Morse stack.
 
     After the host and Morse checks, every non-minimum facet drains across
     its one flat (d-1)-face to a strictly lower facet; pointer jumping
@@ -169,7 +170,9 @@ def morse_watershed(F: Stack) -> WatershedResult:
         raise StackError(f"not a Morse stack (witness {witness})")
     if adjacency is None:  # isolated vertices: every face its own basin, empty cut
         return _assemble(pk, np.arange(1, len(pk) + 1), np.zeros(0, dtype=np.bool_))
-    return _assemble(pk, *_kernels.flood(*adjacency[:4]))
+    sep_lo, top_lo = pk.dim_offset[F.host.dim - 1:F.host.dim + 1].tolist()
+    alt = F.alt_array()
+    return _assemble(pk, *_kernels.flood(*adjacency, alt[top_lo:], alt[sep_lo:top_lo]))
 
 
 def morse_watershed_direct(F: Stack) -> Complex:
@@ -183,22 +186,6 @@ def morse_watershed_direct(F: Stack) -> Complex:
 
 
 # -- verification oracles -----------------------------------------------------
-
-
-def _minimum_ids(F: Stack) -> dict[Face, int]:
-    """Each face of a minimum of F, mapped to that minimum's index."""
-    return {f: i for i, (zone, _) in enumerate(minima(F).minima) for f in zone}
-
-
-def _low_high(at, value, n: int):
-    """For each index i < n, the smallest and largest value[k] with
-    at[k] == i.  The values lie in 0..n and an index without one gets
-    n + 1 and -1, so the two agree exactly where some values meet and
-    all are equal."""
-    low, high = np.full(n, n + 1), np.full(n, -1)
-    np.minimum.at(low, at, value)
-    np.maximum.at(high, at, value)
-    return low, high
 
 
 def verify_cut(F: Stack, W: Complex) -> bool:
@@ -228,76 +215,63 @@ def verify_cut(F: Stack, W: Complex) -> bool:
     both = out[pk.sub] & out[pk.sup]
     root = _kernels.components(pk.sub[both], pk.sup[both], n)
     in_min = rank > 0  # all outside W by now
-    low, high = _low_high(root[in_min], rank[in_min], n)
+    low, high = _kernels.low_high(root[in_min], rank[in_min], n)
     if not np.array_equal(low[root[out]], high[root[out]]):
         return False
     sub, sup = _inclusion_pairs(pk)
     rim = in_w[sub] & out[sup]  # x in W, y in st(x) \ W
-    low, high = _low_high(sub[rim], root[sup[rim]], n)
+    low, high = _kernels.low_high(sub[rim], root[sup[rim]], n)
     return not (low == high).any()
-
-
-def _descending_reach(F: Stack, forbidden: frozenset[Face]) -> dict[Face, frozenset[int]]:
-    """For each d-face outside `forbidden`: ids of minima of F reachable by a
-    descending strong path avoiding forbidden faces.
-
-    A step from x to y crosses their shared (d-1)-face z, off `forbidden`,
-    with F(y) <= F(z) <= F(x).  Steps between equal altitudes cross a flat
-    z and go both ways, so the d-faces are visited in ascending altitude,
-    one group of equal-altitude faces joined by such steps at a time.  A
-    group reaches the minima its members lie in and whatever its strictly
-    lower neighbours reach, which is already known.
-    """
-    X = F.host
-    d = X.dim
-    alt = F.altitude
-    seed = {f: i for f, i in _minimum_ids(F).items() if len(f) - 1 == d}
-    tops = sorted(
-        (x for x in X.faces_of_dim(d) if x not in forbidden), key=alt.__getitem__
-    )
-    reach: dict[Face, frozenset[int]] = {}
-    for first in tops:
-        if first in reach:
-            continue
-        level = alt[first]
-        group, todo, acc = {first}, [first], set()
-        while todo:
-            x = todo.pop()
-            if x in seed:
-                acc.add(seed[x])
-            for z in X.boundary[x]:
-                fz = alt[z]
-                if fz > level or z in forbidden:
-                    continue
-                for y in X.cofaces[z]:
-                    if alt[y] > fz or y in forbidden or y in group:
-                        continue
-                    if alt[y] == level:
-                        group.add(y)
-                        todo.append(y)
-                    else:
-                        acc |= reach[y]
-        found = frozenset(acc)
-        for x in group:
-            reach[x] = found
-    return reach
 
 
 def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     """Each face of W must see two descending strong paths, starting in its
-    cofaces and staying off W, that end in distinct minima of F."""
+    d-cofaces and staying off W, that end in distinct minima of F.
+
+    A step from a d-face x to a d-face y crosses their shared (d-1)-face
+    z, off W, with F(y) <= F(z) <= F(x): an edge of the facet graph, taken
+    one way or both.  The faces joined by steps both ways (all three
+    altitudes equal) form groups that reach the same minima, and the
+    other steps go strictly down, so one pass over them in ascending
+    altitude of their source finds what each group reaches.  A set of
+    minimum ids (the rank of `flat_zones`) is kept as its smallest and
+    largest member, as only whether it has two members is asked.
+    """
     X = F.host
     if not W.faces <= X.faces:
         raise ValueError("W is not a subcomplex of the host")
-    d = X.dim
-    reach = _descending_reach(F, W.faces)
-    for x in W.faces:
-        tops = {x}
-        for _ in range(d + 1 - len(x)):
-            tops = {y for t in tops for y in X.cofaces[t]}
-        found: set[int] = set()
-        for y in tops:
-            found |= reach.get(y, frozenset())
-        if len(found) < 2:
-            return False
-    return True
+    pk = X.packed()
+    n, d = len(pk), X.dim
+    top_lo = int(pk.dim_offset[d]) if n else 0
+    alt = F.alt_array()
+    ta = alt[top_lo:]
+    in_w = _member_mask(pk, W.faces)
+    root = np.arange(ta.size)
+    src = dst = np.zeros(0, dtype=np.int64)
+    if d > 0:
+        lo, hi = _facet_adjacency(F)
+        sep_lo = int(pk.dim_offset[d - 1])
+        off_w = ~in_w[sep_lo:top_lo]  # then its two d-faces are off W, as W is closed
+        lo, hi, sa = lo[off_w], hi[off_w], alt[sep_lo:top_lo][off_w]
+        down = (ta[hi] <= sa) & (sa <= ta[lo])  # a step lo -> hi
+        up = (ta[lo] <= sa) & (sa <= ta[hi])  # a step hi -> lo
+        root = _kernels.components(lo[down & up], hi[down & up], ta.size)
+        src = np.concatenate([lo[down & ~up], hi[up & ~down]])
+        dst = np.concatenate([hi[down & ~up], lo[up & ~down]])
+    if in_w[top_lo:].any():
+        return False  # a d-face of W starts no path
+    rank = _kernels.flat_zones(pk.sub, pk.sup, alt, n)[1][top_lo:]  # 0 off the minima
+    low, high = (a.tolist() for a in _kernels.low_high(root[rank > 0], rank[rank > 0], ta.size))
+    order = np.argsort(ta[src], kind="stable")
+    for s, t in zip(root[src[order]].tolist(), root[dst[order]].tolist()):
+        if low[t] < low[s]:
+            low[s] = low[t]
+        if high[t] > high[s]:
+            high[s] = high[t]
+    sub, sup = _inclusion_pairs(pk)
+    rim = in_w[sub] & ~in_w[sup] & (sup >= top_lo)  # x in W, y a d-face off W
+    at, g = sub[rim], root[sup[rim] - top_lo]
+    x_low, x_high = np.full(n, ta.size + 1), np.full(n, -1)
+    np.minimum.at(x_low, at, np.array(low)[g])
+    np.maximum.at(x_high, at, np.array(high)[g])
+    return bool((x_low[in_w] < x_high[in_w]).all())

@@ -187,7 +187,7 @@ def test_watershed_collapse_builds_no_dict_components(monkeypatch):
     for module, name in [
         (complexes, "connected_components"),
         (complexes, "closure"), (watershed, "closure"),
-        (stacks, "minima"), (watershed, "minima"),
+        (stacks, "minima"),
     ]:
         counting(module, name)
     F = random_morse_stack(generate_torus(8, 8), seed=2, n_minima=5)

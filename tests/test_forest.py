@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morseshed.complexes import Complex, closure
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.forest import (
     Forest,
@@ -75,6 +77,49 @@ def test_build_facet_graph_torus_counts():
     assert len(G.vertices) == 18
     assert len(G.edges) == 27
     assert all(G.degree(v) == 3 for v in G.vertices)
+
+
+def _ref_build_facet_graph(F):
+    """Reference: one edge per (d-1)-face, read off its two cofaces."""
+    X = F.host
+    d = X.dim
+    edges, shared = {}, {}
+    for z in X.faces_of_dim(d - 1):
+        e = _edge(*X.cofaces[z])
+        edges[e] = F.altitude[z]
+        shared[e] = z
+    return WeightedFacetGraph(tuple(X.faces_of_dim(d)), edges, shared)
+
+
+def _ref_watershed_forest(F):
+    """Reference: the differential-then-flat edges found face by face,
+    rooted at one face of each minimum."""
+    X = F.host
+    d = X.dim
+    alt = F.altitude
+    edges = set()
+    for z in X.faces_of_dim(d - 1):
+        x, y = X.cofaces[z]
+        fz, fx, fy = alt[z], alt[x], alt[y]
+        if (fz > fx and fz == fy) or (fz > fy and fz == fx):
+            edges.add(_edge(x, y))
+    roots = frozenset(next(iter(zone)) for zone, _ in minima(F).minima)
+    return Forest(frozenset(X.faces_of_dim(d)), frozenset(edges), roots)
+
+
+def test_facet_graph_and_forest_match_the_face_loops():
+    hosts = [cyc6_host(), tetrahedron_boundary()]
+    hosts += [closure(combinations(range(k), k - 1)) for k in (5, 6)]  # boundaries of 4-, 5-simplex
+    hosts += [generate_torus(n, n) for n in range(3, 9)]
+    stacks = [cyc6_stack(), Stack(Complex(()), {}), Stack(closure([(0,), (2,)]), {(0,): 1, (2,): 0})]
+    stacks += [random_morse_stack(X, seed=s, n_minima=1 + 2 * s) for X in hosts for s in range(2)]
+    stacks.append(random_morse_stack(generate_torus(40, 40), seed=0, n_minima=1))
+    for F in stacks:
+        G, G_ref = build_facet_graph(F), _ref_build_facet_graph(F)
+        assert G == G_ref
+        assert list(G.edges.items()) == list(G_ref.edges.items())  # the same order
+        assert list(G.shared.items()) == list(G_ref.shared.items())
+        assert watershed_forest(F) == _ref_watershed_forest(F)
 
 
 def test_is_rooted_forest():

@@ -8,27 +8,35 @@ from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
 
 
-def _adjacency(F):
+def _graph(F):
+    """The facet graph (lo, hi) and the d- and (d-1)-face altitudes."""
     pk = F.host.packed()
+    sep_lo, top_lo = pk.dim_offset[F.host.dim - 1:F.host.dim + 1].tolist()
     alt = F.alt_array()
-    return _kernels.top_adjacency(pk, alt)
+    return (*_kernels.top_adjacency(pk), alt[top_lo:], alt[sep_lo:top_lo])
 
 
 def test_top_adjacency_cyc6():
     F = cyc6_stack()
-    nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo = _adjacency(F)
-    assert nbr.shape == (6, 2)
-    assert sep_ids.shape == (6, 2)
-    # altitudes line up with the fixture (facets sorted lexicographically)
-    faces = F.host.packed().faces
-    for i in range(6):
-        assert facet_alt[i] == F.altitude[faces[top_lo + i]]
-    for j in range(6):
-        assert sep_alt[j] == F.altitude[faces[sep_lo + j]]
-    # every neighbour entry is reciprocal
-    for i in range(6):
-        for k in range(2):
-            assert i in nbr[nbr[i, k]]
+    X = F.host
+    lo, hi = _kernels.top_adjacency(X.packed())
+    assert lo.shape == hi.shape == (6,)
+    assert (lo < hi).all()
+    # edge j joins the two cofaces of the (d-1)-face number j, in order
+    tops = X.faces_of_dim(1)
+    for j, z in enumerate(X.faces_of_dim(0)):
+        assert (tops[lo[j]], tops[hi[j]]) == X.cofaces[z]
+    # every facet has d + 1 = 2 edges
+    assert np.bincount(np.concatenate([lo, hi])).tolist() == [2] * 6
+
+
+def _rows(lo, hi, n_facets):
+    """The per-facet layout the flood once read: row i lists the facets
+    next to facet i and, in sep_ids, the (d-1)-faces shared with them."""
+    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    via = np.tile(np.arange(lo.size), 2)
+    order = np.argsort(src, kind="stable")
+    return dst[order].reshape(n_facets, -1), via[order].reshape(n_facets, -1)
 
 
 def _queue_flood(nbr, sep_ids, facet_alt, sep_alt):
@@ -56,9 +64,9 @@ def test_flood_kernels_agree():
     # one minimum on TOR(40,40): all 3200 facets in one tree, 73 links deep
     stacks.append(random_morse_stack(generate_torus(40, 40), seed=0, n_minima=1))
     for F in stacks:
-        nbr, sep_ids, facet_alt, sep_alt, _, _ = _adjacency(F)
-        B, W = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt)
-        B_ref, W_ref = _queue_flood(nbr, sep_ids, facet_alt, sep_alt)
+        lo, hi, facet_alt, sep_alt = _graph(F)
+        B, W = _kernels.flood(lo, hi, facet_alt, sep_alt)
+        B_ref, W_ref = _queue_flood(*_rows(lo, hi, facet_alt.size), facet_alt, sep_alt)
         assert (B_ref > 0).all()  # every facet drains to some minimum
         assert np.array_equal(B, B_ref)
         assert np.array_equal(W, W_ref)

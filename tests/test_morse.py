@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshed.complexes import closure, face_key
+from morseshed.complexes import Complex, closure, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import (
@@ -24,7 +26,7 @@ from morseshed.morse import (
     trace_all,
     trace_to_minimum,
 )
-from morseshed.stacks import Stack, StackError, stack_free_pairs, validate_stack
+from morseshed.stacks import Stack, StackError, random_stack, stack_free_pairs, validate_stack
 
 
 def constant_stack(X, value=0):
@@ -135,6 +137,61 @@ def test_trace_all_fixture():
     assert mins[(2, 3)] == (0, 1)
     assert mins[(4, 5)] == (3, 4)
     assert set(mins.values()) == {(0, 1), (3, 4)}
+
+
+def _ref_trace_all(F):
+    """Reference: every d-face walked down on its own, through the flat
+    face of each d-face on the way, to a d-face with none."""
+    X, alt = F.host, F.altitude
+    out = {}
+    for x in X.faces_of_dim(X.dim):
+        m = x
+        while flat := [z for z in X.boundary[m] if alt[z] == alt[m]]:
+            (m,) = [y for y in X.cofaces[flat[0]] if y != m]
+        out[x] = m
+    return out
+
+
+def _ref_flat_pairs(F):
+    """Reference: the covering pairs read off the boundary dict."""
+    out = set()
+    for y in F.host.faces:
+        fy = F.altitude[y]
+        for x in F.host.boundary[y]:
+            if F.altitude[x] == fy:
+                out.add((x, y))
+    return out
+
+
+def _traced_stacks():
+    hosts = [cyc6_host(), tetrahedron_boundary()]
+    hosts += [closure(combinations(range(k), k - 1)) for k in (5, 6)]  # boundaries of 4-, 5-simplex
+    hosts += [generate_torus(n, n) for n in range(3, 9)]
+    stacks = [cyc6_stack(), Stack(Complex(()), {})]
+    stacks += [random_morse_stack(X, seed=s, n_minima=1 + 2 * s) for X in hosts for s in range(2)]
+    return stacks, hosts
+
+
+def test_trace_all_matches_the_walk_from_each_face():
+    stacks, _ = _traced_stacks()
+    for F in stacks:
+        ref = _ref_trace_all(F)
+        assert list(trace_all(F).items()) == list(ref.items())
+        for x in F.host.faces_of_dim(F.host.dim)[:20]:
+            m, path = trace_to_minimum(F, x)
+            assert m == ref[x] and path.faces[0] == m and path.faces[-1] == x
+            path.check(F)
+    # one minimum on TOR(40,40): every trace ends in the same facet
+    F = random_morse_stack(generate_torus(40, 40), seed=0, n_minima=1)
+    assert trace_all(F) == _ref_trace_all(F)
+
+
+def test_flat_pairs_match_the_boundary_loop():
+    stacks, hosts = _traced_stacks()
+    stacks += [random_stack(X, seed=1, low=0, high=2) for X in hosts]  # not Morse, mostly
+    stacks += [constant_stack(X) for X in hosts[:3]]
+    for F in stacks:
+        assert flat_pairs(F) == _ref_flat_pairs(F)
 
 
 def test_biconnected_and_separating_fixture():

@@ -10,8 +10,11 @@ for the tops of each face of W.  They are kept here as references.
 import random
 from itertools import combinations
 
-from morseshed import _kernels
+import pytest
+
+from morseshed import _kernels, io
 from morseshed.complexes import Complex, closure, connected_components, face_key
+from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
@@ -221,3 +224,19 @@ def test_verify_cut_labels_a_fixed_number_of_times(monkeypatch):
         calls.append(0)
         assert verify_cut(G, V) == expected
     assert calls[0] > 0 and len(set(calls)) == 1, calls
+
+
+def test_checks_on_a_parsed_stack_walk_no_tuple_view():
+    # the drop of water and the facet graph read the packed host and the
+    # altitude array: no boundary or coface dict, no altitude dict
+    text = io.serialize_stack(random_morse_stack(generate_torus(6, 6), seed=4, n_minima=3))
+    F = io.parse_stack(text)
+    W = morse_watershed(F).watershed
+    assert verify_drop_of_water(F, W)
+    assert not verify_drop_of_water(F, closure([F.host.faces_of_dim(1)[0]]))
+    build_facet_graph(F)
+    watershed_forest(F)
+    for view in ("boundary", "cofaces"):
+        with pytest.raises(AttributeError):
+            Complex.__dict__[view].__get__(F.host)  # the slot is still unset
+    assert F.altitude._dict is None

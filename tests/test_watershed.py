@@ -156,10 +156,10 @@ def _loop_assembly(F):
     and their faces first, then each top face and its unlabelled faces in
     canonical order), with W as the closure of the cut."""
     pk = F.host.packed()
-    nbr, sep_ids, facet_alt, sep_alt, top_lo, sep_lo = _kernels.top_adjacency(
-        pk, F.alt_array()
-    )
-    B, W_flags = _kernels.flood(nbr, sep_ids, facet_alt, sep_alt)
+    sep_lo, top_lo = pk.dim_offset[F.host.dim - 1:F.host.dim + 1].tolist()
+    alt = F.alt_array()
+    lo, hi = _kernels.top_adjacency(pk)
+    B, W_flags = _kernels.flood(lo, hi, alt[top_lo:], alt[sep_lo:top_lo])
     faces = pk.faces
     labels, cut = {}, set()
     for j in map(int, W_flags.nonzero()[0]):
@@ -168,9 +168,9 @@ def _loop_assembly(F):
         labels[z] = WATERSHED_LABEL
         for y in proper_subfaces(z):
             labels[y] = WATERSHED_LABEL
-    for i in range(nbr.shape[0]):
+    for i in range(B.size):
         labels[faces[top_lo + i]] = int(B[i])
-    for i in range(nbr.shape[0]):
+    for i in range(B.size):
         x = faces[top_lo + i]
         for y in proper_subfaces(x):
             if y not in labels:
@@ -217,9 +217,11 @@ def _torus_with_isolated_vertex():
 def test_routes_reject_the_same_hosts(host, message):
     X = host()
     # the host check runs before either route, so a non-Morse stack gets
-    # the same message from the flood as a Morse one
+    # the same message from the flood as a Morse one; the drop-of-water
+    # check runs it too
     for F in (random_morse_stack(X, seed=1), constant_stack(X)):
-        for route in (morse_watershed, watershed_collapse):
+        for route in (morse_watershed, watershed_collapse,
+                      lambda G: verify_drop_of_water(G, Complex(()))):
             with pytest.raises(StackError) as exc:
                 route(F)
             assert str(exc.value) == message
