@@ -312,10 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first call of `main`; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -187,12 +187,14 @@ class PackedComplex:
     number i as a tuple (built on first access), `(sub[k], sup[k])`
     enumerates every covering pair by index, sup ascending and then in
     drop-vertex-i order of the boundary, and faces of dimension p occupy
-    indexes `dim_offset[p]:dim_offset[p+1]`."""
+    indexes `dim_offset[p]:dim_offset[p+1]`.  `keys[p]` (p >= 1) holds the
+    packer's ascending sort keys of the p-faces (see `_locate`)."""
 
     rows: list  # np.ndarray[int64] of shape (n_p, p + 1) per dimension p
     sub: "object"  # np.ndarray[int64]
     sup: "object"  # np.ndarray[int64]
     dim_offset: "object"  # np.ndarray[int64]
+    keys: list = field(repr=False)  # None, then np.ndarray[int64] per dimension p >= 1
 
     def __len__(self) -> int:
         return int(self.dim_offset[-1])
@@ -210,6 +212,16 @@ def _not_closed(face_set: frozenset[Face]) -> InvalidSimplexError:
         if y not in face_set
     )
     return InvalidSimplexError(f"not closed: {x} present but its face {y} missing")
+
+
+def _vertex_ranks(vertex_ids, r):
+    """Ranks of the vertex ids in `r` among the ascending `vertex_ids`;
+    None if one is absent."""
+    nv = vertex_ids.size
+    if nv == 0:
+        return None
+    ranks = np.minimum(np.searchsorted(vertex_ids, r), nv - 1)
+    return ranks if np.array_equal(vertex_ids[ranks], r) else None
 
 
 def _locate(keys: list, n_vertices: int, ranks):
@@ -253,8 +265,8 @@ def _pack(rows: list, groups: list[list[Face]] | None = None) -> PackedComplex |
             key = vertex_ids
         else:
             nv = vertex_ids.size
-            ranks = np.minimum(np.searchsorted(vertex_ids, r), max(nv - 1, 0))
-            if nv == 0 or not np.array_equal(vertex_ids[ranks], r):
+            ranks = _vertex_ranks(vertex_ids, r)
+            if ranks is None:
                 return None
             cols = list(range(p + 1))
             bd = np.empty((n, p + 1), dtype=np.int64)
@@ -280,6 +292,7 @@ def _pack(rows: list, groups: list[list[Face]] | None = None) -> PackedComplex |
         sub=np.concatenate(subs) if subs else empty,
         sup=np.concatenate(sups) if sups else empty,
         dim_offset=dim_offset,
+        keys=keys,
     )
     if groups is not None:  # fill the cached `faces` with the given tuples
         pk.__dict__["faces"] = [g[i] for g, o in zip(groups, orders) for i in o.tolist()]
@@ -491,6 +504,22 @@ def _member_mask(pk: PackedComplex, S: Iterable[Face] | None):
         raise ValueError(f"{exc.args[0]} is not a face of the complex") from None
     member = np.zeros(len(pk), dtype=np.bool_)
     member[idx] = True
+    return member
+
+
+def _subcomplex_mask(pk: PackedComplex, W: Complex):
+    """Boolean mask of the faces of W in pk, each found from its vertex row
+    by the packer's sort keys, so no face tuple or face set is built.
+    Raises ValueError when W is not a subcomplex of pk."""
+    member = np.zeros(len(pk), dtype=np.bool_)
+    vertex_ids = pk.rows[0][:, 0] if pk.rows else np.zeros(0, dtype=np.int64)
+    for p, r in enumerate(W.packed().rows):
+        found = None
+        if p < len(pk.rows) and (ranks := _vertex_ranks(vertex_ids, r)) is not None:
+            found = _locate(pk.keys, vertex_ids.size, ranks)
+        if found is None:
+            raise ValueError("W is not a subcomplex of the host")
+        member[found + pk.dim_offset[p]] = True
     return member
 
 

@@ -6,13 +6,12 @@ check `_kernels.top_adjacency` returns, the edge list the watershed
 routes and checks read.  The watershed forest (one differential step
 then one flat step between two facets) is, for Morse stacks, the unique
 minimum spanning forest rooted in the minima; `verify_msf_theorem`
-checks this against the greedy optimum and a tie test (the exhaustive
-baselines live in `oracles`).
+checks this by a certificate read in one pass over the edge list (the
+greedy, tie-test and exhaustive references live in `oracles`).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,32 +91,6 @@ class Forest:
         return [frozenset(t) for t in trees.values()]
 
 
-def is_rooted_forest(
-    vertices: set[Face], edges: set[Edge], roots: set[Face]
-) -> bool:
-    """Inductive leaf-peeling: repeatedly delete a non-root leaf with its
-    edge; accept iff exactly the roots remain, edgeless."""
-    if not roots <= vertices:
-        raise ValueError("roots must be vertices of the graph")
-    adj: dict[Face, set[Face]] = {v: set() for v in vertices}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    work = deque(v for v in vertices if len(adj[v]) == 1 and v not in roots)
-    alive = set(vertices)
-    while work:
-        v = work.popleft()
-        if v not in alive or len(adj[v]) != 1 or v in roots:
-            continue
-        (u,) = adj[v]
-        alive.discard(v)
-        adj[u].discard(v)
-        adj[v].clear()
-        if len(adj[u]) == 1 and u not in roots:
-            work.append(u)
-    return alive == set(roots) and all(not adj[v] for v in alive)
-
-
 def watershed_forest(F: Stack) -> Forest:
     """Dual edges {x, y} such that one endpoint descends into the shared
     face's flat partner: (x, x&y) differential and (x&y, y) flat, either
@@ -136,139 +109,103 @@ def watershed_forest(F: Stack) -> Forest:
     return Forest(frozenset(tops), frozenset(_ends(tops, lo[keep], hi[keep])), frozenset(roots))
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _contracted(G: WeightedFacetGraph, roots: frozenset[Face]):
-    """Vertices with all roots merged into one super-vertex; self-loops on
-    the super-vertex dropped."""
-    ROOT = ("__root__",)
-    verts = [ROOT] + [v for v in G.vertices if v not in roots]
-
-    def rep(v):
-        return ROOT if v in roots else v
-
-    edges = []
-    for (a, b), w in sorted(G.edges.items()):
-        ra, rb = rep(a), rep(b)
-        if ra != rb:
-            edges.append((w, (a, b), ra, rb))
-    return ROOT, verts, edges
-
-
-def msf_weight(G: WeightedFacetGraph, roots: frozenset[Face]) -> int:
-    """Greedy (Kruskal) weight of a minimum spanning forest rooted in `roots`,
-    computed as an MST of the root-contracted graph; 0 on a graph with no
-    vertices."""
-    if not roots and G.vertices:
-        raise ValueError("at least one root is required")
-    ROOT, verts, edges = _contracted(G, roots)
-    uf = _UnionFind(verts)
-    total = 0
-    taken = 0
-    for w, _, ra, rb in sorted(edges, key=lambda t: t[0]):
-        if uf.union(ra, rb):
-            total += w
-            taken += 1
-    if taken != len(verts) - 1:
-        raise ValueError("graph is disconnected after root contraction")
-    return total
-
-
-def msf_is_unique(G: WeightedFacetGraph, roots: frozenset[Face]) -> bool:
-    """Sufficient-and-necessary tie test: the MSF is unique iff, within
-    every weight class of the greedy run, the usable edges form a forest
-    on the current components.  A graph with no vertices has one MSF, the
-    empty one."""
-    ROOT, verts, edges = _contracted(G, roots)
-    uf = _UnionFind(verts)
-    edges = sorted(edges, key=lambda t: t[0])
-    i = 0
-    while i < len(edges):
-        j = i
-        while j < len(edges) and edges[j][0] == edges[i][0]:
-            j += 1
-        group = [
-            (uf.find(ra), uf.find(rb))
-            for _, _, ra, rb in edges[i:j]
-            if uf.find(ra) != uf.find(rb)
-        ]
-        probe = _UnionFind({c for pair in group for c in pair})
-        for ca, cb in group:
-            if not probe.union(ca, cb):
-                return False  # two candidates tie across the same cut
-        for ca, cb in group:
-            uf.union(ca, cb)
-        i = j
-    return True
-
-
-def _lightest_at_an_endpoint(G: WeightedFacetGraph, edges) -> bool:
-    """Every edge in `edges` is strictly lighter than every other edge of G
-    at one of its two endpoints."""
-    incident: dict[Face, list[tuple[int, Edge]]] = {v: [] for v in G.vertices}
-    for e, w in G.edges.items():
-        for v in e:
-            incident[v].append((w, e))
-    for a, b in edges:
-        ab = _edge(a, b)
-        w_ab = G.edges[ab]
-        if not any(
-            all(w_ab < w for w, e in incident[v] if e != ab) for v in (a, b)
-        ):
-            return False
-    return True
-
-
 def verify_msf_theorem(F: Stack) -> dict[str, bool]:
     """Check the MSF characterization of the watershed forest.
 
     Returns per-check flags: rooted (spanning forest rooted in the
-    minima), weight (matches the greedy optimum), unique (singleton MSF,
-    by the tie test `msf_is_unique`), basins (forest trees match the
-    watershed basins on d-faces), and min_edge (every forest edge is the
-    unique lightest edge at one endpoint).
+    minima), weight (a minimum spanning forest rooted in the minima),
+    unique (the only one), basins (forest trees match the watershed basins
+    on d-faces), and min_edge (every forest edge is the unique lightest
+    edge at one endpoint).  See `_msf_checks` for how each is decided.
     """
     return _msf_checks(F, build_facet_graph(F), watershed_forest(F))
 
 
 def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
-    """The checks of `verify_msf_theorem`, given the facet graph G and the
-    watershed forest Y of F."""
+    """The checks of `verify_msf_theorem` for a forest Y on the facet graph
+    G = build_facet_graph(F), in one pass over the edge list of G.
+
+    rooted: Y has facets - trees edges (so no cycle) and every tree holds
+    one root, its trees read from one `_kernels.components` labelling.
+
+    weight and unique, by the cycle property (King, Algorithmica 1997): a
+    spanning tree of the graph with all roots merged into one vertex is a
+    minimum one iff every other edge weighs at least the heaviest tree
+    edge on the path between its ends, and the only one iff every other
+    edge weighs strictly more.  Orient each edge of Y from its higher to
+    its lower d-face, from its larger to its smaller index on a tie: a
+    strict order, so parent edges never close a cycle.  If every non-root
+    has one parent edge, the roots have none, and the weight w(u) of u's
+    parent edge never increases toward the root, then Y is such a
+    spanning tree and the heaviest edge on the path between u and v is
+    max(w(u), w(v)), with w = -inf on a root (a root-to-root edge, a
+    loop once the roots are merged, always passes).  On a Morse stack
+    the watershed forest always has this orientation: a facet's parent
+    edge crosses its one flat face, so w(u) = F(u), which falls toward
+    the root.  Without it (a facet with two parent edges, a root with
+    one, a weight rising toward a root) the path maximum is not one
+    parent edge, and finding it would need a path-maximum structure; the
+    check then reaches no verdict and both flags are False, so it never
+    accepts a forest the greedy optimum rejects.
+
+    basins: every tree carries one basin label on `morse_watershed`'s
+    label array, none of them the cut label, and there are as many labels
+    as trees.
+
+    min_edge: each edge of Y is the only edge of least weight at one of
+    its ends.
+
+    Y's edges and roots must be edges and vertices of G (ValueError).
+    """
     from .watershed import WATERSHED_LABEL, morse_watershed
 
-    checks: dict[str, bool] = {}
-    checks["rooted"] = is_rooted_forest(set(Y.vertices), set(Y.edges), set(Y.roots))
-    w = Y.weight(G)
-    checks["weight"] = w == msf_weight(G, Y.roots)
-    checks["unique"] = msf_is_unique(G, Y.roots)
-    # the trees must partition the d-faces as the basins do: read on the
-    # label array, each tree carries one basin id and no two trees share one
-    X = F.host
-    top_lo = int(X.packed().dim_offset[X.dim])
-    label = morse_watershed(F)._label[top_lo:].tolist()  # the d-faces, in order
-    index = {x: i for i, x in enumerate(X.faces_of_dim(X.dim))}
-    ids = [{label[index[x]] for x in members} for members in Y.trees()]
-    checks["basins"] = (
-        WATERSHED_LABEL not in label
-        and all(len(s) == 1 for s in ids)
-        and len(set().union(*ids)) == len(ids)
+    _, sep_lo, top_lo, lo, hi = _facet_graph(F)
+    n = len(G.vertices)  # the d-faces, in canonical order
+    if len(G.edges) != lo.size:
+        raise ValueError("G is not the facet graph of the stack")
+    # G lists its edges in the order of the edge list (lo, hi)
+    in_y = np.fromiter(map(Y.edges.__contains__, G.edges), dtype=np.bool_, count=lo.size)
+    is_root = np.fromiter(map(Y.roots.__contains__, G.vertices), dtype=np.bool_, count=n)
+    if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
+        raise ValueError("the forest is not on the facet graph")
+    alt = F.alt_array()
+    w, ta = alt[sep_lo:top_lo], alt[top_lo:]
+    a, b = lo[in_y], hi[in_y]
+    tree = _kernels.components(a, b, n)
+    first = tree == np.arange(n)  # one per tree
+    checks = {
+        "rooted": bool(
+            a.size == n - first.sum()
+            and (np.bincount(tree[is_root], minlength=n)[first] == 1).all()
+        )
+    }
+    child = np.where(ta[a] > ta[b], a, b)  # a < b: b on a tie
+    parent = a + b - child
+    up = np.full(n, np.iinfo(np.int64).min)  # w(u); -inf on a root
+    up[child] = w[in_y]
+    oriented = np.array_equal(
+        np.bincount(child, minlength=n), (~is_root).astype(np.int64)
+    ) and (up[parent] <= up[child]).all()
+    # a root-to-root edge meets -inf on both ends and passes: on a Morse
+    # stack no weight is the int64 minimum, or both its d-faces would be
+    # flat with its (d-1)-face
+    path_max = np.maximum(up[lo], up[hi])[~in_y]
+    checks["weight"] = bool(oriented and (w[~in_y] >= path_max).all())
+    checks["unique"] = bool(oriented and (w[~in_y] > path_max).all())
+    label = morse_watershed(F)._label[top_lo:]  # the d-faces, in order
+    low, high = _kernels.low_high(tree, label, n)
+    checks["basins"] = bool(
+        (label != WATERSHED_LABEL).all()
+        and (low[first] == high[first]).all()
+        and np.count_nonzero(np.bincount(label, minlength=1)) == first.sum()
     )
-    checks["min_edge"] = _lightest_at_an_endpoint(G, Y.edges)
+    least = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(least, lo, w)
+    np.minimum.at(least, hi, w)
+    at_lo, at_hi = w == least[lo], w == least[hi]
+    ties = np.bincount(lo[at_lo], minlength=n) + np.bincount(hi[at_hi], minlength=n)
+    alone = (at_lo & (ties[lo] == 1)) | (at_hi & (ties[hi] == 1))
+    checks["min_edge"] = bool(alone[in_y].all())
     return checks
+
+

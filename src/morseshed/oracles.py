@@ -1,20 +1,150 @@
-"""Exponential reference checks, kept out of the production modules.
+"""Reference checks, kept out of the production modules.
 
 `strictly_connected_oracle` decides strict connectivity by enumerating
 every open subset, and `enumerate_msfs` / `msf_oracle` list every minimum
 spanning forest of a facet graph.  Both are exact but exponential and
-guarded by a size limit; the tests compare the linear-time checks of
-`manifolds.validate` and `forest.verify_msf_theorem` against them.  No
-other module of the package imports this one.
+guarded by a size limit.  `is_rooted_forest` (leaf peeling), `msf_weight`
+(Kruskal), `msf_is_unique` (a tie test on the greedy run) and
+`_lightest_at_an_endpoint` decide the MSF checks on the tuple-keyed
+graph, with a dict-based union-find.  The tests compare the linear-time
+checks of `manifolds.validate` and `forest.verify_msf_theorem` against
+them.  Of the package, only its root imports this module.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from typing import Optional
 
 from .complexes import Complex, Face, connected_components, face_key, strong_connected_components
-from .forest import Edge, WeightedFacetGraph, _UnionFind, msf_weight
+from .forest import Edge, WeightedFacetGraph, _edge
+
+
+def is_rooted_forest(
+    vertices: set[Face], edges: set[Edge], roots: set[Face]
+) -> bool:
+    """Inductive leaf-peeling: repeatedly delete a non-root leaf with its
+    edge; accept iff exactly the roots remain, edgeless."""
+    if not roots <= vertices:
+        raise ValueError("roots must be vertices of the graph")
+    adj: dict[Face, set[Face]] = {v: set() for v in vertices}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    work = deque(v for v in vertices if len(adj[v]) == 1 and v not in roots)
+    alive = set(vertices)
+    while work:
+        v = work.popleft()
+        if v not in alive or len(adj[v]) != 1 or v in roots:
+            continue
+        (u,) = adj[v]
+        alive.discard(v)
+        adj[u].discard(v)
+        adj[v].clear()
+        if len(adj[u]) == 1 and u not in roots:
+            work.append(u)
+    return alive == set(roots) and all(not adj[v] for v in alive)
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def _contracted(G: WeightedFacetGraph, roots: frozenset[Face]):
+    """Vertices with all roots merged into one super-vertex; self-loops on
+    the super-vertex dropped."""
+    ROOT = ("__root__",)
+    verts = [ROOT] + [v for v in G.vertices if v not in roots]
+
+    def rep(v):
+        return ROOT if v in roots else v
+
+    edges = []
+    for (a, b), w in sorted(G.edges.items()):
+        ra, rb = rep(a), rep(b)
+        if ra != rb:
+            edges.append((w, (a, b), ra, rb))
+    return ROOT, verts, edges
+
+
+def msf_weight(G: WeightedFacetGraph, roots: frozenset[Face]) -> int:
+    """Greedy (Kruskal) weight of a minimum spanning forest rooted in `roots`,
+    computed as an MST of the root-contracted graph; 0 on a graph with no
+    vertices."""
+    if not roots and G.vertices:
+        raise ValueError("at least one root is required")
+    ROOT, verts, edges = _contracted(G, roots)
+    uf = _UnionFind(verts)
+    total = 0
+    taken = 0
+    for w, _, ra, rb in sorted(edges, key=lambda t: t[0]):
+        if uf.union(ra, rb):
+            total += w
+            taken += 1
+    if taken != len(verts) - 1:
+        raise ValueError("graph is disconnected after root contraction")
+    return total
+
+
+def msf_is_unique(G: WeightedFacetGraph, roots: frozenset[Face]) -> bool:
+    """Sufficient-and-necessary tie test: the MSF is unique iff, within
+    every weight class of the greedy run, the usable edges form a forest
+    on the current components.  A graph with no vertices has one MSF, the
+    empty one."""
+    ROOT, verts, edges = _contracted(G, roots)
+    uf = _UnionFind(verts)
+    edges = sorted(edges, key=lambda t: t[0])
+    i = 0
+    while i < len(edges):
+        j = i
+        while j < len(edges) and edges[j][0] == edges[i][0]:
+            j += 1
+        group = [
+            (uf.find(ra), uf.find(rb))
+            for _, _, ra, rb in edges[i:j]
+            if uf.find(ra) != uf.find(rb)
+        ]
+        probe = _UnionFind({c for pair in group for c in pair})
+        for ca, cb in group:
+            if not probe.union(ca, cb):
+                return False  # two candidates tie across the same cut
+        for ca, cb in group:
+            uf.union(ca, cb)
+        i = j
+    return True
+
+
+def _lightest_at_an_endpoint(G: WeightedFacetGraph, edges) -> bool:
+    """Every edge in `edges` is strictly lighter than every other edge of G
+    at one of its two endpoints."""
+    incident: dict[Face, list[tuple[int, Edge]]] = {v: [] for v in G.vertices}
+    for e, w in G.edges.items():
+        for v in e:
+            incident[v].append((w, e))
+    for a, b in edges:
+        ab = _edge(a, b)
+        w_ab = G.edges[ab]
+        if not any(
+            all(w_ab < w for w, e in incident[v] if e != ab) for v in (a, b)
+        ):
+            return False
+    return True
 
 
 def _is_strongly_connected_subset(X: Complex, S: set[Face]) -> bool:

@@ -16,15 +16,18 @@ directly: the components of the complement of W for the cut, whose
 minimality is then one star test (no face x of W has st(x) \\ W
 non-empty and inside one component), and, for the drop of water, one
 labelling of the flat steps of the facet graph and one pass over its
-descending steps in ascending altitude.  Both take time linear in the
-size of the host, plus one sort by altitude.
+descending steps in ascending altitude.  Both find the faces of W in the
+packed host from their vertex rows (`_subcomplex_mask`, ValueError for a
+W that is not a subcomplex of the host) and take time linear in the
+size of the host, plus one sort by altitude and, per face of W, one
+binary search per dimension.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Complex, Face, _inclusion_pairs, _member_mask, closure
+from .complexes import Complex, Face, _inclusion_pairs, _subcomplex_mask, closure
 from .morse import biconnected_faces, is_morse
 from .stacks import Stack, StackError, _facet_adjacency, ultimate_d_collapse
 from . import _kernels
@@ -202,12 +205,9 @@ def verify_cut(F: Stack, W: Complex) -> bool:
     st(x) \\ W are joined through x outside Y, and each component there
     holds one minimum, so they lie in one component of X \\ W.
     """
-    X = F.host
-    if not W.faces <= X.faces:
-        raise ValueError("W is not a subcomplex of the host")
-    pk = X.packed()
+    pk = F.host.packed()
     n = len(pk)
-    in_w = _member_mask(pk, W.faces)
+    in_w = _subcomplex_mask(pk, W)
     rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1]  # 0 off the minima
     if rank[in_w].any():
         return False
@@ -237,15 +237,12 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     minimum ids (the rank of `flat_zones`) is kept as its smallest and
     largest member, as only whether it has two members is asked.
     """
-    X = F.host
-    if not W.faces <= X.faces:
-        raise ValueError("W is not a subcomplex of the host")
-    pk = X.packed()
-    n, d = len(pk), X.dim
+    pk = F.host.packed()
+    n, d = len(pk), F.host.dim
     top_lo = int(pk.dim_offset[d]) if n else 0
     alt = F.alt_array()
     ta = alt[top_lo:]
-    in_w = _member_mask(pk, W.faces)
+    in_w = _subcomplex_mask(pk, W)
     root = np.arange(ta.size)
     src = dst = np.zeros(0, dtype=np.int64)
     if d > 0:

@@ -18,11 +18,7 @@ from morseshed.fixtures import (
     tetrahedron_boundary,
     wedge,
 )
-from morseshed.forest import (
-    build_facet_graph,
-    msf_weight,
-    watershed_forest,
-)
+from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.manifolds import generate_torus, validate
 from morseshed.morse import (
     dmf_dual_check,
@@ -33,7 +29,7 @@ from morseshed.morse import (
     separating_faces,
     stack_from_gradient,
 )
-from morseshed.oracles import enumerate_msfs, strictly_connected_oracle
+from morseshed.oracles import enumerate_msfs, msf_weight, strictly_connected_oracle
 from morseshed.stacks import (
     minima,
     random_stack,

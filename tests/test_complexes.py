@@ -10,6 +10,7 @@ from morseshed.complexes import (
     EMPTY_COMPLEX,
     FaceSubset,
     InvalidSimplexError,
+    _subcomplex_mask,
     closure,
     collapse,
     connected_components,
@@ -442,3 +443,29 @@ def test_components_partition_the_faces(gens):
         assert not (c & seen)
         seen |= c
     assert seen == set(X.faces)
+
+
+def test_subcomplex_mask_finds_faces_by_their_rows():
+    rng = random.Random(4)
+    hosts = [generate_torus(4, 4), tetrahedron_boundary(), cyc6_host(), wedge()]
+    hosts.append(closure(combinations(range(6), 5)))  # the 4-sphere
+    for X in hosts:
+        pk = X.packed()
+        for k in (0, 1, 3, 8):
+            W = closure(rng.sample(X.facets() + X.faces_of_dim(0), k)) if k else Complex(())
+            mask = _subcomplex_mask(pk, W)
+            assert [x for x, m in zip(pk.faces, mask.tolist()) if m] == W.sorted_faces()
+        v = max(x[0] for x in X.faces_of_dim(0))
+        foreign = [
+            closure([(v + 1,)]),  # a vertex the host lacks
+            closure([(v, v + 1)]),
+            closure([tuple(range(X.dim + 2))]),  # above the top dimension
+        ]
+        missing = [y for y in combinations(range(v + 1), 2) if y not in X.faces]
+        foreign += [closure([y]) for y in missing[:1]]  # host vertices, not a host edge
+        for W in foreign:
+            with pytest.raises(ValueError, match="not a subcomplex of the host"):
+                _subcomplex_mask(pk, W)
+    assert not _subcomplex_mask(Complex(()).packed(), Complex(())).size
+    with pytest.raises(ValueError):
+        _subcomplex_mask(Complex(()).packed(), closure([(0,)]))

@@ -11,18 +11,21 @@ from morseshed.forest import (
     Forest,
     WeightedFacetGraph,
     _edge,
-    _lightest_at_an_endpoint,
     _msf_checks,
     build_facet_graph,
-    is_rooted_forest,
-    msf_is_unique,
-    msf_weight,
     verify_msf_theorem,
     watershed_forest,
 )
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
-from morseshed.oracles import enumerate_msfs, msf_oracle
+from morseshed.oracles import (
+    _lightest_at_an_endpoint,
+    enumerate_msfs,
+    is_rooted_forest,
+    msf_is_unique,
+    msf_oracle,
+    msf_weight,
+)
 from morseshed.stacks import Stack, StackError, complete_from_facets, minima, random_stack
 from morseshed.watershed import WATERSHED_LABEL, morse_watershed
 
@@ -269,6 +272,54 @@ def test_min_edge_check_matches_reference():
             assert got == _ref_lightest_at_an_endpoint(graph, edges)
             verdicts.append(got)
     assert verdicts.count(True) >= 45 and verdicts.count(False) >= 100
+
+
+def test_certificate_on_forests_the_watershed_never_gives():
+    # every edge of the 6-cycle at 0 and every vertex at 1: each facet is
+    # a minimum, every dual edge weighs 1, and every facet meets two
+    X = cyc6_host()
+    F = Stack(X, {x: 1 - len(x) // 2 for x in X.faces})
+    G = build_facet_graph(F)
+    a, b, c, d, e, f = [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]  # by index
+    cases = {
+        # rooted at a, five flat edges oriented away from a by index: a
+        # minimum spanning forest, one of six
+        "tied": (frozenset([a]), [(a, b), (a, c), (c, d), (d, e), (b, f)], True),
+        # the path a, c, d, e, f, b has f with two parent edges (from e
+        # and from b) and b none: no verdict
+        "unoriented": (frozenset([a]), [(a, c), (c, d), (d, e), (e, f), (b, f)], False),
+        # rooted at all six, the empty forest is the only minimum one
+        "roots only": (frozenset(G.vertices), [], True),
+    }
+    for name, (roots, edges, verdict) in cases.items():
+        Z = Forest(frozenset(G.vertices), frozenset(_edge(x, y) for x, y in edges), roots)
+        got = _msf_checks(F, G, Z)
+        assert got["rooted"] and got["min_edge"] == _lightest_at_an_endpoint(G, Z.edges)
+        assert got["min_edge"] == (not edges), name  # two lightest edges at every facet
+        weight, unique = Z.weight(G) == msf_weight(G, roots), msf_is_unique(G, roots)
+        assert weight and unique == (name == "roots only")
+        assert (got["weight"], got["unique"]) == (verdict, verdict and unique), name
+    with pytest.raises(ValueError):
+        _msf_checks(F, G, Forest(frozenset(G.vertices), frozenset(), frozenset([(0, 2)])))
+
+
+def test_certificate_needs_weights_falling_toward_the_root():
+    # a Morse stack on the 6-cycle, minima (0,1) and (3,4).  In the forest
+    # (1,2) -> (0,1) across vertex 1 (weight 10), (2,3) -> (1,2) across
+    # vertex 2 (weight 3), (4,5) -> (3,4) and (0,5) -> (0,1) (weight 1),
+    # the weight rises from (2,3) toward its root; the non-tree edge from
+    # (2,3) to the root (3,4) weighs 5, less than 10 on the tree path, so
+    # the forest is not minimum, which max(w(u), w(v)) = 3 would miss
+    X = cyc6_host()
+    alt = {(0, 1): 0, (1, 2): 1, (2, 3): 2, (3, 4): 0, (4, 5): 1, (0, 5): 1}
+    alt.update({(0,): 1, (1,): 10, (2,): 3, (3,): 5, (4,): 1, (5,): 7})
+    F = Stack(X, alt)
+    G = build_facet_graph(F)
+    edges = [((0, 1), (1, 2)), ((1, 2), (2, 3)), ((3, 4), (4, 5)), ((0, 1), (0, 5))]
+    Z = Forest(frozenset(G.vertices), frozenset(edges), frozenset([(0, 1), (3, 4)]))
+    assert Z.weight(G) == 15 and msf_weight(G, Z.roots) == 10
+    got = _msf_checks(F, G, Z)
+    assert got["rooted"] and not got["weight"] and not got["unique"]
 
 
 def _ref_trees_are_basins(F, Y):

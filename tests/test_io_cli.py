@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from morseshed import cli, forest, io
+import morseshed
+from morseshed import cli, forest, io, oracles
 from morseshed.complexes import Complex, InvalidSimplexError, closure, face_key
 from morseshed.fixtures import (
     branching_collapse_counterexample,
@@ -243,6 +244,60 @@ def test_cli_msf_verify_builds_graph_and_forest_once(capsys, monkeypatch, tmp_pa
     assert cli.main(["msf", str(p), "--verify"]) == 0
     assert capsys.readouterr().out == expected
     assert calls == {"build_facet_graph": 1, "watershed_forest": 1}
+
+
+def test_cli_msf_verify_calls_no_oracle(capsys, monkeypatch, tmp_path):
+    # the certificate decides every check on the arrays: neither a moved
+    # oracle nor the dict-based union-find runs
+    F = random_morse_stack(generate_torus(6, 6), seed=2, n_minima=3)
+    p = tmp_path / "t66.stack"
+    p.write_text(io.serialize_stack(F))
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("msf_weight", "msf_is_unique", "is_rooted_forest",
+                 "_lightest_at_an_endpoint", "_contracted"):
+        wrapper = counting(name, getattr(oracles, name))
+        monkeypatch.setattr(oracles, name, wrapper)
+        if hasattr(morseshed, name):
+            monkeypatch.setattr(morseshed, name, wrapper)
+    monkeypatch.setattr(
+        oracles._UnionFind, "__init__", counting("_UnionFind", oracles._UnionFind.__init__)
+    )
+    assert cli.main(["msf", str(p), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("=True\n") == 5
+    assert calls == []
+    oracles._UnionFind([1])  # the wrappers count
+    assert calls == ["_UnionFind"]
+
+
+def test_cli_builds_its_parser_once(capsys, monkeypatch, cyc6_file):
+    builds = []
+    build = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert cli.main(["msf", cyc6_file, "--dot"]) == 0
+    assert "graph facets {" in capsys.readouterr().out
+    assert cli.main(["msf", cyc6_file]) == 0  # no flag of the first call leaks
+    out = capsys.readouterr().out
+    assert "graph facets {" not in out and "check_" not in out
+    assert cli.main(["msf", cyc6_file, "--bogus"]) == 1  # a usage error
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["msf", cyc6_file, "--verify"]) == 0
+    assert "check_unique=True" in capsys.readouterr().out
+    assert builds == [1]
 
 
 def test_cli_msf_dot(capsys, cyc6_file):

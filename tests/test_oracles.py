@@ -8,44 +8,30 @@ from pathlib import Path
 
 import morseshed
 from morseshed.complexes import Complex, closure
-from morseshed.fixtures import cyc6_stack, tetrahedron_boundary
+from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.forest import (
+    Forest,
     WeightedFacetGraph,
     _edge,
-    _lightest_at_an_endpoint,
+    _msf_checks,
     build_facet_graph,
-    is_rooted_forest,
-    msf_is_unique,
-    msf_weight,
     verify_msf_theorem,
     watershed_forest,
 )
+from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
-from morseshed.oracles import enumerate_msfs
+from morseshed.oracles import enumerate_msfs, msf_is_unique, msf_weight
 from morseshed.stacks import Stack
-from morseshed.watershed import WATERSHED_LABEL, morse_watershed
+from test_cli_golden import _ref_msf_checks
 
 
 def _ref_verify_msf_theorem(F):
     """verify_msf_theorem as it was while `unique` was decided by listing
     every minimum spanning forest of a facet graph of at most 12 vertices."""
     G, Y = build_facet_graph(F), watershed_forest(F)
-    checks = {}
-    checks["rooted"] = is_rooted_forest(set(Y.vertices), set(Y.edges), set(Y.roots))
-    checks["weight"] = Y.weight(G) == msf_weight(G, Y.roots)
+    checks = _ref_msf_checks(F, G, Y)
     _, all_msfs = enumerate_msfs(G, Y.roots, 12)
     checks["unique"] = all_msfs == [Y.edges]
-    X = F.host
-    top_lo = int(X.packed().dim_offset[X.dim])
-    label = morse_watershed(F)._label[top_lo:].tolist()
-    index = {x: i for i, x in enumerate(X.faces_of_dim(X.dim))}
-    ids = [{label[index[x]] for x in members} for members in Y.trees()]
-    checks["basins"] = (
-        WATERSHED_LABEL not in label
-        and all(len(s) == 1 for s in ids)
-        and len(set().union(*ids)) == len(ids)
-    )
-    checks["min_edge"] = _lightest_at_an_endpoint(G, Y.edges)
     return checks
 
 
@@ -73,6 +59,46 @@ def test_msf_checks_match_the_enumeration():
         assert checks == _ref_verify_msf_theorem(F)
         assert all(checks.values())
     assert len(stacks) == 2 + 14 * 12
+
+
+def test_certificate_matches_the_oracles():
+    # Morse stacks on TOR(3..8), the boundaries of the 3- and 4-simplex and
+    # the 6-cycle; each with its watershed forest, that forest with one
+    # tree edge swapped for another edge, and with one edge dropped or added
+    hosts = [generate_torus(n, n) for n in range(3, 9)]
+    hosts += [tetrahedron_boundary(), closure(combinations(range(5), 4)), cyc6_host()]
+    rng = random.Random(3)
+    stacks = [
+        random_morse_stack(X, seed=s, n_minima=1 + s % 5) for X in hosts for s in range(34)
+    ]
+    seen = {"unrooted": 0, "rooted, not minimum": 0, "basins": 0, "min_edge": 0}
+    for i, F in enumerate(stacks):
+        G, Y = build_facet_graph(F), watershed_forest(F)
+        checks = _msf_checks(F, G, Y)
+        assert checks == _ref_msf_checks(F, G, Y) and all(checks.values())
+        tree, other = sorted(Y.edges), sorted(set(G.edges) - Y.edges)
+        swapped = set(Y.edges) | {rng.choice(other)}
+        if tree:
+            swapped.discard(rng.choice(tree))
+        if i % 2 and tree:
+            changed = set(Y.edges) - {rng.choice(tree)}
+        else:
+            changed = set(Y.edges) | {rng.choice(other)}
+        for edges in (swapped, changed):
+            Z = Forest(Y.vertices, frozenset(edges), Y.roots)
+            got, ref = _msf_checks(F, G, Z), _ref_msf_checks(F, G, Z)
+            for k in ("rooted", "basins", "min_edge"):
+                assert got[k] == ref[k], (i, k)
+            seen["basins"] += not ref["basins"]
+            seen["min_edge"] += not ref["min_edge"]
+            for k in ("weight", "unique"):
+                assert ref[k] or not got[k], (i, k)  # never accepts what the oracle rejects
+            if not ref["rooted"]:
+                seen["unrooted"] += 1
+            elif not ref["weight"]:
+                seen["rooted, not minimum"] += 1
+    assert len(stacks) >= 300
+    assert min(seen.values()) >= 50, seen  # every check rejects some forests
 
 
 def test_tie_test_matches_the_enumeration():

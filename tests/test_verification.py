@@ -227,16 +227,21 @@ def test_verify_cut_labels_a_fixed_number_of_times(monkeypatch):
 
 
 def test_checks_on_a_parsed_stack_walk_no_tuple_view():
-    # the drop of water and the facet graph read the packed host and the
-    # altitude array: no boundary or coface dict, no altitude dict
+    # the watershed checks and the facet graph read the packed host and
+    # the altitude array: no boundary or coface dict, no altitude dict,
+    # and no face set of the host, as W is found by its vertex rows
     text = io.serialize_stack(random_morse_stack(generate_torus(6, 6), seed=4, n_minima=3))
     F = io.parse_stack(text)
     W = morse_watershed(F).watershed
-    assert verify_drop_of_water(F, W)
-    assert not verify_drop_of_water(F, closure([F.host.faces_of_dim(1)[0]]))
+    assert verify_cut(F, W) and verify_drop_of_water(F, W)
+    edge = closure([F.host.faces_of_dim(1)[0]])
+    assert not verify_cut(F, edge) and not verify_drop_of_water(F, edge)
+    for check in (verify_cut, verify_drop_of_water):
+        with pytest.raises(ValueError, match="W is not a subcomplex of the host"):
+            check(F, closure([(0, 99)]))
     build_facet_graph(F)
     watershed_forest(F)
-    for view in ("boundary", "cofaces"):
+    for view in ("boundary", "cofaces", "faces"):
         with pytest.raises(AttributeError):
             Complex.__dict__[view].__get__(F.host)  # the slot is still unset
     assert F.altitude._dict is None
