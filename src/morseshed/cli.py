@@ -9,21 +9,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 from . import fixtures, io as mio
-from .complexes import Face, face_key
-from .forest import _msf_checks, build_facet_graph, watershed_forest
+from .complexes import Complex, face_key
+from .forest import _msf_checks, _top_rows, build_facet_graph, watershed_forest
 from .manifolds import generate_torus, validate
 from .morse import classify, is_morse, random_morse_stack
 from .stacks import StackError, minima, validate_stack
 from .watershed import (
     WATERSHED_LABEL,
     WatershedResult,
+    _verify_watershed,
     morse_watershed,
-    verify_cut,
-    verify_drop_of_water,
     watershed_collapse,
 )
 
@@ -46,41 +46,69 @@ def _load_stack(args) -> "Stack":
     return mio.parse_stack(_read(args.input), complete=args.complete)
 
 
+def _format_table(line: str, *columns) -> str:
+    """`line` once per row, %-formatted from the row's entry in each column
+    (lists of equal length); one `%`-format for all the rows."""
+    n, k = len(columns[0]), len(columns)
+    args = [None] * (n * k)
+    for j, column in enumerate(columns):
+        args[j::k] = column
+    return (line * n) % tuple(args)
+
+
+def _dot(name: str, rows, lo, hi, node=("", ()), edge=("", ())) -> str:
+    """A dot graph: node i labelled with the vertex ids of rows[i], and an
+    edge lo[k] -- hi[k] for each k.  `node` and `edge` are a %-template
+    appended to each node's label and to each edge, and its columns."""
+    face = " ".join(["%d"] * rows.shape[1])
+    return (
+        f"graph {name} {{\n"
+        + _format_table(f'  n%d [label="{face}"{node[0]}];\n', list(range(len(rows))),
+                        *rows.T.tolist(), *node[1])
+        + _format_table(f"  n%d -- n%d{edge[0]};\n", lo.tolist(), hi.tolist(), *edge[1])
+        + "}\n"
+    )
+
+
+def _top_pairs(pk):
+    """(z, lo, hi): each two d-faces lo < hi (local ids) of a (d-1)-face z
+    (packed index), sorted by (lo, hi).  On a non-branching host this is
+    the facet graph of `top_adjacency`, with z the shared face."""
+    d = len(pk.dim_offset) - 2
+    if d < 1:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    top_lo = int(pk.dim_offset[d])
+    top = pk.sup >= top_lo
+    order = np.argsort(pk.sub[top], kind="stable")  # keeps sup ascending per face
+    z, y = pk.sub[top][order], pk.sup[top][order] - top_lo
+    # pair each coface of z with every later one
+    later = np.searchsorted(z, z, side="right") - np.arange(z.size) - 1
+    a = np.repeat(np.arange(z.size), later)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
+    k = np.lexsort((y[b], y[a]))
+    return z[a[k]], y[a[k]], y[b[k]]
+
+
 def export_labels(result: WatershedResult, format: str, coords=None) -> str:
     """Serialize a watershed result as labels, a dual graph in dot syntax,
-    or an OFF mesh (d = 2 only, vertex coordinates required)."""
+    or an OFF mesh (d = 2 only, vertex coordinates required).  A result
+    built from a labels dict must label the faces of a complex."""
     if format == "labels":
         return mio.serialize_labels(result)
     if format == "dot":
-        d = max((len(x) - 1 for x in result.labels), default=0)
-        tops = sorted((x for x in result.labels if len(x) - 1 == d), key=face_key)
-        idx = {x: i for i, x in enumerate(tops)}
-        lines = ["graph basins {"]
-        for x in tops:
-            lines.append(f'  n{idx[x]} [label="{_fmt_face(x)}" basin={result.labels[x]}];')
-        # tops sharing a labelled (d-1)-face are adjacent; each pair shares
-        # at most one, and is written once, from its smaller end
-        sharing: dict[Face, list[Face]] = {}
-        for x in tops:
-            for z in combinations(x, d):
-                if z in result.labels:
-                    sharing.setdefault(z, []).append(x)
-        for x in tops:
-            nbrs = sorted(
-                (idx[y], z)
-                for z in combinations(x, d)
-                for y in sharing.get(z, ())
-                if idx[y] > idx[x]
-            )
-            for j, z in nbrs:
-                style = (
-                    ' [style=bold color=red]'
-                    if result.labels[z] == WATERSHED_LABEL
-                    else ""
-                )
-                lines.append(f"  n{idx[x]} -- n{j}{style};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        pk, label = result._pk, result._label
+        if pk is None:  # built from a labels dict
+            pk = Complex(result.labels).packed()
+            label = np.array(list(map(result.labels.__getitem__, pk.faces)), dtype=np.int64)
+        rows = _top_rows(pk)
+        z, lo, hi = _top_pairs(pk)
+        cut = (label[z] == WATERSHED_LABEL).tolist()
+        return _dot(
+            "basins", rows, lo, hi,
+            node=(" basin=%d", [label[len(label) - len(rows):].tolist()]),
+            edge=("%s", [[" [style=bold color=red]" if c else "" for c in cut]]),
+        )
     if format == "off":
         if coords is None:
             raise ValueError("off export needs a vertex-coordinate sidecar file")
@@ -182,10 +210,11 @@ def _cmd_watershed(args) -> int:
     result = _run_watershed(F, args.algo, args.seed)
     sys.stdout.write(mio.serialize_labels(result))
     print(f"# seed={args.seed} algo={args.algo}")
-    if not verify_cut(F, result.watershed):
+    cut, drop = _verify_watershed(F, result._label == WATERSHED_LABEL)
+    if not cut:
         print("# verify_cut=False")
         return EXIT_VERIFICATION
-    if not verify_drop_of_water(F, result.watershed):
+    if not drop:
         print("# verify_drop_of_water=False")
         return EXIT_VERIFICATION
     return EXIT_OK
@@ -195,19 +224,23 @@ def _cmd_msf(args) -> int:
     F = _load_stack(args)
     G = build_facet_graph(F)
     Y = watershed_forest(F)
-    for a, b in sorted(Y.edges):
-        print(f"{_fmt_face(a)} | {_fmt_face(b)} : {G.edges[(a, b)]}")
-    print(f"total_weight={Y.weight(G)}")
+    pk, _, _, lo, hi = G._fg
+    w, in_y = G._weights, Y._in_y
+    rows = _top_rows(pk)
+    face = " ".join(["%d"] * rows.shape[1])
+    k = np.flatnonzero(in_y)
+    k = k[np.lexsort((hi[k], lo[k]))]  # the order of sorted(Y.edges)
+    sys.stdout.write(
+        _format_table(f"{face} | {face} : %d\n", *rows[lo[k]].T.tolist(),
+                      *rows[hi[k]].T.tolist(), w[k].tolist())
+    )
+    print(f"total_weight={sum(w[in_y].tolist())}")  # Python ints: no int64 wrap-around
     if args.dot:
-        lines = ["graph facets {"]
-        idx = {v: i for i, v in enumerate(sorted(Y.vertices, key=face_key))}
-        for v, i in idx.items():
-            lines.append(f'  n{i} [label="{_fmt_face(v)}"];')
-        for (a, b), w in sorted(G.edges.items()):
-            style = " style=bold color=blue" if (a, b) in Y.edges else ""
-            lines.append(f'  n{idx[a]} -- n{idx[b]} [label="{w}"{style}];')
-        lines.append("}")
-        print("\n".join(lines))
+        k = np.lexsort((hi, lo))
+        style = [" style=bold color=blue" if e else "" for e in in_y[k].tolist()]
+        sys.stdout.write(
+            _dot("facets", rows, lo[k], hi[k], edge=(' [label="%d"%s]', [w[k].tolist(), style]))
+        )
     if args.verify:
         checks = _msf_checks(F, G, Y)
         for k, v in sorted(checks.items()):

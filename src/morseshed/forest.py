@@ -8,6 +8,16 @@ then one flat step between two facets) is, for Morse stacks, the unique
 minimum spanning forest rooted in the minima; `verify_msf_theorem`
 checks this by a certificate read in one pass over the edge list (the
 greedy, tie-test and exhaustive references live in `oracles`).
+
+`build_facet_graph` and `watershed_forest` return array-backed objects:
+the graph holds the edge list (lo, hi) of the packed host and the edge
+weights, the forest a mask of its edges over that edge list and a mask
+of its roots over the d-faces.  Their tuple fields (`vertices`, `edges`,
+`shared`, `roots`) are views, built from the vertex rows of the host on
+first read, as `WatershedResult` builds its views; construction from the
+fields, equality and hashing are those of the plain dataclasses.
+`_msf_checks` and `morseshed msf` read the arrays, so neither builds a
+face tuple.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from . import _kernels
 from .complexes import Face, face_key
 from .morse import is_morse
 from .stacks import Stack, StackError, _facet_adjacency
+from .watershed import WATERSHED_LABEL
 
 Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
 
@@ -28,14 +39,80 @@ def _edge(x: Face, y: Face) -> Edge:
     return (x, y) if face_key(x) <= face_key(y) else (y, x)
 
 
+def _view(obj, name: str, views):
+    """Build the view `name` of an array-backed graph or forest once; later
+    reads find it in the instance dict."""
+    build = views.get(name) if obj._fg is not None else None
+    if build is None:
+        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+    obj.__dict__[name] = value = build(obj)
+    return value
+
+
+def _from_arrays(cls, **arrays):
+    obj = cls.__new__(cls)
+    obj.__dict__.update(arrays)
+    return obj
+
+
+def _top_rows(pk):
+    """The vertex rows of the d-faces of a packed host, in canonical order
+    (no row, in one column, for the empty host)."""
+    return pk.rows[-1] if pk.rows else np.zeros((0, 1), dtype=np.int64)
+
+
+def _tops(obj) -> list[Face]:
+    """The d-faces of the host as tuples, in canonical order."""
+    return list(map(tuple, _top_rows(obj._fg[0]).tolist()))
+
+
+def _edge_tuples(obj, mask=None) -> list[Edge]:
+    """The edges (tops[lo[k]], tops[hi[k]]) as face tuples, for the k that
+    `mask` keeps (all when it is None); lo < hi, so the smaller face comes
+    first."""
+    lo, hi = obj._fg[3:]
+    if mask is not None:
+        lo, hi = lo[mask], hi[mask]
+    tops = obj._tops
+    return list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
+
+
 @dataclass(frozen=True)
 class WeightedFacetGraph:
+    """The facet graph with its edge weights and shared (d-1)-faces.
+
+    `build_facet_graph` returns a graph that holds the arrays of the host's
+    facet graph (`_fg`, see `_facet_graph`) and the weights in edge-list
+    order (`_weights`); its three fields are views built from them on
+    first read.  A graph built from its fields holds no arrays.
+    """
+
     vertices: tuple[Face, ...]
     edges: dict[Edge, int]  # edge -> weight F(x & y)
     shared: dict[Edge, Face]  # edge -> the shared (d-1)-face
 
+    _fg = _weights = None
+
+    def __getattr__(self, name: str):
+        return _view(self, name, _GRAPH_VIEWS)
+
     def degree(self, x: Face) -> int:
         return sum(1 for e in self.edges if x in e)
+
+
+def _shared_view(G) -> dict[Edge, Face]:
+    pk, sep_lo, top_lo = G._fg[:3]
+    seps = map(tuple, pk.rows[-2].tolist()) if top_lo > sep_lo else ()
+    return dict(zip(G._ends, seps))
+
+
+_GRAPH_VIEWS = {
+    "_tops": _tops,
+    "_ends": _edge_tuples,
+    "vertices": lambda G: tuple(G._tops),
+    "edges": lambda G: dict(zip(G._ends, G._weights.tolist())),
+    "shared": _shared_view,
+}
 
 
 def _facet_graph(F: Stack):
@@ -52,28 +129,32 @@ def _facet_graph(F: Stack):
     return (pk, *pk.dim_offset[X.dim - 1:X.dim + 1].tolist(), *_facet_adjacency(F))
 
 
-def _ends(tops: list[Face], lo, hi) -> list[Edge]:
-    """The edges (tops[lo[k]], tops[hi[k]]) as face tuples."""
-    return list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
-
-
 def build_facet_graph(F: Stack) -> WeightedFacetGraph:
     """The dual graph of the d-faces, its edges in canonical order of the
     shared (d-1)-faces."""
-    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
-    tops = pk.faces[top_lo:]
-    ends = _ends(tops, lo, hi)  # lo < hi, so the smaller face comes first
-    weights = F.alt_array()[sep_lo:top_lo].tolist()
-    return WeightedFacetGraph(
-        tuple(tops), dict(zip(ends, weights)), dict(zip(ends, pk.faces[sep_lo:top_lo]))
-    )
+    fg = _facet_graph(F)
+    return _from_arrays(WeightedFacetGraph, _fg=fg, _weights=F.alt_array()[fg[1]:fg[2]])
 
 
 @dataclass(frozen=True)
 class Forest:
+    """A spanning forest of a facet graph, rooted.
+
+    `watershed_forest` returns a forest that holds the arrays of the
+    host's facet graph (`_fg`), a mask of its edges over that edge list
+    (`_in_y`) and a mask of its roots over the d-faces (`_is_root`); its
+    three fields are views built from them on first read.  A forest
+    built from its fields holds no arrays.
+    """
+
     vertices: frozenset[Face]
     edges: frozenset[Edge]
     roots: frozenset[Face]
+
+    _fg = _in_y = _is_root = None
+
+    def __getattr__(self, name: str):
+        return _view(self, name, _FOREST_VIEWS)
 
     def weight(self, G: WeightedFacetGraph) -> int:
         return sum(G.edges[e] for e in self.edges)
@@ -91,22 +172,29 @@ class Forest:
         return [frozenset(t) for t in trees.values()]
 
 
+_FOREST_VIEWS = {
+    "_tops": _tops,
+    "vertices": lambda Y: frozenset(Y._tops),
+    "edges": lambda Y: frozenset(_edge_tuples(Y, Y._in_y)),
+    "roots": lambda Y: frozenset(map(Y._tops.__getitem__, np.flatnonzero(Y._is_root).tolist())),
+}
+
+
 def watershed_forest(F: Stack) -> Forest:
     """Dual edges {x, y} such that one endpoint descends into the shared
     face's flat partner: (x, x&y) differential and (x&y, y) flat, either
     way around.  The host is checked as in `build_facet_graph`.  The roots
     are the minima, each a single d-face on a Morse stack."""
-    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
+    fg = _facet_graph(F)
+    pk, sep_lo, top_lo, lo, hi = fg
     ok, witness = is_morse(F)
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
     alt = F.alt_array()
     fz, fx, fy = alt[sep_lo:top_lo], alt[top_lo:][lo], alt[top_lo:][hi]
     keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
-    tops = pk.faces[top_lo:]
     rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))[1][top_lo:]
-    roots = map(tops.__getitem__, np.flatnonzero(rank).tolist())
-    return Forest(frozenset(tops), frozenset(_ends(tops, lo[keep], hi[keep])), frozenset(roots))
+    return _from_arrays(Forest, _fg=fg, _in_y=keep, _is_root=rank > 0)
 
 
 def verify_msf_theorem(F: Stack) -> dict[str, bool]:
@@ -148,26 +236,37 @@ def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
     check then reaches no verdict and both flags are False, so it never
     accepts a forest the greedy optimum rejects.
 
-    basins: every tree carries one basin label on `morse_watershed`'s
-    label array, none of them the cut label, and there are as many labels
-    as trees.
+    basins: every tree carries one basin label, none of them the cut
+    label, and there are as many labels as trees.  The labels are those
+    `morse_watershed` gives the d-faces: `_kernels.flood` over the same
+    edge list, so F must be a Morse stack, as `watershed_forest` checks.
 
     min_edge: each edge of Y is the only edge of least weight at one of
     its ends.
 
-    Y's edges and roots must be edges and vertices of G (ValueError).
+    A graph and a forest that `build_facet_graph` and `watershed_forest`
+    built on F's host are read as their arrays; a graph or forest built
+    from its fields is mapped onto the edge list of F's host by its face
+    tuples, and Y's edges and roots must then be edges and vertices of G
+    (ValueError).
     """
-    from .watershed import WATERSHED_LABEL, morse_watershed
-
-    _, sep_lo, top_lo, lo, hi = _facet_graph(F)
-    n = len(G.vertices)  # the d-faces, in canonical order
-    if len(G.edges) != lo.size:
-        raise ValueError("G is not the facet graph of the stack")
-    # G lists its edges in the order of the edge list (lo, hi)
-    in_y = np.fromiter(map(Y.edges.__contains__, G.edges), dtype=np.bool_, count=lo.size)
-    is_root = np.fromiter(map(Y.roots.__contains__, G.vertices), dtype=np.bool_, count=n)
-    if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
-        raise ValueError("the forest is not on the facet graph")
+    pk = F.host.packed()
+    if G._fg is not None and G._fg[0] is pk:
+        fg = G._fg
+    else:
+        fg = _facet_graph(F)
+        if len(G.edges) != fg[3].size:
+            raise ValueError("G is not the facet graph of the stack")
+    _, sep_lo, top_lo, lo, hi = fg
+    n = len(pk) - top_lo  # the d-faces, in canonical order
+    if Y._fg is not None and Y._fg[0] is pk:
+        in_y, is_root = Y._in_y, Y._is_root
+    else:
+        # G lists its edges in the order of the edge list (lo, hi)
+        in_y = np.fromiter(map(Y.edges.__contains__, G.edges), dtype=np.bool_, count=lo.size)
+        is_root = np.fromiter(map(Y.roots.__contains__, G.vertices), dtype=np.bool_, count=n)
+        if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
+            raise ValueError("the forest is not on the facet graph")
     alt = F.alt_array()
     w, ta = alt[sep_lo:top_lo], alt[top_lo:]
     a, b = lo[in_y], hi[in_y]
@@ -192,7 +291,7 @@ def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
     path_max = np.maximum(up[lo], up[hi])[~in_y]
     checks["weight"] = bool(oriented and (w[~in_y] >= path_max).all())
     checks["unique"] = bool(oriented and (w[~in_y] > path_max).all())
-    label = morse_watershed(F)._label[top_lo:]  # the d-faces, in order
+    label = _kernels.flood(lo, hi, ta, w)[0]  # the d-faces, in order
     low, high = _kernels.low_high(tree, label, n)
     checks["basins"] = bool(
         (label != WATERSHED_LABEL).all()

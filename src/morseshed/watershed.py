@@ -10,17 +10,24 @@ same host check first (pure of dimension d, exactly two d-faces on every
 and flag the cut (d-1)-faces over it, and share one label assembly on
 the packed arrays, which closes the cut downward and gives every other
 face the label of its smallest d-coface.  The collapse route lowers each
-non-minimum facet of a Morse stack once, in altitude order.
+non-minimum facet of a Morse stack once, in altitude order.  A
+`WatershedResult` holds the packed host and one label array in packed
+order; its tuple views (`labels`, the cut complex `watershed`, `basins`)
+are built on first read, so a caller that reads the array builds none.
 `verify_cut` and `verify_drop_of_water` check the watershed axioms
 directly: the components of the complement of W for the cut, whose
 minimality is then one star test (no face x of W has st(x) \\ W
 non-empty and inside one component), and, for the drop of water, one
 labelling of the flat steps of the facet graph and one pass over its
-descending steps in ascending altitude.  Both find the faces of W in the
-packed host from their vertex rows (`_subcomplex_mask`, ValueError for a
-W that is not a subcomplex of the host) and take time linear in the
-size of the host, plus one sort by altitude and, per face of W, one
-binary search per dimension.
+descending steps in ascending altitude.  Each check has one
+implementation, on a boolean face mask of W in packed order.  The public
+functions find the mask from the vertex rows of W (`_subcomplex_mask`,
+ValueError for a W that is not a subcomplex of the host);
+`_verify_watershed` takes a mask the caller already has, such as the cut
+label mask of a result, and runs both checks on one flat-zone rank and
+one list of inclusion pairs.  They take time linear in the size of the
+host, plus one sort by altitude and, for the public functions, one
+binary search per dimension for each face of W.
 """
 
 from __future__ import annotations
@@ -205,23 +212,8 @@ def verify_cut(F: Stack, W: Complex) -> bool:
     st(x) \\ W are joined through x outside Y, and each component there
     holds one minimum, so they lie in one component of X \\ W.
     """
-    pk = F.host.packed()
-    n = len(pk)
-    in_w = _subcomplex_mask(pk, W)
-    rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1]  # 0 off the minima
-    if rank[in_w].any():
-        return False
-    out = ~in_w
-    both = out[pk.sub] & out[pk.sup]
-    root = _kernels.components(pk.sub[both], pk.sup[both], n)
-    in_min = rank > 0  # all outside W by now
-    low, high = _kernels.low_high(root[in_min], rank[in_min], n)
-    if not np.array_equal(low[root[out]], high[root[out]]):
-        return False
-    sub, sup = _inclusion_pairs(pk)
-    rim = in_w[sub] & out[sup]  # x in W, y in st(x) \ W
-    low, high = _kernels.low_high(sub[rim], root[sup[rim]], n)
-    return not (low == high).any()
+    in_w = _subcomplex_mask(F.host.packed(), W)
+    return _cut_holds(F, in_w, *_check_arrays(F))
 
 
 def verify_drop_of_water(F: Stack, W: Complex) -> bool:
@@ -237,12 +229,52 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     minimum ids (the rank of `flat_zones`) is kept as its smallest and
     largest member, as only whether it has two members is asked.
     """
+    in_w = _subcomplex_mask(F.host.packed(), W)
+    return _drop_holds(F, in_w, *_check_arrays(F))
+
+
+def _verify_watershed(F: Stack, in_w) -> tuple[bool, bool]:
+    """(verify_cut(F, W), verify_drop_of_water(F, W)) for the W whose faces
+    the boolean mask `in_w` marks in packed order, from one flat-zone rank
+    and one list of inclusion pairs."""
+    shared = _check_arrays(F)
+    return _cut_holds(F, in_w, *shared), _drop_holds(F, in_w, *shared)
+
+
+def _check_arrays(F: Stack):
+    """What both checks read: the rank of `flat_zones` of every face of the
+    host (0 off the minima) and its inclusion pairs."""
+    pk = F.host.packed()
+    rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), len(pk))[1]
+    return rank, _inclusion_pairs(pk)
+
+
+def _cut_holds(F: Stack, in_w, rank, pairs) -> bool:
+    """`verify_cut` on the face mask `in_w` of W."""
+    pk = F.host.packed()
+    n = len(pk)
+    if rank[in_w].any():
+        return False
+    out = ~in_w
+    both = out[pk.sub] & out[pk.sup]
+    root = _kernels.components(pk.sub[both], pk.sup[both], n)
+    in_min = rank > 0  # all outside W by now
+    low, high = _kernels.low_high(root[in_min], rank[in_min], n)
+    if not np.array_equal(low[root[out]], high[root[out]]):
+        return False
+    sub, sup = pairs
+    rim = in_w[sub] & out[sup]  # x in W, y in st(x) \ W
+    low, high = _kernels.low_high(sub[rim], root[sup[rim]], n)
+    return not (low == high).any()
+
+
+def _drop_holds(F: Stack, in_w, rank, pairs) -> bool:
+    """`verify_drop_of_water` on the face mask `in_w` of W."""
     pk = F.host.packed()
     n, d = len(pk), F.host.dim
     top_lo = int(pk.dim_offset[d]) if n else 0
     alt = F.alt_array()
     ta = alt[top_lo:]
-    in_w = _subcomplex_mask(pk, W)
     root = np.arange(ta.size)
     src = dst = np.zeros(0, dtype=np.int64)
     if d > 0:
@@ -257,7 +289,7 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
         dst = np.concatenate([hi[down & ~up], lo[up & ~down]])
     if in_w[top_lo:].any():
         return False  # a d-face of W starts no path
-    rank = _kernels.flat_zones(pk.sub, pk.sup, alt, n)[1][top_lo:]  # 0 off the minima
+    rank = rank[top_lo:]  # 0 off the minima
     low, high = (a.tolist() for a in _kernels.low_high(root[rank > 0], rank[rank > 0], ta.size))
     order = np.argsort(ta[src], kind="stable")
     for s, t in zip(root[src[order]].tolist(), root[dst[order]].tolist()):
@@ -265,7 +297,7 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
             low[s] = low[t]
         if high[t] > high[s]:
             high[s] = high[t]
-    sub, sup = _inclusion_pairs(pk)
+    sub, sup = pairs
     rim = in_w[sub] & ~in_w[sup] & (sup >= top_lo)  # x in W, y a d-face off W
     at, g = sub[rim], root[sup[rim] - top_lo]
     x_low, x_high = np.full(n, ta.size + 1), np.full(n, -1)

@@ -2,10 +2,12 @@
 
 `cli_golden.json` holds, per stack, a digest of its text and, per
 command, the exit code and a digest of the stdout that the CLI printed
-while `msf --verify` still ran the dict-based oracles of `oracles`.  The
-`msf --verify` report is also rebuilt from `_ref_msf_checks`, that
-verification as it was.  `python tests/test_cli_golden.py` rewrites the
-file from the code it runs against.
+while `msf --verify` still ran the dict-based oracles of `oracles`
+(`export --format dot` while it still paired the top faces by their
+face tuples).  The `msf --verify` report is also rebuilt from
+`_ref_msf_checks`, that verification as it was.
+`python tests/test_cli_golden.py` rewrites the file from the code it
+runs against.
 """
 
 import contextlib
@@ -46,6 +48,7 @@ COMMANDS = {
     "msf": ["msf"],
     "msf-dot": ["msf", "--dot"],
     "msf-verify": ["msf", "--verify"],
+    "export-dot": ["export", "--format", "dot"],
 }
 
 

@@ -1,0 +1,112 @@
+"""The facet graph and the watershed forest as arrays with tuple views.
+
+`_ref_build_facet_graph` and `_ref_watershed_forest` are the builders as
+they were while they filled the tuple fields at once, from the same edge
+list; they are kept here as references for the views.
+"""
+
+import random
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from morseshed.complexes import closure
+from morseshed.fixtures import cyc6_host, tetrahedron_boundary
+from morseshed.forest import (
+    Forest,
+    WeightedFacetGraph,
+    _facet_graph,
+    _from_arrays,
+    _msf_checks,
+    build_facet_graph,
+    watershed_forest,
+)
+from morseshed.manifolds import generate_torus
+from morseshed.morse import random_morse_stack
+from morseshed import _kernels
+
+
+def _ref_build_facet_graph(F):
+    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
+    tops = pk.faces[top_lo:]
+    ends = list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
+    weights = F.alt_array()[sep_lo:top_lo].tolist()
+    return WeightedFacetGraph(
+        tuple(tops), dict(zip(ends, weights)), dict(zip(ends, pk.faces[sep_lo:top_lo]))
+    )
+
+
+def _ref_watershed_forest(F):
+    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
+    alt = F.alt_array()
+    fz, fx, fy = alt[sep_lo:top_lo], alt[top_lo:][lo], alt[top_lo:][hi]
+    keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
+    tops = pk.faces[top_lo:]
+    rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))[1][top_lo:]
+    ends = zip(map(tops.__getitem__, lo[keep].tolist()), map(tops.__getitem__, hi[keep].tolist()))
+    roots = map(tops.__getitem__, np.flatnonzero(rank).tolist())
+    return Forest(frozenset(tops), frozenset(ends), frozenset(roots))
+
+
+def _corpus():
+    """The Morse stacks of `test_certificate_matches_the_oracles`."""
+    hosts = [generate_torus(n, n) for n in range(3, 9)]
+    hosts += [tetrahedron_boundary(), closure(combinations(range(5), 4)), cyc6_host()]
+    return [random_morse_stack(X, seed=s, n_minima=1 + s % 5) for X in hosts for s in range(34)]
+
+
+def _tuple_forest(Y):
+    return Forest(Y.vertices, Y.edges, Y.roots)
+
+
+def test_views_match_the_eager_builders():
+    stacks = _corpus()
+    assert len(stacks) == 306
+    for F in stacks:
+        G, Y = build_facet_graph(F), watershed_forest(F)
+        G_ref, Y_ref = _ref_build_facet_graph(F), _ref_watershed_forest(F)
+        assert G == G_ref and Y == Y_ref and hash(Y) == hash(Y_ref)
+        assert list(G.edges.items()) == list(G_ref.edges.items())  # the same order
+        assert list(G.shared.items()) == list(G_ref.shared.items())
+        assert G.vertices is G.vertices  # built once
+
+
+def test_msf_checks_read_the_arrays_as_the_tuples():
+    # the watershed forest, and the same edge list with one edge flipped,
+    # as arrays and as tuples, on the array-backed and the eager graph
+    rng = random.Random(7)
+    rejected = 0
+    for F in _corpus():
+        G, Y = build_facet_graph(F), watershed_forest(F)
+        flipped = Y._in_y.copy()
+        flipped[rng.randrange(flipped.size)] ^= True
+        Z = _from_arrays(Forest, _fg=Y._fg, _in_y=flipped, _is_root=Y._is_root)
+        for forest in (Y, Z):
+            got = _msf_checks(F, G, forest)
+            assert got == _msf_checks(F, G, _tuple_forest(forest))
+            assert got == _msf_checks(F, _ref_build_facet_graph(F), _tuple_forest(forest))
+        assert all(_msf_checks(F, G, Y).values())
+        rejected += not all(_msf_checks(F, G, Z).values())
+    assert rejected == 306
+
+
+def test_msf_checks_reject_a_forest_off_the_graph():
+    F = random_morse_stack(generate_torus(4, 4), seed=1, n_minima=2)
+    G, Y = build_facet_graph(F), watershed_forest(F)
+    off = ((0, 1, 99), (0, 2, 99))
+    with pytest.raises(ValueError, match="not on the facet graph"):
+        _msf_checks(F, G, Forest(Y.vertices, Y.edges | {off}, Y.roots))
+    # a watershed forest on another host is read by its tuples
+    other = watershed_forest(random_morse_stack(cyc6_host(), seed=0, n_minima=2))
+    with pytest.raises(ValueError, match="not on the facet graph"):
+        _msf_checks(F, G, other)
+
+
+def test_hand_built_graph_and_forest_hold_no_arrays():
+    G = WeightedFacetGraph(((0, 1), (1, 2)), {((0, 1), (1, 2)): 3}, {((0, 1), (1, 2)): (1,)})
+    Y = Forest(frozenset(G.vertices), frozenset(G.edges), frozenset([(0, 1)]))
+    assert G._fg is None and Y._fg is None and Y.weight(G) == 3
+    for obj in (G, Y):
+        with pytest.raises(AttributeError):
+            obj.missing

@@ -677,3 +677,79 @@ def test_flood_pipeline_stays_on_the_arrays(monkeypatch):
     assert len(inits) == 1
     assert r.watershed.faces == {x for x, v in r.labels.items() if v == WATERSHED_LABEL}
     assert len(inits) == 2
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    """Count the calls of owner.name under `name`, through every module of
+    the package that binds it."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("morseshed")]:
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, counting)
+    calls[name] = 0
+
+
+def _tor66_file(tmp_path):
+    F = random_morse_stack(generate_torus(6, 6), seed=3, n_minima=4)
+    p = tmp_path / "t66.stack"
+    p.write_text(io.serialize_stack(F))
+    return str(p)
+
+
+def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
+    from morseshed import _kernels, complexes, watershed
+
+    path = _tor66_file(tmp_path)
+    calls = {}
+    _count_calls(monkeypatch, _kernels, "flat_zones", calls)
+    _count_calls(monkeypatch, complexes, "_inclusion_pairs", calls)
+    _count_calls(monkeypatch, _kernels, "top_adjacency", calls)
+    _count_calls(monkeypatch, watershed, "morse_watershed", calls)
+    assert cli.main(["watershed", path, "--algo", "morse"]) == 0
+    assert ": W\n" in capsys.readouterr().out
+    assert calls["flat_zones"] == 1 and calls["_inclusion_pairs"] == 1, calls
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["msf", path, "--verify"]) == 0
+    assert capsys.readouterr().out.count("=True\n") == 5
+    assert calls["top_adjacency"] <= 2 and calls["morse_watershed"] == 0, calls
+
+
+def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):
+    # on a parsed stack, every watershed and msf command reads the packed
+    # host: no face tuple list, and no Complex besides the host
+    from morseshed.complexes import PackedComplex
+
+    path = _tor66_file(tmp_path)
+    faces, inits = [], []
+
+    def counting_faces(pk):
+        faces.append(1)
+        return [x for r in pk.rows for x in map(tuple, r.tolist())]
+
+    init = Complex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PackedComplex, "faces", property(counting_faces))
+    monkeypatch.setattr(Complex, "__init__", counting_init)
+    for argv in (
+        ["watershed", "--algo", "morse"],
+        ["watershed", "--algo", "collapse"],
+        ["msf"],
+        ["msf", "--dot"],
+        ["msf", "--verify"],
+    ):
+        inits.clear()
+        assert cli.main([argv[0], path, *argv[1:]]) == 0, argv
+        assert capsys.readouterr().out
+        assert faces == [] and inits == [1], argv
+    closure([(0, 1)]).packed().faces  # the patches count
+    assert faces == [1] and inits == [1, 1]

@@ -245,3 +245,33 @@ def test_checks_on_a_parsed_stack_walk_no_tuple_view():
         with pytest.raises(AttributeError):
             Complex.__dict__[view].__get__(F.host)  # the slot is still unset
     assert F.altitude._dict is None
+
+
+def test_mask_checks_match_the_public_verifiers():
+    # the shared labelling on a face mask gives both verdicts of the public
+    # checks on: the cut, the cut minus a facet, the cut plus a host facet
+    # and the closure of one edge
+    from morseshed.complexes import _subcomplex_mask
+    from morseshed.watershed import _verify_watershed
+
+    hosts = [cyc6_host(), tetrahedron_boundary(), closure(combinations(range(5), 4))]
+    hosts += [generate_torus(n, n) for n in range(3, 7)]
+    stacks = [cyc6_stack()]
+    stacks += [random_morse_stack(X, seed=s, n_minima=1 + s) for X in hosts for s in range(3)]
+    verdicts = []
+    for F in stacks:
+        X = F.host
+        W = morse_watershed(F).watershed
+        facets = W.facets()
+        top = X.faces_of_dim(X.dim)[0]
+        cases = [W, closure(facets + [top]), closure([X.faces_of_dim(1)[0]])]
+        if facets:
+            cases.append(closure(facets[1:]))
+        for V in cases:
+            got = _verify_watershed(F, _subcomplex_mask(X.packed(), V))
+            assert got == (verify_cut(F, V), verify_drop_of_water(F, V))
+            verdicts.append(got)
+    assert verdicts.count((True, True)) == len(stacks)
+    # a host facet in W breaks both; a missing facet breaks the cut
+    assert sum(not cut for cut, _ in verdicts) >= 2 * len(stacks)
+    assert sum(not drop for _, drop in verdicts) >= len(stacks)
