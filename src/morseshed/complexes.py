@@ -1,15 +1,16 @@
 """Simplicial complexes as finite families of vertex sets.
 
 A face is a tuple of strictly increasing non-negative int64 vertex ids.  A
-:class:`Complex` is built as packed integer arrays (see
-:meth:`Complex.packed`): the vertex ids of the faces in canonical order,
-every covering pair as a (sub, sup) pair of indexes, and the index range
-of each dimension.  It can be built from a family of face tuples or
-straight from the vertex arrays of each dimension.
-The tuple views that the face-by-face algorithms walk -- ``by_dim``,
-``boundary`` and ``cofaces`` -- are derived from the arrays on first
-access and are plain attributes after that.  Complexes are immutable after
-construction; operations return new objects sharing nothing mutable.
+:class:`Complex` is its packed integer arrays (see :meth:`Complex.packed`):
+the vertex ids of the faces in canonical order, every covering pair as a
+(sub, sup) pair of indexes, and the index range of each dimension.  Every
+complex is built one way, from the int64 vertex rows of each dimension; a
+family of faces is first turned into those rows by one numpy pass per
+dimension.  The face tuples and the views that the face-by-face
+algorithms walk -- ``faces``, ``by_dim``, ``boundary`` and ``cofaces`` --
+are derived from the arrays on first access and are plain attributes
+after that.  Complexes are immutable after construction; operations
+return new objects sharing nothing mutable.
 """
 
 from __future__ import annotations
@@ -68,42 +69,30 @@ class Complex:
 
     ``boundary[x]`` lists the codim-1 faces of x in drop-vertex-i order
     (the face without ``x[i]`` at position i), ``cofaces[x]`` the codim-1
-    cofaces in canonical order, and ``by_dim[p]`` the p-faces in canonical
-    order.  The three are built from the packed arrays on first access, as
-    is the frozenset ``faces`` of a complex built from vertex rows.
+    cofaces in canonical order, ``by_dim[p]`` the p-faces in canonical
+    order and ``faces`` the frozenset of all faces.  The four are built
+    from the packed arrays on first access.
     """
 
     __slots__ = ("faces", "dim", "_packed", "by_dim", "boundary", "cofaces")
 
-    def __init__(self, faces: Iterable[Face] = (), _trusted: bool = False, _rows=None):
-        """`faces` is a closed family of faces, canonicalized unless
-        `_trusted`.  `_rows`, given in place of `faces`, holds for each
-        dimension p an (n, p + 1) int64 array whose rows are the p-faces
-        (ascending non-negative vertex ids, in any order); ``faces`` is
-        then derived on first access, and a repeated or missing face
-        raises InvalidSimplexError without naming it."""
-        if _rows is None:
-            face_set = frozenset(faces) if _trusted else frozenset(make_face(x) for x in faces)
-            self.faces: frozenset[Face] = face_set
-            groups: list[list[Face]] = [[] for _ in range(max(map(len, face_set), default=0))]
-            for x in face_set:
-                groups[len(x) - 1].append(x)
-            _rows = [
-                np.fromiter(chain.from_iterable(g), dtype=np.int64, count=len(g) * (p + 1))
-                .reshape(len(g), p + 1)
-                for p, g in enumerate(groups)
-            ]
-            self._packed = _pack(_rows, groups)
-            if self._packed is None:
-                raise _not_closed(face_set)
-        else:
-            _rows = list(_rows)
-            while _rows and not len(_rows[-1]):
-                _rows.pop()  # the dimension is that of the largest face
-            self._packed = _pack(_rows)
-            if self._packed is None:
-                raise InvalidSimplexError("the rows repeat a face or are not closed")
-        self.dim = len(_rows) - 1
+    def __init__(self, faces: Iterable[Iterable[int]] = (), _rows=None):
+        """`faces` is a closed family of faces, each a collection of
+        distinct non-negative int64 vertex ids in any order, listed once
+        or more; a face that `make_face` rejects raises its error.
+        `_rows`, given in place of `faces`, holds for each dimension p an
+        (n, p + 1) int64 array whose rows are the p-faces (ascending
+        non-negative vertex ids, in any order), and a repeated or missing
+        face then raises InvalidSimplexError without naming it."""
+        rows = _face_rows(faces) if _rows is None else list(_rows)
+        while rows and not len(rows[-1]):
+            rows.pop()  # the dimension is that of the largest face
+        self._packed = _pack(rows)
+        if self._packed is None:
+            raise _not_closed(rows) if _rows is None else InvalidSimplexError(
+                "the rows repeat a face or are not closed"
+            )
+        self.dim = len(rows) - 1
 
     def __getattr__(self, name: str):
         # only reached while a view slot is unset: build it once, and later
@@ -204,14 +193,47 @@ class PackedComplex:
         return [x for r in self.rows for x in map(tuple, r.tolist())]
 
 
-def _not_closed(face_set: frozenset[Face]) -> InvalidSimplexError:
-    x, y = next(
-        (x, y)
-        for x in sorted(face_set, key=face_key)
-        for y in proper_subfaces(x)
-        if y not in face_set
-    )
+def _not_closed(rows: list) -> InvalidSimplexError:
+    """The error for the first face of `_face_rows` missing a subface."""
+    faces = [x for r in rows for x in map(tuple, r.tolist())]
+    present = set(faces)
+    x, y = next((x, y) for x in faces for y in proper_subfaces(x) if y not in present)
     return InvalidSimplexError(f"not closed: {x} present but its face {y} missing")
+
+
+def _distinct_rows(rows):
+    """The distinct rows of a 2-d array, in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(rows), dtype=np.bool_)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh]
+
+
+def _canonical_rows(faces: list) -> list:
+    """For each dimension p, the distinct p-faces as an (n, p + 1) int64
+    array of ascending vertex ids, rows in lexicographic order."""
+    by_len: dict[int, list] = {}
+    for x in faces:
+        by_len.setdefault(len(x), []).append(x)
+    rows = [np.zeros((0, p + 1), dtype=np.int64) for p in range(max(by_len, default=0))]
+    for k, g in by_len.items():
+        r = np.fromiter(chain.from_iterable(g), dtype=np.int64, count=len(g) * k)
+        r = np.sort(r.reshape(len(g), k), axis=1)
+        if not k or r[:, 0].min() < 0 or (r[:, 1:] <= r[:, :-1]).any():
+            raise InvalidSimplexError("an empty face, a negative id or a repeated vertex")
+        rows[k - 1] = _distinct_rows(r)
+    return rows
+
+
+def _face_rows(faces: Iterable[Iterable[int]]) -> list:
+    """`_canonical_rows` of a family of faces; a face that `make_face`
+    rejects raises its error, for the first bad face in input order."""
+    faces = list(faces)
+    try:
+        return _canonical_rows(faces)
+    except (TypeError, ValueError, OverflowError):  # also a face without len(), an id past int64
+        pass
+    return _canonical_rows([make_face(x) for x in faces])
 
 
 def _vertex_ranks(vertex_ids, r):
@@ -246,17 +268,16 @@ def _locate(keys: list, n_vertices: int, ranks):
     return idx
 
 
-def _pack(rows: list, groups: list[list[Face]] | None = None) -> PackedComplex | None:
+def _pack(rows: list) -> PackedComplex | None:
     """Canonical order and covering pairs of a family of faces given as
     the vertex rows of each dimension; None when the family repeats a face
-    or is not closed.  `groups`, when given, holds the face tuples of the
-    rows, which `faces` then reuses.
+    or is not closed.
 
     Each boundary face is found by binary search among the faces of the
     dimension below, so a failed lookup is a missing face."""
     dim_offset = np.zeros(len(rows) + 1, dtype=np.int64)
     dim_offset[1:] = np.cumsum([len(r) for r in rows])
-    subs, sups, keys, ordered, orders = [], [], [None], [], []
+    subs, sups, keys, ordered = [], [], [None], []
     for p, r in enumerate(rows):
         n = len(r)
         if p == 0:
@@ -285,18 +306,14 @@ def _pack(rows: list, groups: list[list[Face]] | None = None) -> PackedComplex |
         if n > 1 and not (key[1:] > key[:-1]).all():
             return None  # a repeated face
         ordered.append(r[order])
-        orders.append(order)
     empty = np.zeros(0, dtype=np.int64)
-    pk = PackedComplex(
+    return PackedComplex(
         rows=ordered,
         sub=np.concatenate(subs) if subs else empty,
         sup=np.concatenate(sups) if sups else empty,
         dim_offset=dim_offset,
         keys=keys,
     )
-    if groups is not None:  # fill the cached `faces` with the given tuples
-        pk.__dict__["faces"] = [g[i] for g, o in zip(groups, orders) for i in o.tolist()]
-    return pk
 
 
 def _by_dim_view(pk: PackedComplex) -> dict[int, list[Face]]:
@@ -347,27 +364,22 @@ EMPTY_COMPLEX = Complex(())
 def closure(generators: Iterable[Iterable[int]]) -> Complex:
     """Smallest complex containing every generator simplex.
 
-    The faces are the column subsets of the generators' vertex arrays,
-    deduplicated by a lexicographic sort, so the face tuples are created
-    in canonical order."""
-    by_len: dict[int, list[Face]] = {}
-    for g in generators:
-        x = make_face(g)
-        by_len.setdefault(len(x), []).append(x)
-    parts: dict[int, list] = {}
-    for length, gens in by_len.items():
-        rows = np.array(gens, dtype=np.int64)
-        for k in range(1, length + 1):
-            for cols in combinations(range(length), k):
-                parts.setdefault(k, []).append(rows[:, cols])
-    faces: list[Face] = []
-    for k in sorted(parts):
-        rows = np.concatenate(parts[k])
-        rows = rows[np.lexsort(rows.T[::-1])]
-        fresh = np.ones(len(rows), dtype=np.bool_)
-        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        faces.extend(map(tuple, rows[fresh].tolist()))
-    return Complex(faces, _trusted=True)
+    Its faces with k vertices are the k-column subsets of the generators'
+    vertex rows, deduplicated by a lexicographic sort."""
+    gens = _face_rows(generators)
+    return Complex(_rows=[
+        _distinct_rows(np.concatenate(
+            [r[:, cols] for r in gens[k - 1:] for cols in combinations(range(r.shape[1]), k)]
+        ))
+        for k in range(1, len(gens) + 1)
+    ])
+
+
+def _masked_complex(pk: PackedComplex, member) -> Complex:
+    """The complex of the faces of pk where the boolean mask `member`
+    holds, built from their vertex rows; the members must be closed."""
+    off = pk.dim_offset.tolist()
+    return Complex(_rows=[r[member[off[p]:off[p + 1]]] for p, r in enumerate(pk.rows)])
 
 
 def covering_pairs(X: Complex) -> set[tuple[Face, Face]]:
@@ -396,7 +408,7 @@ def collapse(X: Complex, pair: tuple[Face, Face]) -> Complex:
     x, y = pair
     if not is_free_pair(X, x, y):
         raise ValueError(f"({x}, {y}) is not a free pair")
-    return Complex(X.faces - {x, y}, _trusted=True)
+    return Complex(X.faces - {x, y})
 
 
 def ultimate_collapse(X: Complex, p: int | None = None, seed: int = 0) -> Complex:
@@ -409,23 +421,16 @@ def ultimate_collapse(X: Complex, p: int | None = None, seed: int = 0) -> Comple
     remaining = set(X.faces)
     # mutable coface sets for incremental updates
     cof: dict[Face, set[Face]] = {x: set(c) for x, c in X.cofaces.items()}
-    order = X.sorted_faces()
-    rng = random.Random(seed)
-    order = list(order)
-    rng.shuffle(order)
+    order = list(X.sorted_faces())
+    random.Random(seed).shuffle(order)
     work = deque(order)
     in_work = set(order)
 
     def free_partner(x: Face) -> Face | None:
-        c = cof[x]
-        if len(c) != 1:
+        if len(cof[x]) != 1:
             return None
-        (y,) = c
-        if cof[y]:
-            return None
-        if p is not None and len(y) - 1 != p:
-            return None
-        return y
+        (y,) = cof[x]
+        return None if cof[y] or (p is not None and len(y) - 1 != p) else y
 
     while work:
         x = work.popleft()
@@ -435,18 +440,14 @@ def ultimate_collapse(X: Complex, p: int | None = None, seed: int = 0) -> Comple
         y = free_partner(x)
         if y is None:
             continue
-        remaining.discard(x)
-        remaining.discard(y)
-        touched = list(X.boundary[x]) + list(X.boundary[y])
-        for z in X.boundary[x]:
-            cof[z].discard(x)
-        for z in X.boundary[y]:
-            cof[z].discard(y)
-        for z in touched:
-            if z in remaining and z not in in_work:
-                work.append(z)
-                in_work.add(z)
-    return Complex(remaining, _trusted=True)
+        remaining -= {x, y}
+        for u in (x, y):
+            for z in X.boundary[u]:
+                cof[z].discard(u)
+                if z in remaining and z not in in_work:
+                    work.append(z)
+                    in_work.add(z)
+    return Complex(remaining)
 
 
 def is_closed_subset(X: Complex, S: frozenset[Face] | set[Face]) -> bool:

@@ -16,6 +16,9 @@ carriage returns, and ascending non-negative vertex ids listing every face
 exactly once.  Any other text, including every malformed one, goes through
 the line loop, which is the only place a parse error is raised.
 
+Every line loop reads its faces with `_read_face`, which takes a canonical
+face as read and leaves any other token to `_parse_face` for its ParseError.
+
 The writers format one dimension at a time from the vertex arrays of the
 packed host, whose order is canonical, with one `%`-format per dimension.
 """
@@ -68,9 +71,20 @@ def _parse_face(token: str, lineno: int) -> Face:
     return face
 
 
+def _read_face(token: str, lineno: int) -> Face:
+    """The face a token lists: accepted as read when canonical, and
+    otherwise handed to `_parse_face` for its ParseError."""
+    try:
+        face = tuple(map(int, token.split()))
+    except ValueError:
+        face = ()
+    if not _is_canonical(face):
+        _parse_face(token.strip(), lineno)  # raises the matching ParseError
+    return face
+
+
 def parse_complex(text: str) -> Complex:
-    faces = [_parse_face(line, i) for i, line in _content_lines(text)]
-    return closure(faces)
+    return closure([_read_face(line, i) for i, line in _content_lines(text)])
 
 
 def _format_rows(rows, tags=None) -> str:
@@ -182,28 +196,22 @@ def _parse_stack_lines(text: str, complete: str) -> Stack:
         face_part, colon, value_part = line.partition(":")
         if not colon:
             raise ParseError(i, "expected `face : value`")
-        try:
-            face = tuple(map(int, face_part.split()))
-        except ValueError:
-            face = ()
-        if not _is_canonical(face):
-            _parse_face(face_part.strip(), i)  # raises the matching ParseError
+        face = _read_face(face_part, i)
         try:
             value = int(value_part)
         except ValueError as exc:
             raise ParseError(i, f"bad altitude {value_part.strip()!r}") from exc
         if values.setdefault(face, value) != value:
             raise ParseError(i, f"conflicting altitudes for {face}")
+    host = closure(values)
     if complete == "max":
-        return complete_from_facets(closure(values), values)
-    try:
-        host = Complex(values, _trusted=True)
-    except InvalidSimplexError:
-        missing = closure(values).faces - values.keys()
+        return complete_from_facets(host, values)
+    if len(host) != len(values):  # the listed faces are not closed
+        missing = host.faces - values.keys()
         raise StackError(
             f"no altitude for face {min(missing, key=face_key)} "
             "(pass --complete=max to fill from facets)"
-        ) from None
+        )
     return Stack(host, values)
 
 
@@ -222,8 +230,8 @@ def parse_gradient(text: str) -> GradientField:
         if "|" not in line:
             raise ParseError(i, "expected `x-face | y-face`")
         xs, _, ys = line.partition("|")
-        x = _parse_face(xs.strip(), i)
-        y = _parse_face(ys.strip(), i)
+        x = _read_face(xs, i)
+        y = _read_face(ys, i)
         if len(x) != len(y) - 1 or not set(x) <= set(y):
             raise ParseError(i, f"({x}, {y}) is not a covering pair")
         pairs.add((x, y))
@@ -261,7 +269,7 @@ def parse_labels(text: str) -> dict[Face, int]:
     out: dict[Face, int] = {}
     for i, line in _content_lines(text):
         face_part, _, tag = line.partition(":")
-        face = _parse_face(face_part.strip(), i)
+        face = _read_face(face_part, i)
         tag = tag.strip()
         out[face] = WATERSHED_LABEL if tag == "W" else int(tag)
     return out

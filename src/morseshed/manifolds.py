@@ -34,10 +34,7 @@ def link(x: Face, X: Complex) -> Complex:
     Each such union is a face of the star of x, and y is what remains of
     it once x is removed."""
     xs = set(x)
-    return Complex(
-        {tuple(v for v in y if v not in xs) for y in X.star(x) if y != x},
-        _trusted=True,
-    )
+    return Complex({tuple(v for v in y if v not in xs) for y in X.star(x) if y != x})
 
 
 def open_star(x: Face, X: Complex) -> frozenset[Face]:
@@ -129,8 +126,8 @@ def validate(X: Complex) -> ValidationReport:
     d = X.dim
     witnesses: dict[str, object] = {}
 
-    pure = X.is_pure() and len(X.faces) > 0
-    if not pure and len(X.faces) > 0:
+    pure = X.is_pure() and len(X) > 0
+    if not pure and len(X) > 0:
         witnesses["pure"] = min(
             (x for x in X.facets() if len(x) - 1 != d), key=face_key
         )
@@ -201,12 +198,10 @@ def generate_torus(n: int, m: int) -> Complex:
     if n < 3 or m < 3:
         raise ValueError("torus grid needs n, m >= 3")
 
-    def vid(i: int, j: int) -> int:
-        return (i % n) * m + (j % m)
+    i, j = np.divmod(np.arange(n * m), m)
 
-    tris = []
-    for i in range(n):
-        for j in range(m):
-            tris.append((vid(i, j), vid(i + 1, j), vid(i, j + 1)))
-            tris.append((vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)))
-    return closure(tris)
+    def vid(di: int, dj: int):  # the vertex ids of grid point (i + di, j + dj)
+        return (i + di) % n * m + (j + dj) % m
+
+    tris = [vid(0, 0), vid(1, 0), vid(0, 1), vid(1, 0), vid(0, 1), vid(1, 1)]
+    return closure(np.stack(tris, axis=1).reshape(-1, 3).tolist())

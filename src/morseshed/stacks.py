@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .complexes import Complex, Face, _boundary_rows, face_key
+from .complexes import Complex, Face, _boundary_rows, _masked_complex, face_key
 
 
 class StackError(ValueError):
@@ -137,9 +137,7 @@ def validate_stack(F: Stack) -> tuple[bool, Optional[tuple[Face, Face]]]:
 
 def section(F: Stack, lam: int) -> Complex:
     """The lambda-section {x : F(x) >= lambda}, a subcomplex of the host."""
-    return Complex(
-        {x for x, v in F.altitude.items() if v >= lam}, _trusted=True
-    )
+    return _masked_complex(F.host.packed(), F.alt_array() >= lam)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Complex, Face, _inclusion_pairs, _subcomplex_mask, closure
+from .complexes import Complex, Face, _inclusion_pairs, _masked_complex, _subcomplex_mask, closure
 from .morse import biconnected_faces, is_morse
 from .stacks import Stack, StackError, _facet_adjacency, ultimate_d_collapse
 from . import _kernels
@@ -85,9 +85,7 @@ class WatershedResult:
 
 
 def _cut_view(pk, label) -> Complex:
-    cut = label == WATERSHED_LABEL
-    off = pk.dim_offset.tolist()
-    return Complex(_rows=[r[cut[off[p]:off[p + 1]]] for p, r in enumerate(pk.rows)])
+    return _masked_complex(pk, label == WATERSHED_LABEL)
 
 
 def _basins_view(pk, label) -> tuple[tuple[int, frozenset[Face]], ...]:
@@ -192,7 +190,7 @@ def morse_watershed_direct(F: Stack) -> Complex:
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
     bic = biconnected_faces(F)
-    return closure(bic) if bic else Complex(())
+    return closure(bic)
 
 
 # -- verification oracles -----------------------------------------------------

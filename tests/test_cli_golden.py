@@ -6,7 +6,11 @@ while `msf --verify` still ran the dict-based oracles of `oracles`
 (`export --format dot` while it still paired the top faces by their
 face tuples).  The `msf --verify` report is also rebuilt from
 `_ref_msf_checks`, that verification as it was.
-`python tests/test_cli_golden.py` rewrites the file from the code it
+`cli_golden_complexes.json` holds, per complex text (the fixture
+complexes, TOR(3..8) and malformed texts), the exit code and digests of
+the stdout and stderr of `validate` and `gen random-morse`, as printed
+while `Complex` still built a face set before its arrays.
+`python tests/test_cli_golden.py` rewrites both files from the code it
 runs against.
 """
 
@@ -41,6 +45,7 @@ from morseshed.stacks import Stack, random_stack
 from morseshed.watershed import WATERSHED_LABEL, morse_watershed
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
+GOLDEN_COMPLEXES = Path(__file__).with_name("cli_golden_complexes.json")
 
 COMMANDS = {
     "watershed-morse": ["watershed", "--algo", "morse"],
@@ -49,6 +54,19 @@ COMMANDS = {
     "msf-dot": ["msf", "--dot"],
     "msf-verify": ["msf", "--verify"],
     "export-dot": ["export", "--format", "dot"],
+}
+
+COMPLEX_COMMANDS = {  # the argv of each command on a complex file
+    "validate": lambda path: ["validate", path],
+    "gen-random-morse": lambda path: ["gen", "random-morse", path, "--seed", "3", "--minima", "4"],
+}
+
+MALFORMED_COMPLEX_TEXTS = {
+    "descending": "0 1 2\n2 1 3\n",
+    "negative": "0 1\n0 -1\n",
+    "repeated": "0 1\n1 1 2\n",
+    "int64-overflow": "0 1\n0 9223372036854775808\n",
+    "bad-token": "0 1\n1 x\n",
 }
 
 
@@ -96,6 +114,25 @@ def _cases():
             yield f"tor{n}-s{seed}", random_morse_stack(X, seed=seed, n_minima=1 + 2 * seed)
 
 
+def _complex_texts():
+    """(name, text): the fixture complexes and TOR(3..8) as `gen`
+    writes them, one with comments, blank lines and unsorted, repeated
+    faces, and malformed texts."""
+    hosts = {
+        "cyc6": cyc6_host(),
+        "tetrahedron": tetrahedron_boundary(),
+        "wedge": wedge(),
+        "branch": branching_triangles(),
+        "branching-counterexample": branching_collapse_counterexample()[0].host,
+        "empty": Complex(()),
+        **{f"tor{n}": generate_torus(n, n) for n in range(3, 9)},
+    }
+    for name, X in hosts.items():
+        yield name, io.serialize_complex(X)
+    yield "loose-layout", "# two triangles\n\n0 2 3\n  0 1 2 \n1 2\n0 1 2\n"
+    yield from MALFORMED_COMPLEX_TEXTS.items()
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -119,6 +156,21 @@ def _outputs(work_dir: Path):
         yield name, F, text, runs
 
 
+def _complex_outputs(work_dir: Path):
+    """(name, text, {command: "exit code, stdout digest, stderr digest"})
+    per complex text."""
+    for name, text in _complex_texts():
+        path = work_dir / f"{name}.complex"
+        path.write_text(text, encoding="utf-8")
+        runs = {}
+        for cmd, argv in COMPLEX_COMMANDS.items():
+            out, err = stdio.StringIO(), stdio.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(argv(str(path)))
+            runs[cmd] = f"{rc} {_digest(out.getvalue())} {_digest(err.getvalue())}"
+        yield name, text, runs
+
+
 def test_cli_output_matches_the_recorded_output(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     names, verified = [], 0
@@ -138,13 +190,29 @@ def test_cli_output_matches_the_recorded_output(tmp_path):
     assert verified >= 25
 
 
+def test_complex_commands_match_the_recorded_output(tmp_path):
+    golden = json.loads(GOLDEN_COMPLEXES.read_text(encoding="utf-8"))
+    names = []
+    for name, text, runs in _complex_outputs(tmp_path):
+        assert golden[name] == {"complex": _digest(text), **runs}, name
+        names.append(name)
+    assert sorted(names) == sorted(golden)
+
+
 def _write_golden() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         golden = {
             name: {"stack": _digest(text), **{c: f"{rc} {_digest(out)}" for c, (rc, out) in runs.items()}}
             for name, _, text, runs in _outputs(Path(tmp))
         }
+        complexes = {
+            name: {"complex": _digest(text), **runs}
+            for name, text, runs in _complex_outputs(Path(tmp))
+        }
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    GOLDEN_COMPLEXES.write_text(
+        json.dumps(complexes, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 if __name__ == "__main__":

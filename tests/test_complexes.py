@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morseshed import io
 from morseshed.complexes import (
     Complex,
     EMPTY_COMPLEX,
@@ -375,8 +376,63 @@ def test_non_closed_family_is_rejected(faces):
     with pytest.raises(InvalidSimplexError, match=r"^not closed: ") as exc:
         Complex(faces)
     assert str(missing) in str(exc.value)
-    with pytest.raises(InvalidSimplexError):
-        Complex(faces, _trusted=True)
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [(0, 1), ()],
+        [(0,), (0, -1), (1,)],
+        [(0, 1), (2, 1, 2), (0, -3)],
+        [(0, 1), (0, 2**63)],
+        [(0, 2**64), (0, -1)],
+        [(1,), (0, 1, 1), (), (-1,)],
+    ],
+)
+@pytest.mark.parametrize("build", [Complex, closure])
+def test_malformed_face_raises_what_make_face_raises(build, faces):
+    first_bad = None
+    for x in faces:
+        try:
+            make_face(x)
+        except InvalidSimplexError as exc:
+            first_bad = exc
+            break
+    with pytest.raises(type(first_bad)) as exc:
+        build(faces)
+    assert str(exc.value) == str(first_bad)
+    with pytest.raises(type(first_bad)) as exc:  # the same from a generator
+        build(x for x in faces)
+    assert str(exc.value) == str(first_bad)
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [(1, 0), (0,), (1,)],  # unsorted
+        [(0, 1), (0,), (1,), (1, 0), (0,)],  # repeated
+        [frozenset({0, 1}), frozenset({0}), {1}, [1, 0]],  # set and list members
+        [(2, 0, 1), (0, 1), (1, 2), (2, 0), (0,), (1,), (2,)],
+    ],
+)
+def test_face_families_are_canonicalised(faces):
+    want = {make_face(x) for x in faces}
+    for X in (Complex(faces), Complex(x for x in faces), closure(faces), closure(iter(faces))):
+        assert X.faces == want
+        assert X.sorted_faces() == sorted(want, key=face_key)
+
+
+def test_building_a_complex_builds_no_face_tuple():
+    text = io.serialize_complex(generate_torus(4, 4))
+    for X in (
+        closure([(0, 1, 2), (1, 2, 3)]),
+        generate_torus(5, 4),
+        io.parse_complex(text),
+        Complex([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
+    ):
+        with pytest.raises(AttributeError):
+            Complex.__dict__["faces"].__get__(X)  # the slot is still unset
+        assert "faces" not in X.packed().__dict__
 
 
 # -- property tests -----------------------------------------------------------

@@ -498,7 +498,7 @@ def _ref_parse_stack(text, complete="none"):
         F = Stack(host, alt)
     else:
         try:
-            host = Complex(values, _trusted=True)
+            host = Complex(values)
         except InvalidSimplexError:
             missing = closure(values).faces - values.keys()
             raise StackError(

@@ -212,8 +212,7 @@ def _ref_star(x, X):
 def _ref_link(x, X):
     xs = set(x)
     return Complex(
-        [y for y in X.faces if xs.isdisjoint(y) and make_face(set(y) | xs) in X.faces],
-        _trusted=True,
+        [y for y in X.faces if xs.isdisjoint(y) and make_face(set(y) | xs) in X.faces]
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morseshed import io
 from morseshed.complexes import Complex, closure, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
@@ -55,6 +56,12 @@ def test_section():
     assert section(F, 3).faces == {(3,), (5,)}
     assert section(F, 0).faces == F.host.faces
     assert section(F, 99).faces == frozenset()
+    G = random_morse_stack(generate_torus(6, 6), seed=2, n_minima=3)
+    P = io.parse_stack(io.serialize_stack(G))
+    for lam in range(P.lambda_min - 1, max(G.altitude.values()) + 2):
+        S = section(P, lam)
+        assert P.altitude._dict is None  # read from the altitude array
+        assert S.faces == {x for x, v in G.altitude.items() if v >= lam}
 
 
 def test_minima_fixture():

@@ -156,7 +156,7 @@ def _all_subcomplexes(X):
     for x in X.sorted_faces():
         below = [y for y in X.faces if len(y) == len(x) - 1 and set(y) <= set(x)]
         out += [S | {x} for S in out if all(y in S for y in below)]
-    return [Complex(S, _trusted=True) for S in out]
+    return [Complex(S) for S in out]
 
 
 def test_verdicts_match_references_on_tori():
