@@ -139,7 +139,9 @@ class Complex:
         return [pk.faces[i] for i in np.flatnonzero(~has_coface).tolist()]
 
     def is_pure(self) -> bool:
-        return all(len(x) - 1 == self.dim for x in self.facets())
+        """Every face below the top dimension lies in a larger face."""
+        below = self._packed.dim_offset[max(self.dim, 0)]
+        return bool(np.bincount(self._packed.sub, minlength=below)[:below].all())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(fs) for p, fs in self.by_dim.items())
@@ -533,6 +535,13 @@ def _groups(pk: PackedComplex, member, label) -> list[set[Face]]:
     return list(groups.values())
 
 
+def _connected_labels(pk: PackedComplex, member):
+    """Each member labelled by the smallest member of its component."""
+    sub, sup = _inclusion_pairs(pk)
+    both = member[sub] & member[sup]
+    return _kernels.components(sub[both], sup[both], len(pk))
+
+
 def connected_components(X: Complex, S: Iterable[Face] | None = None) -> list[set[Face]]:
     """Maximal path-connected parts of S, paths stepping along inclusions.
 
@@ -543,9 +552,7 @@ def connected_components(X: Complex, S: Iterable[Face] | None = None) -> list[se
     """
     pk = X.packed()
     member = _member_mask(pk, S)
-    sub, sup = _inclusion_pairs(pk)
-    both = member[sub] & member[sup]
-    return _groups(pk, member, _kernels.components(sub[both], sup[both], len(pk)))
+    return _groups(pk, member, _connected_labels(pk, member))
 
 
 def strong_connected_components(
@@ -564,8 +571,13 @@ def strong_connected_components(
     ValueError.
     """
     pk = X.packed()
-    n, off = len(pk), pk.dim_offset.tolist()
     member = _member_mask(pk, S)
+    return _groups(pk, member, _strong_labels(pk, member, d))
+
+
+def _strong_labels(pk: PackedComplex, member, d: int | None):
+    """Each member's label: the least d-facet of the strong component it joins, or itself."""
+    n, off = len(pk), pk.dim_offset.tolist()
     facet = member.copy()
     facet[pk.sub[member[pk.sub] & member[pk.sup]]] = False
     dim = np.repeat(np.arange(len(off) - 1), np.diff(off))
@@ -583,4 +595,4 @@ def strong_connected_components(
     above = member[sub] & ~top[sub] & top[sup]
     owner = np.full(n, n)
     np.minimum.at(owner, sub[above], root[sup[above]])
-    return _groups(pk, member, np.where(owner < n, owner, root))
+    return np.where(owner < n, owner, root)

@@ -20,11 +20,11 @@ from .complexes import (
     Complex,
     Face,
     _boundary_rows,
+    _connected_labels,
     _inclusion_pairs,
+    _strong_labels,
     closure,
-    connected_components,
     face_key,
-    strong_connected_components,
 )
 
 
@@ -123,8 +123,10 @@ def validate(X: Complex) -> ValidationReport:
     equals strongly_connected for d <= 1 (where strong paths reduce to
     ordinary ones).
     """
-    d = X.dim
+    d, pk = X.dim, X.packed()
     witnesses: dict[str, object] = {}
+    every = np.ones(len(pk), dtype=np.bool_)
+    faces = np.arange(len(pk))  # a component is labelled by one of its faces
 
     pure = X.is_pure() and len(X) > 0
     if not pure and len(X) > 0:
@@ -132,20 +134,20 @@ def validate(X: Complex) -> ValidationReport:
             (x for x in X.facets() if len(x) - 1 != d), key=face_key
         )
 
-    comps = connected_components(X)
-    connected = len(comps) == 1
+    comps = int(np.count_nonzero(_connected_labels(pk, every) == faces))
+    connected = comps == 1
     if not connected and comps:
-        witnesses["connected"] = f"{len(comps)} components"
+        witnesses["connected"] = f"{comps} components"
 
     branch_witness = _check_non_branching(X) if d >= 1 else None
     non_branching = d >= 1 and branch_witness is None
     if branch_witness is not None:
         witnesses["non_branching"] = branch_witness
 
-    strong = strong_connected_components(X, d=d) if pure else []
-    strongly_connected = pure and len(strong) <= 1
-    if pure and len(strong) > 1:
-        witnesses["strongly_connected"] = f"{len(strong)} strong components"
+    strong = int(np.count_nonzero(_strong_labels(pk, every, d) == faces)) if pure else 0
+    strongly_connected = pure and strong <= 1
+    if pure and strong > 1:
+        witnesses["strongly_connected"] = f"{strong} strong components"
 
     lc_witness = _check_link_condition(X)
     link_condition = lc_witness is None

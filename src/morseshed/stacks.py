@@ -8,10 +8,10 @@ sharing the host complex.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Optional
 
 import numpy as np
@@ -242,14 +242,17 @@ def ultimate_d_collapse(
 ) -> Stack:
     """Collapse through free d-pairs until none remains.
 
-    A binary heap holds the free pairs keyed by (target level, rank of
-    the (d-1)-face in a permutation shuffled by `seed`), lowest first.  A
-    collapse queues the free pairs on the lowered facet under their new
-    targets, so a popped entry whose key is no longer its target is stale.
-    batch mode lowers a pair to the altitude of its other coface, unit
-    mode by one.  On a Morse stack a facet's lower neighbour is final
-    before the facet is lowered, so batch mode collapses each non-minimum
-    facet once, and the result depends on neither the seed nor the mode.
+    A binary heap holds the free pairs, lowest first, under one int key
+    target * n + r, where r ranks the pair's (d-1)-face in a permutation of
+    the n (d-1)-faces shuffled by `seed`; the keys sort as (target, r).  A
+    live-key list holds the key under which each pair is queued, or None
+    when it is not free.  A collapse re-keys the pairs on the lowered
+    facet, so a popped key that is no longer live is stale.  batch mode
+    lowers a pair to the altitude of its other coface, unit mode by one;
+    another mode raises ValueError.  On a Morse stack a facet's lower
+    neighbour is final before the facet is lowered, so batch mode collapses
+    each non-minimum facet once, and the result depends on neither the
+    seed nor the mode.
     `_adjacency` is `_facet_adjacency(F)`, when the caller has it.
     """
     return _ultimate_d_collapse(F, seed, mode, _adjacency)[0]
@@ -259,6 +262,8 @@ def _ultimate_d_collapse(
     F: Stack, seed: int, mode: str, adjacency=None
 ) -> tuple[Stack, int, int]:
     """ultimate_d_collapse, plus its numbers of collapses and heap pops."""
+    if mode not in ("batch", "unit"):
+        raise ValueError(f"unknown mode {mode!r}")
     X = F.host
     arr = F.alt_array().copy()
     if X.dim < 1:  # no (d-1)-faces
@@ -268,39 +273,45 @@ def _ultimate_d_collapse(
     pk = X.packed()
     sep_lo, top_lo = pk.dim_offset[X.dim - 1:X.dim + 1].tolist()
     lo, hi = adjacency
-    cof = list(zip(lo.tolist(), hi.tolist()))  # the two d-faces of each (d-1)-face
-    bd = (_boundary_rows(pk)[X.dim] - sep_lo).tolist()  # the (d-1)-faces of each d-face
-    sa, ta = arr[sep_lo:top_lo].tolist(), arr[top_lo:].tolist()
-    lam, batch = F.lambda_min, mode == "batch"
-    rank = list(range(len(sa)))
+    n, lam, batch = top_lo - sep_lo, F.lambda_min, mode == "batch"
+    rank = list(range(n))
     random.Random(seed).shuffle(rank)
-
-    def target(s: int) -> Optional[int]:
-        """The level the pair on (d-1)-face s collapses to; None if not free."""
-        v = sa[s]
-        y, z = cof[s]
-        if v <= lam or (ta[y] == v) == (ta[z] == v):
-            return None
-        if not batch:
-            return v - 1
-        return max(ta[y] if ta[z] == v else ta[z], lam)
-
-    heap = [(t, rank[s], s) for s in range(len(sa)) if (t := target(s)) is not None]
-    heapq.heapify(heap)
+    rank = np.array(rank, dtype=np.int64)
+    # the pair on (d-1)-face s is free when s is above lam and exactly one of
+    # its d-faces is flat with it; no altitude falls below lam, F's least, so
+    # the batch target max(other d-face, lam) is the other d-face
+    v, a, b = arr[sep_lo:top_lo], arr[top_lo:][lo], arr[top_lo:][hi]
+    free = np.flatnonzero((v > lam) & ((a == v) != (b == v)))
+    v, a, b, r = v[free], a[free], b[free], rank[free]
+    t = np.where(a == v, b, a) if batch else v - 1
+    heap = [ts * n + rs for ts, rs in zip(t.tolist(), r.tolist())]  # t * n overflows int64
+    code = np.full(n, None, dtype=object)
+    code[r] = heap
+    code = code.tolist()  # the live key of each pair, by rank
+    heapify(heap)
+    # from here a (d-1)-face is named by its rank: key t * n + r is face r
+    by_rank = np.argsort(rank)
+    lo, hi = lo[by_rank].tolist(), hi[by_rank].tolist()  # its two d-faces
+    bd = rank[_boundary_rows(pk)[X.dim] - sep_lo].tolist()  # the (d-1)-faces of each d-face
+    sa, ta = arr[sep_lo:top_lo][by_rank].tolist(), arr[top_lo:].tolist()
     collapses = pops = 0
     while heap:
-        key, _, s = heapq.heappop(heap)
+        key = heappop(heap)
         pops += 1
-        if target(s) != key:  # not free, or stale
+        s = key % n
+        if code[s] != key:  # not free, or queued again under another key
             continue
-        y, z = cof[s]
-        y = y if ta[y] == sa[s] else z  # the flat coface
-        sa[s] = ta[y] = key
+        y = lo[s] if ta[lo[s]] == sa[s] else hi[s]  # the flat coface
+        sa[s] = ta[y] = key // n
         collapses += 1
-        for w in bd[y]:
-            if (t := target(w)) is not None:
-                heapq.heappush(heap, (t, rank[w], w))
-    arr[sep_lo:top_lo] = sa
+        for w in bd[y]:  # every pair that reads ta[y]
+            v, a, b = sa[w], ta[lo[w]], ta[hi[w]]
+            if v <= lam or (a == v) == (b == v):
+                code[w] = None
+            else:
+                code[w] = k = ((b if a == v else a) if batch else v - 1) * n + w
+                heappush(heap, k)
+    arr[sep_lo:top_lo] = np.array(sa, dtype=np.int64)[rank]
     arr[top_lo:] = ta
     return _stack_from_array(X, arr), collapses, pops
 

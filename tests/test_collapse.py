@@ -1,19 +1,24 @@
 """The collapse route against the FIFO worklist collapse and the dict label
 assembly it replaced."""
 
+import heapq
 import random
 from collections import deque
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from morseshed import complexes, stacks, watershed
-from morseshed.complexes import Complex, closure, connected_components
+from morseshed.complexes import Complex, _boundary_rows, closure, connected_components
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import is_morse, random_morse_stack
 from morseshed.stacks import (
     Stack,
     StackError,
+    _facet_adjacency,
+    _stack_from_array,
     _ultimate_d_collapse,
     minima,
     random_stack,
@@ -68,6 +73,56 @@ def _ref_ultimate_d_collapse(F, seed=0, mode="batch", *, _adjacency=None):
             work.appendleft(x)
             in_work.add(x)
     return Stack(X, alt)
+
+
+def _ref_heap_collapse(F, seed, mode, adjacency=None):
+    """Reference: the heap loop of (target, rank, face) tuples that
+    re-derives a pair's target at every push and pop; the same pops, keys
+    and result as `stacks._ultimate_d_collapse`."""
+    X = F.host
+    arr = F.alt_array().copy()
+    if X.dim < 1:  # no (d-1)-faces
+        return _stack_from_array(X, arr), 0, 0
+    if adjacency is None:
+        adjacency = _facet_adjacency(F)
+    pk = X.packed()
+    sep_lo, top_lo = pk.dim_offset[X.dim - 1:X.dim + 1].tolist()
+    lo, hi = adjacency
+    cof = list(zip(lo.tolist(), hi.tolist()))  # the two d-faces of each (d-1)-face
+    bd = (_boundary_rows(pk)[X.dim] - sep_lo).tolist()  # the (d-1)-faces of each d-face
+    sa, ta = arr[sep_lo:top_lo].tolist(), arr[top_lo:].tolist()
+    lam, batch = F.lambda_min, mode == "batch"
+    rank = list(range(len(sa)))
+    random.Random(seed).shuffle(rank)
+
+    def target(s: int) -> Optional[int]:
+        """The level the pair on (d-1)-face s collapses to; None if not free."""
+        v = sa[s]
+        y, z = cof[s]
+        if v <= lam or (ta[y] == v) == (ta[z] == v):
+            return None
+        if not batch:
+            return v - 1
+        return max(ta[y] if ta[z] == v else ta[z], lam)
+
+    heap = [(t, rank[s], s) for s in range(len(sa)) if (t := target(s)) is not None]
+    heapq.heapify(heap)
+    collapses = pops = 0
+    while heap:
+        key, _, s = heapq.heappop(heap)
+        pops += 1
+        if target(s) != key:  # not free, or stale
+            continue
+        y, z = cof[s]
+        y = y if ta[y] == sa[s] else z  # the flat coface
+        sa[s] = ta[y] = key
+        collapses += 1
+        for w in bd[y]:
+            if (t := target(w)) is not None:
+                heapq.heappush(heap, (t, rank[w], w))
+    arr[sep_lo:top_lo] = sa
+    arr[top_lo:] = ta
+    return _stack_from_array(X, arr), collapses, pops
 
 
 def _ref_assemble_result(F, cut_faces):
@@ -128,6 +183,36 @@ def test_collapse_matches_fifo_on_morse_stacks():
                 assert dict(H.altitude) == dict(_ref_ultimate_d_collapse(F, seed).altitude)
                 assert H.alt_array().tolist() == [H.altitude[x] for x in X.sorted_faces()]
                 _same_result(watershed_collapse(F, seed=seed), _ref_watershed_collapse(F, seed))
+
+
+def _shifted(F, to):
+    """F with every altitude moved by the same amount, so that its lowest
+    altitude becomes `to`."""
+    arr = F.alt_array()
+    return _stack_from_array(F.host, arr - arr.min() + np.int64(to))
+
+
+def test_heap_collapse_matches_the_tuple_heap():
+    # int64 keys would overflow on the shifted stacks
+    hosts = [generate_torus(n, n) for n in range(3, 9)]
+    hosts += [tetrahedron_boundary(), cyc6_host()]
+    cases = []
+    for X in hosts:
+        for s in range(3):
+            F = random_morse_stack(X, seed=s, n_minima=1 + s)
+            cases += [(F, "batch"), (F, "unit"), (_shifted(F, -2**63 + 10), "batch"),
+                      (_shifted(F, -2**63 + 10), "unit")]
+            cases += [(random_stack(X, seed=s, high=4), m) for m in ("batch", "unit")]
+            arr = np.random.default_rng(s).integers(-3, 4, size=len(X))
+            cases += [(_stack_from_array(X, arr), m) for m in ("batch", "unit")]
+        cases.append((_shifted(F, 2**62), "batch"))
+    assert sum(F.lambda_min == 2**62 for F, _ in cases) == len(hosts)
+    for F, mode in cases:
+        for seed in range(5):
+            H, collapses, pops = _ultimate_d_collapse(F, seed, mode)
+            ref, ref_collapses, ref_pops = _ref_heap_collapse(F, seed, mode)
+            assert H.alt_array().tolist() == ref.alt_array().tolist()
+            assert (collapses, pops) == (ref_collapses, ref_pops)
 
 
 def test_collapse_is_valid_on_non_morse_stacks():

@@ -84,6 +84,31 @@ def test_validate_tetrahedron_and_torus():
         assert rep.is_pseudomanifold and rep.is_normal
 
 
+def test_validate_counts_the_components_that_the_lists_hold():
+    # validate counts labels; the component lists are the reference
+    hosts = [
+        closure([(0, 1, 2), (3, 4, 5)]),
+        closure([(0, 1, 2), (0, 3, 4), (5, 6, 7)]),
+        closure([(0, 1, 2), (2, 3)]),
+        closure([(0, 1, 2), (4,)]),
+        closure(generate_torus(3, 3).faces_of_dim(2) + [(9, 10)]),
+        wedge(), cyc6_host(), Complex(()),
+    ]
+    for X in hosts:
+        rep = validate(X)
+        comps = len(connected_components(X))
+        assert rep.connected == (comps == 1)
+        assert rep.witnesses.get("connected") == (f"{comps} components" if comps > 1 else None)
+        strong = len(strong_connected_components(X, d=X.dim)) if rep.pure else 0
+        assert rep.strongly_connected == (rep.pure and strong <= 1)
+        assert rep.witnesses.get("strongly_connected") == (
+            f"{strong} strong components" if strong > 1 else None
+        )
+    assert [validate(X).witnesses.get("connected") for X in hosts[:5]] == [
+        "2 components", "2 components", None, "2 components", "2 components"
+    ]
+
+
 def test_validate_report_lines():
     lines = validate(cyc6_host()).as_lines()
     assert "is_normal=True" in lines

@@ -123,6 +123,13 @@ def test_stack_collapse_rejects_non_free():
         stack_collapse(F, ((1,), (1, 2)), mode="bogus")
 
 
+def test_ultimate_d_collapse_rejects_an_unknown_mode():
+    # a misspelt mode raises as in stack_collapse, also on a host without d-pairs
+    for F in (cyc6_stack(), constant_stack(Complex([(0,)]))):
+        with pytest.raises(ValueError, match="unknown mode 'btach'"):
+            ultimate_d_collapse(F, mode="btach")
+
+
 def test_ultimate_d_collapse_fixture():
     F = cyc6_stack()
     expected = {x: 0 for x in F.host.faces}
