@@ -5,9 +5,10 @@ Complex.packed()): the component labeller that answers every static
 connectivity question, the flat-pair matching check that decides the
 Morse property, the flat-zone labelling that finds the regional minima,
 the facet graph of a non-branching pure complex (one edge per
-(d-1)-face, the one format every route and check reads), the basin
-flood that labels facets and flags the cut, and the smallest and largest
-value per index that the facet graph and the watershed checks read.
+(d-1)-face; the packed host builds it once and keeps it for every route
+and check), the basin flood that labels facets and flags the cut, and
+the smallest and largest value per index that the facet graph and the
+watershed checks read.
 """
 
 from __future__ import annotations
@@ -87,25 +88,22 @@ def flat_zones(sub, sup, alt, n_faces):
 
 def top_adjacency(pk):
     """The facet graph of a non-branching pure complex: one edge for each
-    (d-1)-face, joining its two d-faces.
+    (d-1)-face, joining its two d-faces; no edge below dimension 1.
 
     Returns (lo, hi): for the (d-1)-face number j in canonical order,
     lo[j] < hi[j] are the local ids of its two d-faces (d-face i is face
-    dim_offset[d] + i).  Raises ValueError when some (d-1)-face does not
-    have exactly two cofaces, or some face lies in no d-face.  Both
-    watershed routes run this check first.
+    pk.tops.start + i).  Raises ValueError when some (d-1)-face does not
+    have exactly two cofaces, or some face lies in no d-face.  The host
+    keeps the result as `PackedComplex.facet_graph`, which every route,
+    check and writer reads.
     """
-    d = len(pk.dim_offset) - 2
-    sep_lo, top_lo = pk.dim_offset[d - 1:d + 1].tolist()
-    top = pk.sup >= top_lo
-    subs, sups = pk.sub[top] - sep_lo, pk.sup[top] - top_lo
-    if (np.bincount(subs, minlength=top_lo - sep_lo) != 2).any():
+    sep_lo, top_lo = pk.seps.start, pk.tops.start
+    if (pk.n_cofaces[pk.seps] != 2).any():
         raise ValueError("complex is not a non-branching pseudomanifold")
-    has_coface = np.zeros(top_lo, dtype=np.bool_)
-    has_coface[pk.sub] = True
-    if not has_coface.all():
+    if not pk.n_cofaces[:top_lo].all():
         raise ValueError("complex is not pure of top dimension")
-    return low_high(subs, sups, top_lo - sep_lo)
+    top = pk.sup >= top_lo
+    return low_high(pk.sub[top] - sep_lo, pk.sup[top] - top_lo, top_lo - sep_lo)
 
 
 def flood(lo, hi, facet_alt, sep_alt):

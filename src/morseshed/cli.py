@@ -73,15 +73,10 @@ def _dot(name: str, rows, lo, hi, node=("", ()), edge=("", ())) -> str:
 def _top_pairs(pk):
     """(z, lo, hi): each two d-faces lo < hi (local ids) of a (d-1)-face z
     (packed index), sorted by (lo, hi).  On a non-branching host this is
-    the facet graph of `top_adjacency`, with z the shared face."""
-    d = len(pk.dim_offset) - 2
-    if d < 1:
-        none = np.zeros(0, dtype=np.int64)
-        return none, none, none
-    top_lo = int(pk.dim_offset[d])
-    top = pk.sup >= top_lo
+    the host's facet graph, with z the shared face."""
+    top = pk.sup >= pk.tops.start
     order = np.argsort(pk.sub[top], kind="stable")  # keeps sup ascending per face
-    z, y = pk.sub[top][order], pk.sup[top][order] - top_lo
+    z, y = pk.sub[top][order], pk.sup[top][order] - pk.tops.start
     # pair each coface of z with every later one
     later = np.searchsorted(z, z, side="right") - np.arange(z.size) - 1
     a = np.repeat(np.arange(z.size), later)
@@ -112,6 +107,9 @@ def export_labels(result: WatershedResult, format: str, coords=None) -> str:
     if format == "off":
         if coords is None:
             raise ValueError("off export needs a vertex-coordinate sidecar file")
+        d = max(map(len, result.labels), default=0) - 1
+        if d != 2:
+            raise ValueError(f"off export needs a 2-dimensional complex, not {d}-dimensional")
         tris = sorted((x for x in result.labels if len(x) == 3), key=face_key)
         verts = sorted({v for t in tris for v in t})
         vid = {v: i for i, v in enumerate(verts)}
@@ -147,7 +145,10 @@ def _parse_coords(text: str) -> dict[int, tuple[float, float, float]]:
         parts = line.split()
         if len(parts) != 4:
             raise mio.ParseError(i, "expected `vertex x y z`")
-        out[int(parts[0])] = (float(parts[1]), float(parts[2]), float(parts[3]))
+        try:
+            out[int(parts[0])] = (float(parts[1]), float(parts[2]), float(parts[3]))
+        except ValueError:
+            raise mio.ParseError(i, f"bad number in {line!r}") from None
     return out
 
 
@@ -224,7 +225,8 @@ def _cmd_msf(args) -> int:
     F = _load_stack(args)
     G = build_facet_graph(F)
     Y = watershed_forest(F)
-    pk, _, _, lo, hi = G._fg
+    pk = G._pk
+    lo, hi = pk.facet_graph
     w, in_y = G._weights, Y._in_y
     rows = _top_rows(pk)
     face = " ".join(["%d"] * rows.shape[1])

@@ -134,14 +134,12 @@ class Complex:
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces, in canonical order."""
         pk = self._packed
-        has_coface = np.zeros(len(pk), dtype=np.bool_)
-        has_coface[pk.sub] = True
-        return [pk.faces[i] for i in np.flatnonzero(~has_coface).tolist()]
+        return [pk.faces[i] for i in np.flatnonzero(pk.n_cofaces == 0).tolist()]
 
     def is_pure(self) -> bool:
         """Every face below the top dimension lies in a larger face."""
-        below = self._packed.dim_offset[max(self.dim, 0)]
-        return bool(np.bincount(self._packed.sub, minlength=below)[:below].all())
+        pk = self._packed
+        return bool(pk.n_cofaces[:pk.tops.start].all())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(fs) for p, fs in self.by_dim.items())
@@ -178,13 +176,21 @@ class PackedComplex:
     number i as a tuple (built on first access), `(sub[k], sup[k])`
     enumerates every covering pair by index, sup ascending and then in
     drop-vertex-i order of the boundary, and faces of dimension p occupy
-    indexes `dim_offset[p]:dim_offset[p+1]`.  `keys[p]` (p >= 1) holds the
-    packer's ascending sort keys of the p-faces (see `_locate`)."""
+    indexes `dim_offset[p]:dim_offset[p+1]`; `seps` and `tops` are the
+    index ranges of the (d-1)-faces and the d-faces, d the top dimension
+    (the (d-1)-faces are none below dimension 1).  `keys[p]` (p >= 1)
+    holds the packer's ascending sort keys of the p-faces (see `_locate`).
+
+    The arrays derived from the host belong to it, whatever stack it
+    carries: each of the properties below is built on first read and kept,
+    so every route, check and writer on one host shares it."""
 
     rows: list  # np.ndarray[int64] of shape (n_p, p + 1) per dimension p
     sub: "object"  # np.ndarray[int64]
     sup: "object"  # np.ndarray[int64]
     dim_offset: "object"  # np.ndarray[int64]
+    seps: slice
+    tops: slice
     keys: list = field(repr=False)  # None, then np.ndarray[int64] per dimension p >= 1
 
     def __len__(self) -> int:
@@ -193,6 +199,36 @@ class PackedComplex:
     @cached_property
     def faces(self) -> list[Face]:
         return [x for r in self.rows for x in map(tuple, r.tolist())]
+
+    @cached_property
+    def bd(self) -> list:
+        """bd[p][i] holds the indexes of the (p-1)-faces of the p-face
+        number dim_offset[p] + i, in drop-vertex order; bd[0] has an empty
+        row per vertex (and none for the empty complex)."""
+        cut = np.searchsorted(self.sup, self.dim_offset).tolist()  # sup is ascending
+        n_vertices = len(self.rows[0]) if self.rows else 0
+        return [np.zeros((n_vertices, 0), dtype=np.int64)] + [
+            self.sub[cut[p]:cut[p + 1]].reshape(-1, p + 1) for p in range(1, len(cut) - 1)
+        ]
+
+    @cached_property
+    def inclusion_pairs(self):
+        """(sub, sup) index arrays of every pair of faces x ⊊ y
+        (`_inclusion_pairs`)."""
+        return _inclusion_pairs(self)
+
+    @cached_property
+    def n_cofaces(self):
+        """The number of codim-1 cofaces of each face."""
+        return np.bincount(self.sub, minlength=len(self))
+
+    @cached_property
+    def facet_graph(self):
+        """The two d-faces (lo, hi) of each (d-1)-face, from
+        `_kernels.top_adjacency`; no edge below dimension 1.  A host that
+        is branching or not pure of its top dimension raises ValueError on
+        every read."""
+        return _kernels.top_adjacency(self)
 
 
 def _not_closed(rows: list) -> InvalidSimplexError:
@@ -309,11 +345,14 @@ def _pack(rows: list) -> PackedComplex | None:
             return None  # a repeated face
         ordered.append(r[order])
     empty = np.zeros(0, dtype=np.int64)
+    off = [0, 0, *dim_offset.tolist()]  # two empty dimensions below 0
     return PackedComplex(
         rows=ordered,
         sub=np.concatenate(subs) if subs else empty,
         sup=np.concatenate(sups) if sups else empty,
         dim_offset=dim_offset,
+        seps=slice(off[-3], off[-2]),
+        tops=slice(off[-2], off[-1]),
         keys=keys,
     )
 
@@ -323,17 +362,10 @@ def _by_dim_view(pk: PackedComplex) -> dict[int, list[Face]]:
     return {p: pk.faces[off[p]:off[p + 1]] for p in range(len(off) - 1)}
 
 
-def _boundary_rows(pk: PackedComplex) -> list:
-    """bd[p][i] holds the indexes of the (p-1)-faces of the p-face number
-    dim_offset[p] + i, in drop-vertex order (bd[0] is None)."""
-    cut = np.searchsorted(pk.sup, pk.dim_offset).tolist()  # sup is ascending
-    return [None] + [pk.sub[cut[p]:cut[p + 1]].reshape(-1, p + 1) for p in range(1, len(cut) - 1)]
-
-
 def _boundary_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
     faces, off = pk.faces, pk.dim_offset.tolist()
     out: dict[Face, tuple[Face, ...]] = dict.fromkeys(faces, ())
-    for p, rows in enumerate(_boundary_rows(pk)[1:], start=1):
+    for p, rows in enumerate(pk.bd[1:], start=1):
         bd = map(faces.__getitem__, rows.ravel().tolist())  # p + 1 faces a row
         out.update(zip(faces[off[p]:off[p + 1]], zip(*[bd] * (p + 1))))
     return out
@@ -343,7 +375,7 @@ def _cofaces_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
     faces = pk.faces
     order = np.argsort(pk.sub, kind="stable")  # keeps sup ascending per face
     ups = [faces[j] for j in pk.sup[order].tolist()]
-    counts = np.bincount(pk.sub, minlength=len(faces)).tolist()
+    counts = pk.n_cofaces.tolist()
     out: dict[Face, tuple[Face, ...]] = {}
     start = 0
     for x, c in zip(faces, counts):
@@ -480,8 +512,7 @@ def _inclusion_pairs(pk: PackedComplex):
     """(sub, sup) index arrays of every pair of faces x ⊊ y.  The faces
     below y are its boundary faces, then theirs, and so on, each kept once
     per y."""
-    off = pk.dim_offset.tolist()
-    bd = _boundary_rows(pk)
+    off, bd = pk.dim_offset.tolist(), pk.bd
     subs, sups = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for p in range(1, len(bd)):  # a complex has faces of every dimension up to its own
         n, below = len(bd[p]), bd[p]
@@ -537,7 +568,7 @@ def _groups(pk: PackedComplex, member, label) -> list[set[Face]]:
 
 def _connected_labels(pk: PackedComplex, member):
     """Each member labelled by the smallest member of its component."""
-    sub, sup = _inclusion_pairs(pk)
+    sub, sup = pk.inclusion_pairs
     both = member[sub] & member[sup]
     return _kernels.components(sub[both], sup[both], len(pk))
 
@@ -591,7 +622,7 @@ def _strong_labels(pk: PackedComplex, member, d: int | None):
     same = z[1:] == z[:-1]
     root = _kernels.components(y[:-1][same], y[1:][same], n)
     # each other member takes the smallest root among the d-facets above it
-    sub, sup = _inclusion_pairs(pk)
+    sub, sup = pk.inclusion_pairs
     above = member[sub] & ~top[sub] & top[sup]
     owner = np.full(n, n)
     np.minimum.at(owner, sub[above], root[sup[above]])

@@ -1,23 +1,24 @@
 """Facet graphs, rooted spanning forests and the watershed forest.
 
 The facet graph is the dual graph on d-faces, weighted by the altitude
-of the shared (d-1)-face; its edges are the pairs (lo, hi) that the host
-check `_kernels.top_adjacency` returns, the edge list the watershed
-routes and checks read.  The watershed forest (one differential step
-then one flat step between two facets) is, for Morse stacks, the unique
-minimum spanning forest rooted in the minima; `verify_msf_theorem`
-checks this by a certificate read in one pass over the edge list (the
-greedy, tie-test and exhaustive references live in `oracles`).
+of the shared (d-1)-face; its edges are the pairs (lo, hi) of the packed
+host's `facet_graph`, which the host check `_kernels.top_adjacency`
+builds once per host: the edge list the watershed routes and checks
+read.  The watershed forest (one differential step then one flat step
+between two facets) is, for Morse stacks, the unique minimum spanning
+forest rooted in the minima; `verify_msf_theorem` checks this by a
+certificate read in one pass over the edge list (the greedy, tie-test
+and exhaustive references live in `oracles`).
 
-`build_facet_graph` and `watershed_forest` return array-backed objects:
-the graph holds the edge list (lo, hi) of the packed host and the edge
-weights, the forest a mask of its edges over that edge list and a mask
-of its roots over the d-faces.  Their tuple fields (`vertices`, `edges`,
-`shared`, `roots`) are views, built from the vertex rows of the host on
-first read, as `WatershedResult` builds its views; construction from the
-fields, equality and hashing are those of the plain dataclasses.
-`_msf_checks` and `morseshed msf` read the arrays, so neither builds a
-face tuple.
+`build_facet_graph` and `watershed_forest` return array-backed objects
+that hold the packed host, whose edge list (lo, hi) they read: the graph
+with the edge weights, the forest with a mask of its edges over that
+edge list and a mask of its roots over the d-faces.  Their tuple fields
+(`vertices`, `edges`, `shared`, `roots`) are views, built from the
+vertex rows of the host on first read, as `WatershedResult` builds its
+views; construction from the fields, equality and hashing are those of
+the plain dataclasses.  `_msf_checks` and `morseshed msf` read the
+arrays, so neither builds a face tuple.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def _edge(x: Face, y: Face) -> Edge:
 def _view(obj, name: str, views):
     """Build the view `name` of an array-backed graph or forest once; later
     reads find it in the instance dict."""
-    build = views.get(name) if obj._fg is not None else None
+    build = views.get(name) if obj._pk is not None else None
     if build is None:
         raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
     obj.__dict__[name] = value = build(obj)
@@ -63,14 +64,14 @@ def _top_rows(pk):
 
 def _tops(obj) -> list[Face]:
     """The d-faces of the host as tuples, in canonical order."""
-    return list(map(tuple, _top_rows(obj._fg[0]).tolist()))
+    return list(map(tuple, _top_rows(obj._pk).tolist()))
 
 
 def _edge_tuples(obj, mask=None) -> list[Edge]:
     """The edges (tops[lo[k]], tops[hi[k]]) as face tuples, for the k that
     `mask` keeps (all when it is None); lo < hi, so the smaller face comes
     first."""
-    lo, hi = obj._fg[3:]
+    lo, hi = obj._pk.facet_graph
     if mask is not None:
         lo, hi = lo[mask], hi[mask]
     tops = obj._tops
@@ -81,8 +82,8 @@ def _edge_tuples(obj, mask=None) -> list[Edge]:
 class WeightedFacetGraph:
     """The facet graph with its edge weights and shared (d-1)-faces.
 
-    `build_facet_graph` returns a graph that holds the arrays of the host's
-    facet graph (`_fg`, see `_facet_graph`) and the weights in edge-list
+    `build_facet_graph` returns a graph that holds the packed host (`_pk`),
+    whose `facet_graph` is its edge list, and the weights in edge-list
     order (`_weights`); its three fields are views built from them on
     first read.  A graph built from its fields holds no arrays.
     """
@@ -91,7 +92,7 @@ class WeightedFacetGraph:
     edges: dict[Edge, int]  # edge -> weight F(x & y)
     shared: dict[Edge, Face]  # edge -> the shared (d-1)-face
 
-    _fg = _weights = None
+    _pk = _weights = None
 
     def __getattr__(self, name: str):
         return _view(self, name, _GRAPH_VIEWS)
@@ -101,8 +102,7 @@ class WeightedFacetGraph:
 
 
 def _shared_view(G) -> dict[Edge, Face]:
-    pk, sep_lo, top_lo = G._fg[:3]
-    seps = map(tuple, pk.rows[-2].tolist()) if top_lo > sep_lo else ()
+    seps = map(tuple, G._pk.rows[-2].tolist()) if G._ends else ()  # no edge below d = 1
     return dict(zip(G._ends, seps))
 
 
@@ -115,43 +115,31 @@ _GRAPH_VIEWS = {
 }
 
 
-def _facet_graph(F: Stack):
-    """(pk, sep_lo, top_lo, lo, hi): the packed host, where its (d-1)-faces
-    and its d-faces start, and its facet graph.  A host of dimension
-    d >= 1 must pass the check both watershed routes run first
-    (`_facet_adjacency`), so every (d-1)-face is one edge; below, there is
-    no edge."""
-    X = F.host
-    pk = X.packed()
-    if X.dim < 1:
-        no_edges = np.zeros(0, dtype=np.int64)
-        return pk, 0, 0, no_edges, no_edges
-    return (pk, *pk.dim_offset[X.dim - 1:X.dim + 1].tolist(), *_facet_adjacency(F))
-
-
 def build_facet_graph(F: Stack) -> WeightedFacetGraph:
     """The dual graph of the d-faces, its edges in canonical order of the
-    shared (d-1)-faces."""
-    fg = _facet_graph(F)
-    return _from_arrays(WeightedFacetGraph, _fg=fg, _weights=F.alt_array()[fg[1]:fg[2]])
+    shared (d-1)-faces.  The host must pass the check both watershed
+    routes run first (`_facet_adjacency`)."""
+    _facet_adjacency(F)
+    pk = F.host.packed()
+    return _from_arrays(WeightedFacetGraph, _pk=pk, _weights=F.alt_array()[pk.seps])
 
 
 @dataclass(frozen=True)
 class Forest:
     """A spanning forest of a facet graph, rooted.
 
-    `watershed_forest` returns a forest that holds the arrays of the
-    host's facet graph (`_fg`), a mask of its edges over that edge list
-    (`_in_y`) and a mask of its roots over the d-faces (`_is_root`); its
-    three fields are views built from them on first read.  A forest
-    built from its fields holds no arrays.
+    `watershed_forest` returns a forest that holds the packed host
+    (`_pk`), a mask of its edges over the host's edge list (`_in_y`) and
+    a mask of its roots over the d-faces (`_is_root`); its three fields
+    are views built from them on first read.  A forest built from its
+    fields holds no arrays.
     """
 
     vertices: frozenset[Face]
     edges: frozenset[Edge]
     roots: frozenset[Face]
 
-    _fg = _in_y = _is_root = None
+    _pk = _in_y = _is_root = None
 
     def __getattr__(self, name: str):
         return _view(self, name, _FOREST_VIEWS)
@@ -185,16 +173,15 @@ def watershed_forest(F: Stack) -> Forest:
     face's flat partner: (x, x&y) differential and (x&y, y) flat, either
     way around.  The host is checked as in `build_facet_graph`.  The roots
     are the minima, each a single d-face on a Morse stack."""
-    fg = _facet_graph(F)
-    pk, sep_lo, top_lo, lo, hi = fg
+    lo, hi = _facet_adjacency(F)
     ok, witness = is_morse(F)
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
-    alt = F.alt_array()
-    fz, fx, fy = alt[sep_lo:top_lo], alt[top_lo:][lo], alt[top_lo:][hi]
+    pk, alt = F.host.packed(), F.alt_array()
+    fz, fx, fy = alt[pk.seps], alt[pk.tops][lo], alt[pk.tops][hi]
     keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
-    rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))[1][top_lo:]
-    return _from_arrays(Forest, _fg=fg, _in_y=keep, _is_root=rank > 0)
+    rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))[1][pk.tops]
+    return _from_arrays(Forest, _pk=pk, _in_y=keep, _is_root=rank > 0)
 
 
 def verify_msf_theorem(F: Stack) -> dict[str, bool]:
@@ -250,16 +237,12 @@ def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
     tuples, and Y's edges and roots must then be edges and vertices of G
     (ValueError).
     """
+    lo, hi = _facet_adjacency(F)
     pk = F.host.packed()
-    if G._fg is not None and G._fg[0] is pk:
-        fg = G._fg
-    else:
-        fg = _facet_graph(F)
-        if len(G.edges) != fg[3].size:
-            raise ValueError("G is not the facet graph of the stack")
-    _, sep_lo, top_lo, lo, hi = fg
-    n = len(pk) - top_lo  # the d-faces, in canonical order
-    if Y._fg is not None and Y._fg[0] is pk:
+    if G._pk is not pk and len(G.edges) != lo.size:
+        raise ValueError("G is not the facet graph of the stack")
+    n = len(pk) - pk.tops.start  # the d-faces, in canonical order
+    if Y._pk is pk:
         in_y, is_root = Y._in_y, Y._is_root
     else:
         # G lists its edges in the order of the edge list (lo, hi)
@@ -268,7 +251,7 @@ def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
         if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
             raise ValueError("the forest is not on the facet graph")
     alt = F.alt_array()
-    w, ta = alt[sep_lo:top_lo], alt[top_lo:]
+    w, ta = alt[pk.seps], alt[pk.tops]
     a, b = lo[in_y], hi[in_y]
     tree = _kernels.components(a, b, n)
     first = tree == np.arange(n)  # one per tree

@@ -19,9 +19,7 @@ from . import _kernels
 from .complexes import (
     Complex,
     Face,
-    _boundary_rows,
     _connected_labels,
-    _inclusion_pairs,
     _strong_labels,
     closure,
     face_key,
@@ -69,9 +67,8 @@ class ValidationReport:
 def _check_non_branching(X: Complex) -> Optional[Face]:
     """First (d-1)-face without exactly two cofaces, if any."""
     pk = X.packed()
-    lo, hi = pk.dim_offset[X.dim - 1:X.dim + 1].tolist()
-    bad = np.flatnonzero(np.bincount(pk.sub, minlength=hi)[lo:hi] != 2)
-    return pk.faces[lo + bad[0]] if bad.size else None
+    bad = np.flatnonzero(pk.n_cofaces[pk.seps] != 2)
+    return pk.faces[pk.seps.start + bad[0]] if bad.size else None
 
 
 def _split_links(X: Complex, strong: bool = False):
@@ -86,17 +83,16 @@ def _split_links(X: Complex, strong: bool = False):
     joined through the (d-1)-faces around x.  A face whose nodes have two
     roots is split.
     """
-    d = X.dim
     pk = X.packed()
     n, off = len(pk), pk.dim_offset.tolist()
-    sub, sup = _inclusion_pairs(pk)
-    low = sub < off[d - 1]
+    sub, sup = pk.inclusion_pairs
+    low = sub < pk.seps.start
     if strong:
-        low &= sup >= off[d - 1]
+        low &= sup >= pk.seps.start
     key = np.sort(sub[low] * n + sup[low])  # node i is the pair key[i]
     x, y = np.divmod(key, n)
     a, b = [], []
-    for q, bd in enumerate(_boundary_rows(pk)[1:], start=1):
+    for q, bd in enumerate(pk.bd[1:], start=1):
         at = np.flatnonzero((y >= off[q]) & (y < off[q + 1]))
         cand = x[at, None] * n + bd[y[at] - off[q]]
         pos = np.minimum(np.searchsorted(key, cand), key.size - 1)
@@ -139,7 +135,7 @@ def validate(X: Complex) -> ValidationReport:
     if not connected and comps:
         witnesses["connected"] = f"{comps} components"
 
-    branch_witness = _check_non_branching(X) if d >= 1 else None
+    branch_witness = _check_non_branching(X)
     non_branching = d >= 1 and branch_witness is None
     if branch_witness is not None:
         witnesses["non_branching"] = branch_witness

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .complexes import Complex, Face, _boundary_rows, _masked_complex, face_key
+from .complexes import Complex, Face, _masked_complex, face_key
 
 
 class StackError(ValueError):
@@ -85,6 +85,9 @@ class Stack:
         missing = self.host.faces - self.altitude.keys()
         if missing:
             raise StackError(f"altitude missing on {min(missing, key=face_key)}")
+        if len(self.altitude) != len(self.host):
+            extra = min(self.altitude.keys() - self.host.faces, key=face_key)
+            raise StackError(f"altitude on {extra}, which is not a face of the host")
         lam = min(self.altitude.values(), default=0)
         if lam < _INT64_MIN or max(self.altitude.values(), default=0) > _INT64_MAX:
             # alt_array() stores altitudes as int64
@@ -227,19 +230,17 @@ def stack_collapse(
 
 
 def _facet_adjacency(F: Stack):
-    """The facet graph (lo, hi) of the host, `_kernels.top_adjacency`: the
-    check both watershed routes run first.  A host of dimension d >= 1
-    must be pure of dimension d with exactly two d-faces on every
-    (d-1)-face."""
+    """The facet graph (lo, hi) of the host, which it builds once and
+    keeps (`PackedComplex.facet_graph`): the check both watershed routes
+    run first.  A host of dimension d >= 1 must be pure of dimension d
+    with exactly two d-faces on every (d-1)-face."""
     try:
-        return _kernels.top_adjacency(F.host.packed())
+        return F.host.packed().facet_graph
     except ValueError as exc:
         raise StackError(str(exc)) from exc
 
 
-def ultimate_d_collapse(
-    F: Stack, seed: int = 0, mode: str = "batch", *, _adjacency=None
-) -> Stack:
+def ultimate_d_collapse(F: Stack, seed: int = 0, mode: str = "batch") -> Stack:
     """Collapse through free d-pairs until none remains.
 
     A binary heap holds the free pairs, lowest first, under one int key
@@ -252,35 +253,28 @@ def ultimate_d_collapse(
     another mode raises ValueError.  On a Morse stack a facet's lower
     neighbour is final before the facet is lowered, so batch mode collapses
     each non-minimum facet once, and the result depends on neither the
-    seed nor the mode.
-    `_adjacency` is `_facet_adjacency(F)`, when the caller has it.
+    seed nor the mode.  The host check and the facet graph are those of
+    the host (`_facet_adjacency`), built once for every stack on it.
     """
-    return _ultimate_d_collapse(F, seed, mode, _adjacency)[0]
+    return _ultimate_d_collapse(F, seed, mode)[0]
 
 
-def _ultimate_d_collapse(
-    F: Stack, seed: int, mode: str, adjacency=None
-) -> tuple[Stack, int, int]:
+def _ultimate_d_collapse(F: Stack, seed: int, mode: str) -> tuple[Stack, int, int]:
     """ultimate_d_collapse, plus its numbers of collapses and heap pops."""
     if mode not in ("batch", "unit"):
         raise ValueError(f"unknown mode {mode!r}")
+    lo, hi = _facet_adjacency(F)
     X = F.host
-    arr = F.alt_array().copy()
-    if X.dim < 1:  # no (d-1)-faces
-        return _stack_from_array(X, arr), 0, 0
-    if adjacency is None:
-        adjacency = _facet_adjacency(F)
     pk = X.packed()
-    sep_lo, top_lo = pk.dim_offset[X.dim - 1:X.dim + 1].tolist()
-    lo, hi = adjacency
-    n, lam, batch = top_lo - sep_lo, F.lambda_min, mode == "batch"
+    arr = F.alt_array().copy()
+    n, lam, batch = lo.size, F.lambda_min, mode == "batch"
     rank = list(range(n))
     random.Random(seed).shuffle(rank)
     rank = np.array(rank, dtype=np.int64)
     # the pair on (d-1)-face s is free when s is above lam and exactly one of
     # its d-faces is flat with it; no altitude falls below lam, F's least, so
     # the batch target max(other d-face, lam) is the other d-face
-    v, a, b = arr[sep_lo:top_lo], arr[top_lo:][lo], arr[top_lo:][hi]
+    v, a, b = arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi]
     free = np.flatnonzero((v > lam) & ((a == v) != (b == v)))
     v, a, b, r = v[free], a[free], b[free], rank[free]
     t = np.where(a == v, b, a) if batch else v - 1
@@ -292,8 +286,8 @@ def _ultimate_d_collapse(
     # from here a (d-1)-face is named by its rank: key t * n + r is face r
     by_rank = np.argsort(rank)
     lo, hi = lo[by_rank].tolist(), hi[by_rank].tolist()  # its two d-faces
-    bd = rank[_boundary_rows(pk)[X.dim] - sep_lo].tolist()  # the (d-1)-faces of each d-face
-    sa, ta = arr[sep_lo:top_lo][by_rank].tolist(), arr[top_lo:].tolist()
+    bd = rank[pk.bd[X.dim] - pk.seps.start].tolist()  # the (d-1)-faces of each d-face
+    sa, ta = arr[pk.seps][by_rank].tolist(), arr[pk.tops].tolist()
     collapses = pops = 0
     while heap:
         key = heappop(heap)
@@ -311,8 +305,8 @@ def _ultimate_d_collapse(
             else:
                 code[w] = k = ((b if a == v else a) if batch else v - 1) * n + w
                 heappush(heap, k)
-    arr[sep_lo:top_lo] = np.array(sa, dtype=np.int64)[rank]
-    arr[top_lo:] = ta
+    arr[pk.seps] = np.array(sa, dtype=np.int64)[rank]
+    arr[pk.tops] = ta
     return _stack_from_array(X, arr), collapses, pops
 
 

@@ -6,7 +6,10 @@ definitional construction (closure of the biconnected faces of the
 traced minima) used as an oracle.  The collapse and the flood run the
 same host check first (pure of dimension d, exactly two d-faces on every
 (d-1)-face), which returns the facet graph: one edge (lo[j], hi[j]) per
-(d-1)-face j, joining its two d-faces.  Both routes label the d-faces
+(d-1)-face j, joining its two d-faces, and no edge below dimension 1.
+The packed host builds the facet graph, its inclusion pairs and its
+(d-1)- and d-face ranges once and keeps them, so the routes and checks
+on every stack of one host share them.  Both routes label the d-faces
 and flag the cut (d-1)-faces over it, and share one label assembly on
 the packed arrays, which closes the cut downward and gives every other
 face the label of its smallest d-coface.  The collapse route lowers each
@@ -24,17 +27,17 @@ implementation, on a boolean face mask of W in packed order.  The public
 functions find the mask from the vertex rows of W (`_subcomplex_mask`,
 ValueError for a W that is not a subcomplex of the host);
 `_verify_watershed` takes a mask the caller already has, such as the cut
-label mask of a result, and runs both checks on one flat-zone rank and
-one list of inclusion pairs.  They take time linear in the size of the
-host, plus one sort by altitude and, for the public functions, one
-binary search per dimension for each face of W.
+label mask of a result, and runs both checks on one flat-zone rank.
+They take time linear in the size of the host, plus one sort by
+altitude and, for the public functions, one binary search per dimension
+for each face of W.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Complex, Face, _inclusion_pairs, _masked_complex, _subcomplex_mask, closure
+from .complexes import Complex, Face, _masked_complex, _subcomplex_mask, closure
 from .morse import biconnected_faces, is_morse
 from .stacks import Stack, StackError, _facet_adjacency, ultimate_d_collapse
 from . import _kernels
@@ -117,17 +120,13 @@ def _assemble(pk, B, cut) -> WatershedResult:
     takes the label of its smallest top coface (the top itself for a top
     face).  The host must be pure of its top dimension.
     """
-    n = len(pk)
-    if not n:
-        return WatershedResult._from_array(pk, np.zeros(0, dtype=np.int64))
-    d = len(pk.dim_offset) - 2
-    top_lo = int(pk.dim_offset[d])
+    n, top_lo = len(pk), pk.tops.start
     in_cut = np.zeros(n, dtype=np.bool_)
-    in_cut[top_lo - cut.size + np.flatnonzero(cut)] = True  # (d-1)-faces end at top_lo
+    in_cut[pk.seps] = cut
     owner = np.full(n, n, dtype=np.int64)
-    owner[top_lo:] = np.arange(top_lo, n)
+    owner[pk.tops] = np.arange(top_lo, n)
     pairs_lo = np.searchsorted(pk.sup, pk.dim_offset)  # pairs come by sup dimension
-    for p in range(d, 0, -1):
+    for p in range(len(pk.rows) - 1, 0, -1):
         sub = pk.sub[pairs_lo[p]:pairs_lo[p + 1]]
         sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
         np.minimum.at(owner, sub, owner[sup])
@@ -140,23 +139,17 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
     whose two d-faces lie in different minima of H, closed downward.  The
     basin of an H-minimum is numbered by the smallest minimum of F among
     its d-faces."""
-    X = F.host
-    pk = X.packed()
+    lo, hi = _facet_adjacency(F)
+    H = ultimate_d_collapse(F, seed=seed)
+    pk = F.host.packed()
     n = len(pk)
-    adjacency = _facet_adjacency(F) if X.dim > 0 else None
-    H = ultimate_d_collapse(F, seed=seed, _adjacency=adjacency)
-    top_lo = int(pk.dim_offset[X.dim])
-    f_rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1][top_lo:]
-    h_root = _kernels.flat_zones(pk.sub, pk.sup, H.alt_array(), n)[0][top_lo:]
+    f_rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1][pk.tops]
+    h_root = _kernels.flat_zones(pk.sub, pk.sup, H.alt_array(), n)[0][pk.tops]
     # an H-minimum takes the smallest rank of an F-minimum among its d-faces
     best = np.full(n, n + 1)
     np.minimum.at(best, h_root, np.where(f_rank > 0, f_rank, n + 1))
     B = best[h_root] % (n + 1)  # 0 where there is none
-    cut = np.zeros(0, dtype=np.bool_)
-    if adjacency is not None:
-        lo, hi = adjacency
-        cut = h_root[lo] != h_root[hi]
-    return _assemble(pk, B, cut)
+    return _assemble(pk, B, h_root[lo] != h_root[hi])
 
 
 def morse_watershed(F: Stack) -> WatershedResult:
@@ -171,16 +164,12 @@ def morse_watershed(F: Stack) -> WatershedResult:
     top coface.  All heavy steps run on the packed integer arrays of the
     host; `labels` lists the faces in canonical order.
     """
-    pk = F.host.packed()
-    adjacency = _facet_adjacency(F) if F.host.dim > 0 else None
+    lo, hi = _facet_adjacency(F)
     ok, witness = is_morse(F)
     if not ok:
         raise StackError(f"not a Morse stack (witness {witness})")
-    if adjacency is None:  # isolated vertices: every face its own basin, empty cut
-        return _assemble(pk, np.arange(1, len(pk) + 1), np.zeros(0, dtype=np.bool_))
-    sep_lo, top_lo = pk.dim_offset[F.host.dim - 1:F.host.dim + 1].tolist()
-    alt = F.alt_array()
-    return _assemble(pk, *_kernels.flood(*adjacency, alt[top_lo:], alt[sep_lo:top_lo]))
+    pk, alt = F.host.packed(), F.alt_array()
+    return _assemble(pk, *_kernels.flood(lo, hi, alt[pk.tops], alt[pk.seps]))
 
 
 def morse_watershed_direct(F: Stack) -> Complex:
@@ -211,7 +200,7 @@ def verify_cut(F: Stack, W: Complex) -> bool:
     holds one minimum, so they lie in one component of X \\ W.
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
-    return _cut_holds(F, in_w, *_check_arrays(F))
+    return _cut_holds(F, in_w, _minima_rank(F))
 
 
 def verify_drop_of_water(F: Stack, W: Complex) -> bool:
@@ -228,26 +217,24 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     largest member, as only whether it has two members is asked.
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
-    return _drop_holds(F, in_w, *_check_arrays(F))
+    return _drop_holds(F, in_w, _minima_rank(F))
 
 
 def _verify_watershed(F: Stack, in_w) -> tuple[bool, bool]:
     """(verify_cut(F, W), verify_drop_of_water(F, W)) for the W whose faces
     the boolean mask `in_w` marks in packed order, from one flat-zone rank
-    and one list of inclusion pairs."""
-    shared = _check_arrays(F)
-    return _cut_holds(F, in_w, *shared), _drop_holds(F, in_w, *shared)
+    (the inclusion pairs and the facet graph are the host's)."""
+    rank = _minima_rank(F)
+    return _cut_holds(F, in_w, rank), _drop_holds(F, in_w, rank)
 
 
-def _check_arrays(F: Stack):
-    """What both checks read: the rank of `flat_zones` of every face of the
-    host (0 off the minima) and its inclusion pairs."""
+def _minima_rank(F: Stack):
+    """The rank of `flat_zones` of every face of the host: 0 off the minima."""
     pk = F.host.packed()
-    rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), len(pk))[1]
-    return rank, _inclusion_pairs(pk)
+    return _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), len(pk))[1]
 
 
-def _cut_holds(F: Stack, in_w, rank, pairs) -> bool:
+def _cut_holds(F: Stack, in_w, rank) -> bool:
     """`verify_cut` on the face mask `in_w` of W."""
     pk = F.host.packed()
     n = len(pk)
@@ -260,34 +247,27 @@ def _cut_holds(F: Stack, in_w, rank, pairs) -> bool:
     low, high = _kernels.low_high(root[in_min], rank[in_min], n)
     if not np.array_equal(low[root[out]], high[root[out]]):
         return False
-    sub, sup = pairs
+    sub, sup = pk.inclusion_pairs
     rim = in_w[sub] & out[sup]  # x in W, y in st(x) \ W
     low, high = _kernels.low_high(sub[rim], root[sup[rim]], n)
     return not (low == high).any()
 
 
-def _drop_holds(F: Stack, in_w, rank, pairs) -> bool:
+def _drop_holds(F: Stack, in_w, rank) -> bool:
     """`verify_drop_of_water` on the face mask `in_w` of W."""
-    pk = F.host.packed()
-    n, d = len(pk), F.host.dim
-    top_lo = int(pk.dim_offset[d]) if n else 0
-    alt = F.alt_array()
-    ta = alt[top_lo:]
-    root = np.arange(ta.size)
-    src = dst = np.zeros(0, dtype=np.int64)
-    if d > 0:
-        lo, hi = _facet_adjacency(F)
-        sep_lo = int(pk.dim_offset[d - 1])
-        off_w = ~in_w[sep_lo:top_lo]  # then its two d-faces are off W, as W is closed
-        lo, hi, sa = lo[off_w], hi[off_w], alt[sep_lo:top_lo][off_w]
-        down = (ta[hi] <= sa) & (sa <= ta[lo])  # a step lo -> hi
-        up = (ta[lo] <= sa) & (sa <= ta[hi])  # a step hi -> lo
-        root = _kernels.components(lo[down & up], hi[down & up], ta.size)
-        src = np.concatenate([lo[down & ~up], hi[up & ~down]])
-        dst = np.concatenate([hi[down & ~up], lo[up & ~down]])
-    if in_w[top_lo:].any():
+    lo, hi = _facet_adjacency(F)
+    pk, alt = F.host.packed(), F.alt_array()
+    n, top_lo, ta = len(pk), pk.tops.start, alt[pk.tops]
+    off_w = ~in_w[pk.seps]  # then its two d-faces are off W, as W is closed
+    lo, hi, sa = lo[off_w], hi[off_w], alt[pk.seps][off_w]
+    down = (ta[hi] <= sa) & (sa <= ta[lo])  # a step lo -> hi
+    up = (ta[lo] <= sa) & (sa <= ta[hi])  # a step hi -> lo
+    root = _kernels.components(lo[down & up], hi[down & up], ta.size)
+    src = np.concatenate([lo[down & ~up], hi[up & ~down]])
+    dst = np.concatenate([hi[down & ~up], lo[up & ~down]])
+    if in_w[pk.tops].any():
         return False  # a d-face of W starts no path
-    rank = rank[top_lo:]  # 0 off the minima
+    rank = rank[pk.tops]  # 0 off the minima
     low, high = (a.tolist() for a in _kernels.low_high(root[rank > 0], rank[rank > 0], ta.size))
     order = np.argsort(ta[src], kind="stable")
     for s, t in zip(root[src[order]].tolist(), root[dst[order]].tolist()):
@@ -295,7 +275,7 @@ def _drop_holds(F: Stack, in_w, rank, pairs) -> bool:
             low[s] = low[t]
         if high[t] > high[s]:
             high[s] = high[t]
-    sub, sup = pairs
+    sub, sup = pk.inclusion_pairs
     rim = in_w[sub] & ~in_w[sup] & (sup >= top_lo)  # x in W, y a d-face off W
     at, g = sub[rim], root[sup[rim] - top_lo]
     x_low, x_high = np.full(n, ta.size + 1), np.full(n, -1)

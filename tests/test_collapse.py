@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from morseshed import complexes, stacks, watershed
-from morseshed.complexes import Complex, _boundary_rows, closure, connected_components
+from morseshed.complexes import Complex, closure, connected_components
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import is_morse, random_morse_stack
@@ -35,11 +35,10 @@ from morseshed.watershed import (
 )
 
 
-def _ref_ultimate_d_collapse(F, seed=0, mode="batch", *, _adjacency=None):
+def _ref_ultimate_d_collapse(F, seed=0, mode="batch"):
     """Reference: the FIFO worklist of (d-1)-faces in canonical order
     shuffled by `seed`, re-examining a face whenever a neighbouring
-    altitude drops.  Takes (and ignores) the precomputed facet adjacency
-    that ultimate_d_collapse accepts, so that it can stand in for it."""
+    altitude drops."""
     X = F.host
     d = X.dim
     alt = dict(F.altitude)
@@ -89,7 +88,7 @@ def _ref_heap_collapse(F, seed, mode, adjacency=None):
     sep_lo, top_lo = pk.dim_offset[X.dim - 1:X.dim + 1].tolist()
     lo, hi = adjacency
     cof = list(zip(lo.tolist(), hi.tolist()))  # the two d-faces of each (d-1)-face
-    bd = (_boundary_rows(pk)[X.dim] - sep_lo).tolist()  # the (d-1)-faces of each d-face
+    bd = (pk.bd[X.dim] - sep_lo).tolist()  # the (d-1)-faces of each d-face
     sa, ta = arr[sep_lo:top_lo].tolist(), arr[top_lo:].tolist()
     lam, batch = F.lambda_min, mode == "batch"
     rank = list(range(len(sa)))
@@ -290,13 +289,13 @@ def test_watershed_collapse_computes_the_facet_adjacency_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(stacks._kernels, "top_adjacency", counting)
+    # the host keeps its facet graph: once per host, for every stack and call on it
     for n, seed in ((4, 0), (6, 1), (8, 2)):
+        calls.clear()
         F = random_morse_stack(generate_torus(n, n), seed=seed, n_minima=3)
         for cseed in range(2):
-            calls.clear()
             r = watershed_collapse(F, seed=cseed)
             assert len(calls) == 1
             assert len(r.basins) == 3
-        calls.clear()
-        ultimate_d_collapse(F)
+        ultimate_d_collapse(random_stack(F.host, seed=seed))  # another stack, the same host
         assert len(calls) == 1

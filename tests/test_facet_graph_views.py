@@ -16,7 +16,6 @@ from morseshed.fixtures import cyc6_host, tetrahedron_boundary
 from morseshed.forest import (
     Forest,
     WeightedFacetGraph,
-    _facet_graph,
     _from_arrays,
     _msf_checks,
     build_facet_graph,
@@ -24,11 +23,19 @@ from morseshed.forest import (
 )
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
+from morseshed.stacks import _facet_adjacency
 from morseshed import _kernels
 
 
+def _host_graph(F):
+    """(pk, sep_lo, top_lo, lo, hi): the packed host, where its (d-1)-faces
+    and its d-faces start, and its facet graph."""
+    pk = F.host.packed()
+    return (pk, pk.seps.start, pk.tops.start, *_facet_adjacency(F))
+
+
 def _ref_build_facet_graph(F):
-    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
+    pk, sep_lo, top_lo, lo, hi = _host_graph(F)
     tops = pk.faces[top_lo:]
     ends = list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
     weights = F.alt_array()[sep_lo:top_lo].tolist()
@@ -38,7 +45,7 @@ def _ref_build_facet_graph(F):
 
 
 def _ref_watershed_forest(F):
-    pk, sep_lo, top_lo, lo, hi = _facet_graph(F)
+    pk, sep_lo, top_lo, lo, hi = _host_graph(F)
     alt = F.alt_array()
     fz, fx, fy = alt[sep_lo:top_lo], alt[top_lo:][lo], alt[top_lo:][hi]
     keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
@@ -81,7 +88,7 @@ def test_msf_checks_read_the_arrays_as_the_tuples():
         G, Y = build_facet_graph(F), watershed_forest(F)
         flipped = Y._in_y.copy()
         flipped[rng.randrange(flipped.size)] ^= True
-        Z = _from_arrays(Forest, _fg=Y._fg, _in_y=flipped, _is_root=Y._is_root)
+        Z = _from_arrays(Forest, _pk=Y._pk, _in_y=flipped, _is_root=Y._is_root)
         for forest in (Y, Z):
             got = _msf_checks(F, G, forest)
             assert got == _msf_checks(F, G, _tuple_forest(forest))
@@ -106,7 +113,7 @@ def test_msf_checks_reject_a_forest_off_the_graph():
 def test_hand_built_graph_and_forest_hold_no_arrays():
     G = WeightedFacetGraph(((0, 1), (1, 2)), {((0, 1), (1, 2)): 3}, {((0, 1), (1, 2)): (1,)})
     Y = Forest(frozenset(G.vertices), frozenset(G.edges), frozenset([(0, 1)]))
-    assert G._fg is None and Y._fg is None and Y.weight(G) == 3
+    assert G._pk is None and Y._pk is None and Y.weight(G) == 3
     for obj in (G, Y):
         with pytest.raises(AttributeError):
             obj.missing

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -402,6 +403,19 @@ def test_cli_export_off(capsys, tmp_path):
     ]) == 3
     err = capsys.readouterr().err
     assert err == "error: vertex 8 has no coordinates in the --coords file\n"
+    # the mesh is made of triangles: a cycle (d = 1) and the boundary of
+    # the 4-simplex (d = 3) have none to write
+    coords.write_text("".join(f"{v} {v} 0 0\n" for v in range(6)))
+    hosts = {1: cyc6_stack(), 3: random_morse_stack(closure(combinations(range(5), 4)), seed=1)}
+    for d, F in hosts.items():
+        stack.write_text(io.serialize_stack(F))
+        assert cli.main([
+            "export", str(stack), "--format", "off", "--coords", str(coords)
+        ]) == 3, d
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: off export needs a 2-dimensional complex, not {d}-dimensional\n"
+        )
 
 
 def test_cli_exit_codes(capsys, tmp_path):
@@ -431,6 +445,16 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert cli.main(["watershed", str(wide)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "9223372036854775808" in err
+    # a malformed coordinate line is a parse error that names its line,
+    # for a bad number as for a wrong field count
+    stack = tmp_path / "cyc6.stack"
+    stack.write_text(io.serialize_stack(cyc6_stack()))
+    coords = tmp_path / "coords.txt"
+    for line in ("0 0 0 zz", "x 0 0 0", "0 0 0"):
+        coords.write_text(f"# vertex x y z\n{line}\n")
+        assert cli.main(["export", str(stack), "--format", "off", "--coords", str(coords)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("parse error: line 2: "), line
 
 
 def test_cli_routes_reject_the_same_hosts(capsys, tmp_path):
@@ -714,10 +738,21 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
     assert cli.main(["watershed", path, "--algo", "morse"]) == 0
     assert ": W\n" in capsys.readouterr().out
     assert calls["flat_zones"] == 1 and calls["_inclusion_pairs"] == 1, calls
+    assert calls["top_adjacency"] == 1, calls
+    calls.update(dict.fromkeys(calls, 0))
+    assert cli.main(["watershed", path, "--algo", "collapse"]) == 0
+    assert ": W\n" in capsys.readouterr().out
+    assert calls["top_adjacency"] == 1 and calls["_inclusion_pairs"] == 1, calls
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["msf", path, "--verify"]) == 0
     assert capsys.readouterr().out.count("=True\n") == 5
-    assert calls["top_adjacency"] <= 2 and calls["morse_watershed"] == 0, calls
+    assert calls["top_adjacency"] == 1 and calls["morse_watershed"] == 0, calls
+    calls.update(dict.fromkeys(calls, 0))
+    cplx = tmp_path / "t66.cplx"
+    cplx.write_text(io.serialize_complex(generate_torus(6, 6)))
+    assert cli.main(["validate", str(cplx)]) == 0
+    assert "is_normal=True\n" in capsys.readouterr().out
+    assert calls["_inclusion_pairs"] == 1, calls
 
 
 def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):

@@ -35,6 +35,18 @@ def test_stack_requires_total_altitude():
         Stack(X, {(0, 1): 0})
 
 
+def test_stack_rejects_an_altitude_off_its_host():
+    # an extra face would set lambda_min below the host's least altitude
+    X = closure([(0, 1)])
+    with pytest.raises(StackError, match=r"^altitude on \(5,\), which is not a face of the host$"):
+        Stack(X, {(0,): 0, (1,): 1, (0, 1): 0, (5,): -1})
+    with pytest.raises(StackError, match=r"altitude on \(2,\),"):  # the canonically first
+        Stack(X, {(0,): 0, (1,): 1, (0, 1): 0, (0, 9): 5, (3, 4): 7, (2,): 9})
+    with pytest.raises(StackError, match="not a face of the host"):
+        Stack(X, {(0,): 0, (1,): 1, (0, 1): 0}).with_altitudes({(0, 2): 0})
+    assert Stack(X, {(0,): 0, (1,): 1, (0, 1): 0}).lambda_min == 0
+
+
 def test_validate_stack_fixture():
     assert validate_stack(cyc6_stack()) == (True, None)
     assert validate_stack(constant_stack(cyc6_host())) == (True, None)

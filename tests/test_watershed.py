@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from morseshed.complexes import Complex, closure
 from morseshed.fixtures import branching_triangles, cyc6_stack, tetrahedron_boundary
+from morseshed.forest import verify_msf_theorem
 from morseshed.manifolds import generate_torus, validate
 from morseshed.morse import random_morse_stack
 from morseshed.stacks import Stack, StackError, minima
@@ -237,3 +238,9 @@ def test_routes_agree_on_isolated_vertices_and_the_empty_complex():
     empty = Stack(Complex(()), {})
     for r in (morse_watershed(empty), watershed_collapse(empty)):
         assert (r.labels, r.watershed.faces, r.basins) == ({}, frozenset(), ())
+    # the checks run the general path on these hosts too: no edge, no cut
+    for G in (F, empty):
+        W = morse_watershed(G).watershed
+        assert verify_cut(G, W) is True and verify_drop_of_water(G, W) is True
+        checks = verify_msf_theorem(G)
+        assert checks and all(v is True for v in checks.values()), checks
