@@ -46,16 +46,6 @@ def _load_stack(args) -> "Stack":
     return mio.parse_stack(_read(args.input), complete=args.complete)
 
 
-def _format_table(line: str, *columns) -> str:
-    """`line` once per row, %-formatted from the row's entry in each column
-    (lists of equal length); one `%`-format for all the rows."""
-    n, k = len(columns[0]), len(columns)
-    args = [None] * (n * k)
-    for j, column in enumerate(columns):
-        args[j::k] = column
-    return (line * n) % tuple(args)
-
-
 def _dot(name: str, rows, lo, hi, node=("", ()), edge=("", ())) -> str:
     """A dot graph: node i labelled with the vertex ids of rows[i], and an
     edge lo[k] -- hi[k] for each k.  `node` and `edge` are a %-template
@@ -63,9 +53,9 @@ def _dot(name: str, rows, lo, hi, node=("", ()), edge=("", ())) -> str:
     face = " ".join(["%d"] * rows.shape[1])
     return (
         f"graph {name} {{\n"
-        + _format_table(f'  n%d [label="{face}"{node[0]}];\n', list(range(len(rows))),
-                        *rows.T.tolist(), *node[1])
-        + _format_table(f"  n%d -- n%d{edge[0]};\n", lo.tolist(), hi.tolist(), *edge[1])
+        + mio._format_table(f'  n%d [label="{face}"{node[0]}];\n', list(range(len(rows))),
+                            *rows.T.tolist(), *node[1])
+        + mio._format_table(f"  n%d -- n%d{edge[0]};\n", lo.tolist(), hi.tolist(), *edge[1])
         + "}\n"
     )
 
@@ -233,8 +223,8 @@ def _cmd_msf(args) -> int:
     k = np.flatnonzero(in_y)
     k = k[np.lexsort((hi[k], lo[k]))]  # the order of sorted(Y.edges)
     sys.stdout.write(
-        _format_table(f"{face} | {face} : %d\n", *rows[lo[k]].T.tolist(),
-                      *rows[hi[k]].T.tolist(), w[k].tolist())
+        mio._format_table(f"{face} | {face} : %d\n", *rows[lo[k]].T.tolist(),
+                          *rows[hi[k]].T.tolist(), w[k].tolist())
     )
     print(f"total_weight={sum(w[in_y].tolist())}")  # Python ints: no int64 wrap-around
     if args.dot:
@@ -265,6 +255,9 @@ def _cmd_gen(args) -> int:
     elif args.what == "random-morse":
         if not args.input:
             print("gen random-morse needs a complex file", file=sys.stderr)
+            return EXIT_USAGE
+        if args.minima < 1:
+            print(f"gen random-morse needs --minima >= 1, not {args.minima}", file=sys.stderr)
             return EXIT_USAGE
         X = mio.parse_complex(_read(args.input))
         sys.stdout.write(
@@ -366,7 +359,7 @@ def main(argv=None) -> int:
     except (StackError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

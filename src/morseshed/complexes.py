@@ -9,8 +9,11 @@ family of faces is first turned into those rows by one numpy pass per
 dimension.  The face tuples and the views that the face-by-face
 algorithms walk -- ``faces``, ``by_dim``, ``boundary`` and ``cofaces`` --
 are derived from the arrays on first access and are plain attributes
-after that.  Complexes are immutable after construction; operations
-return new objects sharing nothing mutable.
+after that.  `_LazyViews` is the one helper that does this, for the
+complex and for every other array-backed object of the package (the
+watershed result, the facet graph and the forest); `_from_arrays` builds
+such an object from its arrays alone.  Complexes are immutable after
+construction; operations return new objects sharing nothing mutable.
 """
 
 from __future__ import annotations
@@ -64,7 +67,66 @@ def face_key(x: Face) -> tuple[int, Face]:
     return (len(x), x)
 
 
-class Complex:
+class _LazyViews:
+    """An object whose views are built from the arrays it holds on first
+    read.  A subclass maps each view's name to its builder in `_VIEWS`; the
+    builder takes the object, and the view is stored as a plain attribute
+    (a slot or an instance-dict entry, also on a frozen dataclass), so
+    later reads find it without coming here."""
+
+    __slots__ = ()
+    _VIEWS: dict = {}
+
+    def __getattr__(self, name: str):
+        # only reached while the attribute is unset
+        build = type(self)._VIEWS.get(name)
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = build(self)
+        object.__setattr__(self, name, view)
+        return view
+
+
+def _from_arrays(cls, **arrays):
+    """An instance of the `_LazyViews` subclass `cls` that holds `arrays`
+    and none of its views, built without `cls.__init__`."""
+    obj = cls.__new__(cls)
+    for name, value in arrays.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _by_dim_view(X) -> dict[int, list[Face]]:
+    pk = X._packed
+    off = pk.dim_offset.tolist()
+    return {p: pk.faces[off[p]:off[p + 1]] for p in range(len(off) - 1)}
+
+
+def _boundary_view(X) -> dict[Face, tuple[Face, ...]]:
+    pk = X._packed
+    faces, off = pk.faces, pk.dim_offset.tolist()
+    out: dict[Face, tuple[Face, ...]] = dict.fromkeys(faces, ())
+    for p, rows in enumerate(pk.bd[1:], start=1):
+        bd = map(faces.__getitem__, rows.ravel().tolist())  # p + 1 faces a row
+        out.update(zip(faces[off[p]:off[p + 1]], zip(*[bd] * (p + 1))))
+    return out
+
+
+def _cofaces_view(X) -> dict[Face, tuple[Face, ...]]:
+    pk = X._packed
+    faces = pk.faces
+    order = np.argsort(pk.sub, kind="stable")  # keeps sup ascending per face
+    ups = [faces[j] for j in pk.sup[order].tolist()]
+    counts = pk.n_cofaces.tolist()
+    out: dict[Face, tuple[Face, ...]] = {}
+    start = 0
+    for x, c in zip(faces, counts):
+        out[x] = tuple(ups[start:start + c])
+        start += c
+    return out
+
+
+class Complex(_LazyViews):
     """A finite simplicial complex with incidence indexes.
 
     ``boundary[x]`` lists the codim-1 faces of x in drop-vertex-i order
@@ -75,6 +137,12 @@ class Complex:
     """
 
     __slots__ = ("faces", "dim", "_packed", "by_dim", "boundary", "cofaces")
+    _VIEWS = {
+        "faces": lambda X: frozenset(X._packed.faces),
+        "by_dim": _by_dim_view,
+        "boundary": _boundary_view,
+        "cofaces": _cofaces_view,
+    }
 
     def __init__(self, faces: Iterable[Iterable[int]] = (), _rows=None):
         """`faces` is a closed family of faces, each a collection of
@@ -93,16 +161,6 @@ class Complex:
                 "the rows repeat a face or are not closed"
             )
         self.dim = len(rows) - 1
-
-    def __getattr__(self, name: str):
-        # only reached while a view slot is unset: build it once, and later
-        # reads find the slot filled
-        build = _VIEWS.get(name)
-        if build is None:
-            raise AttributeError(f"'Complex' object has no attribute {name!r}")
-        view = build(self._packed)
-        setattr(self, name, view)
-        return view
 
     # -- basic protocol ----------------------------------------------------
 
@@ -355,41 +413,6 @@ def _pack(rows: list) -> PackedComplex | None:
         tops=slice(off[-2], off[-1]),
         keys=keys,
     )
-
-
-def _by_dim_view(pk: PackedComplex) -> dict[int, list[Face]]:
-    off = pk.dim_offset.tolist()
-    return {p: pk.faces[off[p]:off[p + 1]] for p in range(len(off) - 1)}
-
-
-def _boundary_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
-    faces, off = pk.faces, pk.dim_offset.tolist()
-    out: dict[Face, tuple[Face, ...]] = dict.fromkeys(faces, ())
-    for p, rows in enumerate(pk.bd[1:], start=1):
-        bd = map(faces.__getitem__, rows.ravel().tolist())  # p + 1 faces a row
-        out.update(zip(faces[off[p]:off[p + 1]], zip(*[bd] * (p + 1))))
-    return out
-
-
-def _cofaces_view(pk: PackedComplex) -> dict[Face, tuple[Face, ...]]:
-    faces = pk.faces
-    order = np.argsort(pk.sub, kind="stable")  # keeps sup ascending per face
-    ups = [faces[j] for j in pk.sup[order].tolist()]
-    counts = pk.n_cofaces.tolist()
-    out: dict[Face, tuple[Face, ...]] = {}
-    start = 0
-    for x, c in zip(faces, counts):
-        out[x] = tuple(ups[start:start + c])
-        start += c
-    return out
-
-
-_VIEWS = {
-    "faces": lambda pk: frozenset(pk.faces),
-    "by_dim": _by_dim_view,
-    "boundary": _boundary_view,
-    "cofaces": _cofaces_view,
-}
 
 
 EMPTY_COMPLEX = Complex(())

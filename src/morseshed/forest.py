@@ -15,10 +15,11 @@ that hold the packed host, whose edge list (lo, hi) they read: the graph
 with the edge weights, the forest with a mask of its edges over that
 edge list and a mask of its roots over the d-faces.  Their tuple fields
 (`vertices`, `edges`, `shared`, `roots`) are views, built from the
-vertex rows of the host on first read, as `WatershedResult` builds its
-views; construction from the fields, equality and hashing are those of
-the plain dataclasses.  `_msf_checks` and `morseshed msf` read the
-arrays, so neither builds a face tuple.
+vertex rows of the host on first read by `complexes._LazyViews`, the
+one helper behind every such view of the package; construction from
+the fields, equality and hashing are those of the plain dataclasses.
+`_msf_checks` and `morseshed msf` read the arrays, so neither builds a
+face tuple.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .complexes import Face, face_key
-from .morse import is_morse
-from .stacks import Stack, StackError, _facet_adjacency
+from .complexes import Face, _LazyViews, _from_arrays, face_key
+from .morse import _require_morse
+from .stacks import Stack, _facet_adjacency, _flat_zones
 from .watershed import WATERSHED_LABEL
 
 Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
@@ -38,22 +39,6 @@ Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
 
 def _edge(x: Face, y: Face) -> Edge:
     return (x, y) if face_key(x) <= face_key(y) else (y, x)
-
-
-def _view(obj, name: str, views):
-    """Build the view `name` of an array-backed graph or forest once; later
-    reads find it in the instance dict."""
-    build = views.get(name) if obj._pk is not None else None
-    if build is None:
-        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
-    obj.__dict__[name] = value = build(obj)
-    return value
-
-
-def _from_arrays(cls, **arrays):
-    obj = cls.__new__(cls)
-    obj.__dict__.update(arrays)
-    return obj
 
 
 def _top_rows(pk):
@@ -78,8 +63,13 @@ def _edge_tuples(obj, mask=None) -> list[Edge]:
     return list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
 
 
+def _shared_view(G) -> dict[Edge, Face]:
+    seps = map(tuple, G._pk.rows[-2].tolist()) if G._ends else ()  # no edge below d = 1
+    return dict(zip(G._ends, seps))
+
+
 @dataclass(frozen=True)
-class WeightedFacetGraph:
+class WeightedFacetGraph(_LazyViews):
     """The facet graph with its edge weights and shared (d-1)-faces.
 
     `build_facet_graph` returns a graph that holds the packed host (`_pk`),
@@ -93,26 +83,16 @@ class WeightedFacetGraph:
     shared: dict[Edge, Face]  # edge -> the shared (d-1)-face
 
     _pk = _weights = None
-
-    def __getattr__(self, name: str):
-        return _view(self, name, _GRAPH_VIEWS)
+    _VIEWS = {
+        "_tops": _tops,
+        "_ends": _edge_tuples,
+        "vertices": lambda G: tuple(G._tops),
+        "edges": lambda G: dict(zip(G._ends, G._weights.tolist())),
+        "shared": _shared_view,
+    }
 
     def degree(self, x: Face) -> int:
         return sum(1 for e in self.edges if x in e)
-
-
-def _shared_view(G) -> dict[Edge, Face]:
-    seps = map(tuple, G._pk.rows[-2].tolist()) if G._ends else ()  # no edge below d = 1
-    return dict(zip(G._ends, seps))
-
-
-_GRAPH_VIEWS = {
-    "_tops": _tops,
-    "_ends": _edge_tuples,
-    "vertices": lambda G: tuple(G._tops),
-    "edges": lambda G: dict(zip(G._ends, G._weights.tolist())),
-    "shared": _shared_view,
-}
 
 
 def build_facet_graph(F: Stack) -> WeightedFacetGraph:
@@ -125,7 +105,7 @@ def build_facet_graph(F: Stack) -> WeightedFacetGraph:
 
 
 @dataclass(frozen=True)
-class Forest:
+class Forest(_LazyViews):
     """A spanning forest of a facet graph, rooted.
 
     `watershed_forest` returns a forest that holds the packed host
@@ -140,9 +120,12 @@ class Forest:
     roots: frozenset[Face]
 
     _pk = _in_y = _is_root = None
-
-    def __getattr__(self, name: str):
-        return _view(self, name, _FOREST_VIEWS)
+    _VIEWS = {
+        "_tops": _tops,
+        "vertices": lambda Y: frozenset(Y._tops),
+        "edges": lambda Y: frozenset(_edge_tuples(Y, Y._in_y)),
+        "roots": lambda Y: frozenset(map(Y._tops.__getitem__, np.flatnonzero(Y._is_root).tolist())),
+    }
 
     def weight(self, G: WeightedFacetGraph) -> int:
         return sum(G.edges[e] for e in self.edges)
@@ -160,27 +143,17 @@ class Forest:
         return [frozenset(t) for t in trees.values()]
 
 
-_FOREST_VIEWS = {
-    "_tops": _tops,
-    "vertices": lambda Y: frozenset(Y._tops),
-    "edges": lambda Y: frozenset(_edge_tuples(Y, Y._in_y)),
-    "roots": lambda Y: frozenset(map(Y._tops.__getitem__, np.flatnonzero(Y._is_root).tolist())),
-}
-
-
 def watershed_forest(F: Stack) -> Forest:
     """Dual edges {x, y} such that one endpoint descends into the shared
     face's flat partner: (x, x&y) differential and (x&y, y) flat, either
     way around.  The host is checked as in `build_facet_graph`.  The roots
     are the minima, each a single d-face on a Morse stack."""
     lo, hi = _facet_adjacency(F)
-    ok, witness = is_morse(F)
-    if not ok:
-        raise StackError(f"not a Morse stack (witness {witness})")
+    _require_morse(F)
     pk, alt = F.host.packed(), F.alt_array()
     fz, fx, fy = alt[pk.seps], alt[pk.tops][lo], alt[pk.tops][hi]
     keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
-    rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))[1][pk.tops]
+    rank = _flat_zones(F)[1][pk.tops]
     return _from_arrays(Forest, _pk=pk, _in_y=keep, _is_root=rank > 0)
 
 

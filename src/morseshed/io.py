@@ -87,19 +87,24 @@ def parse_complex(text: str) -> Complex:
     return closure([_read_face(line, i) for i, line in _content_lines(text)])
 
 
+def _format_table(line: str, *columns) -> str:
+    """`line` once per row, %-formatted from the row's entry in each column
+    (lists of equal length); one `%`-format for all the rows."""
+    n, k = len(columns[0]), len(columns)
+    args = [None] * (n * k)
+    for j, column in enumerate(columns):
+        args[j::k] = column
+    return (line * n) % tuple(args)
+
+
 def _format_rows(rows, tags=None) -> str:
     """One line per row of the int array `rows`: its ids joined by single
-    spaces, then ` : ` and the row's tag when `tags` is given; one
-    `%`-format for all the rows."""
+    spaces, then ` : ` and the row's tag when `tags` is given."""
     n, k = rows.shape
     line = " ".join(["%d"] * k)
     if tags is None:
         return ((line + "\n") * n) % tuple(rows.ravel().tolist())
-    args = [None] * (n * (k + 1))
-    for j in range(k):
-        args[j::k + 1] = rows[:, j].tolist()
-    args[k::k + 1] = tags
-    return ((line + " : %s\n") * n) % tuple(args)
+    return _format_table(line + " : %s\n", *rows.T.tolist(), tags)
 
 
 def serialize_complex(X: Complex) -> str:

@@ -48,10 +48,15 @@ def is_morse(F: Stack) -> tuple[bool, Optional[Face]]:
     return (True, None) if i < 0 else (False, pk.faces[i])
 
 
-def gradient(F: Stack) -> GradientField:
+def _require_morse(F: Stack) -> None:
+    """Raise StackError, naming `is_morse`'s witness, unless F is Morse."""
     ok, witness = is_morse(F)
     if not ok:
-        raise StackError(f"not a Morse stack: {witness} is in two flat pairs")
+        raise StackError(f"not a Morse stack (witness {witness})")
+
+
+def gradient(F: Stack) -> GradientField:
+    _require_morse(F)
     return GradientField(frozenset(flat_pairs(F)))
 
 
@@ -122,12 +127,6 @@ class Blocked:
     separating: Face
 
 
-def _is_minimum_facet(F: Stack, x: Face) -> bool:
-    """A d-face of a Morse stack is a minimum iff it has no flat pair."""
-    fx = F.altitude[x]
-    return all(F.altitude[z] != fx for z in F.host.boundary[x])
-
-
 def extend_path(F: Stack, path: LambdaPath):
     """One-step extension per the reversed-path dichotomy.
 
@@ -141,11 +140,8 @@ def extend_path(F: Stack, path: LambdaPath):
     if path.reverse:
         y = path.faces[0]
         if len(y) - 1 == d:
-            if _is_minimum_facet(F, y):
-                return AtMinimum()
-            fy = F.altitude[y]
-            z = next(z for z in F.host.boundary[y] if F.altitude[z] == fy)
-            return Extended(z)
+            step = _trace_step(F, y)
+            return AtMinimum() if step is None else Extended(step[0])
         # y is a (d-1)-face with flat partner = previous path element
         prev = path.faces[1]
         cof = F.host.cofaces[y]

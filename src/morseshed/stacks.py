@@ -156,6 +156,13 @@ class MinimaDecomposition:
         return frozenset(out)
 
 
+def _flat_zones(F: Stack):
+    """(root, rank) of `_kernels.flat_zones` on the packed host of F: each
+    face's flat-zone root, and the rank of its minimum (0 off the minima)."""
+    pk = F.host.packed()
+    return _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), len(pk))
+
+
 def minima(F: Stack) -> MinimaDecomposition:
     """Regional minima and divide of F.
 
@@ -166,7 +173,7 @@ def minima(F: Stack) -> MinimaDecomposition:
     smallest face in canonical order.
     """
     pk, alt = F.host.packed(), F.alt_array()
-    _, rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))
+    rank = _flat_zones(F)[1]
     order = np.argsort(rank, kind="stable").tolist()
     by_rank = [pk.faces[i] for i in order]
     levels = alt[order].tolist()

@@ -16,7 +16,8 @@ face the label of its smallest d-coface.  The collapse route lowers each
 non-minimum facet of a Morse stack once, in altitude order.  A
 `WatershedResult` holds the packed host and one label array in packed
 order; its tuple views (`labels`, the cut complex `watershed`, `basins`)
-are built on first read, so a caller that reads the array builds none.
+are built on first read by `complexes._LazyViews`, so a caller that
+reads the array builds none.
 `verify_cut` and `verify_drop_of_water` check the watershed axioms
 directly: the components of the complement of W for the cut, whose
 minimality is then one star test (no face x of W has st(x) \\ W
@@ -27,7 +28,8 @@ implementation, on a boolean face mask of W in packed order.  The public
 functions find the mask from the vertex rows of W (`_subcomplex_mask`,
 ValueError for a W that is not a subcomplex of the host);
 `_verify_watershed` takes a mask the caller already has, such as the cut
-label mask of a result, and runs both checks on one flat-zone rank.
+label mask of a result, and runs both checks on one flat-zone rank
+(`stacks._flat_zones`).
 They take time linear in the size of the host, plus one sort by
 altitude and, for the public functions, one binary search per dimension
 for each face of W.
@@ -37,15 +39,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Complex, Face, _masked_complex, _subcomplex_mask, closure
-from .morse import biconnected_faces, is_morse
-from .stacks import Stack, StackError, _facet_adjacency, ultimate_d_collapse
+from .complexes import (
+    Complex, Face, _LazyViews, _from_arrays, _masked_complex, _subcomplex_mask, closure,
+)
+from .morse import _require_morse, biconnected_faces
+from .stacks import Stack, _facet_adjacency, _flat_zones, ultimate_d_collapse
 from . import _kernels
 
 WATERSHED_LABEL = 0
 
 
-class WatershedResult:
+def _basins_view(r) -> tuple[tuple[int, frozenset[Face]], ...]:
+    label = r._label
+    if not label.size:
+        return ()
+    order = np.argsort(label, kind="stable")
+    grouped = label[order]
+    bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), label.size]
+    by_label = [r._pk.faces[i] for i in order.tolist()]
+    return tuple(
+        (bid, frozenset(by_label[a:b]))
+        for bid, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:])
+        if bid != WATERSHED_LABEL
+    )
+
+
+class WatershedResult(_LazyViews):
     """A watershed: `labels` maps each face of the host to WATERSHED_LABEL
     (on the cut) or its basin id >= 1, in canonical order; `watershed` is
     the cut W as a complex; `basins` lists (id, faces) by ascending id.
@@ -55,25 +74,15 @@ class WatershedResult:
     """
 
     __slots__ = ("labels", "watershed", "basins", "_pk", "_label")
+    _VIEWS = {
+        "labels": lambda r: dict(zip(r._pk.faces, r._label.tolist())),
+        "watershed": lambda r: _masked_complex(r._pk, r._label == WATERSHED_LABEL),
+        "basins": _basins_view,
+    }
 
     def __init__(self, labels: dict[Face, int], watershed: Complex, basins):
         self.labels, self.watershed, self.basins = labels, watershed, basins
         self._pk = self._label = None
-
-    @classmethod
-    def _from_array(cls, pk, label) -> "WatershedResult":
-        result = cls.__new__(cls)
-        result._pk, result._label = pk, label
-        return result
-
-    def __getattr__(self, name: str):
-        # only reached while a view slot is unset: build it once
-        build = _RESULT_VIEWS.get(name)
-        if build is None:
-            raise AttributeError(f"'WatershedResult' object has no attribute {name!r}")
-        view = build(self._pk, self._label)
-        setattr(self, name, view)
-        return view
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WatershedResult) and (
@@ -85,31 +94,6 @@ class WatershedResult:
 
     def basin_sizes(self) -> dict[int, int]:
         return {bid: len(fs) for bid, fs in self.basins}
-
-
-def _cut_view(pk, label) -> Complex:
-    return _masked_complex(pk, label == WATERSHED_LABEL)
-
-
-def _basins_view(pk, label) -> tuple[tuple[int, frozenset[Face]], ...]:
-    if not label.size:
-        return ()
-    order = np.argsort(label, kind="stable")
-    grouped = label[order]
-    bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), label.size]
-    by_label = [pk.faces[i] for i in order.tolist()]
-    return tuple(
-        (bid, frozenset(by_label[a:b]))
-        for bid, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:])
-        if bid != WATERSHED_LABEL
-    )
-
-
-_RESULT_VIEWS = {
-    "labels": lambda pk, label: dict(zip(pk.faces, label.tolist())),
-    "watershed": _cut_view,
-    "basins": _basins_view,
-}
 
 
 def _assemble(pk, B, cut) -> WatershedResult:
@@ -131,7 +115,8 @@ def _assemble(pk, B, cut) -> WatershedResult:
         sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
         np.minimum.at(owner, sub, owner[sup])
         in_cut[sub[in_cut[sup]]] = True
-    return WatershedResult._from_array(pk, np.where(in_cut, WATERSHED_LABEL, B[owner - top_lo]))
+    label = np.where(in_cut, WATERSHED_LABEL, B[owner - top_lo])
+    return _from_arrays(WatershedResult, _pk=pk, _label=label)
 
 
 def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
@@ -143,8 +128,8 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
     H = ultimate_d_collapse(F, seed=seed)
     pk = F.host.packed()
     n = len(pk)
-    f_rank = _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), n)[1][pk.tops]
-    h_root = _kernels.flat_zones(pk.sub, pk.sup, H.alt_array(), n)[0][pk.tops]
+    f_rank = _flat_zones(F)[1][pk.tops]
+    h_root = _flat_zones(H)[0][pk.tops]
     # an H-minimum takes the smallest rank of an F-minimum among its d-faces
     best = np.full(n, n + 1)
     np.minimum.at(best, h_root, np.where(f_rank > 0, f_rank, n + 1))
@@ -165,9 +150,7 @@ def morse_watershed(F: Stack) -> WatershedResult:
     host; `labels` lists the faces in canonical order.
     """
     lo, hi = _facet_adjacency(F)
-    ok, witness = is_morse(F)
-    if not ok:
-        raise StackError(f"not a Morse stack (witness {witness})")
+    _require_morse(F)
     pk, alt = F.host.packed(), F.alt_array()
     return _assemble(pk, *_kernels.flood(lo, hi, alt[pk.tops], alt[pk.seps]))
 
@@ -175,11 +158,8 @@ def morse_watershed(F: Stack) -> WatershedResult:
 def morse_watershed_direct(F: Stack) -> Complex:
     """Definitional construction: closure of the faces whose two cofaces
     trace to distinct minima.  Oracle for the two algorithms."""
-    ok, witness = is_morse(F)
-    if not ok:
-        raise StackError(f"not a Morse stack (witness {witness})")
-    bic = biconnected_faces(F)
-    return closure(bic)
+    _require_morse(F)
+    return closure(biconnected_faces(F))
 
 
 # -- verification oracles -----------------------------------------------------
@@ -200,7 +180,7 @@ def verify_cut(F: Stack, W: Complex) -> bool:
     holds one minimum, so they lie in one component of X \\ W.
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
-    return _cut_holds(F, in_w, _minima_rank(F))
+    return _cut_holds(F, in_w, _flat_zones(F)[1])
 
 
 def verify_drop_of_water(F: Stack, W: Complex) -> bool:
@@ -217,21 +197,15 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     largest member, as only whether it has two members is asked.
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
-    return _drop_holds(F, in_w, _minima_rank(F))
+    return _drop_holds(F, in_w, _flat_zones(F)[1])
 
 
 def _verify_watershed(F: Stack, in_w) -> tuple[bool, bool]:
     """(verify_cut(F, W), verify_drop_of_water(F, W)) for the W whose faces
     the boolean mask `in_w` marks in packed order, from one flat-zone rank
     (the inclusion pairs and the facet graph are the host's)."""
-    rank = _minima_rank(F)
+    rank = _flat_zones(F)[1]
     return _cut_holds(F, in_w, rank), _drop_holds(F, in_w, rank)
-
-
-def _minima_rank(F: Stack):
-    """The rank of `flat_zones` of every face of the host: 0 off the minima."""
-    pk = F.host.packed()
-    return _kernels.flat_zones(pk.sub, pk.sup, F.alt_array(), len(pk))[1]
 
 
 def _cut_holds(F: Stack, in_w, rank) -> bool:

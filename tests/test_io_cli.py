@@ -378,6 +378,16 @@ def test_cli_gen_random_morse_minima(capsys, tmp_path):
     assert ": W" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("minima", ["0", "-3"])
+def test_cli_gen_random_morse_rejects_fewer_than_one_minimum(capsys, tmp_path, minima):
+    p = tmp_path / "t33.cplx"
+    p.write_text(io.serialize_complex(generate_torus(3, 3)))
+    capsys.readouterr()
+    assert cli.main(["gen", "random-morse", str(p), "--minima", minima]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and minima in err
+
+
 def test_cli_export_off(capsys, tmp_path):
     stack = tmp_path / "t.stack"
     capsys.readouterr()
@@ -455,6 +465,16 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert cli.main(["export", str(stack), "--format", "off", "--coords", str(coords)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("parse error: line 2: "), line
+    # a directory given for an input file is a usage error with one line
+    for argv in (
+        ["watershed", str(tmp_path)],
+        ["validate", str(tmp_path)],
+        ["gen", "random-morse", str(tmp_path)],
+        ["export", str(stack), "--format", "off", "--coords", str(tmp_path)],
+    ):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), argv
 
 
 def test_cli_routes_reject_the_same_hosts(capsys, tmp_path):

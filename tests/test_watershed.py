@@ -73,6 +73,18 @@ def test_morse_watershed_rejects_non_morse():
         morse_watershed_direct(constant_stack(tetrahedron_boundary()))
 
 
+def test_every_morse_route_rejects_a_non_morse_stack_alike():
+    from morseshed.forest import watershed_forest
+    from morseshed.morse import gradient, is_morse
+
+    F = constant_stack(tetrahedron_boundary())
+    witness = is_morse(F)[1]
+    for route in (morse_watershed, morse_watershed_direct, watershed_forest, gradient):
+        with pytest.raises(StackError) as exc:
+            route(F)
+        assert str(exc.value) == f"not a Morse stack (witness {witness})", route
+
+
 def test_morse_watershed_rejects_branching_host():
     from morseshed.fixtures import branching_triangles
 
