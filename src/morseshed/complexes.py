@@ -237,7 +237,9 @@ class PackedComplex:
     indexes `dim_offset[p]:dim_offset[p+1]`; `seps` and `tops` are the
     index ranges of the (d-1)-faces and the d-faces, d the top dimension
     (the (d-1)-faces are none below dimension 1).  `keys[p]` (p >= 1)
-    holds the packer's ascending sort keys of the p-faces (see `_locate`).
+    holds the packer's ascending sort keys of the p-faces (see `_locate`),
+    and `order[p]` the row of the packer's input each p-face came from, or
+    None where that input was in canonical order already.
 
     The arrays derived from the host belong to it, whatever stack it
     carries: each of the properties below is built on first read and kept,
@@ -250,9 +252,15 @@ class PackedComplex:
     seps: slice
     tops: slice
     keys: list = field(repr=False)  # None, then np.ndarray[int64] per dimension p >= 1
+    order: list = field(repr=False)  # np.ndarray[int64] or None per dimension p
 
     def __len__(self) -> int:
         return int(self.dim_offset[-1])
+
+    @property
+    def vertex_ids(self):
+        """The vertex ids, ascending."""
+        return self.rows[0][:, 0] if self.rows else np.zeros(0, dtype=np.int64)
 
     @cached_property
     def faces(self) -> list[Face]:
@@ -333,11 +341,14 @@ def _face_rows(faces: Iterable[Iterable[int]]) -> list:
 
 
 def _vertex_ranks(vertex_ids, r):
-    """Ranks of the vertex ids in `r` among the ascending `vertex_ids`;
-    None if one is absent."""
+    """Ranks of the vertex ids in `r` among the distinct ascending
+    `vertex_ids`; None if one is absent.  When the vertex ids are exactly
+    0..n-1, each id is its own rank and `r` itself is returned."""
     nv = vertex_ids.size
     if nv == 0:
         return None
+    if vertex_ids[0] == 0 and vertex_ids[-1] == nv - 1:
+        return r if not r.size or (r.min() >= 0 and r.max() < nv) else None
     ranks = np.minimum(np.searchsorted(vertex_ids, r), nv - 1)
     return ranks if np.array_equal(vertex_ids[ranks], r) else None
 
@@ -370,23 +381,20 @@ def _pack(rows: list) -> PackedComplex | None:
     or is not closed.
 
     Each boundary face is found by binary search among the faces of the
-    dimension below, so a failed lookup is a missing face."""
+    dimension below, so a failed lookup is a missing face.  Rows already
+    in canonical order (ascending sort keys) are kept as given."""
     dim_offset = np.zeros(len(rows) + 1, dtype=np.int64)
     dim_offset[1:] = np.cumsum([len(r) for r in rows])
-    subs, sups, keys, ordered = [], [], [None], []
+    subs, sups, keys, ordered, orders = [], [], [None], [], []
     for p, r in enumerate(rows):
-        n = len(r)
         if p == 0:
-            order = np.argsort(r[:, 0])
-            vertex_ids = r[order, 0]
-            key = vertex_ids
+            key = r[:, 0]
         else:
-            nv = vertex_ids.size
             ranks = _vertex_ranks(vertex_ids, r)
             if ranks is None:
                 return None
             cols = list(range(p + 1))
-            bd = np.empty((n, p + 1), dtype=np.int64)
+            bd = np.empty((len(r), p + 1), dtype=np.int64)
             for i in cols:
                 found = _locate(keys, nv, ranks[:, cols[:i] + cols[i + 1:]])
                 if found is None:
@@ -394,14 +402,22 @@ def _pack(rows: list) -> PackedComplex | None:
                 bd[:, i] = found
             # the last column is the prefix face: drop vertex p
             key = bd[:, p] * nv + ranks[:, p]
+        order = None
+        if len(r) > 1 and not (key[1:] > key[:-1]).all():
             order = np.argsort(key)
-            key = key[order]
+            key, r = key[order], r[order]
+            if not (key[1:] > key[:-1]).all():
+                return None  # a repeated face
+            if p:
+                bd = bd[order]
+        if p == 0:
+            vertex_ids, nv = key, len(key)
+        else:
             keys.append(key)
-            subs.append((bd[order] + dim_offset[p - 1]).ravel())
+            subs.append((bd + dim_offset[p - 1]).ravel())
             sups.append(np.repeat(np.arange(dim_offset[p], dim_offset[p + 1]), p + 1))
-        if n > 1 and not (key[1:] > key[:-1]).all():
-            return None  # a repeated face
-        ordered.append(r[order])
+        ordered.append(r)
+        orders.append(order)
     empty = np.zeros(0, dtype=np.int64)
     off = [0, 0, *dim_offset.tolist()]  # two empty dimensions below 0
     return PackedComplex(
@@ -412,6 +428,7 @@ def _pack(rows: list) -> PackedComplex | None:
         seps=slice(off[-3], off[-2]),
         tops=slice(off[-2], off[-1]),
         keys=keys,
+        order=orders,
     )
 
 
@@ -419,11 +436,17 @@ EMPTY_COMPLEX = Complex(())
 
 
 def closure(generators: Iterable[Iterable[int]]) -> Complex:
-    """Smallest complex containing every generator simplex.
+    """Smallest complex containing every generator simplex."""
+    return _closure(_face_rows(generators))
+
+
+def _closure(gens: list) -> Complex:
+    """The closure of the faces whose vertex rows are `gens`: for each
+    dimension p, an (n, p + 1) int64 array of ascending non-negative ids,
+    rows in any order and possibly repeated.
 
     Its faces with k vertices are the k-column subsets of the generators'
     vertex rows, deduplicated by a lexicographic sort."""
-    gens = _face_rows(generators)
     return Complex(_rows=[
         _distinct_rows(np.concatenate(
             [r[:, cols] for r in gens[k - 1:] for cols in combinations(range(r.shape[1]), k)]
@@ -569,7 +592,7 @@ def _subcomplex_mask(pk: PackedComplex, W: Complex):
     by the packer's sort keys, so no face tuple or face set is built.
     Raises ValueError when W is not a subcomplex of pk."""
     member = np.zeros(len(pk), dtype=np.bool_)
-    vertex_ids = pk.rows[0][:, 0] if pk.rows else np.zeros(0, dtype=np.int64)
+    vertex_ids = pk.vertex_ids
     for p, r in enumerate(W.packed().rows):
         found = None
         if p < len(pk.rows) and (ranks := _vertex_ranks(vertex_ids, r)) is not None:

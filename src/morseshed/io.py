@@ -8,19 +8,29 @@ labels  : `face : W` or `face : <basin id>`
 
 Lines beginning with `#` and blank lines are ignored everywhere.
 
-`parse_stack` reads a text in the canonical layout with numpy: ASCII, one
-`v0 ... vk : a` line per face ending in a newline, single spaces, at most
-18 characters per number (so `np.fromstring`, which saturates longer
-ones, reads every number exactly), no comments, blank lines, tabs or
-carriage returns, and ascending non-negative vertex ids listing every face
-exactly once.  Any other text, including every malformed one, goes through
-the line loop, which is the only place a parse error is raised.
+`parse_stack` and `parse_complex` read a text in the canonical layout
+with numpy: ASCII, one line per face ending in a newline, its ascending
+non-negative vertex ids joined by single spaces and, in a stack, ` : `
+and the altitude; at most 18 characters per number (so `np.fromstring`,
+which saturates longer ones, reads every number exactly), no comments,
+blank lines, tabs or carriage returns.  The parsed numbers of the lines
+with k vertices form an (n, k + 1) array (k without the tag column) by
+one `reshape` of a contiguous slice when the lines come grouped by vertex
+count, as every text of the writers does; other line orders are grouped
+by one stable argsort of the per-line counts first.  `Complex` then packs
+the rows, and the altitudes follow the packer's row order.  Any other
+text, including every malformed one, goes through the line loop, which
+is the only place a parse error is raised.
 
 Every line loop reads its faces with `_read_face`, which takes a canonical
 face as read and leaves any other token to `_parse_face` for its ParseError.
 
-The writers format one dimension at a time from the vertex arrays of the
-packed host, whose order is canonical, with one `%`-format per dimension.
+The writers share `_write_rows`, which lays out each dimension as one
+fixed-width byte record per face: the vertex ids gathered by rank from a
+table of their NUL-padded decimal strings, the separators at fixed
+columns, and the tag gathered from a second table (`W` and the basin
+numbers for labels, the altitude of each face for a stack).  One pass
+then drops the NUL padding.
 """
 
 from __future__ import annotations
@@ -35,6 +45,8 @@ from .complexes import (
     Complex,
     Face,
     InvalidSimplexError,
+    _closure,
+    _vertex_ranks,
     closure,
     face_key,
     make_face,
@@ -84,7 +96,11 @@ def _read_face(token: str, lineno: int) -> Face:
 
 
 def parse_complex(text: str) -> Complex:
-    return closure([_read_face(line, i) for i, line in _content_lines(text)])
+    """The closure of the faces a text lists."""
+    rows = _read_rows(text, tagged=False)
+    if rows is None:
+        return closure([_read_face(line, i) for i, line in _content_lines(text)])
+    return _closure(rows)
 
 
 def _format_table(line: str, *columns) -> str:
@@ -97,18 +113,73 @@ def _format_table(line: str, *columns) -> str:
     return (line * n) % tuple(args)
 
 
-def _format_rows(rows, tags=None) -> str:
-    """One line per row of the int array `rows`: its ids joined by single
-    spaces, then ` : ` and the row's tag when `tags` is given."""
-    n, k = rows.shape
-    line = " ".join(["%d"] * k)
-    if tags is None:
-        return ((line + "\n") * n) % tuple(rows.ravel().tolist())
-    return _format_table(line + " : %s\n", *rows.T.tolist(), tags)
+_POWERS_OF_TEN = 10 ** np.arange(19, -1, -1, dtype=np.uint64)  # 10**19, ..., 10, 1
+
+
+def _decimals(values):
+    """The decimal strings of the int64 array `values`, as an (n, W) uint8
+    table: row i holds the characters of values[i], right-aligned and
+    padded on the left with NULs, W the length of the longest."""
+    neg = values < 0
+    magnitude = values.view(np.uint64)
+    if negative := neg.any():
+        magnitude = np.where(neg, -magnitude, magnitude)  # wraps to |v|, also for -2**63
+    width = max(len(str(values.min())), len(str(values.max()))) if values.size else 1
+    out = np.empty((values.size, width), dtype=np.uint8)
+    rest = magnitude
+    for c in range(width - 1, -1, -1):  # one division by a scalar per column
+        q = rest // np.uint64(10)
+        out[:, c] = rest - q * np.uint64(10)
+        rest = q
+    out += np.uint8(ord("0"))
+    lead = magnitude[:, None] < _POWERS_OF_TEN[20 - width:]  # a zero before the first digit
+    lead[:, -1] = False
+    out[lead] = 0
+    if negative:
+        out[neg, lead[neg].sum(axis=1) - 1] = ord("-")
+    return out
+
+
+def _write_rows(vertex_ids, rows, tags=None) -> str:
+    """One line per row of the int64 arrays `rows`, taken in turn: the
+    row's vertex ids joined by single spaces, then, when `tags` is a pair
+    (table, index) of a `_decimals`-style byte table and an int array,
+    ` : ` and the tag `table[index[i]]` of row number i.  `vertex_ids`
+    holds every id of the rows, distinct and ascending.
+
+    Each row becomes a fixed-width byte record: every id is gathered by
+    rank from a table of the NUL-padded id strings, each followed by a
+    space (the last one a newline when there is no tag), and the tag from
+    a table of ` : `, the padded tag and a newline.  One pass then drops
+    every NUL."""
+    if not rows:
+        return ""
+    ids = _decimals(vertex_ids)
+    w = ids.shape[1] + 1
+    id_table = np.full((len(ids), w), ord(" "), dtype=np.uint8)
+    id_table[:, :-1] = ids
+    if tags is not None:
+        table, index = tags
+        tag_table = np.zeros((len(table), table.shape[1] + 3), dtype=np.uint8)
+        tag_table[:, :2] = np.frombuffer(b": ", dtype=np.uint8)
+        tag_table[:, 2:-1] = table
+        tag_table[:, -1] = ord("\n")
+    records, lo = [], 0
+    for r in rows:
+        n, k = r.shape
+        rec = id_table.take(_vertex_ranks(vertex_ids, r), axis=0).reshape(n, k * w)
+        if tags is None:
+            rec[:, -1] = ord("\n")
+        else:
+            rec = np.concatenate((rec, tag_table.take(index[lo:lo + n], axis=0)), axis=1)
+            lo += n
+        records.append(rec.ravel())
+    return np.concatenate(records).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def serialize_complex(X: Complex) -> str:
-    return "".join(map(_format_rows, X.packed().rows))
+    pk = X.packed()
+    return _write_rows(pk.vertex_ids, pk.rows)
 
 
 def _is_canonical(face: Face) -> bool:
@@ -125,18 +196,22 @@ def _is_canonical(face: Face) -> bool:
 _MAX_NUMBER_LEN = 18  # every number of at most 18 characters fits in int64
 
 
-def _parse_canonical_stack(text: str) -> Stack | None:
-    """The stack of a text in the canonical layout (see the module
-    docstring), or None for any other text."""
+def _read_rows(text: str, tagged: bool):
+    """The numbers of a text in the canonical layout (see the module
+    docstring), one (n, k + 1) int64 array per vertex count k = 1, 2, ...
+    when `tagged` (each line's vertex ids, then the number after ` : `,
+    which every line has) and one (n, k) array otherwise (no line has a
+    tag); the rows in line order.  None for any other text."""
     if not text.endswith("\n") or not text.isascii():
         return None
     raw = text.encode("ascii")
     a = np.frombuffer(raw, dtype=np.uint8)
     digit = (a - np.uint8(ord("0"))) < 10  # wraps around below "0"
     num = digit | (a == ord("-"))  # the characters of a number
-    if not num[0] or np.count_nonzero(
-        num | (a == ord(" ")) | (a == ord(":")) | (a == ord("\n"))
-    ) != a.size:
+    allowed = num | (a == ord(" ")) | (a == ord("\n"))
+    if tagged:
+        allowed |= a == ord(":")
+    if not num[0] or np.count_nonzero(allowed) != a.size:
         return None
     # maximal runs alternate: number, gap, number, gap, ..., the final gap
     bounds = np.flatnonzero(num[1:] != num[:-1]) + 1
@@ -152,34 +227,53 @@ def _parse_canonical_stack(text: str) -> Stack | None:
         return None
     space = (gap_len == 1) & (a[ends] == ord(" "))
     newline = (gap_len == 1) & (a[ends] == ord("\n"))
-    colon = gap_len == 3
-    at = ends[colon]
-    colon[colon] = (a[at] == ord(" ")) & (a[at + 1] == ord(":")) & (a[at + 2] == ord(" "))
-    # each line: ids joined by single spaces, " : ", the altitude, "\n"
-    if not (space | colon | newline).all() or newline[0] or not np.array_equal(
-        colon[:-1], newline[1:]
-    ):
+    if tagged:
+        colon = gap_len == 3
+        at = ends[colon]
+        colon[colon] = (a[at] == ord(" ")) & (a[at + 1] == ord(":")) & (a[at + 2] == ord(" "))
+        # each line: ids joined by single spaces, " : ", the tag, "\n"
+        if not (space | colon | newline).all() or newline[0] or not np.array_equal(
+            colon[:-1], newline[1:]
+        ):
+            return None
+        raw = raw.replace(b":", b" ")
+    elif not (space | newline).all():  # each line: ids joined by single spaces, "\n"
         return None
-    nums = np.fromstring(raw.replace(b":", b" "), dtype=np.int64, sep=" ")
+    nums = np.fromstring(raw, dtype=np.int64, sep=" ")
     if nums.size != starts.size:
         return None
-    alt_at = np.flatnonzero(newline)  # the altitude of each line
-    first_id = np.concatenate(([0], alt_at[:-1] + 1))
-    k = alt_at - first_id  # vertices per line
-    rows, alts = [], []
-    for p in range(int(k.max())):
-        lines = np.flatnonzero(k == p + 1)
-        r = nums[first_id[lines, None] + np.arange(p + 1)]
-        if r.size and (r[:, 0].min() < 0 or (r[:, 1:] <= r[:, :-1]).any()):
-            return None  # ids not ascending, or negative
-        order = np.lexsort(r.T[::-1])
-        rows.append(r[order])
-        alts.append(nums[alt_at[lines]][order])
+    last = np.flatnonzero(newline)  # the last number of each line
+    first = np.concatenate(([0], last[:-1] + 1))
+    pair = np.flatnonzero(space)  # number i and i + 1 are ids of one line
+    if nums[first].min() < 0 or (nums[pair + 1] <= nums[pair]).any():
+        return None  # ids not ascending, or negative
+    width = last - first + 1  # the numbers of each line
+    if (width[1:] < width[:-1]).any():  # group the lines by width
+        order = np.argsort(width, kind="stable")
+        width = width[order]
+        start = np.cumsum(width) - width  # of each line, once grouped
+        nums = nums[np.repeat(first[order] - start, width) + np.arange(nums.size)]
+    blocks, lo = [], 0
+    for w, n in enumerate(np.bincount(width).tolist()[1 + tagged:], start=1 + tagged):
+        blocks.append(nums[lo:lo + n * w].reshape(n, w))
+        lo += n * w
+    return blocks
+
+
+def _parse_canonical_stack(text: str) -> Stack | None:
+    """The stack of a text in the canonical layout (see the module
+    docstring), or None for any other text."""
+    blocks = _read_rows(text, tagged=True)
+    if blocks is None:
+        return None
     try:
-        host = Complex(_rows=rows)
+        host = Complex(_rows=[np.ascontiguousarray(b[:, :-1]) for b in blocks])
     except InvalidSimplexError:  # a face repeated or missing
         return None
-    return _stack_from_array(host, np.concatenate(alts))
+    order = host.packed().order  # the altitudes follow the packer's rows
+    return _stack_from_array(
+        host, np.concatenate([b[:, -1] if o is None else b[o, -1] for b, o in zip(blocks, order)])
+    )
 
 
 def parse_stack(text: str, complete: str = "none") -> Stack:
@@ -222,11 +316,7 @@ def _parse_stack_lines(text: str, complete: str) -> Stack:
 
 def serialize_stack(F: Stack) -> str:
     pk, alt = F.host.packed(), F.alt_array()
-    off = pk.dim_offset.tolist()
-    return "".join(
-        _format_rows(rows, alt[off[p]:off[p + 1]].tolist())
-        for p, rows in enumerate(pk.rows)
-    )
+    return _write_rows(pk.vertex_ids, pk.rows, (_decimals(alt), np.arange(alt.size)))
 
 
 def parse_gradient(text: str) -> GradientField:
@@ -253,21 +343,20 @@ def serialize_gradient(V: GradientField) -> str:
 
 def serialize_labels(result: WatershedResult) -> str:
     if result._label is not None:
-        rows, label = result._pk.rows, result._label.tolist()
-        table = [str(v) for v in range(max(label, default=0) + 1)]
-        table[WATERSHED_LABEL] = "W"
-        tags = list(map(table.__getitem__, label))
+        pk = result._pk
+        rows, vertex_ids, index = pk.rows, pk.vertex_ids, result._label
+        values = np.arange(index.max(initial=0) + 1)
     else:  # built from a labels dict: sort its faces
         faces = sorted(result.labels, key=face_key)
         rows = [np.array(list(g), dtype=np.int64) for _, g in groupby(faces, key=len)]
-        tags = [
-            "W" if v == WATERSHED_LABEL else str(v) for v in map(result.labels.__getitem__, faces)
-        ]
-    out, lo = [], 0
-    for r in rows:
-        out.append(_format_rows(r, tags[lo:lo + len(r)]))
-        lo += len(r)
-    return "".join(out)
+        vertex_ids = np.unique(np.concatenate([r.ravel() for r in rows])) if rows else None
+        values = np.fromiter(map(result.labels.__getitem__, faces), dtype=np.int64, count=len(faces))
+        index = np.arange(values.size)
+    table = _decimals(values)
+    cut = values == WATERSHED_LABEL
+    table[cut] = 0
+    table[cut, -1] = ord("W")
+    return _write_rows(vertex_ids, rows, (table, index))
 
 
 def parse_labels(text: str) -> dict[Face, int]:

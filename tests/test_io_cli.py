@@ -1,12 +1,15 @@
+import os
 import random
 import subprocess
 import sys
 from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import morseshed
-from morseshed import cli, forest, io, oracles
+from morseshed import cli, complexes, forest, io, oracles
 from morseshed.complexes import Complex, InvalidSimplexError, closure, face_key
 from morseshed.fixtures import (
     branching_collapse_counterexample,
@@ -498,10 +501,14 @@ def test_cli_routes_reject_the_same_hosts(capsys, tmp_path):
 
 
 def test_cli_entry_point_runs():
+    # the subprocess finds the package the way this test process does
+    src = str(Path(morseshed.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "morseshed.cli", "gen", "cyc6"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "0 1 : 0" in proc.stdout
@@ -695,6 +702,183 @@ def test_array_writers_match_per_face_writers():
     for r in results:
         assert io.serialize_labels(r) == _ref_serialize_labels(r)
     assert io.serialize_complex(Complex(())) == io.serialize_stack(Stack(Complex(()), {})) == ""
+
+
+def _rescaled(F, values):
+    """F with its distinct altitudes replaced, in order, by `values`: a
+    non-decreasing map, so the result is again a stack."""
+    levels = sorted(set(F.altitude.values()))
+    assert len(values) >= len(levels)
+    to = dict(zip(levels, values))
+    return Stack(F.host, {x: to[a] for x, a in F.altitude.items()})
+
+
+def _check_text_paths(F, array_path=True):
+    """The writers and the parser on F against the per-face writers and the
+    line loop; `array_path` says whether the text takes the numpy path."""
+    text = io.serialize_stack(F)
+    assert text == _ref_serialize_stack(F)
+    assert io.serialize_complex(F.host) == _ref_serialize_complex(F.host)
+    assert (io._parse_canonical_stack(text) is not None) == array_path
+    for complete in ("none", "max"):
+        assert _outcome(io.parse_stack, text, complete=complete) == _outcome(
+            _ref_parse_stack, text, complete=complete
+        )
+    assert io.parse_stack(text).alt_array().tolist() == F.alt_array().tolist()
+    assert io.parse_complex(io.serialize_complex(F.host)) == F.host
+
+
+def test_text_paths_on_extreme_altitudes():
+    F = random_stack(generate_torus(4, 4), seed=2, high=6)
+    low, high = -(2**63), 2**63 - 1
+    _check_text_paths(_rescaled(F, [low, -7, -1, 0, 3, 10**17, high]), array_path=False)
+    _check_text_paths(_rescaled(F, [-(10**16), -123, -10, -9, -1, 0, 99]))
+    _check_text_paths(_rescaled(F, [-(10**16) - 5, -(10**15), -54321, -50, -9, -2, -1]))
+    cyc = cyc6_stack()
+    _check_text_paths(_rescaled(cyc, [low] * len(set(cyc.altitude.values()))), array_path=False)
+
+
+def test_labels_with_many_basins():
+    for seed in range(3):
+        r = morse_watershed(random_morse_stack(generate_torus(8, 8), seed=seed, n_minima=12))
+        assert max(r.labels.values()) >= 10
+        text = io.serialize_labels(r)
+        assert text == _ref_serialize_labels(r)
+        assert io.parse_labels(text) == r.labels
+        labels = dict(r.labels)  # the same labels through a dict-built result
+        assert io.serialize_labels(WatershedResult(labels, Complex(()), ())) == text
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [(0, 7, 10**15)],
+        [(0, 7), (7, 10**15), (3,)],
+        [(1, 2, 3), (2, 3, 4)],  # dense but not from 0
+        [(0, 2, 5), (0, 1, 2)],  # from 0 but not dense
+        [(5, 2**63 - 2, 2**63 - 1), (2**63 - 3, 2**63 - 2, 2**63 - 1)],
+        [(10**17, 10**17 + 1, 999999999999999999)],
+    ],
+)
+def test_text_paths_on_sparse_and_huge_vertex_ids(facets):
+    X = closure(facets)
+    pk = X.packed()
+    ids = pk.vertex_ids
+    for r in pk.rows:
+        ranks = complexes._vertex_ranks(ids, r)
+        assert ranks is not r  # the ids are not 0..n-1
+        assert ranks.tolist() == [[ids.tolist().index(v) for v in row] for row in r.tolist()]
+    huge = ids[-1] >= 10**18  # 19 digits: the line loop reads it
+    for seed in range(2):
+        _check_text_paths(random_stack(X, seed=seed, low=-3, high=4), array_path=not huge)
+    labels = {x: seed % 3 for seed, x in enumerate(X.sorted_faces())}
+    r = WatershedResult(labels, Complex(()), ())
+    assert io.serialize_labels(r) == _ref_serialize_labels(r)
+    facet_text = "".join(" ".join(map(str, x)) + "\n" for x in facets)
+    assert (io._read_rows(facet_text, tagged=False) is None) == huge
+    assert io.parse_complex(facet_text) == X
+
+
+def test_vertex_ranks_of_dense_ids():
+    ids = np.arange(4)
+    r = np.array([[0, 1], [2, 3]])
+    assert complexes._vertex_ranks(ids, r) is r  # each id is its own rank
+    assert complexes._vertex_ranks(ids, np.array([[0, 4]])) is None
+    assert complexes._vertex_ranks(ids, np.array([[-1, 2]])) is None
+    assert complexes._vertex_ranks(np.zeros(0, dtype=np.int64), r) is None
+
+
+def test_text_paths_on_one_vertex_and_the_empty_complex():
+    for v in (0, 5, 10**15):
+        X = Complex([(v,)])
+        assert io.serialize_complex(X) == f"{v}\n" == _ref_serialize_complex(X)
+        assert io.parse_complex(f"{v}\n") == X
+        for a in (-(2**63), -4, 0, 2**63 - 1):
+            F = Stack(X, {(v,): a})
+            assert io.serialize_stack(F) == f"{v} : {a}\n" == _ref_serialize_stack(F)
+            assert _outcome(io.parse_stack, f"{v} : {a}\n") == _outcome(_ref_parse_stack, f"{v} : {a}\n")
+            assert io.parse_stack(f"{v} : {a}\n").altitude == F.altitude
+        for lab in (WATERSHED_LABEL, 1, 12):
+            r = WatershedResult({(v,): lab}, Complex(()), ())
+            assert io.serialize_labels(r) == _ref_serialize_labels(r)
+    empty = Complex(())
+    assert io.serialize_complex(empty) == io.serialize_stack(Stack(empty, {})) == ""
+    assert io.serialize_labels(WatershedResult({}, empty, ())) == ""
+    assert io.serialize_labels(morse_watershed(Stack(empty, {}))) == ""
+    assert io.parse_complex("") == io.parse_complex("\n") == empty
+
+
+def _interleaved(text):
+    """The lines of a canonical text dealt round-robin from the groups of
+    each vertex count, so the dimensions alternate."""
+    groups = {}
+    for line in text.splitlines(keepends=True):
+        groups.setdefault(len(line.partition(" : ")[0].split()), []).append(line)
+    out, queues = [], list(groups.values())
+    while any(queues):
+        for q in queues:
+            if q:
+                out.append(q.pop())
+    return "".join(out)
+
+
+def test_interleaved_dimensions_take_the_array_path():
+    for F in _fixture_stacks():
+        text = _interleaved(io.serialize_stack(F))
+        assert text != io.serialize_stack(F)
+        G = io._parse_canonical_stack(text)
+        assert G is not None
+        assert G.host == F.host and G.alt_array().tolist() == F.alt_array().tolist()
+        assert _outcome(io.parse_stack, text) == _outcome(_ref_parse_stack, text)
+        ctext = _interleaved(io.serialize_complex(F.host))
+        assert io._read_rows(ctext, tagged=False) is not None
+        assert io.parse_complex(ctext) == F.host
+
+
+def test_array_complex_parse_matches_line_loop():
+    rng = random.Random(3)
+    for F in _fixture_stacks():
+        X = F.host
+        text = io.serialize_complex(X)
+        facets = "".join(" ".join(map(str, x)) + "\n" for x in X.facets())
+        lines = text.splitlines(keepends=True)
+        rng.shuffle(lines)
+        for t in (text, facets, "".join(lines), text + facets):  # repeats are allowed
+            assert io._read_rows(t, tagged=False) is not None
+            assert io.parse_complex(t) == X
+            assert io.parse_complex(t).packed().rows[-1].tolist() == X.packed().rows[-1].tolist()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1 : 5\n",
+        "0 1\n1 0\n",
+        "0 0\n",
+        "-1 2\n",
+        "0  1\n",
+        "0 1 \n",
+        "0\t1\n",
+        "0 1\r\n",
+        "0 1\n\n2\n",
+        "# c\n0 1\n",
+        "0 1",
+        "1 -2\n",
+        "0 9223372036854775808\n",
+        "0 x\n",
+    ],
+)
+def test_malformed_complex_text_gets_the_loop_outcome(text):
+    def loop(t):
+        return closure([io._read_face(line, i) for i, line in io._content_lines(t)])
+
+    outcomes = []
+    for parse in (io.parse_complex, loop):
+        try:
+            outcomes.append(parse(text))
+        except io.ParseError as exc:
+            outcomes.append((exc.lineno, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_flood_pipeline_stays_on_the_arrays(monkeypatch):
