@@ -244,6 +244,9 @@ def _cmd_msf(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.what == "torus":
+        if min(args.n, args.m) < 3:
+            print(f"gen torus needs --n, --m >= 3, not {args.n}, {args.m}", file=sys.stderr)
+            return EXIT_USAGE
         X = generate_torus(args.n, args.m)
         sys.stdout.write(mio.serialize_complex(X))
     elif args.what == "cyc6":

@@ -10,10 +10,10 @@ dimension.  The face tuples and the views that the face-by-face
 algorithms walk -- ``faces``, ``by_dim``, ``boundary`` and ``cofaces`` --
 are derived from the arrays on first access and are plain attributes
 after that.  `_LazyViews` is the one helper that does this, for the
-complex and for every other array-backed object of the package (the
-watershed result, the facet graph and the forest); `_from_arrays` builds
-such an object from its arrays alone.  Complexes are immutable after
-construction; operations return new objects sharing nothing mutable.
+complex and every other array-backed object of the package (the stack,
+the watershed result, the facet graph and the forest); `_from_arrays`
+builds such an object from its arrays alone.  Complexes are immutable
+after construction; operations return new objects sharing nothing mutable.
 """
 
 from __future__ import annotations

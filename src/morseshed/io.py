@@ -362,8 +362,13 @@ def serialize_labels(result: WatershedResult) -> str:
 def parse_labels(text: str) -> dict[Face, int]:
     out: dict[Face, int] = {}
     for i, line in _content_lines(text):
-        face_part, _, tag = line.partition(":")
+        face_part, colon, tag = line.partition(":")
+        if not colon:
+            raise ParseError(i, "expected `face : label`")
         face = _read_face(face_part, i)
         tag = tag.strip()
-        out[face] = WATERSHED_LABEL if tag == "W" else int(tag)
+        try:
+            out[face] = WATERSHED_LABEL if tag == "W" else int(tag)
+        except ValueError as exc:
+            raise ParseError(i, f"bad label {tag!r}") from exc
     return out

@@ -233,10 +233,13 @@ def random_morse_stack(X: Complex, seed: int = 0, n_minima: int = 1) -> Stack:
     On a closed pseudomanifold this process gets stuck at the top
     dimension exactly once (a proper subcomplex always has a free
     d-pair), so the output has a single minimum and an empty watershed.
-    Passing n_minima > 1 removes that many uniformly random facets up
-    front instead, which on a pseudomanifold yields exactly n_minima
-    regional minima; n_minima = 1 is the plain process.
+    Passing n_minima > 1 removes that many uniformly random d-faces up
+    front instead (every d-face when there are fewer), which on a closed
+    pseudomanifold yields one regional minimum per removed d-face;
+    n_minima = 1 is the plain process, and n_minima < 1 raises ValueError.
     """
+    if n_minima < 1:
+        raise ValueError(f"n_minima must be >= 1, not {n_minima}")
     if not X.faces:
         return Stack(X, {})
     rng = random.Random(seed)

@@ -2,12 +2,17 @@
 
 A stack is a map F from the faces of a host complex to Z whose upper
 level sets F[lambda] are all subcomplexes, i.e. F(x) >= F(y) on every
-covering pair (x, y).  Stacks are immutable; collapses return new stacks
-sharing the host complex.
+covering pair (x, y).  A `Stack` holds F as one int64 array aligned with
+the packed order of its host, which every route reads (`alt_array()`).
+Its face-keyed map `altitude` is the mapping the stack was built from,
+or, for a stack built from an array, a dict built on first read by
+`complexes._LazyViews`.  Stacks are immutable; collapses return new
+stacks sharing the host complex.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -17,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .complexes import Complex, Face, _masked_complex, face_key
+from .complexes import Complex, Face, _LazyViews, _from_arrays, _masked_complex, face_key
 
 
 class StackError(ValueError):
@@ -27,95 +32,57 @@ class StackError(ValueError):
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-class _PackedAltitudes(Mapping):
-    """The altitude map of a stack whose altitudes are an int64 array in
-    the packed order of its host; the face-keyed dict is built on first
-    read."""
-
-    __slots__ = ("host", "array", "_dict")
-
-    def __init__(self, host: Complex, array):
-        self.host, self.array, self._dict = host, array, None
-
-    def _faces(self) -> dict[Face, int]:
-        if self._dict is None:
-            self._dict = dict(zip(self.host.sorted_faces(), self.array.tolist()))
-        return self._dict
-
-    def __getitem__(self, x: Face) -> int:
-        return self._faces()[x]
-
-    def __iter__(self):
-        return iter(self._faces())
-
-    def __len__(self) -> int:
-        return self.array.size
-
-    def __contains__(self, x) -> bool:
-        return x in self._faces()
-
-    def keys(self):
-        return self._faces().keys()
-
-    def items(self):
-        return self._faces().items()
-
-    def values(self):
-        return self._faces().values()
-
-    def __repr__(self) -> str:
-        return repr(self._faces())
+def _altitude_error(host: Complex, altitude: Mapping[Face, int]) -> StackError:
+    """The error of an altitude map that no stack on `host` has: a missing
+    face, else an extra one, else the first bad value in canonical order."""
+    missing = host.faces - altitude.keys()
+    if missing:
+        return StackError(f"altitude missing on {min(missing, key=face_key)}")
+    if len(altitude) != len(host):
+        extra = min(altitude.keys() - host.faces, key=face_key)
+        return StackError(f"altitude on {extra}, which is not a face of the host")
+    for x in host.sorted_faces():
+        v = altitude[x]
+        try:
+            operator.index(v)
+        except TypeError:
+            return StackError(f"altitude {v!r} of {x} is not an integer")
+        if not _INT64_MIN <= v <= _INT64_MAX:
+            return StackError(f"altitude {v} of {x} is outside the int64 range")
+    raise AssertionError("a valid altitude map has no error")
 
 
 @dataclass(frozen=True)
-class Stack:
+class Stack(_LazyViews):
+    """One int64 altitude per face of `host`, least `lambda_min` (0 on the
+    empty host).  Built from a mapping, a stack checks it once (every face
+    and no other, integers in the int64 range) and converts it in one pass."""
+
     host: Complex
     altitude: Mapping[Face, int]
     lambda_min: int = field(init=False)
 
+    _VIEWS = {"altitude": lambda F: dict(zip(F.host.sorted_faces(), F._alt.tolist()))}
+
     def __post_init__(self):
-        if isinstance(self.altitude, _PackedAltitudes):
-            # one int64 altitude per face of the host, in packed order
-            arr = self.altitude.array
-            assert self.altitude.host is self.host
-            assert arr.dtype == np.int64 and arr.shape == (len(self.host),)
-            object.__setattr__(self, "_alt_array", arr)
-            object.__setattr__(self, "lambda_min", int(arr.min()) if arr.size else 0)
-            return
-        missing = self.host.faces - self.altitude.keys()
-        if missing:
-            raise StackError(f"altitude missing on {min(missing, key=face_key)}")
-        if len(self.altitude) != len(self.host):
-            extra = min(self.altitude.keys() - self.host.faces, key=face_key)
-            raise StackError(f"altitude on {extra}, which is not a face of the host")
-        lam = min(self.altitude.values(), default=0)
-        if lam < _INT64_MIN or max(self.altitude.values(), default=0) > _INT64_MAX:
-            # alt_array() stores altitudes as int64
-            bad = min(
-                (x for x, v in self.altitude.items()
-                 if not _INT64_MIN <= v <= _INT64_MAX),
-                key=face_key,
-            )
-            raise StackError(
-                f"altitude {self.altitude[bad]} of {bad} is outside the int64 range"
-            )
-        object.__setattr__(self, "lambda_min", lam)
+        X, alt = self.host, self.altitude
+        values = map(operator.index, map(alt.__getitem__, X.sorted_faces()))
+        try:
+            arr = np.fromiter(values, dtype=np.int64, count=len(X))
+        except (KeyError, TypeError, OverflowError):
+            arr = None
+        if arr is None or len(alt) != len(X):
+            raise _altitude_error(X, alt)
+        object.__setattr__(self, "_alt", arr)
+        object.__setattr__(self, "lambda_min", int(arr.min()) if arr.size else 0)
 
     def __call__(self, x: Face) -> int:
         return self.altitude[x]
 
     def alt_array(self):
         """Altitudes as an int64 array aligned with host.sorted_faces()
-        (and hence with host.packed()); built once and cached."""
-        arr = getattr(self, "_alt_array", None)
-        if arr is None:
-            arr = np.fromiter(
-                map(self.altitude.__getitem__, self.host.sorted_faces()),
-                dtype=np.int64,
-                count=len(self.host),
-            )
-            object.__setattr__(self, "_alt_array", arr)
-        return arr
+        (and hence with host.packed())."""
+        return self._alt
 
     def with_altitudes(self, updates: Mapping[Face, int]) -> "Stack":
         alt = dict(self.altitude)
@@ -319,9 +286,9 @@ def _ultimate_d_collapse(F: Stack, seed: int, mode: str) -> tuple[Stack, int, in
 
 def _stack_from_array(host: Complex, arr) -> Stack:
     """The stack with the int64 altitudes `arr` in the packed order of
-    `host`: alt_array() returns `arr`, and the altitude dict is built only
-    when `altitude` is read."""
-    return Stack(host, _PackedAltitudes(host, arr))
+    `host`: alt_array() returns `arr`, and `altitude` is built on read."""
+    lam = int(arr.min()) if arr.size else 0
+    return _from_arrays(Stack, host=host, _alt=arr, lambda_min=lam)
 
 
 def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Stack:

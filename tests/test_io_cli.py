@@ -145,6 +145,19 @@ def test_labels_round_trip():
     assert io.parse_labels(text) == r.labels
 
 
+def test_label_parse_errors_name_their_line():
+    cases = {
+        "0 : W\n# comment\n1 W\n": r"^line 3: expected `face : label`$",
+        "0 : W\n\n1 : x\n": r"^line 3: bad label 'x'$",
+        "0 : 1.5\n": r"^line 1: bad label '1.5'$",
+        "0 : \n": r"^line 1: bad label ''$",
+    }
+    for text, message in cases.items():
+        with pytest.raises(io.ParseError, match=message):
+            io.parse_labels(text)
+    assert io.parse_labels("0 : W\n1 : -2\n") == {(0,): WATERSHED_LABEL, (1,): -2}
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -458,6 +471,11 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert cli.main(["watershed", str(wide)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "9223372036854775808" in err
+    # a torus grid below 3 x 3 is a usage error with one line, no output
+    for argv in (["--n", "2"], ["--m", "0"], ["--n", "-1", "--m", "1"]):
+        assert cli.main(["gen", "torus", *argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "gen torus" in err, argv
     # a malformed coordinate line is a parse error that names its line,
     # for a bad number as for a wrong field count
     stack = tmp_path / "cyc6.stack"
@@ -897,7 +915,7 @@ def test_flood_pipeline_stays_on_the_arrays(monkeypatch):
     r = morse_watershed(F)
     out = io.serialize_labels(r)
     assert len(inits) == 1
-    assert "faces" not in F.host.packed().__dict__ and F.altitude._dict is None
+    assert "faces" not in F.host.packed().__dict__ and "altitude" not in vars(F)
     for view in ("labels", "watershed", "basins"):
         with pytest.raises(AttributeError):
             WatershedResult.__dict__[view].__get__(r)  # the slot is still unset

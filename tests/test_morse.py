@@ -243,6 +243,17 @@ def test_random_morse_stack_minima_count():
         )
 
 
+def test_random_morse_stack_rejects_fewer_than_one_minimum():
+    for host in (tetrahedron_boundary(), closure([])):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match=f"n_minima must be >= 1, not {k}"):
+                random_morse_stack(host, seed=0, n_minima=k)
+    # a request above the number of d-faces gives one minimum per d-face
+    from morseshed.stacks import minima
+
+    assert len(minima(random_morse_stack(tetrahedron_boundary(), seed=1, n_minima=9)).minima) == 4
+
+
 def test_random_morse_stack_empty_complex():
     F = random_morse_stack(closure([]), seed=0)
     assert dict(F.altitude) == {}

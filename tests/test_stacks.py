@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,7 @@ from morseshed import io
 from morseshed.complexes import Complex, closure, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
-from morseshed.morse import random_morse_stack
+from morseshed.morse import gradient, random_morse_stack, stack_from_gradient
 from morseshed.stacks import (
     MinimaDecomposition,
     Stack,
@@ -47,6 +49,26 @@ def test_stack_rejects_an_altitude_off_its_host():
     assert Stack(X, {(0,): 0, (1,): 1, (0, 1): 0}).lambda_min == 0
 
 
+def test_stack_rejects_an_altitude_that_is_not_an_integer():
+    # alt_array() and the altitude map hold the same integers: a float is
+    # an error, not truncated, and the canonically first bad face is named
+    X = closure([(0, 1)])
+    for bad in (1.5, 2.0, np.float64(1.0), "1", None):
+        message = rf"^altitude {re.escape(repr(bad))} of \(1,\) is not an integer$"
+        with pytest.raises(StackError, match=message):
+            Stack(X, {(0,): 0, (1,): bad, (0, 1): bad})
+    with pytest.raises(StackError, match=r"^altitude 0.5 of \(0, 1\) is not an integer$"):
+        Stack(X, {(0,): 1, (1,): 1, (0, 1): 0}).with_altitudes({(0, 1): 0.5})
+    with pytest.raises(StackError, match=r"^altitude -9223372036854775809 of \(0,\) is outside"):
+        Stack(X, {(0,): -(2**63) - 1, (1,): 0.5, (0, 1): 0})
+    with pytest.raises(StackError, match=r"^altitude missing on \(1,\)$"):  # before a bad value
+        Stack(X, {(0,): 1.5, (0, 1): 0})
+    # values that operator.index accepts are kept as Python ints
+    F = Stack(X, {(0,): np.int64(3), (1,): np.int32(2), (0, 1): np.uint8(1)})
+    assert type(F.lambda_min) is int and F.lambda_min == 1
+    assert F.alt_array().dtype == np.int64 and F.alt_array().tolist() == [3, 2, 1]
+
+
 def test_validate_stack_fixture():
     assert validate_stack(cyc6_stack()) == (True, None)
     assert validate_stack(constant_stack(cyc6_host())) == (True, None)
@@ -72,7 +94,7 @@ def test_section():
     P = io.parse_stack(io.serialize_stack(G))
     for lam in range(P.lambda_min - 1, max(G.altitude.values()) + 2):
         S = section(P, lam)
-        assert P.altitude._dict is None  # read from the altitude array
+        assert "altitude" not in vars(P)  # read from the altitude array
         assert S.faces == {x for x, v in G.altitude.items() if v >= lam}
 
 
@@ -306,7 +328,7 @@ def test_collapsed_stack_builds_its_altitude_dict_on_read():
     for n, seed in ((3, 0), (5, 1), (8, 2)):
         F = random_morse_stack(generate_torus(n, n), seed=seed, n_minima=3)
         H = ultimate_d_collapse(F, seed=seed)
-        assert H.altitude._dict is None  # nothing built yet
+        assert "altitude" not in vars(H)  # nothing built yet
         ref = dict(zip(H.host.sorted_faces(), H.alt_array().tolist()))
         assert H.lambda_min == min(ref.values())
         assert len(H.altitude) == len(ref) and H.altitude == ref and ref == H.altitude
@@ -321,3 +343,29 @@ def test_collapsed_stack_builds_its_altitude_dict_on_read():
     # an empty host: lambda_min 0, as for a dict
     E = ultimate_d_collapse(Stack(Complex(()), {}))
     assert E.lambda_min == 0 and E.altitude == {}
+
+
+def test_every_route_holds_one_int64_altitude_array():
+    X = generate_torus(4, 4)
+    F = random_morse_stack(X, seed=3, n_minima=2)
+    text = io.serialize_stack(F)
+    empty = Stack(Complex(()), {})
+    by_mapping = [
+        Stack(X, dict(F.altitude)),
+        F.with_altitudes({X.sorted_faces()[0]: -5}),
+        complete_from_facets(X, {x: F.altitude[x] for x in X.facets()}),
+        F,
+        stack_from_gradient(X, gradient(F)),
+        io.parse_stack("# a comment sends the text to the line loop\n" + text),
+        empty,
+        io.parse_stack(""),
+    ]
+    by_array = [io.parse_stack(text), ultimate_d_collapse(F, seed=1), ultimate_d_collapse(empty)]
+    assert all("altitude" in vars(G) for G in by_mapping)  # the mapping it was built from
+    assert not any("altitude" in vars(G) for G in by_array)  # not built yet
+    for G in by_mapping + by_array:
+        arr = G.alt_array()
+        assert arr.dtype == np.int64 and arr.shape == (len(G.host),)
+        assert arr.tolist() == [G.altitude[x] for x in G.host.sorted_faces()]
+        assert type(G.lambda_min) is int and G.lambda_min == min(arr.tolist(), default=0)
+    assert by_array[0].altitude == F.altitude and by_array[2].altitude == {}
