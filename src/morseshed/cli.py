@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 validation failure,
-4 verification failure.  All randomness flows from --seed; identical
-inputs and flags produce byte-identical output.
+Exit codes: 0 success, 1 usage, 2 parse error (a file that is not UTF-8
+too), 3 validation failure, 4 verification failure.  All randomness flows
+from --seed; identical inputs and flags produce byte-identical output.
+The exports read a result's packed host and label array only.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures, io as mio
-from .complexes import Complex, face_key
+from .complexes import face_key
 from .forest import _msf_checks, _top_rows, build_facet_graph, watershed_forest
 from .manifolds import generate_torus, validate
 from .morse import classify, is_morse, random_morse_stack
@@ -39,99 +40,75 @@ def _fmt_face(x) -> str:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a UTF-8 file; a ParseError names the line of a bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # number the lines as the parsers do
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise mio.ParseError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
 def _load_stack(args) -> "Stack":
     return mio.parse_stack(_read(args.input), complete=args.complete)
 
 
-def _dot(name: str, rows, lo, hi, node=("", ()), edge=("", ())) -> str:
-    """A dot graph: node i labelled with the vertex ids of rows[i], and an
-    edge lo[k] -- hi[k] for each k.  `node` and `edge` are a %-template
-    appended to each node's label and to each edge, and its columns."""
+def _dot(name: str, pk, node=("", ()), edge=("", ())) -> str:
+    """The facet graph of a packed host in dot syntax: node i labelled with
+    the vertex ids of d-face i, and its edges in (lo, hi) order.  `node`
+    and `edge` are a %-template appended to each node's label and to each
+    edge, and its columns: arrays over the d-faces and the (d-1)-faces.  A
+    host without a facet graph raises ValueError."""
+    rows, (lo, hi) = _top_rows(pk), pk.facet_graph
+    k = np.lexsort((hi, lo))
     face = " ".join(["%d"] * rows.shape[1])
     return (
         f"graph {name} {{\n"
         + mio._format_table(f'  n%d [label="{face}"{node[0]}];\n', list(range(len(rows))),
-                            *rows.T.tolist(), *node[1])
-        + mio._format_table(f"  n%d -- n%d{edge[0]};\n", lo.tolist(), hi.tolist(), *edge[1])
+                            *rows.T.tolist(), *[c.tolist() for c in node[1]])
+        + mio._format_table(f"  n%d -- n%d{edge[0]};\n", lo[k].tolist(), hi[k].tolist(),
+                            *[c[k].tolist() for c in edge[1]])
         + "}\n"
     )
 
 
-def _top_pairs(pk):
-    """(z, lo, hi): each two d-faces lo < hi (local ids) of a (d-1)-face z
-    (packed index), sorted by (lo, hi).  On a non-branching host this is
-    the host's facet graph, with z the shared face."""
-    top = pk.sup >= pk.tops.start
-    order = np.argsort(pk.sub[top], kind="stable")  # keeps sup ascending per face
-    z, y = pk.sub[top][order], pk.sup[top][order] - pk.tops.start
-    # pair each coface of z with every later one
-    later = np.searchsorted(z, z, side="right") - np.arange(z.size) - 1
-    a = np.repeat(np.arange(z.size), later)
-    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later) - later, later)
-    k = np.lexsort((y[b], y[a]))
-    return z[a[k]], y[a[k]], y[b[k]]
-
-
 def export_labels(result: WatershedResult, format: str, coords=None) -> str:
-    """Serialize a watershed result as labels, a dual graph in dot syntax,
-    or an OFF mesh (d = 2 only, vertex coordinates required).  A result
-    built from a labels dict must label the faces of a complex."""
+    """Serialize a watershed result as labels, the facet graph in dot
+    syntax (`_dot`), or an OFF mesh (d = 2 only, vertex coordinates
+    required)."""
     if format == "labels":
         return mio.serialize_labels(result)
     if format == "dot":
         pk, label = result._pk, result._label
-        if pk is None:  # built from a labels dict
-            pk = Complex(result.labels).packed()
-            label = np.array(list(map(result.labels.__getitem__, pk.faces)), dtype=np.int64)
-        rows = _top_rows(pk)
-        z, lo, hi = _top_pairs(pk)
-        cut = (label[z] == WATERSHED_LABEL).tolist()
-        return _dot(
-            "basins", rows, lo, hi,
-            node=(" basin=%d", [label[len(label) - len(rows):].tolist()]),
-            edge=("%s", [[" [style=bold color=red]" if c else "" for c in cut]]),
-        )
+        cut = np.where(label[pk.seps] == WATERSHED_LABEL, " [style=bold color=red]", "")
+        return _dot("basins", pk, node=(" basin=%d", [label[pk.tops]]), edge=("%s", [cut]))
     if format == "off":
         if coords is None:
             raise ValueError("off export needs a vertex-coordinate sidecar file")
-        d = max(map(len, result.labels), default=0) - 1
-        if d != 2:
+        pk, label = result._pk, result._label
+        if len(pk.rows) != 3:
+            d = len(pk.rows) - 1
             raise ValueError(f"off export needs a 2-dimensional complex, not {d}-dimensional")
-        tris = sorted((x for x in result.labels if len(x) == 3), key=face_key)
-        verts = sorted({v for t in tris for v in t})
-        vid = {v: i for i, v in enumerate(verts)}
-        cut_edges = sorted(
-            x for x, lab in result.labels.items()
-            if len(x) == 2 and lab == WATERSHED_LABEL
-        )
-        palette = ["0.8 0.2 0.2", "0.2 0.6 0.9", "0.3 0.8 0.3", "0.9 0.8 0.2",
-                   "0.7 0.3 0.9", "0.9 0.5 0.2"]
-        lines = ["OFF", f"{len(verts)} {len(tris)} 0"]
-        lines.append("# cut edges:")
-        for e in cut_edges:
-            lines.append(f"#   {_fmt_face(e)}")
-        for v in verts:
+        tris, verts = pk.rows[2], np.unique(pk.rows[2])
+        for v in verts.tolist():
             if v not in coords:
                 raise ValueError(f"vertex {v} has no coordinates in the --coords file")
-            x, y, z = coords[v]
-            lines.append(f"{x} {y} {z}")
-        for t in tris:
-            lab = result.labels[t]
-            color = palette[(lab - 1) % len(palette)] if lab > 0 else "0 0 0"
-            lines.append(f"3 {vid[t[0]]} {vid[t[1]]} {vid[t[2]]} {color}")
-        return "\n".join(lines) + "\n"
+        palette = ["0.8 0.2 0.2", "0.2 0.6 0.9", "0.3 0.8 0.3", "0.9 0.8 0.2",
+                   "0.7 0.3 0.9", "0.9 0.5 0.2"]
+        color = [palette[(b - 1) % len(palette)] if b else "0 0 0" for b in label[pk.tops].tolist()]
+        cut = pk.rows[1][label[pk.seps] == WATERSHED_LABEL]
+        return (
+            f"OFF\n{verts.size} {len(tris)} 0\n# cut edges:\n"
+            + mio._format_table("#   %d %d\n", *cut.T.tolist())
+            + "".join("%s %s %s\n" % tuple(coords[v]) for v in verts.tolist())
+            + mio._format_table("3 %d %d %d %s\n", *np.searchsorted(verts, tris).T.tolist(), color)
+        )
     raise ValueError(f"unknown export format {format!r}")
 
 
 def _parse_coords(text: str) -> dict[int, tuple[float, float, float]]:
     out = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, line in mio._content_lines(text):
         parts = line.split()
         if len(parts) != 4:
             raise mio.ParseError(i, "expected `vertex x y z`")
@@ -228,11 +205,8 @@ def _cmd_msf(args) -> int:
     )
     print(f"total_weight={sum(w[in_y].tolist())}")  # Python ints: no int64 wrap-around
     if args.dot:
-        k = np.lexsort((hi, lo))
-        style = [" style=bold color=blue" if e else "" for e in in_y[k].tolist()]
-        sys.stdout.write(
-            _dot("facets", rows, lo[k], hi[k], edge=(' [label="%d"%s]', [w[k].tolist(), style]))
-        )
+        style = np.where(in_y, " style=bold color=blue", "")
+        sys.stdout.write(_dot("facets", pk, edge=(' [label="%d"%s]', [w, style])))
     if args.verify:
         checks = _msf_checks(F, G, Y)
         for k, v in sorted(checks.items()):

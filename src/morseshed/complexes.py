@@ -174,7 +174,11 @@ class Complex(_LazyViews):
         return iter(self.sorted_faces())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Complex) and self.faces == other.faces
+        """Equal face sets: the packed rows of each dimension are canonical."""
+        if not isinstance(other, Complex):
+            return False
+        a, b = self._packed.rows, other._packed.rows
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
 
     def __hash__(self) -> int:
         return hash(self.faces)

@@ -23,7 +23,7 @@ text, including every malformed one, goes through the line loop, which
 is the only place a parse error is raised.
 
 Every line loop reads its faces with `_read_face`, which takes a canonical
-face as read and leaves any other token to `_parse_face` for its ParseError.
+face as read and raises the ParseError of any other token.
 
 The writers share `_write_rows`, which lays out each dimension as one
 fixed-width byte record per face: the vertex ids gathered by rank from a
@@ -35,7 +35,6 @@ then drops the NUL padding.
 
 from __future__ import annotations
 
-from itertools import groupby
 from operator import lt
 
 import numpy as np
@@ -69,29 +68,19 @@ def _content_lines(text: str):
             yield i, line
 
 
-def _parse_face(token: str, lineno: int) -> Face:
-    try:
-        ids = [int(t) for t in token.split()]
-    except ValueError as exc:
-        raise ParseError(lineno, f"bad vertex id in {token!r}") from exc
-    try:
-        face = make_face(ids)
-    except InvalidSimplexError as exc:
-        raise ParseError(lineno, str(exc)) from exc
-    if tuple(ids) != face:
-        raise ParseError(lineno, f"vertex ids must be strictly ascending: {token!r}")
-    return face
-
-
 def _read_face(token: str, lineno: int) -> Face:
-    """The face a token lists: accepted as read when canonical, and
-    otherwise handed to `_parse_face` for its ParseError."""
+    """The face a token lists, accepted as read when canonical; any other
+    token raises the ParseError that names its fault."""
     try:
         face = tuple(map(int, token.split()))
-    except ValueError:
-        face = ()
+    except ValueError as exc:
+        raise ParseError(lineno, f"bad vertex id in {token.strip()!r}") from exc
     if not _is_canonical(face):
-        _parse_face(token.strip(), lineno)  # raises the matching ParseError
+        try:
+            make_face(face)
+        except InvalidSimplexError as exc:
+            raise ParseError(lineno, str(exc)) from exc
+        raise ParseError(lineno, f"vertex ids must be strictly ascending: {token.strip()!r}")
     return face
 
 
@@ -184,7 +173,7 @@ def serialize_complex(X: Complex) -> str:
 
 def _is_canonical(face: Face) -> bool:
     """Non-empty, strictly ascending, non-negative and within int64: what
-    `_parse_face` accepts."""
+    `_read_face` accepts."""
     return (
         bool(face)
         and face[0] >= 0
@@ -342,21 +331,18 @@ def serialize_gradient(V: GradientField) -> str:
 
 
 def serialize_labels(result: WatershedResult) -> str:
-    if result._label is not None:
-        pk = result._pk
-        rows, vertex_ids, index = pk.rows, pk.vertex_ids, result._label
-        values = np.arange(index.max(initial=0) + 1)
-    else:  # built from a labels dict: sort its faces
-        faces = sorted(result.labels, key=face_key)
-        rows = [np.array(list(g), dtype=np.int64) for _, g in groupby(faces, key=len)]
-        vertex_ids = np.unique(np.concatenate([r.ravel() for r in rows])) if rows else None
-        values = np.fromiter(map(result.labels.__getitem__, faces), dtype=np.int64, count=len(faces))
-        index = np.arange(values.size)
+    """One `face : W` or `face : <basin id>` line per face of the host, in
+    canonical order.  The tags come from a table of the ids 0..max, or of
+    each face's label when the largest label exceeds the number of faces."""
+    pk, label = result._pk, result._label
+    top = int(label.max(initial=0))
+    values, index = ((np.arange(top + 1), label) if top <= label.size
+                     else (label, np.arange(label.size)))
     table = _decimals(values)
     cut = values == WATERSHED_LABEL
     table[cut] = 0
     table[cut, -1] = ord("W")
-    return _write_rows(vertex_ids, rows, (table, index))
+    return _write_rows(pk.vertex_ids, pk.rows, (table, index))
 
 
 def parse_labels(text: str) -> dict[Face, int]:

@@ -52,11 +52,12 @@ def _altitude_error(host: Complex, altitude: Mapping[Face, int]) -> StackError:
     raise AssertionError("a valid altitude map has no error")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stack(_LazyViews):
     """One int64 altitude per face of `host`, least `lambda_min` (0 on the
     empty host).  Built from a mapping, a stack checks it once (every face
-    and no other, integers in the int64 range) and converts it in one pass."""
+    and no other, integers in the int64 range) and converts it in one pass.
+    Two stacks are equal when their hosts and altitude arrays are."""
 
     host: Complex
     altitude: Mapping[Face, int]
@@ -75,6 +76,12 @@ class Stack(_LazyViews):
             raise _altitude_error(X, alt)
         object.__setattr__(self, "_alt", arr)
         object.__setattr__(self, "lambda_min", int(arr.min()) if arr.size else 0)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Stack) and (
+            self.host == other.host and np.array_equal(self._alt, other._alt))
+
+    __hash__ = None
 
     def __call__(self, x: Face) -> int:
         return self.altitude[x]

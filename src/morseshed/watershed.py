@@ -13,11 +13,11 @@ on every stack of one host share them.  Both routes label the d-faces
 and flag the cut (d-1)-faces over it, and share one label assembly on
 the packed arrays, which closes the cut downward and gives every other
 face the label of its smallest d-coface.  The collapse route lowers each
-non-minimum facet of a Morse stack once, in altitude order.  A
+non-minimum facet of a Morse stack once, in altitude order.  Every
 `WatershedResult` holds the packed host and one label array in packed
-order; its tuple views (`labels`, the cut complex `watershed`, `basins`)
-are built on first read by `complexes._LazyViews`, so a caller that
-reads the array builds none.
+order; its tuple views (`labels` of a route's result, the cut complex
+`watershed`, `basins`) are built on first read by `complexes._LazyViews`,
+so a caller that reads the array builds none.
 `verify_cut` and `verify_drop_of_water` check the watershed axioms
 directly: the components of the complement of W for the cut, whose
 minimality is then one star test (no face x of W has st(x) \\ W
@@ -36,6 +36,9 @@ for each face of W.
 """
 
 from __future__ import annotations
+
+import operator
+from numbers import Integral
 
 import numpy as np
 
@@ -69,9 +72,10 @@ class WatershedResult(_LazyViews):
     (on the cut) or its basin id >= 1, in canonical order; `watershed` is
     the cut W as a complex; `basins` lists (id, faces) by ascending id.
 
-    The routes return a result that holds only the packed host and one
-    label array in packed order; the three views are built on first read.
-    """
+    Every result holds the packed host and one int64 label array in packed
+    order, which the views are built from on first read.  Built from a
+    labels map (the faces of a complex, each label an int64 >= 0), a
+    result checks and converts it once and keeps it as `labels`."""
 
     __slots__ = ("labels", "watershed", "basins", "_pk", "_label")
     _VIEWS = {
@@ -80,15 +84,22 @@ class WatershedResult(_LazyViews):
         "basins": _basins_view,
     }
 
-    def __init__(self, labels: dict[Face, int], watershed: Complex, basins):
-        self.labels, self.watershed, self.basins = labels, watershed, basins
-        self._pk = self._label = None
+    def __init__(self, labels: dict[Face, int]):
+        pk = Complex(labels).packed()
+        try:
+            label = np.fromiter(map(operator.index, map(labels.get, pk.faces)),
+                                dtype=np.int64, count=len(pk))
+        except (TypeError, OverflowError):  # no label, or one that is no int64
+            label = None
+        if label is None or (label < 0).any() or len(labels) != len(pk):
+            for x in pk.faces:
+                if not (isinstance(v := labels.get(x), Integral) and 0 <= v < 2**63):
+                    raise ValueError(f"label {v!r} of {x} is not an int64 >= 0")
+            raise ValueError("a face is labelled twice, in two vertex orders")
+        self.labels, self._pk, self._label = labels, pk, label
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WatershedResult) and (
-            (self.labels, self.watershed, self.basins)
-            == (other.labels, other.watershed, other.basins)
-        )
+        return isinstance(other, WatershedResult) and self.labels == other.labels
 
     __hash__ = None
 
@@ -157,7 +168,8 @@ def morse_watershed(F: Stack) -> WatershedResult:
 
 def morse_watershed_direct(F: Stack) -> Complex:
     """Definitional construction: closure of the faces whose two cofaces
-    trace to distinct minima.  Oracle for the two algorithms."""
+    trace to distinct minima.  Oracle for the two algorithms, after their checks."""
+    _facet_adjacency(F)
     _require_morse(F)
     return closure(biconnected_faces(F))
 

@@ -28,7 +28,6 @@ from morseshed.stacks import (
 )
 from morseshed.watershed import (
     WATERSHED_LABEL,
-    WatershedResult,
     verify_cut,
     verify_drop_of_water,
     watershed_collapse,
@@ -125,8 +124,9 @@ def _ref_heap_collapse(F, seed, mode, adjacency=None):
 
 
 def _ref_assemble_result(F, cut_faces):
-    """Reference: W is the closure of the cut, basins are the connected
-    components of its complement, numbered by their minimum of F."""
+    """Reference (labels, W, basins): W is the closure of the cut, basins
+    are the connected components of its complement, numbered by their
+    minimum of F."""
     X = F.host
     W = closure(cut_faces) if cut_faces else Complex(())
     comps = connected_components(X, X.faces - W.faces)
@@ -140,7 +140,7 @@ def _ref_assemble_result(F, cut_faces):
             labels[f] = bid
         basins.append((bid, frozenset(comp)))
     basins.sort(key=lambda b: b[0])
-    return WatershedResult(labels, W, tuple(basins))
+    return labels, W, tuple(basins)
 
 
 def _ref_watershed_collapse(F, seed=0):
@@ -157,9 +157,10 @@ def _ref_watershed_collapse(F, seed=0):
 
 
 def _same_result(r, ref):
-    assert r.labels == ref.labels
-    assert r.watershed == ref.watershed
-    assert r.basins == ref.basins
+    labels, W, basins = ref
+    assert r.labels == labels
+    assert r.watershed == W
+    assert r.basins == basins
 
 
 def _non_morse_stacks():

@@ -101,7 +101,7 @@ def _old_missing_face(text):
     """Reference: the face the loader named before it built the host
     straight from the listed faces (the least face of the closure that has
     no altitude), or None when the listed faces are closed."""
-    faces = {io._parse_face(ln.split(":")[0].strip(), 0) for ln in text.splitlines()}
+    faces = {io._read_face(ln.split(":")[0], 0) for ln in text.splitlines()}
     return min(closure(faces).faces - faces, key=face_key, default=None)
 
 
@@ -366,8 +366,6 @@ def test_export_dot_matches_pairwise_adjacency():
         F = random_morse_stack(generate_torus(n, n), seed=n, n_minima=3)
         results.append(morse_watershed(F))
     # three triangles on one edge: every pair of them is adjacent
-    X = branching_triangles()
-    results.append(WatershedResult({x: 1 for x in X.faces}, Complex(()), ()))
     for r in results:
         dot = cli.export_labels(r, "dot")
         edges = [ln for ln in dot.splitlines() if " -- " in ln]
@@ -486,6 +484,20 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert cli.main(["export", str(stack), "--format", "off", "--coords", str(coords)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("parse error: line 2: "), line
+    # a byte that is not UTF-8 is a parse error naming its line, for every
+    # command that reads a file and for the --coords file alike
+    raw = tmp_path / "raw.stack"
+    cases = ((b"\xff0 : 0\n", 1, "0xff"), (b"# c\r0 : 0\n1\xfe : 1\n", 3, "0xfe"))
+    for data, line, byte in cases:  # a lone \r ends a line, as in the parsers
+        raw.write_bytes(data)
+        for argv in (
+            ["watershed", str(raw)], ["minima", str(raw)], ["validate", str(raw)],
+            ["gen", "random-morse", str(raw)],
+            ["export", str(stack), "--format", "off", "--coords", str(raw)],
+        ):
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"parse error: line {line}: byte {byte} is not UTF-8\n"
     # a directory given for an input file is a usage error with one line
     for argv in (
         ["watershed", str(tmp_path)],
@@ -543,12 +555,7 @@ def _ref_parse_stack(text, complete="none"):
         face_part, colon, value_part = line.partition(":")
         if not colon:
             raise io.ParseError(i, "expected `face : value`")
-        try:
-            face = tuple(map(int, face_part.split()))
-        except ValueError:
-            face = ()
-        if not io._is_canonical(face):
-            io._parse_face(face_part.strip(), i)
+        face = io._read_face(face_part, i)
         try:
             value = int(value_part)
         except ValueError as exc:
@@ -713,8 +720,7 @@ def test_array_writers_match_per_face_writers():
     parsed = io.parse_stack(_ref_serialize_stack(random_morse_stack(generate_torus(9, 9), seed=1)))
     results.append(morse_watershed(parsed))
     X = branching_triangles()
-    results.append(WatershedResult({x: 1 for x in X.faces}, Complex(()), ()))
-    results.append(WatershedResult({(0, 5): 2, (3,): 0, (1,): 7}, Complex([(3,)]), ()))
+    results.append(WatershedResult({x: 1 for x in X.faces}))
     results.append(morse_watershed(Stack(Complex(()), {})))
     assert len(results) > 30
     for r in results:
@@ -764,7 +770,43 @@ def test_labels_with_many_basins():
         assert text == _ref_serialize_labels(r)
         assert io.parse_labels(text) == r.labels
         labels = dict(r.labels)  # the same labels through a dict-built result
-        assert io.serialize_labels(WatershedResult(labels, Complex(()), ())) == text
+        assert io.serialize_labels(WatershedResult(labels)) == text
+
+
+def test_a_result_built_from_its_labels_is_the_route_result():
+    results = [morse_watershed(cyc6_stack()), morse_watershed(Stack(Complex(()), {}))]
+    for n in (3, 5, 8):
+        F = random_morse_stack(generate_torus(n, n), seed=n, n_minima=n - 1)
+        results += [morse_watershed(F), watershed_collapse(F, seed=n)]
+    for r in results:
+        hand = WatershedResult(dict(r.labels))
+        assert hand == r and r == hand
+        assert hand._label.dtype == np.int64 and hand._label.tolist() == r._label.tolist()
+        assert hand.watershed == r.watershed and hand.basins == r.basins
+        assert hand.basin_sizes() == r.basin_sizes()
+        assert io.serialize_labels(hand) == io.serialize_labels(r)
+        assert cli.export_labels(hand, "dot") == cli.export_labels(r, "dot")
+    # three triangles on one edge: the dot export gets the host check's error
+    hand = WatershedResult({x: 1 for x in branching_triangles().faces})
+    with pytest.raises(ValueError, match="not a non-branching pseudomanifold"):
+        cli.export_labels(hand, "dot")
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ({(0, 5): 2, (3,): 0, (1,): 7}, r"not closed: \(0, 5\) present but its face \(0,\) missing"),
+        ({(0,): 1, (1,): -1, (0, 1): 1}, r"label -1 of \(1,\) is not an int64 >= 0"),
+        ({(0,): 1, (1,): 2**63, (0, 1): 1}, r"label 9223372036854775808 of \(1,\)"),
+        ({(0,): 1, (1,): 1.0, (0, 1): 1}, r"label 1.0 of \(1,\)"),
+        ({(0,): "W", (1,): 1, (0, 1): 1}, r"label 'W' of \(0,\)"),
+        ({(0,): 1, (1,): 1, (1, 0): 0}, r"label None of \(0, 1\)"),
+        ({(0,): 1, (1,): 1, (0, 1): 0, (1, 0): 0}, "labelled twice"),
+    ],
+)
+def test_a_bad_labels_map_raises_at_construction(labels, message):
+    with pytest.raises(ValueError, match=message):
+        WatershedResult(labels)
 
 
 @pytest.mark.parametrize(
@@ -790,7 +832,7 @@ def test_text_paths_on_sparse_and_huge_vertex_ids(facets):
     for seed in range(2):
         _check_text_paths(random_stack(X, seed=seed, low=-3, high=4), array_path=not huge)
     labels = {x: seed % 3 for seed, x in enumerate(X.sorted_faces())}
-    r = WatershedResult(labels, Complex(()), ())
+    r = WatershedResult(labels)
     assert io.serialize_labels(r) == _ref_serialize_labels(r)
     facet_text = "".join(" ".join(map(str, x)) + "\n" for x in facets)
     assert (io._read_rows(facet_text, tagged=False) is None) == huge
@@ -816,12 +858,12 @@ def test_text_paths_on_one_vertex_and_the_empty_complex():
             assert io.serialize_stack(F) == f"{v} : {a}\n" == _ref_serialize_stack(F)
             assert _outcome(io.parse_stack, f"{v} : {a}\n") == _outcome(_ref_parse_stack, f"{v} : {a}\n")
             assert io.parse_stack(f"{v} : {a}\n").altitude == F.altitude
-        for lab in (WATERSHED_LABEL, 1, 12):
-            r = WatershedResult({(v,): lab}, Complex(()), ())
+        for lab in (WATERSHED_LABEL, 1, 12, 10**15, 2**63 - 1):  # one tag per face above 1
+            r = WatershedResult({(v,): lab})
             assert io.serialize_labels(r) == _ref_serialize_labels(r)
     empty = Complex(())
     assert io.serialize_complex(empty) == io.serialize_stack(Stack(empty, {})) == ""
-    assert io.serialize_labels(WatershedResult({}, empty, ())) == ""
+    assert io.serialize_labels(WatershedResult({})) == ""
     assert io.serialize_labels(morse_watershed(Stack(empty, {}))) == ""
     assert io.parse_complex("") == io.parse_complex("\n") == empty
 

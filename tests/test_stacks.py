@@ -23,6 +23,7 @@ from morseshed.stacks import (
     stack_collapse,
     stack_free_pairs,
     ultimate_d_collapse,
+    _stack_from_array,
     validate_stack,
 )
 
@@ -369,3 +370,20 @@ def test_every_route_holds_one_int64_altitude_array():
         assert arr.tolist() == [G.altitude[x] for x in G.host.sorted_faces()]
         assert type(G.lambda_min) is int and G.lambda_min == min(arr.tolist(), default=0)
     assert by_array[0].altitude == F.altitude and by_array[2].altitude == {}
+
+
+def test_stacks_compare_on_their_arrays():
+    text = io.serialize_stack(random_morse_stack(generate_torus(5, 5), seed=1, n_minima=3))
+    F, G = io.parse_stack(text), io.parse_stack(text)
+    alt = F.alt_array().copy()
+    alt[7] += 1
+    H = _stack_from_array(F.host, alt)  # one altitude changed
+    assert F.host is not G.host and F == G and G == F
+    assert F != H and H != G and F in [H, G] and H not in [F, G]
+    assert F != F.host and F != Stack(Complex([(0,)]), {(0,): 0})
+    for S in (F, G, H):
+        assert "altitude" not in vars(S)  # no face-keyed dict was built
+        with pytest.raises(AttributeError):
+            Complex.__dict__["faces"].__get__(S.host)  # the slot is still unset
+    with pytest.raises(TypeError):
+        hash(F)

@@ -85,6 +85,20 @@ def test_every_morse_route_rejects_a_non_morse_stack_alike():
         assert str(exc.value) == f"not a Morse stack (witness {witness})", route
 
 
+def test_every_route_rejects_a_bad_host_alike():
+    from morseshed.forest import watershed_forest
+
+    hosts = [branching_triangles(), closure([(0, 1, 2), (2, 3)])]  # branching, not pure
+    checks = (morse_watershed, morse_watershed_direct, watershed_collapse, watershed_forest,
+              lambda F: verify_drop_of_water(F, Complex(())))
+    for X in hosts:
+        for F in (random_morse_stack(X, seed=0), constant_stack(X)):  # Morse, and not
+            for check in checks:
+                with pytest.raises(StackError) as exc:
+                    check(F)
+                assert str(exc.value) == "complex is not a non-branching pseudomanifold"
+
+
 def test_morse_watershed_rejects_branching_host():
     from morseshed.fixtures import branching_triangles
 
