@@ -365,7 +365,6 @@ def test_export_dot_matches_pairwise_adjacency():
     for n in (3, 4, 5, 6):
         F = random_morse_stack(generate_torus(n, n), seed=n, n_minima=3)
         results.append(morse_watershed(F))
-    # three triangles on one edge: every pair of them is adjacent
     for r in results:
         dot = cli.export_labels(r, "dot")
         edges = [ln for ln in dot.splitlines() if " -- " in ln]
@@ -858,7 +857,7 @@ def test_text_paths_on_one_vertex_and_the_empty_complex():
             assert io.serialize_stack(F) == f"{v} : {a}\n" == _ref_serialize_stack(F)
             assert _outcome(io.parse_stack, f"{v} : {a}\n") == _outcome(_ref_parse_stack, f"{v} : {a}\n")
             assert io.parse_stack(f"{v} : {a}\n").altitude == F.altitude
-        for lab in (WATERSHED_LABEL, 1, 12, 10**15, 2**63 - 1):  # one tag per face above 1
+        for lab in (WATERSHED_LABEL, 1, 12, 10**15, 2**63 - 1):  # above 1 face: a tag per face
             r = WatershedResult({(v,): lab})
             assert io.serialize_labels(r) == _ref_serialize_labels(r)
     empty = Complex(())
