@@ -6,28 +6,22 @@ Morse stacks (at most one flat pair per face).  The watershed of a stack
 can be computed by collapse (`watershed_collapse`, any stack) or by the
 flood (`morse_watershed`, Morse stacks), and coincides with the
 cut of the unique minimum spanning forest of the weighted facet graph
-(`watershed_forest`, `verify_msf_theorem`; the reference checks live in
-`oracles`).
+(`watershed_forest`, `verify_msf_theorem`).  The paper's definitions on
+face tuples live in `definitions`, the exponential checks in `oracles`.
 """
 
 from .complexes import (
     Complex,
     EMPTY_COMPLEX,
     Face,
-    FaceSubset,
     InvalidSimplexError,
     closure,
-    collapse,
     connected_components,
-    covering_pairs,
     face_dim,
     face_key,
-    free_pairs,
-    is_free_pair,
     make_face,
     proper_subfaces,
     strong_connected_components,
-    ultimate_collapse,
 )
 from .manifolds import (
     ValidationReport,
@@ -42,31 +36,39 @@ from .stacks import (
     Stack,
     StackError,
     complete_from_facets,
-    is_stack_free_pair,
     minima,
     random_stack,
     section,
-    stack_collapse,
-    stack_free_pairs,
     ultimate_d_collapse,
     validate_stack,
 )
 from .morse import (
     CriticalReport,
     GradientField,
-    LambdaPath,
-    biconnected_faces,
     classify,
-    dmf_dual_check,
-    extend_path,
     flat_pairs,
     gradient,
     is_morse,
     random_morse_stack,
-    separating_faces,
     stack_from_gradient,
+)
+from .definitions import (
+    FaceSubset,
+    LambdaPath,
+    biconnected_faces,
+    collapse,
+    covering_pairs,
+    dmf_dual_check,
+    extend_path,
+    free_pairs,
+    is_free_pair,
+    is_stack_free_pair,
+    separating_faces,
+    stack_collapse,
+    stack_free_pairs,
     trace_all,
     trace_to_minimum,
+    ultimate_collapse,
 )
 from .watershed import (
     WATERSHED_LABEL,

@@ -19,7 +19,7 @@ from .complexes import face_key
 from .forest import _msf_checks, _top_rows, build_facet_graph, watershed_forest
 from .manifolds import generate_torus, validate
 from .morse import classify, is_morse, random_morse_stack
-from .stacks import StackError, minima, validate_stack
+from .stacks import StackError, minima
 from .watershed import (
     WATERSHED_LABEL,
     WatershedResult,
@@ -129,18 +129,17 @@ def _cmd_validate(args) -> int:
 
 def _cmd_check_stack(args) -> int:
     try:
-        F = _load_stack(args)
+        F = _load_stack(args)  # the parser rejects a map that is not a stack
     except StackError as exc:
-        print(f"ok=False")
+        print("ok=False")
         print(f"error={exc}")
         return EXIT_VALIDATION
-    ok, witness = validate_stack(F)
-    print(f"ok={ok}")
-    morse_ok, morse_witness = is_morse(F)
+    print("ok=True")
+    morse_ok, witness = is_morse(F)
     print(f"morse={morse_ok}")
-    if morse_witness is not None:
-        print(f"witness_morse={_fmt_face(morse_witness)}")
-    return EXIT_OK if ok else EXIT_VALIDATION
+    if witness is not None:
+        print(f"witness_morse={_fmt_face(witness)}")
+    return EXIT_OK
 
 
 def _cmd_minima(args) -> int:

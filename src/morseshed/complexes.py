@@ -14,12 +14,11 @@ complex and every other array-backed object of the package (the stack,
 the watershed result, the facet graph and the forest); `_from_arrays`
 builds such an object from its arrays alone.  Complexes are immutable
 after construction; operations return new objects sharing nothing mutable.
+Free pairs, collapses, and open and closed subsets are in `definitions`.
 """
 
 from __future__ import annotations
 
-import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
@@ -464,98 +463,6 @@ def _masked_complex(pk: PackedComplex, member) -> Complex:
     holds, built from their vertex rows; the members must be closed."""
     off = pk.dim_offset.tolist()
     return Complex(_rows=[r[member[off[p]:off[p + 1]]] for p, r in enumerate(pk.rows)])
-
-
-def covering_pairs(X: Complex) -> set[tuple[Face, Face]]:
-    """All ordered pairs (x, y) with x a codim-1 face of y."""
-    return {(x, y) for y in X.faces for x in X.boundary[y]}
-
-
-def is_free_pair(X: Complex, x: Face, y: Face) -> bool:
-    """True iff y is the only face of X strictly containing x.
-
-    Equivalent check on the incidence index: x has y as sole codim-1
-    coface and y is a facet (closedness rules out higher cofaces).
-    """
-    return X.cofaces.get(x) == (y,) and not X.cofaces[y]
-
-def free_pairs(X: Complex) -> set[tuple[Face, Face]]:
-    out = set()
-    for x, cof in X.cofaces.items():
-        if len(cof) == 1 and not X.cofaces[cof[0]]:
-            out.add((x, cof[0]))
-    return out
-
-
-def collapse(X: Complex, pair: tuple[Face, Face]) -> Complex:
-    """Elementary collapse: remove a free pair (x, y)."""
-    x, y = pair
-    if not is_free_pair(X, x, y):
-        raise ValueError(f"({x}, {y}) is not a free pair")
-    return Complex(X.faces - {x, y})
-
-
-def ultimate_collapse(X: Complex, p: int | None = None, seed: int = 0) -> Complex:
-    """Collapse through free (p-)pairs until none remains.
-
-    Free-pair selection is "arbitrary" in principle; here a worklist is
-    seeded in canonical face order permuted by `seed`, so runs are
-    reproducible.
-    """
-    remaining = set(X.faces)
-    # mutable coface sets for incremental updates
-    cof: dict[Face, set[Face]] = {x: set(c) for x, c in X.cofaces.items()}
-    order = list(X.sorted_faces())
-    random.Random(seed).shuffle(order)
-    work = deque(order)
-    in_work = set(order)
-
-    def free_partner(x: Face) -> Face | None:
-        if len(cof[x]) != 1:
-            return None
-        (y,) = cof[x]
-        return None if cof[y] or (p is not None and len(y) - 1 != p) else y
-
-    while work:
-        x = work.popleft()
-        in_work.discard(x)
-        if x not in remaining:
-            continue
-        y = free_partner(x)
-        if y is None:
-            continue
-        remaining -= {x, y}
-        for u in (x, y):
-            for z in X.boundary[u]:
-                cof[z].discard(u)
-                if z in remaining and z not in in_work:
-                    work.append(z)
-                    in_work.add(z)
-    return Complex(remaining)
-
-
-def is_closed_subset(X: Complex, S: frozenset[Face] | set[Face]) -> bool:
-    """S is closed for X iff S is itself a complex."""
-    return all(y in S for x in S for y in proper_subfaces(x))
-
-
-def is_open_subset(X: Complex, S: frozenset[Face] | set[Face]) -> bool:
-    """S is open for X iff S contains every coface of each of its members."""
-    return all(y in S for x in S for y in X.star(x) if y != x)
-
-
-@dataclass(frozen=True)
-class FaceSubset:
-    """A subset of the faces of a host complex, with open/closed flags."""
-
-    host: Complex
-    members: frozenset[Face]
-    closed: bool = field(init=False)
-    open: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "closed", is_closed_subset(self.host, self.members))
-        object.__setattr__(self, "open", is_open_subset(self.host, self.members))
 
 
 def _inclusion_pairs(pk: PackedComplex):

@@ -47,19 +47,18 @@ def _top_rows(pk):
     return pk.rows[-1] if pk.rows else np.zeros((0, 1), dtype=np.int64)
 
 
-def _tops(obj) -> list[Face]:
-    """The d-faces of the host as tuples, in canonical order."""
-    return list(map(tuple, _top_rows(obj._pk).tolist()))
+def _tops(pk) -> list[Face]:
+    """The d-faces of a packed host as tuples, in canonical order."""
+    return list(map(tuple, _top_rows(pk).tolist()))
 
 
-def _edge_tuples(obj, mask=None) -> list[Edge]:
-    """The edges (tops[lo[k]], tops[hi[k]]) as face tuples, for the k that
-    `mask` keeps (all when it is None); lo < hi, so the smaller face comes
-    first."""
-    lo, hi = obj._pk.facet_graph
+def _edge_tuples(pk, tops, mask=None) -> list[Edge]:
+    """The edges (tops[lo[k]], tops[hi[k]]) of a packed host as face
+    tuples, for the k that `mask` keeps (all when it is None); lo < hi, so
+    the smaller face comes first."""
+    lo, hi = pk.facet_graph
     if mask is not None:
         lo, hi = lo[mask], hi[mask]
-    tops = obj._tops
     return list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
 
 
@@ -84,8 +83,8 @@ class WeightedFacetGraph(_LazyViews):
 
     _pk = _weights = None
     _VIEWS = {
-        "_tops": _tops,
-        "_ends": _edge_tuples,
+        "_tops": lambda G: _tops(G._pk),
+        "_ends": lambda G: _edge_tuples(G._pk, G._tops),
         "vertices": lambda G: tuple(G._tops),
         "edges": lambda G: dict(zip(G._ends, G._weights.tolist())),
         "shared": _shared_view,
@@ -121,9 +120,9 @@ class Forest(_LazyViews):
 
     _pk = _in_y = _is_root = None
     _VIEWS = {
-        "_tops": _tops,
+        "_tops": lambda Y: _tops(Y._pk),
         "vertices": lambda Y: frozenset(Y._tops),
-        "edges": lambda Y: frozenset(_edge_tuples(Y, Y._in_y)),
+        "edges": lambda Y: frozenset(_edge_tuples(Y._pk, Y._tops, Y._in_y)),
         "roots": lambda Y: frozenset(map(Y._tops.__getitem__, np.flatnonzero(Y._is_root).tolist())),
     }
 
@@ -205,22 +204,24 @@ def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
     its ends.
 
     A graph and a forest that `build_facet_graph` and `watershed_forest`
-    built on F's host are read as their arrays; a graph or forest built
-    from its fields is mapped onto the edge list of F's host by its face
-    tuples, and Y's edges and roots must then be edges and vertices of G
-    (ValueError).
+    built on F's host are read as their arrays.  Any other graph must have
+    the host's edges, in any order (ValueError), and any other forest is
+    mapped onto the host's edge list and d-faces by its face tuples; its
+    edges and roots must be among them (ValueError).
     """
     lo, hi = _facet_adjacency(F)
     pk = F.host.packed()
-    if G._pk is not pk and len(G.edges) != lo.size:
-        raise ValueError("G is not the facet graph of the stack")
     n = len(pk) - pk.tops.start  # the d-faces, in canonical order
+    if G._pk is not pk or Y._pk is not pk:
+        tops = _tops(pk)
+        ends = _edge_tuples(pk, tops)
+        if G._pk is not pk and G.edges.keys() != set(ends):
+            raise ValueError("G is not the facet graph of the stack")
     if Y._pk is pk:
         in_y, is_root = Y._in_y, Y._is_root
     else:
-        # G lists its edges in the order of the edge list (lo, hi)
-        in_y = np.fromiter(map(Y.edges.__contains__, G.edges), dtype=np.bool_, count=lo.size)
-        is_root = np.fromiter(map(Y.roots.__contains__, G.vertices), dtype=np.bool_, count=n)
+        in_y = np.fromiter(map(Y.edges.__contains__, ends), dtype=np.bool_, count=lo.size)
+        is_root = np.fromiter(map(Y.roots.__contains__, tops), dtype=np.bool_, count=n)
         if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
             raise ValueError("the forest is not on the facet graph")
     alt = F.alt_array()

@@ -1,17 +1,18 @@
-"""Morse stacks: flat pairs, gradient fields, gradient paths.
+"""Morse stacks: flat pairs, gradient fields, generation.
 
 A Morse stack is a simplicial stack where every face belongs to at most
 one flat pair (covering pair of equal altitude).  The flat pairs form
 the gradient vector field; faces outside it are critical.  Backward
 gradient-path steps are deterministic on normal pseudomanifolds, which
-is what the tracing and watershed algorithms exploit.
+the watershed routes exploit; the gradient paths, the traces along them
+and the dual check are in `definitions`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from . import _kernels
 from .complexes import Complex, Face, face_key
@@ -23,13 +24,6 @@ class GradientField:
     """An acyclic partial matching of covering pairs (x, y), x below y."""
 
     pairs: frozenset[tuple[Face, Face]]
-
-    def partner(self) -> dict[Face, Face]:
-        out: dict[Face, Face] = {}
-        for x, y in self.pairs:
-            out[x] = y
-            out[y] = x
-        return out
 
 
 def flat_pairs(F: Stack) -> set[tuple[Face, Face]]:
@@ -74,152 +68,6 @@ def classify(F: Stack) -> CriticalReport:
     grad = gradient(F)
     regular = frozenset(f for pair in grad.pairs for f in pair)
     return CriticalReport(regular, frozenset(F.host.faces) - regular)
-
-
-# -- gradient paths ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LambdaPath:
-    """Alternating flat/differential sequence in dimension p.
-
-    `faces` runs in the forward (ascending) direction; a reversed
-    (descending) traversal is marked by `reverse`.
-    """
-
-    faces: tuple[Face, ...]
-    p: int
-    reverse: bool = False
-
-    def check(self, F: Stack) -> None:
-        """Assert the gradient-path invariants: dimensions alternate between
-        p and p-1, steps are flat or differential pairs, altitudes ascend
-        and strictly increase every two steps."""
-        fs = tuple(reversed(self.faces)) if self.reverse else self.faces
-        for i, (a, b) in enumerate(zip(fs, fs[1:])):
-            da, db = len(a) - 1, len(b) - 1
-            if da == self.p - 1 and db == self.p:
-                if a not in set(F.host.boundary[b]) or F.altitude[a] != F.altitude[b]:
-                    raise ValueError(f"step {i} is not a flat pair")
-            elif da == self.p and db == self.p - 1:
-                if b not in set(F.host.boundary[a]) or F.altitude[b] <= F.altitude[a]:
-                    raise ValueError(f"step {i} is not a differential pair")
-            else:
-                raise ValueError(f"step {i} breaks the dimension alternation")
-        for i in range(len(fs) - 2):
-            if F.altitude[fs[i]] >= F.altitude[fs[i + 2]]:
-                raise ValueError(f"altitudes not strictly increasing at {i}")
-        if len(fs) > 1 and fs[0] == fs[-1]:
-            raise ValueError("gradient paths cannot be closed")
-
-
-@dataclass(frozen=True)
-class Extended:
-    face: Face
-
-
-class AtMinimum:
-    pass
-
-
-@dataclass(frozen=True)
-class Blocked:
-    separating: Face
-
-
-def extend_path(F: Stack, path: LambdaPath):
-    """One-step extension per the reversed-path dichotomy.
-
-    For a reversed path ending at y: AtMinimum iff y is a minimum, else
-    the unique extension exists.  For a forward path with no extension,
-    the endpoint is separating.
-    """
-    d = F.host.dim
-    if path.p != d:
-        raise ValueError("extension is defined for top-dimension paths")
-    if path.reverse:
-        y = path.faces[0]
-        if len(y) - 1 == d:
-            step = _trace_step(F, y)
-            return AtMinimum() if step is None else Extended(step[0])
-        # y is a (d-1)-face with flat partner = previous path element
-        prev = path.faces[1]
-        cof = F.host.cofaces[y]
-        z = cof[0] if cof[1] == prev else cof[1]
-        return Extended(z)
-    y = path.faces[-1]
-    if len(y) - 1 == d:
-        # forward steps leaving a d-face are differential; several may
-        # exist (forward branching), the canonical smallest is returned
-        fy = F.altitude[y]
-        ups = [z for z in F.host.boundary[y] if F.altitude[z] > fy]
-        return Extended(min(ups, key=face_key))
-    prev = path.faces[-2]
-    cof = F.host.cofaces[y]
-    z = cof[0] if cof[1] == prev else cof[1]
-    fy = F.altitude[y]
-    if F.altitude[z] == fy:
-        return Extended(z)
-    return Blocked(y)
-
-
-def _trace_step(F: Stack, x: Face) -> Optional[tuple[Face, Face]]:
-    """Backward step from a non-minimum d-face: its flat partner z and the
-    unique lower coface on the other side of z; None at a minimum."""
-    fx = F.altitude[x]
-    for z in F.host.boundary[x]:
-        if F.altitude[z] == fx:
-            cof = F.host.cofaces[z]
-            return z, cof[0] if cof[1] == x else cof[1]
-    return None
-
-
-def trace_to_minimum(F: Stack, x: Face) -> tuple[Face, LambdaPath]:
-    """Unique minimum linked to the d-face x by a gradient path, plus the path."""
-    rev = [x]
-    while (step := _trace_step(F, rev[-1])) is not None:
-        rev += step
-    return rev[-1], LambdaPath(tuple(reversed(rev)), p=F.host.dim)
-
-
-def trace_all(F: Stack) -> dict[Face, Face]:
-    """Minimum reached by the backward trace, for every d-face.  Each face
-    is stepped from once: a trace stops at the first face already traced."""
-    tops = F.host.faces_of_dim(F.host.dim)
-    minimum: dict[Face, Face] = {}
-    for x in tops:
-        chain, cur = [], x
-        while cur not in minimum and (step := _trace_step(F, cur)) is not None:
-            chain.append(cur)
-            cur = step[1]
-        m = minimum.setdefault(cur, cur)  # cur is traced already, or a minimum
-        for c in chain:
-            minimum[c] = m
-    return {x: minimum[x] for x in tops}
-
-
-def separating_faces(F: Stack) -> set[Face]:
-    """(d-1)-faces strictly above both of their cofaces."""
-    out = set()
-    for z in F.host.faces_of_dim(F.host.dim - 1):
-        cof = F.host.cofaces[z]
-        if len(cof) == 2 and all(F.altitude[y] < F.altitude[z] for y in cof):
-            out.add(z)
-    return out
-
-
-def biconnected_faces(F: Stack) -> set[Face]:
-    """(d-1)-faces whose two cofaces trace to distinct minima."""
-    mins = trace_all(F)
-    out = set()
-    for z in F.host.faces_of_dim(F.host.dim - 1):
-        cof = F.host.cofaces[z]
-        if len(cof) == 2 and mins[cof[0]] != mins[cof[1]]:
-            out.add(z)
-    return out
-
-
-# -- generation and the discrete-Morse bridge --------------------------------
 
 
 def random_morse_stack(X: Complex, seed: int = 0, n_minima: int = 1) -> Stack:
@@ -374,26 +222,3 @@ def stack_from_gradient(X: Complex, V: GradientField) -> Stack:
             value[m] = max(value.get(m, 1), value[n] + 1)
     alt = {f: value[node(f)] for f in X.faces}
     return Stack(X, alt)
-
-
-def _is_flat_dmf(X: Complex, G: Mapping[Face, int]) -> bool:
-    """Flat discrete Morse function test, written against the negated map
-    directly (covering pairs non-decreasing upward, flat pairs a matching)."""
-    uses: dict[Face, int] = {}
-    for y in X.faces:
-        for x in X.boundary[y]:
-            if G[x] > G[y]:
-                return False
-            if G[x] == G[y]:
-                uses[x] = uses.get(x, 0) + 1
-                uses[y] = uses.get(y, 0) + 1
-    return all(c <= 1 for c in uses.values())
-
-
-def dmf_dual_check(F: Stack) -> bool:
-    """Morse stack iff the negated map is a flat discrete Morse function."""
-    from .stacks import validate_stack
-
-    lhs = validate_stack(F)[0] and is_morse(F)[0]
-    rhs = _is_flat_dmf(F.host, F.negate())
-    return lhs == rhs

@@ -8,7 +8,9 @@ guarded by a size limit.  `is_rooted_forest` (leaf peeling), `msf_weight`
 `_lightest_at_an_endpoint` decide the MSF checks on the tuple-keyed
 graph, with a dict-based union-find.  The tests compare the linear-time
 checks of `manifolds.validate` and `forest.verify_msf_theorem` against
-them.  Of the package, only its root imports this module.
+them.  Of the package, only its root imports this module; the paper's
+definitions on face tuples, the tests' other references, are in
+`definitions`.
 """
 
 from __future__ import annotations

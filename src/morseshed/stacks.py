@@ -7,7 +7,8 @@ the packed order of its host, which every route reads (`alt_array()`).
 Its face-keyed map `altitude` is the mapping the stack was built from,
 or, for a stack built from an array, a dict built on first read by
 `complexes._LazyViews`.  Stacks are immutable; collapses return new
-stacks sharing the host complex.
+stacks sharing the host complex.  Free pairs and elementary collapses
+of a stack are in `definitions`.
 """
 
 from __future__ import annotations
@@ -156,60 +157,6 @@ def minima(F: Stack) -> MinimaDecomposition:
     return MinimaDecomposition(mins, frozenset(by_rank[:ends[0]]))
 
 
-def _flat_cofaces(F: Stack, x: Face) -> list[Face]:
-    fx = F.altitude[x]
-    return [y for y in F.host.cofaces[x] if F.altitude[y] == fx]
-
-
-def is_stack_free_pair(F: Stack, x: Face, y: Face) -> bool:
-    """(x, y) is free for F iff it is free in the section at F(x) > lambda_min.
-
-    On the incidence index: y is x's only flat codim-1 coface and y has
-    no flat coface of its own (so y is a facet of the section).
-    """
-    if F.altitude[x] <= F.lambda_min:
-        return False
-    return _flat_cofaces(F, x) == [y] and not _flat_cofaces(F, y)
-
-
-def stack_free_pairs(F: Stack, p: int | None = None) -> set[tuple[Face, Face]]:
-    """All free (p-)pairs of the stack."""
-    return {
-        (x, y) for x in F.host.faces for y in _flat_cofaces(F, x)
-        if (p is None or len(y) - 1 == p) and is_stack_free_pair(F, x, y)
-    }
-
-
-def stack_collapse(
-    F: Stack, pair: tuple[Face, Face], mode: str = "unit"
-) -> Stack:
-    """Elementary collapse of F through a free pair.
-
-    unit mode decrements both altitudes by one.  batch mode jumps both
-    altitudes to the level where the pair stops being free -- valid only
-    for d-pairs on a normal d-pseudomanifold host, where the freeness
-    characterization F(x) = F(y) > F(z) (z the other coface of x) makes
-    the target max(F(z), lambda_min).
-    """
-    x, y = pair
-    if not is_stack_free_pair(F, x, y):
-        raise StackError(f"({x}, {y}) is not a free pair of the stack")
-    if mode == "unit":
-        v = F.altitude[x] - 1
-        return F.with_altitudes({x: v, y: v})
-    if mode == "batch":
-        d = F.host.dim
-        if len(y) - 1 != d:
-            raise StackError("batch collapse applies to d-pairs only")
-        cof = F.host.cofaces[x]
-        if len(cof) != 2:
-            raise StackError("batch collapse requires a non-branching host")
-        z = cof[0] if cof[1] == y else cof[1]
-        v = max(F.altitude[z], F.lambda_min)
-        return F.with_altitudes({x: v, y: v})
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _facet_adjacency(F: Stack):
     """The facet graph (lo, hi) of the host, which it builds once and
     keeps (`PackedComplex.facet_graph`): the check both watershed routes
@@ -221,44 +168,42 @@ def _facet_adjacency(F: Stack):
         raise StackError(str(exc)) from exc
 
 
-def ultimate_d_collapse(F: Stack, seed: int = 0, mode: str = "batch") -> Stack:
+def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     """Collapse through free d-pairs until none remains.
 
     A binary heap holds the free pairs, lowest first, under one int key
     target * n + r, where r ranks the pair's (d-1)-face in a permutation of
     the n (d-1)-faces shuffled by `seed`; the keys sort as (target, r).  A
     live-key list holds the key under which each pair is queued, or None
-    when it is not free.  A collapse re-keys the pairs on the lowered
-    facet, so a popped key that is no longer live is stale.  batch mode
-    lowers a pair to the altitude of its other coface, unit mode by one;
-    another mode raises ValueError.  On a Morse stack a facet's lower
-    neighbour is final before the facet is lowered, so batch mode collapses
-    each non-minimum facet once, and the result depends on neither the
-    seed nor the mode.  The host check and the facet graph are those of
-    the host (`_facet_adjacency`), built once for every stack on it.
+    when it is not free.  A collapse lowers a pair to the altitude of its
+    other coface and re-keys the pairs on the lowered facet, so a popped
+    key that is no longer live is stale.  On a Morse stack a facet's lower
+    neighbour is final before the facet is lowered, so each non-minimum
+    facet collapses once, and the result does not depend on the seed.  The
+    host check and the facet graph are those of the host
+    (`_facet_adjacency`), built once for every stack on it.  Collapses
+    that lower a pair one level a step are `definitions.stack_collapse`.
     """
-    return _ultimate_d_collapse(F, seed, mode)[0]
+    return _ultimate_d_collapse(F, seed)[0]
 
 
-def _ultimate_d_collapse(F: Stack, seed: int, mode: str) -> tuple[Stack, int, int]:
+def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
     """ultimate_d_collapse, plus its numbers of collapses and heap pops."""
-    if mode not in ("batch", "unit"):
-        raise ValueError(f"unknown mode {mode!r}")
     lo, hi = _facet_adjacency(F)
     X = F.host
     pk = X.packed()
     arr = F.alt_array().copy()
-    n, lam, batch = lo.size, F.lambda_min, mode == "batch"
+    n, lam = lo.size, F.lambda_min
     rank = list(range(n))
     random.Random(seed).shuffle(rank)
     rank = np.array(rank, dtype=np.int64)
     # the pair on (d-1)-face s is free when s is above lam and exactly one of
     # its d-faces is flat with it; no altitude falls below lam, F's least, so
-    # the batch target max(other d-face, lam) is the other d-face
+    # the target max(other d-face, lam) is the other d-face
     v, a, b = arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi]
     free = np.flatnonzero((v > lam) & ((a == v) != (b == v)))
     v, a, b, r = v[free], a[free], b[free], rank[free]
-    t = np.where(a == v, b, a) if batch else v - 1
+    t = np.where(a == v, b, a)
     heap = [ts * n + rs for ts, rs in zip(t.tolist(), r.tolist())]  # t * n overflows int64
     code = np.full(n, None, dtype=object)
     code[r] = heap
@@ -284,7 +229,7 @@ def _ultimate_d_collapse(F: Stack, seed: int, mode: str) -> tuple[Stack, int, in
             if v <= lam or (a == v) == (b == v):
                 code[w] = None
             else:
-                code[w] = k = ((b if a == v else a) if batch else v - 1) * n + w
+                code[w] = k = (b if a == v else a) * n + w
                 heappush(heap, k)
     arr[pk.seps] = np.array(sa, dtype=np.int64)[rank]
     arr[pk.tops] = ta

@@ -45,7 +45,8 @@ import numpy as np
 from .complexes import (
     Complex, Face, _LazyViews, _from_arrays, _masked_complex, _subcomplex_mask, closure,
 )
-from .morse import _require_morse, biconnected_faces
+from .definitions import biconnected_faces
+from .morse import _require_morse
 from .stacks import Stack, _facet_adjacency, _flat_zones, ultimate_d_collapse
 from . import _kernels
 

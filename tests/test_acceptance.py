@@ -10,6 +10,7 @@ import time
 import pytest
 
 from morseshed.complexes import closure
+from morseshed.definitions import dmf_dual_check, separating_faces, stack_collapse, stack_free_pairs
 from morseshed.fixtures import (
     branching_collapse_counterexample,
     branching_triangles,
@@ -21,20 +22,16 @@ from morseshed.fixtures import (
 from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.manifolds import generate_torus, validate
 from morseshed.morse import (
-    dmf_dual_check,
     flat_pairs,
     gradient,
     is_morse,
     random_morse_stack,
-    separating_faces,
     stack_from_gradient,
 )
 from morseshed.oracles import enumerate_msfs, msf_weight, strictly_connected_oracle
 from morseshed.stacks import (
     minima,
     random_stack,
-    stack_collapse,
-    stack_free_pairs,
 )
 from morseshed.watershed import (
     morse_watershed,

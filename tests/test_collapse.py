@@ -4,6 +4,7 @@ assembly it replaced."""
 import heapq
 import random
 from collections import deque
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from morseshed import complexes, stacks, watershed
 from morseshed.complexes import Complex, closure, connected_components
+from morseshed.definitions import stack_free_pairs
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import is_morse, random_morse_stack
@@ -22,7 +24,6 @@ from morseshed.stacks import (
     _ultimate_d_collapse,
     minima,
     random_stack,
-    stack_free_pairs,
     ultimate_d_collapse,
     validate_stack,
 )
@@ -73,7 +74,7 @@ def _ref_ultimate_d_collapse(F, seed=0, mode="batch"):
     return Stack(X, alt)
 
 
-def _ref_heap_collapse(F, seed, mode, adjacency=None):
+def _ref_heap_collapse(F, seed, adjacency=None):
     """Reference: the heap loop of (target, rank, face) tuples that
     re-derives a pair's target at every push and pop; the same pops, keys
     and result as `stacks._ultimate_d_collapse`."""
@@ -89,7 +90,7 @@ def _ref_heap_collapse(F, seed, mode, adjacency=None):
     cof = list(zip(lo.tolist(), hi.tolist()))  # the two d-faces of each (d-1)-face
     bd = (pk.bd[X.dim] - sep_lo).tolist()  # the (d-1)-faces of each d-face
     sa, ta = arr[sep_lo:top_lo].tolist(), arr[top_lo:].tolist()
-    lam, batch = F.lambda_min, mode == "batch"
+    lam = F.lambda_min
     rank = list(range(len(sa)))
     random.Random(seed).shuffle(rank)
 
@@ -99,8 +100,6 @@ def _ref_heap_collapse(F, seed, mode, adjacency=None):
         y, z = cof[s]
         if v <= lam or (ta[y] == v) == (ta[z] == v):
             return None
-        if not batch:
-            return v - 1
         return max(ta[y] if ta[z] == v else ta[z], lam)
 
     heap = [(t, rank[s], s) for s in range(len(sa)) if (t := target(s)) is not None]
@@ -200,17 +199,15 @@ def test_heap_collapse_matches_the_tuple_heap():
     for X in hosts:
         for s in range(3):
             F = random_morse_stack(X, seed=s, n_minima=1 + s)
-            cases += [(F, "batch"), (F, "unit"), (_shifted(F, -2**63 + 10), "batch"),
-                      (_shifted(F, -2**63 + 10), "unit")]
-            cases += [(random_stack(X, seed=s, high=4), m) for m in ("batch", "unit")]
+            cases += [F, _shifted(F, -2**63 + 10), random_stack(X, seed=s, high=4)]
             arr = np.random.default_rng(s).integers(-3, 4, size=len(X))
-            cases += [(_stack_from_array(X, arr), m) for m in ("batch", "unit")]
-        cases.append((_shifted(F, 2**62), "batch"))
-    assert sum(F.lambda_min == 2**62 for F, _ in cases) == len(hosts)
-    for F, mode in cases:
+            cases.append(_stack_from_array(X, arr))
+        cases.append(_shifted(F, 2**62))
+    assert sum(F.lambda_min == 2**62 for F in cases) == len(hosts)
+    for F in cases:
         for seed in range(5):
-            H, collapses, pops = _ultimate_d_collapse(F, seed, mode)
-            ref, ref_collapses, ref_pops = _ref_heap_collapse(F, seed, mode)
+            H, collapses, pops = _ultimate_d_collapse(F, seed)
+            ref, ref_collapses, ref_pops = _ref_heap_collapse(F, seed)
             assert H.alt_array().tolist() == ref.alt_array().tolist()
             assert (collapses, pops) == (ref_collapses, ref_pops)
 
@@ -239,22 +236,37 @@ def test_assembly_matches_dict_assembly_on_fifo_collapse(monkeypatch):
 def test_batch_and_unit_modes_agree_on_cyc6():
     F = cyc6_stack()
     for seed in range(10):
-        batch, n_batch, _ = _ultimate_d_collapse(F, seed, "batch")
-        unit, n_unit, _ = _ultimate_d_collapse(F, seed, "unit")
+        batch, n_batch, _ = _ultimate_d_collapse(F, seed)
+        unit = _ref_ultimate_d_collapse(F, seed, "unit")
         assert dict(batch.altitude) == dict(unit.altitude)
-        # batch lowers each of the 4 non-minimum edges once; unit one level a step
-        assert (n_batch, n_unit) == (4, 6)
+        # the engine lowers each of the 4 non-minimum edges once
+        assert n_batch == 4
 
 
-@pytest.mark.parametrize("n", [25, 50, 100])
-def test_each_non_minimum_facet_collapses_once(n):
-    F = random_morse_stack(generate_torus(n, n), seed=n, n_minima=10)
-    d = F.host.dim
-    facets = len(F.host.faces_of_dim(d))
-    H, collapses, pops = _ultimate_d_collapse(F, 0, "batch")
-    assert collapses == facets - len(minima(F).minima)
-    assert pops <= (d + 2) * facets
-    assert len(minima(H).minima) == len(minima(F).minima)
+_SMALL_HOSTS = {  # name: (d, host)
+    "cycle-50": (1, lambda: closure((i, (i + 1) % 50) for i in range(50))),
+    "sphere-3": (3, lambda: closure(combinations(range(5), 4))),  # the boundary of the 4-simplex
+    "sphere-4": (4, lambda: closure(combinations(range(6), 5))),  # and of the 5-simplex
+}
+
+
+@pytest.mark.parametrize("host", ["25", "50", "100", *_SMALL_HOSTS])
+def test_each_non_minimum_facet_collapses_once(host):
+    if host in _SMALL_HOSTS:  # 150 Morse stacks, 50 each with 1, 2 and 3 minima
+        d, build = _SMALL_HOSTS[host]
+        X = build()
+        assert X.dim == d
+        cases = [random_morse_stack(X, seed=s, n_minima=m) for m in (1, 2, 3) for s in range(50)]
+    else:  # one Morse stack with 10 minima on TOR(n)
+        n = int(host)
+        cases = [random_morse_stack(generate_torus(n, n), seed=n, n_minima=10)]
+    for F in cases:
+        d = F.host.dim
+        facets = len(F.host.faces_of_dim(d))
+        H, collapses, pops = _ultimate_d_collapse(F, 0)
+        assert collapses == facets - len(minima(F).minima)
+        assert pops <= (d + 2) * facets
+        assert len(minima(H).minima) == len(minima(F).minima)
 
 
 def test_watershed_collapse_builds_no_dict_components(monkeypatch):

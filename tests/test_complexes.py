@@ -9,22 +9,24 @@ from morseshed import io
 from morseshed.complexes import (
     Complex,
     EMPTY_COMPLEX,
-    FaceSubset,
     InvalidSimplexError,
     _subcomplex_mask,
     closure,
-    collapse,
     connected_components,
-    covering_pairs,
     face_dim,
     face_key,
+    make_face,
+    proper_subfaces,
+    strong_connected_components,
+)
+from morseshed.definitions import (
+    FaceSubset,
+    collapse,
+    covering_pairs,
     free_pairs,
     is_closed_subset,
     is_free_pair,
     is_open_subset,
-    make_face,
-    proper_subfaces,
-    strong_connected_components,
     ultimate_collapse,
 )
 from morseshed.fixtures import (

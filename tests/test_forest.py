@@ -301,6 +301,12 @@ def test_certificate_on_forests_the_watershed_never_gives():
         assert (got["weight"], got["unique"]) == (verdict, verdict and unique), name
     with pytest.raises(ValueError):
         _msf_checks(F, G, Forest(frozenset(G.vertices), frozenset(), frozenset([(0, 2)])))
+    # as many edges as G, but one of them joins two facets that share no vertex
+    other = dict(G.edges)
+    del other[(a, b)]
+    other[(a, d)] = 1
+    with pytest.raises(ValueError, match="not the facet graph"):
+        _msf_checks(F, WeightedFacetGraph(G.vertices, other, G.shared), watershed_forest(F))
 
 
 def test_certificate_needs_weights_falling_toward_the_root():
@@ -347,9 +353,13 @@ def test_basins_check_matches_frozenset_reference():
         if edges:  # a tree split in two, and one half joined to another tree
             forests.append(Forest(Y.vertices, frozenset(edges[1:]), Y.roots))
             forests.append(Forest(Y.vertices, frozenset(edges[1:]) | {across}, Y.roots))
+        # the same graph built from its fields, its edges in reverse order
+        reversed_G = WeightedFacetGraph(G.vertices, dict(reversed(G.edges.items())), G.shared)
+        assert reversed_G == G
         for Z in forests:
             got = _msf_checks(F, G, Z)["basins"]
             assert got == _ref_trees_are_basins(F, Z)
+            assert _msf_checks(F, reversed_G, Z) == _msf_checks(F, G, Z)
             verdicts.append(got)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 60
     # altitudes that are not monotone but pair every face once: each edge

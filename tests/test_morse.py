@@ -5,28 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morseshed.complexes import Complex, closure, face_key
-from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
-from morseshed.manifolds import generate_torus
-from morseshed.morse import (
+from morseshed.definitions import (
     AtMinimum,
     Blocked,
     Extended,
-    GradientField,
     LambdaPath,
     biconnected_faces,
-    classify,
     dmf_dual_check,
     extend_path,
+    separating_faces,
+    stack_free_pairs,
+    trace_all,
+    trace_to_minimum,
+)
+from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
+from morseshed.manifolds import generate_torus
+from morseshed.morse import (
+    GradientField,
+    classify,
     flat_pairs,
     gradient,
     is_morse,
     random_morse_stack,
-    separating_faces,
     stack_from_gradient,
-    trace_all,
-    trace_to_minimum,
 )
-from morseshed.stacks import Stack, StackError, random_stack, stack_free_pairs, validate_stack
+from morseshed.stacks import Stack, StackError, random_stack, validate_stack
 
 
 def constant_stack(X, value=0):

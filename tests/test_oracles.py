@@ -6,6 +6,8 @@ import random
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 import morseshed
 from morseshed.complexes import Complex, closure
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
@@ -123,7 +125,21 @@ def test_tie_test_matches_the_enumeration():
     assert msf_weight(empty, frozenset()) == 0 and msf_is_unique(empty, frozenset())
 
 
-def test_only_the_package_root_imports_the_oracles():
+MOVED = {  # the definitions the engine modules held before `definitions` did
+    "complexes": ["covering_pairs", "is_free_pair", "free_pairs", "collapse", "ultimate_collapse",
+                  "is_closed_subset", "is_open_subset", "FaceSubset"],
+    "stacks": ["_flat_cofaces", "is_stack_free_pair", "stack_free_pairs", "stack_collapse"],
+    "morse": ["LambdaPath", "Extended", "AtMinimum", "Blocked", "extend_path", "_trace_step",
+              "trace_to_minimum", "trace_all", "separating_faces", "biconnected_faces",
+              "_is_flat_dmf", "dmf_dual_check"],
+}
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("oracles", {"__init__.py"}),
+    ("definitions", {"__init__.py", "watershed.py"}),
+])
+def test_only_the_package_root_imports_the_oracles(module, allowed):
     src = Path(morseshed.__file__).parent
     importers = set()
     for path in src.glob("*.py"):
@@ -136,7 +152,10 @@ def test_only_the_package_root_imports_the_oracles():
                 names = [a.name for a in node.names]
             else:
                 continue
-            if any(name.split(".")[-1] == "oracles" for name in names):
+            if any(name.split(".")[-1] == module for name in names):
                 importers.add(path.name)
-    assert importers == {"__init__.py"}
-    assert {"enumerate_msfs", "msf_oracle"} <= set(morseshed.__all__)
+    assert importers == allowed
+    assert {"enumerate_msfs", "msf_oracle", "stack_collapse", "trace_all"} <= set(morseshed.__all__)
+    for engine, names in MOVED.items():
+        assert [name for name in names if hasattr(getattr(morseshed, engine), name)] == []
+        assert all(hasattr(morseshed.definitions, name) for name in names)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from morseshed import io
 from morseshed.complexes import Complex, closure, face_key
+from morseshed.definitions import is_stack_free_pair, stack_collapse, stack_free_pairs
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import gradient, random_morse_stack, stack_from_gradient
@@ -16,16 +17,14 @@ from morseshed.stacks import (
     Stack,
     StackError,
     complete_from_facets,
-    is_stack_free_pair,
     minima,
     random_stack,
     section,
-    stack_collapse,
-    stack_free_pairs,
     ultimate_d_collapse,
     _stack_from_array,
     validate_stack,
 )
+from test_collapse import _ref_ultimate_d_collapse
 
 
 def constant_stack(X, value=0):
@@ -158,22 +157,14 @@ def test_stack_collapse_rejects_non_free():
         stack_collapse(F, ((1,), (1, 2)), mode="bogus")
 
 
-def test_ultimate_d_collapse_rejects_an_unknown_mode():
-    # a misspelt mode raises as in stack_collapse, also on a host without d-pairs
-    for F in (cyc6_stack(), constant_stack(Complex([(0,)]))):
-        with pytest.raises(ValueError, match="unknown mode 'btach'"):
-            ultimate_d_collapse(F, mode="btach")
-
-
 def test_ultimate_d_collapse_fixture():
     F = cyc6_stack()
     expected = {x: 0 for x in F.host.faces}
     expected[(3,)] = 3
     expected[(5,)] = 3
     for seed in range(10):
-        for mode in ("batch", "unit"):
-            H = ultimate_d_collapse(F, seed=seed, mode=mode)
-            assert dict(H.altitude) == expected
+        assert dict(ultimate_d_collapse(F, seed=seed).altitude) == expected
+        assert dict(_ref_ultimate_d_collapse(F, seed, "unit").altitude) == expected
     dec = minima(ultimate_d_collapse(F))
     assert {frozenset(z) for z, _ in dec.minima} == {
         frozenset({(3, 4), (4,), (4, 5)}),
