@@ -94,7 +94,7 @@ def top_adjacency(pk):
     lo[j] < hi[j] are the local ids of its two d-faces (d-face i is face
     pk.tops.start + i).  Raises ValueError when some (d-1)-face does not
     have exactly two cofaces, or some face lies in no d-face.  The host
-    keeps the result as `PackedComplex.facet_graph`, which every route,
+    keeps the result as `Complex.facet_graph`, which every route,
     check and writer reads.
     """
     sep_lo, top_lo = pk.seps.start, pk.tops.start

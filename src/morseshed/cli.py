@@ -19,7 +19,7 @@ from .complexes import face_key
 from .forest import _msf_checks, _top_rows, build_facet_graph, watershed_forest
 from .manifolds import generate_torus, validate
 from .morse import classify, is_morse, random_morse_stack
-from .stacks import StackError, minima
+from .stacks import Stack, StackError, minima
 from .watershed import (
     WATERSHED_LABEL,
     WatershedResult,
@@ -49,7 +49,7 @@ def _read(path: str) -> str:
         raise mio.ParseError(lineno, f"byte {data[exc.start]:#04x} is not UTF-8") from None
 
 
-def _load_stack(args) -> "Stack":
+def _load_stack(args) -> Stack:
     return mio.parse_stack(_read(args.input), complete=args.complete)
 
 
@@ -207,7 +207,7 @@ def _cmd_msf(args) -> int:
         style = np.where(in_y, " style=bold color=blue", "")
         sys.stdout.write(_dot("facets", pk, edge=(' [label="%d"%s]', [w, style])))
     if args.verify:
-        checks = _msf_checks(F, G, Y)
+        checks = _msf_checks(F, Y)
         for k, v in sorted(checks.items()):
             print(f"check_{k}={v}")
         if not all(checks.values()):

@@ -1,14 +1,14 @@
 """Simplicial complexes as finite families of vertex sets.
 
 A face is a tuple of strictly increasing non-negative int64 vertex ids.  A
-:class:`Complex` is its packed integer arrays (see :meth:`Complex.packed`):
-the vertex ids of the faces in canonical order, every covering pair as a
-(sub, sup) pair of indexes, and the index range of each dimension.  Every
-complex is built one way, from the int64 vertex rows of each dimension; a
-family of faces is first turned into those rows by one numpy pass per
-dimension.  The face tuples and the views that the face-by-face
-algorithms walk -- ``faces``, ``by_dim``, ``boundary`` and ``cofaces`` --
-are derived from the arrays on first access and are plain attributes
+:class:`Complex` holds its packed integer arrays: the vertex ids of the
+faces in canonical order, every covering pair as a (sub, sup) pair of
+indexes, and the index range of each dimension.  Every complex is built
+one way, from the int64 vertex rows of each dimension; a family of faces
+is first turned into those rows by one numpy pass per dimension.  The
+face tuples, the views that the face-by-face algorithms walk (``faces``,
+``by_dim``, ``boundary`` and ``cofaces``) and the derived index arrays
+are built from the arrays on first access and are plain attributes
 after that.  `_LazyViews` is the one helper that does this, for the
 complex and every other array-backed object of the package (the stack,
 the watershed result, the facet graph and the forest); `_from_arrays`
@@ -19,8 +19,6 @@ Free pairs, collapses, and open and closed subsets are in `definitions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
@@ -96,27 +94,24 @@ def _from_arrays(cls, **arrays):
 
 
 def _by_dim_view(X) -> dict[int, list[Face]]:
-    pk = X._packed
-    off = pk.dim_offset.tolist()
-    return {p: pk.faces[off[p]:off[p + 1]] for p in range(len(off) - 1)}
+    faces, off = X.face_list, X.dim_offset.tolist()
+    return {p: faces[off[p]:off[p + 1]] for p in range(len(off) - 1)}
 
 
 def _boundary_view(X) -> dict[Face, tuple[Face, ...]]:
-    pk = X._packed
-    faces, off = pk.faces, pk.dim_offset.tolist()
+    faces, off = X.face_list, X.dim_offset.tolist()
     out: dict[Face, tuple[Face, ...]] = dict.fromkeys(faces, ())
-    for p, rows in enumerate(pk.bd[1:], start=1):
+    for p, rows in enumerate(X.bd[1:], start=1):
         bd = map(faces.__getitem__, rows.ravel().tolist())  # p + 1 faces a row
         out.update(zip(faces[off[p]:off[p + 1]], zip(*[bd] * (p + 1))))
     return out
 
 
 def _cofaces_view(X) -> dict[Face, tuple[Face, ...]]:
-    pk = X._packed
-    faces = pk.faces
-    order = np.argsort(pk.sub, kind="stable")  # keeps sup ascending per face
-    ups = [faces[j] for j in pk.sup[order].tolist()]
-    counts = pk.n_cofaces.tolist()
+    faces = X.face_list
+    order = np.argsort(X.sub, kind="stable")  # keeps sup ascending per face
+    ups = [faces[j] for j in X.sup[order].tolist()]
+    counts = X.n_cofaces.tolist()
     out: dict[Face, tuple[Face, ...]] = {}
     start = 0
     for x, c in zip(faces, counts):
@@ -125,22 +120,58 @@ def _cofaces_view(X) -> dict[Face, tuple[Face, ...]]:
     return out
 
 
-class Complex(_LazyViews):
-    """A finite simplicial complex with incidence indexes.
+def _bd_view(X) -> list:
+    cut = np.searchsorted(X.sup, X.dim_offset).tolist()  # sup is ascending
+    return [np.zeros((len(X.vertex_ids), 0), dtype=np.int64)] + [
+        X.sub[cut[p]:cut[p + 1]].reshape(-1, p + 1) for p in range(1, len(cut) - 1)
+    ]
 
-    ``boundary[x]`` lists the codim-1 faces of x in drop-vertex-i order
-    (the face without ``x[i]`` at position i), ``cofaces[x]`` the codim-1
-    cofaces in canonical order, ``by_dim[p]`` the p-faces in canonical
-    order and ``faces`` the frozenset of all faces.  The four are built
-    from the packed arrays on first access.
+
+class Complex(_LazyViews):
+    """A finite simplicial complex, held as its packed integer arrays.
+
+    `rows[p]` holds the vertex ids of the p-faces, one face per row in
+    canonical order; the p-faces are the face numbers
+    `dim_offset[p]:dim_offset[p+1]`, and `seps` and `tops` the ranges of
+    the (d-1)-faces and the d-faces, d the top dimension (no (d-1)-face
+    below dimension 1).  `(sub[k], sup[k])` enumerates every covering pair
+    by index, sup ascending and then in drop-vertex-i order of the
+    boundary.  `keys[p]` (p >= 1) holds the packer's ascending sort keys
+    of the p-faces (see `_locate`), and `order[p]` the row of the packer's
+    input each p-face came from, or None where that input was in
+    canonical order already.
+
+    The other attributes are views built from the arrays on first read and
+    kept, so every route, check and writer on one host shares them:
+    ``face_list[i]``, face number i as a tuple (`sorted_faces()`), and
+    ``faces``, their frozenset; ``by_dim[p]``, the p-faces; ``boundary[x]``,
+    the codim-1 faces of x in drop-vertex-i order (the face without
+    ``x[i]`` at position i), and ``cofaces[x]``, the codim-1 cofaces in
+    canonical order; ``bd[p][i]``, the indexes of the boundary of face
+    number dim_offset[p] + i in drop-vertex order (an empty row per vertex
+    for p = 0); ``inclusion_pairs`` (`_inclusion_pairs`); ``n_cofaces``,
+    the number of codim-1 cofaces of each face; and ``facet_graph``, the
+    two d-faces (lo, hi) of each (d-1)-face (`_kernels.top_adjacency`),
+    which raises ValueError on every read when the complex is branching
+    or not pure of its top dimension.
     """
 
-    __slots__ = ("faces", "dim", "_packed", "by_dim", "boundary", "cofaces")
+    __slots__ = (
+        "rows", "sub", "sup", "dim_offset", "seps", "tops", "keys", "order", "dim",
+        "face_list", "faces", "by_dim", "boundary", "cofaces",
+        "bd", "inclusion_pairs", "n_cofaces", "facet_graph",
+    )
     _VIEWS = {
-        "faces": lambda X: frozenset(X._packed.faces),
+        "face_list": lambda X: [x for r in X.rows for x in map(tuple, r.tolist())],
+        "faces": lambda X: frozenset(X.face_list),
         "by_dim": _by_dim_view,
         "boundary": _boundary_view,
         "cofaces": _cofaces_view,
+        "bd": _bd_view,
+        # looked up at each build, so a patched function (a tracer, a test) is the one run
+        "inclusion_pairs": lambda X: _inclusion_pairs(X),
+        "n_cofaces": lambda X: np.bincount(X.sub, minlength=len(X)),
+        "facet_graph": lambda X: _kernels.top_adjacency(X),
     }
 
     def __init__(self, faces: Iterable[Iterable[int]] = (), _rows=None):
@@ -154,11 +185,13 @@ class Complex(_LazyViews):
         rows = _face_rows(faces) if _rows is None else list(_rows)
         while rows and not len(rows[-1]):
             rows.pop()  # the dimension is that of the largest face
-        self._packed = _pack(rows)
-        if self._packed is None:
+        arrays = _pack(rows)
+        if arrays is None:
             raise _not_closed(rows) if _rows is None else InvalidSimplexError(
                 "the rows repeat a face or are not closed"
             )
+        for name, value in arrays.items():
+            setattr(self, name, value)
         self.dim = len(rows) - 1
 
     # -- basic protocol ----------------------------------------------------
@@ -167,7 +200,7 @@ class Complex(_LazyViews):
         return x in self.faces
 
     def __len__(self) -> int:
-        return len(self._packed)
+        return int(self.dim_offset[-1])
 
     def __iter__(self) -> Iterator[Face]:
         return iter(self.sorted_faces())
@@ -176,7 +209,7 @@ class Complex(_LazyViews):
         """Equal face sets: the packed rows of each dimension are canonical."""
         if not isinstance(other, Complex):
             return False
-        a, b = self._packed.rows, other._packed.rows
+        a, b = self.rows, other.rows
         return len(a) == len(b) and all(map(np.array_equal, a, b))
 
     def __hash__(self) -> int:
@@ -185,22 +218,25 @@ class Complex(_LazyViews):
     def __repr__(self) -> str:
         return f"Complex(dim={self.dim}, faces={len(self.faces)})"
 
+    @property
+    def vertex_ids(self):
+        """The vertex ids, ascending."""
+        return self.rows[0][:, 0] if self.rows else np.zeros(0, dtype=np.int64)
+
     def sorted_faces(self) -> list[Face]:
         """All faces in canonical (dimension, lexicographic) order."""
-        return self._packed.faces
+        return self.face_list
 
     def faces_of_dim(self, p: int) -> list[Face]:
         return self.by_dim.get(p, [])
 
     def facets(self) -> list[Face]:
         """Inclusion-maximal faces, in canonical order."""
-        pk = self._packed
-        return [pk.faces[i] for i in np.flatnonzero(pk.n_cofaces == 0).tolist()]
+        return [self.face_list[i] for i in np.flatnonzero(self.n_cofaces == 0).tolist()]
 
     def is_pure(self) -> bool:
         """Every face below the top dimension lies in a larger face."""
-        pk = self._packed
-        return bool(pk.n_cofaces[:pk.tops.start].all())
+        return bool(self.n_cofaces[:self.tops.start].all())
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(fs) for p, fs in self.by_dim.items())
@@ -220,84 +256,13 @@ class Complex(_LazyViews):
             out |= layer
         return frozenset(out)
 
-    def packed(self) -> "PackedComplex":
-        """Integer-indexed incidence arrays, the form the complex is built in.
-
-        Faces are numbered in canonical order, so faces of one dimension
-        occupy a contiguous index range.  Hot array-based algorithms use
-        this instead of walking the tuple-keyed dicts.
+    def packed(self) -> "Complex":
+        """The complex itself: its integer-indexed incidence arrays are
+        its attributes.  Faces are numbered in canonical order, so faces
+        of one dimension occupy a contiguous index range.  Hot array-based
+        algorithms read these instead of walking the tuple-keyed dicts.
         """
-        return self._packed
-
-
-@dataclass(frozen=True, eq=False)
-class PackedComplex:
-    """Array view of a complex: `rows[p]` holds the vertex ids of the
-    p-faces, one face per row in canonical order, `faces[i]` is face
-    number i as a tuple (built on first access), `(sub[k], sup[k])`
-    enumerates every covering pair by index, sup ascending and then in
-    drop-vertex-i order of the boundary, and faces of dimension p occupy
-    indexes `dim_offset[p]:dim_offset[p+1]`; `seps` and `tops` are the
-    index ranges of the (d-1)-faces and the d-faces, d the top dimension
-    (the (d-1)-faces are none below dimension 1).  `keys[p]` (p >= 1)
-    holds the packer's ascending sort keys of the p-faces (see `_locate`),
-    and `order[p]` the row of the packer's input each p-face came from, or
-    None where that input was in canonical order already.
-
-    The arrays derived from the host belong to it, whatever stack it
-    carries: each of the properties below is built on first read and kept,
-    so every route, check and writer on one host shares it."""
-
-    rows: list  # np.ndarray[int64] of shape (n_p, p + 1) per dimension p
-    sub: "object"  # np.ndarray[int64]
-    sup: "object"  # np.ndarray[int64]
-    dim_offset: "object"  # np.ndarray[int64]
-    seps: slice
-    tops: slice
-    keys: list = field(repr=False)  # None, then np.ndarray[int64] per dimension p >= 1
-    order: list = field(repr=False)  # np.ndarray[int64] or None per dimension p
-
-    def __len__(self) -> int:
-        return int(self.dim_offset[-1])
-
-    @property
-    def vertex_ids(self):
-        """The vertex ids, ascending."""
-        return self.rows[0][:, 0] if self.rows else np.zeros(0, dtype=np.int64)
-
-    @cached_property
-    def faces(self) -> list[Face]:
-        return [x for r in self.rows for x in map(tuple, r.tolist())]
-
-    @cached_property
-    def bd(self) -> list:
-        """bd[p][i] holds the indexes of the (p-1)-faces of the p-face
-        number dim_offset[p] + i, in drop-vertex order; bd[0] has an empty
-        row per vertex (and none for the empty complex)."""
-        cut = np.searchsorted(self.sup, self.dim_offset).tolist()  # sup is ascending
-        n_vertices = len(self.rows[0]) if self.rows else 0
-        return [np.zeros((n_vertices, 0), dtype=np.int64)] + [
-            self.sub[cut[p]:cut[p + 1]].reshape(-1, p + 1) for p in range(1, len(cut) - 1)
-        ]
-
-    @cached_property
-    def inclusion_pairs(self):
-        """(sub, sup) index arrays of every pair of faces x ⊊ y
-        (`_inclusion_pairs`)."""
-        return _inclusion_pairs(self)
-
-    @cached_property
-    def n_cofaces(self):
-        """The number of codim-1 cofaces of each face."""
-        return np.bincount(self.sub, minlength=len(self))
-
-    @cached_property
-    def facet_graph(self):
-        """The two d-faces (lo, hi) of each (d-1)-face, from
-        `_kernels.top_adjacency`; no edge below dimension 1.  A host that
-        is branching or not pure of its top dimension raises ValueError on
-        every read."""
-        return _kernels.top_adjacency(self)
+        return self
 
 
 def _not_closed(rows: list) -> InvalidSimplexError:
@@ -378,10 +343,10 @@ def _locate(keys: list, n_vertices: int, ranks):
     return idx
 
 
-def _pack(rows: list) -> PackedComplex | None:
-    """Canonical order and covering pairs of a family of faces given as
-    the vertex rows of each dimension; None when the family repeats a face
-    or is not closed.
+def _pack(rows: list) -> dict | None:
+    """The `Complex` arrays, by name, of a family of faces given as the
+    vertex rows of each dimension: its canonical order and covering pairs;
+    None when the family repeats a face or is not closed.
 
     Each boundary face is found by binary search among the faces of the
     dimension below, so a failed lookup is a missing face.  Rows already
@@ -423,7 +388,7 @@ def _pack(rows: list) -> PackedComplex | None:
         orders.append(order)
     empty = np.zeros(0, dtype=np.int64)
     off = [0, 0, *dim_offset.tolist()]  # two empty dimensions below 0
-    return PackedComplex(
+    return dict(
         rows=ordered,
         sub=np.concatenate(subs) if subs else empty,
         sup=np.concatenate(sups) if sups else empty,
@@ -458,14 +423,14 @@ def _closure(gens: list) -> Complex:
     ])
 
 
-def _masked_complex(pk: PackedComplex, member) -> Complex:
+def _masked_complex(pk: Complex, member) -> Complex:
     """The complex of the faces of pk where the boolean mask `member`
     holds, built from their vertex rows; the members must be closed."""
     off = pk.dim_offset.tolist()
     return Complex(_rows=[r[member[off[p]:off[p + 1]]] for p, r in enumerate(pk.rows)])
 
 
-def _inclusion_pairs(pk: PackedComplex):
+def _inclusion_pairs(pk: Complex):
     """(sub, sup) index arrays of every pair of faces x ⊊ y.  The faces
     below y are its boundary faces, then theirs, and so on, each kept once
     per y."""
@@ -484,11 +449,11 @@ def _inclusion_pairs(pk: PackedComplex):
     return np.concatenate(subs), np.concatenate(sups)
 
 
-def _member_mask(pk: PackedComplex, S: Iterable[Face] | None):
+def _member_mask(pk: Complex, S: Iterable[Face] | None):
     """Boolean mask of the faces in S (all faces when S is None)."""
     if S is None:
         return np.ones(len(pk), dtype=np.bool_)
-    index = dict(zip(pk.faces, range(len(pk))))
+    index = dict(zip(pk.face_list, range(len(pk))))
     try:
         idx = [index[x] for x in S]
     except KeyError as exc:
@@ -498,7 +463,7 @@ def _member_mask(pk: PackedComplex, S: Iterable[Face] | None):
     return member
 
 
-def _subcomplex_mask(pk: PackedComplex, W: Complex):
+def _subcomplex_mask(pk: Complex, W: Complex):
     """Boolean mask of the faces of W in pk, each found from its vertex row
     by the packer's sort keys, so no face tuple or face set is built.
     Raises ValueError when W is not a subcomplex of pk."""
@@ -514,16 +479,16 @@ def _subcomplex_mask(pk: PackedComplex, W: Complex):
     return member
 
 
-def _groups(pk: PackedComplex, member, label) -> list[set[Face]]:
+def _groups(pk: Complex, member, label) -> list[set[Face]]:
     """The members grouped by equal label, as face sets in canonical order
     of their smallest member."""
-    faces, groups = pk.faces, {}
+    faces, groups = pk.face_list, {}
     for i, r in zip(np.flatnonzero(member).tolist(), label[member].tolist()):
         groups.setdefault(r, set()).add(faces[i])  # members come in ascending order
     return list(groups.values())
 
 
-def _connected_labels(pk: PackedComplex, member):
+def _connected_labels(pk: Complex, member):
     """Each member labelled by the smallest member of its component."""
     sub, sup = pk.inclusion_pairs
     both = member[sub] & member[sup]
@@ -563,7 +528,7 @@ def strong_connected_components(
     return _groups(pk, member, _strong_labels(pk, member, d))
 
 
-def _strong_labels(pk: PackedComplex, member, d: int | None):
+def _strong_labels(pk: Complex, member, d: int | None):
     """Each member's label: the least d-facet of the strong component it joins, or itself."""
     n, off = len(pk), pk.dim_offset.tolist()
     facet = member.copy()

@@ -165,12 +165,13 @@ def verify_msf_theorem(F: Stack) -> dict[str, bool]:
     on d-faces), and min_edge (every forest edge is the unique lightest
     edge at one endpoint).  See `_msf_checks` for how each is decided.
     """
-    return _msf_checks(F, build_facet_graph(F), watershed_forest(F))
+    return _msf_checks(F, watershed_forest(F))
 
 
-def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
+def _msf_checks(F: Stack, Y: Forest) -> dict[str, bool]:
     """The checks of `verify_msf_theorem` for a forest Y on the facet graph
-    G = build_facet_graph(F), in one pass over the edge list of G.
+    of F (`build_facet_graph(F)`), in one pass over the host's edge list,
+    weighted by the altitudes of F.
 
     rooted: Y has facets - trees edges (so no cycle) and every tree holds
     one root, its trees read from one `_kernels.components` labelling.
@@ -203,23 +204,19 @@ def _msf_checks(F: Stack, G: WeightedFacetGraph, Y: Forest) -> dict[str, bool]:
     min_edge: each edge of Y is the only edge of least weight at one of
     its ends.
 
-    A graph and a forest that `build_facet_graph` and `watershed_forest`
-    built on F's host are read as their arrays.  Any other graph must have
-    the host's edges, in any order (ValueError), and any other forest is
-    mapped onto the host's edge list and d-faces by its face tuples; its
-    edges and roots must be among them (ValueError).
+    A forest that `watershed_forest` built on F's host is read as its
+    arrays.  Any other forest is mapped onto the host's edge list and
+    d-faces by its face tuples; its edges and roots must be among them
+    (ValueError).
     """
     lo, hi = _facet_adjacency(F)
     pk = F.host.packed()
     n = len(pk) - pk.tops.start  # the d-faces, in canonical order
-    if G._pk is not pk or Y._pk is not pk:
-        tops = _tops(pk)
-        ends = _edge_tuples(pk, tops)
-        if G._pk is not pk and G.edges.keys() != set(ends):
-            raise ValueError("G is not the facet graph of the stack")
     if Y._pk is pk:
         in_y, is_root = Y._in_y, Y._is_root
     else:
+        tops = _tops(pk)
+        ends = _edge_tuples(pk, tops)
         in_y = np.fromiter(map(Y.edges.__contains__, ends), dtype=np.bool_, count=lo.size)
         is_root = np.fromiter(map(Y.roots.__contains__, tops), dtype=np.bool_, count=n)
         if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):

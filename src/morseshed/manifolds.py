@@ -68,7 +68,7 @@ def _check_non_branching(X: Complex) -> Optional[Face]:
     """First (d-1)-face without exactly two cofaces, if any."""
     pk = X.packed()
     bad = np.flatnonzero(pk.n_cofaces[pk.seps] != 2)
-    return pk.faces[pk.seps.start + bad[0]] if bad.size else None
+    return pk.face_list[pk.seps.start + bad[0]] if bad.size else None
 
 
 def _split_links(X: Complex, strong: bool = False):
@@ -109,7 +109,7 @@ def _check_link_condition(X: Complex) -> Optional[Face]:
     if X.dim < 2:
         return None
     bad = _split_links(X)
-    return X.packed().faces[bad[0]] if bad.size else None
+    return X.packed().face_list[bad[0]] if bad.size else None
 
 
 def validate(X: Complex) -> ValidationReport:
@@ -186,7 +186,7 @@ def links_are_pseudomanifolds(X: Complex) -> tuple[bool, list[Face]]:
         raise ValueError("input is not a pseudomanifold")
     if X.dim < 2:
         return (True, [])
-    faces = X.packed().faces
+    faces = X.packed().face_list
     bad = [faces[i] for i in _split_links(X, strong=True).tolist()]
     return (not bad, bad)
 

@@ -30,7 +30,7 @@ def flat_pairs(F: Stack) -> set[tuple[Face, Face]]:
     """All covering pairs with equal altitude."""
     pk, alt = F.host.packed(), F.alt_array()
     flat = alt[pk.sub] == alt[pk.sup]
-    faces = pk.faces
+    faces = pk.face_list
     return {(faces[x], faces[y]) for x, y in zip(pk.sub[flat].tolist(), pk.sup[flat].tolist())}
 
 
@@ -39,7 +39,7 @@ def is_morse(F: Stack) -> tuple[bool, Optional[Face]]:
     offender in canonical order."""
     pk = F.host.packed()
     i = _kernels.flat_matching_offender(pk.sub, pk.sup, F.alt_array(), len(pk))
-    return (True, None) if i < 0 else (False, pk.faces[i])
+    return (True, None) if i < 0 else (False, pk.face_list[i])
 
 
 def _require_morse(F: Stack) -> None:

@@ -110,7 +110,7 @@ def validate_stack(F: Stack) -> tuple[bool, Optional[tuple[Face, Face]]]:
     if bad.size == 0:
         return True, None
     k = bad[0]
-    return False, (pk.faces[pk.sub[k]], pk.faces[pk.sup[k]])
+    return False, (pk.face_list[pk.sub[k]], pk.face_list[pk.sup[k]])
 
 
 def section(F: Stack, lam: int) -> Complex:
@@ -150,7 +150,7 @@ def minima(F: Stack) -> MinimaDecomposition:
     pk, alt = F.host.packed(), F.alt_array()
     rank = _flat_zones(F)[1]
     order = np.argsort(rank, kind="stable").tolist()
-    by_rank = [pk.faces[i] for i in order]
+    by_rank = [pk.face_list[i] for i in order]
     levels = alt[order].tolist()
     ends = np.cumsum(np.bincount(rank, minlength=1)).tolist()  # rank 0: the divide
     mins = tuple((frozenset(by_rank[a:b]), levels[a]) for a, b in zip(ends, ends[1:]))
@@ -159,7 +159,7 @@ def minima(F: Stack) -> MinimaDecomposition:
 
 def _facet_adjacency(F: Stack):
     """The facet graph (lo, hi) of the host, which it builds once and
-    keeps (`PackedComplex.facet_graph`): the check both watershed routes
+    keeps (`Complex.facet_graph`): the check both watershed routes
     run first.  A host of dimension d >= 1 must be pure of dimension d
     with exactly two d-faces on every (d-1)-face."""
     try:

@@ -60,7 +60,7 @@ def _basins_view(r) -> tuple[tuple[int, frozenset[Face]], ...]:
     order = np.argsort(label, kind="stable")
     grouped = label[order]
     bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), label.size]
-    by_label = [r._pk.faces[i] for i in order.tolist()]
+    by_label = [r._pk.face_list[i] for i in order.tolist()]
     return tuple(
         (bid, frozenset(by_label[a:b]))
         for bid, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:])
@@ -80,7 +80,7 @@ class WatershedResult(_LazyViews):
 
     __slots__ = ("labels", "watershed", "basins", "_pk", "_label")
     _VIEWS = {
-        "labels": lambda r: dict(zip(r._pk.faces, r._label.tolist())),
+        "labels": lambda r: dict(zip(r._pk.face_list, r._label.tolist())),
         "watershed": lambda r: _masked_complex(r._pk, r._label == WATERSHED_LABEL),
         "basins": _basins_view,
     }
@@ -88,19 +88,22 @@ class WatershedResult(_LazyViews):
     def __init__(self, labels: dict[Face, int]):
         pk = Complex(labels).packed()
         try:
-            label = np.fromiter(map(operator.index, map(labels.get, pk.faces)),
+            label = np.fromiter(map(operator.index, map(labels.get, pk.face_list)),
                                 dtype=np.int64, count=len(pk))
         except (TypeError, OverflowError):  # no label, or one that is no int64
             label = None
         if label is None or (label < 0).any() or len(labels) != len(pk):
-            for x in pk.faces:
+            for x in pk.face_list:
                 if not (isinstance(v := labels.get(x), Integral) and 0 <= v < 2**63):
                     raise ValueError(f"label {v!r} of {x} is not an int64 >= 0")
             raise ValueError("a face is labelled twice, in two vertex orders")
         self.labels, self._pk, self._label = labels, pk, label
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WatershedResult) and self.labels == other.labels
+        """Equal hosts and labels, compared as packed arrays."""
+        if not isinstance(other, WatershedResult):
+            return False
+        return self._pk == other._pk and np.array_equal(self._label, other._label)
 
     __hash__ = None
 

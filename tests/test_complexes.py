@@ -258,11 +258,10 @@ def test_open_closed_subsets():
 def test_packed_arrays_match_incidence():
     X = cyc6_host()
     pk = X.packed()
-    assert pk.faces == X.sorted_faces()
-    pairs = {(pk.faces[int(a)], pk.faces[int(b)]) for a, b in zip(pk.sub, pk.sup)}
+    pairs = {(pk.face_list[int(a)], pk.face_list[int(b)]) for a, b in zip(pk.sub, pk.sup)}
     assert pairs == covering_pairs(X)
     assert list(pk.dim_offset) == [0, 6, 12]
-    assert X.packed() is pk  # cached
+    assert X.packed() is pk is X  # the complex holds its arrays
 
 
 def _dict_build(faces):
@@ -432,9 +431,9 @@ def test_building_a_complex_builds_no_face_tuple():
         io.parse_complex(text),
         Complex([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]),
     ):
-        with pytest.raises(AttributeError):
-            Complex.__dict__["faces"].__get__(X)  # the slot is still unset
-        assert "faces" not in X.packed().__dict__
+        for view in ("faces", "face_list"):
+            with pytest.raises(AttributeError):
+                Complex.__dict__[view].__get__(X)  # the slot is still unset
 
 
 # -- property tests -----------------------------------------------------------
@@ -512,7 +511,7 @@ def test_subcomplex_mask_finds_faces_by_their_rows():
         for k in (0, 1, 3, 8):
             W = closure(rng.sample(X.facets() + X.faces_of_dim(0), k)) if k else Complex(())
             mask = _subcomplex_mask(pk, W)
-            assert [x for x, m in zip(pk.faces, mask.tolist()) if m] == W.sorted_faces()
+            assert [x for x, m in zip(pk.face_list, mask.tolist()) if m] == W.sorted_faces()
         v = max(x[0] for x in X.faces_of_dim(0))
         foreign = [
             closure([(v + 1,)]),  # a vertex the host lacks

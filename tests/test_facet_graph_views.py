@@ -36,11 +36,11 @@ def _host_graph(F):
 
 def _ref_build_facet_graph(F):
     pk, sep_lo, top_lo, lo, hi = _host_graph(F)
-    tops = pk.faces[top_lo:]
+    tops = pk.face_list[top_lo:]
     ends = list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
     weights = F.alt_array()[sep_lo:top_lo].tolist()
     return WeightedFacetGraph(
-        tuple(tops), dict(zip(ends, weights)), dict(zip(ends, pk.faces[sep_lo:top_lo]))
+        tuple(tops), dict(zip(ends, weights)), dict(zip(ends, pk.face_list[sep_lo:top_lo]))
     )
 
 
@@ -49,7 +49,7 @@ def _ref_watershed_forest(F):
     alt = F.alt_array()
     fz, fx, fy = alt[sep_lo:top_lo], alt[top_lo:][lo], alt[top_lo:][hi]
     keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
-    tops = pk.faces[top_lo:]
+    tops = pk.face_list[top_lo:]
     rank = _kernels.flat_zones(pk.sub, pk.sup, alt, len(pk))[1][top_lo:]
     ends = zip(map(tops.__getitem__, lo[keep].tolist()), map(tops.__getitem__, hi[keep].tolist()))
     roots = map(tops.__getitem__, np.flatnonzero(rank).tolist())
@@ -81,33 +81,32 @@ def test_views_match_the_eager_builders():
 
 def test_msf_checks_read_the_arrays_as_the_tuples():
     # the watershed forest, and the same edge list with one edge flipped,
-    # as arrays and as tuples, on the array-backed and the eager graph
+    # as arrays and as tuples
     rng = random.Random(7)
     rejected = 0
     for F in _corpus():
-        G, Y = build_facet_graph(F), watershed_forest(F)
+        Y = watershed_forest(F)
         flipped = Y._in_y.copy()
         flipped[rng.randrange(flipped.size)] ^= True
         Z = _from_arrays(Forest, _pk=Y._pk, _in_y=flipped, _is_root=Y._is_root)
         for forest in (Y, Z):
-            got = _msf_checks(F, G, forest)
-            assert got == _msf_checks(F, G, _tuple_forest(forest))
-            assert got == _msf_checks(F, _ref_build_facet_graph(F), _tuple_forest(forest))
-        assert all(_msf_checks(F, G, Y).values())
-        rejected += not all(_msf_checks(F, G, Z).values())
+            got = _msf_checks(F, forest)
+            assert got == _msf_checks(F, _tuple_forest(forest))
+        assert all(_msf_checks(F, Y).values())
+        rejected += not all(_msf_checks(F, Z).values())
     assert rejected == 306
 
 
 def test_msf_checks_reject_a_forest_off_the_graph():
     F = random_morse_stack(generate_torus(4, 4), seed=1, n_minima=2)
-    G, Y = build_facet_graph(F), watershed_forest(F)
+    Y = watershed_forest(F)
     off = ((0, 1, 99), (0, 2, 99))
     with pytest.raises(ValueError, match="not on the facet graph"):
-        _msf_checks(F, G, Forest(Y.vertices, Y.edges | {off}, Y.roots))
+        _msf_checks(F, Forest(Y.vertices, Y.edges | {off}, Y.roots))
     # a watershed forest on another host is read by its tuples
     other = watershed_forest(random_morse_stack(cyc6_host(), seed=0, n_minima=2))
     with pytest.raises(ValueError, match="not on the facet graph"):
-        _msf_checks(F, G, other)
+        _msf_checks(F, other)
 
 
 def test_hand_built_graph_and_forest_hold_no_arrays():

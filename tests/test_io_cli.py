@@ -956,7 +956,9 @@ def test_flood_pipeline_stays_on_the_arrays(monkeypatch):
     r = morse_watershed(F)
     out = io.serialize_labels(r)
     assert len(inits) == 1
-    assert "faces" not in F.host.packed().__dict__ and "altitude" not in vars(F)
+    with pytest.raises(AttributeError):
+        Complex.__dict__["face_list"].__get__(F.host)  # the slot is still unset
+    assert "altitude" not in vars(F)
     for view in ("labels", "watershed", "basins"):
         with pytest.raises(AttributeError):
             WatershedResult.__dict__[view].__get__(r)  # the slot is still unset
@@ -1021,8 +1023,6 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
 def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):
     # on a parsed stack, every watershed and msf command reads the packed
     # host: no face tuple list, and no Complex besides the host
-    from morseshed.complexes import PackedComplex
-
     path = _tor66_file(tmp_path)
     faces, inits = [], []
 
@@ -1036,7 +1036,7 @@ def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):
         inits.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(PackedComplex, "faces", property(counting_faces))
+    monkeypatch.setitem(Complex._VIEWS, "face_list", counting_faces)
     monkeypatch.setattr(Complex, "__init__", counting_init)
     for argv in (
         ["watershed", "--algo", "morse"],
@@ -1049,5 +1049,5 @@ def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):
         assert cli.main([argv[0], path, *argv[1:]]) == 0, argv
         assert capsys.readouterr().out
         assert faces == [] and inits == [1], argv
-    closure([(0, 1)]).packed().faces  # the patches count
+    closure([(0, 1)]).packed().face_list  # the patches count
     assert faces == [1] and inits == [1, 1]

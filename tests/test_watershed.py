@@ -13,6 +13,7 @@ from morseshed.morse import random_morse_stack
 from morseshed.stacks import Stack, StackError, minima
 from morseshed.watershed import (
     WATERSHED_LABEL,
+    WatershedResult,
     morse_watershed,
     morse_watershed_direct,
     verify_cut,
@@ -187,7 +188,7 @@ def _loop_assembly(F):
     alt = F.alt_array()
     lo, hi = _kernels.top_adjacency(pk)
     B, W_flags = _kernels.flood(lo, hi, alt[top_lo:], alt[sep_lo:top_lo])
-    faces = pk.faces
+    faces = pk.face_list
     labels, cut = {}, set()
     for j in map(int, W_flags.nonzero()[0]):
         z = faces[sep_lo + j]
@@ -208,6 +209,21 @@ def _loop_assembly(F):
             basins.setdefault(lab, set()).add(f)
     W = closure(cut) if cut else Complex(())
     return labels, W, tuple((b, frozenset(fs)) for b, fs in sorted(basins.items()))
+
+
+def test_results_compare_by_their_arrays():
+    F = random_morse_stack(generate_torus(5, 5), seed=2, n_minima=3)
+    r, s = morse_watershed(F), watershed_collapse(F, seed=1)
+    twin = WatershedResult(dict(morse_watershed(F).labels))
+    assert r == s and s == r and r == twin and twin == s
+    for route in (r, s):
+        with pytest.raises(AttributeError):
+            WatershedResult.__dict__["labels"].__get__(route)  # the slot is still unset
+    x = F.host.sorted_faces()[7]
+    changed = WatershedResult({**twin.labels, x: twin.labels[x] + 1})
+    assert r != changed and changed != twin
+    assert r != morse_watershed(random_morse_stack(generate_torus(5, 4), seed=2, n_minima=3))
+    assert r != morse_watershed(cyc6_stack()) and r != r.labels
 
 
 def test_array_label_assembly_matches_loop():
