@@ -28,9 +28,10 @@ face as read and raises the ParseError of any other token.
 The writers share `_write_rows`, which lays out each dimension as one
 fixed-width byte record per face: the vertex ids gathered by rank from a
 table of their NUL-padded decimal strings, the separators at fixed
-columns, and the tag gathered from a second table (`W` and the basin
-numbers for labels, the altitude of each face for a stack).  One pass
-then drops the NUL padding.
+columns, and the tag gathered from a second table (`_value_table`): the
+values lo..hi, or each face's value when that range is wider than the
+face count, with `W` for the cut in a label table.  One pass then drops
+the NUL padding.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ from .complexes import (
     make_face,
 )
 from .morse import GradientField
-from .stacks import Stack, StackError, _stack_from_array, complete_from_facets, validate_stack
+from .stacks import (
+    Stack,
+    StackError,
+    _stack_from_array,
+    _value_table,
+    complete_from_facets,
+    validate_stack,
+)
 from .watershed import WATERSHED_LABEL, WatershedResult
 
 
@@ -304,8 +312,9 @@ def _parse_stack_lines(text: str, complete: str) -> Stack:
 
 
 def serialize_stack(F: Stack) -> str:
-    pk, alt = F.host.packed(), F.alt_array()
-    return _write_rows(pk.vertex_ids, pk.rows, (_decimals(alt), np.arange(alt.size)))
+    pk = F.host.packed()
+    table, index = _value_table(F.alt_array(), F.lambda_min)
+    return _write_rows(pk.vertex_ids, pk.rows, (_decimals(table), index))
 
 
 def parse_gradient(text: str) -> GradientField:
@@ -333,11 +342,10 @@ def serialize_gradient(V: GradientField) -> str:
 def serialize_labels(result: WatershedResult) -> str:
     """One `face : W` or `face : <basin id>` line per face of the host, in
     canonical order.  The tags come from a table of the ids 0..max, or of
-    each face's label when the largest label exceeds the number of faces."""
-    pk, label = result._pk, result._label
-    top = int(label.max(initial=0))
-    values, index = ((np.arange(top + 1), label) if top <= label.size
-                     else (label, np.arange(label.size)))
+    each face's label when the largest label exceeds the number of faces
+    (`_value_table`)."""
+    pk = result._pk
+    values, index = _value_table(result._label, 0)
     table = _decimals(values)
     cut = values == WATERSHED_LABEL
     table[cut] = 0

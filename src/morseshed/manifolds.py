@@ -19,9 +19,9 @@ from . import _kernels
 from .complexes import (
     Complex,
     Face,
+    _closure,
     _connected_labels,
     _strong_labels,
-    closure,
     face_key,
 )
 
@@ -202,4 +202,5 @@ def generate_torus(n: int, m: int) -> Complex:
         return (i + di) % n * m + (j + dj) % m
 
     tris = [vid(0, 0), vid(1, 0), vid(0, 1), vid(1, 0), vid(0, 1), vid(1, 1)]
-    return closure(np.stack(tris, axis=1).reshape(-1, 3).tolist())
+    tris = np.sort(np.stack(tris, axis=1).reshape(-1, 3), axis=1)
+    return _closure([np.zeros((0, 1), dtype=np.int64), np.zeros((0, 2), dtype=np.int64), tris])

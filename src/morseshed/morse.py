@@ -6,6 +6,12 @@ the gradient vector field; faces outside it are critical.  Backward
 gradient-path steps are deterministic on normal pseudomanifolds, which
 the watershed routes exploit; the gradient paths, the traces along them
 and the dual check are in `definitions`.
+
+`random_morse_stack`, the seeded generator behind the tests, the
+benchmark and `morseshed gen random-morse`, removes random free pairs on
+the packed host: integer face indexes, the boundary rows `bd` and the
+coface counts, with no face tuple.  `stack_from_gradient` still walks
+the tuple-keyed views.
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import _kernels
 from .complexes import Complex, Face, face_key
-from .stacks import Stack, StackError
+from .stacks import Stack, StackError, _stack_from_array
 
 
 @dataclass(frozen=True)
@@ -85,90 +93,101 @@ def random_morse_stack(X: Complex, seed: int = 0, n_minima: int = 1) -> Stack:
     front instead (every d-face when there are fewer), which on a closed
     pseudomanifold yields one regional minimum per removed d-face;
     n_minima = 1 is the plain process, and n_minima < 1 raises ValueError.
+
+    The process runs on the packed host, faces named by their index.  Each
+    face keeps its number of remaining cofaces and the sum of their
+    indexes, so a face with one remaining coface reads that coface off the
+    sum.  The free faces and the facets are two candidate lists, drawn
+    from uniformly: a face leaves a list lazily, so a drawn entry counts
+    only when a membership mask still marks it.  The lists start in
+    packed order and grow in boundary order, the order of `pk.bd`.
     """
     if n_minima < 1:
         raise ValueError(f"n_minima must be >= 1, not {n_minima}")
-    if not X.faces:
-        return Stack(X, {})
+    pk = X.packed()
+    n = len(pk)
     rng = random.Random(seed)
-    ncof = {x: len(X.cofaces[x]) for x in X.faces}
-    remaining = set(X.faces)
+    cofsum = np.zeros(n, dtype=np.int64)
+    np.add.at(cofsum, pk.sub, pk.sup)
+    one, none = pk.n_cofaces == 1, pk.n_cofaces == 0
+    is_free = one & none[np.where(one, cofsum, 0)]
+    # pool[x]: FREE while x is in the free list, FACET in the facet list
+    FREE, FACET = 1, 2
+    pool = bytearray((is_free * FREE + none * FACET).astype(np.uint8))
+    free = np.flatnonzero(is_free).tolist()
+    facets = np.flatnonzero(none).tolist()
+    ncof = pk.n_cofaces.tolist()
+    cofsum = cofsum.tolist()  # of a face with one remaining coface: that coface
+    bd = [()] * len(pk.vertex_ids)
+    for rows in pk.bd[1:]:
+        bd += rows.tolist()
+    n_free = len(free)
 
-    def unique_coface(x: Face) -> Optional[Face]:
-        live = [y for y in X.cofaces[x] if y in remaining]
-        return live[0] if len(live) == 1 else None
-
-    def is_free(x: Face) -> bool:
-        if x not in remaining or ncof[x] != 1:
-            return False
-        y = unique_coface(x)
-        return y is not None and ncof[y] == 0
-
-    # candidate pools: a list for O(1) uniform sampling plus a set marking
-    # which list entries are live (stale duplicates are skipped on pop)
-    free = sorted((x for x in X.faces if is_free(x)), key=face_key)
-    free_set = set(free)
-    facets = sorted((x for x in X.faces if ncof[x] == 0), key=face_key)
-    facet_set = set(facets)
-
-    def sample(pool: list[Face], pool_set: set[Face]) -> Face:
+    def sample(entries: list[int], mark: int) -> int:
         while True:
-            i = rng.randrange(len(pool))
-            pool[i], pool[-1] = pool[-1], pool[i]
-            x = pool.pop()
-            if x in pool_set:
-                pool_set.discard(x)
+            i = rng.randrange(len(entries))
+            entries[i], entries[-1] = entries[-1], entries[i]
+            x = entries.pop()
+            if pool[x] == mark:
+                pool[x] = 0
                 return x
 
-    def add_free(z: Face) -> None:
-        if z not in free_set and is_free(z):
-            free_set.add(z)
+    def add_free(z: int) -> None:
+        nonlocal n_free
+        if pool[z] != FREE and ncof[z] == 1 and ncof[cofsum[z]] == 0:
+            pool[z] = FREE
+            n_free += 1
             free.append(z)
 
-    alt: dict[Face, int] = {}
+    def drop(x: int) -> None:
+        # the remaining faces stay closed, so every boundary face of x remains
+        nonlocal n_free
+        if pool[x] == FREE:
+            n_free -= 1
+        pool[x] = 0
+        for z in bd[x]:
+            ncof[z] -= 1
+            cofsum[z] -= x
+            if ncof[z] == 0:
+                if pool[z] == FREE:
+                    n_free -= 1
+                pool[z] = FACET
+                facets.append(z)
+                # z just became a facet: its boundary faces may now
+                # form free pairs with it
+                for w in bd[z]:
+                    add_free(w)
+            elif ncof[z] == 1:
+                add_free(z)
+
+    alt = [0] * n
     step = 0
-
-    def drop(x: Face) -> None:
-        remaining.discard(x)
-        free_set.discard(x)
-        facet_set.discard(x)
-        for z in X.boundary[x]:
-            if z in remaining:
-                ncof[z] -= 1
-                if ncof[z] == 0:
-                    facet_set.add(z)
-                    facets.append(z)
-                    free_set.discard(z)
-                    # z just became a facet: its boundary faces may now
-                    # form free pairs with it
-                    for w in X.boundary[z]:
-                        add_free(w)
-                elif ncof[z] == 1:
-                    add_free(z)
-
     if n_minima > 1:
         # forced removals stay in the top dimension: a lower face promoted
         # to facet by earlier removals would not become a regional minimum
-        tops = [x for x in X.by_dim.get(X.dim, []) if x in facet_set]
+        tops = list(range(pk.tops.start, pk.tops.stop))
         rng.shuffle(tops)
         for x in tops[:n_minima]:
             step += 1
             alt[x] = step
             drop(x)
-
-    while remaining:
+    removed = step
+    while removed < n:
         step += 1
-        if free_set:
-            x = sample(free, free_set)
-            y = unique_coface(x)
+        if n_free:
+            x = sample(free, FREE)
+            n_free -= 1
+            y = cofsum[x]
             alt[x] = alt[y] = step
             drop(y)
             drop(x)
+            removed += 2
         else:
-            x = sample(facets, facet_set)
+            x = sample(facets, FACET)
             alt[x] = step
             drop(x)
-    return Stack(X, alt)
+            removed += 1
+    return _stack_from_array(X, np.array(alt, dtype=np.int64))
 
 
 def stack_from_gradient(X: Complex, V: GradientField) -> Stack:

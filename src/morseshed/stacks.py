@@ -13,6 +13,7 @@ of a stack are in `definitions`.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from collections.abc import Mapping
@@ -64,7 +65,7 @@ class Stack(_LazyViews):
     altitude: Mapping[Face, int]
     lambda_min: int = field(init=False)
 
-    _VIEWS = {"altitude": lambda F: dict(zip(F.host.sorted_faces(), F._alt.tolist()))}
+    _VIEWS = {"altitude": lambda F: _altitude_view(F)}
 
     def __post_init__(self):
         X, alt = self.host, self.altitude
@@ -99,6 +100,26 @@ class Stack(_LazyViews):
 
     def negate(self) -> dict[Face, int]:
         return {x: -v for x, v in self.altitude.items()}
+
+
+def _value_table(values, lo: int):
+    """(table, index) with `table[index]` equal to the int64 array `values`,
+    none of whose entries is below `lo`: the values lo..hi and values - lo
+    when that range has at most one entry per value, else the values
+    themselves and 0..n-1.  The writers format only the table, and the
+    altitude view makes one int object per table entry."""
+    hi = int(values.max(initial=lo))
+    if hi - lo <= values.size:
+        return np.arange(lo, hi + 1, dtype=np.int64), values - lo if lo else values
+    return values, np.arange(values.size)
+
+
+def _altitude_view(F: Stack) -> dict[Face, int]:
+    """The face-keyed altitudes of F, the faces of one altitude sharing one
+    int object (as the two faces removed at one step of
+    `random_morse_stack` do) when `_value_table` gives a table of lo..hi."""
+    table, index = _value_table(F._alt, F.lambda_min)
+    return dict(zip(F.host.sorted_faces(), map(table.tolist().__getitem__, index.tolist())))
 
 
 def validate_stack(F: Stack) -> tuple[bool, Optional[tuple[Face, Face]]]:
@@ -246,15 +267,27 @@ def _stack_from_array(host: Complex, arr) -> Stack:
 def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Stack:
     """Extend values downward by maxima: a face keeps its value in
     `facet_values`, and any other face takes the maximum over its cofaces.
-    Every facet needs a value."""
-    missing = [x for x in host.facets() if x not in facet_values]
-    if missing:
-        raise StackError(f"no altitude for facet {missing[0]}")
-    alt: dict[Face, int] = {}
-    for p in range(host.dim, -1, -1):
-        for x in host.faces_of_dim(p):
-            alt[x] = facet_values[x] if x in facet_values else max(alt[y] for y in host.cofaces[x])
-    return Stack(host, alt)
+    Every facet needs a value.
+
+    One `np.maximum.at` per dimension, from the top down, runs over the
+    covering pairs whose lower face has no value of its own."""
+    pk = host.packed()
+    faces = pk.face_list
+    listed = list(map(facet_values.get, faces))
+    given = np.array([v is not None for v in listed], dtype=np.bool_)
+    missing = np.flatnonzero(~given & (pk.n_cofaces == 0))
+    if missing.size:
+        raise StackError(f"no altitude for facet {faces[missing[0]]}")
+    # the values as given, so that the stack's check below sees a value
+    # that is no int64; every face without one takes a value from a coface
+    alt = np.full(len(pk), -math.inf, dtype=object)
+    alt[given] = [v for v in listed if v is not None]
+    keep = ~given[pk.sub]
+    sub, sup = pk.sub[keep], pk.sup[keep]
+    cut = np.searchsorted(sup, pk.dim_offset).tolist()  # sup is ascending
+    for p in range(host.dim, 0, -1):
+        np.maximum.at(alt, sub[cut[p]:cut[p + 1]], alt[sup[cut[p]:cut[p + 1]]])
+    return Stack(host, dict(zip(faces, alt.tolist())))
 
 
 def random_stack(host: Complex, seed: int, low: int = 0, high: int = 5) -> Stack:

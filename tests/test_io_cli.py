@@ -21,7 +21,7 @@ from morseshed.fixtures import (
 )
 from morseshed.manifolds import generate_torus
 from morseshed.morse import gradient, random_morse_stack
-from morseshed.stacks import Stack, StackError, random_stack, validate_stack
+from morseshed.stacks import Stack, StackError, _stack_from_array, random_stack, validate_stack
 from morseshed.watershed import (
     WATERSHED_LABEL,
     WatershedResult,
@@ -62,6 +62,26 @@ def test_stack_round_trip():
     assert len(text.splitlines()) == 12
     G = io.parse_stack(text)
     assert G.host == F.host and dict(G.altitude) == dict(F.altitude)
+
+
+def test_stack_round_trip_with_negative_and_sparse_altitudes():
+    # altitudes spread wider than the face count take the per-face tag table,
+    # a narrow range the table of lo..hi; both must read back exactly
+    X = generate_torus(3, 3)
+    F = random_morse_stack(X, seed=4, n_minima=3)
+    alt = F.alt_array()
+    for G in (
+        _stack_from_array(X, alt * 1000 - 10**6),  # negative, range above len(X)
+        _stack_from_array(X, alt - 40),  # negative, range within len(X)
+        _stack_from_array(X, alt * 2**40 - 2**62),  # near the int64 bounds
+        _stack_from_array(X, np.where(alt > 1, alt * 10**8, -(2**63))),
+    ):
+        text = io.serialize_stack(G)
+        assert text == "".join(
+            f"{' '.join(map(str, x))} : {v}\n" for x, v in zip(X.sorted_faces(), G.alt_array().tolist())
+        )
+        assert io.parse_stack(text) == G
+        assert io.parse_stack("# line loop\n" + text) == G
 
 
 def test_stack_parse_complete_max():

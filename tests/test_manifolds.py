@@ -219,6 +219,24 @@ def test_generate_torus_counts():
     assert Y.euler_characteristic() == 0
 
 
+def test_generate_torus_is_the_closure_of_its_triangles():
+    # the grid square at (i, j) splits along its anti-diagonal into two triangles
+    for n, m in ((3, 3), (3, 5), (4, 3), (7, 6), (12, 12)):
+        def vid(i, j):
+            return i % n * m + j % m
+
+        tris = [
+            t
+            for i in range(n)
+            for j in range(m)
+            for t in ((vid(i, j), vid(i + 1, j), vid(i, j + 1)),
+                      (vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1)))
+        ]
+        X = generate_torus(n, m)
+        assert X == closure(tris)
+        assert X.sorted_faces() == closure(tris).sorted_faces()
+
+
 def test_generate_torus_guards():
     with pytest.raises(ValueError):
         generate_torus(2, 3)

@@ -1,10 +1,13 @@
+import random
 from itertools import combinations
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshed.complexes import Complex, closure, face_key
+from morseshed.complexes import Complex, Face, closure, face_key
 from morseshed.definitions import (
     AtMinimum,
     Blocked,
@@ -18,7 +21,7 @@ from morseshed.definitions import (
     trace_all,
     trace_to_minimum,
 )
-from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
+from morseshed.fixtures import branching_triangles, cyc6_host, cyc6_stack, tetrahedron_boundary, wedge
 from morseshed.manifolds import generate_torus
 from morseshed.morse import (
     GradientField,
@@ -255,6 +258,134 @@ def test_random_morse_stack_rejects_fewer_than_one_minimum():
     from morseshed.stacks import minima
 
     assert len(minima(random_morse_stack(tetrahedron_boundary(), seed=1, n_minima=9)).minima) == 4
+
+
+def _ref_random_morse_stack(X: Complex, seed: int = 0, n_minima: int = 1) -> Stack:
+    """Reference for `random_morse_stack`: the same process and the same
+    random draws on face tuples, through the host's tuple-keyed `cofaces`
+    and `boundary` dicts and face sets."""
+    if n_minima < 1:
+        raise ValueError(f"n_minima must be >= 1, not {n_minima}")
+    if not X.faces:
+        return Stack(X, {})
+    rng = random.Random(seed)
+    ncof = {x: len(X.cofaces[x]) for x in X.faces}
+    remaining = set(X.faces)
+
+    def unique_coface(x: Face) -> Optional[Face]:
+        live = [y for y in X.cofaces[x] if y in remaining]
+        return live[0] if len(live) == 1 else None
+
+    def is_free(x: Face) -> bool:
+        if x not in remaining or ncof[x] != 1:
+            return False
+        y = unique_coface(x)
+        return y is not None and ncof[y] == 0
+
+    # candidate pools: a list for O(1) uniform sampling plus a set marking
+    # which list entries are live (stale duplicates are skipped on pop)
+    free = sorted((x for x in X.faces if is_free(x)), key=face_key)
+    free_set = set(free)
+    facets = sorted((x for x in X.faces if ncof[x] == 0), key=face_key)
+    facet_set = set(facets)
+
+    def sample(pool: list[Face], pool_set: set[Face]) -> Face:
+        while True:
+            i = rng.randrange(len(pool))
+            pool[i], pool[-1] = pool[-1], pool[i]
+            x = pool.pop()
+            if x in pool_set:
+                pool_set.discard(x)
+                return x
+
+    def add_free(z: Face) -> None:
+        if z not in free_set and is_free(z):
+            free_set.add(z)
+            free.append(z)
+
+    alt: dict[Face, int] = {}
+    step = 0
+
+    def drop(x: Face) -> None:
+        remaining.discard(x)
+        free_set.discard(x)
+        facet_set.discard(x)
+        for z in X.boundary[x]:
+            if z in remaining:
+                ncof[z] -= 1
+                if ncof[z] == 0:
+                    facet_set.add(z)
+                    facets.append(z)
+                    free_set.discard(z)
+                    # z just became a facet: its boundary faces may now
+                    # form free pairs with it
+                    for w in X.boundary[z]:
+                        add_free(w)
+                elif ncof[z] == 1:
+                    add_free(z)
+
+    if n_minima > 1:
+        # forced removals stay in the top dimension: a lower face promoted
+        # to facet by earlier removals would not become a regional minimum
+        tops = [x for x in X.by_dim.get(X.dim, []) if x in facet_set]
+        rng.shuffle(tops)
+        for x in tops[:n_minima]:
+            step += 1
+            alt[x] = step
+            drop(x)
+
+    while remaining:
+        step += 1
+        if free_set:
+            x = sample(free, free_set)
+            y = unique_coface(x)
+            alt[x] = alt[y] = step
+            drop(y)
+            drop(x)
+        else:
+            x = sample(facets, facet_set)
+            alt[x] = step
+            drop(x)
+    return Stack(X, alt)
+
+
+@pytest.mark.parametrize(
+    "host",
+    [generate_torus(n, n) for n in range(3, 14)] + [
+        generate_torus(3, 7),
+        cyc6_host(),
+        tetrahedron_boundary(),
+        closure(combinations(range(5), 4)),  # the boundary of the 4-simplex
+        wedge(),
+        branching_triangles(),
+        closure([(0, 1, 2), (2, 3), (3, 4), (5,)]),  # not pure
+        closure([(0,), (2,), (7,)]),  # vertices only
+        closure([]),
+    ],
+    ids=repr,
+)
+def test_random_morse_stack_matches_the_tuple_process(host):
+    d_faces = len(host.faces_of_dim(host.dim))
+    for seed in range(4):
+        for k in (1, 2, 5, d_faces + 1):
+            F, ref = random_morse_stack(host, seed, k), _ref_random_morse_stack(host, seed, k)
+            assert np.array_equal(F.alt_array(), ref.alt_array())
+            assert dict(F.altitude) == dict(ref.altitude)
+
+
+def test_random_morse_stack_matches_the_tuple_process_on_a_large_torus():
+    X = generate_torus(60, 60)
+    F, ref = random_morse_stack(X, 7, 20), _ref_random_morse_stack(X, 7, 20)
+    assert np.array_equal(F.alt_array(), ref.alt_array()) and F == ref
+
+
+def test_random_morse_stack_builds_no_face_tuple():
+    X = generate_torus(6, 6)
+    F = random_morse_stack(X, seed=2, n_minima=3)
+    assert "altitude" not in vars(F)
+    for view in ("face_list", "faces", "by_dim", "boundary", "cofaces"):
+        with pytest.raises(AttributeError):
+            Complex.__dict__[view].__get__(X)  # the slot is still unset
 
 
 def test_random_morse_stack_empty_complex():

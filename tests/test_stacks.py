@@ -203,6 +203,48 @@ def test_complete_from_facets_keeps_listed_values():
     assert validate_stack(F) == (False, ((0, 1), (0, 1, 2)))
 
 
+def _ref_complete_from_facets(host, facet_values):
+    """Reference for `complete_from_facets`: the maxima over the cofaces,
+    face by face from the top dimension down."""
+    alt = {}
+    for p in range(host.dim, -1, -1):
+        for x in host.faces_of_dim(p):
+            alt[x] = facet_values[x] if x in facet_values else max(alt[y] for y in host.cofaces[x])
+    return Stack(host, alt)
+
+
+def test_complete_from_facets_matches_the_face_loop():
+    hosts = [generate_torus(n, n) for n in (3, 4, 7)] + [
+        cyc6_host(),
+        tetrahedron_boundary(),
+        closure([(0, 1, 2), (2, 3), (3, 4), (5,)]),  # not pure
+        closure([(0,), (2,)]),
+        closure([]),
+    ]
+    rng = random.Random(5)
+    for X in hosts:
+        for seed in range(3):
+            F = random_stack(X, seed=seed, low=-4, high=6)
+            assert F == _ref_complete_from_facets(X, {x: F(x) for x in X.facets()})
+            # listed lower faces keep their values, also below their cofaces' maximum
+            listed = {x: F(x) for x in X.facets()}
+            listed.update((x, rng.randint(-9, 9)) for x in X.sorted_faces() if rng.random() < 0.3)
+            G = complete_from_facets(X, listed)
+            assert G == _ref_complete_from_facets(X, listed)
+            assert dict(G.altitude) == dict(_ref_complete_from_facets(X, listed).altitude)
+
+
+def test_complete_from_facets_names_a_value_outside_int64():
+    # the first bad value in canonical order, which may be a completed face
+    X = closure([(0, 1), (1, 2)])
+    with pytest.raises(StackError, match=r"^altitude 9223372036854775808 of \(1,\) is outside"):
+        complete_from_facets(X, {(0, 1): 0, (1, 2): 2**63})
+    with pytest.raises(StackError, match=r"^altitude 1\.5 of \(0,\) is not an integer$"):
+        complete_from_facets(X, {(0, 1): 1.5, (1, 2): 0})
+    with pytest.raises(StackError, match=r"\(0,\) is outside the int64 range"):
+        io.parse_stack("0 1 : 9223372036854775808\n", complete="max")
+
+
 def test_complete_single_facet():
     X = closure([(0, 1, 2)])
     F = complete_from_facets(X, {(0, 1, 2): 4})
