@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage, 2 parse error (a file that is not UTF-8
-too), 3 validation failure, 4 verification failure.  All randomness flows
-from --seed; identical inputs and flags produce byte-identical output.
+Exit codes: 0 success, 1 usage (also an unreadable input or a request
+too large for memory), 2 parse error (a file that is not UTF-8 too), 3
+validation failure, 4 verification failure.  All randomness flows from
+--seed; identical inputs and flags produce byte-identical output.
 The exports read a result's packed host and label array only.
 """
 
@@ -154,11 +155,11 @@ def _cmd_minima(args) -> int:
 
 def _cmd_critical(args) -> int:
     F = _load_stack(args)
-    ok, witness = is_morse(F)
-    if not ok:
-        print(f"error=not a Morse stack (witness {_fmt_face(witness)})")
+    try:
+        rep = classify(F)
+    except StackError:
+        print(f"error=not a Morse stack (witness {_fmt_face(is_morse(F)[1])})")
         return EXIT_VALIDATION
-    rep = classify(F)
     for p in range(F.host.dim + 1):
         for x in rep.critical_of_dim(p):
             print(f"critical {p}: {_fmt_face(x)}")
@@ -189,11 +190,11 @@ def _cmd_watershed(args) -> int:
 
 def _cmd_msf(args) -> int:
     F = _load_stack(args)
-    G = build_facet_graph(F)
+    build_facet_graph(F)  # the host check; the host keeps the graph it builds
     Y = watershed_forest(F)
-    pk = G._pk
+    pk = F.host.packed()
     lo, hi = pk.facet_graph
-    w, in_y = G._weights, Y._in_y
+    w, in_y = F.alt_array()[pk.seps], Y._in_y
     rows = _top_rows(pk)
     face = " ".join(["%d"] * rows.shape[1])
     k = np.flatnonzero(in_y)
@@ -335,8 +336,8 @@ def main(argv=None) -> int:
     except (StackError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:  # a missing, unreadable or directory input
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # an unreadable input, or too large a request
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -109,14 +109,9 @@ def _boundary_view(X) -> dict[Face, tuple[Face, ...]]:
 
 def _cofaces_view(X) -> dict[Face, tuple[Face, ...]]:
     faces = X.face_list
-    order = np.argsort(X.sub, kind="stable")  # keeps sup ascending per face
-    ups = [faces[j] for j in X.sup[order].tolist()]
-    counts = X.n_cofaces.tolist()
-    out: dict[Face, tuple[Face, ...]] = {}
-    start = 0
-    for x, c in zip(faces, counts):
-        out[x] = tuple(ups[start:start + c])
-        start += c
+    subs, ups = _grouped(faces, X.sub, X.sup)  # keeps sup ascending per face
+    out: dict[Face, tuple[Face, ...]] = dict.fromkeys(faces, ())
+    out.update(zip(map(faces.__getitem__, subs), map(tuple, ups)))
     return out
 
 
@@ -479,13 +474,18 @@ def _subcomplex_mask(pk: Complex, W: Complex):
     return member
 
 
-def _groups(pk: Complex, member, label) -> list[set[Face]]:
-    """The members grouped by equal label, as face sets in canonical order
-    of their smallest member."""
-    faces, groups = pk.face_list, {}
-    for i, r in zip(np.flatnonzero(member).tolist(), label[member].tolist()):
-        groups.setdefault(r, set()).add(faces[i])  # members come in ascending order
-    return list(groups.values())
+def _grouped(faces: list, label, index=None) -> tuple[list[int], list[list[Face]]]:
+    """The faces grouped by equal label, by ascending label: the distinct
+    labels, and the faces of each in their order.  `label[k]` labels
+    `faces[index[k]]`, or `faces[k]` when `index` is None.  One stable
+    argsort and no count per label, so a label may be any int64."""
+    order = np.argsort(label, kind="stable")
+    ranked = label[order]
+    first = np.ones(ranked.size, dtype=np.bool_)
+    first[1:] = ranked[1:] != ranked[:-1]
+    bounds = [*np.flatnonzero(first).tolist(), ranked.size]
+    members = list(map(faces.__getitem__, (order if index is None else index[order]).tolist()))
+    return ranked[first].tolist(), [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _connected_labels(pk: Complex, member):
@@ -505,7 +505,8 @@ def connected_components(X: Complex, S: Iterable[Face] | None = None) -> list[se
     """
     pk = X.packed()
     member = _member_mask(pk, S)
-    return _groups(pk, member, _connected_labels(pk, member))
+    index = np.flatnonzero(member)
+    return list(map(set, _grouped(pk.face_list, _connected_labels(pk, member)[index], index)[1]))
 
 
 def strong_connected_components(
@@ -525,11 +526,13 @@ def strong_connected_components(
     """
     pk = X.packed()
     member = _member_mask(pk, S)
-    return _groups(pk, member, _strong_labels(pk, member, d))
+    index = np.flatnonzero(member)
+    return list(map(set, _grouped(pk.face_list, _strong_labels(pk, member, d)[index], index)[1]))
 
 
 def _strong_labels(pk: Complex, member, d: int | None):
-    """Each member's label: the least d-facet of the strong component it joins, or itself."""
+    """Each member's label: the smallest member of the strong component it
+    joins (that of the least d-facet containing it), or itself."""
     n, off = len(pk), pk.dim_offset.tolist()
     facet = member.copy()
     facet[pk.sub[member[pk.sub] & member[pk.sup]]] = False
@@ -548,4 +551,8 @@ def _strong_labels(pk: Complex, member, d: int | None):
     above = member[sub] & ~top[sub] & top[sup]
     owner = np.full(n, n)
     np.minimum.at(owner, sub[above], root[sup[above]])
-    return np.where(owner < n, owner, root)
+    label = np.where(owner < n, owner, root)
+    index = np.flatnonzero(member)
+    least = np.full(n, n)
+    np.minimum.at(least, label[index], index)
+    return least[label]

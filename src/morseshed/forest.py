@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .complexes import Face, _LazyViews, _from_arrays, face_key
+from .complexes import Face, _LazyViews, _from_arrays, _grouped, face_key
 from .morse import _require_morse
-from .stacks import Stack, _facet_adjacency, _flat_zones
+from .stacks import Stack, _facet_adjacency
 from .watershed import WATERSHED_LABEL
 
 Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
@@ -135,25 +135,24 @@ class Forest(_LazyViews):
         verts = sorted(self.vertices, key=face_key)
         index = {v: i for i, v in enumerate(verts)}
         ends = np.array([[index[a], index[b]] for a, b in self.edges], dtype=np.int64)
-        root = _kernels.components(*ends.reshape(-1, 2).T, len(verts)).tolist()
-        trees: dict[int, set[Face]] = {}  # keyed by root, which comes first
-        for v, r in zip(verts, root):
-            trees.setdefault(r, set()).add(v)
-        return [frozenset(t) for t in trees.values()]
+        root = _kernels.components(*ends.reshape(-1, 2).T, len(verts))
+        return list(map(frozenset, _grouped(verts, root)[1]))  # root: the smallest vertex
 
 
 def watershed_forest(F: Stack) -> Forest:
     """Dual edges {x, y} such that one endpoint descends into the shared
     face's flat partner: (x, x&y) differential and (x&y, y) flat, either
     way around.  The host is checked as in `build_facet_graph`.  The roots
-    are the minima, each a single d-face on a Morse stack."""
+    are the minima: on a Morse stack, the d-faces with no flat (d-1)-face,
+    as in the flood."""
     lo, hi = _facet_adjacency(F)
     _require_morse(F)
     pk, alt = F.host.packed(), F.alt_array()
-    fz, fx, fy = alt[pk.seps], alt[pk.tops][lo], alt[pk.tops][hi]
-    keep = ((fz > fx) & (fz == fy)) | ((fz > fy) & (fz == fx))
-    rank = _flat_zones(F)[1][pk.tops]
-    return _from_arrays(Forest, _pk=pk, _in_y=keep, _is_root=rank > 0)
+    sa, ta = alt[pk.seps], alt[pk.tops]
+    down, up = ta[lo] == sa, ta[hi] == sa
+    is_root = np.ones(ta.size, dtype=np.bool_)
+    is_root[lo[down]] = is_root[hi[up]] = False
+    return _from_arrays(Forest, _pk=pk, _in_y=down | up, _is_root=is_root)
 
 
 def verify_msf_theorem(F: Stack) -> dict[str, bool]:

@@ -10,8 +10,8 @@ and the dual check are in `definitions`.
 `random_morse_stack`, the seeded generator behind the tests, the
 benchmark and `morseshed gen random-morse`, removes random free pairs on
 the packed host: integer face indexes, the boundary rows `bd` and the
-coface counts, with no face tuple.  `stack_from_gradient` still walks
-the tuple-keyed views.
+coface counts, with no face tuple; `stack_from_gradient` layers an
+acyclic matching over the covering pairs `sub`/`sup` of the same host.
 """
 
 from __future__ import annotations
@@ -193,51 +193,43 @@ def random_morse_stack(X: Complex, seed: int = 0, n_minima: int = 1) -> Stack:
 def stack_from_gradient(X: Complex, V: GradientField) -> Stack:
     """Morse stack realizing a given acyclic matching as its gradient.
 
-    Matched pairs are contracted to one node; every unmatched covering
-    pair (x, y) contributes an arc node(y) -> node(x) (x needs the
-    strictly larger altitude).  Longest-path layering over the
-    contracted DAG assigns the altitudes.
+    On the packed host, each matched pair is contracted to its lower face
+    index; every unmatched covering pair (x, y) contributes an arc
+    node(y) -> node(x) (x needs the strictly larger altitude).  One Kahn
+    pass over the contracted DAG gives each node 1 + the largest altitude
+    of its predecessors (1 at a source), the longest-path layering.  A
+    face in two pairs, a pair that is not a covering pair (both checked in
+    V's iteration order) and a V-cycle raise ValueError.
     """
-    partner: dict[Face, Face] = {}
+    pk = X.packed()
+    n = len(pk)
+    index = dict(zip(pk.face_list, range(n)))
+    node = list(range(n))  # each face's node: itself, or its lower partner
+    matched = bytearray(n)
     for x, y in V.pairs:
-        if x in partner or y in partner:
+        i, j = index.get(x), index.get(y)
+        if (i is not None and matched[i]) or (j is not None and matched[j]):
             raise ValueError("gradient pairs must form a matching")
-        if y not in X.faces or x not in set(X.boundary[y]):
+        if i is None or j is None or len(y) != len(x) + 1 or not set(x) <= set(y):
             raise ValueError(f"({x}, {y}) is not a covering pair of the complex")
-        partner[x] = y
-        partner[y] = x
-
-    def node(f: Face) -> Face:
-        p = partner.get(f)
-        return min(f, p, key=face_key) if p is not None else f
-
-    succs: dict[Face, set[Face]] = {node(f): set() for f in X.faces}
-    indeg: dict[Face, int] = {n: 0 for n in succs}
-    for y in X.faces:
-        for x in X.boundary[y]:
-            if partner.get(x) == y:
-                continue
-            ny, nx = node(y), node(x)
-            if nx not in succs[ny]:
-                succs[ny].add(nx)
-                indeg[nx] += 1
-
-    # Kahn layering; a leftover node means the matching has a V-cycle
-    value: dict[Face, int] = {}
-    ready = sorted((n for n, k in indeg.items() if k == 0), key=face_key)
-    order = []
+        matched[i] = matched[j] = 1
+        node[j] = i
+    node = np.array(node, dtype=np.int64)
+    keep = node[pk.sup] != pk.sub  # the pairs not in V
+    src, dst = np.divmod(np.unique(node[pk.sup[keep]] * n + node[pk.sub[keep]]), max(n, 1))
+    start = np.searchsorted(src, np.arange(n + 1)).tolist()
+    indeg = np.bincount(dst, minlength=n)
+    ready = np.flatnonzero(indeg == 0).tolist()
+    succ, indeg, value = dst.tolist(), indeg.tolist(), [1] * n
     while ready:
-        n = ready.pop()
-        order.append(n)
-        for m in succs[n]:
+        u = ready.pop()
+        up = value[u] + 1
+        for m in succ[start[u]:start[u + 1]]:
+            if value[m] < up:
+                value[m] = up
             indeg[m] -= 1
-            if indeg[m] == 0:
+            if not indeg[m]:
                 ready.append(m)
-    if len(order) != len(succs):
+    if any(indeg):  # a node on a cycle was never ready
         raise ValueError("gradient field contains a cycle")
-    for n in order:
-        value.setdefault(n, 1)
-        for m in succs[n]:
-            value[m] = max(value.get(m, 1), value[n] + 1)
-    alt = {f: value[node(f)] for f in X.faces}
-    return Stack(X, alt)
+    return _stack_from_array(X, np.array(value, dtype=np.int64)[node])

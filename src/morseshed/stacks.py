@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .complexes import Complex, Face, _LazyViews, _from_arrays, _masked_complex, face_key
+from .complexes import Complex, Face, _LazyViews, _from_arrays, _grouped, _masked_complex, face_key
 
 
 class StackError(ValueError):
@@ -169,13 +169,11 @@ def minima(F: Stack) -> MinimaDecomposition:
     smallest face in canonical order.
     """
     pk, alt = F.host.packed(), F.alt_array()
-    rank = _flat_zones(F)[1]
-    order = np.argsort(rank, kind="stable").tolist()
-    by_rank = [pk.face_list[i] for i in order]
-    levels = alt[order].tolist()
-    ends = np.cumsum(np.bincount(rank, minlength=1)).tolist()  # rank 0: the divide
-    mins = tuple((frozenset(by_rank[a:b]), levels[a]) for a, b in zip(ends, ends[1:]))
-    return MinimaDecomposition(mins, frozenset(by_rank[:ends[0]]))
+    root, rank = _flat_zones(F)
+    ranks, groups = _grouped(pk.face_list, rank)
+    divide = groups.pop(0) if ranks[:1] == [0] else ()
+    levels = alt[(rank > 0) & (root == np.arange(len(pk)))].tolist()  # by root, so by rank
+    return MinimaDecomposition(tuple(zip(map(frozenset, groups), levels)), frozenset(divide))
 
 
 def _facet_adjacency(F: Stack):
@@ -270,7 +268,8 @@ def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Sta
     Every facet needs a value.
 
     One `np.maximum.at` per dimension, from the top down, runs over the
-    covering pairs whose lower face has no value of its own."""
+    covering pairs whose lower face has no value of its own, and the
+    values are converted to int64 once (`_altitude_error` on a failure)."""
     pk = host.packed()
     faces = pk.face_list
     listed = list(map(facet_values.get, faces))
@@ -278,8 +277,8 @@ def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Sta
     missing = np.flatnonzero(~given & (pk.n_cofaces == 0))
     if missing.size:
         raise StackError(f"no altitude for facet {faces[missing[0]]}")
-    # the values as given, so that the stack's check below sees a value
-    # that is no int64; every face without one takes a value from a coface
+    # the values as given, so that a value that is no int64 is named; every
+    # face without one takes a value from a coface
     alt = np.full(len(pk), -math.inf, dtype=object)
     alt[given] = [v for v in listed if v is not None]
     keep = ~given[pk.sub]
@@ -287,7 +286,11 @@ def complete_from_facets(host: Complex, facet_values: Mapping[Face, int]) -> Sta
     cut = np.searchsorted(sup, pk.dim_offset).tolist()  # sup is ascending
     for p in range(host.dim, 0, -1):
         np.maximum.at(alt, sub[cut[p]:cut[p + 1]], alt[sup[cut[p]:cut[p + 1]]])
-    return Stack(host, dict(zip(faces, alt.tolist())))
+    try:
+        arr = np.fromiter(map(operator.index, alt.tolist()), dtype=np.int64, count=len(pk))
+    except (TypeError, OverflowError):
+        raise _altitude_error(host, dict(zip(faces, alt.tolist()))) from None
+    return _stack_from_array(host, arr)
 
 
 def random_stack(host: Complex, seed: int, low: int = 0, high: int = 5) -> Stack:

@@ -43,7 +43,8 @@ from numbers import Integral
 import numpy as np
 
 from .complexes import (
-    Complex, Face, _LazyViews, _from_arrays, _masked_complex, _subcomplex_mask, closure,
+    Complex, Face, _LazyViews, _from_arrays, _grouped, _masked_complex, _subcomplex_mask,
+    closure,
 )
 from .definitions import biconnected_faces
 from .morse import _require_morse
@@ -54,18 +55,8 @@ WATERSHED_LABEL = 0
 
 
 def _basins_view(r) -> tuple[tuple[int, frozenset[Face]], ...]:
-    label = r._label
-    if not label.size:
-        return ()
-    order = np.argsort(label, kind="stable")
-    grouped = label[order]
-    bounds = [0, *(np.flatnonzero(np.diff(grouped)) + 1).tolist(), label.size]
-    by_label = [r._pk.face_list[i] for i in order.tolist()]
-    return tuple(
-        (bid, frozenset(by_label[a:b]))
-        for bid, a, b in zip(grouped[bounds[:-1]].tolist(), bounds, bounds[1:])
-        if bid != WATERSHED_LABEL
-    )
+    labels, groups = _grouped(r._pk.face_list, r._label)
+    return tuple((b, frozenset(g)) for b, g in zip(labels, groups) if b != WATERSHED_LABEL)
 
 
 class WatershedResult(_LazyViews):

@@ -6,6 +6,7 @@ pairs; enumerating those matchings therefore checks the paper's theorems
 on every Morse stack of the host rather than on a random sample.
 """
 
+import numpy as np
 import pytest
 
 from morseshed.definitions import dmf_dual_check
@@ -19,6 +20,7 @@ from morseshed.watershed import (
     verify_drop_of_water,
     watershed_collapse,
 )
+from test_morse import _ref_stack_from_gradient
 
 
 def _acyclic_matchings(X):
@@ -65,6 +67,7 @@ def test_every_morse_stack_of_a_small_host(host, count):
     n_tops = len(X.faces_of_dim(X.dim))
     for V in gradients:
         F = stack_from_gradient(X, GradientField(V))
+        assert np.array_equal(F.alt_array(), _ref_stack_from_gradient(X, GradientField(V)).alt_array())
         assert flat_pairs(F) == V
         assert is_morse(F)[0] and dmf_dual_check(F)
         r = morse_watershed(F)

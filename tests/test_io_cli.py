@@ -20,7 +20,7 @@ from morseshed.fixtures import (
     wedge,
 )
 from morseshed.manifolds import generate_torus
-from morseshed.morse import gradient, random_morse_stack
+from morseshed.morse import classify, gradient, is_morse, random_morse_stack
 from morseshed.stacks import Stack, StackError, _stack_from_array, random_stack, validate_stack
 from morseshed.watershed import (
     WATERSHED_LABEL,
@@ -224,6 +224,68 @@ def test_cli_critical(capsys, cyc6_file):
     out = capsys.readouterr().out
     assert "critical 0: 3" in out and "critical 1: 0 1" in out
     assert "regular_faces=8" in out
+
+
+def _ref_critical_output(F):
+    """The output of `morseshed critical` as it printed it after a separate
+    Morse check: the witness of a non-Morse stack, else the critical faces
+    by dimension and the count of regular faces."""
+    ok, witness = is_morse(F)
+    if not ok:
+        return f"error=not a Morse stack (witness {' '.join(map(str, witness))})\n", 3
+    rep = classify(F)
+    lines = [f"critical {p}: {' '.join(map(str, x))}\n"
+             for p in range(F.host.dim + 1) for x in rep.critical_of_dim(p)]
+    return "".join(lines) + f"regular_faces={len(rep.regular)}\n", 0
+
+
+def test_cli_critical_runs_one_morse_check(capsys, monkeypatch, tmp_path):
+    from morseshed import _kernels
+
+    stacks = [cyc6_stack(), random_stack(tetrahedron_boundary(), seed=4)]
+    stacks += [random_stack(generate_torus(4, 4), seed=s, high=3) for s in range(3)]
+    stacks += [random_morse_stack(generate_torus(5, 5), seed=s, n_minima=3) for s in range(3)]
+    calls = {"flat_matching_offender": 0}
+    _count_calls(monkeypatch, _kernels, "flat_matching_offender", calls)
+    codes = []
+    for i, F in enumerate(stacks):
+        path = tmp_path / f"s{i}.stack"
+        path.write_text(io.serialize_stack(F))
+        expected, code = _ref_critical_output(io.parse_stack(path.read_text()))
+        calls["flat_matching_offender"] = 0
+        assert cli.main(["critical", str(path)]) == code
+        assert capsys.readouterr().out == expected
+        assert calls["flat_matching_offender"] == (1 if code == 0 else 2), i
+        codes.append(code)
+    assert 0 in codes and 3 in codes
+
+
+def test_cli_reports_a_memory_error_on_one_line(capsys, monkeypatch):
+    # numpy refuses a request this large at once; no real allocation here
+    message = "Unable to allocate 2.18 TiB for an array with shape (200000000000, 3)"
+
+    def refuse(n, m):
+        raise MemoryError(message) if m > 3 else MemoryError
+
+    monkeypatch.setattr(cli, "generate_torus", refuse)
+    assert cli.main(["gen", "torus", "--n", "3", "--m", "100000000000"]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert cli.main(["gen", "torus"]) == cli.EXIT_USAGE  # a MemoryError without a message
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+def test_readme_cli_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("morseshed ")]
+    assert len(lines) == 13
+    parser = cli.build_parser()
+    for line in lines:
+        argv = line.split("#", 1)[0].split(">", 1)[0].split()[1:]  # no comment, no redirection
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_cli_watershed_both_algorithms(capsys, cyc6_file):
@@ -1032,6 +1094,7 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
     assert cli.main(["msf", path, "--verify"]) == 0
     assert capsys.readouterr().out.count("=True\n") == 5
     assert calls["top_adjacency"] == 1 and calls["morse_watershed"] == 0, calls
+    assert calls["flat_zones"] == 0, calls  # the forest's roots come from the facet graph
     calls.update(dict.fromkeys(calls, 0))
     cplx = tmp_path / "t66.cplx"
     cplx.write_text(io.serialize_complex(generate_torus(6, 6)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morseshed import io
 from morseshed.complexes import Complex, Face, closure, face_key
 from morseshed.definitions import (
     AtMinimum,
@@ -428,6 +429,117 @@ def test_stack_from_gradient_rejects_cycles():
     )
     with pytest.raises(ValueError):
         stack_from_gradient(X, V)
+
+
+def _ref_stack_from_gradient(X: Complex, V: GradientField) -> Stack:
+    """Reference for `stack_from_gradient`: the same contraction and
+    longest-path layering on face tuples, through the host's tuple-keyed
+    `faces` and `boundary` views, dicts of sets and a Kahn pass."""
+    partner: dict[Face, Face] = {}
+    for x, y in V.pairs:
+        if x in partner or y in partner:
+            raise ValueError("gradient pairs must form a matching")
+        if y not in X.faces or x not in set(X.boundary[y]):
+            raise ValueError(f"({x}, {y}) is not a covering pair of the complex")
+        partner[x] = y
+        partner[y] = x
+
+    def node(f: Face) -> Face:
+        p = partner.get(f)
+        return min(f, p, key=face_key) if p is not None else f
+
+    succs: dict[Face, set[Face]] = {node(f): set() for f in X.faces}
+    indeg: dict[Face, int] = {n: 0 for n in succs}
+    for y in X.faces:
+        for x in X.boundary[y]:
+            if partner.get(x) == y:
+                continue
+            ny, nx = node(y), node(x)
+            if nx not in succs[ny]:
+                succs[ny].add(nx)
+                indeg[nx] += 1
+
+    # Kahn layering; a leftover node means the matching has a V-cycle
+    value: dict[Face, int] = {}
+    ready = sorted((n for n, k in indeg.items() if k == 0), key=face_key)
+    order = []
+    while ready:
+        n = ready.pop()
+        order.append(n)
+        for m in succs[n]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+    if len(order) != len(succs):
+        raise ValueError("gradient field contains a cycle")
+    for n in order:
+        value.setdefault(n, 1)
+        for m in succs[n]:
+            value[m] = max(value.get(m, 1), value[n] + 1)
+    return Stack(X, {f: value[node(f)] for f in X.faces})
+
+
+@pytest.mark.parametrize(
+    "host",
+    [generate_torus(n, n) for n in range(3, 14)] + [
+        closure(combinations(range(5), 4)),  # the boundary of the 4-simplex
+        closure(combinations(range(6), 5)),  # the boundary of the 5-simplex
+        closure([(i, (i + 1) % 50) for i in range(50)]),  # a 50-cycle
+        closure([(0,), (2,), (7,)]),  # isolated vertices
+        closure([]),
+    ],
+    ids=repr,
+)
+def test_stack_from_gradient_matches_the_tuple_layering(host):
+    for seed, k in ((0, 1), (1, 3), (2, 20)):
+        V = gradient(random_morse_stack(host, seed, k))
+        F, ref = stack_from_gradient(host, V), _ref_stack_from_gradient(host, V)
+        assert np.array_equal(F.alt_array(), ref.alt_array())
+        assert gradient(F) == V
+
+
+def _outcome(build, X, V):
+    try:
+        return build(X, V).alt_array().tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_stack_from_gradient_names_the_fault_the_tuple_version_names():
+    X = closure([(0, 1, 2), (1, 2, 3)])
+    cases = {
+        "a face in two pairs": {((0,), (0, 1)), ((0,), (0, 2))},
+        "a pair that is not a covering pair": {((0,), (1, 2))},
+        "a pair two dimensions apart": {((0,), (0, 1, 2))},
+        "a face not in X": {((0,), (0, 9))},
+        "a pair of faces not in X": {((8,), (8, 9))},
+        "a V-cycle": {((0,), (0, 1)), ((1,), (1, 2)), ((2,), (0, 2))},
+    }
+    for name, V in cases.items():
+        got = _outcome(stack_from_gradient, X, GradientField(frozenset(V)))
+        assert isinstance(got, str), name
+        assert got == _outcome(_ref_stack_from_gradient, X, GradientField(frozenset(V))), name
+    # several faults: the one met first in V's iteration order is named
+    pairs = [(x, y) for y in X.sorted_faces() for x in X.boundary[y]]
+    pairs += [((0,), (1, 2)), ((3,), (0, 1, 2)), ((0,), (0, 9)), ((9,), (1, 9))]
+    rng = random.Random(5)
+    messages = set()
+    for _ in range(400):
+        V = GradientField(frozenset(rng.sample(pairs, rng.randint(0, 6))))
+        got = _outcome(stack_from_gradient, X, V)
+        assert got == _outcome(_ref_stack_from_gradient, X, V), V
+        messages.add(got if isinstance(got, str) else "stack")
+    assert len(messages) > 5  # stacks, cycles, matchings and several covering faults
+
+
+def test_stack_from_gradient_builds_no_incidence_dict():
+    text = io.serialize_stack(random_morse_stack(generate_torus(6, 6), seed=2, n_minima=3))
+    X = io.parse_stack(text).host
+    G = stack_from_gradient(X, gradient(io.parse_stack(text)))
+    assert "altitude" not in vars(G)
+    for view in ("faces", "by_dim", "boundary", "cofaces"):
+        with pytest.raises(AttributeError):
+            Complex.__dict__[view].__get__(X)  # the slot is still unset
 
 
 def test_dmf_dual_check_examples():

@@ -387,14 +387,18 @@ def test_every_route_holds_one_int64_altitude_array():
     by_mapping = [
         Stack(X, dict(F.altitude)),
         F.with_altitudes({X.sorted_faces()[0]: -5}),
-        complete_from_facets(X, {x: F.altitude[x] for x in X.facets()}),
         F,
-        stack_from_gradient(X, gradient(F)),
         io.parse_stack("# a comment sends the text to the line loop\n" + text),
         empty,
         io.parse_stack(""),
     ]
-    by_array = [io.parse_stack(text), ultimate_d_collapse(F, seed=1), ultimate_d_collapse(empty)]
+    by_array = [
+        io.parse_stack(text),
+        ultimate_d_collapse(F, seed=1),
+        ultimate_d_collapse(empty),
+        complete_from_facets(X, {x: F.altitude[x] for x in X.facets()}),
+        stack_from_gradient(X, gradient(F)),
+    ]
     assert all("altitude" in vars(G) for G in by_mapping)  # the mapping it was built from
     assert not any("altitude" in vars(G) for G in by_array)  # not built yet
     for G in by_mapping + by_array:
