@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fixtures, io as mio
 from .complexes import face_key
-from .forest import _msf_checks, _top_rows, build_facet_graph, watershed_forest
+from .forest import _forest_masks, _msf_certificate, _top_rows
 from .manifolds import generate_torus, validate
 from .morse import classify, is_morse, random_morse_stack
 from .stacks import Stack, StackError, minima
@@ -190,15 +190,14 @@ def _cmd_watershed(args) -> int:
 
 def _cmd_msf(args) -> int:
     F = _load_stack(args)
-    build_facet_graph(F)  # the host check; the host keeps the graph it builds
-    Y = watershed_forest(F)
+    in_y, is_root = _forest_masks(F)
     pk = F.host.packed()
     lo, hi = pk.facet_graph
-    w, in_y = F.alt_array()[pk.seps], Y._in_y
+    w = F.alt_array()[pk.seps]
     rows = _top_rows(pk)
     face = " ".join(["%d"] * rows.shape[1])
     k = np.flatnonzero(in_y)
-    k = k[np.lexsort((hi[k], lo[k]))]  # the order of sorted(Y.edges)
+    k = k[np.lexsort((hi[k], lo[k]))]  # the order of sorted(watershed_forest(F).edges)
     sys.stdout.write(
         mio._format_table(f"{face} | {face} : %d\n", *rows[lo[k]].T.tolist(),
                           *rows[hi[k]].T.tolist(), w[k].tolist())
@@ -208,7 +207,7 @@ def _cmd_msf(args) -> int:
         style = np.where(in_y, " style=bold color=blue", "")
         sys.stdout.write(_dot("facets", pk, edge=(' [label="%d"%s]', [w, style])))
     if args.verify:
-        checks = _msf_checks(F, Y)
+        checks = _msf_certificate(F, in_y, is_root)
         for k, v in sorted(checks.items()):
             print(f"check_{k}={v}")
         if not all(checks.values()):

@@ -10,10 +10,10 @@ face tuples, the views that the face-by-face algorithms walk (``faces``,
 ``by_dim``, ``boundary`` and ``cofaces``) and the derived index arrays
 are built from the arrays on first access and are plain attributes
 after that.  `_LazyViews` is the one helper that does this, for the
-complex and every other array-backed object of the package (the stack,
-the watershed result, the facet graph and the forest); `_from_arrays`
-builds such an object from its arrays alone.  Complexes are immutable
-after construction; operations return new objects sharing nothing mutable.
+complex and the two other array-backed objects of the package (the stack
+and the watershed result); `_from_arrays` builds such an object from its
+arrays alone.  Complexes are immutable after construction; operations
+return new objects sharing nothing mutable.
 Free pairs, collapses, and open and closed subsets are in `definitions`.
 """
 
@@ -28,7 +28,7 @@ from . import _kernels
 
 Face = tuple[int, ...]
 
-_INT64_MAX = 2**63 - 1
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class InvalidSimplexError(ValueError):
@@ -69,7 +69,8 @@ class _LazyViews:
     read.  A subclass maps each view's name to its builder in `_VIEWS`; the
     builder takes the object, and the view is stored as a plain attribute
     (a slot or an instance-dict entry, also on a frozen dataclass), so
-    later reads find it without coming here."""
+    later reads find it without coming here.  The subclasses are
+    `Complex`, `Stack` and `WatershedResult`."""
 
     __slots__ = ()
     _VIEWS: dict = {}

@@ -10,16 +10,14 @@ forest rooted in the minima; `verify_msf_theorem` checks this by a
 certificate read in one pass over the edge list (the greedy, tie-test
 and exhaustive references live in `oracles`).
 
-`build_facet_graph` and `watershed_forest` return array-backed objects
-that hold the packed host, whose edge list (lo, hi) they read: the graph
-with the edge weights, the forest with a mask of its edges over that
-edge list and a mask of its roots over the d-faces.  Their tuple fields
-(`vertices`, `edges`, `shared`, `roots`) are views, built from the
-vertex rows of the host on first read by `complexes._LazyViews`, the
-one helper behind every such view of the package; construction from
-the fields, equality and hashing are those of the plain dataclasses.
-`_msf_checks` and `morseshed msf` read the arrays, so neither builds a
-face tuple.
+The engine reads the watershed forest as two masks over the packed
+host, one over its edge list (lo, hi) and one over its d-faces
+(`_forest_masks`), and certifies it on them (`_msf_certificate`);
+`verify_msf_theorem` and `morseshed msf` build no face tuple.
+`WeightedFacetGraph` and `Forest` are plain tuple objects for the
+references in `oracles` and for the tests: `build_facet_graph` and
+`watershed_forest` fill them from the same arrays, and `_msf_checks`
+maps a tuple forest back onto the masks.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .complexes import Face, _LazyViews, _from_arrays, _grouped, face_key
+from .complexes import Face, _grouped, face_key
 from .morse import _require_morse
 from .stacks import Stack, _facet_adjacency
 from .watershed import WATERSHED_LABEL
@@ -62,33 +60,13 @@ def _edge_tuples(pk, tops, mask=None) -> list[Edge]:
     return list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
 
 
-def _shared_view(G) -> dict[Edge, Face]:
-    seps = map(tuple, G._pk.rows[-2].tolist()) if G._ends else ()  # no edge below d = 1
-    return dict(zip(G._ends, seps))
-
-
 @dataclass(frozen=True)
-class WeightedFacetGraph(_LazyViews):
-    """The facet graph with its edge weights and shared (d-1)-faces.
-
-    `build_facet_graph` returns a graph that holds the packed host (`_pk`),
-    whose `facet_graph` is its edge list, and the weights in edge-list
-    order (`_weights`); its three fields are views built from them on
-    first read.  A graph built from its fields holds no arrays.
-    """
+class WeightedFacetGraph:
+    """The facet graph with its edge weights and shared (d-1)-faces."""
 
     vertices: tuple[Face, ...]
     edges: dict[Edge, int]  # edge -> weight F(x & y)
     shared: dict[Edge, Face]  # edge -> the shared (d-1)-face
-
-    _pk = _weights = None
-    _VIEWS = {
-        "_tops": lambda G: _tops(G._pk),
-        "_ends": lambda G: _edge_tuples(G._pk, G._tops),
-        "vertices": lambda G: tuple(G._tops),
-        "edges": lambda G: dict(zip(G._ends, G._weights.tolist())),
-        "shared": _shared_view,
-    }
 
     def degree(self, x: Face) -> int:
         return sum(1 for e in self.edges if x in e)
@@ -100,31 +78,20 @@ def build_facet_graph(F: Stack) -> WeightedFacetGraph:
     routes run first (`_facet_adjacency`)."""
     _facet_adjacency(F)
     pk = F.host.packed()
-    return _from_arrays(WeightedFacetGraph, _pk=pk, _weights=F.alt_array()[pk.seps])
+    tops = _tops(pk)
+    ends = _edge_tuples(pk, tops)
+    seps = map(tuple, pk.rows[-2].tolist()) if ends else ()  # no edge below d = 1
+    weights = F.alt_array()[pk.seps].tolist()
+    return WeightedFacetGraph(tuple(tops), dict(zip(ends, weights)), dict(zip(ends, seps)))
 
 
 @dataclass(frozen=True)
-class Forest(_LazyViews):
-    """A spanning forest of a facet graph, rooted.
-
-    `watershed_forest` returns a forest that holds the packed host
-    (`_pk`), a mask of its edges over the host's edge list (`_in_y`) and
-    a mask of its roots over the d-faces (`_is_root`); its three fields
-    are views built from them on first read.  A forest built from its
-    fields holds no arrays.
-    """
+class Forest:
+    """A spanning forest of a facet graph, rooted."""
 
     vertices: frozenset[Face]
     edges: frozenset[Edge]
     roots: frozenset[Face]
-
-    _pk = _in_y = _is_root = None
-    _VIEWS = {
-        "_tops": lambda Y: _tops(Y._pk),
-        "vertices": lambda Y: frozenset(Y._tops),
-        "edges": lambda Y: frozenset(_edge_tuples(Y._pk, Y._tops, Y._in_y)),
-        "roots": lambda Y: frozenset(map(Y._tops.__getitem__, np.flatnonzero(Y._is_root).tolist())),
-    }
 
     def weight(self, G: WeightedFacetGraph) -> int:
         return sum(G.edges[e] for e in self.edges)
@@ -139,12 +106,10 @@ class Forest(_LazyViews):
         return list(map(frozenset, _grouped(verts, root)[1]))  # root: the smallest vertex
 
 
-def watershed_forest(F: Stack) -> Forest:
-    """Dual edges {x, y} such that one endpoint descends into the shared
-    face's flat partner: (x, x&y) differential and (x&y, y) flat, either
-    way around.  The host is checked as in `build_facet_graph`.  The roots
-    are the minima: on a Morse stack, the d-faces with no flat (d-1)-face,
-    as in the flood."""
+def _forest_masks(F: Stack) -> tuple[np.ndarray, np.ndarray]:
+    """The watershed forest of F as (in_y, is_root): a mask of its edges
+    over the host's edge list and a mask of its roots over the d-faces.
+    See `watershed_forest`."""
     lo, hi = _facet_adjacency(F)
     _require_morse(F)
     pk, alt = F.host.packed(), F.alt_array()
@@ -152,7 +117,23 @@ def watershed_forest(F: Stack) -> Forest:
     down, up = ta[lo] == sa, ta[hi] == sa
     is_root = np.ones(ta.size, dtype=np.bool_)
     is_root[lo[down]] = is_root[hi[up]] = False
-    return _from_arrays(Forest, _pk=pk, _in_y=down | up, _is_root=is_root)
+    return down | up, is_root
+
+
+def watershed_forest(F: Stack) -> Forest:
+    """Dual edges {x, y} such that one endpoint descends into the shared
+    face's flat partner: (x, x&y) differential and (x&y, y) flat, either
+    way around.  The host is checked as in `build_facet_graph`.  The roots
+    are the minima: on a Morse stack, the d-faces with no flat (d-1)-face,
+    as in the flood."""
+    in_y, is_root = _forest_masks(F)
+    pk = F.host.packed()
+    tops = _tops(pk)
+    return Forest(
+        frozenset(tops),
+        frozenset(_edge_tuples(pk, tops, in_y)),
+        frozenset(map(tops.__getitem__, np.flatnonzero(is_root).tolist())),
+    )
 
 
 def verify_msf_theorem(F: Stack) -> dict[str, bool]:
@@ -162,15 +143,31 @@ def verify_msf_theorem(F: Stack) -> dict[str, bool]:
     minima), weight (a minimum spanning forest rooted in the minima),
     unique (the only one), basins (forest trees match the watershed basins
     on d-faces), and min_edge (every forest edge is the unique lightest
-    edge at one endpoint).  See `_msf_checks` for how each is decided.
+    edge at one endpoint).  See `_msf_certificate` for how each is decided.
     """
-    return _msf_checks(F, watershed_forest(F))
+    return _msf_certificate(F, *_forest_masks(F))
 
 
 def _msf_checks(F: Stack, Y: Forest) -> dict[str, bool]:
-    """The checks of `verify_msf_theorem` for a forest Y on the facet graph
-    of F (`build_facet_graph(F)`), in one pass over the host's edge list,
-    weighted by the altitudes of F.
+    """`_msf_certificate` for a tuple forest Y, mapped onto the host's edge
+    list and d-faces by its face tuples; its edges and roots must be among
+    them (ValueError)."""
+    _facet_adjacency(F)
+    pk = F.host.packed()
+    tops = _tops(pk)
+    ends = _edge_tuples(pk, tops)
+    in_y = np.fromiter(map(Y.edges.__contains__, ends), dtype=np.bool_, count=len(ends))
+    is_root = np.fromiter(map(Y.roots.__contains__, tops), dtype=np.bool_, count=len(tops))
+    if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
+        raise ValueError("the forest is not on the facet graph")
+    return _msf_certificate(F, in_y, is_root)
+
+
+def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[str, bool]:
+    """The checks of `verify_msf_theorem` for the forest Y with edge mask
+    `in_y` over the host's edge list and root mask `is_root` over its
+    d-faces (as `_forest_masks` gives them), in one pass over the edge
+    list, weighted by the altitudes of F.
 
     rooted: Y has facets - trees edges (so no cycle) and every tree holds
     one root, its trees read from one `_kernels.components` labelling.
@@ -202,24 +199,10 @@ def _msf_checks(F: Stack, Y: Forest) -> dict[str, bool]:
 
     min_edge: each edge of Y is the only edge of least weight at one of
     its ends.
-
-    A forest that `watershed_forest` built on F's host is read as its
-    arrays.  Any other forest is mapped onto the host's edge list and
-    d-faces by its face tuples; its edges and roots must be among them
-    (ValueError).
     """
     lo, hi = _facet_adjacency(F)
     pk = F.host.packed()
-    n = len(pk) - pk.tops.start  # the d-faces, in canonical order
-    if Y._pk is pk:
-        in_y, is_root = Y._in_y, Y._is_root
-    else:
-        tops = _tops(pk)
-        ends = _edge_tuples(pk, tops)
-        in_y = np.fromiter(map(Y.edges.__contains__, ends), dtype=np.bool_, count=lo.size)
-        is_root = np.fromiter(map(Y.roots.__contains__, tops), dtype=np.bool_, count=n)
-        if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
-            raise ValueError("the forest is not on the facet graph")
+    n = is_root.size  # the d-faces, in canonical order
     alt = F.alt_array()
     w, ta = alt[pk.seps], alt[pk.tops]
     a, b = lo[in_y], hi[in_y]

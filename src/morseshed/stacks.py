@@ -24,14 +24,14 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .complexes import Complex, Face, _LazyViews, _from_arrays, _grouped, _masked_complex, face_key
+from .complexes import (
+    _INT64_MAX, _INT64_MIN, Complex, Face, _LazyViews, _from_arrays, _grouped, _masked_complex,
+    face_key,
+)
 
 
 class StackError(ValueError):
     pass
-
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _altitude_error(host: Complex, altitude: Mapping[Face, int]) -> StackError:

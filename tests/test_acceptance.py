@@ -238,15 +238,15 @@ def test_criterion_9_linear_time_scaling():
     # warm up imports and first-call costs so they are not measured
     warm = random_morse_stack(generate_torus(5, 5), seed=0)
     morse_watershed(warm)
-    times = {}
-    for n in (50, 100, 200):
-        X = generate_torus(n, n)
-        F = random_morse_stack(X, seed=0)
+    stacks = {n: random_morse_stack(generate_torus(n, n), seed=0) for n in (50, 100, 200)}
+    for F in stacks.values():
         morse_watershed(F)  # warm the packed-index caches
-        best = min(
-            _timed(morse_watershed, F) for _ in range(3)
-        )
-        times[n] = best
+    # interleaved rounds, so a slow spell of the machine spreads over every
+    # size instead of landing on one; each size keeps its best time
+    times = dict.fromkeys(stacks, float("inf"))
+    for _ in range(7):
+        for n, F in stacks.items():
+            times[n] = min(times[n], _timed(morse_watershed, F))
     r1 = times[100] / times[50]
     r2 = times[200] / times[100]
     elapsed = time.perf_counter() - t_total

@@ -9,6 +9,7 @@ on every Morse stack of the host rather than on a random sample.
 import numpy as np
 import pytest
 
+from morseshed.complexes import closure
 from morseshed.definitions import dmf_dual_check
 from morseshed.fixtures import cyc6_host, tetrahedron_boundary
 from morseshed.forest import verify_msf_theorem
@@ -79,3 +80,20 @@ def test_every_morse_stack_of_a_small_host(host, count):
         assert all(verify_msf_theorem(F).values())
         critical_tops = n_tops - sum(len(y) == X.dim + 1 for _, y in V)
         assert len(r.basins) == critical_tops
+
+
+def test_eight_cycle_gradient_count():
+    X = closure((i, (i + 1) % 8) for i in range(8))
+    assert len(set(_acyclic_matchings(X))) == 2205
+
+
+def test_tetrahedron_watershed_depends_on_its_top_pairs_only():
+    # the gradients of the boundary of the tetrahedron fall into classes by
+    # their (1, 2) pairs, and every gradient of a class gives one watershed
+    X = tetrahedron_boundary()
+    labels = {}
+    for V in _acyclic_matchings(X):
+        label = morse_watershed(stack_from_gradient(X, GradientField(V)))._label
+        top = frozenset((x, y) for x, y in V if len(y) == X.dim + 1)
+        assert np.array_equal(labels.setdefault(top, label), label), sorted(top)
+    assert len(labels) == 125

@@ -1,8 +1,8 @@
-"""The facet graph and the watershed forest as arrays with tuple views.
+"""The facet graph and the watershed forest as masks and as tuples.
 
 `_ref_build_facet_graph` and `_ref_watershed_forest` are the builders as
 they were while they filled the tuple fields at once, from the same edge
-list; they are kept here as references for the views.
+list; they are kept here as references for the builders.
 """
 
 import random
@@ -16,8 +16,11 @@ from morseshed.fixtures import cyc6_host, tetrahedron_boundary
 from morseshed.forest import (
     Forest,
     WeightedFacetGraph,
-    _from_arrays,
+    _edge_tuples,
+    _forest_masks,
+    _msf_certificate,
     _msf_checks,
+    _tops,
     build_facet_graph,
     watershed_forest,
 )
@@ -63,10 +66,6 @@ def _corpus():
     return [random_morse_stack(X, seed=s, n_minima=1 + s % 5) for X in hosts for s in range(34)]
 
 
-def _tuple_forest(Y):
-    return Forest(Y.vertices, Y.edges, Y.roots)
-
-
 def test_views_match_the_eager_builders():
     stacks = _corpus()
     assert len(stacks) == 306
@@ -81,19 +80,21 @@ def test_views_match_the_eager_builders():
 
 def test_msf_checks_read_the_arrays_as_the_tuples():
     # the watershed forest, and the same edge list with one edge flipped,
-    # as arrays and as tuples
+    # as masks and as tuples
     rng = random.Random(7)
     rejected = 0
     for F in _corpus():
-        Y = watershed_forest(F)
-        flipped = Y._in_y.copy()
+        in_y, is_root = _forest_masks(F)
+        flipped = in_y.copy()
         flipped[rng.randrange(flipped.size)] ^= True
-        Z = _from_arrays(Forest, _pk=Y._pk, _in_y=flipped, _is_root=Y._is_root)
-        for forest in (Y, Z):
-            got = _msf_checks(F, forest)
-            assert got == _msf_checks(F, _tuple_forest(forest))
-        assert all(_msf_checks(F, Y).values())
-        rejected += not all(_msf_checks(F, Z).values())
+        pk = F.host.packed()
+        tops = _tops(pk)
+        roots = frozenset(map(tops.__getitem__, np.flatnonzero(is_root).tolist()))
+        for mask in (in_y, flipped):
+            Z = Forest(frozenset(tops), frozenset(_edge_tuples(pk, tops, mask)), roots)
+            assert _msf_certificate(F, mask, is_root) == _msf_checks(F, Z)
+        assert all(_msf_certificate(F, in_y, is_root).values())
+        rejected += not all(_msf_certificate(F, flipped, is_root).values())
     assert rejected == 306
 
 
@@ -112,7 +113,7 @@ def test_msf_checks_reject_a_forest_off_the_graph():
 def test_hand_built_graph_and_forest_hold_no_arrays():
     G = WeightedFacetGraph(((0, 1), (1, 2)), {((0, 1), (1, 2)): 3}, {((0, 1), (1, 2)): (1,)})
     Y = Forest(frozenset(G.vertices), frozenset(G.edges), frozenset([(0, 1)]))
-    assert G._pk is None and Y._pk is None and Y.weight(G) == 3
+    assert Y.weight(G) == 3
     for obj in (G, Y):
         with pytest.raises(AttributeError):
             obj.missing

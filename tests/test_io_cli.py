@@ -337,12 +337,11 @@ def test_cli_msf_verify_builds_graph_and_forest_once(capsys, monkeypatch, tmp_pa
         return wrapper
 
     for name in calls:
-        wrapper = counting(name)
-        monkeypatch.setattr(forest, name, wrapper)
-        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(forest, name, counting(name))
     assert cli.main(["msf", str(p), "--verify"]) == 0
     assert capsys.readouterr().out == expected
-    assert calls == {"build_facet_graph": 1, "watershed_forest": 1}
+    # the command reads the forest's masks: neither tuple object is built
+    assert calls == {"build_facet_graph": 0, "watershed_forest": 0}
 
 
 def test_cli_msf_verify_calls_no_oracle(capsys, monkeypatch, tmp_path):
@@ -1134,3 +1133,30 @@ def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):
         assert faces == [] and inits == [1], argv
     closure([(0, 1)]).packed().face_list  # the patches count
     assert faces == [1] and inits == [1, 1]
+
+
+def test_msf_builds_no_graph_or_forest(capsys, monkeypatch, tmp_path):
+    # the msf command and verify_msf_theorem read the forest's masks on the
+    # host: neither tuple object of the facet graph is constructed
+    path = _tor66_file(tmp_path)
+    made = []
+
+    def counting(cls):
+        class Counting(cls):
+            def __new__(sub, *args, **kwargs):
+                made.append(cls.__name__)
+                return object.__new__(sub)
+
+        return Counting
+
+    for name in ("WeightedFacetGraph", "Forest"):
+        monkeypatch.setattr(forest, name, counting(getattr(forest, name)))
+    for argv in (["msf"], ["msf", "--dot"], ["msf", "--verify"]):
+        assert cli.main([argv[0], path, *argv[1:]]) == 0, argv
+        assert capsys.readouterr().out
+    F = io.parse_stack(Path(path).read_text())
+    assert all(forest.verify_msf_theorem(F).values())
+    assert made == []
+    forest.build_facet_graph(F)  # the patches count
+    forest.watershed_forest(F)
+    assert made == ["WeightedFacetGraph", "Forest"]
