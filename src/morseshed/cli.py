@@ -10,6 +10,7 @@ The exports read a result's packed host and label array only.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from pathlib import Path
 
@@ -41,8 +42,9 @@ def _fmt_face(x) -> str:
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file; a ParseError names the line of a bad byte."""
-    data = Path(path).read_bytes()
+    """The text of a UTF-8 file less a leading byte-order mark; a
+    ParseError names the line of a bad byte."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:  # number the lines as the parsers do

@@ -191,19 +191,44 @@ def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     """Collapse through free d-pairs until none remains.
 
     A binary heap holds the free pairs, lowest first, under one int key
-    target * n + r, where r ranks the pair's (d-1)-face in a permutation of
-    the n (d-1)-faces shuffled by `seed`; the keys sort as (target, r).  A
-    live-key list holds the key under which each pair is queued, or None
-    when it is not free.  A collapse lowers a pair to the altitude of its
-    other coface and re-keys the pairs on the lowered facet, so a popped
-    key that is no longer live is stale.  On a Morse stack a facet's lower
-    neighbour is final before the facet is lowered, so each non-minimum
-    facet collapses once, and the result does not depend on the seed.  The
-    host check and the facet graph are those of the host
+    target * n + r, where r ranks the pair's (d-1)-face among the n
+    (d-1)-faces; the keys sort as (target, r).  A live-key list holds the
+    key under which each pair is queued, or None when it is not free.  A
+    collapse lowers a pair to the altitude of its other coface and re-keys
+    the pairs on the lowered facet, so a popped key that is no longer live
+    is stale.  The host check and the facet graph are those of the host
     (`_facet_adjacency`), built once for every stack on it.  Collapses
     that lower a pair one level a step are `definitions.stack_collapse`.
+
+    The seeded order is drawn only when a tie can change the result: when
+    `_ties_are_inert` fails, r is the rank of the (d-1)-face in a
+    permutation shuffled by `seed`; otherwise r is its own position and no
+    generator is built.  The test holds on every Morse stack, where each
+    non-minimum facet collapses once and the result does not depend on the
+    seed; on any other stack the seed picks one valid collapse.
     """
     return _ultimate_d_collapse(F, seed)[0]
+
+
+def _ties_are_inert(v, a, b, lo, hi) -> bool:
+    """Whether no tie order can change the collapse of the altitudes `v`
+    of the (d-1)-faces, `a` and `b` of their d-faces `lo` and `hi`: no
+    (d-1)-face is lower than a d-face of its own, none is flat with both,
+    and no d-face has two flat (d-1)-faces.
+
+    Then each d-face y has at most one pair (s, y) that can lower it: its
+    one flat (d-1)-face s, whose other d-face z is lower than y.  A
+    collapse leaves its (d-1)-face flat with both d-faces, so it frees no
+    new pair on y unless a d-face is lowered twice.  The heap pops targets
+    lowest first, so z is final when y is lowered: the target strictly
+    decreases along the chain y, z, ..., and y is lowered at most once, to
+    a fixed altitude.  The heap then receives the same entries for every
+    tie order, so H, the collapse count and the pop count are the same for
+    every permutation of the ranks."""
+    flat_a, flat_b = a == v, b == v
+    if ((v < a) | (v < b) | (flat_a & flat_b)).any():
+        return False
+    return np.bincount(np.concatenate((lo[flat_a], hi[flat_b]))).max(initial=0) <= 1
 
 
 def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
@@ -213,15 +238,17 @@ def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
     pk = X.packed()
     arr = F.alt_array().copy()
     n, lam = lo.size, F.lambda_min
-    rank = list(range(n))
-    random.Random(seed).shuffle(rank)
-    rank = np.array(rank, dtype=np.int64)
     # the pair on (d-1)-face s is free when s is above lam and exactly one of
     # its d-faces is flat with it; no altitude falls below lam, F's least, so
     # the target max(other d-face, lam) is the other d-face
     v, a, b = arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi]
+    rank = None
+    if not _ties_are_inert(v, a, b, lo, hi):
+        rank = list(range(n))
+        random.Random(seed).shuffle(rank)
+        rank = np.array(rank, dtype=np.int64)
     free = np.flatnonzero((v > lam) & ((a == v) != (b == v)))
-    v, a, b, r = v[free], a[free], b[free], rank[free]
+    v, a, b, r = v[free], a[free], b[free], free if rank is None else rank[free]
     t = np.where(a == v, b, a)
     heap = [ts * n + rs for ts, rs in zip(t.tolist(), r.tolist())]  # t * n overflows int64
     code = np.full(n, None, dtype=object)
@@ -229,10 +256,13 @@ def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
     code = code.tolist()  # the live key of each pair, by rank
     heapify(heap)
     # from here a (d-1)-face is named by its rank: key t * n + r is face r
-    by_rank = np.argsort(rank)
-    lo, hi = lo[by_rank].tolist(), hi[by_rank].tolist()  # its two d-faces
-    bd = rank[pk.bd[X.dim] - pk.seps.start].tolist()  # the (d-1)-faces of each d-face
-    sa, ta = arr[pk.seps][by_rank].tolist(), arr[pk.tops].tolist()
+    bd = pk.bd[X.dim] - pk.seps.start  # the (d-1)-faces of each d-face
+    sa = arr[pk.seps]
+    if rank is not None:
+        by_rank = np.argsort(rank)
+        lo, hi, bd, sa = lo[by_rank], hi[by_rank], rank[bd], sa[by_rank]
+    lo, hi = lo.tolist(), hi.tolist()  # the two d-faces of each (d-1)-face
+    bd, sa, ta = bd.tolist(), sa.tolist(), arr[pk.tops].tolist()
     collapses = pops = 0
     while heap:
         key = heappop(heap)
@@ -250,7 +280,8 @@ def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
             else:
                 code[w] = k = (b if a == v else a) * n + w
                 heappush(heap, k)
-    arr[pk.seps] = np.array(sa, dtype=np.int64)[rank]
+    sa = np.array(sa, dtype=np.int64)
+    arr[pk.seps] = sa if rank is None else sa[rank]
     arr[pk.tops] = ta
     return _stack_from_array(X, arr), collapses, pops
 

@@ -59,6 +59,18 @@ def _basins_view(r) -> tuple[tuple[int, frozenset[Face]], ...]:
     return tuple((b, frozenset(g)) for b, g in zip(labels, groups) if b != WATERSHED_LABEL)
 
 
+def _label_error(labels, x: Face, v) -> ValueError:
+    """The error of the bad label `v` of face x, keyed in ascending vertex
+    order; a face that has a label only under a key in another vertex
+    order is named with that key."""
+    if x not in labels:
+        other = next((k for k in labels if tuple(sorted(k)) == x), None)
+        if other is not None:
+            return ValueError(f"label None of {x}: the face is keyed only as {other!r}, "
+                              "in another vertex order")
+    return ValueError(f"label {v!r} of {x} is not an int64 >= 0")
+
+
 class WatershedResult(_LazyViews):
     """A watershed: `labels` maps each face of the host to WATERSHED_LABEL
     (on the cut) or its basin id >= 1, in canonical order; `watershed` is
@@ -86,7 +98,7 @@ class WatershedResult(_LazyViews):
         if label is None or (label < 0).any() or len(labels) != len(pk):
             for x in pk.face_list:
                 if not (isinstance(v := labels.get(x), Integral) and 0 <= v < 2**63):
-                    raise ValueError(f"label {v!r} of {x} is not an int64 >= 0")
+                    raise _label_error(labels, x, v)
             raise ValueError("a face is labelled twice, in two vertex orders")
         self.labels, self._pk, self._label = labels, pk, label
 

@@ -312,3 +312,54 @@ def test_watershed_collapse_computes_the_facet_adjacency_once(monkeypatch):
             assert len(r.basins) == 3
         ultimate_d_collapse(random_stack(F.host, seed=seed))  # another stack, the same host
         assert len(calls) == 1
+
+
+def _tie_free_cases():
+    """Stacks and arrays on which no tie order can change the collapse:
+    Morse stacks, their copies shifted to the ends of the int64 range, and
+    the same (d-1)- and d-face altitudes under arbitrary lower faces."""
+    hosts = [generate_torus(n, n) for n in (3, 4, 6)]
+    hosts += [tetrahedron_boundary(), _SMALL_HOSTS["sphere-3"][1](), cyc6_host()]
+    cases = []
+    for X in hosts:
+        below = X.packed().seps.start
+        for s in range(3):
+            F = random_morse_stack(X, seed=s, n_minima=1 + s)
+            arr = F.alt_array().copy()
+            arr[:below] = np.random.default_rng(s).integers(-5, 5, size=below)
+            cases += [F, _shifted(F, -2**63 + 10), _shifted(F, 2**62), _stack_from_array(X, arr)]
+    assert sum(not is_morse(F)[0] for F in cases) >= len(hosts)
+    return cases
+
+
+def test_the_seed_cannot_change_a_collapse_where_ties_are_inert():
+    for F in _tie_free_cases():
+        runs = set()
+        for seed in range(8):
+            H, collapses, pops = _ultimate_d_collapse(F, seed)
+            runs.add((tuple(H.alt_array().tolist()), collapses, pops))
+        assert len(runs) == 1
+
+
+def test_the_collapse_draws_a_seeded_order_only_where_ties_act(monkeypatch):
+    cases = _tie_free_cases()
+    F = random_stack(generate_torus(4, 4), seed=0, high=3)
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    for G in cases:
+        _ultimate_d_collapse(G, 3)
+    assert built == []
+    _ultimate_d_collapse(F, 3)
+    assert built == [(3,)]
+
+
+def test_the_seed_still_picks_the_watershed_of_a_random_stack():
+    F = random_stack(generate_torus(4, 4), seed=0, high=3)
+    labels = {tuple(watershed_collapse(F, seed=seed).labels.items()) for seed in range(8)}
+    assert len(labels) == 8

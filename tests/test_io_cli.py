@@ -1,3 +1,4 @@
+import codecs
 import os
 import random
 import subprocess
@@ -590,6 +591,30 @@ def test_cli_exit_codes(capsys, tmp_path):
         assert err.count("\n") == 1 and err.startswith("error: "), argv
 
 
+def test_cli_skips_a_leading_byte_order_mark(capsys, tmp_path):
+    # a file that starts with a UTF-8 byte-order mark reads as the file
+    # without it, and a bad byte after the mark is still named with its line
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    F = cyc6_stack()
+    stack, host = io.serialize_stack(F), io.serialize_complex(F.host)
+    cases = [  # the file's text, and the command with None for its path
+        (stack, ["watershed", None]), (stack, ["watershed", None, "--algo", "morse"]),
+        (stack, ["minima", None]), (stack, ["msf", None, "--verify"]),
+        (host, ["validate", None]), (host, ["gen", "random-morse", None]),
+    ]
+    for text, argv in cases:
+        plain.write_bytes(text.encode())
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert cli.main([str(plain) if a is None else a for a in argv]) == 0, argv
+        expected = capsys.readouterr()
+        assert cli.main([str(marked) if a is None else a for a in argv]) == 0, argv
+        assert capsys.readouterr() == expected, argv
+    marked.write_bytes(codecs.BOM_UTF8 + b"# c\r0 : 0\n1\xfe : 1\n")
+    assert cli.main(["watershed", str(marked)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "parse error: line 3: byte 0xfe is not UTF-8\n"
+
+
 def test_cli_routes_reject_the_same_hosts(capsys, tmp_path):
     hosts = {
         "not pure of top dimension": closure(list(generate_torus(3, 3).faces_of_dim(2)) + [(99,)]),
@@ -886,6 +911,17 @@ def test_a_result_built_from_its_labels_is_the_route_result():
 )
 def test_a_bad_labels_map_raises_at_construction(labels, message):
     with pytest.raises(ValueError, match=message):
+        WatershedResult(labels)
+
+
+def test_a_label_keyed_in_another_vertex_order_is_named():
+    with pytest.raises(ValueError) as err:
+        WatershedResult({(1, 0): 0, (0,): 1, (1,): 1})
+    assert str(err.value) == (
+        "label None of (0, 1): the face is keyed only as (1, 0), in another vertex order")
+    labels = dict(morse_watershed(cyc6_stack()).labels)
+    labels[(3, 2)] = labels.pop((2, 3))
+    with pytest.raises(ValueError, match=r"of \(2, 3\): the face is keyed only as \(3, 2\),"):
         WatershedResult(labels)
 
 
