@@ -200,12 +200,13 @@ def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     (`_facet_adjacency`), built once for every stack on it.  Collapses
     that lower a pair one level a step are `definitions.stack_collapse`.
 
-    The seeded order is drawn only when a tie can change the result: when
-    `_ties_are_inert` fails, r is the rank of the (d-1)-face in a
-    permutation shuffled by `seed`; otherwise r is its own position and no
-    generator is built.  The test holds on every Morse stack, where each
-    non-minimum facet collapses once and the result does not depend on the
-    seed; on any other stack the seed picks one valid collapse.
+    The seeded order is drawn unless `_ties_are_inert` shows that no tie
+    can change the result: then r is the (d-1)-face's own position and no
+    generator is built; otherwise r is its rank in a permutation shuffled
+    by `seed`.  The test is sufficient, not necessary.  It holds on every
+    Morse stack, where each non-minimum facet collapses once and the result
+    does not depend on the seed; on any other stack the seed picks one
+    valid collapse.
     """
     return _ultimate_d_collapse(F, seed)[0]
 
@@ -242,13 +243,14 @@ def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
     # its d-faces is flat with it; no altitude falls below lam, F's least, so
     # the target max(other d-face, lam) is the other d-face
     v, a, b = arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi]
-    rank = None
-    if not _ties_are_inert(v, a, b, lo, hi):
+    if _ties_are_inert(v, a, b, lo, hi):
+        rank = np.arange(n, dtype=np.int64)
+    else:
         rank = list(range(n))
         random.Random(seed).shuffle(rank)
         rank = np.array(rank, dtype=np.int64)
     free = np.flatnonzero((v > lam) & ((a == v) != (b == v)))
-    v, a, b, r = v[free], a[free], b[free], free if rank is None else rank[free]
+    v, a, b, r = v[free], a[free], b[free], rank[free]
     t = np.where(a == v, b, a)
     heap = [ts * n + rs for ts, rs in zip(t.tolist(), r.tolist())]  # t * n overflows int64
     code = np.full(n, None, dtype=object)
@@ -256,13 +258,10 @@ def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
     code = code.tolist()  # the live key of each pair, by rank
     heapify(heap)
     # from here a (d-1)-face is named by its rank: key t * n + r is face r
-    bd = pk.bd[X.dim] - pk.seps.start  # the (d-1)-faces of each d-face
-    sa = arr[pk.seps]
-    if rank is not None:
-        by_rank = np.argsort(rank)
-        lo, hi, bd, sa = lo[by_rank], hi[by_rank], rank[bd], sa[by_rank]
-    lo, hi = lo.tolist(), hi.tolist()  # the two d-faces of each (d-1)-face
-    bd, sa, ta = bd.tolist(), sa.tolist(), arr[pk.tops].tolist()
+    by_rank = np.argsort(rank)
+    lo, hi = lo[by_rank].tolist(), hi[by_rank].tolist()  # its two d-faces
+    bd = rank[pk.bd[X.dim] - pk.seps.start].tolist()  # the (d-1)-faces of each d-face
+    sa, ta = arr[pk.seps][by_rank].tolist(), arr[pk.tops].tolist()
     collapses = pops = 0
     while heap:
         key = heappop(heap)
@@ -280,8 +279,7 @@ def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
             else:
                 code[w] = k = (b if a == v else a) * n + w
                 heappush(heap, k)
-    sa = np.array(sa, dtype=np.int64)
-    arr[pk.seps] = sa if rank is None else sa[rank]
+    arr[pk.seps] = np.array(sa, dtype=np.int64)[rank]
     arr[pk.tops] = ta
     return _stack_from_array(X, arr), collapses, pops
 

@@ -314,10 +314,32 @@ def test_watershed_collapse_computes_the_facet_adjacency_once(monkeypatch):
         assert len(calls) == 1
 
 
+def _tie_heavy_array(X, seed):
+    """Altitudes with many equal d-faces on which no tie order can change
+    the collapse: each (d-1)-face lies above both of its d-faces or, at
+    random, flat with the higher of two unequal ones that has no flat
+    (d-1)-face yet; lower faces are arbitrary."""
+    pk = X.packed()
+    lo, hi = pk.facet_graph
+    rng = np.random.default_rng(seed)
+    arr = rng.integers(-3, 4, size=len(pk))
+    top = rng.integers(0, 3, size=pk.tops.stop - pk.tops.start)
+    sep = np.maximum(top[lo], top[hi]) + 1 + rng.integers(0, 2, size=lo.size)
+    flat = set()
+    for i in rng.permutation(lo.size).tolist():
+        y = lo[i] if top[lo[i]] > top[hi[i]] else hi[i]
+        if top[lo[i]] != top[hi[i]] and y not in flat and rng.random() < 0.7:
+            flat.add(y)
+            sep[i] = top[y]
+    arr[pk.tops], arr[pk.seps] = top, sep
+    return _stack_from_array(X, arr)
+
+
 def _tie_free_cases():
     """Stacks and arrays on which no tie order can change the collapse:
-    Morse stacks, their copies shifted to the ends of the int64 range, and
-    the same (d-1)- and d-face altitudes under arbitrary lower faces."""
+    Morse stacks, their copies shifted to the ends of the int64 range, the
+    same (d-1)- and d-face altitudes under arbitrary lower faces, and
+    tie-heavy arrays."""
     hosts = [generate_torus(n, n) for n in (3, 4, 6)]
     hosts += [tetrahedron_boundary(), _SMALL_HOSTS["sphere-3"][1](), cyc6_host()]
     cases = []
@@ -328,6 +350,7 @@ def _tie_free_cases():
             arr = F.alt_array().copy()
             arr[:below] = np.random.default_rng(s).integers(-5, 5, size=below)
             cases += [F, _shifted(F, -2**63 + 10), _shifted(F, 2**62), _stack_from_array(X, arr)]
+            cases.append(_tie_heavy_array(X, s))
     assert sum(not is_morse(F)[0] for F in cases) >= len(hosts)
     return cases
 
@@ -337,11 +360,14 @@ def test_the_seed_cannot_change_a_collapse_where_ties_are_inert():
         runs = set()
         for seed in range(8):
             H, collapses, pops = _ultimate_d_collapse(F, seed)
+            ref, ref_collapses, ref_pops = _ref_heap_collapse(F, seed)  # shuffled by seed
+            assert H.alt_array().tolist() == ref.alt_array().tolist()
+            assert (collapses, pops) == (ref_collapses, ref_pops)
             runs.add((tuple(H.alt_array().tolist()), collapses, pops))
         assert len(runs) == 1
 
 
-def test_the_collapse_draws_a_seeded_order_only_where_ties_act(monkeypatch):
+def test_the_collapse_builds_no_generator_where_ties_are_inert(monkeypatch):
     cases = _tie_free_cases()
     F = random_stack(generate_torus(4, 4), seed=0, high=3)
     built = []
