@@ -6,9 +6,9 @@ connectivity question, the flat-pair matching check that decides the
 Morse property, the flat-zone labelling that finds the regional minima,
 the facet graph of a non-branching pure complex (one edge per
 (d-1)-face; the packed host builds it once and keeps it for every route
-and check), the basin flood that labels facets and flags the cut, and
-the smallest and largest value per index that the facet graph and the
-watershed checks read.
+and check), its flat-link forest, the basin flood that labels facets and
+flags the cut, and the smallest and largest value per index that the
+facet graph and the watershed checks read.
 """
 
 from __future__ import annotations
@@ -106,6 +106,22 @@ def top_adjacency(pk):
     return low_high(pk.sub[top] - sep_lo, pk.sup[top] - top_lo, top_lo - sep_lo)
 
 
+def flat_links(lo, hi, facet_alt, sep_alt):
+    """The flat-link parent array over the facet graph (lo, hi) of
+    `top_adjacency`: each facet points across a flat (d-1)-face to the
+    facet on its other side, and a facet with no flat (d-1)-face points to
+    itself.  On a Morse stack, and on any stack whose collapse ties are
+    inert (`stacks._ties_are_inert`), a facet has at most one flat
+    (d-1)-face and its parent is strictly lower, so the links form a
+    forest.  The flood and that collapse resolve it with `_jump`."""
+    parent = np.arange(facet_alt.size)
+    down = facet_alt[lo] == sep_alt  # lo drains across its flat face to hi
+    parent[lo[down]] = hi[down]
+    up = facet_alt[hi] == sep_alt
+    parent[hi[up]] = lo[up]
+    return parent
+
+
 def flood(lo, hi, facet_alt, sep_alt):
     """Basin labels B of the facets and cut flags W of the (d-1)-faces,
     over the facet graph (lo, hi) of `top_adjacency`.
@@ -121,13 +137,8 @@ def flood(lo, hi, facet_alt, sep_alt):
     monotone can close a parent cycle; its facets reach no root and get
     label 0.
     """
-    rows = np.arange(facet_alt.size)
-    parent0 = rows.copy()
-    down = facet_alt[lo] == sep_alt  # lo drains across its flat face to hi
-    parent0[lo[down]] = hi[down]
-    up = facet_alt[hi] == sep_alt
-    parent0[hi[up]] = lo[up]
+    parent0 = flat_links(lo, hi, facet_alt, sep_alt)
     parent = _jump(parent0)
-    is_root = parent0 == rows
+    is_root = parent0 == np.arange(facet_alt.size)
     B = np.where(is_root, np.cumsum(is_root), 0)[parent]
     return B, B[lo] != B[hi]

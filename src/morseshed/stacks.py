@@ -190,23 +190,20 @@ def _facet_adjacency(F: Stack):
 def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     """Collapse through free d-pairs until none remains.
 
-    A binary heap holds the free pairs, lowest first, under one int key
-    target * n + r, where r ranks the pair's (d-1)-face among the n
-    (d-1)-faces; the keys sort as (target, r).  A live-key list holds the
-    key under which each pair is queued, or None when it is not free.  A
-    collapse lowers a pair to the altitude of its other coface and re-keys
-    the pairs on the lowered facet, so a popped key that is no longer live
-    is stale.  The host check and the facet graph are those of the host
-    (`_facet_adjacency`), built once for every stack on it.  Collapses
-    that lower a pair one level a step are `definitions.stack_collapse`.
+    Where `_ties_are_inert` shows that no tie can change the result, the
+    collapse is fixed before any pair is popped: each d-face sinks to the
+    altitude of the root of its flat-link forest (`_kernels.flat_links`),
+    and so does its flat (d-1)-face.  One pointer-jumping pass
+    (`_kernels._jump`) finds the roots in O(n log depth) numpy work on n
+    d-faces; no heap, Python loop or generator runs.  The test is
+    sufficient, not necessary, and holds on every Morse stack.
 
-    The seeded order is drawn unless `_ties_are_inert` shows that no tie
-    can change the result: then r is the (d-1)-face's own position and no
-    generator is built; otherwise r is its rank in a permutation shuffled
-    by `seed`.  The test is sufficient, not necessary.  It holds on every
-    Morse stack, where each non-minimum facet collapses once and the result
-    does not depend on the seed; on any other stack the seed picks one
-    valid collapse.
+    On any other stack the seed picks one valid collapse: `_heap_collapse`
+    pops the free pairs lowest first, ties broken by a permutation of the
+    (d-1)-faces shuffled by `seed`, in O(n log n) time.  The host check and
+    the facet graph are those of the host (`_facet_adjacency`), built once
+    for every stack on it.  Collapses that lower a pair one level a step
+    are `definitions.stack_collapse`.
     """
     return _ultimate_d_collapse(F, seed)[0]
 
@@ -222,10 +219,11 @@ def _ties_are_inert(v, a, b, lo, hi) -> bool:
     collapse leaves its (d-1)-face flat with both d-faces, so it frees no
     new pair on y unless a d-face is lowered twice.  The heap pops targets
     lowest first, so z is final when y is lowered: the target strictly
-    decreases along the chain y, z, ..., and y is lowered at most once, to
-    a fixed altitude.  The heap then receives the same entries for every
-    tie order, so H, the collapse count and the pop count are the same for
-    every permutation of the ranks."""
+    decreases along the chain y, z, ..., and y is lowered once, to the
+    final altitude of z, which is that of the chain's last d-face (a root
+    of the flat-link forest).  The heap then receives the same entries for
+    every tie order, so H, the collapse count and the pop count are the
+    same for every permutation of the ranks."""
     flat_a, flat_b = a == v, b == v
     if ((v < a) | (v < b) | (flat_a & flat_b)).any():
         return False
@@ -233,22 +231,47 @@ def _ties_are_inert(v, a, b, lo, hi) -> bool:
 
 
 def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
-    """ultimate_d_collapse, plus its numbers of collapses and heap pops."""
+    """ultimate_d_collapse, plus its numbers of collapses and heap pops
+    (no pops where the ties are inert)."""
+    lo, hi = _facet_adjacency(F)
+    pk = F.host.packed()
+    arr = F.alt_array()
+    v, ta = arr[pk.seps], arr[pk.tops]
+    a, b = ta[lo], ta[hi]
+    if not _ties_are_inert(v, a, b, lo, hi):
+        rank = list(range(lo.size))
+        random.Random(seed).shuffle(rank)
+        return _heap_collapse(F, rank)
+    sunk = ta[_kernels._jump(_kernels.flat_links(lo, hi, ta, v))]  # the altitude of its root
+    flat = (a == v) | (b == v)  # one per non-root d-face, which it lowers
+    arr = arr.copy()
+    arr[pk.tops] = sunk
+    arr[pk.seps] = np.where(flat, sunk[lo], v)
+    return _stack_from_array(F.host, arr), int(np.count_nonzero(flat)), 0
+
+
+def _heap_collapse(F: Stack, rank) -> tuple[Stack, int, int]:
+    """The ultimate d-collapse of F from a binary heap, ties broken by
+    `rank`, a permutation of 0..n-1 over the n (d-1)-faces; with its
+    numbers of collapses and heap pops.
+
+    The heap holds the free pairs, lowest first, under one int key
+    target * n + r, where r ranks the pair's (d-1)-face; the keys sort as
+    (target, r).  A live-key list holds the key under which each pair is
+    queued, or None when it is not free.  A collapse lowers a pair to the
+    altitude of its other coface and re-keys the pairs on the lowered
+    facet, so a popped key that is no longer live is stale.
+    """
     lo, hi = _facet_adjacency(F)
     X = F.host
     pk = X.packed()
     arr = F.alt_array().copy()
     n, lam = lo.size, F.lambda_min
+    rank = np.asarray(rank, dtype=np.int64)
     # the pair on (d-1)-face s is free when s is above lam and exactly one of
     # its d-faces is flat with it; no altitude falls below lam, F's least, so
     # the target max(other d-face, lam) is the other d-face
     v, a, b = arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi]
-    if _ties_are_inert(v, a, b, lo, hi):
-        rank = np.arange(n, dtype=np.int64)
-    else:
-        rank = list(range(n))
-        random.Random(seed).shuffle(rank)
-        rank = np.array(rank, dtype=np.int64)
     free = np.flatnonzero((v > lam) & ((a == v) != (b == v)))
     v, a, b, r = v[free], a[free], b[free], rank[free]
     t = np.where(a == v, b, a)

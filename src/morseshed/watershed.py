@@ -13,7 +13,10 @@ on every stack of one host share them.  Both routes label the d-faces
 and flag the cut (d-1)-faces over it, and share one label assembly on
 the packed arrays, which closes the cut downward and gives every other
 face the label of its smallest d-coface.  The collapse route lowers each
-non-minimum facet of a Morse stack once, in altitude order.  Every
+non-minimum facet of a Morse stack once, to the altitude of the minimum
+at the root of its flat-link forest, by the flood's pointer jumping; a
+stack on which ties can act collapses from a seeded heap in altitude
+order.  Every
 `WatershedResult` holds the packed host and one label array in packed
 order; its tuple views (`labels` of a route's result, the cut complex
 `watershed`, `basins`) are built on first read by `complexes._LazyViews`,

@@ -20,7 +20,9 @@ from morseshed.stacks import (
     Stack,
     StackError,
     _facet_adjacency,
+    _heap_collapse,
     _stack_from_array,
+    _ties_are_inert,
     _ultimate_d_collapse,
     minima,
     random_stack,
@@ -74,10 +76,18 @@ def _ref_ultimate_d_collapse(F, seed=0, mode="batch"):
     return Stack(X, alt)
 
 
+def _shuffled_ranks(n, seed):
+    """The ranks of n (d-1)-faces shuffled by `seed`, as the collapse
+    draws them where ties can act."""
+    rank = list(range(n))
+    random.Random(seed).shuffle(rank)
+    return rank
+
+
 def _ref_heap_collapse(F, seed, adjacency=None):
     """Reference: the heap loop of (target, rank, face) tuples that
     re-derives a pair's target at every push and pop; the same pops, keys
-    and result as `stacks._ultimate_d_collapse`."""
+    and result as `stacks._heap_collapse` under `_shuffled_ranks`."""
     X = F.host
     arr = F.alt_array().copy()
     if X.dim < 1:  # no (d-1)-faces
@@ -91,8 +101,7 @@ def _ref_heap_collapse(F, seed, adjacency=None):
     bd = (pk.bd[X.dim] - sep_lo).tolist()  # the (d-1)-faces of each d-face
     sa, ta = arr[sep_lo:top_lo].tolist(), arr[top_lo:].tolist()
     lam = F.lambda_min
-    rank = list(range(len(sa)))
-    random.Random(seed).shuffle(rank)
+    rank = _shuffled_ranks(len(sa), seed)
 
     def target(s: int) -> Optional[int]:
         """The level the pair on (d-1)-face s collapses to; None if not free."""
@@ -191,6 +200,31 @@ def _shifted(F, to):
     return _stack_from_array(F.host, arr - arr.min() + np.int64(to))
 
 
+def _inert(F):
+    """Whether `_ties_are_inert` sends the collapse of F to its flat-link
+    forest rather than to the seeded heap."""
+    pk = F.host.packed()
+    lo, hi = _facet_adjacency(F)
+    arr = F.alt_array()
+    return _ties_are_inert(arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi], lo, hi)
+
+
+def _check_against_the_tuple_heap(F, seed):
+    """`_heap_collapse` under the reference's ranks gives its H, collapse
+    and pop counts; `_ultimate_d_collapse` gives its H and collapse count,
+    with no pop on the forest path and the reference's pops on the heap.
+    Returns (H, collapses, pops) of `_heap_collapse`."""
+    ref, ref_collapses, ref_pops = _ref_heap_collapse(F, seed)
+    n = F.host.packed().facet_graph[0].size
+    H, collapses, pops = _heap_collapse(F, _shuffled_ranks(n, seed))
+    assert H.alt_array().tolist() == ref.alt_array().tolist()
+    assert (collapses, pops) == (ref_collapses, ref_pops)
+    G, g_collapses, g_pops = _ultimate_d_collapse(F, seed)
+    assert G.alt_array().tolist() == ref.alt_array().tolist()
+    assert (g_collapses, g_pops) == (ref_collapses, 0 if _inert(F) else ref_pops)
+    return H, collapses, pops
+
+
 def test_heap_collapse_matches_the_tuple_heap():
     # int64 keys would overflow on the shifted stacks
     hosts = [generate_torus(n, n) for n in range(3, 9)]
@@ -204,12 +238,10 @@ def test_heap_collapse_matches_the_tuple_heap():
             cases.append(_stack_from_array(X, arr))
         cases.append(_shifted(F, 2**62))
     assert sum(F.lambda_min == 2**62 for F in cases) == len(hosts)
+    assert 0 < sum(map(_inert, cases)) < len(cases)  # both paths
     for F in cases:
         for seed in range(5):
-            H, collapses, pops = _ultimate_d_collapse(F, seed)
-            ref, ref_collapses, ref_pops = _ref_heap_collapse(F, seed)
-            assert H.alt_array().tolist() == ref.alt_array().tolist()
-            assert (collapses, pops) == (ref_collapses, ref_pops)
+            _check_against_the_tuple_heap(F, seed)
 
 
 def test_collapse_is_valid_on_non_morse_stacks():
@@ -263,10 +295,15 @@ def test_each_non_minimum_facet_collapses_once(host):
     for F in cases:
         d = F.host.dim
         facets = len(F.host.faces_of_dim(d))
-        H, collapses, pops = _ultimate_d_collapse(F, 0)
-        assert collapses == facets - len(minima(F).minima)
+        non_minimum = facets - len(minima(F).minima)
+        H, collapses, pops = _heap_collapse(F, np.arange(F.host.packed().facet_graph[0].size))
+        assert collapses == non_minimum
         assert pops <= (d + 2) * facets
         assert len(minima(H).minima) == len(minima(F).minima)
+        # the flat-link forest lowers each non-minimum facet once, without a pop
+        G, g_collapses, g_pops = _ultimate_d_collapse(F, 0)
+        assert (g_collapses, g_pops) == (non_minimum, 0)
+        assert np.array_equal(G.alt_array(), H.alt_array())
 
 
 def test_watershed_collapse_builds_no_dict_components(monkeypatch):
@@ -357,12 +394,10 @@ def _tie_free_cases():
 
 def test_the_seed_cannot_change_a_collapse_where_ties_are_inert():
     for F in _tie_free_cases():
+        assert _inert(F)
         runs = set()
         for seed in range(8):
-            H, collapses, pops = _ultimate_d_collapse(F, seed)
-            ref, ref_collapses, ref_pops = _ref_heap_collapse(F, seed)  # shuffled by seed
-            assert H.alt_array().tolist() == ref.alt_array().tolist()
-            assert (collapses, pops) == (ref_collapses, ref_pops)
+            H, collapses, pops = _check_against_the_tuple_heap(F, seed)
             runs.add((tuple(H.alt_array().tolist()), collapses, pops))
         assert len(runs) == 1
 

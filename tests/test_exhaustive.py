@@ -14,6 +14,7 @@ from morseshed.definitions import dmf_dual_check
 from morseshed.fixtures import cyc6_host, tetrahedron_boundary
 from morseshed.forest import verify_msf_theorem
 from morseshed.morse import GradientField, flat_pairs, is_morse, stack_from_gradient
+from morseshed.stacks import _heap_collapse, _ultimate_d_collapse
 from morseshed.watershed import (
     morse_watershed,
     morse_watershed_direct,
@@ -66,11 +67,16 @@ def test_every_morse_stack_of_a_small_host(host, count):
     gradients = _acyclic_matchings(X)
     assert len(gradients) == len(set(gradients)) == count
     n_tops = len(X.faces_of_dim(X.dim))
+    identity = np.arange(X.packed().facet_graph[0].size)
     for V in gradients:
         F = stack_from_gradient(X, GradientField(V))
         assert np.array_equal(F.alt_array(), _ref_stack_from_gradient(X, GradientField(V)).alt_array())
         assert flat_pairs(F) == V
         assert is_morse(F)[0] and dmf_dual_check(F)
+        H, collapses, pops = _ultimate_d_collapse(F, 0)  # the flat-link forest
+        heap, heap_collapses, _ = _heap_collapse(F, identity)
+        assert np.array_equal(H.alt_array(), heap.alt_array())
+        assert (collapses, pops) == (heap_collapses, 0)
         r = morse_watershed(F)
         W = r.watershed
         for seed in (0, 1):
