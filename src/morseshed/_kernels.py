@@ -6,9 +6,9 @@ connectivity question, the flat-pair matching check that decides the
 Morse property, the flat-zone labelling that finds the regional minima,
 the facet graph of a non-branching pure complex (one edge per
 (d-1)-face; the packed host builds it once and keeps it for every route
-and check), its flat-link forest, the basin flood that labels facets and
-flags the cut, and the smallest and largest value per index that the
-facet graph and the watershed checks read.
+and check), its flat-link forest and the basin labels that the flood and
+the collapse read from it, and the smallest and largest value per index
+that the facet graph and the watershed checks read.
 """
 
 from __future__ import annotations
@@ -122,23 +122,22 @@ def flat_links(lo, hi, facet_alt, sep_alt):
     return parent
 
 
+def forest_basins(parent, lo, hi):
+    """Labels B of the facets and cut flags of the (d-1)-faces from a
+    flat-link parent array over (lo, hi): B is the 1-based rank, in
+    ascending local id, of the root that pointer jumping sends a facet to
+    (0 on a parent cycle), and a (d-1)-face is cut when its two facets
+    carry different labels."""
+    is_root = parent == np.arange(parent.size)
+    B = np.where(is_root, np.cumsum(is_root), 0)[_jump(parent)]
+    return B, B[lo] != B[hi]
+
+
 def flood(lo, hi, facet_alt, sep_alt):
     """Basin labels B of the facets and cut flags W of the (d-1)-faces,
-    over the facet graph (lo, hi) of `top_adjacency`.
-
-    Precondition: the stack is Morse.  Then a facet has at most one flat
-    boundary face, and the facet across it (its parent) has a strictly
-    lower altitude, so the parent graph is a forest rooted at the facets
-    with no flat boundary face: the minima.  Pointer jumping
-    (parent = parent[parent]) sends every facet to its root; B is the
-    1-based rank of that root among the roots in ascending local id.  A
-    separator is flagged when its two facets carry different labels.
-    Cost: O(n log depth) numpy work for n facets.  Altitudes that are not
-    monotone can close a parent cycle; its facets reach no root and get
-    label 0.
-    """
-    parent0 = flat_links(lo, hi, facet_alt, sep_alt)
-    parent = _jump(parent0)
-    is_root = parent0 == np.arange(facet_alt.size)
-    B = np.where(is_root, np.cumsum(is_root), 0)[parent]
-    return B, B[lo] != B[hi]
+    over the facet graph (lo, hi) of `top_adjacency`, for a Morse stack:
+    there a facet has at most one flat boundary face, and the facet
+    across it (its parent) is strictly lower, so the parent graph is a
+    forest rooted at the minima, which `forest_basins` labels in
+    O(n log depth) numpy work for n facets."""
+    return forest_basins(flat_links(lo, hi, facet_alt, sep_alt), lo, hi)

@@ -230,20 +230,27 @@ def _ties_are_inert(v, a, b, lo, hi) -> bool:
     return np.bincount(np.concatenate((lo[flat_a], hi[flat_b]))).max(initial=0) <= 1
 
 
+def _inert_forest(F: Stack):
+    """The flat-link parent array of the d-faces of F (`_kernels.flat_links`),
+    or None where `_ties_are_inert` fails and a tie can act."""
+    (lo, hi), pk, arr = _facet_adjacency(F), F.host.packed(), F.alt_array()
+    v, ta = arr[pk.seps], arr[pk.tops]
+    inert = _ties_are_inert(v, ta[lo], ta[hi], lo, hi)
+    return _kernels.flat_links(lo, hi, ta, v) if inert else None
+
+
 def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:
     """ultimate_d_collapse, plus its numbers of collapses and heap pops
     (no pops where the ties are inert)."""
     lo, hi = _facet_adjacency(F)
-    pk = F.host.packed()
-    arr = F.alt_array()
-    v, ta = arr[pk.seps], arr[pk.tops]
-    a, b = ta[lo], ta[hi]
-    if not _ties_are_inert(v, a, b, lo, hi):
+    if (parent := _inert_forest(F)) is None:
         rank = list(range(lo.size))
         random.Random(seed).shuffle(rank)
         return _heap_collapse(F, rank)
-    sunk = ta[_kernels._jump(_kernels.flat_links(lo, hi, ta, v))]  # the altitude of its root
-    flat = (a == v) | (b == v)  # one per non-root d-face, which it lowers
+    pk, arr = F.host.packed(), F.alt_array()
+    v, ta = arr[pk.seps], arr[pk.tops]
+    sunk = ta[_kernels._jump(parent)]  # the altitude of its root
+    flat = (ta[lo] == v) | (ta[hi] == v)  # one per non-root d-face, which it lowers
     arr = arr.copy()
     arr[pk.tops] = sunk
     arr[pk.seps] = np.where(flat, sunk[lo], v)

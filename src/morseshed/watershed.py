@@ -4,38 +4,33 @@ Three routes to the same object: the generic collapse procedure (any
 stack), the pointer-jumping flood for Morse stacks, and the
 definitional construction (closure of the biconnected faces of the
 traced minima) used as an oracle.  The collapse and the flood run the
-same host check first (pure of dimension d, exactly two d-faces on every
-(d-1)-face), which returns the facet graph: one edge (lo[j], hi[j]) per
-(d-1)-face j, joining its two d-faces, and no edge below dimension 1.
-The packed host builds the facet graph, its inclusion pairs and its
-(d-1)- and d-face ranges once and keeps them, so the routes and checks
-on every stack of one host share them.  Both routes label the d-faces
-and flag the cut (d-1)-faces over it, and share one label assembly on
-the packed arrays, which closes the cut downward and gives every other
-face the label of its smallest d-coface.  The collapse route lowers each
-non-minimum facet of a Morse stack once, to the altitude of the minimum
-at the root of its flat-link forest, by the flood's pointer jumping; a
-stack on which ties can act collapses from a seeded heap in altitude
-order.  Every
-`WatershedResult` holds the packed host and one label array in packed
-order; its tuple views (`labels` of a route's result, the cut complex
-`watershed`, `basins`) are built on first read by `complexes._LazyViews`,
-so a caller that reads the array builds none.
+same host check first (pure of dimension d, two d-faces on every
+(d-1)-face), which returns the facet graph that the packed host keeps
+(one edge per (d-1)-face, joining its two d-faces); both label the
+d-faces, flag the cut (d-1)-faces and share one label assembly, which
+closes the cut downward and gives every other face the label of its
+smallest d-coface.  Where F(x) >= F(y) on every covering pair and the
+ties are inert (every Morse stack), the collapse takes its labels from
+the roots of the flat-link forest, as the flood does, with no collapsed
+stack H and no flat-zone labelling: (1) a non-root d-face is strictly
+above the d-face across its flat (d-1)-face, and the faces below
+dimension d-1 strictly above what their d-cofaces sink to, so each
+minimum of H is one tree and its flat (d-1)-faces; (2) the minima of F
+are the roots; (3) so each minimum of H holds one minimum of F, its
+root.  Other arrays keep the seeded collapse and two flat-zone
+labellings.  Every `WatershedResult` holds the packed host and one label
+array in packed order; its tuple views (`labels`, `watershed`, `basins`)
+are built on first read by `complexes._LazyViews`, so a caller that
+reads the array builds none.
 `verify_cut` and `verify_drop_of_water` check the watershed axioms
-directly: the components of the complement of W for the cut, whose
-minimality is then one star test (no face x of W has st(x) \\ W
-non-empty and inside one component), and, for the drop of water, one
-labelling of the flat steps of the facet graph and one pass over its
-descending steps in ascending altitude.  Each check has one
-implementation, on a boolean face mask of W in packed order.  The public
-functions find the mask from the vertex rows of W (`_subcomplex_mask`,
-ValueError for a W that is not a subcomplex of the host);
-`_verify_watershed` takes a mask the caller already has, such as the cut
-label mask of a result, and runs both checks on one flat-zone rank
-(`stacks._flat_zones`).
-They take time linear in the size of the host, plus one sort by
-altitude and, for the public functions, one binary search per dimension
-for each face of W.
+directly, each by one implementation on a boolean face mask of W in
+packed order.  The public functions find the mask from the vertex rows
+of W (`_subcomplex_mask`, ValueError for a W that is not a subcomplex of
+the host); `_verify_watershed` takes a mask the caller already has, such
+as the cut label mask of a result, and runs both checks on one flat-zone
+rank (`stacks._flat_zones`).  They take time linear in the size of the
+host, plus one sort by altitude and, for the public functions, one
+binary search per dimension for each face of W.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ from .complexes import (
 )
 from .definitions import biconnected_faces
 from .morse import _require_morse
-from .stacks import Stack, _facet_adjacency, _flat_zones, ultimate_d_collapse
+from .stacks import Stack, _facet_adjacency, _flat_zones, _inert_forest, ultimate_d_collapse
 from . import _kernels
 
 WATERSHED_LABEL = 0
@@ -144,10 +139,19 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
     """WatershedCollapse: ultimate d-collapse to H, then the (d-1)-faces
     whose two d-faces lie in different minima of H, closed downward.  The
     basin of an H-minimum is numbered by the smallest minimum of F among
-    its d-faces."""
+    its d-faces.
+
+    When F(x) >= F(y) on every covering pair and `_inert_forest` finds the
+    ties inert, the labels come from the flat-link roots without H
+    (`_kernels.forest_basins`), by the three facts of the module
+    docstring: each minimum of H is one flat-link tree, the minima of F
+    are the roots, so each H-minimum takes the rank of its root.  Other
+    inputs keep the seeded collapse and two flat-zone labellings."""
     lo, hi = _facet_adjacency(F)
+    pk, alt = F.host.packed(), F.alt_array()
+    if (alt[pk.sub] >= alt[pk.sup]).all() and (parent := _inert_forest(F)) is not None:
+        return _assemble(pk, *_kernels.forest_basins(parent, lo, hi))
     H = ultimate_d_collapse(F, seed=seed)
-    pk = F.host.packed()
     n = len(pk)
     f_rank = _flat_zones(F)[1][pk.tops]
     h_root = _flat_zones(H)[0][pk.tops]

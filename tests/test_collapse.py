@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from morseshed import complexes, stacks, watershed
+from morseshed import _kernels, complexes, stacks, watershed
 from morseshed.complexes import Complex, closure, connected_components
 from morseshed.definitions import stack_free_pairs
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
@@ -20,7 +20,9 @@ from morseshed.stacks import (
     Stack,
     StackError,
     _facet_adjacency,
+    _flat_zones,
     _heap_collapse,
+    _inert_forest,
     _stack_from_array,
     _ties_are_inert,
     _ultimate_d_collapse,
@@ -424,3 +426,94 @@ def test_the_seed_still_picks_the_watershed_of_a_random_stack():
     F = random_stack(generate_torus(4, 4), seed=0, high=3)
     labels = {tuple(watershed_collapse(F, seed=seed).labels.items()) for seed in range(8)}
     assert len(labels) == 8
+
+
+def _ref_two_zone_labels(F, seed):
+    """Reference: the label array from two flat-zone labellings, of F for
+    the ranks of its minima and of the collapsed H for its zone roots; an
+    H-minimum takes the smallest rank of an F-minimum among its d-faces."""
+    lo, hi = _facet_adjacency(F)
+    H = ultimate_d_collapse(F, seed=seed)
+    pk = F.host.packed()
+    n = len(pk)
+    f_rank = _flat_zones(F)[1][pk.tops]
+    h_root = _flat_zones(H)[0][pk.tops]
+    best = np.full(n, n + 1)
+    np.minimum.at(best, h_root, np.where(f_rank > 0, f_rank, n + 1))
+    B = best[h_root] % (n + 1)  # 0 where there is none
+    return watershed._assemble(pk, B, h_root[lo] != h_root[hi])._label
+
+
+def _reset_below(F, seed):
+    """F with every face below dimension d-1 set to the maximum of its
+    cofaces, from the top down, plus 0 or 1 at random when `seed` is not
+    None: still a stack, with the (d-1)- and d-face altitudes of F."""
+    pk = F.host.packed()
+    off = pk.dim_offset.tolist()
+    arr = F.alt_array().copy()
+    rng = np.random.default_rng(seed)
+    for p in range(F.host.dim - 2, -1, -1):
+        at = (pk.sub >= off[p]) & (pk.sub < off[p + 1])
+        arr[off[p]:off[p + 1]] = np.iinfo(np.int64).min
+        np.maximum.at(arr, pk.sub[at], arr[pk.sup[at]])
+        if seed is not None:
+            arr[off[p]:off[p + 1]] += rng.integers(0, 2, size=off[p + 1] - off[p])
+    return _stack_from_array(F.host, arr)
+
+
+def _morse_cases():
+    hosts = [generate_torus(n, n) for n in range(3, 9)] + [tetrahedron_boundary()]
+    hosts += [build() for _, build in _SMALL_HOSTS.values()]
+    return [random_morse_stack(X, seed=s, n_minima=1 + s) for X in hosts for s in range(4)]
+
+
+def _count_flat_zones(monkeypatch):
+    """Patch `_kernels.flat_zones` to count its calls; returns the list
+    that receives one entry per call."""
+    calls = []
+    original = _kernels.flat_zones
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(_kernels, "flat_zones", counting)
+    return calls
+
+
+def test_the_collapse_labels_from_the_roots_as_from_two_flat_zone_labellings():
+    morse = _morse_cases()
+    reset = [_reset_below(F, seed) for F in morse for seed in (None, 0, 1)]
+    assert all(is_morse(F)[0] for F in morse)
+    assert all(validate_stack(F)[0] and _inert_forest(F) is not None for F in morse + reset)
+    assert sum(not is_morse(F)[0] for F in reset) >= len(reset) // 2
+    for F in morse + reset:
+        for seed in (0, 1):
+            ref = _ref_two_zone_labels(F, seed)
+            assert np.array_equal(watershed_collapse(F, seed=seed)._label, ref)
+
+
+def test_arrays_that_are_no_stack_and_tied_stacks_keep_the_two_labellings(monkeypatch):
+    # arrays that fail F(x) >= F(y) on a covering pair, though their ties
+    # are inert, and stacks on which ties act
+    cases = [F for F in _tie_free_cases() if not validate_stack(F)[0]]
+    assert len(cases) == 30 and all(_inert_forest(F) is not None for F in cases)
+    tied = _non_morse_stacks()
+    assert all(_inert_forest(F) is None for F in tied)
+    cases = [(F, seed) for F in cases + tied for seed in (0, 1)]
+    refs = [_ref_two_zone_labels(F, seed) for F, seed in cases]
+    calls = _count_flat_zones(monkeypatch)
+    for (F, seed), ref in zip(cases, refs):
+        calls.clear()
+        assert np.array_equal(watershed_collapse(F, seed=seed)._label, ref)
+        assert len(calls) == 2
+
+
+def test_the_collapse_of_a_morse_stack_runs_no_flat_zone_labelling(monkeypatch):
+    F = random_morse_stack(generate_torus(6, 6), seed=3, n_minima=4)
+    G = random_stack(generate_torus(4, 4), seed=0, high=3)  # ties act here
+    calls = _count_flat_zones(monkeypatch)
+    assert len(watershed_collapse(F, seed=1).basins) == 4
+    assert calls == []
+    watershed_collapse(G, seed=1)
+    assert len(calls) == 2

@@ -1125,6 +1125,7 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
     assert cli.main(["watershed", path, "--algo", "collapse"]) == 0
     assert ": W\n" in capsys.readouterr().out
     assert calls["top_adjacency"] == 1 and calls["_inclusion_pairs"] == 1, calls
+    assert calls["flat_zones"] == 1, calls  # the check's; the collapse reads the roots
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["msf", path, "--verify"]) == 0
     assert capsys.readouterr().out.count("=True\n") == 5
