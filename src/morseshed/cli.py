@@ -222,6 +222,9 @@ def _cmd_gen(args) -> int:
         if min(args.n, args.m) < 3:
             print(f"gen torus needs --n, --m >= 3, not {args.n}, {args.m}", file=sys.stderr)
             return EXIT_USAGE
+        if args.n * args.m > np.iinfo(np.intp).max:  # past what numpy can index
+            print(f"gen torus: a {args.n} x {args.m} grid is too large", file=sys.stderr)
+            return EXIT_USAGE
         X = generate_torus(args.n, args.m)
         sys.stdout.write(mio.serialize_complex(X))
     elif args.what == "cyc6":

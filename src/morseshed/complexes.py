@@ -357,13 +357,18 @@ def _pack(rows: list) -> dict | None:
             ranks = _vertex_ranks(vertex_ids, r)
             if ranks is None:
                 return None
-            cols = list(range(p + 1))
+            # one search for the faces of all p + 1 drops: query row
+            # i * n + k holds face k less its vertex i, whose column j is
+            # column j + (j >= i) of the face
+            cols = range(p + 1)
+            by_col = np.ascontiguousarray(ranks.T)
+            drops = by_col[[[j + (j >= i) for i in cols] for j in range(p)]]
+            found = _locate(keys, nv, drops.reshape(p, -1).T)
+            if found is None:
+                return None
             bd = np.empty((len(r), p + 1), dtype=np.int64)
-            for i in cols:
-                found = _locate(keys, nv, ranks[:, cols[:i] + cols[i + 1:]])
-                if found is None:
-                    return None
-                bd[:, i] = found
+            for i, faces in enumerate(found.reshape(p + 1, -1)):
+                bd[:, i] = faces
             # the last column is the prefix face: drop vertex p
             key = bd[:, p] * nv + ranks[:, p]
         order = None

@@ -20,7 +20,10 @@ count, as every text of the writers does; other line orders are grouped
 by one stable argsort of the per-line counts first.  `Complex` then packs
 the rows, and the altitudes follow the packer's row order.  Any other
 text, including every malformed one, goes through the line loop, which
-is the only place a parse error is raised.
+is the only place a parse error is raised.  The tokenizer `_read_rows`
+writes its byte masks and index arrays in place where it can (the run
+bounds, the lengths of the numbers and then of the gaps in one array)
+and drops each once its last check has read it.
 
 Every line loop reads its faces with `_read_face`, which takes a canonical
 face as read and raises the ParseError of any other token.
@@ -31,7 +34,11 @@ table of their NUL-padded decimal strings, the separators at fixed
 columns, and the tag gathered from a second table (`_value_table`): the
 values lo..hi, or each face's value when that range is wider than the
 face count, with `W` for the cut in a label table.  One pass then drops
-the NUL padding.
+the NUL padding.  The strings of a range 0..n-1 (dense vertex ids, the
+label ids 0..max, a stack table from 0) are a read-only slice of one
+table kept for the process (`_range_decimals`), rebuilt only for a
+longer range, so a process that writes many texts formats them once;
+every other table goes through `_decimals`.
 """
 
 from __future__ import annotations
@@ -137,6 +144,36 @@ def _decimals(values):
     return out
 
 
+_RANGE = _decimals(np.arange(1, dtype=np.int64))  # of 0..N-1, the longest range asked for
+_RANGE.flags.writeable = False
+
+
+def _range_decimals(n: int):
+    """`_decimals(np.arange(n))` for n >= 1, as a read-only view of the
+    kept table `_RANGE`: its first n rows, less the NUL columns that the
+    width of n - 1 leaves out.  A longer range rebuilds the table; the
+    slice is taken from the table read or built here, so a rebuild in
+    another thread cannot shorten it."""
+    global _RANGE
+    table = _RANGE
+    if n > len(table):
+        table = _decimals(np.arange(n, dtype=np.int64))
+        table.flags.writeable = False
+        _RANGE = table
+    return table[:n, table.shape[1] - len(str(n - 1)):]
+
+
+def _tags(values, lo: int):
+    """(table, strings, index): `_value_table(values, lo)` and the
+    `_decimals` of its table, read from the kept table when that is a
+    range from 0 (`_value_table` returns `values` itself when it is no
+    range)."""
+    table, index = _value_table(values, lo)
+    if lo or table is values:
+        return table, _decimals(table), index
+    return table, _range_decimals(table.size), index
+
+
 def _write_rows(vertex_ids, rows, tags=None) -> str:
     """One line per row of the int64 arrays `rows`, taken in turn: the
     row's vertex ids joined by single spaces, then, when `tags` is a pair
@@ -151,7 +188,8 @@ def _write_rows(vertex_ids, rows, tags=None) -> str:
     every NUL."""
     if not rows:
         return ""
-    ids = _decimals(vertex_ids)
+    nv = vertex_ids.size  # distinct, ascending and non-negative: 0..nv-1 when the last is nv - 1
+    ids = _range_decimals(nv) if vertex_ids[-1] == nv - 1 else _decimals(vertex_ids)
     w = ids.shape[1] + 1
     id_table = np.full((len(ids), w), ord(" "), dtype=np.uint8)
     id_table[:, :-1] = ids
@@ -203,27 +241,47 @@ def _read_rows(text: str, tagged: bool):
         return None
     raw = text.encode("ascii")
     a = np.frombuffer(raw, dtype=np.uint8)
-    digit = (a - np.uint8(ord("0"))) < 10  # wraps around below "0"
-    num = digit | (a == ord("-"))  # the characters of a number
-    allowed = num | (a == ord(" ")) | (a == ord("\n"))
+    # every byte mask and index array is made once, or written into one
+    # that is no longer read, and dropped after its last check
+    digit = a - np.uint8(ord("0"))
+    digit = np.less(digit, 10, out=digit.view(np.bool_))  # wraps around below "0"
+    num = np.equal(a, ord("-"))
+    num |= digit  # the characters of a number
+    allowed = np.equal(a, ord(" "))
+    allowed |= num
+    other = np.equal(a, ord("\n"))
+    allowed |= other
     if tagged:
-        allowed |= a == ord(":")
+        allowed |= np.equal(a, ord(":"), out=other)
     if not num[0] or np.count_nonzero(allowed) != a.size:
         return None
     # maximal runs alternate: number, gap, number, gap, ..., the final gap
-    bounds = np.flatnonzero(num[1:] != num[:-1]) + 1
-    starts = np.concatenate(([0], bounds[1::2]))
+    bounds = np.flatnonzero(np.not_equal(num[1:], num[:-1], out=allowed[:-1]))
+    bounds += 1
+    del allowed
     ends = bounds[0::2]  # where each number ends and its gap begins
-    gap_len = np.append(bounds[1::2], a.size) - ends
-    if (ends - starts).max() > _MAX_NUMBER_LEN:
+    starts = bounds[1::2]  # where each number but the first begins
+    count = ends.size  # of numbers
+    gap_len = np.empty(count, dtype=np.int64)  # first each number's length
+    gap_len[0] = ends[0]
+    np.subtract(ends[1:], starts, out=gap_len[1:])
+    if gap_len.max() > _MAX_NUMBER_LEN:
         return None
+    np.subtract(starts, ends[:-1], out=gap_len[:-1])  # then the gap after it
+    gap_len[-1] = a.size - ends[-1]
+    del bounds, starts
     # "-" only as the first character of a number, before a digit; a[-1]
     # is the final newline, so a "-" at 0 passes the first test
-    minus = np.flatnonzero(a == ord("-"))
+    minus = np.flatnonzero(np.equal(a, ord("-"), out=other))
     if minus.size and (num[minus - 1].any() or not digit[minus + 1].all()):
         return None
-    space = (gap_len == 1) & (a[ends] == ord(" "))
-    newline = (gap_len == 1) & (a[ends] == ord("\n"))
+    del digit, num, other, minus
+    gap = a[ends]  # the first character of each gap
+    single = gap_len == 1
+    space = gap == ord(" ")
+    space &= single
+    newline = gap == ord("\n")
+    newline &= single
     if tagged:
         colon = gap_len == 3
         at = ends[colon]
@@ -236,13 +294,17 @@ def _read_rows(text: str, tagged: bool):
         raw = raw.replace(b":", b" ")
     elif not (space | newline).all():  # each line: ids joined by single spaces, "\n"
         return None
+    del a, ends, gap_len
     nums = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if nums.size != starts.size:
+    if nums.size != count:
         return None
     last = np.flatnonzero(newline)  # the last number of each line
-    first = np.concatenate(([0], last[:-1] + 1))
-    pair = np.flatnonzero(space)  # number i and i + 1 are ids of one line
-    if nums[first].min() < 0 or (nums[pair + 1] <= nums[pair]).any():
+    first = np.empty_like(last)
+    first[0] = 0
+    np.add(last[:-1], 1, out=first[1:])
+    descent = np.less_equal(nums[1:], nums[:-1])
+    descent &= space[:-1]  # number i and i + 1 are ids of one line
+    if nums[first].min() < 0 or descent.any():
         return None  # ids not ascending, or negative
     width = last - first + 1  # the numbers of each line
     if (width[1:] < width[:-1]).any():  # group the lines by width
@@ -313,8 +375,8 @@ def _parse_stack_lines(text: str, complete: str) -> Stack:
 
 def serialize_stack(F: Stack) -> str:
     pk = F.host.packed()
-    table, index = _value_table(F.alt_array(), F.lambda_min)
-    return _write_rows(pk.vertex_ids, pk.rows, (_decimals(table), index))
+    _, strings, index = _tags(F.alt_array(), F.lambda_min)
+    return _write_rows(pk.vertex_ids, pk.rows, (strings, index))
 
 
 def parse_gradient(text: str) -> GradientField:
@@ -345,11 +407,10 @@ def serialize_labels(result: WatershedResult) -> str:
     each face's label when the largest label exceeds the number of faces
     (`_value_table`)."""
     pk = result._pk
-    values, index = _value_table(result._label, 0)
-    table = _decimals(values)
-    cut = values == WATERSHED_LABEL
-    table[cut] = 0
-    table[cut, -1] = ord("W")
+    values, strings, index = _tags(result._label, 0)
+    w = np.zeros(strings.shape[1], dtype=np.uint8)
+    w[-1] = ord("W")
+    table = np.where((values == WATERSHED_LABEL)[:, None], w, strings)
     return _write_rows(pk.vertex_ids, pk.rows, (table, index))
 
 

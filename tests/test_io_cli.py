@@ -550,8 +550,13 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert cli.main(["watershed", str(wide)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "9223372036854775808" in err
-    # a torus grid below 3 x 3 is a usage error with one line, no output
-    for argv in (["--n", "2"], ["--m", "0"], ["--n", "-1", "--m", "1"]):
+    # a torus grid below 3 x 3, or one too large for numpy to index, is a
+    # usage error with one line, no output
+    for argv in (
+        ["--n", "2"], ["--m", "0"], ["--n", "-1", "--m", "1"],
+        ["--n", "3", "--m", "10000000000000000000"],
+        ["--n", "4000000000", "--m", "4000000000"],
+    ):
         assert cli.main(["gen", "torus", *argv]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and "gen torus" in err, argv
@@ -807,6 +812,72 @@ def test_malformed_stack_text_gets_the_loop_outcome(text):
         assert _outcome(io.parse_stack, text, complete=complete) == _outcome(
             _ref_parse_stack, text, complete=complete
         )
+
+
+_MUTATION_TOKENS = [*"0123456789", " ", ":", "-", "\n", "\t", "#", "00", " : "]
+
+
+def _mutant(text, rng):
+    """`text` with one to three tokens replaced, inserted or deleted at
+    random places; a token is one character of the text, or one of
+    `_MUTATION_TOKENS` or a 19-digit run in its place."""
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        token = rng.choice(_MUTATION_TOKENS + [str(rng.randrange(10**18, 10**19))])
+        edit = rng.randrange(3)
+        if edit == 0:  # replace
+            text = text[:at] + token + text[at + 1:]
+        elif edit == 1:  # insert
+            text = text[:at] + token + text[at:]
+        else:  # delete
+            text = text[:at] + text[at + 1:]
+    return text
+
+
+def test_mutated_stack_texts_get_the_loop_outcome():
+    # the tokenizer must accept exactly what the line loop reads the same
+    # way: a mutant either takes the array path with the loop's stack, or
+    # falls back to the loop
+    rng = random.Random(29)
+    texts = [_ref_serialize_stack(F) for F in _fixture_stacks() if len(F.host) <= 150]
+    array_path = 0
+    for _ in range(1000):
+        t = _mutant(rng.choice(texts), rng)
+        array_path += io._read_rows(t, tagged=True) is not None
+        for complete in ("none", "max"):
+            assert _outcome(io.parse_stack, t, complete=complete) == _outcome(
+                _ref_parse_stack, t, complete=complete
+            ), repr(t)
+    assert array_path >= 100  # the mutants reach the array path too
+
+
+def test_kept_decimal_tables_across_widths(monkeypatch):
+    # the writers take the strings of 0..n-1 from one kept table, rebuilt
+    # for a longer range and sliced for a shorter one
+    empty = io._decimals(np.arange(1))
+    empty.flags.writeable = False
+    monkeypatch.setattr(io, "_RANGE", empty)
+    calls = []
+    decimals = io._decimals
+    monkeypatch.setattr(io, "_decimals", lambda v: calls.append(v.size) or decimals(v))
+    small = random_morse_stack(generate_torus(3, 3), seed=1, n_minima=2)
+    large = random_morse_stack(generate_torus(40, 40), seed=1, n_minima=20)
+    from_zero = _stack_from_array(small.host, small.alt_array() - small.lambda_min)
+    stacks = (small, large, small, cyc6_stack(), from_zero)
+    for k, F in enumerate(stacks):
+        result = morse_watershed(F)
+        calls.clear()
+        assert io.serialize_labels(result) == _ref_serialize_labels(result)
+        if k == 2:  # TOR(3) after TOR(40): every string from the kept table
+            assert calls == []
+        assert io.serialize_stack(F) == _ref_serialize_stack(F)
+        assert io.serialize_complex(F.host) == _ref_serialize_complex(F.host)
+        assert not io._RANGE.flags.writeable
+    assert len(io._RANGE) == 1600  # the TOR(40) vertex ids, the longest range written
+    for n in (1, 9, 10, 11, 100, 1600, 9600):
+        strings = io._range_decimals(n)
+        assert strings.tolist() == decimals(np.arange(n)).tolist()
+        assert not strings.flags.writeable
 
 
 def test_array_writers_match_per_face_writers():
