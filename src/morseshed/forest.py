@@ -170,7 +170,9 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
     list, weighted by the altitudes of F.
 
     rooted: Y has facets - trees edges (so no cycle) and every tree holds
-    one root, its trees read from one `_kernels.components` labelling.
+    one root.  Its trees are read by one pointer-jumping pass
+    (`_kernels._jump`) over the parent edges when Y is oriented as below,
+    else from one `_kernels.components` labelling.
 
     weight and unique, by the cycle property (King, Algorithmica 1997): a
     spanning tree of the graph with all roots merged into one vertex is a
@@ -206,14 +208,6 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
     alt = F.alt_array()
     w, ta = alt[pk.seps], alt[pk.tops]
     a, b = lo[in_y], hi[in_y]
-    tree = _kernels.components(a, b, n)
-    first = tree == np.arange(n)  # one per tree
-    checks = {
-        "rooted": bool(
-            a.size == n - first.sum()
-            and (np.bincount(tree[is_root], minlength=n)[first] == 1).all()
-        )
-    }
     child = np.where(ta[a] > ta[b], a, b)  # a < b: b on a tie
     parent = a + b - child
     up = np.full(n, np.iinfo(np.int64).min)  # w(u); -inf on a root
@@ -221,6 +215,19 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
     oriented = np.array_equal(
         np.bincount(child, minlength=n), (~is_root).astype(np.int64)
     ) and (up[parent] <= up[child]).all()
+    if oriented:  # one parent edge per child, in a strict order: a forest
+        tree = np.arange(n)
+        tree[child] = parent
+        tree = _kernels._jump(tree)
+    else:
+        tree = _kernels.components(a, b, n)
+    first = tree == np.arange(n)  # one per tree
+    checks = {
+        "rooted": bool(
+            a.size == n - first.sum()
+            and (np.bincount(tree[is_root], minlength=n)[first] == 1).all()
+        )
+    }
     # a root-to-root edge meets -inf on both ends and passes: on a Morse
     # stack no weight is the int64 minimum, or both its d-faces would be
     # flat with its (d-1)-face

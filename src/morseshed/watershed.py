@@ -23,13 +23,31 @@ array in packed order; its tuple views (`labels`, `watershed`, `basins`)
 are built on first read by `complexes._LazyViews`, so a caller that
 reads the array builds none.
 `verify_cut` and `verify_drop_of_water` check the watershed axioms
-directly, each by one implementation on a boolean face mask of W in
-packed order.  The public functions find the mask from the vertex rows
-of W (`_subcomplex_mask`, ValueError for a W that is not a subcomplex of
-the host); `_verify_watershed` takes a mask the caller already has, such
-as the cut label mask of a result, and runs both checks on one flat-zone
-rank (`stacks._flat_zones`).  They take time linear in the size of the
-host, plus one sort by altitude and, for the public functions, one
+directly on a boolean face mask of W in packed order.  The public
+functions find the mask from the vertex rows of W (`_subcomplex_mask`,
+ValueError for a W that is not a subcomplex of the host);
+`_verify_watershed` takes a mask the caller already has, such as the cut
+label mask of a result, and gives both verdicts.  Where F(x) >= F(y) on
+every covering pair, the ties are inert, W holds no d-face and no
+(d-1)-face of W is flat with a d-face (every Morse cut), both checks
+read the flat-link roots (`_root_verdicts`): (1) a strong step from a
+d-face x to a d-face y across z, off W, needs F(z) <= F(x), and a stack
+has F(z) >= F(x), so z is a flat (d-1)-face of x; on a tie-inert stack
+x has at most one, with a strictly lower d-face across it, so every
+path follows the flat links to a root; (2) the minima of F are exactly
+the roots, as a root's faces are all strictly higher, a non-root has a
+lower d-face flat-linked to it, and every minimum holds a d-face, since
+altitudes never rise from a face to its d-cofaces; (3) no link crosses W, so each root class is
+joined off W, and the components of X \\ W are the root classes iff
+every face outside W has all its d-cofaces in one class (this holds on
+hosts that are not normal too, as every face below dimension d is in
+the pairs).  So the cut holds iff every face below dimension d outside
+W sees one root among its d-cofaces and every face of W two, and the
+drop of water iff every face of W sees two: one pointer-jumping pass
+and one pass over the (face, d-face) pairs.  Other inputs take one
+flat-zone rank (`stacks._flat_zones`), a labelling of X \\ W and a pass
+in ascending altitude (`_cut_holds`, `_drop_holds`): linear in the size
+of the host plus one sort by altitude.  The public functions add one
 binary search per dimension for each face of W.
 """
 
@@ -204,8 +222,16 @@ def verify_cut(F: Stack, W: Complex) -> bool:
     Y holds a face x of W with st(x) \\ W non-empty; the faces of
     st(x) \\ W are joined through x outside Y, and each component there
     holds one minimum, so they lie in one component of X \\ W.
+
+    Where `_root_verdicts` applies (a tie-inert stack, W with no d-face
+    and no flat (d-1)-face), the components are the flat-link root
+    classes and one pointer-jumping pass and one pass over the (face,
+    d-face) pairs decide the check.  Elsewhere it takes one flat-zone
+    labelling and one labelling of X \\ W.
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
+    if (verdicts := _root_verdicts(F, in_w)) is not None:
+        return verdicts[0]
     return _cut_holds(F, in_w, _flat_zones(F)[1])
 
 
@@ -221,17 +247,62 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     altitude of their source finds what each group reaches.  A set of
     minimum ids (the rank of `flat_zones`) is kept as its smallest and
     largest member, as only whether it has two members is asked.
+
+    Where `_root_verdicts` applies, every path follows the flat links to
+    a root, and the check reads the root classes of the d-cofaces of
+    each face of W, with no flat-zone labelling and no Python loop.
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
+    if (verdicts := _root_verdicts(F, in_w)) is not None:
+        return verdicts[1]
     return _drop_holds(F, in_w, _flat_zones(F)[1])
 
 
 def _verify_watershed(F: Stack, in_w) -> tuple[bool, bool]:
     """(verify_cut(F, W), verify_drop_of_water(F, W)) for the W whose faces
-    the boolean mask `in_w` marks in packed order, from one flat-zone rank
+    the boolean mask `in_w` marks in packed order: from the flat-link
+    roots where `_root_verdicts` applies, else from one flat-zone rank
     (the inclusion pairs and the facet graph are the host's)."""
+    if (verdicts := _root_verdicts(F, in_w)) is not None:
+        return verdicts
     rank = _flat_zones(F)[1]
     return _cut_holds(F, in_w, rank), _drop_holds(F, in_w, rank)
+
+
+def _root_verdicts(F: Stack, in_w):
+    """(cut, drop) for the face mask `in_w` of W from the flat-link roots,
+    or None unless F(x) >= F(y) on every covering pair, `_inert_forest`
+    finds the ties inert, W holds no d-face and no (d-1)-face of W is
+    flat with a d-face of its own (then `_cut_holds` and `_drop_holds`
+    decide).  By the three facts of the module docstring, the cut holds
+    iff every face below dimension d outside W has the d-cofaces of one
+    root and every face of W those of two, and the drop of water iff the
+    latter holds."""
+    pk, alt = F.host.packed(), F.alt_array()
+    top_lo = pk.tops.start
+    try:
+        lo, hi = pk.facet_graph
+    except ValueError:  # the host is no pseudomanifold: no flat-link forest
+        return None
+    if (in_w[pk.tops].any() or (alt[pk.sub] < alt[pk.sup]).any()
+            or (parent := _inert_forest(F)) is None):
+        return None
+    s = np.flatnonzero(in_w[pk.seps])  # the (d-1)-faces of W
+    v, ta = alt[pk.seps.start + s], alt[pk.tops]
+    if ((ta[lo[s]] == v) | (ta[hi[s]] == v)).any():
+        return None
+    root = _kernels._jump(parent)
+    # the (face, d-face) pairs end the inclusion pairs, which come by the
+    # dimension of their larger face, and each d-face has 2**(d+1) - 2
+    # proper faces; a root id is below top_lo, as the (d-1)-faces alone
+    # number (d+1)/2 per d-face
+    sub, sup = pk.inclusion_pairs
+    at = sub.size - ta.size * (2 ** (pk.dim + 1) - 2)
+    low, high = _kernels.low_high(sub[at:], root[sup[at:] - top_lo], top_lo)
+    two = low < high  # sees two roots; every face below d sees one at least
+    below_w = in_w[:top_lo]
+    drop = bool(two[below_w].all())
+    return drop and not two[~below_w].any(), drop
 
 
 def _cut_holds(F: Stack, in_w, rank) -> bool:

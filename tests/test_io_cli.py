@@ -1190,13 +1190,14 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
     _count_calls(monkeypatch, watershed, "morse_watershed", calls)
     assert cli.main(["watershed", path, "--algo", "morse"]) == 0
     assert ": W\n" in capsys.readouterr().out
-    assert calls["flat_zones"] == 1 and calls["_inclusion_pairs"] == 1, calls
+    # the Morse cut is checked from the flat-link roots: no flat-zone labelling
+    assert calls["flat_zones"] == 0 and calls["_inclusion_pairs"] == 1, calls
     assert calls["top_adjacency"] == 1, calls
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["watershed", path, "--algo", "collapse"]) == 0
     assert ": W\n" in capsys.readouterr().out
     assert calls["top_adjacency"] == 1 and calls["_inclusion_pairs"] == 1, calls
-    assert calls["flat_zones"] == 1, calls  # the check's; the collapse reads the roots
+    assert calls["flat_zones"] == 0, calls  # the collapse and the check read the roots
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["msf", path, "--verify"]) == 0
     assert capsys.readouterr().out.count("=True\n") == 5

@@ -130,3 +130,17 @@ def test_flat_zones_match_bfs():
             ref_root, ref_rank = _bfs_zones(pk, alt.tolist())
             assert root.tolist() == ref_root
             assert rank.tolist() == ref_rank
+
+
+def test_jump_meets_its_round_bound_on_paths():
+    # a path i -> i - 1 down to the root 0 is the deepest tree on n nodes;
+    # pointer jumping halves its depth each round, so the n.bit_length() + 1
+    # rounds `_jump` allows send every node to 0, while one round fewer
+    # than the ceil(log2(n - 1)) halvings a depth of n - 1 needs would not
+    for n in (1, 2, 3, 5, 17, 1025, 4097):
+        path = np.maximum(np.arange(n) - 1, 0)
+        assert (_kernels._jump(path) == 0).all(), n
+        short = path
+        for _ in range(max((n - 2).bit_length() - 1, 0)):
+            short = short[short]
+        assert (short == 0).all() == (n <= 2), n

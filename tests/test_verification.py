@@ -10,6 +10,7 @@ for the tops of each face of W.  They are kept here as references.
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from morseshed import _kernels, io
@@ -20,6 +21,7 @@ from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
 from morseshed.stacks import Stack, minima, random_stack
 from morseshed.watershed import (
+    WATERSHED_LABEL,
     morse_watershed,
     verify_cut,
     verify_drop_of_water,
@@ -202,8 +204,10 @@ def test_verify_cut_rejects_a_cut_that_holds_a_smaller_cut():
 
 
 def test_verify_cut_labels_a_fixed_number_of_times(monkeypatch):
-    # the 12-facet cut of 2 minima on TOR(6,6), seed 1; the same cut plus
-    # a host triangle; and a cut on the 6-cycle plus a host edge
+    # the 12-facet cut of 2 minima on TOR(6,6), seed 1, decided from the
+    # flat-link roots with no labelling; the same cut plus a host
+    # triangle and a cut on the 6-cycle plus a host edge, which hold a
+    # d-face and so take the labellings, as many for each
     F = random_morse_stack(generate_torus(6, 6), seed=1, n_minima=2)
     W = morse_watershed(F).watershed
     assert len(W.facets()) == 12
@@ -223,7 +227,7 @@ def test_verify_cut_labels_a_fixed_number_of_times(monkeypatch):
     for G, V, expected in cases:
         calls.append(0)
         assert verify_cut(G, V) == expected
-    assert calls[0] > 0 and len(set(calls)) == 1, calls
+    assert calls[0] == 0 and calls[1] == calls[2] > 0, calls
 
 
 def test_checks_on_a_parsed_stack_walk_no_tuple_view():
@@ -249,8 +253,9 @@ def test_checks_on_a_parsed_stack_walk_no_tuple_view():
 
 def test_mask_checks_match_the_public_verifiers():
     # the shared labelling on a face mask gives both verdicts of the public
-    # checks on: the cut, the cut minus a facet, the cut plus a host facet
-    # and the closure of one edge
+    # checks on: the cut, the cut minus a facet, the cut plus a host facet,
+    # the closure of one edge and the cut plus a (d-1)-face that is flat
+    # with one of its d-faces (a W that crosses a flat link)
     from morseshed.complexes import _subcomplex_mask
     from morseshed.watershed import _verify_watershed
 
@@ -267,6 +272,9 @@ def test_mask_checks_match_the_public_verifiers():
         cases = [W, closure(facets + [top]), closure([X.faces_of_dim(1)[0]])]
         if facets:
             cases.append(closure(facets[1:]))
+        link = next(z for z in X.faces_of_dim(X.dim - 1)
+                    if any(F.altitude[y] == F.altitude[z] for y in X.cofaces[z]))
+        cases.append(closure(facets + [link]))
         for V in cases:
             got = _verify_watershed(F, _subcomplex_mask(X.packed(), V))
             assert got == (verify_cut(F, V), verify_drop_of_water(F, V))
@@ -275,3 +283,77 @@ def test_mask_checks_match_the_public_verifiers():
     # a host facet in W breaks both; a missing facet breaks the cut
     assert sum(not cut for cut, _ in verdicts) >= 2 * len(stacks)
     assert sum(not drop for _, drop in verdicts) >= len(stacks)
+
+
+
+def _closed(pk, mask):
+    """The mask with every face below a marked face marked too."""
+    sub, sup = pk.inclusion_pairs
+    mask = mask.copy()
+    mask[sub[mask[sup]]] = True
+    return mask
+
+
+def _variants(F, rng):
+    """W as face masks in packed order, each with whether the root path
+    takes it on a tie-inert stack: the collapse's cut, no face, the cut
+    less one (d-1)-face, the cut plus one closed (d-1)-face that is flat
+    with none of its d-faces (taken) and one that is flat with one (not
+    taken), the cut plus a d-face, the (d-1)-skeleton (taken when no
+    (d-1)-face is flat) and the whole host."""
+    pk, alt = F.host.packed(), F.alt_array()
+    lo, hi = pk.facet_graph
+    v, ta = alt[pk.seps], alt[pk.tops]
+    flat = (ta[lo] == v) | (ta[hi] == v)
+    cut = watershed_collapse(F)._label == WATERSHED_LABEL
+    out = [(cut, True), (np.zeros(len(pk), dtype=np.bool_), True)]
+
+    def toggle(base, faces, taken):  # base with one of `faces` flipped, closed
+        if faces.size:
+            m = base.copy()
+            f = rng.choice(faces.tolist())
+            m[f] = not m[f]
+            out.append((_closed(pk, m), taken))
+
+    seps = pk.seps.start + np.flatnonzero(cut[pk.seps])
+    toggle(np.isin(np.arange(len(pk)), seps), seps, True)  # the cut less one
+    off_cut = ~cut[pk.seps]
+    toggle(cut, pk.seps.start + np.flatnonzero(off_cut & ~flat), True)
+    toggle(cut, pk.seps.start + np.flatnonzero(off_cut & flat), False)
+    toggle(cut, np.arange(pk.tops.start, len(pk)), False)
+    out.append((np.arange(len(pk)) < pk.tops.start, not flat.any()))
+    out.append((np.ones(len(pk), dtype=np.bool_), False))
+    return out
+
+
+def test_root_verdicts_match_the_labelling_checks():
+    # the flat-link root path against the kept labelling checks: Morse
+    # and random stacks on the 6-cycle, the boundaries of the 3-, 4- and
+    # 5-simplex and TOR(3..10), and stacks on the wedge, whose pinch
+    # makes the cut check reject some collapse cuts
+    from morseshed.fixtures import wedge
+    from morseshed.stacks import _flat_zones, _inert_forest
+    from morseshed.watershed import _cut_holds, _drop_holds, _root_verdicts, _verify_watershed
+
+    hosts = [cyc6_host(), tetrahedron_boundary()]
+    hosts += [closure(combinations(range(k), k - 1)) for k in (5, 6)]
+    hosts += [generate_torus(n, n) for n in range(3, 11)]
+    stacks = [(random_morse_stack(X, seed=s, n_minima=1 + s), True) for X in hosts for s in range(3)]
+    stacks += [(random_stack(X, seed=s, low=0, high=high), False)
+               for X in hosts for s in range(2) for high in (2, 40)]
+    stacks += [(random_morse_stack(wedge(), seed=s, n_minima=1 + s % 4), True) for s in range(40)]
+    stacks += [(random_stack(wedge(), seed=s, low=0, high=20), False) for s in range(10)]
+    rng = random.Random(3)
+    seen = {True: {}, False: {}}
+    for F, morse in stacks:
+        inert = _inert_forest(F) is not None
+        assert inert or not morse  # every Morse cut takes the root path
+        rank = _flat_zones(F)[1]
+        for in_w, taken in _variants(F, rng):
+            ref = (_cut_holds(F, in_w, rank), _drop_holds(F, in_w, rank))
+            got = _root_verdicts(F, in_w)
+            assert (got is not None) == (inert and taken), F.altitude
+            assert got in (None, ref) and _verify_watershed(F, in_w) == ref, F.altitude
+            seen[got is not None][ref] = seen[got is not None].get(ref, 0) + 1
+    assert set(seen[True]) == {(True, True), (False, True), (False, False)}, seen
+    assert {(True, True), (False, True), (False, False)} <= set(seen[False]), seen
