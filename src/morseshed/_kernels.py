@@ -9,6 +9,13 @@ the facet graph of a non-branching pure complex (one edge per
 and check), its flat-link forest and the basin labels that the flood and
 the collapse read from it, and the smallest and largest value per index
 that the facet graph and the watershed checks read.
+
+Indexing rule: a gather or scatter through a boolean mask that selects
+scattered entries goes through their positions (`np.flatnonzero`, found
+once and shared by every array it indexes) or through `compress` when it
+is read once, as numpy indexes a random mask several times slower than
+either; a mask that selects a contiguous range is a slice; a mask that
+selects nearly everything stays a mask, where the order reverses.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ def _jump(parent):
     at most n.bit_length() + 1 rounds, as 2**rounds > n > any tree depth."""
     for _ in range(parent.size.bit_length() + 1):
         jumped = parent[parent]
-        if np.array_equal(jumped, parent):
+        if (jumped == parent).all():
             break
         parent = jumped
     return parent
@@ -41,12 +48,12 @@ def low_high(at, value, n: int):
 def flat_matching_offender(sub, sup, alt, n_faces) -> int:
     """Index of the smallest face lying in two flat covering pairs, or -1
     when the flat pairs form a matching (the Morse condition)."""
-    eq = alt[sub] == alt[sup]
-    if not eq.any():
+    flat = np.flatnonzero(alt[sub] == alt[sup])
+    if not flat.size:
         return -1
-    cnt = np.bincount(sub[eq], minlength=n_faces)
-    cnt += np.bincount(sup[eq], minlength=n_faces)
-    bad = np.nonzero(cnt > 1)[0]
+    cnt = np.bincount(sub[flat], minlength=n_faces)
+    cnt += np.bincount(sup[flat], minlength=n_faces)
+    bad = np.flatnonzero(cnt > 1)
     return int(bad[0]) if bad.size else -1
 
 
@@ -77,9 +84,10 @@ def flat_zones(sub, sup, alt, n_faces):
     root, or 0 when a member of the zone has a strictly lower covering
     neighbour.
     """
-    eq = alt[sub] == alt[sup]
-    parent = components(sub[eq], sup[eq], n_faces)
-    higher = np.where(alt[sub] > alt[sup], sub, sup)[~eq]  # has a lower neighbour
+    a, b = alt[sub], alt[sup]
+    flat = np.flatnonzero(a == b)
+    parent = components(sub[flat], sup[flat], n_faces)
+    higher = np.where(a > b, sub, sup).compress(a != b)  # has a lower neighbour
     is_min = parent == np.arange(n_faces)
     is_min[parent[higher]] = False
     rank = np.where(is_min, np.cumsum(is_min), 0)[parent]
@@ -102,22 +110,25 @@ def top_adjacency(pk):
         raise ValueError("complex is not a non-branching pseudomanifold")
     if not pk.n_cofaces[:top_lo].all():
         raise ValueError("complex is not pure of top dimension")
-    top = pk.sup >= top_lo
-    return low_high(pk.sub[top] - sep_lo, pk.sup[top] - top_lo, top_lo - sep_lo)
+    # the pairs come by sup ascending, and each d-face has d + 1 faces of
+    # dimension d - 1: the pairs on d-faces end the list (empty for d <= 0)
+    at = pk.sub.size - (pk.dim + 1) * (len(pk) - top_lo)
+    return low_high(pk.sub[at:] - sep_lo, pk.sup[at:] - top_lo, top_lo - sep_lo)
 
 
-def flat_links(lo, hi, facet_alt, sep_alt):
-    """The flat-link parent array over the facet graph (lo, hi) of
-    `top_adjacency`: each facet points across a flat (d-1)-face to the
-    facet on its other side, and a facet with no flat (d-1)-face points to
-    itself.  On a Morse stack, and on any stack whose collapse ties are
-    inert (`stacks._ties_are_inert`), a facet has at most one flat
-    (d-1)-face and its parent is strictly lower, so the links form a
-    forest.  The flood and that collapse resolve it with `_jump`."""
-    parent = np.arange(facet_alt.size)
-    down = facet_alt[lo] == sep_alt  # lo drains across its flat face to hi
+def flat_links(lo, hi, down, up, n):
+    """The flat-link parent array of the n facets over the facet graph
+    (lo, hi) of `top_adjacency`: each facet points across a flat
+    (d-1)-face to the facet on its other side, and a facet with no flat
+    (d-1)-face points to itself.  `down` and `up` hold the positions j of
+    the (d-1)-faces flat with their facet lo[j], which drains to hi[j],
+    and of those flat with hi[j], which drains to lo[j].  On a Morse
+    stack, and on any stack whose collapse ties are inert
+    (`stacks._ties_are_inert`), a facet has at most one flat (d-1)-face
+    and its parent is strictly lower, so the links form a forest.  The
+    flood and that collapse resolve it with `_jump`."""
+    parent = np.arange(n)
     parent[lo[down]] = hi[down]
-    up = facet_alt[hi] == sep_alt
     parent[hi[up]] = lo[up]
     return parent
 
@@ -140,4 +151,6 @@ def flood(lo, hi, facet_alt, sep_alt):
     across it (its parent) is strictly lower, so the parent graph is a
     forest rooted at the minima, which `forest_basins` labels in
     O(n log depth) numpy work for n facets."""
-    return forest_basins(flat_links(lo, hi, facet_alt, sep_alt), lo, hi)
+    down = np.flatnonzero(facet_alt[lo] == sep_alt)
+    up = np.flatnonzero(facet_alt[hi] == sep_alt)
+    return forest_basins(flat_links(lo, hi, down, up, facet_alt.size), lo, hi)

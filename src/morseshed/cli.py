@@ -204,7 +204,7 @@ def _cmd_msf(args) -> int:
         mio._format_table(f"{face} | {face} : %d\n", *rows[lo[k]].T.tolist(),
                           *rows[hi[k]].T.tolist(), w[k].tolist())
     )
-    print(f"total_weight={sum(w[in_y].tolist())}")  # Python ints: no int64 wrap-around
+    print(f"total_weight={sum(w[k].tolist())}")  # Python ints: no int64 wrap-around
     if args.dot:
         style = np.where(in_y, " style=bold color=blue", "")
         sys.stdout.write(_dot("facets", pk, edge=(' [label="%d"%s]', [w, style])))

@@ -158,7 +158,7 @@ class Complex(_LazyViews):
         "bd", "inclusion_pairs", "n_cofaces", "facet_graph",
     )
     _VIEWS = {
-        "face_list": lambda X: [x for r in X.rows for x in map(tuple, r.tolist())],
+        "face_list": lambda X: [x for r in X.rows for x in zip(*r.T.tolist())],
         "faces": lambda X: frozenset(X.face_list),
         "by_dim": _by_dim_view,
         "boundary": _boundary_view,
@@ -314,7 +314,7 @@ def _vertex_ranks(vertex_ids, r):
     if vertex_ids[0] == 0 and vertex_ids[-1] == nv - 1:
         return r if not r.size or (r.min() >= 0 and r.max() < nv) else None
     ranks = np.minimum(np.searchsorted(vertex_ids, r), nv - 1)
-    return ranks if np.array_equal(vertex_ids[ranks], r) else None
+    return ranks if (vertex_ids[ranks] == r).all() else None
 
 
 def _locate(keys: list, n_vertices: int, ranks):
@@ -334,7 +334,7 @@ def _locate(keys: list, n_vertices: int, ranks):
             return None
         key = idx * n_vertices + ranks[:, j]
         idx = np.minimum(np.searchsorted(sorted_keys, key), sorted_keys.size - 1)
-        if not np.array_equal(sorted_keys[idx], key):
+        if not (sorted_keys[idx] == key).all():
             return None
     return idx
 

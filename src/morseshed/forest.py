@@ -116,7 +116,7 @@ def _forest_masks(F: Stack) -> tuple[np.ndarray, np.ndarray]:
     sa, ta = alt[pk.seps], alt[pk.tops]
     down, up = ta[lo] == sa, ta[hi] == sa
     is_root = np.ones(ta.size, dtype=np.bool_)
-    is_root[lo[down]] = is_root[hi[up]] = False
+    is_root[lo.compress(down)] = is_root[hi.compress(up)] = False
     return down | up, is_root
 
 
@@ -207,14 +207,14 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
     n = is_root.size  # the d-faces, in canonical order
     alt = F.alt_array()
     w, ta = alt[pk.seps], alt[pk.tops]
-    a, b = lo[in_y], hi[in_y]
+    k = np.flatnonzero(in_y)  # the edges of Y
+    a, b = lo[k], hi[k]
     child = np.where(ta[a] > ta[b], a, b)  # a < b: b on a tie
     parent = a + b - child
     up = np.full(n, np.iinfo(np.int64).min)  # w(u); -inf on a root
-    up[child] = w[in_y]
-    oriented = np.array_equal(
-        np.bincount(child, minlength=n), (~is_root).astype(np.int64)
-    ) and (up[parent] <= up[child]).all()
+    up[child] = w[k]
+    oriented = ((np.bincount(child, minlength=n) == ~is_root).all()
+                and (up[parent] <= up[child]).all())
     if oriented:  # one parent edge per child, in a strict order: a forest
         tree = np.arange(n)
         tree[child] = parent
@@ -225,15 +225,15 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
     checks = {
         "rooted": bool(
             a.size == n - first.sum()
-            and (np.bincount(tree[is_root], minlength=n)[first] == 1).all()
+            and (np.bincount(tree.compress(is_root), minlength=n)[first] == 1).all()
         )
     }
     # a root-to-root edge meets -inf on both ends and passes: on a Morse
     # stack no weight is the int64 minimum, or both its d-faces would be
     # flat with its (d-1)-face
-    path_max = np.maximum(up[lo], up[hi])[~in_y]
-    checks["weight"] = bool(oriented and (w[~in_y] >= path_max).all())
-    checks["unique"] = bool(oriented and (w[~in_y] > path_max).all())
+    path_max = np.maximum(up[lo], up[hi])  # read off Y only
+    checks["weight"] = bool(oriented and ((w >= path_max) | in_y).all())
+    checks["unique"] = bool(oriented and ((w > path_max) | in_y).all())
     label = _kernels.flood(lo, hi, ta, w)[0]  # the d-faces, in order
     low, high = _kernels.low_high(tree, label, n)
     checks["basins"] = bool(
@@ -247,7 +247,7 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
     at_lo, at_hi = w == least[lo], w == least[hi]
     ties = np.bincount(lo[at_lo], minlength=n) + np.bincount(hi[at_hi], minlength=n)
     alone = (at_lo & (ties[lo] == 1)) | (at_hi & (ties[hi] == 1))
-    checks["min_edge"] = bool(alone[in_y].all())
+    checks["min_edge"] = bool(alone[k].all())
     return checks
 
 

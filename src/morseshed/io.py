@@ -283,13 +283,15 @@ def _read_rows(text: str, tagged: bool):
     newline = gap == ord("\n")
     newline &= single
     if tagged:
+        # " : " from the first three bytes of each gap; a[-1] is the final
+        # newline, so a gap that the clip cuts short has no colon
         colon = gap_len == 3
-        at = ends[colon]
-        colon[colon] = (a[at] == ord(" ")) & (a[at + 1] == ord(":")) & (a[at + 2] == ord(" "))
+        colon &= gap == ord(" ")
+        colon &= a.take(ends + 1, mode="clip") == ord(":")
+        colon &= a.take(ends + 2, mode="clip") == ord(" ")
         # each line: ids joined by single spaces, " : ", the tag, "\n"
-        if not (space | colon | newline).all() or newline[0] or not np.array_equal(
-            colon[:-1], newline[1:]
-        ):
+        if (not (space | colon | newline).all() or newline[0]
+                or (colon[:-1] != newline[1:]).any()):
             return None
         raw = raw.replace(b":", b" ")
     elif not (space | newline).all():  # each line: ids joined by single spaces, "\n"

@@ -208,11 +208,13 @@ def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     return _ultimate_d_collapse(F, seed)[0]
 
 
-def _ties_are_inert(v, a, b, lo, hi) -> bool:
-    """Whether no tie order can change the collapse of the altitudes `v`
-    of the (d-1)-faces, `a` and `b` of their d-faces `lo` and `hi`: no
+def _ties_are_inert(v, a, b, lo, hi):
+    """Where no tie order can change the collapse of the altitudes `v` of
+    the (d-1)-faces, `a` and `b` of their d-faces `lo` and `hi` (no
     (d-1)-face is lower than a d-face of its own, none is flat with both,
-    and no d-face has two flat (d-1)-faces.
+    and no d-face has two flat (d-1)-faces), the positions (down, up) of
+    the (d-1)-faces flat with lo and of those flat with hi, which
+    `_kernels.flat_links` reads; else None.
 
     Then each d-face y has at most one pair (s, y) that can lower it: its
     one flat (d-1)-face s, whose other d-face z is lower than y.  A
@@ -224,10 +226,14 @@ def _ties_are_inert(v, a, b, lo, hi) -> bool:
     of the flat-link forest).  The heap then receives the same entries for
     every tie order, so H, the collapse count and the pop count are the
     same for every permutation of the ranks."""
-    flat_a, flat_b = a == v, b == v
-    if ((v < a) | (v < b) | (flat_a & flat_b)).any():
-        return False
-    return np.bincount(np.concatenate((lo[flat_a], hi[flat_b]))).max(initial=0) <= 1
+    if ((v < a) | (v < b)).any():
+        return None
+    down, up = np.flatnonzero(a == v), np.flatnonzero(b == v)
+    if (b[down] == v[down]).any():
+        return None
+    if np.bincount(np.concatenate((lo[down], hi[up]))).max(initial=0) > 1:
+        return None
+    return down, up
 
 
 def _inert_forest(F: Stack):
@@ -235,8 +241,8 @@ def _inert_forest(F: Stack):
     or None where `_ties_are_inert` fails and a tie can act."""
     (lo, hi), pk, arr = _facet_adjacency(F), F.host.packed(), F.alt_array()
     v, ta = arr[pk.seps], arr[pk.tops]
-    inert = _ties_are_inert(v, ta[lo], ta[hi], lo, hi)
-    return _kernels.flat_links(lo, hi, ta, v) if inert else None
+    sides = _ties_are_inert(v, ta[lo], ta[hi], lo, hi)
+    return None if sides is None else _kernels.flat_links(lo, hi, *sides, ta.size)
 
 
 def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:

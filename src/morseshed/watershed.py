@@ -44,11 +44,14 @@ hosts that are not normal too, as every face below dimension d is in
 the pairs).  So the cut holds iff every face below dimension d outside
 W sees one root among its d-cofaces and every face of W two, and the
 drop of water iff every face of W sees two: one pointer-jumping pass
-and one pass over the (face, d-face) pairs.  Other inputs take one
-flat-zone rank (`stacks._flat_zones`), a labelling of X \\ W and a pass
-in ascending altitude (`_cut_holds`, `_drop_holds`): linear in the size
-of the host plus one sort by altitude.  The public functions add one
-binary search per dimension for each face of W.
+and one pass over the (face, d-face) pairs.  The check builds that
+forest from the altitudes itself, not through `_kernels.flat_links`,
+which the flood and the collapse share, so a fault there fails the
+check.  Other inputs take one flat-zone rank (`stacks._flat_zones`), a
+labelling of X \\ W and a pass in ascending altitude (`_cut_holds`,
+`_drop_holds`): linear in the size of the host plus one sort by
+altitude.  The public functions add one binary search per dimension for
+each face of W.
 """
 
 from __future__ import annotations
@@ -136,20 +139,22 @@ def _assemble(pk, B, cut) -> WatershedResult:
 
     The cut is the flagged (d-1)-faces closed downward; every other face
     takes the label of its smallest top coface (the top itself for a top
-    face).  The host must be pure of its top dimension.
+    face, `lo` of the facet graph for a (d-1)-face).  The host must pass
+    the host check of the routes (`_facet_adjacency`).
     """
     n, top_lo = len(pk), pk.tops.start
     in_cut = np.zeros(n, dtype=np.bool_)
     in_cut[pk.seps] = cut
-    owner = np.full(n, n, dtype=np.int64)
-    owner[pk.tops] = np.arange(top_lo, n)
+    owner = np.full(n, n - top_lo, dtype=np.int64)  # by local d-face id
+    owner[pk.tops] = np.arange(n - top_lo)
+    owner[pk.seps] = pk.facet_graph[0]
     pairs_lo = np.searchsorted(pk.sup, pk.dim_offset)  # pairs come by sup dimension
-    for p in range(len(pk.rows) - 1, 0, -1):
+    for p in range(len(pk.rows) - 2, 0, -1):
         sub = pk.sub[pairs_lo[p]:pairs_lo[p + 1]]
         sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
         np.minimum.at(owner, sub, owner[sup])
-        in_cut[sub[in_cut[sup]]] = True
-    label = np.where(in_cut, WATERSHED_LABEL, B[owner - top_lo])
+        in_cut[sub.compress(in_cut[sup])] = True
+    label = np.where(in_cut, WATERSHED_LABEL, B[owner])
     return _from_arrays(WatershedResult, _pk=pk, _label=label)
 
 
@@ -271,55 +276,74 @@ def _verify_watershed(F: Stack, in_w) -> tuple[bool, bool]:
 
 def _root_verdicts(F: Stack, in_w):
     """(cut, drop) for the face mask `in_w` of W from the flat-link roots,
-    or None unless F(x) >= F(y) on every covering pair, `_inert_forest`
-    finds the ties inert, W holds no d-face and no (d-1)-face of W is
-    flat with a d-face of its own (then `_cut_holds` and `_drop_holds`
-    decide).  By the three facts of the module docstring, the cut holds
-    iff every face below dimension d outside W has the d-cofaces of one
-    root and every face of W those of two, and the drop of water iff the
-    latter holds."""
+    or None unless F(x) >= F(y) on every covering pair, the ties are inert
+    (as `stacks._ties_are_inert` decides), W holds no d-face and no
+    (d-1)-face of W is flat with a d-face of its own (then `_cut_holds`
+    and `_drop_holds` decide).  By the three facts of the module
+    docstring, the cut holds iff every face below dimension d outside W
+    has the d-cofaces of one root and every face of W those of two, and
+    the drop of water iff the latter holds.
+
+    The flat-link forest is built here from the altitudes, not by the
+    kernel that the flood and the collapse share, so that a fault there
+    moves the answer and not the check: each flat (d-1)-face sends its
+    flat d-face to the d-face across it, which must be strictly lower
+    (so no (d-1)-face is flat with both), and no d-face may be sent
+    twice."""
     pk, alt = F.host.packed(), F.alt_array()
     top_lo = pk.tops.start
     try:
         lo, hi = pk.facet_graph
     except ValueError:  # the host is no pseudomanifold: no flat-link forest
         return None
-    if (in_w[pk.tops].any() or (alt[pk.sub] < alt[pk.sup]).any()
-            or (parent := _inert_forest(F)) is None):
+    if in_w[pk.tops].any() or (alt[pk.sub] < alt[pk.sup]).any():
         return None
-    s = np.flatnonzero(in_w[pk.seps])  # the (d-1)-faces of W
-    v, ta = alt[pk.seps.start + s], alt[pk.tops]
-    if ((ta[lo[s]] == v) | (ta[hi[s]] == v)).any():
+    v, ta = alt[pk.seps], alt[pk.tops]
+    a = ta[lo]
+    flat = np.flatnonzero((a == v) | (ta[hi] == v))  # the flat (d-1)-faces
+    s_lo, s_hi = lo[flat], hi[flat]
+    y = np.where(a[flat] == v[flat], s_lo, s_hi)  # the flat d-face
+    z = s_lo + s_hi - y  # the d-face across
+    if ((ta[z] >= ta[y]).any() or np.bincount(y).max(initial=0) > 1
+            or in_w[pk.seps.start + flat].any()):
         return None
+    parent = np.arange(ta.size)
+    parent[y] = z
     root = _kernels._jump(parent)
-    # the (face, d-face) pairs end the inclusion pairs, which come by the
-    # dimension of their larger face, and each d-face has 2**(d+1) - 2
-    # proper faces; a root id is below top_lo, as the (d-1)-faces alone
-    # number (d+1)/2 per d-face
-    sub, sup = pk.inclusion_pairs
-    at = sub.size - ta.size * (2 ** (pk.dim + 1) - 2)
-    low, high = _kernels.low_high(sub[at:], root[sup[at:] - top_lo], top_lo)
+    # a root id is below top_lo, as the (d-1)-faces alone number (d+1)/2
+    # per d-face
+    sub, sup = _top_inclusions(pk)
+    low, high = _kernels.low_high(sub, root[sup - top_lo], top_lo)
     two = low < high  # sees two roots; every face below d sees one at least
     below_w = in_w[:top_lo]
-    drop = bool(two[below_w].all())
-    return drop and not two[~below_w].any(), drop
+    drop = bool((two | ~below_w).all())
+    return drop and bool((two == below_w).all()), drop
+
+
+def _top_inclusions(pk):
+    """The (face, d-face) pairs x ⊊ y of a pure host: the tail of its
+    inclusion pairs, which come by the dimension of their larger face, as
+    each d-face has 2**(d+1) - 2 proper faces."""
+    sub, sup = pk.inclusion_pairs
+    at = sub.size - (len(pk) - pk.tops.start) * (2 ** (pk.dim + 1) - 2)
+    return sub[at:], sup[at:]
 
 
 def _cut_holds(F: Stack, in_w, rank) -> bool:
     """`verify_cut` on the face mask `in_w` of W."""
     pk = F.host.packed()
     n = len(pk)
-    if rank[in_w].any():
+    if (in_w & (rank > 0)).any():
         return False
     out = ~in_w
-    both = out[pk.sub] & out[pk.sup]
+    both = np.flatnonzero(out[pk.sub] & out[pk.sup])
     root = _kernels.components(pk.sub[both], pk.sup[both], n)
-    in_min = rank > 0  # all outside W by now
+    in_min = np.flatnonzero(rank)  # all outside W by now
     low, high = _kernels.low_high(root[in_min], rank[in_min], n)
-    if not np.array_equal(low[root[out]], high[root[out]]):
+    if not ((low == high)[root] | in_w).all():
         return False
     sub, sup = pk.inclusion_pairs
-    rim = in_w[sub] & out[sup]  # x in W, y in st(x) \ W
+    rim = np.flatnonzero(in_w[sub] & out[sup])  # x in W, y in st(x) \ W
     low, high = _kernels.low_high(sub[rim], root[sup[rim]], n)
     return not (low == high).any()
 
@@ -329,27 +353,30 @@ def _drop_holds(F: Stack, in_w, rank) -> bool:
     lo, hi = _facet_adjacency(F)
     pk, alt = F.host.packed(), F.alt_array()
     n, top_lo, ta = len(pk), pk.tops.start, alt[pk.tops]
-    off_w = ~in_w[pk.seps]  # then its two d-faces are off W, as W is closed
+    off_w = np.flatnonzero(~in_w[pk.seps])  # then its two d-faces are off W, as W is closed
     lo, hi, sa = lo[off_w], hi[off_w], alt[pk.seps][off_w]
     down = (ta[hi] <= sa) & (sa <= ta[lo])  # a step lo -> hi
     up = (ta[lo] <= sa) & (sa <= ta[hi])  # a step hi -> lo
-    root = _kernels.components(lo[down & up], hi[down & up], ta.size)
-    src = np.concatenate([lo[down & ~up], hi[up & ~down]])
-    dst = np.concatenate([hi[down & ~up], lo[up & ~down]])
+    both = np.flatnonzero(down & up)
+    root = _kernels.components(lo[both], hi[both], ta.size)
+    down, up = np.flatnonzero(down & ~up), np.flatnonzero(up & ~down)  # one way only
+    src = np.concatenate([lo[down], hi[up]])
+    dst = np.concatenate([hi[down], lo[up]])
     if in_w[pk.tops].any():
         return False  # a d-face of W starts no path
     rank = rank[pk.tops]  # 0 off the minima
-    low, high = (a.tolist() for a in _kernels.low_high(root[rank > 0], rank[rank > 0], ta.size))
+    at = np.flatnonzero(rank)
+    low, high = (a.tolist() for a in _kernels.low_high(root[at], rank[at], ta.size))
     order = np.argsort(ta[src], kind="stable")
     for s, t in zip(root[src[order]].tolist(), root[dst[order]].tolist()):
         if low[t] < low[s]:
             low[s] = low[t]
         if high[t] > high[s]:
             high[s] = high[t]
-    sub, sup = pk.inclusion_pairs
-    rim = in_w[sub] & ~in_w[sup] & (sup >= top_lo)  # x in W, y a d-face off W
+    sub, sup = _top_inclusions(pk)
+    rim = np.flatnonzero(in_w[sub] & ~in_w[sup])  # x in W, y a d-face off W
     at, g = sub[rim], root[sup[rim] - top_lo]
     x_low, x_high = np.full(n, ta.size + 1), np.full(n, -1)
     np.minimum.at(x_low, at, np.array(low)[g])
     np.maximum.at(x_high, at, np.array(high)[g])
-    return bool((x_low[in_w] < x_high[in_w]).all())
+    return bool(((x_low < x_high) | ~in_w).all())

@@ -208,7 +208,7 @@ def _inert(F):
     pk = F.host.packed()
     lo, hi = _facet_adjacency(F)
     arr = F.alt_array()
-    return _ties_are_inert(arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi], lo, hi)
+    return _ties_are_inert(arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi], lo, hi) is not None
 
 
 def _check_against_the_tuple_heap(F, seed):

@@ -1,11 +1,14 @@
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 
-from morseshed import _kernels
-from morseshed.fixtures import cyc6_stack
+from morseshed import _kernels, watershed
+from morseshed.complexes import Complex, closure
+from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
+from morseshed.stacks import _inert_forest, _stack_from_array, random_stack
 
 
 def _graph(F):
@@ -144,3 +147,134 @@ def test_jump_meets_its_round_bound_on_paths():
         for _ in range(max((n - 2).bit_length() - 1, 0)):
             short = short[short]
         assert (short == 0).all() == (n <= 2), n
+
+
+# -- the position-indexed kernels against their boolean-mask forms ------------
+
+
+def _ref_flat_matching_offender(sub, sup, alt, n_faces):
+    """Reference: the flat pairs by a boolean mask."""
+    eq = alt[sub] == alt[sup]
+    if not eq.any():
+        return -1
+    cnt = np.bincount(sub[eq], minlength=n_faces) + np.bincount(sup[eq], minlength=n_faces)
+    bad = np.nonzero(cnt > 1)[0]
+    return int(bad[0]) if bad.size else -1
+
+
+def _ref_top_adjacency(pk):
+    """Reference: the pairs on d-faces by a mask over every covering pair
+    (the host checks are those of `top_adjacency`)."""
+    sep_lo, top_lo = pk.seps.start, pk.tops.start
+    top = pk.sup >= top_lo
+    return _kernels.low_high(pk.sub[top] - sep_lo, pk.sup[top] - top_lo, top_lo - sep_lo)
+
+
+def _ref_flat_links(lo, hi, facet_alt, sep_alt):
+    """Reference: the flat-link parent array from two boolean masks."""
+    parent = np.arange(facet_alt.size)
+    down = facet_alt[lo] == sep_alt
+    parent[lo[down]] = hi[down]
+    up = facet_alt[hi] == sep_alt
+    parent[hi[up]] = lo[up]
+    return parent
+
+
+def _ref_inert_forest(F):
+    """Reference: the tie test on boolean masks, then `_ref_flat_links`."""
+    pk, arr = F.host.packed(), F.alt_array()
+    lo, hi = pk.facet_graph
+    v, ta = arr[pk.seps], arr[pk.tops]
+    a, b = ta[lo], ta[hi]
+    flat_a, flat_b = a == v, b == v
+    if ((v < a) | (v < b) | (flat_a & flat_b)).any():
+        return None
+    if np.bincount(np.concatenate((lo[flat_a], hi[flat_b]))).max(initial=0) > 1:
+        return None
+    return _ref_flat_links(lo, hi, ta, v)
+
+
+def _ref_assemble(pk, B, cut):
+    """Reference: the label assembly with one `minimum.at` and one masked
+    cut propagation per dimension, the top one included."""
+    n, top_lo = len(pk), pk.tops.start
+    in_cut = np.zeros(n, dtype=np.bool_)
+    in_cut[pk.seps] = cut
+    owner = np.full(n, n, dtype=np.int64)
+    owner[pk.tops] = np.arange(top_lo, n)
+    pairs_lo = np.searchsorted(pk.sup, pk.dim_offset)
+    for p in range(len(pk.rows) - 1, 0, -1):
+        sub = pk.sub[pairs_lo[p]:pairs_lo[p + 1]]
+        sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
+        np.minimum.at(owner, sub, owner[sup])
+        in_cut[sub[in_cut[sup]]] = True
+    return np.where(in_cut, watershed.WATERSHED_LABEL, B[owner - top_lo])
+
+
+def _hosts():
+    """Hosts of dimension 1, 2 and 3: the 6-cycle, TOR(3..8), the
+    boundaries of the 3- and 4-simplex."""
+    return ([cyc6_host()] + [generate_torus(n, n) for n in range(3, 9)]
+            + [tetrahedron_boundary(), closure(combinations(range(5), 4))])
+
+
+def _stacks(X):
+    """Morse stacks, stacks on which ties act, and arrays that are no stack."""
+    out = [random_morse_stack(X, seed=s, n_minima=1 + s) for s in range(3)]
+    out += [random_stack(X, seed=s, high=high) for s in range(2) for high in (1, 3, 40)]
+    rng = np.random.default_rng(len(X))
+    out += [_stack_from_array(X, rng.integers(-3, 4, size=len(X))) for _ in range(2)]
+    return out
+
+
+def test_top_adjacency_slice_matches_the_mask():
+    hosts = [Complex([(0,), (1,), (5,)]), Complex(())] + _hosts()
+    assert {X.dim for X in hosts} == {-1, 0, 1, 2, 3}
+    for X in hosts:
+        pk = X.packed()
+        got, ref = _kernels.top_adjacency(pk), _ref_top_adjacency(pk)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref)), X
+
+
+def _tied_pair_stack():
+    """A stack on the 6-cycle whose only tie that can act is vertex 1, flat
+    with both its edges; every edge has one flat vertex."""
+    # vertices 0..5, then the edges 01, 05, 12, 23, 34, 45
+    return _stack_from_array(cyc6_host(), np.array([1, 0, 5, 4, 3, 2, 0, 1, 0, 4, 3, 2]))
+
+
+def test_flat_kernels_match_their_mask_forms():
+    inert = 0
+    for X in _hosts():
+        pk = X.packed()
+        lo, hi = pk.facet_graph
+        for F in _stacks(X):
+            alt = F.alt_array()
+            assert _kernels.flat_matching_offender(pk.sub, pk.sup, alt, len(pk)) == (
+                _ref_flat_matching_offender(pk.sub, pk.sup, alt, len(pk)))
+            ta, v = alt[pk.tops], alt[pk.seps]
+            down = np.flatnonzero(ta[lo] == v)
+            up = np.flatnonzero(ta[hi] == v)
+            assert np.array_equal(_kernels.flat_links(lo, hi, down, up, ta.size),
+                                  _ref_flat_links(lo, hi, ta, v))
+            got, ref = _inert_forest(F), _ref_inert_forest(F)
+            assert (got is None) == (ref is None), F.altitude
+            if got is not None:
+                inert += 1
+                assert np.array_equal(got, ref)
+    assert 0 < inert < len(_hosts()) * len(_stacks(cyc6_host()))  # both outcomes
+    assert _inert_forest(_tied_pair_stack()) is _ref_inert_forest(_tied_pair_stack()) is None
+
+
+def test_assemble_matches_the_per_dimension_loop():
+    rng = np.random.default_rng(7)
+    for X in _hosts():
+        pk = X.packed()
+        lo, hi = pk.facet_graph
+        n_top, n_sep = len(pk) - pk.tops.start, lo.size
+        cases = [_kernels.flood(lo, hi, F.alt_array()[pk.tops], F.alt_array()[pk.seps])
+                 for F in _stacks(X)[:3]]  # the routes' outputs on Morse stacks
+        cases += [(rng.integers(0, 5, n_top), rng.random(n_sep) < p) for p in (0, 0.1, 0.5, 1)]
+        for B, cut in cases:
+            got = watershed._assemble(pk, B, cut)._label
+            assert np.array_equal(got, _ref_assemble(pk, B, cut)), X

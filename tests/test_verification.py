@@ -332,7 +332,7 @@ def test_root_verdicts_match_the_labelling_checks():
     # 5-simplex and TOR(3..10), and stacks on the wedge, whose pinch
     # makes the cut check reject some collapse cuts
     from morseshed.fixtures import wedge
-    from morseshed.stacks import _flat_zones, _inert_forest
+    from morseshed.stacks import _flat_zones, _inert_forest, _stack_from_array
     from morseshed.watershed import _cut_holds, _drop_holds, _root_verdicts, _verify_watershed
 
     hosts = [cyc6_host(), tetrahedron_boundary()]
@@ -343,6 +343,9 @@ def test_root_verdicts_match_the_labelling_checks():
                for X in hosts for s in range(2) for high in (2, 40)]
     stacks += [(random_morse_stack(wedge(), seed=s, n_minima=1 + s % 4), True) for s in range(40)]
     stacks += [(random_stack(wedge(), seed=s, low=0, high=20), False) for s in range(10)]
+    # vertex 1 flat with both its edges, every edge with one flat vertex
+    stacks.append((_stack_from_array(cyc6_host(), np.array([1, 0, 5, 4, 3, 2, 0, 1, 0, 4, 3, 2])),
+                   False))
     rng = random.Random(3)
     seen = {True: {}, False: {}}
     for F, morse in stacks:
@@ -357,3 +360,31 @@ def test_root_verdicts_match_the_labelling_checks():
             seen[got is not None][ref] = seen[got is not None].get(ref, 0) + 1
     assert set(seen[True]) == {(True, True), (False, True), (False, False)}, seen
     assert {(True, True), (False, True), (False, False)} <= set(seen[False]), seen
+
+
+def test_a_merging_fault_in_the_shared_flat_links_fails_the_cli_check(monkeypatch, tmp_path):
+    # the flood and the collapse read `_kernels.flat_links`; the check
+    # builds its forest from the altitudes, so hanging one tree's root
+    # under the facet across a basin boundary merges two basins in the
+    # printed watershed, and the command exits 4 instead of 0
+    from morseshed import cli
+
+    F = random_morse_stack(generate_torus(8, 8), seed=3, n_minima=4)
+    path = tmp_path / "tor8.stack"
+    path.write_text(io.serialize_stack(F))
+    argv = [["watershed", str(path), "--algo", algo] for algo in ("morse", "collapse")]
+    assert [cli.main(a) for a in argv] == [0, 0]
+    real = _kernels.flat_links
+    lo, hi = F.host.packed().facet_graph
+
+    def merged(*args):
+        parent = real(*args)
+        root = _kernels._jump(parent)
+        across = np.flatnonzero(root[lo] != root[hi])  # a basin boundary
+        j = across[(parent[lo[across]] == lo[across]) | (parent[hi[across]] == hi[across])][0]
+        r = lo[j] if parent[lo[j]] == lo[j] else hi[j]  # a root on it
+        parent[r] = lo[j] + hi[j] - r
+        return parent
+
+    monkeypatch.setattr(_kernels, "flat_links", merged)
+    assert [cli.main(a) for a in argv] == [4, 4]
