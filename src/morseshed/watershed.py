@@ -365,8 +365,8 @@ def _drop_holds(F: Stack, in_w, rank) -> bool:
     if in_w[pk.tops].any():
         return False  # a d-face of W starts no path
     rank = rank[pk.tops]  # 0 off the minima
-    at = np.flatnonzero(rank)
-    low, high = (a.tolist() for a in _kernels.low_high(root[at], rank[at], ta.size))
+    mins = np.flatnonzero(rank)
+    low, high = (a.tolist() for a in _kernels.low_high(root[mins], rank[mins], ta.size))
     order = np.argsort(ta[src], kind="stable")
     for s, t in zip(root[src[order]].tolist(), root[dst[order]].tolist()):
         if low[t] < low[s]:
