@@ -6,9 +6,10 @@ connectivity question, the flat-pair matching check that decides the
 Morse property, the flat-zone labelling that finds the regional minima,
 the facet graph of a non-branching pure complex (one edge per
 (d-1)-face; the packed host builds it once and keeps it for every route
-and check), its flat-link forest and the basin labels that the flood and
-the collapse read from it, and the smallest and largest value per index
-that the facet graph and the watershed checks read.
+and check), the basin labels and cut flags of a flat-link forest over it
+(the forest is `stacks._inert_forest`; both watershed routes read the
+labels), and the smallest and largest value per index that the facet
+graph and the watershed checks read.
 
 Indexing rule: a gather or scatter through a boolean mask that selects
 scattered entries goes through their positions (`np.flatnonzero`, found
@@ -116,41 +117,12 @@ def top_adjacency(pk):
     return low_high(pk.sub[at:] - sep_lo, pk.sup[at:] - top_lo, top_lo - sep_lo)
 
 
-def flat_links(lo, hi, down, up, n):
-    """The flat-link parent array of the n facets over the facet graph
-    (lo, hi) of `top_adjacency`: each facet points across a flat
-    (d-1)-face to the facet on its other side, and a facet with no flat
-    (d-1)-face points to itself.  `down` and `up` hold the positions j of
-    the (d-1)-faces flat with their facet lo[j], which drains to hi[j],
-    and of those flat with hi[j], which drains to lo[j].  On a Morse
-    stack, and on any stack whose collapse ties are inert
-    (`stacks._ties_are_inert`), a facet has at most one flat (d-1)-face
-    and its parent is strictly lower, so the links form a forest.  The
-    flood and that collapse resolve it with `_jump`."""
-    parent = np.arange(n)
-    parent[lo[down]] = hi[down]
-    parent[hi[up]] = lo[up]
-    return parent
-
-
 def forest_basins(parent, lo, hi):
     """Labels B of the facets and cut flags of the (d-1)-faces from a
-    flat-link parent array over (lo, hi): B is the 1-based rank, in
-    ascending local id, of the root that pointer jumping sends a facet to
-    (0 on a parent cycle), and a (d-1)-face is cut when its two facets
-    carry different labels."""
+    flat-link forest over (lo, hi) (`stacks._inert_forest`): B is the
+    1-based rank, in ascending local id, of the root that pointer jumping
+    sends a facet to, and a (d-1)-face is cut when its two facets carry
+    different labels."""
     is_root = parent == np.arange(parent.size)
     B = np.where(is_root, np.cumsum(is_root), 0)[_jump(parent)]
     return B, B[lo] != B[hi]
-
-
-def flood(lo, hi, facet_alt, sep_alt):
-    """Basin labels B of the facets and cut flags W of the (d-1)-faces,
-    over the facet graph (lo, hi) of `top_adjacency`, for a Morse stack:
-    there a facet has at most one flat boundary face, and the facet
-    across it (its parent) is strictly lower, so the parent graph is a
-    forest rooted at the minima, which `forest_basins` labels in
-    O(n log depth) numpy work for n facets."""
-    down = np.flatnonzero(facet_alt[lo] == sep_alt)
-    up = np.flatnonzero(facet_alt[hi] == sep_alt)
-    return forest_basins(flat_links(lo, hi, down, up, facet_alt.size), lo, hi)

@@ -30,7 +30,7 @@ from . import _kernels
 from .complexes import Face, _grouped, face_key
 from .morse import _require_morse
 from .stacks import Stack, _facet_adjacency
-from .watershed import WATERSHED_LABEL
+from .watershed import WATERSHED_LABEL, _facet_labels
 
 Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
 
@@ -196,8 +196,8 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
 
     basins: every tree carries one basin label, none of them the cut
     label, and there are as many labels as trees.  The labels are those
-    `morse_watershed` gives the d-faces: `_kernels.flood` over the same
-    edge list, so F must be a Morse stack, as `watershed_forest` checks.
+    `morse_watershed` gives the d-faces (`watershed._facet_labels`), so F
+    must be a Morse stack, as `watershed_forest` checks.
 
     min_edge: each edge of Y is the only edge of least weight at one of
     its ends.
@@ -234,7 +234,7 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
     path_max = np.maximum(up[lo], up[hi])  # read off Y only
     checks["weight"] = bool(oriented and ((w >= path_max) | in_y).all())
     checks["unique"] = bool(oriented and ((w > path_max) | in_y).all())
-    label = _kernels.flood(lo, hi, ta, w)[0]  # the d-faces, in order
+    label = _facet_labels(F)[0]  # the d-faces, in order
     low, high = _kernels.low_high(tree, label, n)
     checks["basins"] = bool(
         (label != WATERSHED_LABEL).all()

@@ -190,12 +190,12 @@ def _facet_adjacency(F: Stack):
 def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     """Collapse through free d-pairs until none remains.
 
-    Where `_ties_are_inert` shows that no tie can change the result, the
+    Where `_inert_forest` shows that no tie can change the result, the
     collapse is fixed before any pair is popped: each d-face sinks to the
-    altitude of the root of its flat-link forest (`_kernels.flat_links`),
-    and so does its flat (d-1)-face.  One pointer-jumping pass
-    (`_kernels._jump`) finds the roots in O(n log depth) numpy work on n
-    d-faces; no heap, Python loop or generator runs.  The test is
+    altitude of the root of its flat-link forest, and so does its flat
+    (d-1)-face.  One pointer-jumping pass (`_kernels._jump`) finds the
+    roots in O(n log depth) numpy work on n d-faces; no heap, Python loop
+    or generator runs.  The test is
     sufficient, not necessary, and holds on every Morse stack.
 
     On any other stack the seed picks one valid collapse: `_heap_collapse`
@@ -208,13 +208,14 @@ def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     return _ultimate_d_collapse(F, seed)[0]
 
 
-def _ties_are_inert(v, a, b, lo, hi):
-    """Where no tie order can change the collapse of the altitudes `v` of
-    the (d-1)-faces, `a` and `b` of their d-faces `lo` and `hi` (no
-    (d-1)-face is lower than a d-face of its own, none is flat with both,
-    and no d-face has two flat (d-1)-faces), the positions (down, up) of
-    the (d-1)-faces flat with lo and of those flat with hi, which
-    `_kernels.flat_links` reads; else None.
+def _inert_forest(F: Stack):
+    """The flat-link parent array of the d-faces of F where no tie order
+    can change its collapse, else None: each d-face points across a flat
+    (d-1)-face to the d-face on its other side, and a d-face with no flat
+    (d-1)-face points to itself.  The ties are inert when no (d-1)-face
+    is lower than a d-face of its own, none is flat with both, and no
+    d-face has two flat (d-1)-faces; then every parent is strictly lower,
+    so the links form a forest, which `_kernels._jump` resolves.
 
     Then each d-face y has at most one pair (s, y) that can lower it: its
     one flat (d-1)-face s, whose other d-face z is lower than y.  A
@@ -226,23 +227,20 @@ def _ties_are_inert(v, a, b, lo, hi):
     of the flat-link forest).  The heap then receives the same entries for
     every tie order, so H, the collapse count and the pop count are the
     same for every permutation of the ranks."""
+    (lo, hi), pk, arr = _facet_adjacency(F), F.host.packed(), F.alt_array()
+    v, ta = arr[pk.seps], arr[pk.tops]
+    a, b = ta[lo], ta[hi]
     if ((v < a) | (v < b)).any():
         return None
     down, up = np.flatnonzero(a == v), np.flatnonzero(b == v)
     if (b[down] == v[down]).any():
         return None
-    if np.bincount(np.concatenate((lo[down], hi[up]))).max(initial=0) > 1:
+    flat = np.concatenate((lo[down], hi[up]))  # the d-faces with a flat (d-1)-face
+    if np.bincount(flat).max(initial=0) > 1:
         return None
-    return down, up
-
-
-def _inert_forest(F: Stack):
-    """The flat-link parent array of the d-faces of F (`_kernels.flat_links`),
-    or None where `_ties_are_inert` fails and a tie can act."""
-    (lo, hi), pk, arr = _facet_adjacency(F), F.host.packed(), F.alt_array()
-    v, ta = arr[pk.seps], arr[pk.tops]
-    sides = _ties_are_inert(v, ta[lo], ta[hi], lo, hi)
-    return None if sides is None else _kernels.flat_links(lo, hi, *sides, ta.size)
+    parent = np.arange(ta.size)
+    parent[flat] = np.concatenate((hi[down], lo[up]))
+    return parent
 
 
 def _ultimate_d_collapse(F: Stack, seed: int) -> tuple[Stack, int, int]:

@@ -3,25 +3,26 @@
 Three routes to the same object: the generic collapse procedure (any
 stack), the pointer-jumping flood for Morse stacks, and the
 definitional construction (closure of the biconnected faces of the
-traced minima) used as an oracle.  The collapse and the flood run the
-same host check first (pure of dimension d, two d-faces on every
-(d-1)-face), which returns the facet graph that the packed host keeps
-(one edge per (d-1)-face, joining its two d-faces); both label the
-d-faces, flag the cut (d-1)-faces and share one label assembly, which
-closes the cut downward and gives every other face the label of its
-smallest d-coface.  Where F(x) >= F(y) on every covering pair and the
-ties are inert (every Morse stack), the collapse takes its labels from
-the roots of the flat-link forest, as the flood does, with no collapsed
-stack H and no flat-zone labelling: (1) a non-root d-face is strictly
-above the d-face across its flat (d-1)-face, and the faces below
-dimension d-1 strictly above what their d-cofaces sink to, so each
-minimum of H is one tree and its flat (d-1)-faces; (2) the minima of F
-are the roots; (3) so each minimum of H holds one minimum of F, its
-root.  Other arrays keep the seeded collapse and two flat-zone
-labellings.  Every `WatershedResult` holds the packed host and one label
-array in packed order; its tuple views (`labels`, `watershed`, `basins`)
-are built on first read by `complexes._LazyViews`, so a caller that
-reads the array builds none.
+traced minima) used as an oracle.  The flood is the collapse behind a
+Morse check: both run the same host check first (pure of dimension d,
+two d-faces on every (d-1)-face), which returns the facet graph that
+the packed host keeps (one edge per (d-1)-face, joining its two
+d-faces), take the labels of the d-faces and the cut flags of the
+(d-1)-faces from one function (`_facet_labels`), and share one label
+assembly, which closes the cut downward and gives every other face the
+label of its smallest d-coface.  Where F(x) >= F(y) on every covering
+pair and the ties are inert (every Morse stack), the labels come from
+the roots of the flat-link forest, with no collapsed stack H and no
+flat-zone labelling: (1) a non-root d-face is strictly above the d-face
+across its flat (d-1)-face, and the faces below dimension d-1 strictly
+above what their d-cofaces sink to, so each minimum of H is one tree
+and its flat (d-1)-faces; (2) the minima of F are the roots; (3) so
+each minimum of H holds one minimum of F, its root.  Other arrays,
+Morse arrays that are no stack among them, keep the seeded collapse
+and two flat-zone labellings.  Every `WatershedResult` holds the packed
+host and one label array in packed order; its tuple views (`labels`,
+`watershed`, `basins`) are built on first read by
+`complexes._LazyViews`, so a caller that reads the array builds none.
 `verify_cut` and `verify_drop_of_water` check the watershed axioms
 directly on a boolean face mask of W in packed order.  The public
 functions find the mask from the vertex rows of W (`_subcomplex_mask`,
@@ -45,13 +46,12 @@ the pairs).  So the cut holds iff every face below dimension d outside
 W sees one root among its d-cofaces and every face of W two, and the
 drop of water iff every face of W sees two: one pointer-jumping pass
 and one pass over the (face, d-face) pairs.  The check builds that
-forest from the altitudes itself, not through `_kernels.flat_links`,
-which the flood and the collapse share, so a fault there fails the
-check.  Other inputs take one flat-zone rank (`stacks._flat_zones`), a
-labelling of X \\ W and a pass in ascending altitude (`_cut_holds`,
-`_drop_holds`): linear in the size of the host plus one sort by
-altitude.  The public functions add one binary search per dimension for
-each face of W.
+forest from the altitudes itself, not through `stacks._inert_forest`,
+which both routes read, so a fault there fails the check.  Other
+inputs take one flat-zone rank (`stacks._flat_zones`), a labelling of
+X \\ W and a pass in ascending altitude (`_cut_holds`, `_drop_holds`):
+linear in the size of the host plus one sort by altitude.  The public
+functions add one binary search per dimension for each face of W.
 """
 
 from __future__ import annotations
@@ -158,11 +158,12 @@ def _assemble(pk, B, cut) -> WatershedResult:
     return _from_arrays(WatershedResult, _pk=pk, _label=label)
 
 
-def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
-    """WatershedCollapse: ultimate d-collapse to H, then the (d-1)-faces
-    whose two d-faces lie in different minima of H, closed downward.  The
+def _facet_labels(F: Stack, seed: int = 0):
+    """The labels B of the d-faces and the cut flags of the (d-1)-faces
+    that `watershed_collapse` assembles: each (d-1)-face whose two d-faces
+    lie in different minima of the ultimate d-collapse H is cut, and the
     basin of an H-minimum is numbered by the smallest minimum of F among
-    its d-faces.
+    its d-faces (0 where there is none).
 
     When F(x) >= F(y) on every covering pair and `_inert_forest` finds the
     ties inert, the labels come from the flat-link roots without H
@@ -173,7 +174,7 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
     lo, hi = _facet_adjacency(F)
     pk, alt = F.host.packed(), F.alt_array()
     if (alt[pk.sub] >= alt[pk.sup]).all() and (parent := _inert_forest(F)) is not None:
-        return _assemble(pk, *_kernels.forest_basins(parent, lo, hi))
+        return _kernels.forest_basins(parent, lo, hi)
     H = ultimate_d_collapse(F, seed=seed)
     n = len(pk)
     f_rank = _flat_zones(F)[1][pk.tops]
@@ -182,11 +183,21 @@ def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
     best = np.full(n, n + 1)
     np.minimum.at(best, h_root, np.where(f_rank > 0, f_rank, n + 1))
     B = best[h_root] % (n + 1)  # 0 where there is none
-    return _assemble(pk, B, h_root[lo] != h_root[hi])
+    return B, h_root[lo] != h_root[hi]
+
+
+def watershed_collapse(F: Stack, seed: int = 0) -> WatershedResult:
+    """WatershedCollapse: ultimate d-collapse to H, then the (d-1)-faces
+    whose two d-faces lie in different minima of H, closed downward.  The
+    basin of an H-minimum is numbered by the smallest minimum of F among
+    its d-faces.  On a tie-inert stack (every Morse stack) the labels come
+    from the flat-link roots, with no H (`_facet_labels`)."""
+    return _assemble(F.host.packed(), *_facet_labels(F, seed))
 
 
 def morse_watershed(F: Stack) -> WatershedResult:
-    """Flood over the facet graph of a Morse stack.
+    """Flood over the facet graph of a Morse stack: the collapse's root
+    path behind the Morse check.
 
     After the host and Morse checks, every non-minimum facet drains across
     its one flat (d-1)-face to a strictly lower facet; pointer jumping
@@ -194,13 +205,13 @@ def morse_watershed(F: Stack) -> WatershedResult:
     canonical order, which is the basin numbering of minima(F).  The cut
     is the (d-1)-faces whose two facets carry different labels, closed
     downward; every remaining lower face joins the basin of its smallest
-    top coface.  All heavy steps run on the packed integer arrays of the
-    host; `labels` lists the faces in canonical order.
+    top coface.  These are the labels of `watershed_collapse`
+    (`_facet_labels`), which on a Morse array that is no stack come from
+    its seeded collapse; `labels` lists the faces in canonical order.
     """
-    lo, hi = _facet_adjacency(F)
+    _facet_adjacency(F)
     _require_morse(F)
-    pk, alt = F.host.packed(), F.alt_array()
-    return _assemble(pk, *_kernels.flood(lo, hi, alt[pk.tops], alt[pk.seps]))
+    return _assemble(F.host.packed(), *_facet_labels(F))
 
 
 def morse_watershed_direct(F: Stack) -> Complex:
@@ -277,15 +288,15 @@ def _verify_watershed(F: Stack, in_w) -> tuple[bool, bool]:
 def _root_verdicts(F: Stack, in_w):
     """(cut, drop) for the face mask `in_w` of W from the flat-link roots,
     or None unless F(x) >= F(y) on every covering pair, the ties are inert
-    (as `stacks._ties_are_inert` decides), W holds no d-face and no
+    (as `stacks._inert_forest` decides), W holds no d-face and no
     (d-1)-face of W is flat with a d-face of its own (then `_cut_holds`
     and `_drop_holds` decide).  By the three facts of the module
     docstring, the cut holds iff every face below dimension d outside W
     has the d-cofaces of one root and every face of W those of two, and
     the drop of water iff the latter holds.
 
-    The flat-link forest is built here from the altitudes, not by the
-    kernel that the flood and the collapse share, so that a fault there
+    The flat-link forest is built here from the altitudes, not by
+    `stacks._inert_forest`, which both routes read, so that a fault there
     moves the answer and not the check: each flat (d-1)-face sends its
     flat d-face to the d-face across it, which must be strictly lower
     (so no (d-1)-face is flat with both), and no d-face may be sent

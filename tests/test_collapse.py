@@ -24,7 +24,6 @@ from morseshed.stacks import (
     _heap_collapse,
     _inert_forest,
     _stack_from_array,
-    _ties_are_inert,
     _ultimate_d_collapse,
     minima,
     random_stack,
@@ -33,6 +32,7 @@ from morseshed.stacks import (
 )
 from morseshed.watershed import (
     WATERSHED_LABEL,
+    morse_watershed,
     verify_cut,
     verify_drop_of_water,
     watershed_collapse,
@@ -203,12 +203,9 @@ def _shifted(F, to):
 
 
 def _inert(F):
-    """Whether `_ties_are_inert` sends the collapse of F to its flat-link
+    """Whether `_inert_forest` sends the collapse of F to its flat-link
     forest rather than to the seeded heap."""
-    pk = F.host.packed()
-    lo, hi = _facet_adjacency(F)
-    arr = F.alt_array()
-    return _ties_are_inert(arr[pk.seps], arr[pk.tops][lo], arr[pk.tops][hi], lo, hi) is not None
+    return _inert_forest(F) is not None
 
 
 def _check_against_the_tuple_heap(F, seed):
@@ -507,6 +504,27 @@ def test_arrays_that_are_no_stack_and_tied_stacks_keep_the_two_labellings(monkey
         calls.clear()
         assert np.array_equal(watershed_collapse(F, seed=seed)._label, ref)
         assert len(calls) == 2
+
+
+def _ring():
+    """Altitudes on the 6-cycle that pair every face once but are no stack:
+    each edge is flat with its second vertex, which is higher than the
+    next edge, so the flat links close one cycle."""
+    ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+    alt = {e: i for i, e in enumerate(ring)}
+    alt.update({(v,): i for i, v in enumerate((1, 2, 3, 4, 5, 0))})
+    return Stack(cyc6_host(), alt)
+
+
+def test_the_morse_route_gives_the_labels_of_the_collapse():
+    # Morse arrays that are no stack take the seeded collapse on both
+    # routes, and Morse stacks the flat-link roots
+    cases = [F for F in _tie_free_cases() if is_morse(F)[0]] + [_ring()]
+    no_stack = [F for F in cases if not validate_stack(F)[0]]
+    assert (len(no_stack), len(cases) - len(no_stack)) == (10, 60)
+    for F in cases:
+        assert np.array_equal(morse_watershed(F)._label, watershed_collapse(F)._label)
+    assert len(morse_watershed(_ring()).basins) == 1
 
 
 def test_the_collapse_of_a_morse_stack_runs_no_flat_zone_labelling(monkeypatch):

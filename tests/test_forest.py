@@ -27,7 +27,7 @@ from morseshed.oracles import (
     msf_weight,
 )
 from morseshed.stacks import Stack, StackError, complete_from_facets, minima, random_stack
-from morseshed.watershed import WATERSHED_LABEL, morse_watershed
+from morseshed.watershed import morse_watershed, watershed_collapse
 
 FIX_WEIGHTS = {
     ((0, 1), (1, 2)): 1,
@@ -353,8 +353,9 @@ def test_basins_check_matches_frozenset_reference():
             verdicts.append(got)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 60
     # altitudes that are not monotone but pair every face once: each edge
-    # of the 6-cycle drains into the next, so the flood finds no root and
-    # labels every face WATERSHED_LABEL; one tree over all edges is no basin
+    # of the 6-cycle drains into the next, so the flat links find no root;
+    # the Morse route takes the collapse's labels, one basin over every
+    # edge, which one tree over all edges matches
     X = cyc6_host()
     ring = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
     alt = {e: i for i, e in enumerate(ring)}
@@ -363,5 +364,5 @@ def test_basins_check_matches_frozenset_reference():
     G = build_facet_graph(F)
     path = frozenset(_edge(a, b) for a, b in zip(ring, ring[1:]))
     Z = Forest(frozenset(ring), path, frozenset(ring[:1]))
-    assert set(morse_watershed(F).labels.values()) == {WATERSHED_LABEL}
-    assert _msf_checks(F, Z)["basins"] is _ref_trees_are_basins(F, Z) is False
+    assert morse_watershed(F) == watershed_collapse(F)
+    assert _msf_checks(F, Z)["basins"] is _ref_trees_are_basins(F, Z) is True

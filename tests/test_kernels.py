@@ -68,7 +68,7 @@ def test_flood_kernels_agree():
     stacks.append(random_morse_stack(generate_torus(40, 40), seed=0, n_minima=1))
     for F in stacks:
         lo, hi, facet_alt, sep_alt = _graph(F)
-        B, W = _kernels.flood(lo, hi, facet_alt, sep_alt)
+        B, W = watershed._facet_labels(F)
         B_ref, W_ref = _queue_flood(*_rows(lo, hi, facet_alt.size), facet_alt, sep_alt)
         assert (B_ref > 0).all()  # every facet drains to some minimum
         assert np.array_equal(B, B_ref)
@@ -247,19 +247,13 @@ def test_flat_kernels_match_their_mask_forms():
     inert = 0
     for X in _hosts():
         pk = X.packed()
-        lo, hi = pk.facet_graph
         for F in _stacks(X):
             alt = F.alt_array()
             assert _kernels.flat_matching_offender(pk.sub, pk.sup, alt, len(pk)) == (
                 _ref_flat_matching_offender(pk.sub, pk.sup, alt, len(pk)))
-            ta, v = alt[pk.tops], alt[pk.seps]
-            down = np.flatnonzero(ta[lo] == v)
-            up = np.flatnonzero(ta[hi] == v)
-            assert np.array_equal(_kernels.flat_links(lo, hi, down, up, ta.size),
-                                  _ref_flat_links(lo, hi, ta, v))
             got, ref = _inert_forest(F), _ref_inert_forest(F)
             assert (got is None) == (ref is None), F.altitude
-            if got is not None:
+            if got is not None:  # `ref` is `_ref_flat_links` there
                 inert += 1
                 assert np.array_equal(got, ref)
     assert 0 < inert < len(_hosts()) * len(_stacks(cyc6_host()))  # both outcomes
@@ -272,7 +266,7 @@ def test_assemble_matches_the_per_dimension_loop():
         pk = X.packed()
         lo, hi = pk.facet_graph
         n_top, n_sep = len(pk) - pk.tops.start, lo.size
-        cases = [_kernels.flood(lo, hi, F.alt_array()[pk.tops], F.alt_array()[pk.seps])
+        cases = [watershed._facet_labels(F)
                  for F in _stacks(X)[:3]]  # the routes' outputs on Morse stacks
         cases += [(rng.integers(0, 5, n_top), rng.random(n_sep) < p) for p in (0, 0.1, 0.5, 1)]
         for B, cut in cases:

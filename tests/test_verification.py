@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from morseshed import _kernels, io
+from morseshed import _kernels, cli, io, watershed
 from morseshed.complexes import Complex, closure, connected_components, face_key
 from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
@@ -362,23 +362,29 @@ def test_root_verdicts_match_the_labelling_checks():
     assert {(True, True), (False, True), (False, False)} <= set(seen[False]), seen
 
 
-def test_a_merging_fault_in_the_shared_flat_links_fails_the_cli_check(monkeypatch, tmp_path):
-    # the flood and the collapse read `_kernels.flat_links`; the check
-    # builds its forest from the altitudes, so hanging one tree's root
-    # under the facet across a basin boundary merges two basins in the
-    # printed watershed, and the command exits 4 instead of 0
-    from morseshed import cli
-
+def _tor8(tmp_path):
+    """A fixed TOR(8) Morse stack with four minima, the file it is written
+    to, and the `watershed` command lines of both routes on it, which
+    exit 0 as long as no kernel the routes share is faulty."""
     F = random_morse_stack(generate_torus(8, 8), seed=3, n_minima=4)
     path = tmp_path / "tor8.stack"
     path.write_text(io.serialize_stack(F))
     argv = [["watershed", str(path), "--algo", algo] for algo in ("morse", "collapse")]
     assert [cli.main(a) for a in argv] == [0, 0]
-    real = _kernels.flat_links
+    return F, path, argv
+
+
+def test_a_merging_fault_in_the_shared_flat_links_fails_the_cli_check(monkeypatch, tmp_path):
+    # both routes read the flat-link forest of `stacks._inert_forest`; the
+    # check builds its forest from the altitudes, so hanging one tree's
+    # root under the facet across a basin boundary merges two basins in
+    # the printed watershed, and the command exits 4 instead of 0
+    F, _, argv = _tor8(tmp_path)
+    real = watershed._inert_forest
     lo, hi = F.host.packed().facet_graph
 
-    def merged(*args):
-        parent = real(*args)
+    def merged(G):
+        parent = real(G)
         root = _kernels._jump(parent)
         across = np.flatnonzero(root[lo] != root[hi])  # a basin boundary
         j = across[(parent[lo[across]] == lo[across]) | (parent[hi[across]] == hi[across])][0]
@@ -386,5 +392,55 @@ def test_a_merging_fault_in_the_shared_flat_links_fails_the_cli_check(monkeypatc
         parent[r] = lo[j] + hi[j] - r
         return parent
 
-    monkeypatch.setattr(_kernels, "flat_links", merged)
+    monkeypatch.setattr(watershed, "_inert_forest", merged)
+    assert [cli.main(a) for a in argv] == [4, 4]
+
+
+def test_a_merging_fault_in_forest_basins_fails_the_cli_checks(monkeypatch, tmp_path):
+    # the two basins on either side of the first cut (d-1)-face take one
+    # label, so that face leaves the printed cut; the basins flag of
+    # `msf --verify` reads the same labels and fails too
+    F, path, argv = _tor8(tmp_path)
+    msf = ["msf", str(path), "--verify"]
+    assert cli.main(msf) == 0
+    real = _kernels.forest_basins
+
+    def merged(parent, lo, hi):
+        B, cut = real(parent, lo, hi)
+        j = np.flatnonzero(cut)[0]
+        B = np.where(B == B[hi[j]], B[lo[j]], B)
+        return B, B[lo] != B[hi]
+
+    monkeypatch.setattr(_kernels, "forest_basins", merged)
+    assert [cli.main(a) for a in argv + [msf]] == [4, 4, 4]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_flipped_cut_flag_in_forest_basins_fails_the_cli_check(monkeypatch, tmp_path, flag):
+    # the first (d-1)-face whose cut flag is `flag` leaves or joins the cut
+    _, _, argv = _tor8(tmp_path)
+    real = _kernels.forest_basins
+
+    def flipped(parent, lo, hi):
+        B, cut = real(parent, lo, hi)
+        j = np.flatnonzero(cut == flag)[0]
+        cut[j] = not flag
+        return B, cut
+
+    monkeypatch.setattr(_kernels, "forest_basins", flipped)
+    assert [cli.main(a) for a in argv] == [4, 4]
+
+
+def test_a_cut_face_dropped_by_the_label_assembly_fails_the_cli_check(monkeypatch, tmp_path):
+    # the shared assembly closes the cut downward; without its first cut
+    # (d-1)-face, that face joins two basins outside the printed cut
+    _, _, argv = _tor8(tmp_path)
+    real = watershed._assemble
+
+    def dropped(pk, B, cut):
+        cut = cut.copy()
+        cut[np.flatnonzero(cut)[0]] = False
+        return real(pk, B, cut)
+
+    monkeypatch.setattr(watershed, "_assemble", dropped)
     assert [cli.main(a) for a in argv] == [4, 4]

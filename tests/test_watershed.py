@@ -1,6 +1,5 @@
 import pytest
 
-from morseshed import _kernels
 from morseshed.complexes import proper_subfaces
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +13,7 @@ from morseshed.stacks import Stack, StackError, minima
 from morseshed.watershed import (
     WATERSHED_LABEL,
     WatershedResult,
+    _facet_labels,
     morse_watershed,
     morse_watershed_direct,
     verify_cut,
@@ -185,9 +185,7 @@ def _loop_assembly(F):
     canonical order), with W as the closure of the cut."""
     pk = F.host.packed()
     sep_lo, top_lo = pk.dim_offset[F.host.dim - 1:F.host.dim + 1].tolist()
-    alt = F.alt_array()
-    lo, hi = _kernels.top_adjacency(pk)
-    B, W_flags = _kernels.flood(lo, hi, alt[top_lo:], alt[sep_lo:top_lo])
+    B, W_flags = _facet_labels(F)
     faces = pk.face_list
     labels, cut = {}, set()
     for j in map(int, W_flags.nonzero()[0]):
