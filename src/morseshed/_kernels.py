@@ -64,10 +64,17 @@ def components(a, b, n):
 
     Each round hooks every root onto the smallest smaller root across its
     edges, then pointer-jumps to stars (Shiloach & Vishkin, J. Algorithms
-    1982); the number of trees at least halves every two rounds.
+    1982).  A tree with an edge out that neither hooks nor is hooked in
+    one round has only larger neighbours, each of which hooks onto a
+    smaller root, so it hooks in the next: the trees with an edge out at
+    least halve every two rounds.  So at most 2 * n.bit_length() rounds
+    hook and one more finds no edge left; like `_jump`, the loop stops
+    there.
     """
     parent = np.arange(n)
-    while a.size:
+    for _ in range(2 * parent.size.bit_length() + 1):
+        if not a.size:
+            break
         pa, pb = parent[a], parent[b]
         split = pa != pb
         a, b, pa, pb = a[split], b[split], pa[split], pb[split]

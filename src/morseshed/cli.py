@@ -180,12 +180,16 @@ def _cmd_watershed(args) -> int:
     result = _run_watershed(F, args.algo, args.seed)
     sys.stdout.write(mio.serialize_labels(result))
     print(f"# seed={args.seed} algo={args.algo}")
-    cut, drop = _verify_watershed(F, result._label == WATERSHED_LABEL)
+    label = result._label
+    cut, drop, labels = _verify_watershed(F, label == WATERSHED_LABEL, label)
     if not cut:
         print("# verify_cut=False")
         return EXIT_VERIFICATION
     if not drop:
         print("# verify_drop_of_water=False")
+        return EXIT_VERIFICATION
+    if not labels:
+        print("# verify_labels=False")
         return EXIT_VERIFICATION
     return EXIT_OK
 

@@ -116,6 +116,26 @@ def _cofaces_view(X) -> dict[Face, tuple[Face, ...]]:
     return out
 
 
+def _assembly_view(X):
+    """(owner, blocks) of the label assembly of the watershed routes
+    (`watershed._assemble`): owner[i] is the local id of the smallest
+    d-coface of face i (the d-face itself for a d-face, `lo` of the facet
+    graph for a (d-1)-face), and `blocks` the covering pairs (sub, sup)
+    whose larger face has dimension p, for p from d - 1 down to 1, which
+    close a cut downward.  Raises ValueError where `facet_graph` does."""
+    lo = X.facet_graph[0]
+    n, top_lo = len(X), X.tops.start
+    owner = np.full(n, n - top_lo, dtype=np.int64)
+    owner[X.tops] = np.arange(n - top_lo)
+    owner[X.seps] = lo
+    cut = np.searchsorted(X.sup, X.dim_offset).tolist()  # sup is ascending
+    blocks = [(X.sub[cut[p]:cut[p + 1]], X.sup[cut[p]:cut[p + 1]])
+              for p in range(X.dim - 1, 0, -1)]
+    for sub, sup in blocks:
+        np.minimum.at(owner, sub, owner[sup])
+    return owner, blocks
+
+
 def _bd_view(X) -> list:
     cut = np.searchsorted(X.sup, X.dim_offset).tolist()  # sup is ascending
     return [np.zeros((len(X.vertex_ids), 0), dtype=np.int64)] + [
@@ -149,13 +169,16 @@ class Complex(_LazyViews):
     the number of codim-1 cofaces of each face; and ``facet_graph``, the
     two d-faces (lo, hi) of each (d-1)-face (`_kernels.top_adjacency`),
     which raises ValueError on every read when the complex is branching
-    or not pure of its top dimension.
+    or not pure of its top dimension; and ``assembly_map``, the smallest
+    d-coface of each face and the covering-pair blocks that close a cut
+    downward (`_assembly_view`), which the watershed routes read and which
+    raises as ``facet_graph`` does.
     """
 
     __slots__ = (
         "rows", "sub", "sup", "dim_offset", "seps", "tops", "keys", "order", "dim",
         "face_list", "faces", "by_dim", "boundary", "cofaces",
-        "bd", "inclusion_pairs", "n_cofaces", "facet_graph",
+        "bd", "inclusion_pairs", "n_cofaces", "facet_graph", "assembly_map",
     )
     _VIEWS = {
         "face_list": lambda X: [x for r in X.rows for x in zip(*r.T.tolist())],
@@ -168,6 +191,7 @@ class Complex(_LazyViews):
         "inclusion_pairs": lambda X: _inclusion_pairs(X),
         "n_cofaces": lambda X: np.bincount(X.sub, minlength=len(X)),
         "facet_graph": lambda X: _kernels.top_adjacency(X),
+        "assembly_map": lambda X: _assembly_view(X),
     }
 
     def __init__(self, faces: Iterable[Iterable[int]] = (), _rows=None):

@@ -163,6 +163,15 @@ def _msf_checks(F: Stack, Y: Forest) -> dict[str, bool]:
     return _msf_certificate(F, in_y, is_root)
 
 
+def _is_facet_graph(pk, lo, hi) -> bool:
+    """Whether lo[j] < hi[j] for every edge j and the boundary rows of both
+    d-faces hold (d-1)-face j, read from `pk.bd`, not from the edge list."""
+    rows, j = pk.bd[pk.dim], np.arange(pk.seps.start, pk.seps.stop)[:, None]
+    # a boundary row holds a face at most once: one match per end
+    held = sum(np.count_nonzero(rows.take(end, axis=0) == j) for end in (lo, hi))
+    return bool((lo < hi).all() and held == 2 * j.size)
+
+
 def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[str, bool]:
     """The checks of `verify_msf_theorem` for the forest Y with edge mask
     `in_y` over the host's edge list and root mask `is_root` over its
@@ -201,9 +210,16 @@ def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[st
 
     min_edge: each edge of Y is the only edge of least weight at one of
     its ends.
+
+    Every flag is False unless the edge list is the facet graph of the
+    host: edge j joins d-faces lo[j] < hi[j] whose boundary rows
+    (`Complex.bd`) both hold (d-1)-face j, so a fault in the kernel that
+    builds the graph fails the certificate instead of passing it.
     """
     lo, hi = _facet_adjacency(F)
     pk = F.host.packed()
+    if not _is_facet_graph(pk, lo, hi):
+        return dict.fromkeys(("rooted", "weight", "unique", "basins", "min_edge"), False)
     n = is_root.size  # the d-faces, in canonical order
     alt = F.alt_array()
     w, ta = alt[pk.seps], alt[pk.tops]

@@ -9,6 +9,14 @@ or, for a stack built from an array, a dict built on first read by
 `complexes._LazyViews`.  Stacks are immutable; collapses return new
 stacks sharing the host complex.  Free pairs and elementary collapses
 of a stack are in `definitions`.
+
+What no stack changes belongs to the host, which builds it once (the
+facet graph, and the smallest d-cofaces that the watershed routes'
+label assembly reads); what a stack changes is read from F per call.
+`_inert_forest` reads it with one gather of F across all covering
+pairs, which decides whether F is a stack and, on the (d-1, d) pairs
+that end the list, whether its ties are inert, and gives the flat-link
+forest that the collapse and both watershed routes follow.
 """
 
 from __future__ import annotations
@@ -190,13 +198,15 @@ def _facet_adjacency(F: Stack):
 def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     """Collapse through free d-pairs until none remains.
 
-    Where `_inert_forest` shows that no tie can change the result, the
-    collapse is fixed before any pair is popped: each d-face sinks to the
-    altitude of the root of its flat-link forest, and so does its flat
-    (d-1)-face.  One pointer-jumping pass (`_kernels._jump`) finds the
-    roots in O(n log depth) numpy work on n d-faces; no heap, Python loop
-    or generator runs.  The test is
-    sufficient, not necessary, and holds on every Morse stack.
+    Where `_inert_forest` shows that F is a stack on which no tie can
+    change the result, the collapse is fixed before any pair is popped:
+    each d-face sinks to the altitude of the root of its flat-link forest,
+    and so does its flat (d-1)-face.  One pointer-jumping pass
+    (`_kernels._jump`) finds the roots in O(n log depth) numpy work on n
+    d-faces; no heap, Python loop or generator runs.  The test is
+    sufficient, not necessary, and holds on every Morse stack; an array
+    that is no stack takes the heap, whose result no tie order changes
+    there either when its (d-1, d) ties are inert.
 
     On any other stack the seed picks one valid collapse: `_heap_collapse`
     pops the free pairs lowest first, ties broken by a permutation of the
@@ -209,13 +219,13 @@ def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
 
 
 def _inert_forest(F: Stack):
-    """The flat-link parent array of the d-faces of F where no tie order
-    can change its collapse, else None: each d-face points across a flat
-    (d-1)-face to the d-face on its other side, and a d-face with no flat
-    (d-1)-face points to itself.  The ties are inert when no (d-1)-face
-    is lower than a d-face of its own, none is flat with both, and no
-    d-face has two flat (d-1)-faces; then every parent is strictly lower,
-    so the links form a forest, which `_kernels._jump` resolves.
+    """The flat-link parent array of the d-faces of F where F is a stack
+    and no tie order can change its collapse, else None: each d-face
+    points across a flat (d-1)-face to the d-face on its other side, and
+    a d-face with no flat (d-1)-face points to itself.  The ties are inert
+    when no (d-1)-face is flat with both its d-faces and no d-face has two
+    flat (d-1)-faces; on a stack every parent is then strictly lower, so
+    the links form a forest, which `_kernels._jump` resolves.
 
     Then each d-face y has at most one pair (s, y) that can lower it: its
     one flat (d-1)-face s, whose other d-face z is lower than y.  A
@@ -226,20 +236,26 @@ def _inert_forest(F: Stack):
     final altitude of z, which is that of the chain's last d-face (a root
     of the flat-link forest).  The heap then receives the same entries for
     every tie order, so H, the collapse count and the pop count are the
-    same for every permutation of the ranks."""
+    same for every permutation of the ranks.
+
+    One gather of F across all covering pairs decides all of it: F is a
+    stack when no pair rises, and the (d-1, d) pairs, which end the list
+    (`_kernels.top_adjacency`), give the flat pairs, the tie test (a
+    repeat of a d-face among them, which come by d-face, or a (d-1)-face
+    counted twice) and the parents."""
     (lo, hi), pk, arr = _facet_adjacency(F), F.host.packed(), F.alt_array()
-    v, ta = arr[pk.seps], arr[pk.tops]
-    a, b = ta[lo], ta[hi]
-    if ((v < a) | (v < b)).any():
+    below, above = arr[pk.sub], arr[pk.sup]
+    if (below < above).any():
         return None
-    down, up = np.flatnonzero(a == v), np.flatnonzero(b == v)
-    if (b[down] == v[down]).any():
+    d1, n_top = pk.dim + 1, len(pk) - pk.tops.start
+    at = pk.sub.size - d1 * n_top  # the (d-1, d) pairs, d + 1 per d-face
+    k = np.flatnonzero(below[at:] == above[at:])
+    y = k // d1  # the d-face of each flat pair, ascending
+    s = pk.sub[at:][k] - pk.seps.start  # and its (d-1)-face
+    if (y[1:] == y[:-1]).any() or np.bincount(s).max(initial=0) > 1:
         return None
-    flat = np.concatenate((lo[down], hi[up]))  # the d-faces with a flat (d-1)-face
-    if np.bincount(flat).max(initial=0) > 1:
-        return None
-    parent = np.arange(ta.size)
-    parent[flat] = np.concatenate((hi[down], lo[up]))
+    parent = np.arange(n_top)
+    parent[y] = lo[s] + hi[s] - y
     return parent
 
 

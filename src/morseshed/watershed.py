@@ -10,8 +10,13 @@ the packed host keeps (one edge per (d-1)-face, joining its two
 d-faces), take the labels of the d-faces and the cut flags of the
 (d-1)-faces from one function (`_facet_labels`), and share one label
 assembly, which closes the cut downward and gives every other face the
-label of its smallest d-coface.  Where F(x) >= F(y) on every covering
-pair and the ties are inert (every Morse stack), the labels come from
+label of its smallest d-coface.  The split follows what a stack
+changes: the smallest d-cofaces and the covering-pair blocks that close
+a cut are the host's (`Complex.assembly_map`, built once per host), so
+a stack pays the cut closure and one gather of its d-face labels.
+Where `stacks._inert_forest`, from one gather of F across the covering
+pairs, finds F(x) >= F(y) on every covering pair and the ties inert
+(every Morse stack), the labels come from
 the roots of the flat-link forest, with no collapsed stack H and no
 flat-zone labelling: (1) a non-root d-face is strictly above the d-face
 across its flat (d-1)-face, and the faces below dimension d-1 strictly
@@ -28,7 +33,10 @@ directly on a boolean face mask of W in packed order.  The public
 functions find the mask from the vertex rows of W (`_subcomplex_mask`,
 ValueError for a W that is not a subcomplex of the host);
 `_verify_watershed` takes a mask the caller already has, such as the cut
-label mask of a result, and gives both verdicts.  Where F(x) >= F(y) on
+label mask of a result, and gives both verdicts; given the result's
+labels too, a third, that each d-face carries the rank of its minimum
+and each other face outside W the label of its d-cofaces, read from the
+classes the cut check found.  Where F(x) >= F(y) on
 every covering pair, the ties are inert, W holds no d-face and no
 (d-1)-face of W is flat with a d-face (every Morse cut), both checks
 read the flat-link roots (`_root_verdicts`): (1) a strong step from a
@@ -139,20 +147,15 @@ def _assemble(pk, B, cut) -> WatershedResult:
 
     The cut is the flagged (d-1)-faces closed downward; every other face
     takes the label of its smallest top coface (the top itself for a top
-    face, `lo` of the facet graph for a (d-1)-face).  The host must pass
-    the host check of the routes (`_facet_adjacency`).
+    face, `lo` of the facet graph for a (d-1)-face).  Both maps are the
+    host's (`Complex.assembly_map`), so a stack pays only the cut closure,
+    one pass per dimension, and one gather of B.  The host must pass the
+    host check of the routes (`_facet_adjacency`).
     """
-    n, top_lo = len(pk), pk.tops.start
-    in_cut = np.zeros(n, dtype=np.bool_)
+    owner, blocks = pk.assembly_map
+    in_cut = np.zeros(len(pk), dtype=np.bool_)
     in_cut[pk.seps] = cut
-    owner = np.full(n, n - top_lo, dtype=np.int64)  # by local d-face id
-    owner[pk.tops] = np.arange(n - top_lo)
-    owner[pk.seps] = pk.facet_graph[0]
-    pairs_lo = np.searchsorted(pk.sup, pk.dim_offset)  # pairs come by sup dimension
-    for p in range(len(pk.rows) - 2, 0, -1):
-        sub = pk.sub[pairs_lo[p]:pairs_lo[p + 1]]
-        sup = pk.sup[pairs_lo[p]:pairs_lo[p + 1]]
-        np.minimum.at(owner, sub, owner[sup])
+    for sub, sup in blocks:
         in_cut[sub.compress(in_cut[sup])] = True
     label = np.where(in_cut, WATERSHED_LABEL, B[owner])
     return _from_arrays(WatershedResult, _pk=pk, _label=label)
@@ -165,17 +168,17 @@ def _facet_labels(F: Stack, seed: int = 0):
     basin of an H-minimum is numbered by the smallest minimum of F among
     its d-faces (0 where there is none).
 
-    When F(x) >= F(y) on every covering pair and `_inert_forest` finds the
-    ties inert, the labels come from the flat-link roots without H
+    When `_inert_forest` finds that F is a stack whose ties are inert, the
+    labels come from the flat-link roots without H
     (`_kernels.forest_basins`), by the three facts of the module
     docstring: each minimum of H is one flat-link tree, the minima of F
     are the roots, so each H-minimum takes the rank of its root.  Other
     inputs keep the seeded collapse and two flat-zone labellings."""
     lo, hi = _facet_adjacency(F)
-    pk, alt = F.host.packed(), F.alt_array()
-    if (alt[pk.sub] >= alt[pk.sup]).all() and (parent := _inert_forest(F)) is not None:
+    if (parent := _inert_forest(F)) is not None:
         return _kernels.forest_basins(parent, lo, hi)
     H = ultimate_d_collapse(F, seed=seed)
+    pk = F.host.packed()
     n = len(pk)
     f_rank = _flat_zones(F)[1][pk.tops]
     h_root = _flat_zones(H)[0][pk.tops]
@@ -274,26 +277,55 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     return _drop_holds(F, in_w, _flat_zones(F)[1])
 
 
-def _verify_watershed(F: Stack, in_w) -> tuple[bool, bool]:
+def _verify_watershed(F: Stack, in_w, label=None):
     """(verify_cut(F, W), verify_drop_of_water(F, W)) for the W whose faces
     the boolean mask `in_w` marks in packed order: from the flat-link
     roots where `_root_verdicts` applies, else from one flat-zone rank
-    (the inclusion pairs and the facet graph are the host's)."""
-    if (verdicts := _root_verdicts(F, in_w)) is not None:
-        return verdicts
-    rank = _flat_zones(F)[1]
-    return _cut_holds(F, in_w, rank), _drop_holds(F, in_w, rank)
+    (the inclusion pairs and the facet graph are the host's).
+
+    Given the label array `label` of a result whose cut is W, a third
+    verdict follows, False unless the cut holds: each d-face carries the
+    rank of its minimum, and each face outside W the label of its
+    d-cofaces.  Once the cut holds, each class that the cut check read
+    holds one minimum: a flat-link root class, whose minimum is its root,
+    or a component of X \\ W, whose minimum has a flat-zone rank.  Each
+    face outside W must then carry the rank of its class's minimum
+    (`_labels_hold`)."""
+    if (found := _root_classes(F, in_w)) is not None:
+        cut, drop, classes = found
+    else:
+        rank = _flat_zones(F)[1]
+        classes = _cut_classes(F, in_w, rank)
+        cut, drop = classes is not None, _drop_holds(F, in_w, rank)
+    if label is None:
+        return cut, drop
+    return cut, drop, cut and _labels_hold(label, in_w, *classes)
+
+
+def _labels_hold(label, in_w, cls, cls_rank) -> bool:
+    """Whether `label` holds the cut label on the faces of W and, on every
+    other face i, the rank cls_rank[cls[i]] of the minimum of its class."""
+    return bool((label == np.where(in_w, WATERSHED_LABEL, cls_rank[cls])).all())
 
 
 def _root_verdicts(F: Stack, in_w):
-    """(cut, drop) for the face mask `in_w` of W from the flat-link roots,
-    or None unless F(x) >= F(y) on every covering pair, the ties are inert
-    (as `stacks._inert_forest` decides), W holds no d-face and no
-    (d-1)-face of W is flat with a d-face of its own (then `_cut_holds`
-    and `_drop_holds` decide).  By the three facts of the module
-    docstring, the cut holds iff every face below dimension d outside W
-    has the d-cofaces of one root and every face of W those of two, and
-    the drop of water iff the latter holds.
+    """(cut, drop) of `_root_classes`, or None where it reaches no verdict."""
+    found = _root_classes(F, in_w)
+    return None if found is None else found[:2]
+
+
+def _root_classes(F: Stack, in_w):
+    """(cut, drop, (cls, cls_rank)) for the face mask `in_w` of W from the
+    flat-link roots, or None unless F(x) >= F(y) on every covering pair,
+    the ties are inert (as `stacks._inert_forest` decides), W holds no
+    d-face and no (d-1)-face of W is flat with a d-face of its own (then
+    `_cut_holds` and `_drop_holds` decide).  By the three facts of the
+    module docstring, the cut holds iff every face below dimension d
+    outside W has the d-cofaces of one root and every face of W those of
+    two, and the drop of water iff the latter holds.  cls[i] is the root
+    of d-face i - top_lo, or for a face i below dimension d the least root
+    of its d-cofaces; cls_rank[r] is the rank of root r among the roots by
+    local id, which is the rank of its minimum.
 
     The flat-link forest is built here from the altitudes, not by
     `stacks._inert_forest`, which both routes read, so that a fault there
@@ -328,7 +360,8 @@ def _root_verdicts(F: Stack, in_w):
     two = low < high  # sees two roots; every face below d sees one at least
     below_w = in_w[:top_lo]
     drop = bool((two | ~below_w).all())
-    return drop and bool((two == below_w).all()), drop
+    classes = np.concatenate((low, root)), np.cumsum(root == np.arange(ta.size))
+    return drop and bool((two == below_w).all()), drop, classes
 
 
 def _top_inclusions(pk):
@@ -342,21 +375,29 @@ def _top_inclusions(pk):
 
 def _cut_holds(F: Stack, in_w, rank) -> bool:
     """`verify_cut` on the face mask `in_w` of W."""
+    return _cut_classes(F, in_w, rank) is not None
+
+
+def _cut_classes(F: Stack, in_w, rank):
+    """(root, low) where `verify_cut` holds on the face mask `in_w` of W,
+    else None: root[i] labels the component of X \\ W that holds face i
+    (`_kernels.components`), and low[root[i]] is the flat-zone rank of
+    its one minimum."""
     pk = F.host.packed()
     n = len(pk)
     if (in_w & (rank > 0)).any():
-        return False
+        return None
     out = ~in_w
     both = np.flatnonzero(out[pk.sub] & out[pk.sup])
     root = _kernels.components(pk.sub[both], pk.sup[both], n)
     in_min = np.flatnonzero(rank)  # all outside W by now
     low, high = _kernels.low_high(root[in_min], rank[in_min], n)
     if not ((low == high)[root] | in_w).all():
-        return False
+        return None
     sub, sup = pk.inclusion_pairs
     rim = np.flatnonzero(in_w[sub] & out[sup])  # x in W, y in st(x) \ W
-    low, high = _kernels.low_high(sub[rim], root[sup[rim]], n)
-    return not (low == high).any()
+    x_low, x_high = _kernels.low_high(sub[rim], root[sup[rim]], n)
+    return None if (x_low == x_high).any() else (root, low)
 
 
 def _drop_holds(F: Stack, in_w, rank) -> bool:

@@ -350,6 +350,25 @@ def test_watershed_collapse_computes_the_facet_adjacency_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_watershed_collapse_builds_the_assembly_map_once_per_host(monkeypatch):
+    calls = []
+    build = complexes.Complex._VIEWS["assembly_map"]
+
+    def counting(X):
+        calls.append(1)
+        return build(X)
+
+    monkeypatch.setitem(complexes.Complex._VIEWS, "assembly_map", counting)
+    # 25 stacks on one host, each collapsed under its own seed
+    X = generate_torus(12, 12)
+    cases = [random_morse_stack(X, seed=s, n_minima=1 + s % 5) for s in range(20)]
+    cases += [random_stack(X, seed=s, high=3) for s in range(5)]  # the heap path
+    for seed, F in enumerate(cases):
+        r = watershed_collapse(F, seed=seed)
+        assert np.array_equal(r._label, _ref_two_zone_labels(F, seed))
+    assert len(calls) == 1
+
+
 def _tie_heavy_array(X, seed):
     """Altitudes with many equal d-faces on which no tie order can change
     the collapse: each (d-1)-face lies above both of its d-faces or, at
@@ -392,8 +411,9 @@ def _tie_free_cases():
 
 
 def test_the_seed_cannot_change_a_collapse_where_ties_are_inert():
+    # the arrays that are no stack take the heap, under every seed alike
     for F in _tie_free_cases():
-        assert _inert(F)
+        assert _inert(F) == validate_stack(F)[0]
         runs = set()
         for seed in range(8):
             H, collapses, pops = _check_against_the_tuple_heap(F, seed)
@@ -402,7 +422,7 @@ def test_the_seed_cannot_change_a_collapse_where_ties_are_inert():
 
 
 def test_the_collapse_builds_no_generator_where_ties_are_inert(monkeypatch):
-    cases = _tie_free_cases()
+    cases = [G for G in _tie_free_cases() if validate_stack(G)[0]]  # the rest take the heap
     F = random_stack(generate_torus(4, 4), seed=0, high=3)
     built = []
 
@@ -492,9 +512,9 @@ def test_the_collapse_labels_from_the_roots_as_from_two_flat_zone_labellings():
 
 def test_arrays_that_are_no_stack_and_tied_stacks_keep_the_two_labellings(monkeypatch):
     # arrays that fail F(x) >= F(y) on a covering pair, though their ties
-    # are inert, and stacks on which ties act
+    # are inert, and stacks on which ties act: `_inert_forest` takes neither
     cases = [F for F in _tie_free_cases() if not validate_stack(F)[0]]
-    assert len(cases) == 30 and all(_inert_forest(F) is not None for F in cases)
+    assert len(cases) == 30 and all(_inert_forest(F) is None for F in cases)
     tied = _non_morse_stacks()
     assert all(_inert_forest(F) is None for F in tied)
     cases = [(F, seed) for F in cases + tied for seed in (0, 1)]

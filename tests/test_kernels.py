@@ -181,13 +181,14 @@ def _ref_flat_links(lo, hi, facet_alt, sep_alt):
 
 
 def _ref_inert_forest(F):
-    """Reference: the tie test on boolean masks, then `_ref_flat_links`."""
+    """Reference: the stack test, the tie test on boolean masks, then
+    `_ref_flat_links`."""
     pk, arr = F.host.packed(), F.alt_array()
     lo, hi = pk.facet_graph
     v, ta = arr[pk.seps], arr[pk.tops]
     a, b = ta[lo], ta[hi]
     flat_a, flat_b = a == v, b == v
-    if ((v < a) | (v < b) | (flat_a & flat_b)).any():
+    if (arr[pk.sub] < arr[pk.sup]).any() or (flat_a & flat_b).any():
         return None
     if np.bincount(np.concatenate((lo[flat_a], hi[flat_b]))).max(initial=0) > 1:
         return None
@@ -258,6 +259,30 @@ def test_flat_kernels_match_their_mask_forms():
                 assert np.array_equal(got, ref)
     assert 0 < inert < len(_hosts()) * len(_stacks(cyc6_host()))  # both outcomes
     assert _inert_forest(_tied_pair_stack()) is _ref_inert_forest(_tied_pair_stack()) is None
+    # a Morse stack with one vertex lowered below its cofaces is no stack
+    for X in _hosts():
+        arr = _stacks(X)[0].alt_array().copy()
+        arr[0] = arr.min() - 1
+        G = _stack_from_array(X, arr)
+        assert _inert_forest(G) is _ref_inert_forest(G) is None
+
+
+def test_the_assembly_map_holds_each_smallest_d_coface_and_the_closing_blocks():
+    for X in _hosts():
+        pk = X.packed()
+        owner, blocks = pk.assembly_map
+        top_lo, n = pk.tops.start, len(pk)
+        sub, sup = pk.inclusion_pairs
+        above = sup >= top_lo  # x a proper face of the d-face y
+        ref = np.full(n, n)
+        ref[pk.tops] = np.arange(n - top_lo)
+        np.minimum.at(ref, sub[above], sup[above] - top_lo)
+        assert np.array_equal(owner, ref), X
+        dim = np.repeat(np.arange(X.dim + 1), np.diff(pk.dim_offset))
+        for p, (b_sub, b_sup) in zip(range(X.dim - 1, 0, -1), blocks, strict=True):
+            at = dim[pk.sup] == p
+            assert np.array_equal(b_sub, pk.sub[at]) and np.array_equal(b_sup, pk.sup[at]), X
+        assert X.assembly_map is X.assembly_map  # built once
 
 
 def test_assemble_matches_the_per_dimension_loop():

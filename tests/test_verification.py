@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from morseshed import _kernels, cli, io, watershed
+from morseshed import _kernels, cli, complexes, io, watershed
 from morseshed.complexes import Complex, closure, connected_components, face_key
 from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
@@ -444,3 +444,123 @@ def test_a_cut_face_dropped_by_the_label_assembly_fails_the_cli_check(monkeypatc
 
     monkeypatch.setattr(watershed, "_assemble", dropped)
     assert [cli.main(a) for a in argv] == [4, 4]
+
+
+def _relinked(real, fault):
+    """An `_inert_forest` whose parent array `fault` edits in place, given
+    the array and its first non-root d-face."""
+
+    def faulty(G):
+        parent = real(G).copy()
+        fault(parent, np.flatnonzero(parent != np.arange(parent.size))[0])
+        return parent
+
+    return faulty
+
+
+def _reroot(parent, _):
+    # a child c of a root with another root between them takes its place,
+    # so the ranks of the roots, and the printed basin ids, change
+    ids = np.arange(parent.size)
+    roots = np.flatnonzero(parent == ids)
+    c = next(c for c in np.flatnonzero(parent != ids) if parent[c] in roots
+             and ((roots > min(c, parent[c])) & (roots < max(c, parent[c]))).any())
+    parent[parent[c]] = c
+    parent[c] = c
+
+
+def _drop(parent, y):
+    parent[y] = y  # a non-root becomes a root
+
+
+def _reverse(parent, y):
+    parent[parent[y]] = y  # y and its parent point at each other
+
+
+@pytest.mark.parametrize("fault, line", [
+    (_reroot, "# verify_labels=False"),
+    (_drop, "# verify_cut=False"),
+    (_reverse, "# verify_cut=False"),
+])
+def test_a_relinked_flat_link_forest_fails_the_cli_check(
+        monkeypatch, tmp_path, capsys, fault, line):
+    # the check builds its own forest from the altitudes: a re-rooted tree
+    # keeps the cut and renumbers the basins, which only the label check
+    # sees; a dropped link splits a basin and a reversed one leaves a
+    # 2-cycle with no root, and the cut check fails on both
+    _, _, argv = _tor8(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr(watershed, "_inert_forest", _relinked(watershed._inert_forest, fault))
+    for a in argv:
+        assert cli.main(a) == 4
+        assert capsys.readouterr().out.endswith(f"\n{line}\n")
+
+
+def _shifted_owner(X):
+    """The host's assembly map with the owner of every face below
+    dimension d-1 moved to the next d-face, mostly not a coface of it."""
+    owner, blocks = complexes._assembly_view(X)
+    below = X.seps.start
+    owner[:below] = (owner[:below] + 1) % (len(X) - X.tops.start)
+    return owner, blocks
+
+
+def _no_closure(X):
+    """The host's assembly map without the blocks that close the cut."""
+    return complexes._assembly_view(X)[0], []
+
+
+@pytest.mark.parametrize("view, line", [
+    (_shifted_owner, "# verify_labels=False"),
+    (_no_closure, "# verify_cut=False"),
+])
+def test_a_faulty_host_assembly_map_fails_the_cli_check(
+        monkeypatch, tmp_path, capsys, view, line):
+    # each command parses its own host, which builds the faulty map
+    _, _, argv = _tor8(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setitem(Complex._VIEWS, "assembly_map", view)
+    for a in argv:
+        assert cli.main(a) == 4
+        assert capsys.readouterr().out.endswith(f"\n{line}\n")
+
+
+def test_a_jump_one_round_short_fails_the_cli_checks_without_hanging(monkeypatch, tmp_path):
+    # `_jump` returns while parent[parent] is a star; `components` stops at
+    # its round bound, and a call guard turns a hang into a failure
+    _, path, argv = _tor8(tmp_path)
+    calls = []
+
+    def short(parent):
+        calls.append(1)
+        if len(calls) > 10_000:
+            raise RuntimeError("`_jump` called without end")
+        for _ in range(parent.size.bit_length() + 1):
+            jumped = parent[parent]
+            if (jumped[jumped] == jumped).all():
+                break
+            parent = jumped
+        return parent
+
+    monkeypatch.setattr(_kernels, "_jump", short)
+    _kernels.components(np.array([1, 2, 3]), np.array([0, 1, 2]), 4)
+    assert len(calls) <= 2 * (4).bit_length() + 1
+    assert [cli.main(a) for a in argv + [["msf", str(path), "--verify"]]] == [4, 4, 4]
+
+
+def test_a_swapped_facet_graph_edge_fails_the_msf_certificate(monkeypatch, tmp_path, capsys):
+    # the certificate reads the boundary rows of the host, not the edge
+    # list it certifies; all five flags fail together
+    _, path, _ = _tor8(tmp_path)
+    real = _kernels.top_adjacency
+
+    def swapped(pk):
+        lo, hi = real(pk)
+        lo[[0, 1]] = lo[[1, 0]]
+        return lo, hi
+
+    monkeypatch.setattr(_kernels, "top_adjacency", swapped)
+    capsys.readouterr()
+    assert cli.main(["msf", str(path), "--verify"]) == 4
+    checks = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("check_")]
+    assert len(checks) == 5 and all(ln.endswith("=False") for ln in checks)
