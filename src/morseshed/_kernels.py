@@ -24,6 +24,11 @@ from __future__ import annotations
 import numpy as np
 
 
+class ConvergenceError(RuntimeError):
+    """A kernel ran past the round bound that its proof gives, which only
+    a faulty kernel does."""
+
+
 def _jump(parent):
     """Pointer jumping, parent = parent[parent], until every tree is a star;
     at most n.bit_length() + 1 rounds, as 2**rounds > n > any tree depth."""
@@ -68,19 +73,20 @@ def components(a, b, n):
     one round has only larger neighbours, each of which hooks onto a
     smaller root, so it hooks in the next: the trees with an edge out at
     least halve every two rounds.  So at most 2 * n.bit_length() rounds
-    hook and one more finds no edge left; like `_jump`, the loop stops
-    there.
+    hook and one more finds no edge left; an edge left after that bound
+    means a faulty kernel, and raises ConvergenceError rather than return
+    trees that have not met.
     """
     parent = np.arange(n)
     for _ in range(2 * parent.size.bit_length() + 1):
-        if not a.size:
-            break
         pa, pb = parent[a], parent[b]
         split = pa != pb
+        if not split.any():
+            return parent
         a, b, pa, pb = a[split], b[split], pa[split], pb[split]
         np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
         parent = _jump(parent)
-    return parent
+    raise ConvergenceError("components: edges left after the round bound")
 
 
 def flat_zones(sub, sup, alt, n_faces):
@@ -118,10 +124,8 @@ def top_adjacency(pk):
         raise ValueError("complex is not a non-branching pseudomanifold")
     if not pk.n_cofaces[:top_lo].all():
         raise ValueError("complex is not pure of top dimension")
-    # the pairs come by sup ascending, and each d-face has d + 1 faces of
-    # dimension d - 1: the pairs on d-faces end the list (empty for d <= 0)
-    at = pk.sub.size - (pk.dim + 1) * (len(pk) - top_lo)
-    return low_high(pk.sub[at:] - sep_lo, pk.sup[at:] - top_lo, top_lo - sep_lo)
+    t = pk.top_pairs()  # the ((d-1)-face, d-face) pairs (none for d <= 0)
+    return low_high(pk.sub[t] - sep_lo, pk.sup[t] - top_lo, top_lo - sep_lo)
 
 
 def forest_basins(parent, lo, hi):

@@ -116,6 +116,13 @@ def _cofaces_view(X) -> dict[Face, tuple[Face, ...]]:
     return out
 
 
+def _pair_cut(X) -> list[int]:
+    """Where the covering pairs of each dimension begin: the pairs whose
+    larger face is a p-face are cut[p]:cut[p + 1], as sup is ascending,
+    so those on the d-faces end the list."""
+    return np.searchsorted(X.sup, X.dim_offset).tolist()
+
+
 def _assembly_view(X):
     """(owner, blocks) of the label assembly of the watershed routes
     (`watershed._assemble`): owner[i] is the local id of the smallest
@@ -128,7 +135,7 @@ def _assembly_view(X):
     owner = np.full(n, n - top_lo, dtype=np.int64)
     owner[X.tops] = np.arange(n - top_lo)
     owner[X.seps] = lo
-    cut = np.searchsorted(X.sup, X.dim_offset).tolist()  # sup is ascending
+    cut = _pair_cut(X)
     blocks = [(X.sub[cut[p]:cut[p + 1]], X.sup[cut[p]:cut[p + 1]])
               for p in range(X.dim - 1, 0, -1)]
     for sub, sup in blocks:
@@ -137,7 +144,7 @@ def _assembly_view(X):
 
 
 def _bd_view(X) -> list:
-    cut = np.searchsorted(X.sup, X.dim_offset).tolist()  # sup is ascending
+    cut = _pair_cut(X)
     return [np.zeros((len(X.vertex_ids), 0), dtype=np.int64)] + [
         X.sub[cut[p]:cut[p + 1]].reshape(-1, p + 1) for p in range(1, len(cut) - 1)
     ]
@@ -165,7 +172,8 @@ class Complex(_LazyViews):
     ``x[i]`` at position i), and ``cofaces[x]``, the codim-1 cofaces in
     canonical order; ``bd[p][i]``, the indexes of the boundary of face
     number dim_offset[p] + i in drop-vertex order (an empty row per vertex
-    for p = 0); ``inclusion_pairs`` (`_inclusion_pairs`); ``n_cofaces``,
+    for p = 0), a view of ``sub`` on the covering pairs of the p-faces
+    (`_pair_cut`, and `top_pairs` for p = d); ``inclusion_pairs`` (`_inclusion_pairs`); ``n_cofaces``,
     the number of codim-1 cofaces of each face; and ``facet_graph``, the
     two d-faces (lo, hi) of each (d-1)-face (`_kernels.top_adjacency`),
     which raises ValueError on every read when the complex is branching
@@ -257,6 +265,12 @@ class Complex(_LazyViews):
     def is_pure(self) -> bool:
         """Every face below the top dimension lies in a larger face."""
         return bool(self.n_cofaces[:self.tops.start].all())
+
+    def top_pairs(self) -> slice:
+        """The covering pairs on the d-faces, as a slice of ``sub`` and
+        ``sup``: they end the list, as sup is ascending (`_pair_cut`), and
+        are the rows of ``bd[d]``, d + 1 to a d-face."""
+        return slice(self.sub.size - (self.dim + 1) * (len(self) - self.tops.start), None)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(fs) for p, fs in self.by_dim.items())

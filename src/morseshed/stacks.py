@@ -239,22 +239,20 @@ def _inert_forest(F: Stack):
     same for every permutation of the ranks.
 
     One gather of F across all covering pairs decides all of it: F is a
-    stack when no pair rises, and the (d-1, d) pairs, which end the list
-    (`_kernels.top_adjacency`), give the flat pairs, the tie test (a
-    repeat of a d-face among them, which come by d-face, or a (d-1)-face
-    counted twice) and the parents."""
+    stack when no pair rises, and the (d-1, d) pairs (`Complex.top_pairs`)
+    give the flat pairs, the tie test (a d-face repeated among them, which
+    come by d-face, or a (d-1)-face counted twice) and the parents."""
     (lo, hi), pk, arr = _facet_adjacency(F), F.host.packed(), F.alt_array()
     below, above = arr[pk.sub], arr[pk.sup]
     if (below < above).any():
         return None
-    d1, n_top = pk.dim + 1, len(pk) - pk.tops.start
-    at = pk.sub.size - d1 * n_top  # the (d-1, d) pairs, d + 1 per d-face
-    k = np.flatnonzero(below[at:] == above[at:])
-    y = k // d1  # the d-face of each flat pair, ascending
-    s = pk.sub[at:][k] - pk.seps.start  # and its (d-1)-face
+    t = pk.top_pairs()
+    k = np.flatnonzero(below[t] == above[t])
+    y = pk.sup[t][k] - pk.tops.start  # the d-face of each flat pair, ascending
+    s = pk.sub[t][k] - pk.seps.start  # and its (d-1)-face
     if (y[1:] == y[:-1]).any() or np.bincount(s).max(initial=0) > 1:
         return None
-    parent = np.arange(n_top)
+    parent = np.arange(len(pk) - pk.tops.start)
     parent[y] = lo[s] + hi[s] - y
     return parent
 

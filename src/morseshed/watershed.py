@@ -33,10 +33,11 @@ directly on a boolean face mask of W in packed order.  The public
 functions find the mask from the vertex rows of W (`_subcomplex_mask`,
 ValueError for a W that is not a subcomplex of the host);
 `_verify_watershed` takes a mask the caller already has, such as the cut
-label mask of a result, and gives both verdicts; given the result's
-labels too, a third, that each d-face carries the rank of its minimum
-and each other face outside W the label of its d-cofaces, read from the
-classes the cut check found.  Where F(x) >= F(y) on
+label mask of a result, and gives both verdicts and, where the cut
+holds, the classes the cut check found, against which `_labels_hold`
+checks a result's labels: each d-face must carry the rank of its
+minimum and each other face outside W the label of its d-cofaces.
+Where F(x) >= F(y) on
 every covering pair, the ties are inert, W holds no d-face and no
 (d-1)-face of W is flat with a d-face (every Morse cut), both checks
 read the flat-link roots (`_root_verdicts`): (1) a strong step from a
@@ -277,34 +278,32 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     return _drop_holds(F, in_w, _flat_zones(F)[1])
 
 
-def _verify_watershed(F: Stack, in_w, label=None):
-    """(verify_cut(F, W), verify_drop_of_water(F, W)) for the W whose faces
-    the boolean mask `in_w` marks in packed order: from the flat-link
-    roots where `_root_verdicts` applies, else from one flat-zone rank
-    (the inclusion pairs and the facet graph are the host's).
+def _verify_watershed(F: Stack, in_w):
+    """(verify_cut(F, W), verify_drop_of_water(F, W), classes) for the W
+    whose faces the boolean mask `in_w` marks in packed order: from the
+    flat-link roots where `_root_verdicts` applies, else from one
+    flat-zone rank (the inclusion pairs and the facet graph are the
+    host's).
 
-    Given the label array `label` of a result whose cut is W, a third
-    verdict follows, False unless the cut holds: each d-face carries the
-    rank of its minimum, and each face outside W the label of its
-    d-cofaces.  Once the cut holds, each class that the cut check read
-    holds one minimum: a flat-link root class, whose minimum is its root,
-    or a component of X \\ W, whose minimum has a flat-zone rank.  Each
-    face outside W must then carry the rank of its class's minimum
-    (`_labels_hold`)."""
+    Where the cut holds, `classes` is (cls, cls_rank), the classes that
+    the cut check read, each holding one minimum: a flat-link root class,
+    whose minimum is its root, or a component of X \\ W, whose minimum
+    has a flat-zone rank; cls[i] is the class of face i, cls_rank[c] the
+    rank of the minimum of class c.  `_labels_hold` checks the labels of
+    a result against them.  Elsewhere `classes` is None."""
     if (found := _root_classes(F, in_w)) is not None:
         cut, drop, classes = found
-    else:
-        rank = _flat_zones(F)[1]
-        classes = _cut_classes(F, in_w, rank)
-        cut, drop = classes is not None, _drop_holds(F, in_w, rank)
-    if label is None:
-        return cut, drop
-    return cut, drop, cut and _labels_hold(label, in_w, *classes)
+        return cut, drop, classes if cut else None
+    rank = _flat_zones(F)[1]
+    classes = _cut_classes(F, in_w, rank)
+    return classes is not None, _drop_holds(F, in_w, rank), classes
 
 
 def _labels_hold(label, in_w, cls, cls_rank) -> bool:
     """Whether `label` holds the cut label on the faces of W and, on every
-    other face i, the rank cls_rank[cls[i]] of the minimum of its class."""
+    other face i, the rank cls_rank[cls[i]] of the minimum of its class:
+    then each d-face carries the rank of its minimum, and each face
+    outside W the label of its d-cofaces."""
     return bool((label == np.where(in_w, WATERSHED_LABEL, cls_rank[cls])).all())
 
 

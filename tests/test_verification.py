@@ -257,7 +257,7 @@ def test_mask_checks_match_the_public_verifiers():
     # the closure of one edge and the cut plus a (d-1)-face that is flat
     # with one of its d-faces (a W that crosses a flat link)
     from morseshed.complexes import _subcomplex_mask
-    from morseshed.watershed import _verify_watershed
+    from morseshed.watershed import _labels_hold, _verify_watershed
 
     hosts = [cyc6_host(), tetrahedron_boundary(), closure(combinations(range(5), 4))]
     hosts += [generate_torus(n, n) for n in range(3, 7)]
@@ -266,7 +266,11 @@ def test_mask_checks_match_the_public_verifiers():
     verdicts = []
     for F in stacks:
         X = F.host
-        W = morse_watershed(F).watershed
+        result = morse_watershed(F)
+        W = result.watershed
+        in_w = result._label == 0
+        cut, _, classes = _verify_watershed(F, in_w)
+        assert cut and _labels_hold(result._label, in_w, *classes)
         facets = W.facets()
         top = X.faces_of_dim(X.dim)[0]
         cases = [W, closure(facets + [top]), closure([X.faces_of_dim(1)[0]])]
@@ -276,7 +280,7 @@ def test_mask_checks_match_the_public_verifiers():
                     if any(F.altitude[y] == F.altitude[z] for y in X.cofaces[z]))
         cases.append(closure(facets + [link]))
         for V in cases:
-            got = _verify_watershed(F, _subcomplex_mask(X.packed(), V))
+            got = _verify_watershed(F, _subcomplex_mask(X.packed(), V))[:2]
             assert got == (verify_cut(F, V), verify_drop_of_water(F, V))
             verdicts.append(got)
     assert verdicts.count((True, True)) == len(stacks)
@@ -356,7 +360,7 @@ def test_root_verdicts_match_the_labelling_checks():
             ref = (_cut_holds(F, in_w, rank), _drop_holds(F, in_w, rank))
             got = _root_verdicts(F, in_w)
             assert (got is not None) == (inert and taken), F.altitude
-            assert got in (None, ref) and _verify_watershed(F, in_w) == ref, F.altitude
+            assert got in (None, ref) and _verify_watershed(F, in_w)[:2] == ref, F.altitude
             seen[got is not None][ref] = seen[got is not None].get(ref, 0) + 1
     assert set(seen[True]) == {(True, True), (False, True), (False, False)}, seen
     assert {(True, True), (False, True), (False, False)} <= set(seen[False]), seen
@@ -526,8 +530,9 @@ def test_a_faulty_host_assembly_map_fails_the_cli_check(
 
 
 def test_a_jump_one_round_short_fails_the_cli_checks_without_hanging(monkeypatch, tmp_path):
-    # `_jump` returns while parent[parent] is a star; `components` stops at
-    # its round bound, and a call guard turns a hang into a failure
+    # `_jump` returns while parent[parent] is a star; `components` raises
+    # at its round bound, which the CLI reports as exit 4, and a call guard
+    # turns a hang into a failure
     _, path, argv = _tor8(tmp_path)
     calls = []
 
@@ -543,7 +548,8 @@ def test_a_jump_one_round_short_fails_the_cli_checks_without_hanging(monkeypatch
         return parent
 
     monkeypatch.setattr(_kernels, "_jump", short)
-    _kernels.components(np.array([1, 2, 3]), np.array([0, 1, 2]), 4)
+    with pytest.raises(_kernels.ConvergenceError):
+        _kernels.components(np.array([1, 2, 3]), np.array([0, 1, 2]), 4)
     assert len(calls) <= 2 * (4).bit_length() + 1
     assert [cli.main(a) for a in argv + [["msf", str(path), "--verify"]]] == [4, 4, 4]
 
