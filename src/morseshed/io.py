@@ -22,8 +22,11 @@ the rows, and the altitudes follow the packer's row order.  Any other
 text, including every malformed one, goes through the line loop, which
 is the only place a parse error is raised.  The tokenizer `_read_rows`
 writes its byte masks and index arrays in place where it can (the run
-bounds, the lengths of the numbers and then of the gaps in one array)
-and drops each once its last check has read it.
+bounds, the lengths of the numbers and then of the gaps in one array).
+Its three byte masks and the lengths live in buffers kept per thread
+(`_work`), grown for a longer text, up to 1 MiB each: a parse then
+writes them into pages it wrote before, where fresh ones per call left
+the job's page faults to the heap state the caller left.
 
 Every line loop reads its faces with `_read_face`, which takes a canonical
 face as read and raises the ParseError of any other token.
@@ -43,6 +46,7 @@ every other table goes through `_decimals`.
 
 from __future__ import annotations
 
+import threading
 from operator import lt
 
 import numpy as np
@@ -229,6 +233,21 @@ def _is_canonical(face: Face) -> bool:
 
 
 _MAX_NUMBER_LEN = 18  # every number of at most 18 characters fits in int64
+_KEEP_BYTES = 1 << 20  # the largest tokenizer buffer kept between calls
+_kept = threading.local()
+
+
+def _work(name: str, n: int, dtype):
+    """n entries of the tokenizer buffer `name`: a slice of one kept for
+    this thread and grown for a longer text, or, past _KEEP_BYTES, one
+    made for this call alone."""
+    if n * np.dtype(dtype).itemsize > _KEEP_BYTES:
+        return np.empty(n, dtype=dtype)
+    buf = getattr(_kept, name, None)
+    if buf is None or buf.size < n:
+        buf = np.empty(n, dtype=dtype)
+        setattr(_kept, name, buf)
+    return buf[:n]
 
 
 def _read_rows(text: str, tagged: bool):
@@ -241,41 +260,35 @@ def _read_rows(text: str, tagged: bool):
         return None
     raw = text.encode("ascii")
     a = np.frombuffer(raw, dtype=np.uint8)
-    # every byte mask and index array is made once, or written into one
-    # that is no longer read, and dropped after its last check
-    digit = a - np.uint8(ord("0"))
-    digit = np.less(digit, 10, out=digit.view(np.bool_))  # wraps around below "0"
-    num = np.equal(a, ord("-"))
+    # the byte masks and the lengths are slices of the kept buffers
+    digit, num, other = _work("masks", 3 * a.size, np.bool_).reshape(3, -1)
+    np.subtract(a, np.uint8(ord("0")), out=digit.view(np.uint8))
+    np.less(digit.view(np.uint8), 10, out=digit)  # wraps around below "0"
+    np.equal(a, ord("-"), out=num)
     num |= digit  # the characters of a number
-    allowed = np.equal(a, ord(" "))
-    allowed |= num
-    other = np.equal(a, ord("\n"))
-    allowed |= other
-    if tagged:
-        allowed |= np.equal(a, ord(":"), out=other)
-    if not num[0] or np.count_nonzero(allowed) != a.size:
+    allowed = np.count_nonzero(num)  # the classes are disjoint: their counts add
+    for c in " \n:" if tagged else " \n":
+        allowed += np.count_nonzero(np.equal(a, ord(c), out=other))
+    if not num[0] or allowed != a.size:
         return None
     # maximal runs alternate: number, gap, number, gap, ..., the final gap
-    bounds = np.flatnonzero(np.not_equal(num[1:], num[:-1], out=allowed[:-1]))
+    bounds = np.flatnonzero(np.not_equal(num[1:], num[:-1], out=other[:-1]))
     bounds += 1
-    del allowed
     ends = bounds[0::2]  # where each number ends and its gap begins
     starts = bounds[1::2]  # where each number but the first begins
     count = ends.size  # of numbers
-    gap_len = np.empty(count, dtype=np.int64)  # first each number's length
-    gap_len[0] = ends[0]
+    gap_len = _work("lengths", count, np.int64)
+    gap_len[0] = ends[0]  # first each number's length
     np.subtract(ends[1:], starts, out=gap_len[1:])
     if gap_len.max() > _MAX_NUMBER_LEN:
         return None
     np.subtract(starts, ends[:-1], out=gap_len[:-1])  # then the gap after it
     gap_len[-1] = a.size - ends[-1]
-    del bounds, starts
     # "-" only as the first character of a number, before a digit; a[-1]
     # is the final newline, so a "-" at 0 passes the first test
     minus = np.flatnonzero(np.equal(a, ord("-"), out=other))
     if minus.size and (num[minus - 1].any() or not digit[minus + 1].all()):
         return None
-    del digit, num, other, minus
     gap = a[ends]  # the first character of each gap
     single = gap_len == 1
     space = gap == ord(" ")
@@ -296,7 +309,7 @@ def _read_rows(text: str, tagged: bool):
         raw = raw.replace(b":", b" ")
     elif not (space | newline).all():  # each line: ids joined by single spaces, "\n"
         return None
-    del a, ends, gap_len
+    del a, bounds, ends, starts
     nums = np.fromstring(raw, dtype=np.int64, sep=" ")
     if nums.size != count:
         return None

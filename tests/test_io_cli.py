@@ -851,6 +851,40 @@ def test_mutated_stack_texts_get_the_loop_outcome():
     assert array_path >= 100  # the mutants reach the array path too
 
 
+def test_kept_tokenizer_buffers_across_sizes_and_threads(monkeypatch):
+    # the tokenizer writes its masks and lengths into buffers kept per
+    # thread, grown for a longer text and sliced for a shorter one; a text
+    # past the cap gets buffers of its own, and threads never share one
+    import threading
+
+    monkeypatch.setattr(io, "_kept", threading.local())
+    texts = [io.serialize_stack(random_morse_stack(generate_torus(n, n), seed=n, n_minima=2))
+             for n in (3, 12, 5)]
+    want = [[b.tolist() for b in io._read_rows(t, tagged=True)] for t in texts]
+    for t, rows in zip(texts + texts[::-1], want + want[::-1]):
+        assert [b.tolist() for b in io._read_rows(t, tagged=True)] == rows
+    assert io._kept.masks.size == 3 * len(texts[1])  # grown once, for TOR(12)
+    bad = texts[1].replace("\n", "\n\n", 1)  # read last, it must not pass on stale masks
+    assert io._read_rows(bad, tagged=True) is None
+    kept = io._kept.masks
+    monkeypatch.setattr(io, "_KEEP_BYTES", 3 * len(texts[0]))
+    assert [b.tolist() for b in io._read_rows(texts[1], tagged=True)] == want[1]
+    assert io._kept.masks is kept  # the text past the cap kept nothing
+
+    def parse_many(k, out):
+        out[k] = all([b.tolist() for b in io._read_rows(texts[k], tagged=True)] == want[k]
+                     for _ in range(30))
+
+    monkeypatch.setattr(io, "_KEEP_BYTES", 1 << 20)
+    out = [None] * 3
+    threads = [threading.Thread(target=parse_many, args=(k, out)) for k in range(3)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert out == [True] * 3
+
+
 def test_kept_decimal_tables_across_widths(monkeypatch):
     # the writers take the strings of 0..n-1 from one kept table, rebuilt
     # for a longer range and sliced for a shorter one
