@@ -20,14 +20,16 @@ import numpy as np
 from . import fixtures, io as mio
 from ._kernels import ConvergenceError
 from .complexes import face_key
-from .forest import _forest_masks, _msf_certificate, _top_rows
 from .manifolds import generate_torus, validate
 from .morse import classify, is_morse, random_morse_stack
 from .stacks import Stack, StackError, minima
 from .watershed import (
     WATERSHED_LABEL,
     WatershedResult,
+    _forest_masks,
     _labels_hold,
+    _msf_certificate,
+    _top_rows,
     _verify_watershed,
     morse_watershed,
     watershed_collapse,
@@ -206,7 +208,7 @@ def _cmd_msf(args) -> int:
     rows = _top_rows(pk)
     face = " ".join(["%d"] * rows.shape[1])
     k = np.flatnonzero(in_y)
-    k = k[np.lexsort((hi[k], lo[k]))]  # the order of sorted(watershed_forest(F).edges)
+    k = k[np.lexsort((hi[k], lo[k]))]  # lexicographic by the two face rows
     sys.stdout.write(
         mio._format_table(f"{face} | {face} : %d\n", *rows[lo[k]].T.tolist(),
                           *rows[hi[k]].T.tolist(), w[k].tolist())

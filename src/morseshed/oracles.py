@@ -1,26 +1,137 @@
-"""Reference checks, kept out of the production modules.
+"""Reference checks and the tuple objects they read, kept out of the
+production modules.
 
-`strictly_connected_oracle` decides strict connectivity by enumerating
-every open subset, and `enumerate_msfs` / `msf_oracle` list every minimum
-spanning forest of a facet graph.  Both are exact but exponential and
-guarded by a size limit.  `is_rooted_forest` (leaf peeling), `msf_weight`
-(Kruskal), `msf_is_unique` (a tie test on the greedy run) and
+`WeightedFacetGraph` and `Forest` hold the facet graph and a rooted
+forest on face tuples; `build_facet_graph` and `watershed_forest` fill
+them from the packed host's edge list and from the masks of
+`watershed._forest_masks`, and `_msf_checks` maps a tuple forest back
+onto those masks for the certificate.  `strictly_connected_oracle`
+decides strict connectivity by enumerating every open subset, and
+`enumerate_msfs` / `msf_oracle` list every minimum spanning forest of a
+facet graph.  Both are exact but exponential and guarded by a size
+limit.  `is_rooted_forest` (leaf peeling), `msf_weight` (Kruskal),
+`msf_is_unique` (a tie test on the greedy run) and
 `_lightest_at_an_endpoint` decide the MSF checks on the tuple-keyed
-graph, with a dict-based union-find.  The tests compare the linear-time
-checks of `manifolds.validate` and `forest.verify_msf_theorem` against
-them.  Of the package, only its root imports this module; the paper's
-definitions on face tuples, the tests' other references, are in
-`definitions`.
+graph, with a dict-based union-find, which also groups a `Forest` into
+its trees, so the references share no `_kernels` labeller with the
+engine they check.  The tests compare
+the linear-time checks of `manifolds.validate` and
+`watershed.verify_msf_theorem` against them.  Of the package, only its
+root imports this module; the paper's definitions on face tuples, the
+tests' other references, are in `definitions`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .complexes import Complex, Face, connected_components, face_key, strong_connected_components
-from .forest import Edge, WeightedFacetGraph, _edge
+from .stacks import Stack, _facet_adjacency
+from .watershed import _forest_masks, _msf_certificate, _top_rows
+
+Edge = tuple[Face, Face]  # unordered; stored with the smaller face first
+
+
+def _edge(x: Face, y: Face) -> Edge:
+    return (x, y) if face_key(x) <= face_key(y) else (y, x)
+
+
+def _tops(pk) -> list[Face]:
+    """The d-faces of a packed host as tuples, in canonical order."""
+    return list(map(tuple, _top_rows(pk).tolist()))
+
+
+def _edge_tuples(pk, tops, mask=None) -> list[Edge]:
+    """The edges (tops[lo[k]], tops[hi[k]]) of a packed host as face
+    tuples, for the k that `mask` keeps (all when it is None); lo < hi, so
+    the smaller face comes first."""
+    lo, hi = pk.facet_graph
+    if mask is not None:
+        lo, hi = lo[mask], hi[mask]
+    return list(zip(map(tops.__getitem__, lo.tolist()), map(tops.__getitem__, hi.tolist())))
+
+
+@dataclass(frozen=True)
+class WeightedFacetGraph:
+    """The facet graph with its edge weights and shared (d-1)-faces."""
+
+    vertices: tuple[Face, ...]
+    edges: dict[Edge, int]  # edge -> weight F(x & y)
+    shared: dict[Edge, Face]  # edge -> the shared (d-1)-face
+
+    def degree(self, x: Face) -> int:
+        return sum(1 for e in self.edges if x in e)
+
+
+def build_facet_graph(F: Stack) -> WeightedFacetGraph:
+    """The dual graph of the d-faces, its edges in canonical order of the
+    shared (d-1)-faces.  The host must pass the check both watershed
+    routes run first (`_facet_adjacency`)."""
+    _facet_adjacency(F)
+    pk = F.host.packed()
+    tops = _tops(pk)
+    ends = _edge_tuples(pk, tops)
+    seps = map(tuple, pk.rows[-2].tolist()) if ends else ()  # no edge below d = 1
+    weights = F.alt_array()[pk.seps].tolist()
+    return WeightedFacetGraph(tuple(tops), dict(zip(ends, weights)), dict(zip(ends, seps)))
+
+
+@dataclass(frozen=True)
+class Forest:
+    """A spanning forest of a facet graph, rooted."""
+
+    vertices: frozenset[Face]
+    edges: frozenset[Edge]
+    roots: frozenset[Face]
+
+    def weight(self, G: WeightedFacetGraph) -> int:
+        return sum(G.edges[e] for e in self.edges)
+
+    def trees(self) -> list[frozenset[Face]]:
+        """Vertex sets of the connected components, in canonical order of
+        their smallest vertex."""
+        uf = _UnionFind(self.vertices)
+        for a, b in self.edges:
+            uf.union(a, b)
+        trees: dict[Face, list[Face]] = {}
+        for v in sorted(self.vertices, key=face_key):  # a tree first met at its smallest vertex
+            trees.setdefault(uf.find(v), []).append(v)
+        return list(map(frozenset, trees.values()))
+
+
+def watershed_forest(F: Stack) -> Forest:
+    """The watershed forest of F (`watershed._forest_masks`) on face
+    tuples: the dual edges whose one endpoint descends into the shared
+    face's flat partner, rooted in the minima.  F must be a Morse stack on
+    a host that passes the check of `build_facet_graph`."""
+    in_y, is_root = _forest_masks(F)
+    pk = F.host.packed()
+    tops = _tops(pk)
+    return Forest(
+        frozenset(tops),
+        frozenset(_edge_tuples(pk, tops, in_y)),
+        frozenset(map(tops.__getitem__, np.flatnonzero(is_root).tolist())),
+    )
+
+
+def _msf_checks(F: Stack, Y: Forest) -> dict[str, bool]:
+    """`watershed._msf_certificate` for a tuple forest Y, mapped onto the
+    host's edge list and d-faces by its face tuples; its edges and roots
+    must be among them (ValueError)."""
+    _facet_adjacency(F)
+    pk = F.host.packed()
+    tops = _tops(pk)
+    ends = _edge_tuples(pk, tops)
+    in_y = np.fromiter(map(Y.edges.__contains__, ends), dtype=np.bool_, count=len(ends))
+    is_root = np.fromiter(map(Y.roots.__contains__, tops), dtype=np.bool_, count=len(tops))
+    if in_y.sum() != len(Y.edges) or is_root.sum() != len(Y.roots):
+        raise ValueError("the forest is not on the facet graph")
+    return _msf_certificate(F, in_y, is_root)
 
 
 def is_rooted_forest(

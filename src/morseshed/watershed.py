@@ -40,7 +40,7 @@ minimum and each other face outside W the label of its d-cofaces.
 Where F(x) >= F(y) on
 every covering pair, the ties are inert, W holds no d-face and no
 (d-1)-face of W is flat with a d-face (every Morse cut), both checks
-read the flat-link roots (`_root_verdicts`): (1) a strong step from a
+read the flat-link roots (`_root_classes`): (1) a strong step from a
 d-face x to a d-face y across z, off W, needs F(z) <= F(x), and a stack
 has F(z) >= F(x), so z is a flat (d-1)-face of x; on a tie-inert stack
 x has at most one, with a strictly lower d-face across it, so every
@@ -50,17 +50,26 @@ lower d-face flat-linked to it, and every minimum holds a d-face, since
 altitudes never rise from a face to its d-cofaces; (3) no link crosses W, so each root class is
 joined off W, and the components of X \\ W are the root classes iff
 every face outside W has all its d-cofaces in one class (this holds on
-hosts that are not normal too, as every face below dimension d is in
-the pairs).  So the cut holds iff every face below dimension d outside
+hosts that are not normal too, as every face below dimension d lies in
+a d-face).  So the cut holds iff every face below dimension d outside
 W sees one root among its d-cofaces and every face of W two, and the
 drop of water iff every face of W sees two: one pointer-jumping pass
-and one pass over the (face, d-face) pairs.  The check builds that
-forest from the altitudes itself, not through `stacks._inert_forest`,
-which both routes read, so a fault there fails the check.  Other
+and one pass down the covering pairs (`_coface_range`), with no
+inclusion pair.  The check builds that forest from the altitudes
+itself, not through `stacks._inert_forest`, which both routes read, so
+a fault there fails the check.  Other
 inputs take one flat-zone rank (`stacks._flat_zones`), a labelling of
-X \\ W and a pass in ascending altitude (`_cut_holds`, `_drop_holds`):
+X \\ W and a pass in ascending altitude (`_cut_classes`, `_drop_holds`):
 linear in the size of the host plus one sort by altitude.  The public
 functions add one binary search per dimension for each face of W.
+
+The watershed forest (one differential step then one flat step between
+two facets) is, for Morse stacks, the unique minimum spanning forest
+rooted in the minima.  The engine holds it as two masks over the packed
+host, one over the facet graph's edges and one over the d-faces
+(`_forest_masks`), and `verify_msf_theorem` certifies it on them in one
+pass over the edge list (`_msf_certificate`).  Its tuple objects and the
+greedy, tie-test and exhaustive references are in `oracles`.
 """
 
 from __future__ import annotations
@@ -71,8 +80,8 @@ from numbers import Integral
 import numpy as np
 
 from .complexes import (
-    Complex, Face, _LazyViews, _from_arrays, _grouped, _masked_complex, _subcomplex_mask,
-    closure,
+    Complex, Face, _LazyViews, _from_arrays, _grouped, _masked_complex, _pair_cut,
+    _subcomplex_mask, closure,
 )
 from .definitions import biconnected_faces
 from .morse import _require_morse
@@ -243,16 +252,16 @@ def verify_cut(F: Stack, W: Complex) -> bool:
     st(x) \\ W are joined through x outside Y, and each component there
     holds one minimum, so they lie in one component of X \\ W.
 
-    Where `_root_verdicts` applies (a tie-inert stack, W with no d-face
+    Where `_root_classes` applies (a tie-inert stack, W with no d-face
     and no flat (d-1)-face), the components are the flat-link root
-    classes and one pointer-jumping pass and one pass over the (face,
-    d-face) pairs decide the check.  Elsewhere it takes one flat-zone
-    labelling and one labelling of X \\ W.
+    classes and one pointer-jumping pass and one pass down the covering
+    pairs decide the check.  Elsewhere it takes one flat-zone labelling
+    and one labelling of X \\ W (`_cut_classes`).
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
-    if (verdicts := _root_verdicts(F, in_w)) is not None:
-        return verdicts[0]
-    return _cut_holds(F, in_w, _flat_zones(F)[1])
+    if (found := _root_classes(F, in_w)) is not None:
+        return found[0]
+    return _cut_classes(F, in_w, _flat_zones(F)[1]) is not None
 
 
 def verify_drop_of_water(F: Stack, W: Complex) -> bool:
@@ -268,22 +277,21 @@ def verify_drop_of_water(F: Stack, W: Complex) -> bool:
     minimum ids (the rank of `flat_zones`) is kept as its smallest and
     largest member, as only whether it has two members is asked.
 
-    Where `_root_verdicts` applies, every path follows the flat links to
+    Where `_root_classes` applies, every path follows the flat links to
     a root, and the check reads the root classes of the d-cofaces of
     each face of W, with no flat-zone labelling and no Python loop.
     """
     in_w = _subcomplex_mask(F.host.packed(), W)
-    if (verdicts := _root_verdicts(F, in_w)) is not None:
-        return verdicts[1]
+    if (found := _root_classes(F, in_w)) is not None:
+        return found[1]
     return _drop_holds(F, in_w, _flat_zones(F)[1])
 
 
 def _verify_watershed(F: Stack, in_w):
     """(verify_cut(F, W), verify_drop_of_water(F, W), classes) for the W
     whose faces the boolean mask `in_w` marks in packed order: from the
-    flat-link roots where `_root_verdicts` applies, else from one
-    flat-zone rank (the inclusion pairs and the facet graph are the
-    host's).
+    flat-link roots where `_root_classes` applies, else from one
+    flat-zone rank.
 
     Where the cut holds, `classes` is (cls, cls_rank), the classes that
     the cut check read, each holding one minimum: a flat-link root class,
@@ -307,18 +315,12 @@ def _labels_hold(label, in_w, cls, cls_rank) -> bool:
     return bool((label == np.where(in_w, WATERSHED_LABEL, cls_rank[cls])).all())
 
 
-def _root_verdicts(F: Stack, in_w):
-    """(cut, drop) of `_root_classes`, or None where it reaches no verdict."""
-    found = _root_classes(F, in_w)
-    return None if found is None else found[:2]
-
-
 def _root_classes(F: Stack, in_w):
     """(cut, drop, (cls, cls_rank)) for the face mask `in_w` of W from the
     flat-link roots, or None unless F(x) >= F(y) on every covering pair,
     the ties are inert (as `stacks._inert_forest` decides), W holds no
     d-face and no (d-1)-face of W is flat with a d-face of its own (then
-    `_cut_holds` and `_drop_holds` decide).  By the three facts of the
+    `_cut_classes` and `_drop_holds` decide).  By the three facts of the
     module docstring, the cut holds iff every face below dimension d
     outside W has the d-cofaces of one root and every face of W those of
     two, and the drop of water iff the latter holds.  cls[i] is the root
@@ -352,10 +354,7 @@ def _root_classes(F: Stack, in_w):
     parent = np.arange(ta.size)
     parent[y] = z
     root = _kernels._jump(parent)
-    # a root id is below top_lo, as the (d-1)-faces alone number (d+1)/2
-    # per d-face
-    sub, sup = _top_inclusions(pk)
-    low, high = _kernels.low_high(sub, root[sup - top_lo], top_lo)
+    low, high = _coface_range(pk, root, root)
     two = low < high  # sees two roots; every face below d sees one at least
     below_w = in_w[:top_lo]
     drop = bool((two | ~below_w).all())
@@ -363,25 +362,28 @@ def _root_classes(F: Stack, in_w):
     return drop and bool((two == below_w).all()), drop, classes
 
 
-def _top_inclusions(pk):
-    """The (face, d-face) pairs x ⊊ y of a pure host: the tail of its
-    inclusion pairs, which come by the dimension of their larger face, as
-    each d-face has 2**(d+1) - 2 proper faces."""
-    sub, sup = pk.inclusion_pairs
-    at = sub.size - (len(pk) - pk.tops.start) * (2 ** (pk.dim + 1) - 2)
-    return sub[at:], sup[at:]
-
-
-def _cut_holds(F: Stack, in_w, rank) -> bool:
-    """`verify_cut` on the face mask `in_w` of W."""
-    return _cut_classes(F, in_w, rank) is not None
+def _coface_range(pk, low, high):
+    """For each face below dimension d of a pure host, the least of `low`
+    and the greatest of `high` over its d-cofaces, both given on the
+    d-faces.  The d-cofaces of a face are those of its codim-1 cofaces,
+    so one pass down the covering-pair blocks (`complexes._pair_cut`),
+    from the (d-1)-faces to the vertices, finds them all."""
+    top_lo, cut = pk.tops.start, _pair_cut(pk)
+    least = np.concatenate((np.full(top_lo, np.iinfo(np.int64).max), low))
+    most = np.concatenate((np.full(top_lo, np.iinfo(np.int64).min), high))
+    for p in range(pk.dim, 0, -1):
+        sub, sup = pk.sub[cut[p]:cut[p + 1]], pk.sup[cut[p]:cut[p + 1]]
+        np.minimum.at(least, sub, least[sup])
+        np.maximum.at(most, sub, most[sup])
+    return least[:top_lo], most[:top_lo]
 
 
 def _cut_classes(F: Stack, in_w, rank):
     """(root, low) where `verify_cut` holds on the face mask `in_w` of W,
     else None: root[i] labels the component of X \\ W that holds face i
     (`_kernels.components`), and low[root[i]] is the flat-zone rank of
-    its one minimum."""
+    its one minimum.  It reads the inclusion pairs, as the host need not
+    be pure."""
     pk = F.host.packed()
     n = len(pk)
     if (in_w & (rank > 0)).any():
@@ -403,7 +405,7 @@ def _drop_holds(F: Stack, in_w, rank) -> bool:
     """`verify_drop_of_water` on the face mask `in_w` of W."""
     lo, hi = _facet_adjacency(F)
     pk, alt = F.host.packed(), F.alt_array()
-    n, top_lo, ta = len(pk), pk.tops.start, alt[pk.tops]
+    top_lo, ta = pk.tops.start, alt[pk.tops]
     off_w = np.flatnonzero(~in_w[pk.seps])  # then its two d-faces are off W, as W is closed
     lo, hi, sa = lo[off_w], hi[off_w], alt[pk.seps][off_w]
     down = (ta[hi] <= sa) & (sa <= ta[lo])  # a step lo -> hi
@@ -424,10 +426,148 @@ def _drop_holds(F: Stack, in_w, rank) -> bool:
             low[s] = low[t]
         if high[t] > high[s]:
             high[s] = high[t]
-    sub, sup = _top_inclusions(pk)
-    rim = np.flatnonzero(in_w[sub] & ~in_w[sup])  # x in W, y a d-face off W
-    at, g = sub[rim], root[sup[rim] - top_lo]
-    x_low, x_high = np.full(n, ta.size + 1), np.full(n, -1)
-    np.minimum.at(x_low, at, np.array(low)[g])
-    np.maximum.at(x_high, at, np.array(high)[g])
-    return bool(((x_low < x_high) | ~in_w).all())
+    # every d-face is off W: each face of W takes the ends of all its d-cofaces
+    x_low, x_high = _coface_range(pk, np.array(low)[root], np.array(high)[root])
+    return bool(((x_low < x_high) | ~in_w[:top_lo]).all())
+
+
+# -- the MSF certificate ------------------------------------------------------
+
+
+def _top_rows(pk):
+    """The vertex rows of the d-faces of a packed host, in canonical order
+    (no row, in one column, for the empty host)."""
+    return pk.rows[-1] if pk.rows else np.zeros((0, 1), dtype=np.int64)
+
+
+def _forest_masks(F: Stack) -> tuple[np.ndarray, np.ndarray]:
+    """The watershed forest of F as (in_y, is_root): a mask of its edges
+    over the host's edge list and a mask of its roots over the d-faces.
+    Its edges are the dual edges {x, y} such that one endpoint descends
+    into the shared face's flat partner: (x, x&y) differential and
+    (x&y, y) flat, either way around.  The roots are the minima: on a
+    Morse stack, the d-faces with no flat (d-1)-face, as in the flood."""
+    lo, hi = _facet_adjacency(F)
+    _require_morse(F)
+    pk, alt = F.host.packed(), F.alt_array()
+    sa, ta = alt[pk.seps], alt[pk.tops]
+    down, up = ta[lo] == sa, ta[hi] == sa
+    is_root = np.ones(ta.size, dtype=np.bool_)
+    is_root[lo.compress(down)] = is_root[hi.compress(up)] = False
+    return down | up, is_root
+
+
+def verify_msf_theorem(F: Stack) -> dict[str, bool]:
+    """Check the MSF characterization of the watershed forest.
+
+    Returns per-check flags: rooted (spanning forest rooted in the
+    minima), weight (a minimum spanning forest rooted in the minima),
+    unique (the only one), basins (forest trees match the watershed basins
+    on d-faces), and min_edge (every forest edge is the unique lightest
+    edge at one endpoint).  See `_msf_certificate` for how each is decided.
+    """
+    return _msf_certificate(F, *_forest_masks(F))
+
+
+def _is_facet_graph(pk, lo, hi) -> bool:
+    """Whether lo[j] < hi[j] for every edge j and the boundary rows of both
+    d-faces hold (d-1)-face j, read from `pk.bd`, not from the edge list."""
+    rows, j = pk.bd[pk.dim], np.arange(pk.seps.start, pk.seps.stop)[:, None]
+    # a boundary row holds a face at most once: one match per end
+    held = sum(np.count_nonzero(rows.take(end, axis=0) == j) for end in (lo, hi))
+    return bool((lo < hi).all() and held == 2 * j.size)
+
+
+def _msf_certificate(F: Stack, in_y: np.ndarray, is_root: np.ndarray) -> dict[str, bool]:
+    """The checks of `verify_msf_theorem` for the forest Y with edge mask
+    `in_y` over the host's edge list and root mask `is_root` over its
+    d-faces (as `_forest_masks` gives them), in one pass over the edge
+    list, weighted by the altitudes of F.
+
+    rooted: Y has facets - trees edges (so no cycle) and every tree holds
+    one root.  Its trees are read by one pointer-jumping pass
+    (`_kernels._jump`) over the parent edges when Y is oriented as below,
+    else from one `_kernels.components` labelling.
+
+    weight and unique, by the cycle property (King, Algorithmica 1997): a
+    spanning tree of the graph with all roots merged into one vertex is a
+    minimum one iff every other edge weighs at least the heaviest tree
+    edge on the path between its ends, and the only one iff every other
+    edge weighs strictly more.  Orient each edge of Y from its higher to
+    its lower d-face, from its larger to its smaller index on a tie: a
+    strict order, so parent edges never close a cycle.  If every non-root
+    has one parent edge, the roots have none, and the weight w(u) of u's
+    parent edge never increases toward the root, then Y is such a
+    spanning tree and the heaviest edge on the path between u and v is
+    max(w(u), w(v)), with w = -inf on a root (a root-to-root edge, a
+    loop once the roots are merged, always passes).  On a Morse stack
+    the watershed forest always has this orientation: a facet's parent
+    edge crosses its one flat face, so w(u) = F(u), which falls toward
+    the root.  Without it (a facet with two parent edges, a root with
+    one, a weight rising toward a root) the path maximum is not one
+    parent edge, and finding it would need a path-maximum structure; the
+    check then reaches no verdict and both flags are False, so it never
+    accepts a forest the greedy optimum rejects.
+
+    basins: every tree carries one basin label, none of them the cut
+    label, and there are as many labels as trees.  The labels are those
+    `morse_watershed` gives the d-faces (`_facet_labels`), so F
+    must be a Morse stack, as `_forest_masks` checks.
+
+    min_edge: each edge of Y is the only edge of least weight at one of
+    its ends.
+
+    Every flag is False unless the edge list is the facet graph of the
+    host: edge j joins d-faces lo[j] < hi[j] whose boundary rows
+    (`Complex.bd`) both hold (d-1)-face j, so a fault in the kernel that
+    builds the graph fails the certificate instead of passing it.
+    """
+    lo, hi = _facet_adjacency(F)
+    pk = F.host.packed()
+    if not _is_facet_graph(pk, lo, hi):
+        return dict.fromkeys(("rooted", "weight", "unique", "basins", "min_edge"), False)
+    n = is_root.size  # the d-faces, in canonical order
+    alt = F.alt_array()
+    w, ta = alt[pk.seps], alt[pk.tops]
+    k = np.flatnonzero(in_y)  # the edges of Y
+    a, b = lo[k], hi[k]
+    child = np.where(ta[a] > ta[b], a, b)  # a < b: b on a tie
+    parent = a + b - child
+    up = np.full(n, np.iinfo(np.int64).min)  # w(u); -inf on a root
+    up[child] = w[k]
+    oriented = ((np.bincount(child, minlength=n) == ~is_root).all()
+                and (up[parent] <= up[child]).all())
+    if oriented:  # one parent edge per child, in a strict order: a forest
+        tree = np.arange(n)
+        tree[child] = parent
+        tree = _kernels._jump(tree)
+    else:
+        tree = _kernels.components(a, b, n)
+    first = tree == np.arange(n)  # one per tree
+    checks = {
+        "rooted": bool(
+            a.size == n - first.sum()
+            and (np.bincount(tree.compress(is_root), minlength=n)[first] == 1).all()
+        )
+    }
+    # a root-to-root edge meets -inf on both ends and passes: on a Morse
+    # stack no weight is the int64 minimum, or both its d-faces would be
+    # flat with its (d-1)-face
+    path_max = np.maximum(up[lo], up[hi])  # read off Y only
+    checks["weight"] = bool(oriented and ((w >= path_max) | in_y).all())
+    checks["unique"] = bool(oriented and ((w > path_max) | in_y).all())
+    label = _facet_labels(F)[0]  # the d-faces, in order
+    low, high = _kernels.low_high(tree, label, n)
+    checks["basins"] = bool(
+        (label != WATERSHED_LABEL).all()
+        and (low[first] == high[first]).all()
+        and np.count_nonzero(np.bincount(label, minlength=1)) == first.sum()
+    )
+    least = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(least, lo, w)
+    np.minimum.at(least, hi, w)
+    at_lo, at_hi = w == least[lo], w == least[hi]
+    ties = np.bincount(lo[at_lo], minlength=n) + np.bincount(hi[at_hi], minlength=n)
+    alone = (at_lo & (ties[lo] == 1)) | (at_hi & (ties[hi] == 1))
+    checks["min_edge"] = bool(alone[k].all())
+    return checks

@@ -19,7 +19,6 @@ from morseshed.fixtures import (
     tetrahedron_boundary,
     wedge,
 )
-from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.manifolds import generate_torus, validate
 from morseshed.morse import (
     flat_pairs,
@@ -28,7 +27,13 @@ from morseshed.morse import (
     random_morse_stack,
     stack_from_gradient,
 )
-from morseshed.oracles import enumerate_msfs, msf_weight, strictly_connected_oracle
+from morseshed.oracles import (
+    build_facet_graph,
+    enumerate_msfs,
+    msf_weight,
+    strictly_connected_oracle,
+    watershed_forest,
+)
 from morseshed.stacks import (
     minima,
     random_stack,

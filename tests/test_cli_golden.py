@@ -32,14 +32,15 @@ from morseshed.fixtures import (
     tetrahedron_boundary,
     wedge,
 )
-from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
 from morseshed.oracles import (
     _lightest_at_an_endpoint,
+    build_facet_graph,
     is_rooted_forest,
     msf_is_unique,
     msf_weight,
+    watershed_forest,
 )
 from morseshed.stacks import Stack, random_stack
 from morseshed.watershed import WATERSHED_LABEL, morse_watershed

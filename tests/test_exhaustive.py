@@ -12,7 +12,6 @@ import pytest
 from morseshed.complexes import closure
 from morseshed.definitions import dmf_dual_check
 from morseshed.fixtures import cyc6_host, tetrahedron_boundary
-from morseshed.forest import verify_msf_theorem
 from morseshed.morse import GradientField, flat_pairs, is_morse, stack_from_gradient
 from morseshed.stacks import _heap_collapse, _ultimate_d_collapse
 from morseshed.watershed import (
@@ -20,6 +19,7 @@ from morseshed.watershed import (
     morse_watershed_direct,
     verify_cut,
     verify_drop_of_water,
+    verify_msf_theorem,
     watershed_collapse,
 )
 from test_morse import _ref_stack_from_gradient

@@ -13,21 +13,20 @@ import pytest
 
 from morseshed.complexes import closure
 from morseshed.fixtures import cyc6_host, tetrahedron_boundary
-from morseshed.forest import (
+from morseshed.manifolds import generate_torus
+from morseshed.morse import random_morse_stack
+from morseshed.oracles import (
     Forest,
     WeightedFacetGraph,
     _edge_tuples,
-    _forest_masks,
-    _msf_certificate,
     _msf_checks,
     _tops,
     build_facet_graph,
     watershed_forest,
 )
-from morseshed.manifolds import generate_torus
-from morseshed.morse import random_morse_stack
 from morseshed.stacks import _facet_adjacency
 from morseshed import _kernels
+from morseshed.watershed import _forest_masks, _msf_certificate
 
 
 def _host_graph(F):

@@ -7,27 +7,24 @@ from hypothesis import strategies as st
 
 from morseshed.complexes import Complex, closure
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
-from morseshed.forest import (
-    Forest,
-    WeightedFacetGraph,
-    _edge,
-    _msf_checks,
-    build_facet_graph,
-    verify_msf_theorem,
-    watershed_forest,
-)
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
 from morseshed.oracles import (
+    Forest,
+    WeightedFacetGraph,
+    _edge,
     _lightest_at_an_endpoint,
+    _msf_checks,
+    build_facet_graph,
     enumerate_msfs,
     is_rooted_forest,
     msf_is_unique,
     msf_oracle,
     msf_weight,
+    watershed_forest,
 )
 from morseshed.stacks import Stack, StackError, complete_from_facets, minima, random_stack
-from morseshed.watershed import morse_watershed, watershed_collapse
+from morseshed.watershed import morse_watershed, verify_msf_theorem, watershed_collapse
 
 FIX_WEIGHTS = {
     ((0, 1), (1, 2)): 1,

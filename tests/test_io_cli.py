@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import morseshed
-from morseshed import cli, complexes, forest, io, oracles
+from morseshed import cli, complexes, io, oracles, watershed
 from morseshed.complexes import Complex, InvalidSimplexError, closure, face_key
 from morseshed.fixtures import (
     branching_collapse_counterexample,
@@ -317,19 +317,19 @@ def test_cli_msf_verify_builds_graph_and_forest_once(capsys, monkeypatch, tmp_pa
     p.write_text(io.serialize_stack(F))
     # the report the command printed when it verified through
     # verify_msf_theorem(F), rebuilding the graph and the forest
-    G, Y = forest.build_facet_graph(F), forest.watershed_forest(F)
+    G, Y = oracles.build_facet_graph(F), oracles.watershed_forest(F)
     expected = "".join(
         f"{' '.join(map(str, a))} | {' '.join(map(str, b))} : {G.edges[(a, b)]}\n"
         for a, b in sorted(Y.edges)
     )
     expected += f"total_weight={Y.weight(G)}\n"
     expected += "".join(
-        f"check_{k}={v}\n" for k, v in sorted(forest.verify_msf_theorem(F).items())
+        f"check_{k}={v}\n" for k, v in sorted(watershed.verify_msf_theorem(F).items())
     )
     calls = {"build_facet_graph": 0, "watershed_forest": 0}
 
     def counting(name):
-        original = getattr(forest, name)
+        original = getattr(oracles, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -338,7 +338,7 @@ def test_cli_msf_verify_builds_graph_and_forest_once(capsys, monkeypatch, tmp_pa
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(forest, name, counting(name))
+        monkeypatch.setattr(oracles, name, counting(name))
     assert cli.main(["msf", str(p), "--verify"]) == 0
     assert capsys.readouterr().out == expected
     # the command reads the forest's masks: neither tuple object is built
@@ -1224,13 +1224,14 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
     _count_calls(monkeypatch, watershed, "morse_watershed", calls)
     assert cli.main(["watershed", path, "--algo", "morse"]) == 0
     assert ": W\n" in capsys.readouterr().out
-    # the Morse cut is checked from the flat-link roots: no flat-zone labelling
-    assert calls["flat_zones"] == 0 and calls["_inclusion_pairs"] == 1, calls
+    # the Morse cut is checked from the flat-link roots: no flat-zone labelling,
+    # and no inclusion pair, as the roots go down the covering pairs
+    assert calls["flat_zones"] == 0 and calls["_inclusion_pairs"] == 0, calls
     assert calls["top_adjacency"] == 1, calls
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["watershed", path, "--algo", "collapse"]) == 0
     assert ": W\n" in capsys.readouterr().out
-    assert calls["top_adjacency"] == 1 and calls["_inclusion_pairs"] == 1, calls
+    assert calls["top_adjacency"] == 1 and calls["_inclusion_pairs"] == 0, calls
     assert calls["flat_zones"] == 0, calls  # the collapse and the check read the roots
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["msf", path, "--verify"]) == 0
@@ -1293,13 +1294,13 @@ def test_msf_builds_no_graph_or_forest(capsys, monkeypatch, tmp_path):
         return Counting
 
     for name in ("WeightedFacetGraph", "Forest"):
-        monkeypatch.setattr(forest, name, counting(getattr(forest, name)))
+        monkeypatch.setattr(oracles, name, counting(getattr(oracles, name)))
     for argv in (["msf"], ["msf", "--dot"], ["msf", "--verify"]):
         assert cli.main([argv[0], path, *argv[1:]]) == 0, argv
         assert capsys.readouterr().out
     F = io.parse_stack(Path(path).read_text())
-    assert all(forest.verify_msf_theorem(F).values())
+    assert all(watershed.verify_msf_theorem(F).values())
     assert made == []
-    forest.build_facet_graph(F)  # the patches count
-    forest.watershed_forest(F)
+    oracles.build_facet_graph(F)  # the patches count
+    oracles.watershed_forest(F)
     assert made == ["WeightedFacetGraph", "Forest"]

@@ -2,28 +2,33 @@
 agreement with the linear-time checks that replaced them there."""
 
 import ast
+import importlib.util
 import random
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import morseshed
-from morseshed.complexes import Complex, closure
+from morseshed import _kernels
+from morseshed.complexes import Complex, closure, face_key
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
-from morseshed.forest import (
+from morseshed.manifolds import generate_torus
+from morseshed.morse import random_morse_stack
+from morseshed.oracles import (
     Forest,
     WeightedFacetGraph,
     _edge,
     _msf_checks,
     build_facet_graph,
-    verify_msf_theorem,
+    enumerate_msfs,
+    msf_is_unique,
+    msf_weight,
     watershed_forest,
 )
-from morseshed.manifolds import generate_torus
-from morseshed.morse import random_morse_stack
-from morseshed.oracles import enumerate_msfs, msf_is_unique, msf_weight
 from morseshed.stacks import Stack
+from morseshed.watershed import morse_watershed, verify_msf_theorem
 from test_cli_golden import _ref_msf_checks
 
 
@@ -135,27 +140,72 @@ MOVED = {  # the definitions the engine modules held before `definitions` did
 }
 
 
+def _imports(path):
+    """The modules, and module.name for each name taken from one, that the
+    source file at `path` imports."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module}.{a.name}" if node.module else a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+
+
 @pytest.mark.parametrize("module, allowed", [
     ("oracles", {"__init__.py"}),
     ("definitions", {"__init__.py", "watershed.py"}),
 ])
 def test_only_the_package_root_imports_the_oracles(module, allowed):
     src = Path(morseshed.__file__).parent
-    importers = set()
-    for path in src.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [
-                    f"{node.module}.{a.name}" if node.module else a.name for a in node.names
-                ]
-            elif isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            else:
-                continue
-            if any(name.split(".")[-1] == module for name in names):
-                importers.add(path.name)
+    importers = {path.name for path in src.glob("*.py")
+                 if any(name.split(".")[-1] == module for name in _imports(path))}
     assert importers == allowed
+    # the references share no array kernel with the engine they check
+    assert all(name.split(".")[-1] != "_kernels" for name in _imports(src / "oracles.py"))
     assert {"enumerate_msfs", "msf_oracle", "stack_collapse", "trace_all"} <= set(morseshed.__all__)
     for engine, names in MOVED.items():
         assert [name for name in names if hasattr(getattr(morseshed, engine), name)] == []
         assert all(hasattr(morseshed.definitions, name) for name in names)
+
+
+TUPLE_OBJECTS = ["WeightedFacetGraph", "Forest", "build_facet_graph", "watershed_forest"]
+
+
+def test_only_the_oracles_hold_the_tuple_objects():
+    # the face-tuple graph and forest are the references': no engine module
+    # defines or imports them, and the module that held them is gone
+    src = Path(morseshed.__file__).parent
+    names = {*TUPLE_OBJECTS, "_msf_checks"}
+    holders = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                held = {node.name}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                held = {part for a in node.names for part in (a.name, a.asname)}
+            else:
+                continue
+            if held & names:
+                holders.add(path.name)
+    assert holders == {"oracles.py", "__init__.py"}
+    assert importlib.util.find_spec("morseshed.forest") is None
+    # the root keeps every name; `_msf_checks` is private and stays out
+    assert {*TUPLE_OBJECTS, "verify_msf_theorem"} <= set(morseshed.__all__)
+    assert all(getattr(morseshed, name) is getattr(morseshed.oracles, name)
+               for name in TUPLE_OBJECTS)
+    assert morseshed.verify_msf_theorem is morseshed.watershed.verify_msf_theorem
+
+
+def test_forest_trees_read_no_engine_kernel(monkeypatch):
+    # `Forest.trees` groups by the oracles' own union-find: with a
+    # components labeller that merges nothing, the trees are still the
+    # route's basins on the d-faces, in canonical order of their smallest
+    cases = [cyc6_stack(), random_morse_stack(generate_torus(6, 6), seed=4, n_minima=3)]
+    refs = []
+    for F in cases:
+        d = F.host.dim
+        tops = [frozenset(x for x in fs if len(x) == d + 1) for _, fs in morse_watershed(F).basins]
+        refs.append(sorted(tops, key=lambda t: face_key(min(t, key=face_key))))
+    monkeypatch.setattr(_kernels, "components", lambda a, b, n: np.arange(n))
+    for F, ref in zip(cases, refs):
+        assert len(ref) > 1 and watershed_forest(F).trees() == ref

@@ -15,10 +15,10 @@ import pytest
 
 from morseshed import _kernels, cli, complexes, io, watershed
 from morseshed.complexes import Complex, closure, connected_components, face_key
-from morseshed.forest import build_facet_graph, watershed_forest
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
+from morseshed.oracles import build_facet_graph, watershed_forest
 from morseshed.stacks import Stack, minima, random_stack
 from morseshed.watershed import (
     WATERSHED_LABEL,
@@ -337,7 +337,7 @@ def test_root_verdicts_match_the_labelling_checks():
     # makes the cut check reject some collapse cuts
     from morseshed.fixtures import wedge
     from morseshed.stacks import _flat_zones, _inert_forest, _stack_from_array
-    from morseshed.watershed import _cut_holds, _drop_holds, _root_verdicts, _verify_watershed
+    from morseshed.watershed import _cut_classes, _drop_holds, _root_classes, _verify_watershed
 
     hosts = [cyc6_host(), tetrahedron_boundary()]
     hosts += [closure(combinations(range(k), k - 1)) for k in (5, 6)]
@@ -357,13 +357,47 @@ def test_root_verdicts_match_the_labelling_checks():
         assert inert or not morse  # every Morse cut takes the root path
         rank = _flat_zones(F)[1]
         for in_w, taken in _variants(F, rng):
-            ref = (_cut_holds(F, in_w, rank), _drop_holds(F, in_w, rank))
-            got = _root_verdicts(F, in_w)
+            ref = (_cut_classes(F, in_w, rank) is not None, _drop_holds(F, in_w, rank))
+            got = None if (found := _root_classes(F, in_w)) is None else found[:2]
             assert (got is not None) == (inert and taken), F.altitude
             assert got in (None, ref) and _verify_watershed(F, in_w)[:2] == ref, F.altitude
             seen[got is not None][ref] = seen[got is not None].get(ref, 0) + 1
     assert set(seen[True]) == {(True, True), (False, True), (False, False)}, seen
     assert {(True, True), (False, True), (False, False)} <= set(seen[False]), seen
+
+
+
+def _ref_top_inclusions(pk):
+    """The (face, d-face) pairs x ⊊ y of a pure host, as the checks read
+    them before the pass down the covering pairs: the tail of its
+    inclusion pairs, which come by the dimension of their larger face, as
+    each d-face has 2**(d+1) - 2 proper faces."""
+    sub, sup = pk.inclusion_pairs
+    at = sub.size - (len(pk) - pk.tops.start) * (2 ** (pk.dim + 1) - 2)
+    return sub[at:], sup[at:]
+
+
+def test_coface_range_matches_the_inclusion_pairs():
+    # the least and greatest value over the d-cofaces of each face, from
+    # the pass down the covering pairs and from the (face, d-face) block
+    # of the inclusion pairs, on hosts of dimension 1 to 4
+    from morseshed.watershed import _coface_range
+
+    hosts = [cyc6_host(), closure([(k, (k + 1) % 7) for k in range(7)])]
+    hosts += [generate_torus(n, n) for n in range(3, 9)]
+    hosts += [closure(combinations(range(k), k - 1)) for k in (5, 6)]
+    assert sorted({X.dim for X in hosts}) == [1, 2, 3, 4]
+    rng = np.random.default_rng(5)
+    for X in hosts:
+        pk = X.packed()
+        top_lo = pk.tops.start
+        sub, sup = _ref_top_inclusions(pk)
+        for _ in range(3):
+            # low_high takes values in 0..n, n the number of faces below d
+            a, b = rng.integers(0, top_lo + 1, size=(2, len(pk) - top_lo))
+            low, high = _coface_range(pk, a, b)
+            assert np.array_equal(low, _kernels.low_high(sub, a[sup - top_lo], top_lo)[0])
+            assert np.array_equal(high, _kernels.low_high(sub, b[sup - top_lo], top_lo)[1])
 
 
 def _tor8(tmp_path):

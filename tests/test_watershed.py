@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from morseshed.complexes import Complex, closure
 from morseshed.fixtures import branching_triangles, cyc6_stack, tetrahedron_boundary
-from morseshed.forest import verify_msf_theorem
 from morseshed.manifolds import generate_torus, validate
 from morseshed.morse import random_morse_stack
 from morseshed.stacks import Stack, StackError, minima
@@ -18,6 +17,7 @@ from morseshed.watershed import (
     morse_watershed_direct,
     verify_cut,
     verify_drop_of_water,
+    verify_msf_theorem,
     watershed_collapse,
 )
 
@@ -75,7 +75,7 @@ def test_morse_watershed_rejects_non_morse():
 
 
 def test_every_morse_route_rejects_a_non_morse_stack_alike():
-    from morseshed.forest import watershed_forest
+    from morseshed.oracles import watershed_forest
     from morseshed.morse import gradient, is_morse
 
     F = constant_stack(tetrahedron_boundary())
@@ -87,7 +87,7 @@ def test_every_morse_route_rejects_a_non_morse_stack_alike():
 
 
 def test_every_route_rejects_a_bad_host_alike():
-    from morseshed.forest import watershed_forest
+    from morseshed.oracles import watershed_forest
 
     hosts = [branching_triangles(), closure([(0, 1, 2), (2, 3)])]  # branching, not pure
     checks = (morse_watershed, morse_watershed_direct, watershed_collapse, watershed_forest,
