@@ -14,7 +14,10 @@ complex and the two other array-backed objects of the package (the stack
 and the watershed result); `_from_arrays` builds such an object from its
 arrays alone.  Complexes are immutable after construction; operations
 return new objects sharing nothing mutable.
-Free pairs, collapses, and open and closed subsets are in `definitions`.
+Connectivity (`_connected_labels`, `_strong_labels`) and the range of a
+value over the faces above each face (`_coface_range`) read the covering
+pairs and the `bd` rows alone.  Free pairs, collapses, and open and
+closed subsets are in `definitions`.
 """
 
 from __future__ import annotations
@@ -173,8 +176,8 @@ class Complex(_LazyViews):
     canonical order; ``bd[p][i]``, the indexes of the boundary of face
     number dim_offset[p] + i in drop-vertex order (an empty row per vertex
     for p = 0), a view of ``sub`` on the covering pairs of the p-faces
-    (`_pair_cut`, and `top_pairs` for p = d); ``inclusion_pairs`` (`_inclusion_pairs`); ``n_cofaces``,
-    the number of codim-1 cofaces of each face; and ``facet_graph``, the
+    (`_pair_cut`, and `top_pairs` for p = d); ``n_cofaces``, the number
+    of codim-1 cofaces of each face; and ``facet_graph``, the
     two d-faces (lo, hi) of each (d-1)-face (`_kernels.top_adjacency`),
     which raises ValueError on every read when the complex is branching
     or not pure of its top dimension; and ``assembly_map``, the smallest
@@ -186,7 +189,7 @@ class Complex(_LazyViews):
     __slots__ = (
         "rows", "sub", "sup", "dim_offset", "seps", "tops", "keys", "order", "dim",
         "face_list", "faces", "by_dim", "boundary", "cofaces",
-        "bd", "inclusion_pairs", "n_cofaces", "facet_graph", "assembly_map",
+        "bd", "n_cofaces", "facet_graph", "assembly_map",
     )
     _VIEWS = {
         "face_list": lambda X: [x for r in X.rows for x in zip(*r.T.tolist())],
@@ -195,9 +198,8 @@ class Complex(_LazyViews):
         "boundary": _boundary_view,
         "cofaces": _cofaces_view,
         "bd": _bd_view,
-        # looked up at each build, so a patched function (a tracer, a test) is the one run
-        "inclusion_pairs": lambda X: _inclusion_pairs(X),
         "n_cofaces": lambda X: np.bincount(X.sub, minlength=len(X)),
+        # looked up at each build, so a patched function (a tracer, a test) is the one run
         "facet_graph": lambda X: _kernels.top_adjacency(X),
         "assembly_map": lambda X: _assembly_view(X),
     }
@@ -469,25 +471,6 @@ def _masked_complex(pk: Complex, member) -> Complex:
     return Complex(_rows=[r[member[off[p]:off[p + 1]]] for p, r in enumerate(pk.rows)])
 
 
-def _inclusion_pairs(pk: Complex):
-    """(sub, sup) index arrays of every pair of faces x ⊊ y.  The faces
-    below y are its boundary faces, then theirs, and so on, each kept once
-    per y."""
-    off, bd = pk.dim_offset.tolist(), pk.bd
-    subs, sups = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for p in range(1, len(bd)):  # a complex has faces of every dimension up to its own
-        n, below = len(bd[p]), bd[p]
-        for q in range(p - 1, -1, -1):  # `below` holds the q-faces of each p-face
-            subs.append(below.ravel())
-            sups.append(np.repeat(np.arange(off[p], off[p + 1]), below.shape[1]))
-            if q:
-                below = np.sort(bd[q][below - off[q]].reshape(n, -1), axis=1)
-                fresh = np.ones(below.shape, dtype=np.bool_)
-                fresh[:, 1:] = below[:, 1:] != below[:, :-1]
-                below = below[fresh].reshape(n, -1)
-    return np.concatenate(subs), np.concatenate(sups)
-
-
 def _member_mask(pk: Complex, S: Iterable[Face] | None):
     """Boolean mask of the faces in S (all faces when S is None)."""
     if S is None:
@@ -532,11 +515,33 @@ def _grouped(faces: list, label, index=None) -> tuple[list[int], list[list[Face]
     return ranked[first].tolist(), [members[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _coface_range(pk: Complex, least, most):
+    """`least` and `most`, one value per face, lowered and raised in place
+    to the least and the greatest over each face and the faces above it:
+    one pass down the covering-pair blocks (`_pair_cut`) from the top
+    dimension, as the faces above a face are those above its cofaces."""
+    cut = _pair_cut(pk)
+    for p in range(pk.dim, 0, -1):
+        sub, sup = pk.sub[cut[p]:cut[p + 1]], pk.sup[cut[p]:cut[p + 1]]
+        np.minimum.at(least, sub, least[sup])
+        np.maximum.at(most, sub, most[sup])
+    return least, most
+
+
 def _connected_labels(pk: Complex, member):
-    """Each member labelled by the smallest member of its component."""
-    sub, sup = pk.inclusion_pairs
-    both = member[sub] & member[sup]
-    return _kernels.components(sub[both], sup[both], len(pk))
+    """Each member labelled by the smallest member of its component: the
+    covering pairs join the faces that lie above one member and below
+    another, which join members x ⊊ y through the faces between them,
+    each to a smaller member below it."""
+    off, bd = pk.dim_offset.tolist(), pk.bd
+    below, above = member.copy(), member.copy()  # the faces below a member, above one
+    for p in range(len(bd) - 1, 0, -1):
+        below[bd[p][below[off[p]:off[p + 1]]]] = True
+    for p in range(1, len(bd)):
+        above[off[p]:off[p + 1]] |= above[bd[p]].any(axis=1)
+    below &= above  # the faces between two members
+    both = np.flatnonzero(below[pk.sub] & below[pk.sup])
+    return _kernels.components(pk.sub[both], pk.sup[both], len(pk))
 
 
 def connected_components(X: Complex, S: Iterable[Face] | None = None) -> list[set[Face]]:
@@ -590,11 +595,8 @@ def _strong_labels(pk: Complex, member, d: int | None):
     z, y = pk.sub[pair][order], pk.sup[pair][order]
     same = z[1:] == z[:-1]
     root = _kernels.components(y[:-1][same], y[1:][same], n)
-    # each other member takes the smallest root among the d-facets above it
-    sub, sup = pk.inclusion_pairs
-    above = member[sub] & ~top[sub] & top[sup]
-    owner = np.full(n, n)
-    np.minimum.at(owner, sub[above], root[sup[above]])
+    # each other member takes the least root among the d-facets above it
+    owner = _coface_range(pk, np.where(top, root, n), np.zeros(n, dtype=np.int64))[0]
     label = np.where(owner < n, owner, root)
     index = np.flatnonzero(member)
     least = np.full(n, n)

@@ -3,26 +3,25 @@
 Normality is checked two ways: through strict connectivity (every
 connected open subset strongly connected) and through the classical link
 condition.  The two routes are provably equivalent on pseudomanifolds;
-`validate` computes both and asserts they agree.  Strict connectivity is
-never decided by subset enumeration in production -- the exponential
-enumeration lives in `oracles.strictly_connected_oracle`, a test oracle.
+`validate` computes both and asserts they agree.  The links of all
+faces are labelled at once from the covering pairs and the `bd` rows
+(`_split_links`, `_split_strong_links`), with no link complex built.
+Strict connectivity is never decided by subset enumeration in
+production -- the exponential enumeration lives in
+`oracles.strictly_connected_oracle`, a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
 from .complexes import (
-    Complex,
-    Face,
-    _closure,
-    _connected_labels,
-    _strong_labels,
-    face_key,
+    Complex, Face, _closure, _connected_labels, _pair_cut, _strong_labels, face_key,
 )
 
 
@@ -71,36 +70,58 @@ def _check_non_branching(X: Complex) -> Optional[Face]:
     return pk.face_list[pk.seps.start + bad[0]] if bad.size else None
 
 
-def _split_links(X: Complex, strong: bool = False):
-    """Indexes, ascending, of the p-faces x (p <= d-2) whose link is
-    disconnected or, with `strong`, not strongly connected.
-
-    lk(x) is connected exactly when the faces strictly containing x are
-    connected along covering pairs, so every link is labelled in one
-    pass: the nodes are the inclusion pairs (x, y) with dim x <= d-2, and
-    (x, y) meets (x, w) when w is a boundary face of y.  With `strong`,
-    only the pairs with dim y >= d-1 are nodes: the d-faces around x
-    joined through the (d-1)-faces around x.  A face whose nodes have two
-    roots is split.
-    """
+def _split_links(X: Complex):
+    """Indexes, ascending, of the p-faces x (p <= d-2) whose link, or its
+    1-skeleton, is disconnected.  Its vertices are the `bd` slots (y, k),
+    x = bd row y at k, numbered as the covering pairs; a face z of which x
+    is a face of codimension 2, x = z less vertices i < j, joins the
+    slots (z less i, j - 1) and (z less j, i).  A face whose slots have
+    two roots is split."""
     pk = X.packed()
-    n, off = len(pk), pk.dim_offset.tolist()
-    sub, sup = pk.inclusion_pairs
-    low = sub < pk.seps.start
-    if strong:
-        low &= sup >= pk.seps.start
-    key = np.sort(sub[low] * n + sup[low])  # node i is the pair key[i]
-    x, y = np.divmod(key, n)
+    off, cut = pk.dim_offset.tolist(), _pair_cut(pk)
     a, b = [], []
-    for q, bd in enumerate(pk.bd[1:], start=1):
-        at = np.flatnonzero((y >= off[q]) & (y < off[q + 1]))
-        cand = x[at, None] * n + bd[y[at] - off[q]]
-        pos = np.minimum(np.searchsorted(key, cand), key.size - 1)
-        hit = key[pos] == cand
-        a.append(pos[hit])
-        b.append(np.broadcast_to(at[:, None], cand.shape)[hit])
-    root = _kernels.components(np.concatenate(a), np.concatenate(b), key.size)
-    roots = np.bincount(x[root == np.arange(key.size)], minlength=n)
+    for q in range(2, X.dim + 1):
+        i, j = np.array(list(combinations(range(q + 1), 2))).T
+        slot = cut[q - 1] + (pk.bd[q] - off[q - 1]) * q  # slot (y, 0) of each y
+        a.append((slot[:, i] + j - 1).ravel())
+        b.append((slot[:, j] + i).ravel())
+    root = _kernels.components(np.concatenate(a), np.concatenate(b), pk.sub.size)
+    roots = np.bincount(pk.sub[root == np.arange(pk.sub.size)], minlength=len(pk))
+    return np.flatnonzero(roots[:pk.seps.start] > 1)
+
+
+def _split_strong_links(X: Complex):
+    """Indexes, ascending, of the p-faces x (p <= d-2) whose link is not
+    strongly connected: the nodes (c, t), c the set of positions of x in
+    the d-face t, and (c', s), c' those in the (d-1)-face s, where
+    (c', bd[d][t, i]) joins (c' with a 0 bit inserted at i, t), have two
+    roots.  Each x is reached from c by dropping the other positions in
+    descending order through `bd`."""
+    pk, d = X.packed(), X.dim
+    off = pk.dim_offset.tolist()
+    # the sets c of 1 to d - 1 positions in a p-face, p = d - 1 or d, as bit masks
+    sets = {p: [c for c in range(1, 2 << p) if c.bit_count() < d] for p in (d - 1, d)}
+    first = {d: 0, d - 1: (off[d + 1] - off[d]) * len(sets[d])}
+
+    def node(p, f, j):  # the node (sets[p][j], f) of the p-face f
+        return first[p] + (f - off[p]) * len(sets[p]) + j
+
+    rank = np.zeros(2 << d, dtype=np.int64)
+    rank[sets[d]] = np.arange(len(sets[d]))
+    cs, t = np.array(sets[d - 1]), np.arange(off[d], off[d + 1])[:, None]
+    a = [node(d - 1, s[:, None], np.arange(cs.size)) for s in pk.bd[d].T]
+    b = [node(d, t, rank[(cs >> i << (i + 1)) | (cs & ((1 << i) - 1))]) for i in range(d + 1)]
+    root = _kernels.components(np.concatenate(a).ravel(), np.concatenate(b).ravel(),
+                               node(d - 1, off[d], 0))
+    roots = np.zeros(len(pk), dtype=np.int64)
+    for p in (d - 1, d):
+        f = np.arange(off[p], off[p + 1])
+        for j, c in enumerate(sets[p]):
+            x, drops = f, [k for k in range(p, -1, -1) if not c >> k & 1]
+            for q, k in zip(range(p, 0, -1), drops):  # descending: k is still a position in x
+                x = pk.bd[q][x - off[q], k]
+            at = node(p, f, j)
+            roots += np.bincount(x[root[at] == at], minlength=len(pk))
     return np.flatnonzero(roots > 1)
 
 
@@ -187,7 +208,7 @@ def links_are_pseudomanifolds(X: Complex) -> tuple[bool, list[Face]]:
     if X.dim < 2:
         return (True, [])
     faces = X.packed().face_list
-    bad = [faces[i] for i in _split_links(X, strong=True).tolist()]
+    bad = [faces[i] for i in _split_strong_links(X).tolist()]
     return (not bad, bad)
 
 

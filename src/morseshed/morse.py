@@ -142,9 +142,7 @@ def random_morse_stack(X: Complex, seed: int = 0, n_minima: int = 1) -> Stack:
     def drop(x: int) -> None:
         # the remaining faces stay closed, so every boundary face of x remains
         nonlocal n_free
-        if pool[x] == FREE:
-            n_free -= 1
-        pool[x] = 0
+        pool[x] = 0  # never FREE: a sampled x left the list, and the others have no coface
         for z in bd[x]:
             ncof[z] -= 1
             cofsum[z] -= x

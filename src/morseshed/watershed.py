@@ -54,14 +54,14 @@ hosts that are not normal too, as every face below dimension d lies in
 a d-face).  So the cut holds iff every face below dimension d outside
 W sees one root among its d-cofaces and every face of W two, and the
 drop of water iff every face of W sees two: one pointer-jumping pass
-and one pass down the covering pairs (`_coface_range`), with no
-inclusion pair.  The check builds that forest from the altitudes
-itself, not through `stacks._inert_forest`, which both routes read, so
-a fault there fails the check.  Other
-inputs take one flat-zone rank (`stacks._flat_zones`), a labelling of
-X \\ W and a pass in ascending altitude (`_cut_classes`, `_drop_holds`):
-linear in the size of the host plus one sort by altitude.  The public
-functions add one binary search per dimension for each face of W.
+and one pass down the covering pairs (`complexes._coface_range`).  The
+check builds that forest from the altitudes itself, not through
+`stacks._inert_forest`, which both routes read, so a fault there fails
+the check.  Other inputs take one flat-zone rank (`stacks._flat_zones`),
+a labelling of X \\ W and a pass in ascending altitude (`_cut_classes`,
+`_drop_holds`), which read the covering pairs too: linear in the size
+of the host plus one sort by altitude.  The public functions add one
+binary search per dimension for each face of W.
 
 The watershed forest (one differential step then one flat step between
 two facets) is, for Morse stacks, the unique minimum spanning forest
@@ -80,8 +80,8 @@ from numbers import Integral
 import numpy as np
 
 from .complexes import (
-    Complex, Face, _LazyViews, _from_arrays, _grouped, _masked_complex, _pair_cut,
-    _subcomplex_mask, closure,
+    _INT64_MAX, _INT64_MIN, Complex, Face, _LazyViews, _coface_range, _from_arrays, _grouped,
+    _masked_complex, _subcomplex_mask, closure,
 )
 from .definitions import biconnected_faces
 from .morse import _require_morse
@@ -324,8 +324,8 @@ def _root_classes(F: Stack, in_w):
     module docstring, the cut holds iff every face below dimension d
     outside W has the d-cofaces of one root and every face of W those of
     two, and the drop of water iff the latter holds.  cls[i] is the root
-    of d-face i - top_lo, or for a face i below dimension d the least root
-    of its d-cofaces; cls_rank[r] is the rank of root r among the roots by
+    of a d-face i, or for a face i below dimension d the least root of
+    its d-cofaces; cls_rank[r] is the rank of root r among the roots by
     local id, which is the rank of its minimum.
 
     The flat-link forest is built here from the altitudes, not by
@@ -335,7 +335,6 @@ def _root_classes(F: Stack, in_w):
     (so no (d-1)-face is flat with both), and no d-face may be sent
     twice."""
     pk, alt = F.host.packed(), F.alt_array()
-    top_lo = pk.tops.start
     try:
         lo, hi = pk.facet_graph
     except ValueError:  # the host is no pseudomanifold: no flat-link forest
@@ -354,36 +353,22 @@ def _root_classes(F: Stack, in_w):
     parent = np.arange(ta.size)
     parent[y] = z
     root = _kernels._jump(parent)
-    low, high = _coface_range(pk, root, root)
+    low, high = np.full(len(pk), _INT64_MAX), np.full(len(pk), _INT64_MIN)
+    low[pk.tops] = high[pk.tops] = root
+    _coface_range(pk, low, high)
     two = low < high  # sees two roots; every face below d sees one at least
-    below_w = in_w[:top_lo]
-    drop = bool((two | ~below_w).all())
-    classes = np.concatenate((low, root)), np.cumsum(root == np.arange(ta.size))
-    return drop and bool((two == below_w).all()), drop, classes
-
-
-def _coface_range(pk, low, high):
-    """For each face below dimension d of a pure host, the least of `low`
-    and the greatest of `high` over its d-cofaces, both given on the
-    d-faces.  The d-cofaces of a face are those of its codim-1 cofaces,
-    so one pass down the covering-pair blocks (`complexes._pair_cut`),
-    from the (d-1)-faces to the vertices, finds them all."""
-    top_lo, cut = pk.tops.start, _pair_cut(pk)
-    least = np.concatenate((np.full(top_lo, np.iinfo(np.int64).max), low))
-    most = np.concatenate((np.full(top_lo, np.iinfo(np.int64).min), high))
-    for p in range(pk.dim, 0, -1):
-        sub, sup = pk.sub[cut[p]:cut[p + 1]], pk.sup[cut[p]:cut[p + 1]]
-        np.minimum.at(least, sub, least[sup])
-        np.maximum.at(most, sub, most[sup])
-    return least[:top_lo], most[:top_lo]
+    drop = bool((two | ~in_w).all())
+    classes = low, np.cumsum(root == np.arange(ta.size))
+    return drop and bool((two == in_w).all()), drop, classes
 
 
 def _cut_classes(F: Stack, in_w, rank):
     """(root, low) where `verify_cut` holds on the face mask `in_w` of W,
     else None: root[i] labels the component of X \\ W that holds face i
     (`_kernels.components`), and low[root[i]] is the flat-zone rank of
-    its one minimum.  It reads the inclusion pairs, as the host need not
-    be pure."""
+    its one minimum.  W is closed, so for y outside W, st(y) lies outside
+    W in the component of y: the pass down the covering pairs gives each
+    face of W the components around it, on a host that need not be pure."""
     pk = F.host.packed()
     n = len(pk)
     if (in_w & (rank > 0)).any():
@@ -395,17 +380,16 @@ def _cut_classes(F: Stack, in_w, rank):
     low, high = _kernels.low_high(root[in_min], rank[in_min], n)
     if not ((low == high)[root] | in_w).all():
         return None
-    sub, sup = pk.inclusion_pairs
-    rim = np.flatnonzero(in_w[sub] & out[sup])  # x in W, y in st(x) \ W
-    x_low, x_high = _kernels.low_high(sub[rim], root[sup[rim]], n)
-    return None if (x_low == x_high).any() else (root, low)
+    x_low, x_high = _coface_range(pk, np.where(in_w, _INT64_MAX, root),
+                                  np.where(in_w, _INT64_MIN, root))
+    return None if (in_w & (x_low == x_high)).any() else (root, low)
 
 
 def _drop_holds(F: Stack, in_w, rank) -> bool:
     """`verify_drop_of_water` on the face mask `in_w` of W."""
     lo, hi = _facet_adjacency(F)
     pk, alt = F.host.packed(), F.alt_array()
-    top_lo, ta = pk.tops.start, alt[pk.tops]
+    ta = alt[pk.tops]
     off_w = np.flatnonzero(~in_w[pk.seps])  # then its two d-faces are off W, as W is closed
     lo, hi, sa = lo[off_w], hi[off_w], alt[pk.seps][off_w]
     down = (ta[hi] <= sa) & (sa <= ta[lo])  # a step lo -> hi
@@ -427,8 +411,10 @@ def _drop_holds(F: Stack, in_w, rank) -> bool:
         if high[t] > high[s]:
             high[s] = high[t]
     # every d-face is off W: each face of W takes the ends of all its d-cofaces
-    x_low, x_high = _coface_range(pk, np.array(low)[root], np.array(high)[root])
-    return bool(((x_low < x_high) | ~in_w[:top_lo]).all())
+    x_low, x_high = np.full(len(pk), _INT64_MAX), np.full(len(pk), _INT64_MIN)
+    x_low[pk.tops], x_high[pk.tops] = np.array(low)[root], np.array(high)[root]
+    _coface_range(pk, x_low, x_high)
+    return bool(((x_low < x_high) | ~in_w).all())
 
 
 # -- the MSF certificate ------------------------------------------------------

@@ -1,15 +1,19 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseshed import io
+from morseshed import _kernels, io
 from morseshed.complexes import (
     Complex,
     EMPTY_COMPLEX,
     InvalidSimplexError,
+    _coface_range,
+    _connected_labels,
+    _strong_labels,
     _subcomplex_mask,
     closure,
     connected_components,
@@ -526,3 +530,117 @@ def test_subcomplex_mask_finds_faces_by_their_rows():
     assert not _subcomplex_mask(Complex(()).packed(), Complex(())).size
     with pytest.raises(ValueError):
         _subcomplex_mask(Complex(()).packed(), closure([(0,)]))
+
+
+# -- the inclusion pairs, kept as references -----------------------------------
+
+
+def _inclusion_pairs(pk):
+    """(sub, sup) index arrays of every pair of faces x ⊊ y, 2**(p+1) - 2
+    of them per p-face y, by the dimension of y.  The faces below y are its
+    boundary faces, then theirs, and so on, each kept once per y."""
+    off, bd = pk.dim_offset.tolist(), pk.bd
+    subs, sups = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for p in range(1, len(bd)):  # a complex has faces of every dimension up to its own
+        n, below = len(bd[p]), bd[p]
+        for q in range(p - 1, -1, -1):  # `below` holds the q-faces of each p-face
+            subs.append(below.ravel())
+            sups.append(np.repeat(np.arange(off[p], off[p + 1]), below.shape[1]))
+            if q:
+                below = np.sort(bd[q][below - off[q]].reshape(n, -1), axis=1)
+                fresh = np.ones(below.shape, dtype=np.bool_)
+                fresh[:, 1:] = below[:, 1:] != below[:, :-1]
+                below = below[fresh].reshape(n, -1)
+    return np.concatenate(subs), np.concatenate(sups)
+
+
+def _ref_connected_labels(pk, member):
+    """Each member labelled by the smallest member of its component, members
+    x ⊊ y joined by their inclusion pair."""
+    sub, sup = _inclusion_pairs(pk)
+    both = member[sub] & member[sup]
+    return _kernels.components(sub[both], sup[both], len(pk))
+
+
+def _ref_strong_labels(pk, member, d):
+    """`_strong_labels`, each member below a d-facet taking the least root
+    of the d-facets above it through their inclusion pairs."""
+    n, off = len(pk), pk.dim_offset.tolist()
+    facet = member.copy()
+    facet[pk.sub[member[pk.sub] & member[pk.sup]]] = False
+    dim = np.repeat(np.arange(len(off) - 1), np.diff(off))
+    if d is None:
+        d = int(dim[facet].max(initial=-1))
+    top = facet & (dim == d)
+    pair = member[pk.sub] & top[pk.sup]
+    order = np.argsort(pk.sub[pair], kind="stable")
+    z, y = pk.sub[pair][order], pk.sup[pair][order]
+    same = z[1:] == z[:-1]
+    root = _kernels.components(y[:-1][same], y[1:][same], n)
+    sub, sup = _inclusion_pairs(pk)
+    above = member[sub] & ~top[sub] & top[sup]
+    owner = np.full(n, n)
+    np.minimum.at(owner, sub[above], root[sup[above]])
+    label = np.where(owner < n, owner, root)
+    index = np.flatnonzero(member)
+    least = np.full(n, n)
+    np.minimum.at(least, label[index], index)
+    return least[label]
+
+
+def _random_complexes(seed, count):
+    """Closures of a few random faces on seven vertices, one of them of
+    dimension 2 to 4: mostly neither pure nor non-branching."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(2, 4)
+        gens = [rng.sample(range(7), rng.randint(1, d + 1)) for _ in range(rng.randint(1, 7))]
+        yield closure(gens + [rng.sample(range(7), d + 1)])
+
+
+def test_inclusion_pairs_reference_counts_every_pair():
+    for X in [*_labeller_hosts(), *_random_complexes(1, 20)]:
+        sub, sup = _inclusion_pairs(X.packed())
+        ref = {(x, y) for y in X.faces for x in proper_subfaces(y)}
+        faces = X.sorted_faces()
+        assert {(faces[a], faces[b]) for a, b in zip(sub.tolist(), sup.tolist())} == ref
+        dim = np.array([len(x) - 1 for x in faces])
+        assert sub.size == len(ref) and (np.diff(dim[sup]) >= 0).all()
+
+
+def test_coface_range_spans_every_face_above():
+    # the least and greatest value over each face and the faces above it,
+    # on values given on every face of hosts that need not be pure
+    rng = np.random.default_rng(2)
+    for X in [*_labeller_hosts(), *_random_complexes(2, 40)]:
+        pk = X.packed()
+        sub, sup = _inclusion_pairs(pk)
+        a, b = rng.integers(-9, 9, size=(2, len(pk)))
+        low, high = a.copy(), b.copy()
+        assert _coface_range(pk, low, high) == (low, high)  # in place
+        np.minimum.at(a, sub, a[sup])
+        np.maximum.at(b, sub, b[sup])
+        assert np.array_equal(low, a) and np.array_equal(high, b), X
+
+
+def test_labellers_match_the_inclusion_pair_labellers():
+    # both component labellers, on every face and on seeded subsets that
+    # are neither open nor closed, against those on the inclusion pairs
+    rng = random.Random(6)
+    neither = 0
+    for X in [*_labeller_hosts(), *_random_complexes(6, 60)]:
+        pk = X.packed()
+        masks = [np.ones(len(pk), dtype=np.bool_)]
+        for _ in range(4):
+            S = set(rng.sample(X.sorted_faces(), len(X) // 2))
+            if not is_open_subset(X, S) and not is_closed_subset(X, S):
+                neither += 1
+                masks.append(np.array([x in S for x in pk.face_list]))
+        for member in masks:
+            at = np.flatnonzero(member)
+            got, ref = _connected_labels(pk, member), _ref_connected_labels(pk, member)
+            assert np.array_equal(got[at], ref[at]), X
+            for d in (None, X.dim - 1):
+                got, ref = _strong_labels(pk, member, d), _ref_strong_labels(pk, member, d)
+                assert np.array_equal(got[at], ref[at]), X
+    assert neither >= 200

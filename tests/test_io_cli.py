@@ -1,6 +1,7 @@
 import codecs
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -418,6 +419,37 @@ def test_cli_gen_and_export(capsys, tmp_path):
     dot = capsys.readouterr().out
     assert dot.count("[label=") == 18  # one node per triangle
     assert dot.count(" -- ") == 27
+
+
+def test_cli_export_writes_the_watershed_labels_by_default(capsys, tmp_path):
+    # `export` without --format prints the lines of `watershed --algo
+    # morse`, less its closing `# seed=` line
+    path = tmp_path / "t55.stack"
+    path.write_text(io.serialize_stack(random_morse_stack(generate_torus(5, 5), seed=2, n_minima=3)))
+    capsys.readouterr()
+    assert cli.main(["export", str(path)]) == 0
+    exported = capsys.readouterr().out
+    assert cli.main(["watershed", str(path), "--algo", "morse"]) == 0
+    *labels, seed = capsys.readouterr().out.splitlines(keepends=True)
+    assert seed == "# seed=0 algo=morse\n" and exported == "".join(labels)
+    assert exported.count(" : W\n") > 0
+
+
+@pytest.mark.parametrize("what, parse, fixture", [
+    ("cyc6", io.parse_stack, cyc6_stack),
+    ("wedge", io.parse_complex, wedge),
+    ("branch", io.parse_complex, branching_triangles),
+])
+def test_cli_gen_writes_each_fixture(capsys, what, parse, fixture):
+    capsys.readouterr()
+    assert cli.main(["gen", what]) == 0
+    assert parse(capsys.readouterr().out) == fixture()
+
+
+def test_cli_gen_random_morse_needs_a_complex_file(capsys):
+    capsys.readouterr()
+    assert cli.main(["gen", "random-morse"]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "gen random-morse needs a complex file\n")
 
 
 def _pairwise_dot_edges(result):
@@ -1214,24 +1246,22 @@ def _tor66_file(tmp_path):
 
 
 def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
-    from morseshed import _kernels, complexes, watershed
+    from morseshed import _kernels, watershed
 
     path = _tor66_file(tmp_path)
     calls = {}
     _count_calls(monkeypatch, _kernels, "flat_zones", calls)
-    _count_calls(monkeypatch, complexes, "_inclusion_pairs", calls)
     _count_calls(monkeypatch, _kernels, "top_adjacency", calls)
     _count_calls(monkeypatch, watershed, "morse_watershed", calls)
     assert cli.main(["watershed", path, "--algo", "morse"]) == 0
     assert ": W\n" in capsys.readouterr().out
-    # the Morse cut is checked from the flat-link roots: no flat-zone labelling,
-    # and no inclusion pair, as the roots go down the covering pairs
-    assert calls["flat_zones"] == 0 and calls["_inclusion_pairs"] == 0, calls
+    # the Morse cut is checked from the flat-link roots: no flat-zone labelling
+    assert calls["flat_zones"] == 0, calls
     assert calls["top_adjacency"] == 1, calls
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["watershed", path, "--algo", "collapse"]) == 0
     assert ": W\n" in capsys.readouterr().out
-    assert calls["top_adjacency"] == 1 and calls["_inclusion_pairs"] == 0, calls
+    assert calls["top_adjacency"] == 1, calls
     assert calls["flat_zones"] == 0, calls  # the collapse and the check read the roots
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["msf", path, "--verify"]) == 0
@@ -1243,7 +1273,19 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
     cplx.write_text(io.serialize_complex(generate_torus(6, 6)))
     assert cli.main(["validate", str(cplx)]) == 0
     assert "is_normal=True\n" in capsys.readouterr().out
-    assert calls["_inclusion_pairs"] == 1, calls
+
+
+def test_no_module_builds_inclusion_pairs():
+    # links, components and the cut check read the covering pairs and the
+    # `bd` rows: no module defines, reads or names the pairs x ⊊ y
+    src = Path(morseshed.__file__).parent
+    named = [p.name for p in src.glob("*.py")
+             if re.search("inclusion[ _]pair", p.read_text(encoding="utf-8"), re.IGNORECASE)]
+    assert named == []
+    assert "inclusion_pairs" not in Complex.__slots__ + tuple(Complex._VIEWS)
+    assert not hasattr(complexes, "_inclusion_pairs")
+    with pytest.raises(AttributeError):
+        generate_torus(3, 3).inclusion_pairs
 
 
 def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):

@@ -9,6 +9,7 @@ from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
 from morseshed.stacks import _inert_forest, _stack_from_array, random_stack
+from test_complexes import _inclusion_pairs
 
 
 def _graph(F):
@@ -272,7 +273,7 @@ def test_the_assembly_map_holds_each_smallest_d_coface_and_the_closing_blocks():
         pk = X.packed()
         owner, blocks = pk.assembly_map
         top_lo, n = pk.tops.start, len(pk)
-        sub, sup = pk.inclusion_pairs
+        sub, sup = _inclusion_pairs(pk)
         above = sup >= top_lo  # x a proper face of the d-face y
         ref = np.full(n, n)
         ref[pk.tops] = np.arange(n - top_lo)

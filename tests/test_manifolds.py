@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
 import pytest
 
+from morseshed import _kernels
 from morseshed.complexes import (
     Complex,
     Face,
@@ -22,6 +24,8 @@ from morseshed.fixtures import (
 )
 from morseshed.manifolds import (
     _check_link_condition,
+    _split_links,
+    _split_strong_links,
     generate_torus,
     link,
     links_are_pseudomanifolds,
@@ -29,6 +33,7 @@ from morseshed.manifolds import (
     validate,
 )
 from morseshed.oracles import strictly_connected_oracle
+from test_complexes import _inclusion_pairs, _random_complexes
 
 
 def test_link_of_cycle_vertex():
@@ -385,3 +390,58 @@ def test_batched_link_check_matches_per_face_loop():
         assert witnesses[-1] == _ref_check_link_condition(X)
         assert validate(X).link_condition == (witnesses[-1] is None)
     assert sum(w is not None for w in witnesses) >= 4
+
+
+def _ref_split_links(X, strong=False):
+    """The faces x (p <= d-2) whose link is disconnected or, with `strong`,
+    not strongly connected, from the inclusion pairs: the nodes are the
+    pairs (x, y), with dim y >= d-1 under `strong`, and (x, y) meets (x, w)
+    when w is a boundary face of y.  Keys are sorted, and each boundary
+    face is found by binary search."""
+    pk = X.packed()
+    n, off = len(pk), pk.dim_offset.tolist()
+    sub, sup = _inclusion_pairs(pk)
+    low = sub < pk.seps.start
+    if strong:
+        low &= sup >= pk.seps.start
+    key = np.sort(sub[low] * n + sup[low])  # node i is the pair key[i]
+    x, y = np.divmod(key, n)
+    a, b = [], []
+    for q, bd in enumerate(pk.bd[1:], start=1):
+        at = np.flatnonzero((y >= off[q]) & (y < off[q + 1]))
+        cand = x[at, None] * n + bd[y[at] - off[q]]
+        pos = np.minimum(np.searchsorted(key, cand), key.size - 1)
+        hit = key[pos] == cand
+        a.append(pos[hit])
+        b.append(np.broadcast_to(at[:, None], cand.shape)[hit])
+    root = _kernels.components(np.concatenate(a), np.concatenate(b), key.size)
+    roots = np.bincount(x[root == np.arange(key.size)], minlength=n)
+    return np.flatnonzero(roots > 1)
+
+
+def _join(X, Y):
+    """The join of X and Y, the vertices of Y shifted past those of X."""
+    shift = max(v for (v,) in X.faces_of_dim(0)) + 1
+    return closure(x + tuple(v + shift for v in y)
+                   for x in X.faces_of_dim(X.dim) for y in Y.faces_of_dim(Y.dim))
+
+
+def test_link_labellers_match_the_inclusion_pair_labeller():
+    # both labellers as full index lists, on random complexes of dimension
+    # 2 to 4 and on pseudomanifolds, among them hosts whose strong and
+    # plain lists differ: the suspension of the pinched torus, whose
+    # apexes have the pinched torus as link, and a join of dimension 4
+    hosts = list(_random_complexes(9, 150))
+    hosts += [tetrahedron_boundary(), generate_torus(4, 5), _pinched_torus(), wedge()]
+    hosts += [closure(combinations(range(6), 5)), _suspension(_pinched_torus())]
+    hosts += [_join(_pinched_torus(), closure([(0, 1), (1, 2), (0, 2)]))]
+    hosts += [_join(cyc6_host(), tetrahedron_boundary())]
+    assert sorted({X.dim for X in hosts}) == [2, 3, 4]
+    split = strong_only = 0
+    for X in hosts:
+        plain, strong = _split_links(X).tolist(), _split_strong_links(X).tolist()
+        assert plain == _ref_split_links(X).tolist(), X
+        assert strong == _ref_split_links(X, strong=True).tolist(), X
+        split += bool(plain)
+        strong_only += bool(set(strong) - set(plain))
+    assert split >= 20 and strong_only >= 2

@@ -27,6 +27,7 @@ from morseshed.watershed import (
     verify_drop_of_water,
     watershed_collapse,
 )
+from test_complexes import _inclusion_pairs
 
 
 def _ref_is_extension_of_minima(F, open_set):
@@ -292,7 +293,7 @@ def test_mask_checks_match_the_public_verifiers():
 
 def _closed(pk, mask):
     """The mask with every face below a marked face marked too."""
-    sub, sup = pk.inclusion_pairs
+    sub, sup = _inclusion_pairs(pk)
     mask = mask.copy()
     mask[sub[mask[sup]]] = True
     return mask
@@ -372,16 +373,17 @@ def _ref_top_inclusions(pk):
     them before the pass down the covering pairs: the tail of its
     inclusion pairs, which come by the dimension of their larger face, as
     each d-face has 2**(d+1) - 2 proper faces."""
-    sub, sup = pk.inclusion_pairs
+    sub, sup = _inclusion_pairs(pk)
     at = sub.size - (len(pk) - pk.tops.start) * (2 ** (pk.dim + 1) - 2)
     return sub[at:], sup[at:]
 
 
 def test_coface_range_matches_the_inclusion_pairs():
     # the least and greatest value over the d-cofaces of each face, from
-    # the pass down the covering pairs and from the (face, d-face) block
-    # of the inclusion pairs, on hosts of dimension 1 to 4
-    from morseshed.watershed import _coface_range
+    # the pass down the covering pairs, with the faces below d padded, and
+    # from the (face, d-face) block of the inclusion pairs, on hosts of
+    # dimension 1 to 4
+    from morseshed.complexes import _INT64_MAX, _INT64_MIN, _coface_range
 
     hosts = [cyc6_host(), closure([(k, (k + 1) % 7) for k in range(7)])]
     hosts += [generate_torus(n, n) for n in range(3, 9)]
@@ -395,7 +397,9 @@ def test_coface_range_matches_the_inclusion_pairs():
         for _ in range(3):
             # low_high takes values in 0..n, n the number of faces below d
             a, b = rng.integers(0, top_lo + 1, size=(2, len(pk) - top_lo))
-            low, high = _coface_range(pk, a, b)
+            low, high = np.full(len(pk), _INT64_MAX), np.full(len(pk), _INT64_MIN)
+            low[pk.tops], high[pk.tops] = a, b
+            low, high = (v[:top_lo] for v in _coface_range(pk, low, high))
             assert np.array_equal(low, _kernels.low_high(sub, a[sup - top_lo], top_lo)[0])
             assert np.array_equal(high, _kernels.low_high(sub, b[sup - top_lo], top_lo)[1])
 
@@ -586,6 +590,24 @@ def test_a_jump_one_round_short_fails_the_cli_checks_without_hanging(monkeypatch
         _kernels.components(np.array([1, 2, 3]), np.array([0, 1, 2]), 4)
     assert len(calls) <= 2 * (4).bit_length() + 1
     assert [cli.main(a) for a in argv + [["msf", str(path), "--verify"]]] == [4, 4, 4]
+
+
+def test_a_failed_drop_of_water_check_exits_4(monkeypatch, tmp_path, capsys):
+    # on a stack with ties that act, the collapse's cut is checked by the
+    # flat-zone path; a drop-of-water check that rejects it, behind a cut
+    # check that holds, ends the output with its line and exits 4
+    from morseshed.watershed import _root_classes
+
+    F = random_stack(generate_torus(6, 6), seed=1, high=3)
+    path = tmp_path / "tied.stack"
+    path.write_text(io.serialize_stack(F))
+    argv = ["watershed", str(path), "--algo", "collapse"]
+    assert cli.main(argv) == 0
+    assert _root_classes(F, watershed_collapse(F)._label == WATERSHED_LABEL) is None
+    monkeypatch.setattr(watershed, "_drop_holds", lambda F, in_w, rank: False)
+    capsys.readouterr()
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().out.endswith("\n# verify_drop_of_water=False\n")
 
 
 def test_a_swapped_facet_graph_edge_fails_the_msf_certificate(monkeypatch, tmp_path, capsys):
