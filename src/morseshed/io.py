@@ -11,22 +11,32 @@ Lines beginning with `#` and blank lines are ignored everywhere.
 `parse_stack` and `parse_complex` read a text in the canonical layout
 with numpy: ASCII, one line per face ending in a newline, its ascending
 non-negative vertex ids joined by single spaces and, in a stack, ` : `
-and the altitude; at most 18 characters per number (so `np.fromstring`,
-which saturates longer ones, reads every number exactly), no comments,
-blank lines, tabs or carriage returns.  The parsed numbers of the lines
-with k vertices form an (n, k + 1) array (k without the tag column) by
-one `reshape` of a contiguous slice when the lines come grouped by vertex
-count, as every text of the writers does; other line orders are grouped
-by one stable argsort of the per-line counts first.  `Complex` then packs
-the rows, and the altitudes follow the packer's row order.  Any other
-text, including every malformed one, goes through the line loop, which
-is the only place a parse error is raised.  The tokenizer `_read_rows`
-writes its byte masks and index arrays in place where it can (the run
-bounds, the lengths of the numbers and then of the gaps in one array).
-Its three byte masks and the lengths live in buffers kept per thread
-(`_work`), grown for a longer text, up to 1 MiB each: a parse then
-writes them into pages it wrote before, where fresh ones per call left
-the job's page faults to the heap state the caller left.
+and the altitude; at most 18 characters per number (a sign and 17
+digits, or 18 digits: every such number fits in int64), no comments,
+blank lines, tabs or carriage returns.  The tokenizer `_read_rows` finds
+where each number ends and how long it is from byte masks, checks the
+layout on those positions, and then reads the digits itself with
+whole-array word arithmetic (the SWAR digit parsing of Lemire, "Number
+parsing at a gigabyte per second", Softw. Pract. Exp. 51(8), 2021): the
+text sits after 8 zero bytes, so an unaligned little-endian uint64 view
+with a stride of one byte holds the 8 bytes before every position; one
+gather at the ends gives each number's last 8 bytes, a mask picked by
+its digit count keeps the digits, and three multiply-shift-mask rounds
+join them into the value.  A longer number repeats this 8 and 16 bytes
+earlier, and a number that starts with `-` loses one digit and its sign.
+The parsed numbers of the lines with k vertices form an (n, k + 1) array
+(k without the tag column) by one `reshape` of a contiguous slice when
+the lines come grouped by vertex count, as every text of the writers
+does; other line orders are grouped by one stable argsort of the
+per-line counts first.  `Complex` then packs the rows, and the
+altitudes follow the packer's row order.  Any other text, including
+every malformed one, goes through the line loop, which is the only place
+a parse error is raised.  The padded text, the three byte masks and the
+lengths (of the numbers, then their digits, then scratch space for the
+word gather, then the lengths of the gaps) live in buffers kept per
+thread (`_work`), grown for a longer text, up to 1 MiB each: a parse
+then writes them into pages it wrote before, where fresh ones per call
+left the job's page faults to the heap state the caller left.
 
 Every line loop reads its faces with `_read_face`, which takes a canonical
 face as read and raises the ParseError of any other token.
@@ -41,7 +51,9 @@ the NUL padding.  The strings of a range 0..n-1 (dense vertex ids, the
 label ids 0..max, a stack table from 0) are a read-only slice of one
 table kept for the process (`_range_decimals`), rebuilt only for a
 longer range, so a process that writes many texts formats them once;
-every other table goes through `_decimals`.
+the table keeps a space after each string, so the id table of dense ids,
+space included, is a slice as well.  Every other table goes through
+`_decimals`.
 """
 
 from __future__ import annotations
@@ -148,23 +160,36 @@ def _decimals(values):
     return out
 
 
-_RANGE = _decimals(np.arange(1, dtype=np.int64))  # of 0..N-1, the longest range asked for
-_RANGE.flags.writeable = False
+def _spaced(strings):
+    """A `_decimals`-style table with a space after each row."""
+    table = np.full((len(strings), strings.shape[1] + 1), ord(" "), dtype=np.uint8)
+    table[:, :-1] = strings
+    return table
 
 
-def _range_decimals(n: int):
-    """`_decimals(np.arange(n))` for n >= 1, as a read-only view of the
-    kept table `_RANGE`: its first n rows, less the NUL columns that the
-    width of n - 1 leaves out.  A longer range rebuilds the table; the
-    slice is taken from the table read or built here, so a rebuild in
-    another thread cannot shorten it."""
+def _range_table(n: int):
+    """The strings of 0..n-1 as `_decimals` lays them out, each followed
+    by a space, read-only: the form `_RANGE` keeps."""
+    table = _spaced(_decimals(np.arange(n, dtype=np.int64)))
+    table.flags.writeable = False
+    return table
+
+
+_RANGE = _range_table(1)  # of 0..N-1, the longest range asked for
+
+
+def _range_decimals(n: int, spaced: bool = False):
+    """`_decimals(np.arange(n))` for n >= 1, each row followed by a space
+    when `spaced`, as a read-only view of the kept table `_RANGE`: its
+    first n rows, less the NUL columns that the width of n - 1 leaves out.
+    A longer range rebuilds the table; the slice is taken from the table
+    read or built here, so a rebuild in another thread cannot shorten it."""
     global _RANGE
     table = _RANGE
     if n > len(table):
-        table = _decimals(np.arange(n, dtype=np.int64))
-        table.flags.writeable = False
-        _RANGE = table
-    return table[:n, table.shape[1] - len(str(n - 1)):]
+        table = _RANGE = _range_table(n)
+    w = table.shape[1]
+    return table[:n, w - 1 - len(str(n - 1)):w if spaced else w - 1]
 
 
 def _tags(values, lo: int):
@@ -176,6 +201,9 @@ def _tags(values, lo: int):
     if lo or table is values:
         return table, _decimals(table), index
     return table, _range_decimals(table.size), index
+
+
+_COLON = np.frombuffer(b": ", dtype=np.uint8)
 
 
 def _write_rows(vertex_ids, rows, tags=None) -> str:
@@ -193,14 +221,15 @@ def _write_rows(vertex_ids, rows, tags=None) -> str:
     if not rows:
         return ""
     nv = vertex_ids.size  # distinct, ascending and non-negative: 0..nv-1 when the last is nv - 1
-    ids = _range_decimals(nv) if vertex_ids[-1] == nv - 1 else _decimals(vertex_ids)
-    w = ids.shape[1] + 1
-    id_table = np.full((len(ids), w), ord(" "), dtype=np.uint8)
-    id_table[:, :-1] = ids
+    if vertex_ids[-1] == nv - 1:
+        id_table = _range_decimals(nv, spaced=True)
+    else:
+        id_table = _spaced(_decimals(vertex_ids))
+    w = id_table.shape[1]
     if tags is not None:
         table, index = tags
-        tag_table = np.zeros((len(table), table.shape[1] + 3), dtype=np.uint8)
-        tag_table[:, :2] = np.frombuffer(b": ", dtype=np.uint8)
+        tag_table = np.empty((len(table), table.shape[1] + 3), dtype=np.uint8)
+        tag_table[:, :2] = _COLON
         tag_table[:, 2:-1] = table
         tag_table[:, -1] = ord("\n")
     records, lo = [], 0
@@ -250,6 +279,47 @@ def _work(name: str, n: int, dtype):
     return buf[:n]
 
 
+# k digits are the last (highest) k bytes of a little-endian word, the
+# first digit in the lowest of them; the mask keeps their low nibbles,
+# which are the digits ("0" is 0x30), and zeros in front of them
+_DIGIT_MASKS = np.array(
+    [0x0F0F0F0F0F0F0F0F << 8 * (8 - k) & (1 << 64) - 1 for k in range(9)], dtype=np.uint64
+)
+# (multiplier, shift, mask) of the rounds that join fields of n = 1, 2 and 4
+# digits, 8n bits each: the multiply adds 10**n times each field into the
+# next, the shift moves the sums down one field, and the mask keeps every
+# other field, each now the 2n digits of two.  The last round needs no
+# mask: the one field left is below 10**8.
+_ROUNDS = (
+    (np.uint64(1 + (10 << 8)), np.uint64(8), np.uint64(0x00FF00FF00FF00FF)),
+    (np.uint64(1 + (100 << 16)), np.uint64(16), np.uint64(0x0000FFFF0000FFFF)),
+    (np.uint64(1 + (10000 << 32)), np.uint64(32), None),
+)
+_TEN_TO_THE_8 = np.uint64(10**8)
+
+
+def _digit_values(words, at, ndigits, longest: int):
+    """The values of the numbers of ndigits[i] digits, at most `longest`,
+    that end before the text positions at[i]: `words` holds the 8 bytes
+    before each position as a little-endian word.  The digits before the
+    last 8 are a number of their own, read 8 positions earlier.  The
+    int64 array `ndigits` is overwritten."""
+    if longest > 8:
+        long = np.flatnonzero(ndigits > 8)
+        high = _digit_values(words, at[long] - 8, ndigits[long] - 8, longest - 8)
+    out = _DIGIT_MASKS.take(ndigits, mode="clip")
+    out &= words.take(at, out=ndigits.view(np.uint64), mode="clip")
+    for mul, shift, keep in _ROUNDS:
+        out *= mul
+        out >>= shift
+        if keep:
+            out &= keep
+    if longest > 8:
+        high *= _TEN_TO_THE_8
+        out[long] += high
+    return out
+
+
 def _read_rows(text: str, tagged: bool):
     """The numbers of a text in the canonical layout (see the module
     docstring), one (n, k + 1) int64 array per vertex count k = 1, 2, ...
@@ -258,9 +328,14 @@ def _read_rows(text: str, tagged: bool):
     tag); the rows in line order.  None for any other text."""
     if not text.endswith("\n") or not text.isascii():
         return None
-    raw = text.encode("ascii")
-    a = np.frombuffer(raw, dtype=np.uint8)
-    # the byte masks and the lengths are slices of the kept buffers
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # the text, the byte masks and the lengths are slices of the kept
+    # buffers; the text follows 8 zero bytes, so every position has a
+    # word of the 8 bytes before it
+    padded = _work("text", raw.size + 8, np.uint8)
+    padded[:8] = 0
+    a = padded[8:]
+    a[:] = raw
     digit, num, other = _work("masks", 3 * a.size, np.bool_).reshape(3, -1)
     np.subtract(a, np.uint8(ord("0")), out=digit.view(np.uint8))
     np.less(digit.view(np.uint8), 10, out=digit)  # wraps around below "0"
@@ -277,18 +352,28 @@ def _read_rows(text: str, tagged: bool):
     ends = bounds[0::2]  # where each number ends and its gap begins
     starts = bounds[1::2]  # where each number but the first begins
     count = ends.size  # of numbers
-    gap_len = _work("lengths", count, np.int64)
-    gap_len[0] = ends[0]  # first each number's length
-    np.subtract(ends[1:], starts, out=gap_len[1:])
-    if gap_len.max() > _MAX_NUMBER_LEN:
+    length = _work("lengths", count, np.int64)  # first each number's length
+    length[0] = ends[0]
+    np.subtract(ends[1:], starts, out=length[1:])
+    longest = int(length.max())
+    if longest > _MAX_NUMBER_LEN:
         return None
-    np.subtract(starts, ends[:-1], out=gap_len[:-1])  # then the gap after it
-    gap_len[-1] = a.size - ends[-1]
     # "-" only as the first character of a number, before a digit; a[-1]
     # is the final newline, so a "-" at 0 passes the first test
     minus = np.flatnonzero(np.equal(a, ord("-"), out=other))
     if minus.size and (num[minus - 1].any() or not digit[minus + 1].all()):
         return None
+    # the 8 bytes before each position, as one little-endian word
+    words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    if minus.size:
+        negative = np.searchsorted(ends, minus)  # the number each "-" starts
+        length[negative] -= 1  # now the number of digits
+    nums = _digit_values(words, ends, length, longest).view(np.int64)
+    if minus.size:
+        nums[negative] *= -1
+    gap_len = length  # `_digit_values` is done with it
+    np.subtract(starts, ends[:-1], out=gap_len[:-1])  # the gap after each number
+    gap_len[-1] = a.size - ends[-1]
     gap = a[ends]  # the first character of each gap
     single = gap_len == 1
     space = gap == ord(" ")
@@ -306,20 +391,16 @@ def _read_rows(text: str, tagged: bool):
         if (not (space | colon | newline).all() or newline[0]
                 or (colon[:-1] != newline[1:]).any()):
             return None
-        raw = raw.replace(b":", b" ")
     elif not (space | newline).all():  # each line: ids joined by single spaces, "\n"
         return None
-    del a, bounds, ends, starts
-    nums = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if nums.size != count:
-        return None
+    del raw, padded, a, bounds, ends, starts, words
     last = np.flatnonzero(newline)  # the last number of each line
     first = np.empty_like(last)
     first[0] = 0
     np.add(last[:-1], 1, out=first[1:])
     descent = np.less_equal(nums[1:], nums[:-1])
     descent &= space[:-1]  # number i and i + 1 are ids of one line
-    if nums[first].min() < 0 or descent.any():
+    if descent.any() or minus.size and nums[first].min() < 0:
         return None  # ids not ascending, or negative
     width = last - first + 1  # the numbers of each line
     if (width[1:] < width[:-1]).any():  # group the lines by width

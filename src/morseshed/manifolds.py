@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .complexes import (
-    Complex, Face, _closure, _connected_labels, _pair_cut, _strong_labels, face_key,
+    Complex, Face, _closure, _pair_cut, _strong_labels, face_key,
 )
 
 
@@ -68,6 +68,21 @@ def _check_non_branching(X: Complex) -> Optional[Face]:
     pk = X.packed()
     bad = np.flatnonzero(pk.n_cofaces[pk.seps] != 2)
     return pk.face_list[pk.seps.start + bad[0]] if bad.size else None
+
+
+def _count_components(X: Complex) -> int:
+    """The number of connected components of X: those of its 1-skeleton,
+    as every face is joined to its vertices through its edges."""
+    pk, nv = X.packed(), len(X.vertex_ids)
+    a, b = pk.bd[1].T if X.dim >= 1 else np.zeros((2, 0), dtype=np.int64)
+    return int(np.count_nonzero(_kernels.components(a, b, nv) == np.arange(nv)))
+
+
+def _count_strong_components(X: Complex) -> int:
+    """The number of strong components of the d-faces of a pure X."""
+    pk = X.packed()
+    every = np.ones(len(pk), dtype=np.bool_)
+    return int(np.count_nonzero(_strong_labels(pk, every, X.dim) == np.arange(len(pk))))
 
 
 def _split_links(X: Complex):
@@ -140,10 +155,8 @@ def validate(X: Complex) -> ValidationReport:
     equals strongly_connected for d <= 1 (where strong paths reduce to
     ordinary ones).
     """
-    d, pk = X.dim, X.packed()
+    d = X.dim
     witnesses: dict[str, object] = {}
-    every = np.ones(len(pk), dtype=np.bool_)
-    faces = np.arange(len(pk))  # a component is labelled by one of its faces
 
     pure = X.is_pure() and len(X) > 0
     if not pure and len(X) > 0:
@@ -151,7 +164,7 @@ def validate(X: Complex) -> ValidationReport:
             (x for x in X.facets() if len(x) - 1 != d), key=face_key
         )
 
-    comps = int(np.count_nonzero(_connected_labels(pk, every) == faces))
+    comps = _count_components(X)
     connected = comps == 1
     if not connected and comps:
         witnesses["connected"] = f"{comps} components"
@@ -161,7 +174,7 @@ def validate(X: Complex) -> ValidationReport:
     if branch_witness is not None:
         witnesses["non_branching"] = branch_witness
 
-    strong = int(np.count_nonzero(_strong_labels(pk, every, d) == faces)) if pure else 0
+    strong = _count_strong_components(X) if pure else 0
     strongly_connected = pure and strong <= 1
     if pure and strong > 1:
         witnesses["strongly_connected"] = f"{strong} strong components"
@@ -202,8 +215,8 @@ def links_are_pseudomanifolds(X: Complex) -> tuple[bool, list[Face]]:
     pure and non-branching, so it is a pseudomanifold exactly when it is
     strongly connected.
     """
-    rep = validate(X)
-    if not rep.is_pseudomanifold:
+    if not (len(X) and X.is_pure() and X.dim >= 1 and _check_non_branching(X) is None
+            and _count_strong_components(X) <= 1):  # `validate`'s is_pseudomanifold
         raise ValueError("input is not a pseudomanifold")
     if X.dim < 2:
         return (True, [])

@@ -917,12 +917,134 @@ def test_kept_tokenizer_buffers_across_sizes_and_threads(monkeypatch):
     assert out == [True] * 3
 
 
+# -- the tokenizer's word reads against Python's int ---------------------------
+
+_TOKEN_LENGTHS = (1, 8, 9, 16, 17, 18)  # one word read, two, and three
+
+
+def _ref_read_rows(text, tagged):
+    """Reference for `io._read_rows`: the layout by a regular expression and
+    each number by `int`; (width, rows) for each line width from the
+    narrowest a text can have, or None."""
+    number = "-?[0-9]+"
+    line = f"{number}(?: {number})*" + (f" : {number}" if tagged else "")
+    if re.fullmatch(f"(?:{line}\n)+", text) is None:
+        return None
+    tokens = [line.replace(" : ", " ").split(" ") for line in text.splitlines()]
+    if max(len(t) for line in tokens for t in line) > 18:
+        return None
+    rows = [[int(t) for t in line] for line in tokens]
+    for row in rows:
+        ids = row[:len(row) - tagged]
+        if ids[0] < 0 or any(a >= b for a, b in zip(ids, ids[1:])):
+            return None
+    return [(w, [r for r in rows if len(r) == w]) for w in range(1 + tagged, max(map(len, rows)) + 1)]
+
+
+def _blocks(blocks):
+    """(width, rows) of each block `io._read_rows` returns, or None."""
+    if blocks is None:
+        return None
+    assert all(b.dtype == np.int64 for b in blocks)
+    return [(b.shape[1], b.tolist()) for b in blocks]
+
+
+def _digits(rng, k):
+    return "".join(rng.choice("0123456789") for _ in range(k))
+
+
+def _tokenizer_text(rng, tagged):
+    """A text in the canonical layout, in no particular line order, whose
+    numbers have 1, 8, 9, 16, 17 or 18 characters: ids with leading
+    zeros and `-0`, and tags of either sign."""
+    lines = []
+    for _ in range(rng.randint(1, 8)):
+        ids = sorted(rng.sample(range(10 ** rng.choice(_TOKEN_LENGTHS)), rng.randint(1, 3)))
+        tokens = [
+            "-0" if v == 0 and rng.random() < 0.3
+            else str(v).zfill(rng.choice([k for k in _TOKEN_LENGTHS if k >= len(str(v))]))
+            for v in ids
+        ]
+        if tagged:
+            k = rng.choice(_TOKEN_LENGTHS)
+            if k > 1 and rng.random() < 0.5:
+                tokens += [":", "-" + ("0" * (k - 1) if rng.random() < 0.1 else _digits(rng, k - 1))]
+            else:
+                tokens += [":", _digits(rng, k)]
+        lines.append(" ".join(tokens) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("tagged", [True, False])
+def test_tokenizer_reads_every_number_as_int_does(tagged):
+    rng = random.Random(36 + tagged)
+    lengths = set()
+    for _ in range(500):
+        text = _tokenizer_text(rng, tagged)
+        lengths.update(map(len, text.replace(" : ", " ").split()))
+        ref = _ref_read_rows(text, tagged)
+        assert ref is not None and _blocks(io._read_rows(text, tagged)) == ref, text
+    assert lengths >= set(_TOKEN_LENGTHS)
+
+
+_BAD_NUMBERS = ["1" * 19, "0" * 19, "-" + "1" * 18, "-", "--1", "1-2", "12-", "-1-"]
+_STRAY_BYTES = ["x", "+", ".", "#", "\t", "\r", "\0", "\x7f", "é"]
+
+
+@pytest.mark.parametrize("tagged", [True, False])
+def test_tokenizer_rejects_malformed_numbers(tagged):
+    # a number of 19 characters, a lone or misplaced "-", or a byte outside
+    # the layout anywhere in a text: the tokenizer returns None
+    rng = random.Random(63 + tagged)
+    for _ in range(300):
+        text = _tokenizer_text(rng, tagged)
+        number = rng.choice(list(re.finditer("-?[0-9]+", text)))
+        at = rng.randrange(len(text) + 1)
+        for bad in (text[:number.start()] + rng.choice(_BAD_NUMBERS) + text[number.end():],
+                    text[:at] + rng.choice(_STRAY_BYTES) + text[at:]):
+            assert _ref_read_rows(bad, tagged) is None
+            assert io._read_rows(bad, tagged) is None, bad
+
+
+def _stack_text(F, rng):
+    """F's lines with each id zero-padded to one of `_TOKEN_LENGTHS`
+    characters and each zero altitude written `0` or `-0`, shuffled."""
+    lines = []
+    for x, a in zip(F.host.sorted_faces(), F.alt_array().tolist()):
+        ids = [str(v).zfill(rng.choice([k for k in _TOKEN_LENGTHS if k >= len(str(v))])) for v in x]
+        tag = "-0" if a == 0 and rng.random() < 0.5 else str(a)
+        lines.append(" ".join(ids) + f" : {tag}\n")
+    rng.shuffle(lines)
+    return "".join(lines)
+
+
+def test_parse_stack_of_long_and_negative_numbers_matches_the_line_loop():
+    rng = random.Random(18)
+    stacks = [cyc6_stack(), random_morse_stack(generate_torus(4, 4), seed=3, n_minima=2),
+              random_stack(generate_torus(5, 5), seed=1, high=6)]
+    array_path = 0
+    for F in stacks:
+        for shift in (-(10**17), -(10**16), -(10**8), -1, 0, 10**8 - 7, 10**16, 10**17):
+            G = _stack_from_array(F.host, F.alt_array() + shift)
+            text = _stack_text(G, rng)
+            longest = max(map(len, text.replace(" : ", " ").split()))
+            assert (io._read_rows(text, tagged=True) is not None) == (longest <= 18)
+            array_path += longest <= 18
+            A, B = io.parse_stack(text), io._parse_stack_lines(text, "none")
+            assert A.host == B.host == F.host
+            assert A.alt_array().tolist() == B.alt_array().tolist() == G.alt_array().tolist()
+            assert A.lambda_min == B.lambda_min
+    assert array_path == 22  # -(10**17) is 19 characters long, on two stacks an altitude
+    # and the seeded texts of the tokenizer tests, stacks or not
+    for _ in range(200):
+        text = _tokenizer_text(rng, tagged=True)
+        assert _outcome(io.parse_stack, text) == _outcome(io._parse_stack_lines, text, complete="none")
+
+
 def test_kept_decimal_tables_across_widths(monkeypatch):
     # the writers take the strings of 0..n-1 from one kept table, rebuilt
     # for a longer range and sliced for a shorter one
-    empty = io._decimals(np.arange(1))
-    empty.flags.writeable = False
-    monkeypatch.setattr(io, "_RANGE", empty)
+    monkeypatch.setattr(io, "_RANGE", io._range_table(1))
     calls = []
     decimals = io._decimals
     monkeypatch.setattr(io, "_decimals", lambda v: calls.append(v.size) or decimals(v))
@@ -944,6 +1066,9 @@ def test_kept_decimal_tables_across_widths(monkeypatch):
         strings = io._range_decimals(n)
         assert strings.tolist() == decimals(np.arange(n)).tolist()
         assert not strings.flags.writeable
+        spaced = io._range_decimals(n, spaced=True)  # the id table of the writers
+        assert spaced[:, :-1].tolist() == strings.tolist()
+        assert (spaced[:, -1] == ord(" ")).all() and not spaced.flags.writeable
 
 
 def test_array_writers_match_per_face_writers():

@@ -5,10 +5,11 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from morseshed import _kernels
+from morseshed import _kernels, complexes, manifolds
 from morseshed.complexes import (
     Complex,
     Face,
+    _connected_labels,
     closure,
     connected_components,
     face_key,
@@ -112,6 +113,63 @@ def test_validate_counts_the_components_that_the_lists_hold():
     assert [validate(X).witnesses.get("connected") for X in hosts[:5]] == [
         "2 components", "2 components", None, "2 components", "2 components"
     ]
+
+
+def _ref_component_count(X):
+    """The components of X by the generic labeller over every face."""
+    pk = X.packed()
+    every = np.ones(len(pk), dtype=np.bool_)
+    return int(np.count_nonzero(_connected_labels(pk, every) == np.arange(len(pk))))
+
+
+def test_validate_counts_the_components_of_the_1_skeleton(monkeypatch):
+    hosts = [
+        cyc6_host(), wedge(), branching_triangles(), tetrahedron_boundary(),
+        branching_collapse_counterexample()[0].host, _pinched_torus(),
+        *(generate_torus(n, n) for n in (3, 4, 7)),
+        closure([(0, 1, 2), (4,), (7,)]),  # isolated vertices
+        closure([(3,), (5,), (9,)]),
+        closure(generate_torus(3, 3).faces_of_dim(2) + [(20,), (21, 22)]),
+        Complex(()),
+        *_random_complexes(5, 30),
+    ]
+    want = [_ref_component_count(X) for X in hosts]
+    assert {0, 1, 2, 3} <= set(want)
+
+    def generic(*args):
+        raise AssertionError("validate labelled every face")
+
+    monkeypatch.setattr(complexes, "_connected_labels", generic)
+    assert not hasattr(manifolds, "_connected_labels")
+    for X, comps in zip(hosts, want):
+        rep = validate(X)
+        assert rep.connected == (comps == 1)
+        assert rep.witnesses.get("connected") == (f"{comps} components" if comps > 1 else None)
+
+
+def test_links_precondition_is_the_pseudomanifold_test(monkeypatch):
+    # pure, non-branching and strongly connected, as validate decides it,
+    # without the component count or the link condition
+    hosts = [
+        wedge(), branching_triangles(), branching_collapse_counterexample()[0].host,
+        cyc6_host(), tetrahedron_boundary(), generate_torus(3, 3), _pinched_torus(),
+        closure([(0, 1, 2), (3, 4, 5)]), closure([(0, 1, 2), (2, 3)]), closure([(0,), (1,)]),
+        Complex(()), *_random_complexes(7, 40),
+    ]
+    want = [validate(X).is_pseudomanifold for X in hosts]
+    assert want[:3] == [False, False, False] and want[3:7] == [True] * 4
+
+    def unread(*args):
+        raise AssertionError("the precondition ran more than the pseudomanifold test")
+
+    for name in ("validate", "_count_components", "_split_links", "_check_link_condition"):
+        monkeypatch.setattr(manifolds, name, unread)
+    for X, ok in zip(hosts, want):
+        if ok:
+            assert links_are_pseudomanifolds(X)[0] in (True, False)
+        else:
+            with pytest.raises(ValueError, match="^input is not a pseudomanifold$"):
+                links_are_pseudomanifolds(X)
 
 
 def test_validate_report_lines():
