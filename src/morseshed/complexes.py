@@ -12,8 +12,11 @@ are built from the arrays on first access and are plain attributes
 after that.  `_LazyViews` is the one helper that does this, for the
 complex and the two other array-backed objects of the package (the stack
 and the watershed result); `_from_arrays` builds such an object from its
-arrays alone.  Complexes are immutable after construction; operations
-return new objects sharing nothing mutable.
+arrays alone.  Complexes are immutable after construction: every array
+a complex holds, packed or built as a view, is read-only (`_read_only`),
+so one host can be shared by every stack on it, as the stack parser
+shares the hosts it keeps (`io`); operations return new objects sharing
+nothing mutable.
 Connectivity (`_connected_labels`, `_strong_labels`) and the range of a
 value over the faces above each face (`_coface_range`) read the covering
 pairs and the `bd` rows alone.  Free pairs, collapses, and open and
@@ -146,9 +149,24 @@ def _assembly_view(X):
     return owner, blocks
 
 
+def _read_only(a):
+    """`a`, marked read-only: a host shares its arrays with every stack,
+    route and check that reads it, and the parser with every stack it
+    reads on a kept host."""
+    a.flags.writeable = False
+    return a
+
+
+def _assembly_map(X):
+    """`_assembly_view` with its owner array read-only (the blocks are
+    views of the read-only covering pairs)."""
+    owner, blocks = _assembly_view(X)
+    return _read_only(owner), blocks
+
+
 def _bd_view(X) -> list:
     cut = _pair_cut(X)
-    return [np.zeros((len(X.vertex_ids), 0), dtype=np.int64)] + [
+    return [_read_only(np.zeros((len(X.vertex_ids), 0), dtype=np.int64))] + [
         X.sub[cut[p]:cut[p + 1]].reshape(-1, p + 1) for p in range(1, len(cut) - 1)
     ]
 
@@ -198,10 +216,10 @@ class Complex(_LazyViews):
         "boundary": _boundary_view,
         "cofaces": _cofaces_view,
         "bd": _bd_view,
-        "n_cofaces": lambda X: np.bincount(X.sub, minlength=len(X)),
+        "n_cofaces": lambda X: _read_only(np.bincount(X.sub, minlength=len(X))),
         # looked up at each build, so a patched function (a tracer, a test) is the one run
-        "facet_graph": lambda X: _kernels.top_adjacency(X),
-        "assembly_map": lambda X: _assembly_view(X),
+        "facet_graph": lambda X: tuple(map(_read_only, _kernels.top_adjacency(X))),
+        "assembly_map": lambda X: _assembly_map(X),
     }
 
     def __init__(self, faces: Iterable[Iterable[int]] = (), _rows=None):
@@ -430,14 +448,15 @@ def _pack(rows: list) -> dict | None:
     empty = np.zeros(0, dtype=np.int64)
     off = [0, 0, *dim_offset.tolist()]  # two empty dimensions below 0
     return dict(
-        rows=ordered,
-        sub=np.concatenate(subs) if subs else empty,
-        sup=np.concatenate(sups) if sups else empty,
-        dim_offset=dim_offset,
+        # a view of each row array, so a caller's own array keeps its flag
+        rows=[_read_only(r.view()) for r in ordered],
+        sub=_read_only(np.concatenate(subs) if subs else empty),
+        sup=_read_only(np.concatenate(sups) if sups else empty),
+        dim_offset=_read_only(dim_offset),
         seps=slice(off[-3], off[-2]),
         tops=slice(off[-2], off[-1]),
-        keys=keys,
-        order=orders,
+        keys=[None, *map(_read_only, keys[1:])],
+        order=[None if o is None else _read_only(o) for o in orders],
     )
 
 

@@ -38,6 +38,19 @@ thread (`_work`), grown for a longer text, up to 1 MiB each: a parse
 then writes them into pages it wrote before, where fresh ones per call
 left the job's page faults to the heap state the caller left.
 
+Beside those buffers, each thread keeps the hosts that the stack parser
+packed (`_kept.hosts`), keyed by the shapes of the parsed blocks, up to
+_KEEP_FACES faces in all; the least recently used host goes out first,
+and a larger host is packed and not kept.  A text whose vertex columns,
+read through a kept host's `order`, are that host's rows is read onto
+it: nothing is copied or packed, the altitudes are gathered by `order`,
+and the facet graph and the assembly map built for an earlier stack
+serve this one (a complex's arrays are read-only, so sharing them is
+safe).  Any other text, a repeated or missing face included, is packed
+as before.  So a process that reads many stacks on one host packs it
+once; one that parses a single stack (a `morseshed` command) gains
+nothing and pays one dict lookup.
+
 Every line loop reads its faces with `_read_face`, which takes a canonical
 face as read and raises the ParseError of any other token.
 
@@ -263,6 +276,7 @@ def _is_canonical(face: Face) -> bool:
 
 _MAX_NUMBER_LEN = 18  # every number of at most 18 characters fits in int64
 _KEEP_BYTES = 1 << 20  # the largest tokenizer buffer kept between calls
+_KEEP_FACES = 1 << 16  # the most faces of the hosts kept between calls
 _kept = threading.local()
 
 
@@ -415,20 +429,57 @@ def _read_rows(text: str, tagged: bool):
     return blocks
 
 
+def _kept_host(key, blocks) -> Complex | None:
+    """The host kept for this thread under `key` when the vertex columns
+    of the parsed blocks, read through its `order`, are its rows; None
+    when there is none.  A host found becomes the most recently used."""
+    hosts = getattr(_kept, "hosts", None)
+    host = hosts.get(key) if hosts else None
+    if host is None or not all(
+        np.array_equal(b[:, :-1] if o is None else b[o, :-1], r)
+        for b, o, r in zip(blocks, host.order, host.rows)
+    ):
+        return None
+    hosts[key] = hosts.pop(key)  # the dict runs from least to most recently used
+    return host
+
+
+def _keep_host(key, host: Complex) -> None:
+    """Keep `host` for this thread under `key`, in place of any host kept
+    there, putting out the least recently used ones while the kept faces
+    number more than _KEEP_FACES; a host larger than that is not kept."""
+    if len(host) > _KEEP_FACES:
+        return
+    hosts = getattr(_kept, "hosts", None)
+    if hosts is None:
+        hosts = _kept.hosts = {}
+    hosts.pop(key, None)
+    total = len(host) + sum(map(len, hosts.values()))
+    while total > _KEEP_FACES:
+        total -= len(hosts.pop(next(iter(hosts))))
+    hosts[key] = host
+
+
 def _parse_canonical_stack(text: str) -> Stack | None:
     """The stack of a text in the canonical layout (see the module
-    docstring), or None for any other text."""
+    docstring), or None for any other text.  Its host is the one kept for
+    the shapes of the parsed blocks when the text lists that host's
+    faces; otherwise the rows are packed, and the new host is kept."""
     blocks = _read_rows(text, tagged=True)
     if blocks is None:
         return None
-    try:
-        host = Complex(_rows=[np.ascontiguousarray(b[:, :-1]) for b in blocks])
-    except InvalidSimplexError:  # a face repeated or missing
-        return None
-    order = host.packed().order  # the altitudes follow the packer's rows
-    return _stack_from_array(
-        host, np.concatenate([b[:, -1] if o is None else b[o, -1] for b, o in zip(blocks, order)])
-    )
+    key = tuple(b.shape for b in blocks)
+    host = _kept_host(key, blocks)
+    if host is None:
+        try:
+            host = Complex(_rows=[np.ascontiguousarray(b[:, :-1]) for b in blocks])
+        except InvalidSimplexError:  # a face repeated or missing
+            return None
+        _keep_host(key, host)
+    # the altitudes follow the packer's rows
+    return _stack_from_array(host, np.concatenate(
+        [b[:, -1] if o is None else b[o, -1] for b, o in zip(blocks, host.order)]
+    ))
 
 
 def parse_stack(text: str, complete: str = "none") -> Stack:

@@ -79,8 +79,14 @@ def _count_components(X: Complex) -> int:
 
 
 def _count_strong_components(X: Complex) -> int:
-    """The number of strong components of the d-faces of a pure X."""
+    """The number of strong components of the d-faces of a pure X: on a
+    non-branching X, the components of its facet graph, one edge per
+    (d-1)-face; else the roots of `_strong_labels` over every face."""
     pk = X.packed()
+    if (pk.n_cofaces[pk.seps] == 2).all():
+        lo, hi = pk.facet_graph
+        n = len(pk) - pk.tops.start
+        return int(np.count_nonzero(_kernels.components(lo, hi, n) == np.arange(n)))
     every = np.ones(len(pk), dtype=np.bool_)
     return int(np.count_nonzero(_strong_labels(pk, every, X.dim) == np.arange(len(pk))))
 

@@ -12,7 +12,10 @@ of a stack are in `definitions`.
 
 What no stack changes belongs to the host, which builds it once (the
 facet graph, and the smallest d-cofaces that the watershed routes'
-label assembly reads); what a stack changes is read from F per call.
+label assembly reads), and the stack parser keeps the hosts it packed
+(`io`), so the stacks it reads on one host in one thread share that
+host and build these once between them; what a stack changes is read
+from F per call.
 `_inert_forest` reads it with one gather of F across all covering
 pairs, which decides whether F is a stack and, on the (d-1, d) pairs
 that end the list, whether its ties are inert, and gives the flat-link

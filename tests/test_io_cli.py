@@ -1384,14 +1384,15 @@ def test_cli_commands_compute_each_array_once(capsys, monkeypatch, tmp_path):
     assert calls["flat_zones"] == 0, calls
     assert calls["top_adjacency"] == 1, calls
     calls.update(dict.fromkeys(calls, 0))
+    # a later command on the file reads the kept host's facet graph
     assert cli.main(["watershed", path, "--algo", "collapse"]) == 0
     assert ": W\n" in capsys.readouterr().out
-    assert calls["top_adjacency"] == 1, calls
+    assert calls["top_adjacency"] == 0, calls
     assert calls["flat_zones"] == 0, calls  # the collapse and the check read the roots
     calls.update(dict.fromkeys(calls, 0))
     assert cli.main(["msf", path, "--verify"]) == 0
     assert capsys.readouterr().out.count("=True\n") == 5
-    assert calls["top_adjacency"] == 1 and calls["morse_watershed"] == 0, calls
+    assert calls["top_adjacency"] == 0 and calls["morse_watershed"] == 0, calls
     assert calls["flat_zones"] == 0, calls  # the forest's roots come from the facet graph
     calls.update(dict.fromkeys(calls, 0))
     cplx = tmp_path / "t66.cplx"
@@ -1415,7 +1416,8 @@ def test_no_module_builds_inclusion_pairs():
 
 def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):
     # on a parsed stack, every watershed and msf command reads the packed
-    # host: no face tuple list, and no Complex besides the host
+    # host: no face tuple list, and no Complex besides the host, which the
+    # first command packs and the later ones find kept
     path = _tor66_file(tmp_path)
     faces, inits = [], []
 
@@ -1438,7 +1440,6 @@ def test_cli_builds_no_face_tuple(capsys, monkeypatch, tmp_path):
         ["msf", "--dot"],
         ["msf", "--verify"],
     ):
-        inits.clear()
         assert cli.main([argv[0], path, *argv[1:]]) == 0, argv
         assert capsys.readouterr().out
         assert faces == [] and inits == [1], argv

@@ -172,6 +172,51 @@ def test_links_precondition_is_the_pseudomanifold_test(monkeypatch):
                 links_are_pseudomanifolds(X)
 
 
+def _tetrahedron_boundaries(seed, count):
+    """Closures of the boundaries of one to three tetrahedra on eight
+    vertices: those that share no edge are non-branching."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        quads = [rng.sample(range(8), 4) for _ in range(rng.randint(1, 3))]
+        yield closure(t for q in quads for t in combinations(sorted(q), 3))
+
+
+def _ref_strong_count(X):
+    """The roots of `_strong_labels` over every face of a pure X."""
+    pk = X.packed()
+    every = np.ones(len(pk), dtype=np.bool_)
+    return int(np.count_nonzero(complexes._strong_labels(pk, every, X.dim) == np.arange(len(pk))))
+
+
+def test_strong_components_of_a_non_branching_host_are_its_facet_graphs(monkeypatch):
+    hosts = [
+        wedge(), branching_triangles(), _pinched_torus(), tetrahedron_boundary(), cyc6_host(),
+        *(generate_torus(n, n) for n in (3, 4, 7, 12)),
+        closure([(0, 1, 2), (3, 4, 5)]), closure([(0,), (1,), (2,)]),
+        closure([(0, 1, 2), (0, 1, 3), (0, 1, 4), (5, 6, 7)]),  # branching, two parts
+        _suspension(wedge()),
+        *(X for X in _random_complexes(11, 100) if X.is_pure()),
+        *_tetrahedron_boundaries(12, 60),
+    ]
+    want = [_ref_strong_count(X) for X in hosts]
+    assert want[:13] == [2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 2, 2]
+    branching = [bool((X.n_cofaces[X.seps] != 2).any()) for X in hosts]
+    assert sum(branching) > 30 and len(hosts) - sum(branching) > 30
+    assert {1, 2, 3} <= {n for n, b in zip(want, branching) if not b}
+    real = manifolds._strong_labels
+
+    def branching_only(pk, member, d):
+        assert (pk.n_cofaces[pk.seps] != 2).any(), "a non-branching host labelled every face"
+        return real(pk, member, d)
+
+    monkeypatch.setattr(manifolds, "_strong_labels", branching_only)
+    for X, n in zip(hosts, want):
+        assert manifolds._count_strong_components(X) == n
+        rep = validate(X)
+        assert rep.strongly_connected == (n <= 1)
+        assert rep.witnesses.get("strongly_connected") == (f"{n} strong components" if n > 1 else None)
+
+
 def test_validate_report_lines():
     lines = validate(cyc6_host()).as_lines()
     assert "is_normal=True" in lines

@@ -415,7 +415,7 @@ def test_stacks_compare_on_their_arrays():
     alt = F.alt_array().copy()
     alt[7] += 1
     H = _stack_from_array(F.host, alt)  # one altitude changed
-    assert F.host is not G.host and F == G and G == F
+    assert F.host is G.host and F == G and G == F  # the second parse finds the kept host
     assert F != H and H != G and F in [H, G] and H not in [F, G]
     assert F != F.host and F != Stack(Complex([(0,)]), {(0,): 0})
     for S in (F, G, H):
