@@ -19,10 +19,11 @@ layout on those positions, and then reads the digits itself with
 whole-array word arithmetic (the SWAR digit parsing of Lemire, "Number
 parsing at a gigabyte per second", Softw. Pract. Exp. 51(8), 2021): the
 text sits after 8 zero bytes, so an unaligned little-endian uint64 view
-with a stride of one byte holds the 8 bytes before every position; one
-gather at the ends gives each number's last 8 bytes, a mask picked by
-its digit count keeps the digits, and three multiply-shift-mask rounds
-join them into the value.  A longer number repeats this 8 and 16 bytes
+with a stride of one byte holds the 8 bytes before every position (copied
+once per parse to an aligned buffer: numpy copies all of an unaligned
+array before each gather from it); one gather at the ends gives each
+number's last 8 bytes, a mask picked by its digit count keeps the
+digits, and three multiply-shift-mask rounds join them into the value.  A longer number repeats this 8 and 16 bytes
 earlier, and a number that starts with `-` loses one digit and its sign.
 The parsed numbers of the lines with k vertices form an (n, k + 1) array
 (k without the tag column) by one `reshape` of a contiguous slice when
@@ -31,25 +32,30 @@ does; other line orders are grouped by one stable argsort of the
 per-line counts first.  `Complex` then packs the rows, and the
 altitudes follow the packer's row order.  Any other text, including
 every malformed one, goes through the line loop, which is the only place
-a parse error is raised.  The padded text, the three byte masks and the
-lengths (of the numbers, then their digits, then scratch space for the
-word gather, then the lengths of the gaps) live in buffers kept per
-thread (`_work`), grown for a longer text, up to 1 MiB each: a parse
-then writes them into pages it wrote before, where fresh ones per call
-left the job's page faults to the heap state the caller left.
+a parse error is raised.  The padded text, its words, the three byte
+masks and the lengths (of the numbers, then their digits, then scratch
+space for the word gather, then the lengths of the gaps) live in buffers
+kept per thread (`_work`), grown for a longer text, up to 1 MiB each: a
+parse then writes them into pages it wrote before, where fresh ones per
+call left the job's page faults to the heap state the caller left.
 
 Beside those buffers, each thread keeps the hosts that the stack parser
-packed (`_kept.hosts`), keyed by the shapes of the parsed blocks, up to
-_KEEP_FACES faces in all; the least recently used host goes out first,
-and a larger host is packed and not kept.  A text whose vertex columns,
-read through a kept host's `order`, are that host's rows is read onto
-it: nothing is copied or packed, the altitudes are gathered by `order`,
-and the facet graph and the assembly map built for an earlier stack
-serve this one (a complex's arrays are read-only, so sharing them is
-safe).  Any other text, a repeated or missing face included, is packed
-as before.  So a process that reads many stacks on one host packs it
-once; one that parses a single stack (a `morseshed` command) gains
-nothing and pays one dict lookup.
+packed (`_kept.hosts`), up to _KEEP_FACES faces in all, the least
+recently used going out first; a larger host is not kept.  The key is
+the host's face count, the line count of the text it was packed from,
+and that text is kept with it until the next parse on the key lays it
+out (`_layout`): where each line's tag starts, the face part before it
+(ids and ` : `) as unaligned little-endian words masked to the line, and
+the permutation from lines to packed order (None for the writers'
+texts).  A text whose line count (`str.count`) finds a host is read onto
+it when one gather of words at the kept positions equals the face parts
+and each tag is 1 to 18 characters, an optional `-` and digits (a SWAR
+range test); `_digit_values` reads the tags.  No vertex id is tokenized,
+nothing is packed, and the facet graph and assembly map of an earlier
+stack serve this one (a complex's arrays are read-only).  Any other
+text goes to the tokenizer and the packer, and a host packed there
+takes its key: a miss costs the count, and a process that parses once
+(a `morseshed` command) lays out nothing.
 
 Every line loop reads its faces with `_read_face`, which takes a canonical
 face as read and raises the ParseError of any other token.
@@ -293,12 +299,12 @@ def _work(name: str, n: int, dtype):
     return buf[:n]
 
 
-# k digits are the last (highest) k bytes of a little-endian word, the
-# first digit in the lowest of them; the mask keeps their low nibbles,
-# which are the digits ("0" is 0x30), and zeros in front of them
-_DIGIT_MASKS = np.array(
-    [0x0F0F0F0F0F0F0F0F << 8 * (8 - k) & (1 << 64) - 1 for k in range(9)], dtype=np.uint64
-)
+# the last k bytes before a position are the highest k bytes of its
+# little-endian word, the first of them the lowest: _BYTE_MASKS[k] keeps
+# them, and _DIGIT_MASKS[k] their low nibbles, which are their digits
+# ("0" is 0x30) when they are digits, and zeros in front of them
+_BYTE_MASKS = np.array([(1 << 64) - (1 << 8 * (8 - k)) for k in range(9)], dtype=np.uint64)
+_DIGIT_MASKS = _BYTE_MASKS & np.uint64(0x0F0F0F0F0F0F0F0F)
 # (multiplier, shift, mask) of the rounds that join fields of n = 1, 2 and 4
 # digits, 8n bits each: the multiply adds 10**n times each field into the
 # next, the shift moves the sums down one field, and the mask keeps every
@@ -310,6 +316,7 @@ _ROUNDS = (
     (np.uint64(1 + (10000 << 32)), np.uint64(32), None),
 )
 _TEN_TO_THE_8 = np.uint64(10**8)
+_ZEROS, _PAST_NINE, _HIGH_BITS = (np.uint64(0x0101010101010101 * b) for b in (0x30, 0x76, 0x80))
 
 
 def _digit_values(words, at, ndigits, longest: int):
@@ -334,22 +341,34 @@ def _digit_values(words, at, ndigits, longest: int):
     return out
 
 
+def _padded(text: str):
+    """(bytes, words) of an ASCII text that ends in a newline, None for
+    any other: the text after 8 zero bytes in the kept buffer `text`, and
+    in the kept buffer `words`, entry p is the 8 bytes before the text's
+    position p as a little-endian word.  The words are copied once from
+    the unaligned view with a stride of one byte: a gather from that view
+    copies all of it first."""
+    if not text.endswith("\n") or not text.isascii():
+        return None
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    padded = _work("text", raw.size + 8, np.uint8)
+    padded[:8] = 0
+    padded[8:] = raw
+    words = _work("words", raw.size + 1, np.uint64)
+    np.copyto(words, np.ndarray(words.shape, dtype="<u8", buffer=padded, strides=(1,)))
+    return padded[8:], words
+
+
 def _read_rows(text: str, tagged: bool):
     """The numbers of a text in the canonical layout (see the module
     docstring), one (n, k + 1) int64 array per vertex count k = 1, 2, ...
     when `tagged` (each line's vertex ids, then the number after ` : `,
     which every line has) and one (n, k) array otherwise (no line has a
     tag); the rows in line order.  None for any other text."""
-    if not text.endswith("\n") or not text.isascii():
+    # the text, the byte masks and the lengths are slices of the kept buffers
+    if (padded := _padded(text)) is None:
         return None
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    # the text, the byte masks and the lengths are slices of the kept
-    # buffers; the text follows 8 zero bytes, so every position has a
-    # word of the 8 bytes before it
-    padded = _work("text", raw.size + 8, np.uint8)
-    padded[:8] = 0
-    a = padded[8:]
-    a[:] = raw
+    a, words = padded
     digit, num, other = _work("masks", 3 * a.size, np.bool_).reshape(3, -1)
     np.subtract(a, np.uint8(ord("0")), out=digit.view(np.uint8))
     np.less(digit.view(np.uint8), 10, out=digit)  # wraps around below "0"
@@ -377,8 +396,6 @@ def _read_rows(text: str, tagged: bool):
     minus = np.flatnonzero(np.equal(a, ord("-"), out=other))
     if minus.size and (num[minus - 1].any() or not digit[minus + 1].all()):
         return None
-    # the 8 bytes before each position, as one little-endian word
-    words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
     if minus.size:
         negative = np.searchsorted(ends, minus)  # the number each "-" starts
         length[negative] -= 1  # now the number of digits
@@ -407,7 +424,7 @@ def _read_rows(text: str, tagged: bool):
             return None
     elif not (space | newline).all():  # each line: ids joined by single spaces, "\n"
         return None
-    del raw, padded, a, bounds, ends, starts, words
+    del padded, a, bounds, ends, starts, words
     last = np.flatnonzero(newline)  # the last number of each line
     first = np.empty_like(last)
     first[0] = 0
@@ -429,53 +446,119 @@ def _read_rows(text: str, tagged: bool):
     return blocks
 
 
-def _kept_host(key, blocks) -> Complex | None:
-    """The host kept for this thread under `key` when the vertex columns
-    of the parsed blocks, read through its `order`, are its rows; None
-    when there is none.  A host found becomes the most recently used."""
-    hosts = getattr(_kept, "hosts", None)
-    host = hosts.get(key) if hosts else None
-    if host is None or not all(
-        np.array_equal(b[:, :-1] if o is None else b[o, :-1], r)
-        for b, o, r in zip(blocks, host.order, host.rows)
-    ):
+def _line_starts(a):
+    """(start, end): where each line of the text bytes `a` starts, and
+    where its newline is."""
+    end = np.flatnonzero(np.equal(a, ord("\n"), out=_work("masks", a.size, np.bool_)))
+    return np.concatenate(([0], end[:-1] + 1)), end
+
+
+def _layout(text: str, host: Complex):
+    """(lead, words, perm): what a text must share with `text`, a
+    canonical text that `host` was packed from, to be read onto `host`.
+    The face part of line i, its ids and ` : `, is its first lead[i]
+    bytes, and words[:, i] are the words that end at its positions
+    lead[i], lead[i] - 8, ..., masked to the face part (`_face_words`).
+    perm[j] is the line of the host's face number j, None when that is
+    line j, as in every text of the writers."""
+    a, words = _padded(text)
+    start, _ = _line_starts(a)
+    lead = np.flatnonzero(a == ord(":")) + 2 - start
+    lead = lead.astype(np.min_scalar_type(int(lead.max())))
+    # the packer's blocks: the lines grouped by their count of numbers,
+    # which is their count of spaces (fewer than 256: a kept host has no
+    # face of 16 vertices), each block read through `order`
+    width = np.add.reduceat((a == ord(" ")).view(np.uint8), start, dtype=np.uint8)
+    blocks = np.split(np.argsort(width, kind="stable"), np.cumsum([len(r) for r in host.rows[:-1]]))
+    perm = np.concatenate([b if o is None else b[o] for b, o in zip(blocks, host.order)])
+    return (lead, _face_words(words, start, lead, (int(lead.max()) + 7) // 8),
+            None if np.array_equal(perm, np.arange(perm.size)) else perm)
+
+
+def _face_words(words, start, lead, n: int):
+    """The n words before the positions lead[i], lead[i] - 8, ... of each
+    line i, which starts at start[i], as an (n, lines) array, each masked
+    to the bytes of the line before lead[i]: 0 for a word wholly before
+    the line.  A position past the text reads the text's last word."""
+    back = lead - np.arange(0, 8 * n, 8)[:, None]  # each word's position in its line
+    out = words.take(back + start, mode="clip")
+    out &= _BYTE_MASKS.take(back, mode="clip")
+    return out
+
+
+def _read_tags(text: str, layout):
+    """The altitudes of a text whose lines are the face parts of `layout`
+    (see `_layout`), each followed by a tag of 1 to 18 characters, an
+    optional `-` and digits, and a newline, in the packed order of the
+    host laid out; None for any other text."""
+    lead, kept, perm = layout
+    if (padded := _padded(text)) is None:
         return None
-    hosts[key] = hosts.pop(key)  # the dict runs from least to most recently used
-    return host
+    a, words = padded
+    start, end = _line_starts(a)
+    if not np.array_equal(_face_words(words, start, lead, len(kept)), kept):
+        return None
+    start += lead  # now where each tag starts
+    minus = a.take(start) == ord("-")
+    ndigits = end - start
+    if ndigits.max() > _MAX_NUMBER_LEN or (ndigits - minus).min() < 1:
+        return None
+    ndigits -= minus
+    longest = int(ndigits.max())
+    for k in range(0, longest, 8):  # the tags' last 8 bytes, then the 8 before them, ...
+        w = words.take(end - k, mode="clip") ^ _ZEROS
+        w &= _BYTE_MASKS.take(ndigits - k, mode="clip")  # a digit's byte is below 10 now
+        if ((w + _PAST_NINE) & _HIGH_BITS).any():  # a byte of 10 to 0x7F gets its high bit
+            return None
+    alt = _digit_values(words, end, ndigits, longest).view(np.int64)
+    np.negative(alt, out=alt, where=minus)
+    return alt if perm is None else alt.take(perm)
 
 
-def _keep_host(key, host: Complex) -> None:
-    """Keep `host` for this thread under `key`, in place of any host kept
-    there, putting out the least recently used ones while the kept faces
-    number more than _KEEP_FACES; a host larger than that is not kept."""
-    if len(host) > _KEEP_FACES:
+def _keep_host(host: Complex, text: str) -> None:
+    """Keep `host` and the canonical `text` it was packed from for this
+    thread under its face count, in place of any host kept there, putting
+    out the least recently used ones while the kept faces number more
+    than _KEEP_FACES; a host larger than that is not kept."""
+    n = len(host)
+    if n > _KEEP_FACES:
         return
     hosts = getattr(_kept, "hosts", None)
     if hosts is None:
         hosts = _kept.hosts = {}
-    hosts.pop(key, None)
-    total = len(host) + sum(map(len, hosts.values()))
+    hosts.pop(n, None)
+    total = n + sum(hosts)  # the keys are the face counts
     while total > _KEEP_FACES:
-        total -= len(hosts.pop(next(iter(hosts))))
-    hosts[key] = host
+        total -= len(hosts.pop(next(iter(hosts)))[0])
+    hosts[n] = host, text
+    # the longest text that lists these faces with tags of 1 to 18 characters
+    _kept.longest = max(getattr(_kept, "longest", 0), len(text) + 17 * n)
 
 
 def _parse_canonical_stack(text: str) -> Stack | None:
     """The stack of a text in the canonical layout (see the module
-    docstring), or None for any other text.  Its host is the one kept for
-    the shapes of the parsed blocks when the text lists that host's
-    faces; otherwise the rows are packed, and the new host is kept."""
+    docstring), or None for any other text.  A text that lists the faces
+    of the host kept for its line count as the text that host was packed
+    from did is read onto that host by its tags alone; any other is
+    tokenized and packed, and the new host is kept."""
+    hosts = getattr(_kept, "hosts", None)
+    if hosts and len(text) <= _kept.longest and (key := text.count("\n")) in hosts:
+        host, layout = hosts[key]
+        if isinstance(layout, str):  # the text the host was packed from
+            layout = _layout(layout, host)
+            hosts[key] = host, layout
+        alt = _read_tags(text, layout)
+        if alt is not None:
+            hosts[key] = hosts.pop(key)  # the dict runs from least to most recently used
+            return _stack_from_array(host, alt)
     blocks = _read_rows(text, tagged=True)
     if blocks is None:
         return None
-    key = tuple(b.shape for b in blocks)
-    host = _kept_host(key, blocks)
-    if host is None:
-        try:
-            host = Complex(_rows=[np.ascontiguousarray(b[:, :-1]) for b in blocks])
-        except InvalidSimplexError:  # a face repeated or missing
-            return None
-        _keep_host(key, host)
+    try:
+        host = Complex(_rows=[np.ascontiguousarray(b[:, :-1]) for b in blocks])
+    except InvalidSimplexError:  # a face repeated or missing
+        return None
+    _keep_host(host, text)
     # the altitudes follow the packer's rows
     return _stack_from_array(host, np.concatenate(
         [b[:, -1] if o is None else b[o, -1] for b, o in zip(blocks, host.order)]

@@ -77,13 +77,17 @@ def test_a_second_stack_on_a_kept_host_reads_as_a_cold_parse():
 
 def test_equal_shapes_with_other_rows_miss():
     a, b = _text(4, 6), _text(6, 4)
+    key = a.count("\n")
     assert [x.shape for x in io._read_rows(a, tagged=True)] == [
-        x.shape for x in io._read_rows(b, tagged=True)]  # one key
-    F, G = io.parse_stack(a), io.parse_stack(b)
-    assert G.host is not F.host
+        x.shape for x in io._read_rows(b, tagged=True)] and b.count("\n") == key  # one key
+    F = io.parse_stack(a)
+    assert io._kept.hosts[key][1] is a  # a miss lays out nothing: it keeps the text
+    G = io.parse_stack(b)  # lays out a, then misses
+    assert G.host is not F.host and io._kept.hosts[key][1] is b
     assert G.host == generate_torus(6, 4) and G == _cold_parse(b)
     assert _labels(G) == _labels(_cold_parse(b))
     assert io.parse_stack(b).host is G.host  # the new host took the key
+    assert not isinstance(io._kept.hosts[key][1], str)  # b, laid out
 
 
 def test_a_miss_with_a_repeated_or_missing_face_gives_the_cold_outcome():
@@ -117,6 +121,83 @@ def test_shuffled_lines_hit_through_the_packer_order():
     assert H.host is not F.host and H == G
 
 
+def _outcome(parse, text):
+    """(host, altitudes) of the stack `parse` reads, or the type and the
+    message of what it raises."""
+    try:
+        F = parse(text)
+    except Exception as exc:  # whatever the cold parse raises is the reference
+        return type(exc), str(exc)
+    return F.host, F.alt_array().tolist()
+
+
+def _tag(rng):
+    """A tag of 0 to 20 characters: digits, signs, leading zeros, nines
+    about the 18-character bound, empty."""
+    digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 20)))
+    return rng.choice([digits, "-" + digits[:19], "--" + digits[:18], "-0", "0" * len(digits), "0" + digits[:17],
+                       "9" * rng.randint(17, 20), "-" + "9" * rng.randint(16, 19), "", "-"])
+
+
+def _mutants(text, rng):
+    """Texts a few edits away from a canonical `text`: tags of 1 to 20
+    characters, signs and leading zeros, empty ones, a stray character in
+    a tag, an edited vertex id, a moved ` : `, lines swapped, dropped or
+    doubled; twelve of each kind."""
+    lines = text.splitlines(keepends=True)
+    n = len(lines)
+
+    def edit(i, line):
+        out = lines[:]
+        out[i] = line
+        return "".join(out)
+
+    for _ in range(12):
+        i = rng.randrange(n)
+        face, _, tag = lines[i][:-1].partition(" : ")
+        yield edit(i, f"{face} : {_tag(rng)}\n")
+        out = lines[:]
+        for j in rng.sample(range(n), rng.randint(2, n)):  # many tags, zero-padded
+            out[j] = f"{out[j].partition(' : ')[0]} : {rng.randint(-10**17, 10**17):0{rng.randint(1, 18)}d}\n"
+        yield "".join(out)
+        k, stray = rng.randint(0, len(tag)), rng.choice(" \r\tx:/")  # ":" and "/" border the digits
+        yield edit(i, f"{face} : {tag[:k]}{stray}{tag[k:]}\n")
+        t = rng.randrange(n - n // 3, n)  # a triangle: its first id is a word away from the tag
+        ids = lines[t].partition(" : ")[0].split()
+        j = rng.choice([0, rng.randrange(len(ids))])
+        ids[j] = rng.choice([str(int(ids[j]) ^ 1), str(int(ids[j]) + 10), ids[j] + "0", "0" + ids[j]])
+        yield edit(t, f"{' '.join(ids)} : {lines[t].partition(' : ')[2]}")
+        words = lines[i][:-1].split(" ")
+        colon = words.index(":")
+        words.insert(rng.randrange(len(words)), words.pop(colon))
+        yield edit(i, " ".join(words) + "\n")
+        j = rng.randrange(n)
+        out = lines[:]
+        out[i], out[j] = out[j], out[i]
+        yield "".join(out)
+        yield "".join(lines[:i] + lines[i + 1:])
+        yield "".join(lines[:i + 1] + lines[i:])
+        yield "".join(lines[:i] + lines[i + 1:j + 1] + lines[j:]) if i < j else edit(i, lines[j])
+
+
+@pytest.mark.parametrize("n,m,seed", [(4, 4, 1), (6, 6, 2), (4, 6, 3)])
+def test_mutated_texts_on_a_kept_host_read_as_a_cold_parse(n, m, seed):
+    rng = random.Random(seed)
+    X = generate_torus(n, m)
+    base = io.serialize_stack(random_morse_stack(X, seed=seed, n_minima=2))
+    shifted = ["".join(f"{face} : {int(tag) + s}\n" for face, _, tag in
+                       (line.partition(" : ") for line in base.splitlines()))
+               for s in (10**17, -(10**16), 10**8)]  # 18, 17 and 9 digits: three and two words
+    key, read = base.count("\n"), 0
+    texts = shifted + list(_mutants(base, rng)) + [_shuffled(base, rng)]
+    for text in texts:
+        host = io.parse_stack(base).host
+        assert io.parse_stack(base).host is host  # kept and laid out
+        read += text.count("\n") == key and io._read_tags(text, io._kept.hosts[key][1]) is not None
+        assert _outcome(io.parse_stack, text) == _outcome(_cold_parse, text), text
+    assert 20 <= read <= len(texts) - 20  # both paths taken
+
+
 def test_least_recently_used_hosts_go_out_first(monkeypatch):
     texts = {n: _text(n, minima=2) for n in (3, 4, 5, 6, 8)}
     faces = {n: 6 * n * n for n in texts}
@@ -125,7 +206,7 @@ def test_least_recently_used_hosts_go_out_first(monkeypatch):
     assert all(io.parse_stack(texts[n]).host is hosts[n] for n in (3, 4, 5))
     io.parse_stack(texts[3])  # 4 is now the least recently used, then 5
     six = io.parse_stack(texts[6]).host
-    assert list(io._kept.hosts.values()) == [hosts[3], six]  # 4, then 5, went out
+    assert [h for h, _ in io._kept.hosts.values()] == [hosts[3], six]  # 4, then 5, went out
     assert io.parse_stack(texts[3]).host is hosts[3]
     assert io.parse_stack(texts[4]).host is not hosts[4]
     kept = dict(io._kept.hosts)
