@@ -20,7 +20,7 @@ nothing mutable.
 Connectivity (`_connected_labels`, `_strong_labels`) and the range of a
 value over the faces above each face (`_coface_range`) read the covering
 pairs and the `bd` rows alone.  Free pairs, collapses, and open and
-closed subsets are in `definitions`.
+closed subsets are in `oracles`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ one flat pair (covering pair of equal altitude).  The flat pairs form
 the gradient vector field; faces outside it are critical.  Backward
 gradient-path steps are deterministic on normal pseudomanifolds, which
 the watershed routes exploit; the gradient paths, the traces along them
-and the dual check are in `definitions`.
+and the dual check are in `oracles`.
 
 `random_morse_stack`, the seeded generator behind the tests, the
 benchmark and `morseshed gen random-morse`, removes random free pairs on

@@ -8,7 +8,7 @@ Its face-keyed map `altitude` is the mapping the stack was built from,
 or, for a stack built from an array, a dict built on first read by
 `complexes._LazyViews`.  Stacks are immutable; collapses return new
 stacks sharing the host complex.  Free pairs and elementary collapses
-of a stack are in `definitions`.
+of a stack are in `oracles`.
 
 What no stack changes belongs to the host, which builds it once (the
 facet graph, and the smallest d-cofaces that the watershed routes'
@@ -216,7 +216,7 @@ def ultimate_d_collapse(F: Stack, seed: int = 0) -> Stack:
     (d-1)-faces shuffled by `seed`, in O(n log n) time.  The host check and
     the facet graph are those of the host (`_facet_adjacency`), built once
     for every stack on it.  Collapses that lower a pair one level a step
-    are `definitions.stack_collapse`.
+    are `oracles.stack_collapse`.
     """
     return _ultimate_d_collapse(F, seed)[0]
 

@@ -69,7 +69,9 @@ rooted in the minima.  The engine holds it as two masks over the packed
 host, one over the facet graph's edges and one over the d-faces
 (`_forest_masks`), and `verify_msf_theorem` certifies it on them in one
 pass over the edge list (`_msf_certificate`).  Its tuple objects and the
-greedy, tie-test and exhaustive references are in `oracles`.
+greedy, tie-test and exhaustive references are in `oracles`, the one
+module of the tests' references, which this module imports only inside
+`morse_watershed_direct`.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from .complexes import (
     _INT64_MAX, _INT64_MIN, Complex, Face, _LazyViews, _coface_range, _from_arrays, _grouped,
     _masked_complex, _subcomplex_mask, closure,
 )
-from .definitions import biconnected_faces
 from .morse import _require_morse
 from .stacks import Stack, _facet_adjacency, _flat_zones, _inert_forest, ultimate_d_collapse
 from . import _kernels
@@ -230,6 +231,8 @@ def morse_watershed(F: Stack) -> WatershedResult:
 def morse_watershed_direct(F: Stack) -> Complex:
     """Definitional construction: closure of the faces whose two cofaces
     trace to distinct minima.  Oracle for the two algorithms, after their checks."""
+    from .oracles import biconnected_faces  # oracles imports this module at load
+
     _facet_adjacency(F)
     _require_morse(F)
     return closure(biconnected_faces(F))

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from morseshed.complexes import closure
-from morseshed.definitions import dmf_dual_check, separating_faces, stack_collapse, stack_free_pairs
 from morseshed.fixtures import (
     branching_collapse_counterexample,
     branching_triangles,
@@ -29,8 +28,12 @@ from morseshed.morse import (
 )
 from morseshed.oracles import (
     build_facet_graph,
+    dmf_dual_check,
     enumerate_msfs,
     msf_weight,
+    separating_faces,
+    stack_collapse,
+    stack_free_pairs,
     strictly_connected_oracle,
     watershed_forest,
 )

@@ -12,10 +12,10 @@ import pytest
 
 from morseshed import _kernels, complexes, stacks, watershed
 from morseshed.complexes import Complex, closure, connected_components
-from morseshed.definitions import stack_free_pairs
 from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import is_morse, random_morse_stack
+from morseshed.oracles import stack_free_pairs
 from morseshed.stacks import (
     Stack,
     StackError,

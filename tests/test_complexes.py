@@ -23,7 +23,15 @@ from morseshed.complexes import (
     proper_subfaces,
     strong_connected_components,
 )
-from morseshed.definitions import (
+from morseshed.fixtures import (
+    branching_collapse_counterexample,
+    branching_triangles,
+    cyc6_host,
+    tetrahedron_boundary,
+    wedge,
+)
+from morseshed.manifolds import generate_torus
+from morseshed.oracles import (
     FaceSubset,
     collapse,
     covering_pairs,
@@ -33,14 +41,6 @@ from morseshed.definitions import (
     is_open_subset,
     ultimate_collapse,
 )
-from morseshed.fixtures import (
-    branching_collapse_counterexample,
-    branching_triangles,
-    cyc6_host,
-    tetrahedron_boundary,
-    wedge,
-)
-from morseshed.manifolds import generate_torus
 
 
 def test_make_face_canonicalizes():
@@ -91,6 +91,14 @@ def test_closure_wedge_counts():
 def test_complex_rejects_non_closed_family():
     with pytest.raises(InvalidSimplexError):
         Complex([(0, 1, 2)])
+
+
+def test_complex_contains_iterates_and_hashes_its_faces():
+    X, Y = closure([(0, 1), (1, 2)]), closure([(1, 2), (0, 1)])
+    assert (0, 1) in X and (0, 2) not in X and (3,) not in X
+    assert list(X) == [(0,), (1,), (2,), (0, 1), (1, 2)]
+    assert X is not Y and X == Y and hash(X) == hash(Y) and len({X, Y}) == 1
+    assert (X == 1) is False and (X == X.faces) is False
 
 
 def test_incidence_indexes():

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from morseshed.complexes import closure
-from morseshed.definitions import dmf_dual_check
 from morseshed.fixtures import cyc6_host, tetrahedron_boundary
 from morseshed.morse import GradientField, flat_pairs, is_morse, stack_from_gradient
+from morseshed.oracles import dmf_dual_check
 from morseshed.stacks import _heap_collapse, _ultimate_d_collapse
 from morseshed.watershed import (
     morse_watershed,

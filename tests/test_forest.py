@@ -182,6 +182,19 @@ def test_msf_oracle_roots_only():
     assert forests == [frozenset()]
 
 
+def test_msf_oracle_past_its_limit_gives_the_weight_alone():
+    # a 13-vertex path rooted at one end: one spanning forest, too many
+    # vertices to enumerate at the default limit of 12
+    vs = [(i,) for i in range(13)]
+    edges = {(vs[i], vs[i + 1]): i % 3 + 1 for i in range(12)}
+    G = WeightedFacetGraph(tuple(vs), edges, {e: e[0] for e in edges})
+    roots = frozenset({vs[0]})
+    assert msf_oracle(G, roots) == (24, None)
+    with pytest.raises(ValueError, match="too large"):
+        enumerate_msfs(G, roots)
+    assert msf_oracle(G, roots, max_vertices=13) == (24, [frozenset(edges)])
+
+
 def test_msf_multiple_on_tied_cycle():
     # 4-cycle a-b-c-d, all weights 1, roots {a, c}: b and d can attach
     # to either side, so 4 minimum forests exist

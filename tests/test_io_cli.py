@@ -156,6 +156,8 @@ def test_gradient_round_trip():
     assert io.parse_gradient(text).pairs == V.pairs
     with pytest.raises(io.ParseError):
         io.parse_gradient("0 | 1 2\n")  # not a covering pair
+    with pytest.raises(io.ParseError, match=re.escape("line 2: expected `x-face | y-face`")):
+        io.parse_gradient("0 | 0 1\n0 0 1\n")
 
 
 def test_labels_round_trip():
@@ -211,6 +213,19 @@ def test_cli_check_stack(capsys, cyc6_file, tmp_path):
     bad = tmp_path / "bad.stack"
     bad.write_text("0 1 : 5\n0 : 0\n1 : 5\n")
     assert cli.main(["check-stack", str(bad)]) == 3
+
+
+def test_cli_check_stack_names_the_morse_witness(capsys, tmp_path):
+    # a tied stack is a stack (exit 0) that is not Morse: the witness line
+    # is `is_morse`'s witness
+    F = random_stack(generate_torus(3, 3), seed=1, high=3)
+    morse_ok, witness = is_morse(F)
+    assert not morse_ok and witness in F.host.faces
+    path = tmp_path / "tied.stack"
+    path.write_text(io.serialize_stack(F))
+    assert cli.main(["check-stack", str(path)]) == 0
+    face = " ".join(map(str, witness))
+    assert capsys.readouterr().out == f"ok=True\nmorse=False\nwitness_morse={face}\n"
 
 
 def test_cli_minima(capsys, cyc6_file):
@@ -487,6 +502,15 @@ def test_export_dot_matches_pairwise_adjacency():
         d = max(len(x) - 1 for x in r.labels)
         red = [ln for ln in edges if ln.endswith(" [style=bold color=red];")]
         assert len(red) == sum(1 for z in r.watershed.faces if len(z) == d)
+
+
+def test_export_labels_rejects_off_without_coordinates_and_unknown_formats():
+    # the CLI reads the coordinates before it exports; a direct call checks them
+    r = morse_watershed(cyc6_stack())
+    with pytest.raises(ValueError, match="off export needs a vertex-coordinate sidecar file"):
+        cli.export_labels(r, "off")
+    with pytest.raises(ValueError, match="unknown export format 'svg'"):
+        cli.export_labels(r, "svg")
 
 
 def test_cli_gen_random_morse_minima(capsys, tmp_path):

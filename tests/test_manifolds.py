@@ -33,7 +33,7 @@ from morseshed.manifolds import (
     open_star,
     validate,
 )
-from morseshed.oracles import strictly_connected_oracle
+from morseshed.oracles import _is_strongly_connected_subset, strictly_connected_oracle
 from test_complexes import _inclusion_pairs, _random_complexes
 
 
@@ -297,6 +297,16 @@ def test_strictly_connected_oracle_pinched_triangles():
     X = closure([(0, 1, 2), (2, 3, 4)])
     assert not strictly_connected_oracle(X)
     assert not validate(X).strictly_connected
+
+
+def test_strictly_connected_oracle_on_facets_of_two_dimensions():
+    # a triangle and a dangling edge: the open star of vertex 2 holds both
+    # facets, and no strong path joins facets of two dimensions
+    X = closure([(0, 1, 2), (2, 3)])
+    assert not _is_strongly_connected_subset(X, set(X.faces))
+    assert not _is_strongly_connected_subset(X, {(2,), (0, 2), (1, 2), (2, 3), (0, 1, 2)})
+    assert _is_strongly_connected_subset(X, {(2, 3), (3,)})
+    assert not strictly_connected_oracle(X)
 
 
 def test_oracle_agrees_with_validate_on_small_fixtures():

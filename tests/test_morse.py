@@ -9,19 +9,6 @@ from hypothesis import strategies as st
 
 from morseshed import io
 from morseshed.complexes import Complex, Face, closure, face_key
-from morseshed.definitions import (
-    AtMinimum,
-    Blocked,
-    Extended,
-    LambdaPath,
-    biconnected_faces,
-    dmf_dual_check,
-    extend_path,
-    separating_faces,
-    stack_free_pairs,
-    trace_all,
-    trace_to_minimum,
-)
 from morseshed.fixtures import branching_triangles, cyc6_host, cyc6_stack, tetrahedron_boundary, wedge
 from morseshed.manifolds import generate_torus
 from morseshed.morse import (
@@ -32,6 +19,20 @@ from morseshed.morse import (
     is_morse,
     random_morse_stack,
     stack_from_gradient,
+)
+from morseshed.oracles import (
+    AtMinimum,
+    Blocked,
+    Extended,
+    LambdaPath,
+    _is_flat_dmf,
+    biconnected_faces,
+    dmf_dual_check,
+    extend_path,
+    separating_faces,
+    stack_free_pairs,
+    trace_all,
+    trace_to_minimum,
 )
 from morseshed.stacks import Stack, StackError, random_stack, validate_stack
 
@@ -124,6 +125,21 @@ def test_lambda_path_check_rejects_bad_paths():
         LambdaPath(((0, 1), (3,)), p=1).check(F)  # not a covering pair
     with pytest.raises(ValueError):
         LambdaPath(((2, 3), (2,), (1, 2)), p=1).check(F)  # descending order
+    with pytest.raises(ValueError, match="step 0 is not a flat pair"):
+        LambdaPath(((3,), (3, 4)), p=1).check(F)  # F(3) = 3 above F(3 4) = 0
+    with pytest.raises(ValueError, match="step 1 breaks the dimension alternation"):
+        LambdaPath(((1,), (1, 2), (2, 3)), p=1).check(F)
+
+
+def test_extend_path_off_the_reversed_walk():
+    F = cyc6_stack()
+    with pytest.raises(ValueError, match="top-dimension paths"):
+        extend_path(F, LambdaPath(((1,),), p=0))
+    # forward from a d-face: the smallest strictly higher face of its boundary
+    assert extend_path(F, LambdaPath(((0, 1),), p=1)) == Extended((0,))  # F(0) = 2, F(1) = 1
+    assert extend_path(F, LambdaPath(((1, 2),), p=1)) == Extended((2,))  # (1,) is flat
+    # forward from a (d-1)-face: the flat d-face across it
+    assert extend_path(F, LambdaPath(((0, 1), (1,)), p=1)) == Extended((1, 2))
 
 
 def test_trace_to_minimum_fixture():
@@ -188,6 +204,10 @@ def test_trace_all_matches_the_walk_from_each_face():
             m, path = trace_to_minimum(F, x)
             assert m == ref[x] and path.faces[0] == m and path.faces[-1] == x
             path.check(F)
+            # `check` tests the steps alone: flat steps (equal) and differential
+            # ones (rising) alternate, so the path rises strictly every two steps
+            alt = [F.altitude[y] for y in path.faces]
+            assert all(a < b for a, b in zip(alt, alt[2:]))
     # one minimum on TOR(40,40): every trace ends in the same facet
     F = random_morse_stack(generate_torus(40, 40), seed=0, n_minima=1)
     assert trace_all(F) == _ref_trace_all(F)
@@ -546,6 +566,11 @@ def test_dmf_dual_check_examples():
     assert dmf_dual_check(cyc6_stack())
     assert dmf_dual_check(constant_stack(tetrahedron_boundary()))
     assert dmf_dual_check(strictly_decreasing_stack(cyc6_host()))
+    # a map that rises from (1,) to (1, 2) is no stack, and its negation,
+    # falling along that covering pair, no flat DMF
+    F = cyc6_stack().with_altitudes({(1, 2): 5})
+    assert not validate_stack(F)[0] and not _is_flat_dmf(F.host, F.negate())
+    assert dmf_dual_check(F)
 
 
 @given(st.integers(0, 300))

@@ -13,7 +13,7 @@ import pytest
 import morseshed
 from morseshed import _kernels
 from morseshed.complexes import Complex, closure, face_key
-from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
+from morseshed.fixtures import branching_triangles, cyc6_host, cyc6_stack, tetrahedron_boundary
 from morseshed.manifolds import generate_torus
 from morseshed.morse import random_morse_stack
 from morseshed.oracles import (
@@ -25,6 +25,7 @@ from morseshed.oracles import (
     enumerate_msfs,
     msf_is_unique,
     msf_weight,
+    strictly_connected_oracle,
     watershed_forest,
 )
 from morseshed.stacks import Stack
@@ -130,7 +131,7 @@ def test_tie_test_matches_the_enumeration():
     assert msf_weight(empty, frozenset()) == 0 and msf_is_unique(empty, frozenset())
 
 
-MOVED = {  # the definitions the engine modules held before `definitions` did
+MOVED = {  # the references the engine modules held before `oracles` did
     "complexes": ["covering_pairs", "is_free_pair", "free_pairs", "collapse", "ultimate_collapse",
                   "is_closed_subset", "is_open_subset", "FaceSubset"],
     "stacks": ["_flat_cofaces", "is_stack_free_pair", "stack_free_pairs", "stack_collapse"],
@@ -141,31 +142,45 @@ MOVED = {  # the definitions the engine modules held before `definitions` did
 
 
 def _imports(path):
-    """The modules, and module.name for each name taken from one, that the
-    source file at `path` imports."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            yield node.module or ""
-            yield from (f"{node.module}.{a.name}" if node.module else a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            yield from (a.name for a in node.names)
+    """(scope, name) for each module, and module.name for each name taken
+    from one, that the source file at `path` imports; scope is the name of
+    the function that holds the import, or None for an import at load."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+            elif isinstance(child, ast.ImportFrom):
+                yield scope, child.module or ""
+                yield from ((scope, f"{child.module}.{a.name}" if child.module else a.name)
+                            for a in child.names)
+            elif isinstance(child, ast.Import):
+                yield from ((scope, a.name) for a in child.names)
+            else:
+                yield from walk(child, scope)
+
+    return list(walk(ast.parse(path.read_text(encoding="utf-8")), None))
 
 
 @pytest.mark.parametrize("module, allowed", [
-    ("oracles", {"__init__.py"}),
-    ("definitions", {"__init__.py", "watershed.py"}),
+    # at load only the root; `watershed` only while the direct route runs
+    ("oracles", {("__init__.py", None), ("watershed.py", "morse_watershed_direct")}),
+    ("definitions", set()),  # joined `oracles`
 ])
 def test_only_the_package_root_imports_the_oracles(module, allowed):
     src = Path(morseshed.__file__).parent
-    importers = {path.name for path in src.glob("*.py")
-                 if any(name.split(".")[-1] == module for name in _imports(path))}
+    importers = {(path.name, scope) for path in src.glob("*.py")
+                 for scope, name in _imports(path) if name.split(".")[-1] == module}
     assert importers == allowed
+    assert (importlib.util.find_spec(f"morseshed.{module}") is None) == (not allowed)
     # the references share no array kernel with the engine they check
-    assert all(name.split(".")[-1] != "_kernels" for name in _imports(src / "oracles.py"))
+    assert all(name.split(".")[-1] != "_kernels" for _, name in _imports(src / "oracles.py"))
     assert {"enumerate_msfs", "msf_oracle", "stack_collapse", "trace_all"} <= set(morseshed.__all__)
     for engine, names in MOVED.items():
         assert [name for name in names if hasattr(getattr(morseshed, engine), name)] == []
-        assert all(hasattr(morseshed.definitions, name) for name in names)
+        assert all(hasattr(morseshed.oracles, name) for name in names)
+        # the root re-exports the public ones from `oracles` itself
+        assert all(getattr(morseshed, name) is getattr(morseshed.oracles, name)
+                   for name in names if name in morseshed.__all__)
 
 
 TUPLE_OBJECTS = ["WeightedFacetGraph", "Forest", "build_facet_graph", "watershed_forest"]
@@ -209,3 +224,20 @@ def test_forest_trees_read_no_engine_kernel(monkeypatch):
     monkeypatch.setattr(_kernels, "components", lambda a, b, n: np.arange(n))
     for F, ref in zip(cases, refs):
         assert len(ref) > 1 and watershed_forest(F).trees() == ref
+
+
+def test_strict_connectivity_oracle_reads_no_engine_kernel(monkeypatch):
+    # the oracle joins each open subset with its own union-find over the
+    # tuple cofaces: with a components labeller that merges nothing, its
+    # verdicts on the small fixtures do not change
+    rng = random.Random(2024)
+    hosts = [cyc6_host(), tetrahedron_boundary(), branching_triangles(),
+             closure([(0, 1), (1, 2), (2, 3), (0, 3)]), closure([(0, 1, 2), (2, 3, 4)]),
+             closure([(0, 1, 2), (2, 3)])]
+    hosts += [X for X in (closure([tuple(sorted(rng.sample(range(8), 3)))
+                                   for _ in range(rng.randint(1, 8))]) for _ in range(50))
+              if len(X.faces) <= 25]
+    verdicts = [strictly_connected_oracle(X) for X in hosts]
+    assert len(hosts) > 20 and set(verdicts) == {True, False}
+    monkeypatch.setattr(_kernels, "components", lambda a, b, n: np.arange(n))
+    assert [strictly_connected_oracle(X) for X in hosts] == verdicts

@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 from morseshed import io
 from morseshed.complexes import Complex, closure, face_key
-from morseshed.definitions import is_stack_free_pair, stack_collapse, stack_free_pairs
-from morseshed.fixtures import cyc6_host, cyc6_stack, tetrahedron_boundary
+from morseshed.fixtures import (
+    branching_collapse_counterexample,
+    cyc6_host,
+    cyc6_stack,
+    tetrahedron_boundary,
+)
 from morseshed.manifolds import generate_torus
 from morseshed.morse import gradient, random_morse_stack, stack_from_gradient
+from morseshed.oracles import is_stack_free_pair, stack_collapse, stack_free_pairs
 from morseshed.stacks import (
     MinimaDecomposition,
     Stack,
@@ -155,6 +160,21 @@ def test_stack_collapse_rejects_non_free():
         stack_collapse(F, ((3,), (3, 4)))
     with pytest.raises(ValueError):
         stack_collapse(F, ((1,), (1, 2)), mode="bogus")
+
+
+def test_stack_collapse_batch_takes_d_pairs_on_non_branching_hosts():
+    # a free (0, 1)-pair on a triangle
+    X = closure([(0, 1, 2)])
+    F = Stack(X, {**dict.fromkeys(X.faces, 0), (0,): 1, (1,): 1, (0, 1): 1})
+    assert is_stack_free_pair(F, (0,), (0, 1))
+    assert stack_collapse(F, ((0,), (0, 1))).altitude[(0,)] == 0
+    with pytest.raises(StackError, match="batch collapse applies to d-pairs only"):
+        stack_collapse(F, ((0,), (0, 1)), mode="batch")
+    # a free d-pair at the vertex that three edges share
+    G, pair = branching_collapse_counterexample()
+    assert is_stack_free_pair(G, *pair)
+    with pytest.raises(StackError, match="batch collapse requires a non-branching host"):
+        stack_collapse(G, pair, mode="batch")
 
 
 def test_ultimate_d_collapse_fixture():
